@@ -10,7 +10,7 @@ blow-up rates and exponential decay as the gap closes.
 __version__ = "0.1.0"
 
 from .ansatz import (AnsatzField, BoundaryTraces, ConstantTrace, MonomialTrace,
-                     PolyTrace, build_ansatz, correction_coeffs, grad_ansatz,
+                     PolyTrace, build_ansatz, correction_coeffs,
                      lame_correction, smoother, smoother_prime, theta,
                      theta_bar_delta, zero_trace)
 from .coefficients import (CoefficientTensor, LameParameters, check_ann,
@@ -18,8 +18,7 @@ from .coefficients import (CoefficientTensor, LameParameters, check_ann,
                            make_lame, make_laplace, make_perturbed)
 from .config import RunConfig, parse_config
 from .discretize import (BoxGrid, DiscreteField, assemble, grid_for,
-                         recover_gradient, solve_bvp, solve_linear,
-                         transform_operator)
+                         solve_bvp, solve_linear, transform_operator)
 from .experiments import (CHECKS, RateFit, SweepResult, fit_rate, local_energy,
                           sweep)
 from .geometry import (NarrowRegion, PolyProfile, PowerProfile, ProfilePair,
@@ -31,9 +30,9 @@ __all__ = [
     "NarrowRegion", "PolyProfile", "PolyTrace", "PowerProfile", "ProfilePair",
     "RateFit", "RunConfig", "SweepResult", "assemble", "build_ansatz",
     "check_ann", "check_pointwise_ellipticity", "correction_coeffs",
-    "estimate_c2_norms", "fit_rate", "grad_ansatz", "grid_for",
+    "estimate_c2_norms", "fit_rate", "grid_for",
     "lame_correction", "local_energy", "make_lame", "make_laplace",
-    "make_perturbed", "parse_config", "power_pair", "recover_gradient",
+    "make_perturbed", "parse_config", "power_pair",
     "smoother", "smoother_prime", "solve_bvp", "solve_linear", "sweep",
     "theta", "theta_bar_delta", "transform_operator", "validate_profiles",
     "zero_trace",

@@ -605,14 +605,6 @@ def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,
     return AnsatzField(region, tensor, traces, mode, include_correction, lame)
 
 
-def grad_ansatz(af: AnsatzField, x):
-    return af.gradient(x)
-
-
-def residual(af: AnsatzField, x):
-    return af.residual(x)
-
-
 # ---------------------------------------------------------------------------
 # the operator, applied to any analytically differentiable field
 # ---------------------------------------------------------------------------

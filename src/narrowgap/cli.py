@@ -1,8 +1,11 @@
 """Command-line driver: one subcommand per claim, deterministic artifacts.
 
 Subcommands: validate (hypothesis checks only), ansatz (emit leading-term
-samples), solve (single boundary-value solve), thm11, remark13, decay,
-cor41 (one experiment each), all (every check named in the configuration).
+samples), solve (single boundary-value solve), one per check in
+``experiments.CHECKS`` (thm11, remark13, decay, cor41, residual, energy),
+and all (every check named in the configuration).  Checks run together
+share their sweeps: each distinct (tensor, geometry, eps, grid) matrix is
+factored once and every check and case solves against it.
 
 Every run writes to the output directory:
   config_echo.json   the parsed configuration with defaults filled
@@ -10,7 +13,9 @@ Every run writes to the output directory:
   <check>_<stat>.dat plot-ready two-column data (clean points only)
   fits.json          fit summaries as structured records
   report.txt         human-readable report with a digest manifest
-  runlog.jsonl       solver/check events with wall-clock timings
+  runlog.jsonl       solve events (check, case, eps, grid, factor_s, solve_s,
+                     reused, residual, fill) and check events with
+                     wall-clock timings; an ABORTED check names its error
 
 report.txt and the CSV/JSON artifacts are byte-reproducible for a given
 configuration and package version; runlog.jsonl carries the timings and is
@@ -37,11 +42,10 @@ from .ansatz import build_ansatz
 from .coefficients import check_ann, check_pointwise_ellipticity
 from .config import ConfigError, RunConfig, parse_config
 from .discretize import grid_for, solve_bvp
-from .experiments import CHECKS, Verdict
+from .experiments import CHECKS, Verdict, run_checks
 from .geometry import validate_profiles
 
-COMMANDS = ("validate", "ansatz", "solve", "thm11", "remark13", "decay",
-            "cor41", "all")
+COMMANDS = ("validate", "ansatz", "solve", *CHECKS, "all")
 
 
 @dataclass
@@ -248,18 +252,17 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
                         {"error": f"{type(exc).__name__}: {exc}"}))
     else:
         names = cfg.experiment.checks if command == "all" else (command,)
-        for name in names:
-            try:
-                verdict = CHECKS[name](cfg)
-            except Exception as exc:   # stage failure: record, keep going
-                verdict = Verdict(name, "ABORTED",
-                                  {"error": f"{type(exc).__name__}: {exc}"})
+        for verdict in run_checks(cfg, names):
+            name = verdict.name
             report.verdicts.append(verdict)
             _emit_verdict_files(em, verdict)
             for ev in verdict.solver_events:
                 log({"event": "solve", "check": name, **ev})
-            log({"event": "check", "name": name, "status": verdict.status,
-                 "elapsed": verdict.elapsed})
+            event = {"event": "check", "name": name, "status": verdict.status,
+                     "elapsed": verdict.elapsed}
+            if verdict.status == "ABORTED":
+                event["error"] = verdict.details.get("error")
+            log(event)
             report.timings[name] = verdict.elapsed
 
     em.write("config_echo.json", cfg.to_json() + "\n")
@@ -291,7 +294,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="narrowgap",
         description="Numerical experiments for gradient asymptotics of "
@@ -305,7 +308,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, metavar="S")
         p.add_argument("--grid-scale", type=float, default=None, metavar="F",
                        dest="grid_scale")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     try:
         cfg = parse_config(args.config)

@@ -19,12 +19,19 @@ Stencils are the standard second-order ones: half-node flux averages for the
 aligned second-derivative terms, composed centered differences for the cross
 terms, centered differences for the first-order terms.  Dirichlet rows are
 replaced by identity rows carrying the trace values.
+
+The matrix depends only on the tensor, the region and the grid; boundary data
+and forcing enter the right-hand side alone.  A LinearSystem therefore holds
+one lazily built factorization that every right-hand side solved against it
+shares.  The direct factorization eliminates the identity Dirichlet rows and
+orders the free block by geometric nested dissection of the grid.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,11 +139,16 @@ class TransformedFields:
     Btil: np.ndarray | None
     Ctil: np.ndarray | None
     Dtil: np.ndarray | None
-    Ftil: np.ndarray | None   # (*shape, N)
+
+
+def _require_finite(name, arr, n):
+    if arr is not None and not np.all(np.isfinite(arr)):
+        bad = np.argwhere(~np.isfinite(arr))[0][:n]
+        raise AssemblyError(f"non-finite transformed {name} at node index {tuple(bad)}")
 
 
 def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
-                       grid: BoxGrid, forcing=None) -> TransformedFields:
+                       grid: BoxGrid) -> TransformedFields:
     """Evaluate the pulled-back coefficients at every grid node."""
     XP, T = grid.node_coords()
     dlt = region.delta(XP)
@@ -157,14 +169,18 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
             "...bB,...ijB->...ijb", G, tensor.C(x))
     if np.any(tensor.D0):
         Dtil = dlt[..., None, None] * tensor.D(x)
-    Ftil = None
-    if forcing is not None:
-        Ftil = dlt[..., None] * np.asarray(forcing(x), dtype=float)
-    for name, arr in (("A", Atil), ("B", Btil), ("C", Ctil), ("D", Dtil), ("F", Ftil)):
-        if arr is not None and not np.all(np.isfinite(arr)):
-            bad = np.argwhere(~np.isfinite(arr))[0][:grid.n]
-            raise AssemblyError(f"non-finite transformed {name} at node index {tuple(bad)}")
-    return TransformedFields(grid, Atil, Btil, Ctil, Dtil, Ftil)
+    for name, arr in (("A", Atil), ("B", Btil), ("C", Ctil), ("D", Dtil)):
+        _require_finite(name, arr, grid.n)
+    return TransformedFields(grid, Atil, Btil, Ctil, Dtil)
+
+
+def transform_forcing(region: NarrowRegion, grid: BoxGrid, forcing) -> np.ndarray:
+    """Ftil = delta * F at every grid node, shape (*shape, N)."""
+    XP, T = grid.node_coords()
+    Ftil = region.delta(XP)[..., None] * np.asarray(
+        forcing(region.from_box(XP, T)), dtype=float)
+    _require_finite("F", Ftil, grid.n)
+    return Ftil
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +189,18 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
 
 @dataclass
 class LinearSystem:
+    """Stencil matrix with identity Dirichlet rows and its shared factorization.
+
+    ``rhs`` is the right-hand side ``assemble`` built when it was given
+    boundary values; ``solve_linear`` takes any other one as well.
+    """
+
     matrix: sp.csr_matrix
-    rhs: np.ndarray
+    rhs: np.ndarray | None
     dirichlet_mask: np.ndarray    # bool, length N * nodes
     grid: BoxGrid
     N: int
+    _factor: object = field(default=None, init=False, repr=False)
 
     def asymmetry(self) -> float:
         """Relative Frobenius asymmetry of the free-free block."""
@@ -193,6 +216,24 @@ class LinearSystem:
         eye_vals = sub[np.arange(len(idx)), idx]
         return (sub.nnz == len(idx)) and bool(np.all(np.asarray(eye_vals) == 1.0))
 
+    def factorization(self):
+        """(LU of the free block, reused?, seconds spent factoring now).
+
+        Built on first use and kept for every later right-hand side; a
+        failed factorization is kept too and raised again.
+        """
+        if self._factor is None:
+            t0 = time.perf_counter()
+            try:
+                self._factor = _FreeBlockLU(self)
+            except SolverError as exc:
+                self._factor = exc
+                raise
+            return self._factor, False, time.perf_counter() - t0
+        if isinstance(self._factor, SolverError):
+            raise self._factor
+        return self._factor, True, 0.0
+
 
 def _interior_slices(shape, offset):
     out = []
@@ -201,11 +242,11 @@ def _interior_slices(shape, offset):
     return tuple(out)
 
 
-def assemble(tf: TransformedFields, boundary_values: np.ndarray) -> LinearSystem:
-    """Second-order stencil assembly with identity Dirichlet rows.
+def assemble(tf: TransformedFields, boundary_values=None) -> LinearSystem:
+    """Second-order stencil matrix with identity Dirichlet rows.
 
-    ``boundary_values`` has shape (*shape, N); only its boundary entries are
-    read.  Interior right sides carry -Ftil.
+    The matrix comes from the coefficient fields alone.  Given
+    ``boundary_values`` the system also carries their right-hand side.
     """
     grid = tf.grid
     shape, n = grid.shape, grid.n
@@ -274,25 +315,34 @@ def assemble(tf: TransformedFields, boundary_values: np.ndarray) -> LinearSystem
         cols.append(i * nodes + bnodes)
         vals.append(np.ones(len(bnodes)))
 
-    rhs = np.zeros(N * nodes)
-    if tf.Ftil is not None:
-        for i in range(N):
-            rhs[i * nodes + row_nodes] = -at(tf.Ftil[..., i], zero)
-    bv = np.asarray(boundary_values, dtype=float)
-    if bv.shape != shape + (N,):
-        raise AssemblyError(f"boundary values must have shape {shape + (N,)}")
-    if not np.all(np.isfinite(bv[bmask])):
-        raise AssemblyError("non-finite Dirichlet data")
-    for i in range(N):
-        rhs[i * nodes + bnodes] = bv[..., i][bmask]
-
     K = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N * nodes, N * nodes)).tocsr()
-    mask = np.zeros(N * nodes, dtype=bool)
-    for i in range(N):
-        mask[i * nodes + bnodes] = True
-    return LinearSystem(K, rhs, mask, grid, N)
+    ls = LinearSystem(K, None, np.tile(bmask.ravel(), N), grid, N)
+    if boundary_values is not None:
+        ls.rhs = right_hand_side(ls, boundary_values)
+    return ls
+
+
+def right_hand_side(ls: LinearSystem, boundary_values, Ftil=None) -> np.ndarray:
+    """Dirichlet values on the boundary rows, -Ftil on the interior rows.
+
+    ``boundary_values`` has shape (*shape, N); only its boundary entries are
+    read.  ``Ftil`` is the transformed forcing (``transform_forcing``).
+    """
+    shape, N = ls.grid.shape, ls.N
+    bv = np.asarray(boundary_values, dtype=float)
+    if bv.shape != shape + (N,):
+        raise AssemblyError(f"boundary values must have shape {shape + (N,)}")
+    rhs = np.zeros((N,) + shape)
+    if Ftil is not None:
+        rhs[...] = -np.moveaxis(Ftil, -1, 0)
+    bmask = ls.dirichlet_mask.reshape((N,) + shape)
+    data = np.moveaxis(bv, -1, 0)[bmask]
+    if not np.all(np.isfinite(data)):
+        raise AssemblyError("non-finite Dirichlet data")
+    rhs[bmask] = data
+    return rhs.ravel()
 
 
 def _vadd(u, v):
@@ -303,8 +353,75 @@ def _vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def _vneg(u):
-    return tuple(-a for a in u)
+# ---------------------------------------------------------------------------
+# ordering and factorization
+# ---------------------------------------------------------------------------
+
+_ND_LEAF = 16                 # boxes this small keep lexicographic order
+
+
+@cache
+def nested_dissection(shape) -> np.ndarray:
+    """Node order of a structured grid by geometric nested dissection.
+
+    Each box is cut across its longest axis by a one-node-thick separator;
+    both halves are numbered first, recursively, and the separator last
+    (George 1973, SIAM J. Numer. Anal. 10:345-363).  Boxes of at most
+    ``_ND_LEAF`` nodes, or too thin to cut, keep lexicographic order.
+    """
+    parts = []
+
+    def visit(box):
+        axis = int(np.argmax(box.shape))
+        k = box.shape[axis] // 2
+        if box.size <= _ND_LEAF or box.shape[axis] < 3:
+            parts.append(box.ravel())
+            return
+        cut = [slice(None)] * box.ndim
+        for half in (slice(0, k), slice(k + 1, None)):
+            cut[axis] = half
+            visit(box[tuple(cut)])
+        cut[axis] = k
+        parts.append(box[tuple(cut)].ravel())
+
+    visit(np.arange(int(np.prod(shape))).reshape(shape))
+    order = np.concatenate(parts)
+    order.flags.writeable = False
+    return order
+
+
+class _FreeBlockLU:
+    """Sparse LU of the free block, Dirichlet rows eliminated.
+
+    The identity rows give x_D = b_D, so the free unknowns solve
+    K_ff x_f = b_f - K_fD b_D.  The free block is numbered in the grid's
+    nested-dissection order with each node's components kept together.
+    SuperLU keeps that order (``NATURAL``) and builds its elimination tree
+    from K + K^T (``SymmetricMode``), which matches the symmetric stencil
+    pattern; row pivoting still guards a non-symmetric block.
+    """
+
+    def __init__(self, ls: LinearSystem):
+        nodes = ls.grid.nodes
+        order = (nested_dissection(ls.grid.shape)[:, None]
+                 + nodes * np.arange(ls.N)).ravel()
+        self.free = order[~ls.dirichlet_mask[order]]
+        self.fixed = np.flatnonzero(ls.dirichlet_mask)
+        rows = ls.matrix[self.free]
+        Kff = rows[:, self.free].tocsc()
+        self.coupling = rows[:, self.fixed]
+        try:
+            self.lu = spla.splu(Kff, permc_spec="NATURAL",
+                                options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+        self.fill = self.lu.nnz / Kff.nnz
+
+    def solve(self, b):
+        x = np.empty(len(b))
+        x[self.fixed] = b[self.fixed]
+        x[self.free] = self.lu.solve(b[self.free] - self.coupling @ b[self.fixed])
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +438,17 @@ class SolveReport:
     fill: float = 0.0
     elapsed: float = 0.0
     history: tuple = ()
+    grid: str = ""                # "257x65"
+    factor_s: float = 0.0         # 0 when the factorization was reused
+    solve_s: float = 0.0
+    reused: bool = False
 
     def record(self):
         return {"method": self.method, "unknowns": self.unknowns, "nnz": self.nnz,
                 "residual": self.residual, "iterations": self.iterations,
-                "fill": self.fill, "elapsed": self.elapsed}
+                "fill": self.fill, "elapsed": self.elapsed, "grid": self.grid,
+                "factor_s": self.factor_s, "solve_s": self.solve_s,
+                "reused": self.reused}
 
 
 def _backward_error(K, x, b, Kfro):
@@ -335,23 +458,26 @@ def _backward_error(K, x, b, Kfro):
     return num / den if den else num
 
 
-def solve_linear(ls: LinearSystem, tol: float = 1e-10, max_iter: int = 400,
-                 direct_limit: int = 200_000):
+def solve_linear(ls: LinearSystem, rhs=None, tol: float = 1e-10,
+                 max_iter: int = 400, direct_limit: int = 200_000):
     """Direct sparse LU below ``direct_limit`` unknowns, ILU + GMRES above.
 
-    The reported residual is the normwise backward error
-    |Kx - b| / (|K| |x| + |b|), recomputed from the returned solution; a
-    solve that cannot reach ``tol`` raises SolverError with the history.
+    ``rhs`` defaults to ``ls.rhs``.  The direct branch solves against the
+    system's shared factorization (``LinearSystem.factorization``).  The
+    reported residual is the normwise backward error
+    |Kx - b| / (|K| |x| + |b|) of the full system, recomputed from the
+    returned solution; a solve that cannot reach ``tol`` raises SolverError
+    with the history.
     """
-    K, b = ls.matrix, ls.rhs
+    K = ls.matrix
+    b = ls.rhs if rhs is None else np.asarray(rhs, dtype=float)
     m = K.shape[0]
+    grid = "x".join(map(str, ls.grid.shape))
     Kfro = sp.linalg.norm(K)
     t0 = time.perf_counter()
     if m <= direct_limit:
-        try:
-            lu = spla.splu(K.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+        lu, reused, factor_s = ls.factorization()
+        t1 = time.perf_counter()
         x = lu.solve(b)
         res = _backward_error(K, x, b, Kfro)
         if res > tol:                       # one step of iterative refinement
@@ -360,9 +486,10 @@ def solve_linear(ls: LinearSystem, tol: float = 1e-10, max_iter: int = 400,
         if res > tol:
             raise SolverError(f"direct solve residual {res:.3e} above tol {tol:.1e}",
                               history=(res,))
-        report = SolveReport("direct", m, K.nnz, float(res),
-                             fill=float(lu.nnz / K.nnz),
-                             elapsed=time.perf_counter() - t0)
+        t2 = time.perf_counter()
+        report = SolveReport("direct", m, K.nnz, float(res), fill=float(lu.fill),
+                             elapsed=t2 - t0, grid=grid, factor_s=factor_s,
+                             solve_s=t2 - t1, reused=reused)
         return x, report
     # row equilibration keeps the identity Dirichlet rows commensurate with
     # the operator rows, which otherwise break the incomplete factorization
@@ -376,6 +503,7 @@ def solve_linear(ls: LinearSystem, tol: float = 1e-10, max_iter: int = 400,
         raise SolverError(f"ILU factorization failed: {exc}") from exc
     M = spla.LinearOperator(K.shape, ilu.solve)
     history = []
+    t1 = time.perf_counter()
     x, info = spla.gmres(Ks, bs, M=M, rtol=tol * 1e-3, atol=0.0, restart=100,
                          maxiter=max_iter, callback=history.append,
                          callback_type="pr_norm")
@@ -384,11 +512,12 @@ def solve_linear(ls: LinearSystem, tol: float = 1e-10, max_iter: int = 400,
         raise SolverError(
             f"GMRES failed to reach tol {tol:.1e} (info {info}, residual {res:.3e})",
             history=history)
+    t2 = time.perf_counter()
     report = SolveReport("ilu+gmres", m, K.nnz, float(res),
                          iterations=len(history), fill=float(ilu.nnz / K.nnz),
-                         elapsed=time.perf_counter() - t0, history=tuple(history))
+                         elapsed=t2 - t0, history=tuple(history), grid=grid,
+                         factor_s=t1 - t0, solve_s=t2 - t1)
     return x, report
-
 
 # ---------------------------------------------------------------------------
 # discrete field
@@ -498,10 +627,6 @@ def _diff_axis(vals, axis, h):
     return out
 
 
-def recover_gradient(df: DiscreteField, x):
-    return df.recover_gradient(x)
-
-
 # ---------------------------------------------------------------------------
 # boundary data and the end-to-end pipeline
 # ---------------------------------------------------------------------------
@@ -555,15 +680,23 @@ def solve_bvp(tensor: CoefficientTensor, region: NarrowRegion,
               traces: BoundaryTraces | None, grid: BoxGrid,
               closure: str = "ansatz", ansatz: AnsatzField | None = None,
               lateral_value=None, exact=None, forcing=None,
-              tol: float = 1e-10, direct_limit: int = 200_000):
-    """transform -> assemble -> solve -> DiscreteField."""
+              tol: float = 1e-10, direct_limit: int = 200_000,
+              system: LinearSystem | None = None):
+    """transform -> assemble -> solve -> DiscreteField.
+
+    ``system`` is the already assembled LinearSystem of (tensor, region,
+    grid): only the right-hand side is built then, and the solve shares the
+    system's factorization with every other solve against it.
+    """
     if closure == "ansatz" and ansatz is None:
         from .ansatz import build_ansatz
         ansatz = build_ansatz(tensor, region, traces)
-    tf = transform_operator(tensor, region, grid, forcing=forcing)
+    if system is None:
+        system = assemble(transform_operator(tensor, region, grid))
     V = dirichlet_values(grid, region, traces, closure, ansatz, lateral_value, exact)
-    ls = assemble(tf, V)
-    x, report = solve_linear(ls, tol=tol, direct_limit=direct_limit)
+    Ftil = None if forcing is None else transform_forcing(region, grid, forcing)
+    rhs = right_hand_side(system, V, Ftil)
+    x, report = solve_linear(system, rhs, tol=tol, direct_limit=direct_limit)
     values = x.reshape(tensor.N, *grid.shape)
     return DiscreteField(grid, region, values), report
 

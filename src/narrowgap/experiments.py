@@ -6,6 +6,12 @@ on a doubled grid (points whose statistic moves by more than the Richardson
 tolerance are flagged grid-limited and excluded from fits), then fit a rate
 and compare against the predicted band.
 
+A check declares its sweeps as SweepRequests and judges its own results.
+The matrix depends only on tensor, geometry, eps and grid, so checks run
+together (``run_checks``) share one sweep per matrix: its outer loop is
+(eps, grid), the operator is factored once per point, and every check and
+case solves its own right-hand side against that factorization.
+
 The bounded-remainder checks fit the asymptotic tail of the sweep (default
 eps <= 1e-2) rather than the full window: the remainder approaches its O(1)
 plateau like C (1 - c eps^{1-1/m}), so the leading sweep points still carry
@@ -18,7 +24,9 @@ configurations produce identical CSV bytes.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -150,11 +158,31 @@ def fit_rate(sr: SweepResult, model: str = "power", m: int = 2, n: int = 2,
 # one solve, lazily post-processed
 # ---------------------------------------------------------------------------
 
+class LiveOperator:
+    """A sweep worker's one live operator, replaced when the point changes.
+
+    The previous (eps, grid) point's system, factorization included, is
+    dropped before the next one is assembled, so a worker never holds two.
+    """
+
+    def __init__(self):
+        self.point = self.system = None
+
+    def at(self, eps, tensor, region, grid) -> _disc.LinearSystem:
+        if self.point != (eps, grid.shape):
+            self.point = self.system = None
+            self.system = _disc.assemble(
+                _disc.transform_operator(tensor, region, grid))
+            self.point = (eps, grid.shape)
+        return self.system
+
+
 class SolveBundle:
     """Everything the statistics need about one (eps, grid) solve."""
 
     def __init__(self, cfg: RunConfig, eps: float, nodes: tuple,
-                 lateral_value=None):
+                 live: LiveOperator):
+        """Solve at (eps, nodes) against the worker's live operator."""
         self.cfg = cfg
         self.eps = eps
         self.region = cfg.geometry.build_region(eps)
@@ -167,12 +195,12 @@ class SolveBundle:
                                             mode, include_correction=False,
                                             lame=self.lame)
         self.grid = _disc.grid_for(self.region, *nodes)
-        lateral = lateral_value if lateral_value is not None else cfg.solver.lateral_value
+        system = live.at(eps, self.tensor, self.region, self.grid)
         self.field, self.report = _disc.solve_bvp(
             self.tensor, self.region, self.traces, self.grid,
             closure=cfg.solver.closure, ansatz=self.ansatz,
-            lateral_value=lateral, tol=cfg.solver.tol,
-            direct_limit=cfg.solver.direct_limit)
+            lateral_value=cfg.solver.lateral_value, tol=cfg.solver.tol,
+            direct_limit=cfg.solver.direct_limit, system=system)
         self._cache = {}
 
     def _get(self, key, fn):
@@ -381,41 +409,121 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
 # sweeping
 # ---------------------------------------------------------------------------
 
-def sweep(cfg: RunConfig, stat_names, eps_list=None, richardson: bool = True,
-          lateral_value=None) -> dict:
-    """Solve per eps (base and refined grid) and evaluate named statistics.
+@dataclass(frozen=True)
+class SweepRequest:
+    """One case of a check: the configuration it solves and the statistics it reads.
 
-    Returns one SweepResult per statistic; the solves are shared across
-    statistics.  Points whose base/refined values differ by more than the
-    Richardson tolerance are flagged grid-limited; values under the noise
-    floor are flagged as solver noise.
+    Requests with the same ``matrix_key`` share their sweep matrices; only
+    the boundary data, and so the right-hand sides, differ between them.
     """
-    for s in stat_names:
-        if s not in STATISTICS:
-            raise ConfigError([f"unknown statistic {s!r}"])
-    eps_list = tuple(eps_list if eps_list is not None
-                     else (cfg.experiment.eps_list or DEFAULT_EPS))
+
+    cfg: RunConfig
+    stats: tuple
+    eps_list: tuple
+    case: str = ""
+    richardson: bool = True
+
+    def __post_init__(self):
+        for s in self.stats:
+            if s not in STATISTICS:
+                raise ConfigError([f"unknown statistic {s!r}"])
+
+    @property
+    def matrix_key(self):
+        """Tensor, geometry and grid: all the matrices depend on besides eps."""
+        return self.cfg.tensor, self.cfg.geometry, self.cfg.solver.scaled_nodes()
+
+
+@dataclass
+class SweepOutcome:
+    """One request's sweep: statistic -> SweepResult, or the first error."""
+
+    results: dict = field(default_factory=dict)
+    events: list = field(default_factory=list)     # solve records
+    elapsed: float = 0.0                           # its solves and statistics
+    error: Exception | None = None
+
+
+def _eps_list(cfg: RunConfig, default=DEFAULT_EPS):
+    return tuple(cfg.experiment.eps_list or default)
+
+
+def run_sweeps(requests) -> list:
+    """Sweep every request; one SweepOutcome per request, in order.
+
+    Requests that share a matrix key share one sweep whose outer loop is
+    (eps, grid): at each point the operator is transformed, assembled and
+    factored once, every request there solves its own right-hand side
+    against that factorization, and the factorization is freed before the
+    next point.  Eps points run on ``experiment.threads`` workers, one live
+    factorization each.
+    """
+    outcomes = [SweepOutcome() for _ in requests]
+    groups = {}
+    for i, req in enumerate(requests):
+        groups.setdefault(req.matrix_key, []).append(i)
+    for idx in groups.values():
+        _sweep_group([requests[i] for i in idx], [outcomes[i] for i in idx])
+    return outcomes
+
+
+def _sweep_group(reqs, outs):
+    cfg = reqs[0].cfg
     nodes = cfg.solver.scaled_nodes()
     refined = tuple(2 * (k - 1) + 1 for k in nodes)
+    eps_all = list(dict.fromkeys(e for r in reqs for e in r.eps_list))
 
-    def run_one(eps):
-        base = SolveBundle(cfg, eps, nodes, lateral_value)
-        vals = {s: STATISTICS[s](base) for s in stat_names}
-        ref_vals = {}
-        reports = [base.report]
-        if richardson:
-            fine = SolveBundle(cfg, eps, refined, lateral_value)
-            ref_vals = {s: STATISTICS[s](fine) for s in stat_names}
-            reports.append(fine.report)
-        return eps, vals, ref_vals, reports
+    workers = threading.local()
+
+    def run_point(eps):
+        """Request index -> [values, refined values, events, seconds] or error."""
+        if not hasattr(workers, "live"):
+            workers.live = LiveOperator()
+        found = {}
+        for grid_nodes in (nodes, refined):
+            for i, req in enumerate(reqs):
+                if (eps not in req.eps_list or isinstance(found.get(i), Exception)
+                        or (grid_nodes == refined and not req.richardson)):
+                    continue
+                t0 = time.perf_counter()
+                try:
+                    b = SolveBundle(req.cfg, eps, grid_nodes, workers.live)
+                    vals = {s: STATISTICS[s](b) for s in req.stats}
+                except Exception as exc:     # the request fails, not the sweep
+                    found[i] = exc
+                    continue
+                slot = found.setdefault(i, [vals, {}, [], 0.0])
+                if grid_nodes == refined:
+                    slot[1] = vals
+                slot[2].append({"case": req.case, "eps": eps, **b.report.record()})
+                slot[3] += time.perf_counter() - t0
+        return found
 
     threads = max(1, cfg.experiment.threads)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, eps_list))
+            by_eps = dict(zip(eps_all, pool.map(run_point, eps_all)))
     else:
-        rows = [run_one(e) for e in eps_list]
+        by_eps = {eps: run_point(eps) for eps in eps_all}
 
+    for i, (req, out) in enumerate(zip(reqs, outs)):
+        rows = [(eps, by_eps[eps][i]) for eps in req.eps_list]
+        errors = [row for _, row in rows if isinstance(row, Exception)]
+        if errors:
+            out.error = errors[0]
+            continue
+        out.results = _sweep_results(req.cfg, req.stats, nodes, rows)
+        out.events = [ev for _, row in rows for ev in row[2]]
+        out.elapsed = sum(row[3] for _, row in rows)
+
+
+def _sweep_results(cfg, stat_names, nodes, rows):
+    """One SweepResult per statistic from (eps, [values, refined, ...]) rows.
+
+    Points whose base/refined values differ by more than the Richardson
+    tolerance are flagged grid-limited; values under the noise floor are
+    flagged as solver noise.
+    """
     out = {}
     meta = {"tensor": cfg.tensor.kind, "traces": cfg.traces.family,
             "m": cfg.geometry.m, "grid": "x".join(map(str, nodes)),
@@ -423,7 +531,7 @@ def sweep(cfg: RunConfig, stat_names, eps_list=None, richardson: bool = True,
             "richardson_tol": cfg.experiment.richardson_tol}
     for s in stat_names:
         pts = []
-        for eps, vals, ref_vals, _ in rows:
+        for eps, (vals, ref_vals, *_) in rows:
             v = vals[s]
             rv = ref_vals.get(s)
             rel = None
@@ -442,8 +550,22 @@ def sweep(cfg: RunConfig, stat_names, eps_list=None, richardson: bool = True,
                 p = replace(p, flagged=True, reason="noise-floor")
             cleaned.append(p)
         out[s] = SweepResult(s, cleaned, dict(meta, statistic=s))
-    out["_reports"] = [r for *_, reps in rows for r in reps]
     return out
+
+
+def sweep(cfg: RunConfig, stat_names, eps_list=None, richardson: bool = True) -> dict:
+    """Solve per eps (base and refined grid) and evaluate named statistics.
+
+    Returns one SweepResult per statistic; the solves are shared across
+    statistics.  A failed solve raises.
+    """
+    req = SweepRequest(cfg, tuple(stat_names),
+                       tuple(eps_list) if eps_list is not None else _eps_list(cfg),
+                       richardson=richardson)
+    out, = run_sweeps([req])
+    if out.error is not None:
+        raise out.error
+    return out.results
 
 
 def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
@@ -455,8 +577,7 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
     Refinement doubles the sampling density; maxima that move more than the
     Richardson tolerance are flagged sampling-limited.
     """
-    eps_list = tuple(eps_list if eps_list is not None
-                     else (cfg.experiment.eps_list or DEFAULT_EPS))
+    eps_list = tuple(eps_list) if eps_list is not None else _eps_list(cfg)
     tensor, lame = cfg.build_tensor()
     traces = cfg.build_traces()
     mode = cfg.solver.ansatz_mode
@@ -473,11 +594,12 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
         xp = np.stack([m.ravel() for m in mesh[:-1]], axis=-1)
         t = mesh[-1].ravel()
         x = region.from_box(xp, t)
-        dlt = region.delta(xp)
-        th = _ans.theta(traces, xp)
+        xq = xp[::len(ts)]                  # delta and Theta depend on x' only
+        dlt = region.delta(xq)[:, None]
+        th = _ans.theta(traces, xq)[:, None]
         c2n = traces.c2_total(2 * region.R0, dim=d)
-        f = np.linalg.norm(af.residual(x), axis=-1)
-        f0 = np.linalg.norm(af0.residual(x), axis=-1)
+        f = np.linalg.norm(af.residual(x), axis=-1).reshape(-1, len(ts))
+        f0 = np.linalg.norm(af0.residual(x), axis=-1).reshape(-1, len(ts))
         corr = float((f * dlt / (th + dlt * c2n)).max())
         unc = float((f0 * dlt ** 2 / np.maximum(th, 1e-300)).max())
         return corr, unc
@@ -527,6 +649,74 @@ class Verdict:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class Check:
+    """A claim's verdict, formed in two steps around the shared sweeps.
+
+    ``plan(cfg)`` returns the SweepRequests the check solves, or a finished
+    Verdict when there is nothing to sweep.  ``judge(cfg, results)`` forms
+    the verdict from those requests' SweepResults, in request order.
+    Calling a Check runs it on its own; ``run_checks`` runs several so that
+    they share their sweeps.
+    """
+
+    name: str
+    plan: Callable
+    judge: Callable
+
+    def __call__(self, cfg: RunConfig) -> Verdict:
+        verdict, = _run([self], cfg)
+        if isinstance(verdict, Exception):
+            raise verdict
+        return verdict
+
+
+def _run(checks, cfg):
+    """Verdict, or the exception that stopped it, per check."""
+    plans = []
+    for check in checks:
+        t0 = time.perf_counter()
+        try:
+            plan = check.plan(cfg)
+        except Exception as exc:
+            plan = exc
+        plans.append((plan, time.perf_counter() - t0))
+    outcomes = iter(run_sweeps([r for plan, _ in plans if isinstance(plan, list)
+                                for r in plan]))
+    out = []
+    for check, (plan, plan_s) in zip(checks, plans):
+        if not isinstance(plan, list):
+            if isinstance(plan, Verdict):
+                plan.elapsed = plan_s
+            out.append(plan)
+            continue
+        mine = [next(outcomes) for _ in plan]
+        t0 = time.perf_counter()
+        try:
+            for o in mine:
+                if o.error is not None:
+                    raise o.error
+            verdict = check.judge(cfg, [o.results for o in mine])
+        except Exception as exc:
+            out.append(exc)
+            continue
+        verdict.elapsed = plan_s + sum(o.elapsed for o in mine) + time.perf_counter() - t0
+        verdict.solver_events = [ev for o in mine for ev in o.events]
+        out.append(verdict)
+    return out
+
+
+def run_checks(cfg: RunConfig, names) -> list:
+    """One Verdict per named check; checks that share a matrix share its sweep.
+
+    A check stopped by an exception gets an ABORTED verdict naming it.
+    """
+    verdicts = _run([CHECKS[name] for name in names], cfg)
+    return [v if isinstance(v, Verdict) else
+            Verdict(name, "ABORTED", {"error": f"{type(v).__name__}: {v}"})
+            for name, v in zip(names, verdicts)]
+
+
 def _within(value, center, band):
     return abs(value - center) <= band
 
@@ -552,7 +742,16 @@ def _tail_fit(sr, cfg, default_tail, **kw):
     return tail, full, eps_max
 
 
-def check_theorem_1_1(cfg: RunConfig) -> Verdict:
+def _plan_thm11(cfg: RunConfig):
+    if _traces_are_zero(cfg):
+        return Verdict("thm11", "SKIPPED",
+                       {"note": "zero boundary data: theorem hypothesis needs "
+                                "phi or psi nonzero"})
+    return [SweepRequest(cfg, ("thm11_sup", "thm11_sup_uncorrected",
+                               "thm11_sup_normalized"), _eps_list(cfg))]
+
+
+def _judge_thm11(cfg: RunConfig, results) -> Verdict:
     """Bounded corrected remainder vs eps^{-1/m} uncorrected remainder.
 
     The expected blow-up rate of the uncorrected interpolant's error is
@@ -560,20 +759,13 @@ def check_theorem_1_1(cfg: RunConfig) -> Verdict:
     pointwise and its supremum is attained where delta is comparable to eps
     (for m = 2 this is the classical eps^{-1/2}).
     """
-    t0 = time.perf_counter()
-    if _traces_are_zero(cfg):
-        return Verdict("thm11", "SKIPPED",
-                       {"note": "zero boundary data: theorem hypothesis needs "
-                                "phi or psi nonzero"})
+    srs, = results
     m = cfg.geometry.m
     try:
-        srs = sweep(cfg, ["thm11_sup", "thm11_sup_uncorrected",
-                          "thm11_sup_normalized"])
         fit_c, full_c, used = _tail_fit(srs["thm11_sup"], cfg, EPS_FIT_MAX)
         fit_u, full_u, _ = _tail_fit(srs["thm11_sup_uncorrected"], cfg, EPS_FIT_MAX)
     except DataError as exc:
-        return Verdict("thm11", "ABORTED", {"error": str(exc)},
-                       elapsed=time.perf_counter() - t0)
+        return Verdict("thm11", "ABORTED", {"error": str(exc)}, sweeps=srs)
     expected_unc = -1.0 / m
     ok_c = _within(fit_c.slope, 0.0, THM11_BAND)
     ok_u = _within(fit_u.slope, expected_unc, THM11_BAND)
@@ -587,9 +779,8 @@ def check_theorem_1_1(cfg: RunConfig) -> Verdict:
     }
     fits = {"corrected": fit_c, "uncorrected": fit_u,
             "corrected_full": full_c, "uncorrected_full": full_u}
-    events = [r.record() for r in srs.pop("_reports", [])]
     return Verdict("thm11", "PASS" if ok_c and ok_u else "FAIL", details,
-                   fits, srs, time.perf_counter() - t0, events)
+                   fits, srs)
 
 
 def _remark13_case_cfg(cfg, case):
@@ -609,24 +800,29 @@ def _remark13_case_cfg(cfg, case):
     return replace(cfg, traces=tr)
 
 
-def check_remark_1_3(cfg: RunConfig) -> Verdict:
-    """Blow-up taxonomy: (i) bounded, (ii) eps^-1, (iii) eps^{k/m-1}."""
-    t0 = time.perf_counter()
+REMARK13_STATS = {"i": "sup_grad", "ii": "shortest_segment_max",
+                  "iii": "monomial_point_max"}
+
+
+def _plan_remark13(cfg: RunConfig):
     m, k = cfg.geometry.m, cfg.experiment.monomial_k
     cases = cfg.experiment.remark13_cases
     if "iii" in cases and m <= k:
         raise ConfigError([f"remark 1.3(iii) requires m > k (m = {m}, k = {k})"])
+    return [SweepRequest(_remark13_case_cfg(cfg, case), (REMARK13_STATS[case],),
+                         _eps_list(cfg), case=case)
+            for case in cases]
+
+
+def _judge_remark13(cfg: RunConfig, results) -> Verdict:
+    """Blow-up taxonomy: (i) bounded, (ii) eps^-1, (iii) eps^{k/m-1}."""
+    m, k = cfg.geometry.m, cfg.experiment.monomial_k
     sub = {}
-    fits, sweeps, statuses, events = {}, {}, [], []
-    for case in cases:
-        ccfg = _remark13_case_cfg(cfg, case)
-        stat = {"i": "sup_grad", "ii": "shortest_segment_max",
-                "iii": "monomial_point_max"}[case]
+    fits, sweeps, statuses = {}, {}, []
+    for case, srs in zip(cfg.experiment.remark13_cases, results):
         expected = {"i": 0.0, "ii": -1.0, "iii": k / m - 1.0}[case]
         band = REMARK13_BANDS[case]
-        srs = sweep(ccfg, [stat])
-        events += [r.record() for r in srs.pop("_reports", [])]
-        sr = srs[stat]
+        sr = srs[REMARK13_STATS[case]]
         sweeps[f"case_{case}"] = sr
         vmax = float(np.abs(sr.values(clean=False)).max())
         if case == "i" and vmax < 1e-10:
@@ -647,12 +843,10 @@ def check_remark_1_3(cfg: RunConfig) -> Verdict:
         statuses.append(ok)
     status = "PASS" if statuses and all(statuses) else "FAIL"
     return Verdict("remark13", status, {f"case_{c}": sub[c] for c in sub},
-                   fits, sweeps, time.perf_counter() - t0, events)
+                   fits, sweeps)
 
 
-def check_theorem_1_3(cfg: RunConfig) -> Verdict:
-    """Super-polynomial gradient decay under zero top/bottom data."""
-    t0 = time.perf_counter()
+def _plan_decay(cfg: RunConfig):
     from .config import TracesConfig
     N = cfg.N
     lateral = cfg.solver.lateral_value
@@ -667,41 +861,45 @@ def check_theorem_1_3(cfg: RunConfig) -> Verdict:
                                        psi=(0.0,) * N),
                    solver=replace(cfg.solver, closure="constant",
                                   lateral_value=tuple(lateral)))
-    eps_list = cfg.experiment.eps_list or DECAY_EPS
+    return [SweepRequest(dcfg, ("decay_normalized",), _eps_list(cfg, DECAY_EPS))]
+
+
+def _judge_decay(cfg: RunConfig, results) -> Verdict:
+    """Super-polynomial gradient decay under zero top/bottom data."""
+    srs, = results
     try:
-        srs = sweep(dcfg, ["decay_normalized"], eps_list=eps_list)
         fit = fit_rate(srs["decay_normalized"], model="stretched_exponential",
                        m=cfg.geometry.m, n=cfg.geometry.n)
     except DataError as exc:
-        return Verdict("decay", "ABORTED", {"error": str(exc)},
-                       elapsed=time.perf_counter() - t0)
+        return Verdict("decay", "ABORTED", {"error": str(exc)}, sweeps=srs)
     ok = fit.slope < 0 and fit.r_squared >= DECAY_MIN_R2
     details = {"slope": round(fit.slope, 4), "r_squared": round(fit.r_squared, 6),
                "fitted_decay_constant": None if fit.decay_constant is None
                else round(fit.decay_constant, 5),
                "expected": f"slope < 0 and R^2 >= {DECAY_MIN_R2}"}
-    events = [r.record() for r in srs.pop("_reports", [])]
     return Verdict("decay", "PASS" if ok else "FAIL", details,
-                   {"stretched": fit}, srs, time.perf_counter() - t0, events)
+                   {"stretched": fit}, srs)
 
 
-def check_corollary_4_1(cfg: RunConfig) -> Verdict:
-    """Elasticity gauge: Theta_bar-normalized remainder bounded, gauge smaller."""
-    t0 = time.perf_counter()
+def _plan_cor41(cfg: RunConfig):
     if cfg.tensor.kind != "lame":
         return Verdict("cor41", "SKIPPED",
                        {"note": f"requires the elasticity tensor, got "
                                 f"{cfg.tensor.kind!r}"})
     if _traces_are_zero(cfg):
         return Verdict("cor41", "SKIPPED", {"note": "zero boundary data"})
+    return [SweepRequest(cfg, ("cor41_sup_thetabar", "cor41_sup_theta",
+                               "gauge_margin"), _eps_list(cfg))]
+
+
+def _judge_cor41(cfg: RunConfig, results) -> Verdict:
+    """Elasticity gauge: Theta_bar-normalized remainder bounded, gauge smaller."""
+    srs, = results
     try:
-        srs = sweep(cfg, ["cor41_sup_thetabar", "cor41_sup_theta",
-                          "gauge_margin"])
         fit_tb, full_tb, used = _tail_fit(srs["cor41_sup_thetabar"], cfg,
                                           EPS_FIT_MAX)
     except DataError as exc:
-        return Verdict("cor41", "ABORTED", {"error": str(exc)},
-                       elapsed=time.perf_counter() - t0)
+        return Verdict("cor41", "ABORTED", {"error": str(exc)}, sweeps=srs)
     margin = srs["gauge_margin"].values(clean=False)
     gauge_ok = bool(margin.min() >= -1e-12)
     ok = _within(fit_tb.slope, 0.0, COR41_BAND) and gauge_ok
@@ -712,24 +910,24 @@ def check_corollary_4_1(cfg: RunConfig) -> Verdict:
                "gauge_pointwise_ok": gauge_ok,
                "expected": f"slope 0 +/- {COR41_BAND} and "
                            "Theta_bar <= Theta at every sampled x'"}
-    events = [r.record() for r in srs.pop("_reports", [])]
     return Verdict("cor41", "PASS" if ok else "FAIL", details,
-                   {"thetabar": fit_tb, "thetabar_full": full_tb}, srs,
-                   time.perf_counter() - t0, events)
+                   {"thetabar": fit_tb, "thetabar_full": full_tb}, srs)
 
 
-def check_residual_cancellation(cfg: RunConfig) -> Verdict:
-    """The delta^{-2} residual part cancels; without the correction it stays."""
-    t0 = time.perf_counter()
+def _plan_residual(cfg: RunConfig):
     if _traces_are_zero(cfg):
         return Verdict("residual", "SKIPPED", {"note": "zero boundary data"})
+    return []
+
+
+def _judge_residual(cfg: RunConfig, results) -> Verdict:
+    """The delta^{-2} residual part cancels; without the correction it stays."""
     srs = residual_sweep(cfg)
     try:
         fit_c = fit_rate(srs["residual_normalized"])
         fit_u = fit_rate(srs["residual_uncorrected"])
     except DataError as exc:
-        return Verdict("residual", "ABORTED", {"error": str(exc)},
-                       elapsed=time.perf_counter() - t0)
+        return Verdict("residual", "ABORTED", {"error": str(exc)}, sweeps=srs)
     umin = float(srs["residual_uncorrected"].values().min())
     ok = (_within(fit_c.slope, 0.0, RESIDUAL_BAND)
           and umin > 0 and fit_u.slope >= -0.1)
@@ -739,34 +937,36 @@ def check_residual_cancellation(cfg: RunConfig) -> Verdict:
                "expected": f"slope 0 +/- {RESIDUAL_BAND}; uncorrected "
                            "bounded below by a positive constant"}
     return Verdict("residual", "PASS" if ok else "FAIL", details,
-                   {"normalized": fit_c, "uncorrected": fit_u}, srs,
-                   time.perf_counter() - t0)
+                   {"normalized": fit_c, "uncorrected": fit_u}, srs)
 
 
-def check_local_energy(cfg: RunConfig) -> Verdict:
-    """Windowed energy of grad(u - ubar) at z' = 0 scales like delta^n Theta^2."""
-    t0 = time.perf_counter()
+def _plan_energy(cfg: RunConfig):
     if _traces_are_zero(cfg):
         return Verdict("energy", "SKIPPED", {"note": "zero boundary data"})
+    return [SweepRequest(cfg, ("energy_ratio",), _eps_list(cfg))]
+
+
+def _judge_energy(cfg: RunConfig, results) -> Verdict:
+    """Windowed energy of grad(u - ubar) at z' = 0 scales like delta^n Theta^2."""
+    srs, = results
     try:
-        srs = sweep(cfg, ["energy_ratio"])
         fit = fit_rate(srs["energy_ratio"])
     except DataError as exc:
-        return Verdict("energy", "ABORTED", {"error": str(exc)},
-                       elapsed=time.perf_counter() - t0)
+        return Verdict("energy", "ABORTED", {"error": str(exc)}, sweeps=srs)
     ok = _within(fit.slope, 0.0, ENERGY_BAND)
     details = {"slope": round(fit.slope, 4),
                "expected": f"0 +/- {ENERGY_BAND}"}
-    events = [r.record() for r in srs.pop("_reports", [])]
     return Verdict("energy", "PASS" if ok else "FAIL", details,
-                   {"energy": fit}, srs, time.perf_counter() - t0, events)
+                   {"energy": fit}, srs)
 
 
-CHECKS = {
-    "thm11": check_theorem_1_1,
-    "remark13": check_remark_1_3,
-    "decay": check_theorem_1_3,
-    "cor41": check_corollary_4_1,
-    "residual": check_residual_cancellation,
-    "energy": check_local_energy,
-}
+check_theorem_1_1 = Check("thm11", _plan_thm11, _judge_thm11)
+check_remark_1_3 = Check("remark13", _plan_remark13, _judge_remark13)
+check_theorem_1_3 = Check("decay", _plan_decay, _judge_decay)
+check_corollary_4_1 = Check("cor41", _plan_cor41, _judge_cor41)
+check_residual_cancellation = Check("residual", _plan_residual, _judge_residual)
+check_local_energy = Check("energy", _plan_energy, _judge_energy)
+
+CHECKS = {c.name: c for c in (check_theorem_1_1, check_remark_1_3,
+                              check_theorem_1_3, check_corollary_4_1,
+                              check_residual_cancellation, check_local_energy)}

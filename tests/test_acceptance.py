@@ -6,7 +6,9 @@ asserted with their original limits; all pass with wide margins on a
 laptop-class machine.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -149,16 +151,26 @@ def test_criterion_3_solver_order():
 # 4. Theorem 1.1 reproduction
 # ---------------------------------------------------------------------------
 
+GOLDEN_THM11 = Path(__file__).resolve().parents[1] / "runs" / "thm11" / "fits.json"
+
+
 def test_criterion_4_corrected_remainder_bounded():
+    # the committed runs/thm11 artifacts come from the same configuration
+    # (configs/thm11.json); its slopes are the golden reference at 4 dp
     t0 = time.perf_counter()
     verdict = check_theorem_1_1(lame_gap_config())
     elapsed = time.perf_counter() - t0
     d = verdict.details
-    ok = verdict.status == "PASS"
+    golden = json.loads(GOLDEN_THM11.read_text())["thm11"]["details"]
+    keys = ("corrected_slope", "uncorrected_slope", "full_window_slopes")
+    same = all(json.loads(json.dumps(d.get(k))) == golden[k] for k in keys)
+    ok = verdict.status == "PASS" and same
     report(4, ok,
            f"corrected slope {d.get('corrected_slope')} (0 +/- 0.15), "
            f"uncorrected {d.get('uncorrected_slope')} (-0.5 +/- 0.15), "
-           f"fit tail eps <= {d.get('fit_eps_max')}", elapsed, 600.0)
+           f"fit tail eps <= {d.get('fit_eps_max')}, full window "
+           f"{d.get('full_window_slopes')}; golden runs/thm11/fits.json at "
+           f"4 dp: {same}", elapsed, 600.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from narrowgap.cli import main, run
+from narrowgap import discretize
+from narrowgap.cli import build_parser, main, run
 from narrowgap.config import (ConfigError, config_from_dict, parse_config,
                               validate_config)
+from narrowgap.experiments import CHECKS
 
 MINI = {
     "geometry": {"m": 2, "R0": 0.5},
@@ -16,6 +18,13 @@ MINI = {
     "experiment": {"checks": ["residual"],
                    "eps_list": [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]},
 }
+
+
+# every check on a 17x9 base grid: the Richardson grid flags most points, so
+# only residual and energy pass, but every solving check sweeps all 4 eps
+TINY = {**MINI,
+        "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
+        "experiment": {"eps_list": [0.01, 0.005, 0.002, 0.001]}}
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -106,6 +115,11 @@ class TestRun:
         code = main(["all", "--config", str(write_cfg(tmp_path, bad, "bad.json"))])
         assert code == 1
 
+    def test_parser_accepts_every_check(self):
+        parser = build_parser()
+        for name in CHECKS:
+            assert parser.parse_args([name, "--config", "c.json"]).command == name
+
     def test_config_errors_exit_2(self, tmp_path):
         p = write_cfg(tmp_path, {"tensor": {"kind": "nope"}})
         assert main(["validate", "--config", str(p)]) == 2
@@ -171,3 +185,42 @@ class TestRun:
         assert code == 1
         report = (tmp_path / "coarse" / "report.txt").read_text()
         assert "ABORTED" in report and "clean points" in report
+
+
+def _runlog(outdir):
+    return [json.loads(line) for line in (outdir / "runlog.jsonl").read_text().splitlines()]
+
+
+def test_solve_events_name_their_sweep_point(tmp_path):
+    cfg = config_from_dict({**TINY, "output": {"dir": str(tmp_path / "ev")}})
+    run(cfg, "all")
+    solves = [e for e in _runlog(tmp_path / "ev") if e["event"] == "solve"]
+    assert {e["check"] for e in solves} == {"thm11", "remark13", "decay",
+                                            "cor41", "energy"}
+    assert {e["case"] for e in solves if e["check"] == "remark13"} == {"i", "ii", "iii"}
+    points = {(e["eps"], e["grid"]) for e in solves}
+    assert points == {(eps, g) for eps in TINY["experiment"]["eps_list"]
+                      for g in ("17x9", "33x17")}
+    fresh = [(e["eps"], e["grid"]) for e in solves if not e["reused"]]
+    assert sorted(fresh) == sorted(points)
+    assert all(e["factor_s"] == 0.0 for e in solves if e["reused"])
+    assert all(e["factor_s"] > 0 and e["solve_s"] > 0 for e in solves if not e["reused"])
+
+
+def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(discretize.spla, "splu", broken)
+    cfg = config_from_dict({**TINY, "output": {"dir": str(tmp_path / "f")}})
+    report = run(cfg, "all")
+    status = {v.name: v for v in report.verdicts}
+    assert status["residual"].status == "PASS"
+    message = "SolverError: sparse LU factorization failed"
+    checks = {e["name"]: e for e in _runlog(tmp_path / "f") if e["event"] == "check"}
+    for name in ("thm11", "remark13", "decay", "cor41", "energy"):
+        assert status[name].status == "ABORTED"
+        assert status[name].details["error"].startswith(message)
+        assert checks[name]["status"] == "ABORTED"
+        assert checks[name]["error"].startswith(message)
+    assert "residual" in checks and "error" not in checks["residual"]

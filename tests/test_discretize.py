@@ -8,8 +8,9 @@ from narrowgap.ansatz import BoundaryTraces, ConstantTrace, build_ansatz, zero_t
 from narrowgap.coefficients import LameParameters, make_custom, make_lame, make_laplace
 from narrowgap.discretize import (BoxGrid, DiscreteField, SolverError,
                                   TrigSolution, assemble, dirichlet_values,
-                                  grid_for, manufactured_forcing, solve_bvp,
-                                  solve_linear, transform_operator)
+                                  grid_for, manufactured_forcing,
+                                  nested_dissection, solve_bvp, solve_linear,
+                                  transform_operator)
 from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion,
                                 ProfilePair, power_pair)
 
@@ -152,7 +153,7 @@ class TestSolveLinear:
         rng = np.random.default_rng(1)
         b = rng.normal(size=n)
         ls = LinearSystem(sp.identity(n, format="csr"), b,
-                          np.zeros(n, bool), BoxGrid(2, 3, 3, 1.0), 1)
+                          np.zeros(n, bool), BoxGrid(2, 10, 5, 1.0), 1)
         x, rep = solve_linear(ls)
         assert np.array_equal(x, b)
 
@@ -184,6 +185,57 @@ class TestSolveLinear:
         with pytest.raises(SolverError) as err:
             solve_linear(ls, tol=1e-14, max_iter=1, direct_limit=10)
         assert len(err.value.history) >= 0
+
+
+class TestSharedFactorization:
+    @staticmethod
+    def _matches_spsolve(tensor, reg, grid):
+        tf = transform_operator(tensor, reg, grid)
+        rng = np.random.default_rng(3)
+        ls = assemble(tf, rng.normal(size=grid.shape + (tensor.N,)))
+        x, rep = solve_linear(ls)
+        want = sp.linalg.spsolve(ls.matrix.tocsc(), ls.rhs)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        return ls, rep
+
+    def test_lame_matches_full_system_spsolve(self):
+        reg = curved_region(eps=1e-3, upper=1.0, lower=0.5)
+        ls, rep = self._matches_spsolve(LAME, reg, BoxGrid(2, 65, 17, 1.0))
+        assert ls.asymmetry() <= 1e-12 and not rep.reused
+
+    def test_nonsymmetric_block_matches_full_system_spsolve(self):
+        # B and C make the free block non-symmetric; SymmetricMode only
+        # shapes the elimination tree, row pivoting keeps the answer right
+        A0 = np.zeros((1, 1, 2, 2))
+        A0[0, 0] = np.eye(2)
+        tensor = make_custom(2, 1, A0, B0=np.array([[[3.0, -2.0]]]),
+                             C0=np.array([[[1.0, 4.0]]]), lam=1.0)
+        ls, _ = self._matches_spsolve(tensor, curved_region(eps=0.05),
+                                      BoxGrid(2, 33, 17, 1.0))
+        assert ls.asymmetry() > 1e-3
+
+    def test_one_factorization_serves_every_right_hand_side(self, monkeypatch):
+        from narrowgap import discretize
+        calls = []
+        splu = discretize.spla.splu
+        monkeypatch.setattr(discretize.spla, "splu",
+                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        reg = curved_region(eps=0.01)
+        grid = BoxGrid(2, 33, 9, 1.0)
+        ls = assemble(transform_operator(LAME, reg, grid))
+        rng = np.random.default_rng(8)
+        for k in range(3):
+            b = rng.normal(size=ls.matrix.shape[0])
+            x, rep = solve_linear(ls, b)
+            assert rep.reused == (k > 0) and (rep.factor_s == 0.0) == (k > 0)
+            assert np.linalg.norm(ls.matrix @ x - b) <= 1e-9 * np.linalg.norm(b)
+        assert len(calls) == 1
+
+    def test_nested_dissection_numbers_the_middle_separator_last(self):
+        order = nested_dissection((33, 9))
+        assert np.array_equal(np.sort(order), np.arange(33 * 9))
+        ids = np.arange(33 * 9).reshape(33, 9)
+        assert set(order[-9:]) == set(ids[16])
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,35 @@ class TestSweep:
         assert [p.flagged for p in sr.points] == [False, False, True, True]
 
 
+def test_checks_share_one_factorization_per_point(tmp_path, monkeypatch):
+    # thm11, cor41, energy and the three remark13 cases share one matrix per
+    # (eps, grid): one factorization each, and the same CSV bytes as alone
+    from narrowgap import discretize
+    from narrowgap.cli import run
+
+    eps = [0.01, 0.005, 0.002, 0.001]
+    cfg = small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
+                    experiment={"eps_list": eps,
+                                "checks": ["thm11", "remark13", "cor41", "energy"]})
+    calls = []
+    splu = discretize.spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(discretize.spla, "splu", counted)
+    run(cfg, "all", outdir=tmp_path / "all")
+    assert len(calls) == 2 * len(eps)
+    together = {p.name: p.read_bytes() for p in (tmp_path / "all").glob("*.csv")}
+    assert {name.split("_")[0] for name in together} == set(cfg.experiment.checks)
+    for check in cfg.experiment.checks:
+        run(cfg, check, outdir=tmp_path / check)
+        alone = {p.name: p.read_bytes() for p in (tmp_path / check).glob("*.csv")}
+        assert alone and alone == {k: v for k, v in together.items()
+                                   if k.startswith(check + "_")}
+
+
 class TestResidualSweep:
     def test_slopes_and_floor(self):
         cfg = small_cfg()
