@@ -29,10 +29,12 @@ For the isotropic elasticity tensor the solve collapses to closed forms
 available as ``mode="lame_closed_form"``.
 
 All derivatives here are analytic: the correction's first and second
-derivatives come from differentiating the linear system (reusing the same
-matrix), never from finite differences, so convergence-rate measurements
-are not polluted by evaluation noise.  When the tensor varies with x_n the
-system is evaluated at the mid-gap height x_n = h2 + delta/2.
+derivatives come from differentiating the linear system (one inverse of
+A^{nn} per point serves every order), never from finite differences, so
+convergence-rate measurements are not polluted by evaluation noise.  Each
+evaluation computes derivatives only to the order it needs.  When the
+tensor varies with x_n the system is evaluated at the mid-gap height
+x_n = h2 + delta/2.
 """
 
 from __future__ import annotations
@@ -247,54 +249,139 @@ def theta_bar_delta(traces: BoundaryTraces, region: NarrowRegion, xp):
 
 
 # ---------------------------------------------------------------------------
-# correction coefficients
+# correction rows
 # ---------------------------------------------------------------------------
+#
+# Each correction vector factors as G_l = (phi^l - psi^l) Q_l, where the
+# kernel row Q_l solves  A^nn Q_l = sum_{c<n} (A^{cn} + A^{nc})_{:l} d_c delta
+# and depends on the tensor and the gap alone.  Quantities travel as lists
+# [f, df, d2f] cut at the order the caller needs; tangential derivative axes
+# come last.
+
+def _leibniz(spec, F, G, order):
+    """einsum(spec, f, g) and its derivatives up to ``order`` (product rule)."""
+    ins, out = spec.split("->")
+    f, g = ins.split(",")
+    res = [np.einsum(spec, F[0], G[0])]
+    if order >= 1:
+        res.append(np.einsum(f"{f}y,{g}->{out}y", F[1], G[0])
+                   + np.einsum(f"{f},{g}y->{out}y", F[0], G[1]))
+    if order >= 2:
+        res.append(np.einsum(f"{f}yz,{g}->{out}yz", F[2], G[0])
+                   + np.einsum(f"{f}y,{g}z->{out}yz", F[1], G[1])
+                   + np.einsum(f"{f}z,{g}y->{out}yz", F[1], G[1])
+                   + np.einsum(f"{f},{g}yz->{out}yz", F[0], G[2]))
+    return res
+
+
+def _gap_slopes(region, xp, order):
+    """[d delta, d2 delta, d3 delta]: d delta and its derivatives to ``order``."""
+    fns = (region.delta_grad, region.delta_hess, region.delta_third)
+    return [fn(xp) for fn in fns[:order + 1]]
+
 
 def _midpoint_tensor_derivs(tensor, region, xp, order):
-    """A and its first/second total tangential derivatives at the mid-gap line.
+    """[A, dA, d2A] up to ``order`` total tangential derivatives at mid-gap.
 
     The evaluation height is x_n = h2(x') + delta(x')/2; the chain rule folds
     the height's x'-dependence into the returned tangential derivatives.
     """
-    d = region.d
-    dlt = region.delta(xp)
-    h2g = region.profiles.h2.grad(xp)
-    h2h = region.profiles.h2.hess(xp)
-    ddlt = region.delta_grad(xp)
-    d2dlt = region.delta_hess(xp)
+    d, nn = region.d, region.n - 1
     x_mid = region.from_box(xp, np.full(xp.shape[:-1], 0.5))
-    ms = h2g + 0.5 * ddlt                                    # d_a (mid height)
-    m2s = h2h + 0.5 * d2dlt
-
     Av = tensor.A(x_mid)
-    nn = region.n - 1
     out = [Av]
-    if order >= 1:
-        if tensor.is_constant:
-            dA = np.zeros(Av.shape + (d,))
-        else:
-            Ag = tensor.A_grad(x_mid)
-            dA = (Ag[..., :d]
-                  + np.einsum("...ijab,...g->...ijabg", Ag[..., nn], ms))
-        out.append(dA)
-    if order >= 2:
-        if tensor.is_constant:
-            d2A = np.zeros(Av.shape + (d, d))
-        else:
-            Ag = tensor.A_grad(x_mid)
+    if order >= 1 and tensor.is_constant:
+        out += [np.zeros(Av.shape + (d,) * k) for k in range(1, order + 1)]
+    elif order >= 1:
+        ms = region.profiles.h2.grad(xp) + 0.5 * region.delta_grad(xp)
+        Ag = tensor.A_grad(x_mid)
+        out.append(Ag[..., :d]
+                   + np.einsum("...ijab,...g->...ijabg", Ag[..., nn], ms))
+        if order >= 2:
+            m2s = region.profiles.h2.hess(xp) + 0.5 * region.delta_hess(xp)
             Ah = tensor.A_hess(x_mid)
-            d2A = (Ah[..., :d, :d]
-                   + np.einsum("...ijabg,...h->...ijabgh", Ah[..., :d, nn], ms)
-                   + np.einsum("...ijabh,...g->...ijabgh", Ah[..., nn, :d], ms)
-                   + np.einsum("...ijab,...g,...h->...ijabgh", Ah[..., nn, nn], ms, ms)
-                   + np.einsum("...ijab,...gh->...ijabgh", Ag[..., nn], m2s))
-        out.append(d2A)
-    return out, dlt, ddlt, d2dlt
+            out.append(Ah[..., :d, :d]
+                       + np.einsum("...ijabg,...h->...ijabgh", Ah[..., :d, nn], ms)
+                       + np.einsum("...ijabh,...g->...ijabgh", Ah[..., nn, :d], ms)
+                       + np.einsum("...ijab,...g,...h->...ijabgh",
+                                   Ah[..., nn, nn], ms, ms)
+                       + np.einsum("...ijab,...gh->...ijabgh", Ag[..., nn], m2s))
+    return out
 
 
-def _mixed_row(A, d, nn):
-    """mixed[..., i, l, c] = A^{cn}_{il} + A^{nc}_{il} for c < n."""
-    return A[..., :d, nn] + A[..., nn, :d]
+def _generic_kernel(tensor, region, xp, order):
+    """Kernel rows Q[..., l, :] from the vertical-block solve, to ``order``.
+
+    Differentiating  M Q = s  gives  M dQ = ds - dM Q  and
+    M d2Q = d2s - dM_a dQ_b - dM_b dQ_a - d2M Q; one inverse of M per point
+    serves all three.  Raises HypothesisViolationError if M is singular.
+    """
+    d, nn = region.d, region.n - 1
+    As = _midpoint_tensor_derivs(tensor, region, xp, order)
+    tails = [(slice(None),) * k for k in range(order + 1)]
+    M = [A[(Ellipsis, nn, nn) + t] for A, t in zip(As, tails)]
+    mixed = [A[(Ellipsis, slice(None, d), nn) + t]            # A^{cn} + A^{nc}
+             + A[(Ellipsis, nn, slice(None, d)) + t] for A, t in zip(As, tails)]
+    s = _leibniz("...ilc,...c->...il", mixed, _gap_slopes(region, xp, order), order)
+    try:
+        Minv = np.linalg.inv(M[0])
+    except np.linalg.LinAlgError as exc:
+        raise HypothesisViolationError(
+            f"A^nn numerically singular at x' = {_worst_point(M[0], xp, d)}"
+        ) from exc
+
+    def apply(X):
+        return (Minv @ X.reshape(Minv.shape[:-1] + (-1,))).reshape(X.shape)
+
+    Q = [Minv @ s[0]]
+    if order >= 1:
+        rhs = s[1]
+        if not tensor.is_constant:                      # else dM = d2M = 0
+            rhs = rhs - np.einsum("...ija,...jl->...ila", M[1], Q[0])
+        Q.append(apply(rhs))
+    if order >= 2:
+        rhs = s[2]
+        if not tensor.is_constant:
+            rhs = rhs - (np.einsum("...ija,...jlb->...ilab", M[1], Q[1])
+                         + np.einsum("...ijb,...jla->...ilab", M[1], Q[1])
+                         + np.einsum("...ijab,...jl->...ilab", M[2], Q[0]))
+        Q.append(apply(rhs))
+    return [np.swapaxes(q, -2 - k, -1 - k) for k, q in enumerate(Q)]
+
+
+def _worst_point(M, xp, d):
+    """Tangential point whose vertical block is closest to singular."""
+    det = np.abs(np.linalg.det(np.asarray(M).reshape(-1, *M.shape[-2:])))
+    k = int(np.argmin(det))
+    return tuple(float(v) for v in np.asarray(xp).reshape(-1, d)[k])
+
+
+def _lame_kernel(params, region, xp, order):
+    """Closed-form kernel rows for the isotropic elasticity tensor:
+
+        Q_l = (lam+mu)/(lam+2mu) d_l delta e_n   (l < n),
+        Q_n = (lam+mu)/mu sum_{c<n} d_c delta e_c,
+
+    linear in d delta, so each derivative order just differentiates it.
+    """
+    d, n = region.d, region.n
+    coef = np.zeros((n, n, d))                     # coef[l, i, c]
+    for c in range(d):
+        coef[c, n - 1, c] = (params.lam + params.mu) / (params.lam + 2 * params.mu)
+        coef[n - 1, c, c] = (params.lam + params.mu) / params.mu
+    specs = ("lic,...c->...li", "lic,...ca->...lia", "lic,...cab->...liab")
+    return [np.einsum(spec, coef, D)
+            for spec, D in zip(specs, _gap_slopes(region, xp, order))]
+
+
+def _correction_rows(kernel, traces, xp, order, summed=False):
+    """G_l = (phi^l - psi^l) Q_l and its derivatives: rows l, to ``order``.
+
+    ``summed`` contracts the rows into S = sum_l G_l on the way.
+    """
+    diff = [traces.diff_value, traces.diff_grad, traces.diff_hess]
+    spec = "...l,...li->...i" if summed else "...l,...li->...li"
+    return _leibniz(spec, [f(xp) for f in diff[:order + 1]], kernel, order)
 
 
 def correction_coeffs(tensor: CoefficientTensor, region: NarrowRegion,
@@ -305,163 +392,17 @@ def correction_coeffs(tensor: CoefficientTensor, region: NarrowRegion,
     HypothesisViolationError if that block is numerically singular.
     """
     xp = _as_points(xp, region.d)
-    nn = region.n - 1
-    (Av,), dlt, ddlt, _ = _midpoint_tensor_derivs(tensor, region, xp, 0)
-    M = Av[..., nn, nn]
-    s = np.einsum("...ilc,...c->...il", _mixed_row(Av, region.d, nn), ddlt)
-    diff = traces.diff_value(xp)
-    rhs = s * diff[..., None, :]                              # columns l
-    try:
-        cols = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise HypothesisViolationError(
-            f"A^nn numerically singular at x' = {_worst_point(M, xp, region.d)}"
-        ) from exc
-    return np.swapaxes(cols, -1, -2)
-
-
-def _worst_point(M, xp, d):
-    """Tangential point whose vertical block is closest to singular."""
-    det = np.abs(np.linalg.det(np.asarray(M).reshape(-1, *M.shape[-2:])))
-    k = int(np.argmin(det))
-    return tuple(float(v) for v in np.asarray(xp).reshape(-1, d)[k])
+    return _correction_rows(_generic_kernel(tensor, region, xp, 0), traces, xp, 0)[0]
 
 
 def lame_correction(params: LameParameters, region: NarrowRegion,
                     traces: BoundaryTraces, xp):
     """Closed-form correction rows for the isotropic elasticity tensor."""
     params.validate(region.n)
-    xp = _as_points(xp, region.d)
-    d, n = region.d, region.n
-    c1 = (params.lam + params.mu) / (params.lam + 2 * params.mu)
-    c2 = (params.lam + params.mu) / params.mu
-    diff = traces.diff_value(xp)
-    if diff.shape[-1] != n:
+    if traces.N != region.n:
         raise ConstructionError("elasticity requires N == n traces")
-    ddlt = region.delta_grad(xp)
-    G = np.zeros(xp.shape[:-1] + (n, n))
-    for l in range(d):
-        G[..., l, n - 1] = c1 * diff[..., l] * ddlt[..., l]
-    G[..., n - 1, :d] = c2 * diff[..., n - 1, None] * ddlt
-    return G
-
-
-class _GenericCorrection:
-    """Correction sum S = sum_l G_l with first/second tangential derivatives.
-
-    Derivatives are obtained by differentiating  M S = R  twice:
-        M dS  = dR  - dM S,
-        M d2S = d2R - dM dS - (dM dS)^T_sym - d2M S.
-    """
-
-    def __init__(self, tensor, region, traces):
-        self.tensor, self.region, self.traces = tensor, region, traces
-
-    def __call__(self, xp):
-        region, traces = self.region, self.traces
-        d, nn = region.d, region.n - 1
-        (Av, dA, d2A), dlt, ddlt, d2dlt = _midpoint_tensor_derivs(
-            self.tensor, region, xp, 2)
-        d3dlt = region.delta_third(xp)
-
-        M = Av[..., nn, nn]
-        dM = dA[..., nn, nn, :]
-        d2M = d2A[..., nn, nn, :, :]
-
-        mixed = _mixed_row(Av, d, nn)                              # (..., N, N, c)
-        dmixed = dA[..., :d, nn, :] + dA[..., nn, :d, :]           # (..., N, N, c, a)
-        d2mixed = d2A[..., :d, nn, :, :] + d2A[..., nn, :d, :, :]  # (..., N, N, c, a, b)
-
-        s = np.einsum("...ilc,...c->...il", mixed, ddlt)
-        ds = (np.einsum("...ilca,...c->...ila", dmixed, ddlt)
-              + np.einsum("...ilc,...ca->...ila", mixed, d2dlt))
-        d2s = (np.einsum("...ilcab,...c->...ilab", d2mixed, ddlt)
-               + np.einsum("...ilca,...cb->...ilab", dmixed, d2dlt)
-               + np.einsum("...ilcb,...ca->...ilab", dmixed, d2dlt)
-               + np.einsum("...ilc,...cab->...ilab", mixed, d3dlt))
-
-        diff = traces.diff_value(xp)
-        ddiff = traces.diff_grad(xp)
-        d2diff = traces.diff_hess(xp)
-
-        R = np.einsum("...il,...l->...i", s, diff)
-        dR = (np.einsum("...ila,...l->...ia", ds, diff)
-              + np.einsum("...il,...la->...ia", s, ddiff))
-        d2R = (np.einsum("...ilab,...l->...iab", d2s, diff)
-               + np.einsum("...ila,...lb->...iab", ds, ddiff)
-               + np.einsum("...ilb,...la->...iab", ds, ddiff)
-               + np.einsum("...il,...lab->...iab", s, d2diff))
-
-        try:
-            S = np.linalg.solve(M, R[..., None])[..., 0]
-            rhs1 = dR - np.einsum("...ija,...j->...ia", dM, S)
-            dS = np.linalg.solve(M, rhs1)
-            rhs2 = (d2R
-                    - np.einsum("...ija,...jb->...iab", dM, dS)
-                    - np.einsum("...ijb,...ja->...iab", dM, dS)
-                    - np.einsum("...ijab,...j->...iab", d2M, S))
-            d2S = np.linalg.solve(M, rhs2.reshape(rhs2.shape[:-2] + (d * d,))
-                                  ).reshape(rhs2.shape)
-        except np.linalg.LinAlgError as exc:
-            raise HypothesisViolationError(
-                f"A^nn numerically singular at x' = {_worst_point(M, xp, d)}"
-            ) from exc
-        return S, dS, d2S
-
-
-class _LameCorrection:
-    def __init__(self, params, region, traces):
-        self.params, self.region, self.traces = params, region, traces
-
-    def __call__(self, xp):
-        region, traces = self.region, self.traces
-        d, n = region.d, region.n
-        c1 = (self.params.lam + self.params.mu) / (self.params.lam + 2 * self.params.mu)
-        c2 = (self.params.lam + self.params.mu) / self.params.mu
-        diff = traces.diff_value(xp)
-        ddiff = traces.diff_grad(xp)
-        d2diff = traces.diff_hess(xp)
-        ddlt = region.delta_grad(xp)
-        d2dlt = region.delta_hess(xp)
-        d3dlt = region.delta_third(xp)
-
-        S = np.zeros(xp.shape[:-1] + (n,))
-        dS = np.zeros(xp.shape[:-1] + (n, d))
-        d2S = np.zeros(xp.shape[:-1] + (n, d, d))
-
-        fn = diff[..., n - 1]
-        dfn = ddiff[..., n - 1, :]
-        d2fn = d2diff[..., n - 1, :, :]
-        S[..., :d] = c2 * fn[..., None] * ddlt
-        dS[..., :d, :] = c2 * (dfn[..., None, :] * ddlt[..., :, None]
-                               + fn[..., None, None] * d2dlt)
-        d2S[..., :d, :, :] = c2 * (d2fn[..., None, :, :] * ddlt[..., :, None, None]
-                                   + dfn[..., None, :, None] * d2dlt[..., :, None, :]
-                                   + dfn[..., None, None, :] * d2dlt[..., :, :, None]
-                                   + fn[..., None, None, None] * d3dlt)
-
-        w = np.einsum("...c,...c->...", diff[..., :d], ddlt)
-        dw = (np.einsum("...ca,...c->...a", ddiff[..., :d, :], ddlt)
-              + np.einsum("...c,...ca->...a", diff[..., :d], d2dlt))
-        d2w = (np.einsum("...cab,...c->...ab", d2diff[..., :d, :, :], ddlt)
-               + np.einsum("...ca,...cb->...ab", ddiff[..., :d, :], d2dlt)
-               + np.einsum("...cb,...ca->...ab", ddiff[..., :d, :], d2dlt)
-               + np.einsum("...c,...cab->...ab", diff[..., :d], d3dlt))
-        S[..., n - 1] = c1 * w
-        dS[..., n - 1, :] = c1 * dw
-        d2S[..., n - 1, :, :] = c1 * d2w
-        return S, dS, d2S
-
-
-class _ZeroCorrection:
-    def __init__(self, N, d):
-        self.N, self.d = N, d
-
-    def __call__(self, xp):
-        lead = np.asarray(xp).shape[:-1]
-        return (np.zeros(lead + (self.N,)),
-                np.zeros(lead + (self.N, self.d)),
-                np.zeros(lead + (self.N, self.d, self.d)))
+    xp = _as_points(xp, region.d)
+    return _correction_rows(_lame_kernel(params, region, xp, 0), traces, xp, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +437,29 @@ class AnsatzField:
                     "lame_closed_form mode requires a lame tensor and its parameters")
         if self.traces.N != self.tensor.N:
             raise ConstructionError("trace components must match tensor N")
-        object.__setattr__(self, "_corr", self._make_correction())
-
-    def _make_correction(self):
-        if not self.include_correction:
-            return _ZeroCorrection(self.tensor.N, self.region.d)
-        if self.mode == "lame_closed_form":
-            return _LameCorrection(self.lame, self.region, self.traces)
-        return _GenericCorrection(self.tensor, self.region, self.traces)
 
     @property
     def N(self):
         return self.tensor.N
 
-    def correction_sum(self, xp):
-        """(S, dS, d2S): the summed correction and tangential derivatives."""
+    def _kernel(self, xp, order):
+        if self.mode == "lame_closed_form":
+            return _lame_kernel(self.lame, self.region, xp, order)
+        return _generic_kernel(self.tensor, self.region, xp, order)
+
+    def correction_rows(self, xp, order: int = 0):
+        """[G, dG, d2G] up to ``order``: row l of G is G_l at x'."""
         xp = _as_points(xp, self.region.d)
-        return self._corr(xp)
+        return _correction_rows(self._kernel(xp, order), self.traces, xp, order)
+
+    def correction_sum(self, xp, order: int = 2):
+        """[S, dS, d2S] up to ``order`` with S = sum_l G_l; zeros when dropped."""
+        xp = _as_points(xp, self.region.d)
+        if not self.include_correction:
+            lead = xp.shape[:-1] + (self.N,)
+            return [np.zeros(lead + (self.region.d,) * k) for k in range(order + 1)]
+        return _correction_rows(self._kernel(xp, order), self.traces, xp, order,
+                                summed=True)
 
     def value(self, x):
         x = _as_points(x, self.region.n)
@@ -520,7 +467,7 @@ class AnsatzField:
         v = self.region.vbar(x)
         phi = self.traces.phi.value(xp)
         psi = self.traces.psi.value(xp)
-        S, _, _ = self._corr(xp)
+        S, = self.correction_sum(xp, 0)
         return (phi * v[..., None] + psi * (1 - v)[..., None]
                 + smoother(v)[..., None] * S)
 
@@ -533,7 +480,7 @@ class AnsatzField:
         dv = self.region.vbar_grad(x)                          # (..., n)
         phi, psi = self.traces.phi.value(xp), self.traces.psi.value(xp)
         dphi, dpsi = self.traces.phi.grad(xp), self.traces.psi.grad(xp)
-        S, dS, _ = self._corr(xp)
+        S, dS = self.correction_sum(xp, 1)
 
         out = np.zeros(x.shape[:-1] + (self.N, n))
         out[..., :d] = dphi * v[..., None, None] + dpsi * (1 - v)[..., None, None]
@@ -553,7 +500,7 @@ class AnsatzField:
         phi, psi = self.traces.phi.value(xp), self.traces.psi.value(xp)
         dphi, dpsi = self.traces.phi.grad(xp), self.traces.psi.grad(xp)
         d2phi, d2psi = self.traces.phi.hess(xp), self.traces.psi.hess(xp)
-        S, dS, d2S = self._corr(xp)
+        S, dS, d2S = self.correction_sum(xp, 2)
 
         r, rp = smoother(v), smoother_prime(v)
         out = np.zeros(x.shape[:-1] + (self.N, n, n))
@@ -582,10 +529,7 @@ class AnsatzField:
         out = np.zeros(x.shape[:-1] + (self.N,))
         out[..., l] = phi * v + psi * (1 - v)
         if self.include_correction:
-            if self.mode == "lame_closed_form":
-                G = lame_correction(self.lame, self.region, self.traces, xp)
-            else:
-                G = correction_coeffs(self.tensor, self.region, self.traces, xp)
+            G, = self.correction_rows(xp)
             out += smoother(v)[..., None] * G[..., l, :]
         return out
 

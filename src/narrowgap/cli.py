@@ -39,7 +39,8 @@ import numpy as np
 
 from . import __version__
 from .ansatz import build_ansatz
-from .coefficients import check_ann, check_pointwise_ellipticity
+from .coefficients import (HypothesisViolationError, check_ann,
+                           check_pointwise_ellipticity)
 from .config import ConfigError, RunConfig, parse_config
 from .discretize import grid_for, solve_bvp
 from .experiments import CHECKS, Verdict, run_checks
@@ -124,7 +125,11 @@ def _hypothesis_summary(cfg: RunConfig, seed: int):
     tensor, _ = cfg.build_tensor()
     ell = check_pointwise_ellipticity(tensor, region=region, rng=seed)
     out.append(str(ell))
-    ann = check_ann(tensor, region=region)
+    try:
+        ann = check_ann(tensor, region=region)
+    except HypothesisViolationError as exc:
+        out.append(f"[FAIL] {exc}")
+        return out, False
     out.append(str(ann))
     all_ok = rep.passed and ell.passed and ann.passed
     return out, all_ok
@@ -201,7 +206,7 @@ def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
     df, rep = solve_bvp(tensor, region, traces, grid,
                         closure=cfg.solver.closure, ansatz=af,
                         lateral_value=cfg.solver.lateral_value,
-                        tol=cfg.solver.tol, direct_limit=cfg.solver.direct_limit)
+                        tol=cfg.solver.tol)
     log({"event": "solve", "eps": eps, **rep.record()})
     XP, T = grid.node_coords()
     u = np.moveaxis(df.values, 0, -1)

@@ -172,10 +172,6 @@ class CoefficientTensor:
         x, lead = self._lead(x)
         return np.broadcast_to(self.C0, lead + self.C0.shape).copy()
 
-    def C_grad(self, x):
-        x, lead = self._lead(x)
-        return np.zeros(lead + self.C0.shape + (self.n,))
-
     def D(self, x):
         x, lead = self._lead(x)
         return np.broadcast_to(self.D0, lead + self.D0.shape).copy()
@@ -395,7 +391,8 @@ def check_ann(tensor: CoefficientTensor, region=None, points=None,
     lo, hi = float(ev[:, 0].min()), float(ev[:, -1].max())
     if lo <= 0:
         raise HypothesisViolationError(
-            f"A^nn loses positive definiteness at x = {tuple(points[kmin])} (min eig {lo:.3g})")
+            f"A^nn loses positive definiteness at x = "
+            f"{tuple(float(v) for v in points[kmin])} (min eig {lo:.3g})")
     passed = lo >= tensor.Lambda1 * (1 - 1e-9) and hi <= tensor.Lambda2 * (1 + 1e-9)
     return AnnReport(lo, hi, (tensor.Lambda1, tensor.Lambda2), passed,
                      tuple(round(float(v), 12) for v in points[kmin]))

@@ -134,7 +134,6 @@ class SolverConfig:
     tangential_nodes: int = 257
     vertical_nodes: int = 65
     tol: float = 1e-10
-    direct_limit: int = 200_000
     closure: str = "ansatz"          # "ansatz" | "constant" | "exact"
     lateral_value: tuple | None = None
     ansatz_mode: str = "generic"     # "generic" | "lame_closed_form"

@@ -47,9 +47,7 @@ class AssemblyError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    def __init__(self, message, history=()):
-        super().__init__(message)
-        self.history = tuple(history)
+    """Failed factorization, or a residual still above tol after refinement."""
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +432,8 @@ class SolveReport:
     unknowns: int
     nnz: int
     residual: float
-    iterations: int = 0
     fill: float = 0.0
     elapsed: float = 0.0
-    history: tuple = ()
     grid: str = ""                # "257x65"
     factor_s: float = 0.0         # 0 when the factorization was reused
     solve_s: float = 0.0
@@ -445,8 +441,8 @@ class SolveReport:
 
     def record(self):
         return {"method": self.method, "unknowns": self.unknowns, "nnz": self.nnz,
-                "residual": self.residual, "iterations": self.iterations,
-                "fill": self.fill, "elapsed": self.elapsed, "grid": self.grid,
+                "residual": self.residual, "fill": self.fill,
+                "elapsed": self.elapsed, "grid": self.grid,
                 "factor_s": self.factor_s, "solve_s": self.solve_s,
                 "reused": self.reused}
 
@@ -458,66 +454,33 @@ def _backward_error(K, x, b, Kfro):
     return num / den if den else num
 
 
-def solve_linear(ls: LinearSystem, rhs=None, tol: float = 1e-10,
-                 max_iter: int = 400, direct_limit: int = 200_000):
-    """Direct sparse LU below ``direct_limit`` unknowns, ILU + GMRES above.
+def solve_linear(ls: LinearSystem, rhs=None, tol: float = 1e-10):
+    """Sparse LU solve against the system's shared factorization.
 
-    ``rhs`` defaults to ``ls.rhs``.  The direct branch solves against the
-    system's shared factorization (``LinearSystem.factorization``).  The
-    reported residual is the normwise backward error
-    |Kx - b| / (|K| |x| + |b|) of the full system, recomputed from the
-    returned solution; a solve that cannot reach ``tol`` raises SolverError
-    with the history.
+    ``rhs`` defaults to ``ls.rhs``.  The reported residual is the normwise
+    backward error |Kx - b| / (|K| |x| + |b|) of the full system, recomputed
+    from the returned solution; one step of iterative refinement follows
+    when it exceeds ``tol``, and SolverError when it still does.
     """
     K = ls.matrix
     b = ls.rhs if rhs is None else np.asarray(rhs, dtype=float)
-    m = K.shape[0]
-    grid = "x".join(map(str, ls.grid.shape))
     Kfro = sp.linalg.norm(K)
     t0 = time.perf_counter()
-    if m <= direct_limit:
-        lu, reused, factor_s = ls.factorization()
-        t1 = time.perf_counter()
-        x = lu.solve(b)
-        res = _backward_error(K, x, b, Kfro)
-        if res > tol:                       # one step of iterative refinement
-            x += lu.solve(b - K @ x)
-            res = _backward_error(K, x, b, Kfro)
-        if res > tol:
-            raise SolverError(f"direct solve residual {res:.3e} above tol {tol:.1e}",
-                              history=(res,))
-        t2 = time.perf_counter()
-        report = SolveReport("direct", m, K.nnz, float(res), fill=float(lu.fill),
-                             elapsed=t2 - t0, grid=grid, factor_s=factor_s,
-                             solve_s=t2 - t1, reused=reused)
-        return x, report
-    # row equilibration keeps the identity Dirichlet rows commensurate with
-    # the operator rows, which otherwise break the incomplete factorization
-    scale = np.abs(K).max(axis=1).toarray().ravel()
-    scale[scale == 0] = 1.0
-    R = sp.diags(1.0 / scale)
-    Ks, bs = (R @ K).tocsc(), b / scale
-    try:
-        ilu = spla.spilu(Ks, drop_tol=1e-6, fill_factor=20.0)
-    except RuntimeError as exc:
-        raise SolverError(f"ILU factorization failed: {exc}") from exc
-    M = spla.LinearOperator(K.shape, ilu.solve)
-    history = []
+    lu, reused, factor_s = ls.factorization()
     t1 = time.perf_counter()
-    x, info = spla.gmres(Ks, bs, M=M, rtol=tol * 1e-3, atol=0.0, restart=100,
-                         maxiter=max_iter, callback=history.append,
-                         callback_type="pr_norm")
+    x = lu.solve(b)
     res = _backward_error(K, x, b, Kfro)
-    if info != 0 or res > tol:
-        raise SolverError(
-            f"GMRES failed to reach tol {tol:.1e} (info {info}, residual {res:.3e})",
-            history=history)
+    if res > tol:                           # one step of iterative refinement
+        x += lu.solve(b - K @ x)
+        res = _backward_error(K, x, b, Kfro)
+    if res > tol:
+        raise SolverError(f"direct solve residual {res:.3e} above tol {tol:.1e}")
     t2 = time.perf_counter()
-    report = SolveReport("ilu+gmres", m, K.nnz, float(res),
-                         iterations=len(history), fill=float(ilu.nnz / K.nnz),
-                         elapsed=t2 - t0, history=tuple(history), grid=grid,
-                         factor_s=t1 - t0, solve_s=t2 - t1)
+    report = SolveReport("direct", K.shape[0], K.nnz, float(res), fill=float(lu.fill),
+                         elapsed=t2 - t0, grid="x".join(map(str, ls.grid.shape)),
+                         factor_s=factor_s, solve_s=t2 - t1, reused=reused)
     return x, report
+
 
 # ---------------------------------------------------------------------------
 # discrete field
@@ -680,8 +643,7 @@ def solve_bvp(tensor: CoefficientTensor, region: NarrowRegion,
               traces: BoundaryTraces | None, grid: BoxGrid,
               closure: str = "ansatz", ansatz: AnsatzField | None = None,
               lateral_value=None, exact=None, forcing=None,
-              tol: float = 1e-10, direct_limit: int = 200_000,
-              system: LinearSystem | None = None):
+              tol: float = 1e-10, system: LinearSystem | None = None):
     """transform -> assemble -> solve -> DiscreteField.
 
     ``system`` is the already assembled LinearSystem of (tensor, region,
@@ -696,7 +658,7 @@ def solve_bvp(tensor: CoefficientTensor, region: NarrowRegion,
     V = dirichlet_values(grid, region, traces, closure, ansatz, lateral_value, exact)
     Ftil = None if forcing is None else transform_forcing(region, grid, forcing)
     rhs = right_hand_side(system, V, Ftil)
-    x, report = solve_linear(system, rhs, tol=tol, direct_limit=direct_limit)
+    x, report = solve_linear(system, rhs, tol=tol)
     values = x.reshape(tensor.N, *grid.shape)
     return DiscreteField(grid, region, values), report
 

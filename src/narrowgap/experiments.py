@@ -200,7 +200,7 @@ class SolveBundle:
             self.tensor, self.region, self.traces, self.grid,
             closure=cfg.solver.closure, ansatz=self.ansatz,
             lateral_value=cfg.solver.lateral_value, tol=cfg.solver.tol,
-            direct_limit=cfg.solver.direct_limit, system=system)
+            system=system)
         self._cache = {}
 
     def _get(self, key, fn):

@@ -10,7 +10,8 @@ from narrowgap.ansatz import (BoundaryTraces, ConstantTrace, MonomialTrace,
                               lame_correction, smoother, smoother_prime, theta,
                               theta_bar_delta, theta_component, zero_trace)
 from narrowgap.coefficients import (ConstructionError, LameParameters,
-                                    make_lame, make_laplace)
+                                    MultiPoly, make_lame, make_laplace,
+                                    make_perturbed)
 from narrowgap.geometry import FLAT, NarrowRegion, ProfilePair, power_pair
 
 
@@ -20,6 +21,23 @@ def region(m=2, upper=1.0, lower=0.0, eps=0.01, R0=0.5):
 
 LAME = make_lame(LameParameters(1.0, 1.0), 2)
 E1_GAP = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+# A(x) = A0 + 0.1 p(x) T with T not proportional to A0: a scalar factor
+# c(x) A0 cancels from every correction row, so only a different direction
+# exercises the x-dependent dA and d2A chain rule through the mid-gap height
+PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)),
+                                            (0.3, (1, 1))]), 0.1,
+                           direction=make_lame(LameParameters(2.0, 0.5), 2).A0)
+
+
+def field_cases():
+    """(tensor, mode) pairs covering both correction modes and an x-dependent A."""
+    return [pytest.param(LAME, "generic", id="generic"),
+            pytest.param(LAME, "lame_closed_form", id="lame_closed_form"),
+            pytest.param(PERTURBED, "generic", id="perturbed_generic")]
+
+
+def build(tensor, r, tr, mode):
+    return build_ansatz(tensor, r, tr, mode, lame=LameParameters(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +233,12 @@ class TestGradAnsatz:
         x = r.from_box(xp, np.array([0.25]))
         assert af.gradient(x)[0, 0, 1] == pytest.approx(3.0 / 0.02, rel=1e-14)
 
-    def test_matches_central_differences(self):
+    @pytest.mark.parametrize("tensor, mode", field_cases())
+    def test_matches_central_differences(self, tensor, mode):
         r = region(m=2, upper=1.0, lower=0.5, eps=5e-3)
         tr = BoundaryTraces(PolyTrace([[1.0, 0.2, -0.1], [0.5, 0.4]]),
                             PolyTrace([[0.0, -0.3], [0.1]]))
-        af = build_ansatz(LAME, r, tr)
+        af = build(tensor, r, tr, mode)
         rng = np.random.default_rng(2)
         xp = rng.uniform(-0.9, 0.9, (1000, 1))
         t = rng.uniform(0.05, 0.95, 1000)
@@ -274,11 +293,12 @@ class TestResidual:
         x = r.from_box(rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0.05, 0.95, 200))
         assert np.abs(af.residual(x)).max() <= 1e-10
 
-    def test_residual_matches_operator_of_fd_hessian(self):
+    @pytest.mark.parametrize("mode", ["generic", "lame_closed_form"])
+    def test_residual_matches_operator_of_fd_hessian(self, mode):
         # independent check: contract the tensor with FD second derivatives
         r = region(m=2, upper=0.8, lower=0.2, eps=0.05)
         tr = BoundaryTraces(PolyTrace([[0.5, 1.0], [0.0, 0.2]]), zero_trace(2))
-        af = build_ansatz(LAME, r, tr)
+        af = build(LAME, r, tr, mode)
         x0 = r.from_box(np.array([[0.21]]), np.array([0.6]))[0]
         h = 2e-6
         hess = np.zeros((2, 2, 2))

@@ -52,6 +52,10 @@ class TestParseConfig:
         msg = str(err.value)
         assert "kindd" in msg and "tangental_nodes" in msg and "nonsense" in msg
 
+    def test_retired_direct_limit_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'direct_limit'"):
+            config_from_dict({**MINI, "solver": {"direct_limit": 200_000}})
+
     def test_monomial_degree_must_stay_below_convexity_order(self, tmp_path):
         bad = dict(MINI)
         bad["experiment"] = {"checks": ["remark13"], "monomial_k": 3}
@@ -224,3 +228,26 @@ def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch)
         assert checks[name]["status"] == "ABORTED"
         assert checks[name]["error"].startswith(message)
     assert "residual" in checks and "error" not in checks["residual"]
+
+
+def test_singular_vertical_block_fails_validation_and_aborts_checks(tmp_path):
+    # A = e_1 (x) e_1: elliptic nowhere in the vertical direction, A^nn = 0
+    cfg = config_from_dict({
+        "tensor": {"kind": "custom_poly", "custom_N": 1,
+                   "custom_A": [1, 0, 0, 0], "perturb_scale": 0},
+        "traces": {"family": "constant", "phi": [1.0], "psi": [0.0]},
+        "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
+        "experiment": {"checks": ["thm11", "remark13", "residual", "energy"],
+                       "eps_list": [0.01, 0.005, 0.002, 0.001]},
+        "output": {"dir": str(tmp_path / "s")}})
+    report = run(cfg, "all")
+    failure = "[FAIL] A^nn loses positive definiteness"
+    assert failure in "\n".join(report.validation)
+    assert failure in (tmp_path / "s" / "report.txt").read_text()
+    message = "HypothesisViolationError: A^nn numerically singular"
+    checks = {e["name"]: e for e in _runlog(tmp_path / "s") if e["event"] == "check"}
+    assert [v.name for v in report.verdicts] == list(cfg.experiment.checks)
+    for v in report.verdicts:
+        assert v.status == "ABORTED"
+        assert v.details["error"].startswith(message)
+        assert checks[v.name]["error"].startswith(message)

@@ -172,19 +172,11 @@ class TestSolveLinear:
                                                  + np.linalg.norm(ls.rhs))
         assert back <= 1e-10 and rep.residual <= 1e-10
 
-    def test_iterative_path_agrees_with_direct(self):
+    def test_residual_above_tol_after_refinement_raises(self):
+        # no LU solve reaches a backward error of 1e-30, refined or not
         ls = self._system(33, 33)
-        xd, _ = solve_linear(ls)
-        xi, rep = solve_linear(ls, direct_limit=10)     # force ILU + GMRES
-        assert rep.method == "ilu+gmres"
-        assert rep.iterations > 0 and rep.fill > 0
-        assert np.abs(xi - xd).max() <= 1e-6 * max(1.0, np.abs(xd).max())
-
-    def test_nonconvergence_raises_with_history(self):
-        ls = self._system(33, 33)
-        with pytest.raises(SolverError) as err:
-            solve_linear(ls, tol=1e-14, max_iter=1, direct_limit=10)
-        assert len(err.value.history) >= 0
+        with pytest.raises(SolverError, match="above tol 1.0e-30"):
+            solve_linear(ls, tol=1e-30)
 
 
 class TestSharedFactorization:
