@@ -414,8 +414,10 @@ MODES = ("generic", "lame_closed_form")
 
 @dataclass(frozen=True)
 class AnsatzField:
-    """Per-point evaluation of ubar, its gradient/Hessian and its residual.
+    """Evaluation of ubar, its gradient/Hessian and its residual on the box.
 
+    Evaluators take box coordinates (x', t) that broadcast: a grid passed as
+    XP[..., :1, :] and T evaluates every x'-only factor once per column.
     Immutable and pure: sweep workers may share one instance per epsilon.
     ``include_correction=False`` drops the r(v) * sum G_l term and yields the
     plain two-point interpolant (the quantity the correction improves on).
@@ -461,52 +463,47 @@ class AnsatzField:
         return _correction_rows(self._kernel(xp, order), self.traces, xp, order,
                                 summed=True)
 
-    def value(self, x):
-        x = _as_points(x, self.region.n)
-        xp = x[..., :-1]
-        v = self.region.vbar(x)
+    def value(self, xp, t):
+        """ubar at the box points (x', t), shape (..., N)."""
+        xp, t = self.region._box(xp, t)
         phi = self.traces.phi.value(xp)
         psi = self.traces.psi.value(xp)
         S, = self.correction_sum(xp, 0)
-        return (phi * v[..., None] + psi * (1 - v)[..., None]
-                + smoother(v)[..., None] * S)
+        return (phi * t[..., None] + psi * (1 - t)[..., None]
+                + smoother(t)[..., None] * S)
 
-    def gradient(self, x):
-        """Full spatial gradient, shape (..., N, n)."""
-        x = _as_points(x, self.region.n)
-        xp = x[..., :-1]
-        d, n = self.region.d, self.region.n
-        v = self.region.vbar(x)
-        dv = self.region.vbar_grad(x)                          # (..., n)
+    def gradient(self, xp, t):
+        """Full spatial gradient at (x', t), shape (..., N, n)."""
+        xp, t = self.region._box(xp, t)
+        d = self.region.d
+        dv = self.region.vbar_grad(xp, t)                      # (..., n)
         phi, psi = self.traces.phi.value(xp), self.traces.psi.value(xp)
         dphi, dpsi = self.traces.phi.grad(xp), self.traces.psi.grad(xp)
         S, dS = self.correction_sum(xp, 1)
 
-        out = np.zeros(x.shape[:-1] + (self.N, n))
-        out[..., :d] = dphi * v[..., None, None] + dpsi * (1 - v)[..., None, None]
-        out[..., :d] += smoother(v)[..., None, None] * dS
-        out += ((phi - psi + smoother_prime(v)[..., None] * S)[..., :, None]
+        out = np.zeros(dv.shape[:-1] + (self.N, self.region.n))
+        out[..., :d] = dphi * t[..., None, None] + dpsi * (1 - t)[..., None, None]
+        out[..., :d] += smoother(t)[..., None, None] * dS
+        out += ((phi - psi + smoother_prime(t)[..., None] * S)[..., :, None]
                 * dv[..., None, :])
         return out
 
-    def hessian(self, x):
-        """Full spatial Hessian, shape (..., N, n, n)."""
-        x = _as_points(x, self.region.n)
-        xp = x[..., :-1]
+    def hessian(self, xp, t):
+        """Full spatial Hessian at (x', t), shape (..., N, n, n)."""
+        xp, t = self.region._box(xp, t)
         d, n = self.region.d, self.region.n
-        v = self.region.vbar(x)
-        dv = self.region.vbar_grad(x)
-        d2v = self.region.vbar_hess(x)
+        dv = self.region.vbar_grad(xp, t)
+        d2v = self.region.vbar_hess(xp, t)
         phi, psi = self.traces.phi.value(xp), self.traces.psi.value(xp)
         dphi, dpsi = self.traces.phi.grad(xp), self.traces.psi.grad(xp)
         d2phi, d2psi = self.traces.phi.hess(xp), self.traces.psi.hess(xp)
         S, dS, d2S = self.correction_sum(xp, 2)
 
-        r, rp = smoother(v), smoother_prime(v)
-        out = np.zeros(x.shape[:-1] + (self.N, n, n))
+        r, rp = smoother(t), smoother_prime(t)
+        out = np.zeros(dv.shape[:-1] + (self.N, n, n))
         # tangential-tangential block from the x'-dependent factors
-        out[..., :d, :d] = (d2phi * v[..., None, None, None]
-                            + d2psi * (1 - v)[..., None, None, None]
+        out[..., :d, :d] = (d2phi * t[..., None, None, None]
+                            + d2psi * (1 - t)[..., None, None, None]
                             + r[..., None, None, None] * d2S)
         # cross terms between x'-factors and v
         fac = dphi - dpsi + rp[..., None, None] * dS           # (..., N, d)
@@ -519,25 +516,23 @@ class AnsatzField:
                                                          * dv[..., None, None, :])
         return out
 
-    def component(self, l: int, x):
-        """The l-th summand: (phi^l v + psi^l (1 - v)) e_l + r(v) G_l."""
-        x = _as_points(x, self.region.n)
-        xp = x[..., :-1]
-        v = self.region.vbar(x)
+    def component(self, l: int, xp, t):
+        """The l-th summand at (x', t): (phi^l v + psi^l (1 - v)) e_l + r(v) G_l."""
+        xp, t = self.region._box(xp, t)
         phi = self.traces.phi.value(xp)[..., l]
         psi = self.traces.psi.value(xp)[..., l]
-        out = np.zeros(x.shape[:-1] + (self.N,))
-        out[..., l] = phi * v + psi * (1 - v)
+        out = np.zeros(np.broadcast_shapes(xp.shape[:-1], t.shape) + (self.N,))
+        out[..., l] = phi * t + psi * (1 - t)
         if self.include_correction:
             G, = self.correction_rows(xp)
-            out += smoother(v)[..., None] * G[..., l, :]
+            out += smoother(t)[..., None] * G[..., l, :]
         return out
 
-    def residual(self, x):
-        """f = L[ubar] with the full operator applied analytically."""
-        x = _as_points(x, self.region.n)
-        return apply_operator(self.tensor, x, self.value(x),
-                              self.gradient(x), self.hessian(x))
+    def residual(self, xp, t):
+        """f = L[ubar] at (x', t) with the full operator applied analytically."""
+        return apply_operator(self.tensor, self.region.from_box(xp, t),
+                              self.value(xp, t), self.gradient(xp, t),
+                              self.hessian(xp, t))
 
 
 def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,

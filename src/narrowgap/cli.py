@@ -14,7 +14,7 @@ Every run writes to the output directory:
   fits.json          fit summaries as structured records
   report.txt         human-readable report with a digest manifest
   runlog.jsonl       solve events (check, case, eps, grid, factor_s, solve_s,
-                     reused, residual, fill) and check events with
+                     stats_s, reused, residual, fill) and check events with
                      wall-clock timings; an ABORTED check names its error
 
 report.txt and the CSV/JSON artifacts are byte-reproducible for a given
@@ -183,8 +183,8 @@ def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
     grid = grid_for(region, *cfg.solver.scaled_nodes())
     XP, T = grid.node_coords()
     x = region.from_box(XP, T)
-    u = af.value(x)
-    g = af.gradient(x)
+    u = af.value(XP[..., :1, :], T)
+    g = af.gradient(XP[..., :1, :], T)
     N, n = u.shape[-1], g.shape[-1]
     cols = (["xprime%d" % a for a in range(region.d)] + ["t", "xn"]
             + ["u%d" % i for i in range(N)]

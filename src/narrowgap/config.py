@@ -10,6 +10,7 @@ the monomial blow-up case needs m > k, ...) are enforced at parse time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -221,6 +222,13 @@ def _coerce(value, key):
     return value
 
 
+def _non_finite(value, where):
+    """Paths of the NaN/Infinity numbers inside a parsed JSON value."""
+    if isinstance(value, (list, tuple)):
+        return [p for i, v in enumerate(value) for p in _non_finite(v, f"{where}[{i}]")]
+    return [where] if isinstance(value, float) and not math.isfinite(value) else []
+
+
 def _parse_block(cls, data, block, violations):
     known = {f.name for f in fields(cls)}
     kwargs = {}
@@ -228,6 +236,8 @@ def _parse_block(cls, data, block, violations):
         if key not in known:
             violations.append(f"{block}: unknown key {key!r}")
             continue
+        violations += [f"{block}: {path} is not a finite number"
+                       for path in _non_finite(value, key)]
         kwargs[key] = _coerce(value, key)
     try:
         return cls(**kwargs)

@@ -111,16 +111,12 @@ def grid_for(region: NarrowRegion, tangential_nodes: int = 257,
 
 
 def box_jacobian(region: NarrowRegion, xp, t):
-    """G[a, A] = d y_a / d x_A at the mapped points, shape (..., n, n)."""
-    d = region.d
-    dlt = region.delta(xp)
-    ddlt = region.delta_grad(xp)
-    h2g = region.profiles.h2.grad(xp)
-    G = np.zeros(np.shape(t) + (region.n, region.n))
-    for a in range(d):
+    """G[a, A] = d y_a / d x_A: identity rows over grad v, shape (..., n, n)."""
+    dv = region.vbar_grad(xp, t)
+    G = np.zeros(dv.shape + (region.n,))
+    for a in range(region.d):
         G[..., a, a] = 1.0
-    G[..., d, :d] = -(h2g + t[..., None] * ddlt) / dlt[..., None]
-    G[..., d, d] = 1.0 / dlt
+    G[..., region.d, :] = dv
     return G
 
 
@@ -142,13 +138,14 @@ class TransformedFields:
 def _require_finite(name, arr, n):
     if arr is not None and not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0][:n]
-        raise AssemblyError(f"non-finite transformed {name} at node index {tuple(bad)}")
+        raise AssemblyError(f"non-finite transformed {name} at node index {tuple(map(int, bad))}")
 
 
 def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
                        grid: BoxGrid) -> TransformedFields:
     """Evaluate the pulled-back coefficients at every grid node."""
     XP, T = grid.node_coords()
+    XP = XP[..., :1, :]                     # x'-factors once per column
     dlt = region.delta(XP)
     if np.any(dlt <= 0):
         raise GeometryError("gap function must stay positive on the patch")
@@ -512,25 +509,25 @@ class DiscreteField:
         """Physical gradients at nodes, shape (N, n, *shape)."""
         if self._grad_cache is None:
             XP, T = self.grid.node_coords()
-            G = box_jacobian(self.region, XP, T)          # (*shape, n, n)
+            G = box_jacobian(self.region, XP[..., :1, :], T)     # (*shape, n, n)
             dm = self.mapped_gradient()
             self._grad_cache = np.einsum("...aA,ia...->iA...", G, dm)
         return self._grad_cache
 
-    def _box_fractions(self, x):
-        xp, t = self.region.to_box(np.asarray(x, dtype=float))
-        coords = np.concatenate([xp, t[..., None]], axis=-1)
+    def _box_fractions(self, xp, t):
+        xp, t = self.region._box(xp, t)
+        coords = [xp[..., k] for k in range(self.grid.d)] + [t]
         fracs = []
-        for k, ax in enumerate(self.grid.axes):
-            f = (coords[..., k] - ax[0]) / (ax[1] - ax[0])
+        for c, ax in zip(coords, self.grid.axes):
+            f = (c - ax[0]) / (ax[1] - ax[0])
             if np.any(f < -1e-9) or np.any(f > len(ax) - 1 + 1e-9):
                 raise GeometryError("point outside the grid; extrapolation refused")
             fracs.append(np.clip(f, 0.0, len(ax) - 1))
         return fracs
 
-    def _interpolate(self, nodal, x):
-        """Multilinear interpolation of a (*shape,)-leading nodal array."""
-        fracs = self._box_fractions(x)
+    def _interpolate(self, nodal, xp, t):
+        """Multilinear interpolation of a (*shape,)-leading nodal array at (x', t)."""
+        fracs = self._box_fractions(xp, t)
         i0 = [np.minimum(np.floor(f).astype(int), s - 2)
               for f, s in zip(fracs, self.grid.shape)]
         w1 = [f - i for f, i in zip(fracs, i0)]
@@ -545,16 +542,16 @@ class DiscreteField:
             out = out + nodal[tuple(idx)] * np.asarray(w)[..., None]
         return out
 
-    def value_at(self, x):
-        """(..., N) multilinear interpolant of the nodal solution."""
+    def value_at(self, xp, t):
+        """(..., N) multilinear interpolant of the nodal solution at (x', t)."""
         nodal = np.moveaxis(self.values, 0, -1)
-        return self._interpolate(nodal, x)
+        return self._interpolate(nodal, xp, t)
 
-    def recover_gradient(self, x):
-        """(..., N, n) gradient: interpolated nodal physical gradients."""
+    def recover_gradient(self, xp, t):
+        """(..., N, n) gradient at (x', t): interpolated nodal physical gradients."""
         g = self.gradient_nodes()                            # (N, n, *shape)
         nodal = np.moveaxis(g.reshape((self.N * self.grid.n,) + self.grid.shape), 0, -1)
-        flat = self._interpolate(nodal, x)
+        flat = self._interpolate(nodal, xp, t)
         return flat.reshape(flat.shape[:-1] + (self.N, self.grid.n))
 
     def l2_norm(self):
@@ -630,8 +627,7 @@ def dirichlet_values(grid: BoxGrid, region: NarrowRegion,
                     raise AssemblyError("constant closure requires lateral_value")
                 V[sl] = np.asarray(lateral_value, dtype=float)
             else:
-                x_face = region.from_box(XP[sl], T[sl])
-                V[sl] = ansatz.value(x_face)
+                V[sl] = ansatz.value(XP[sl], T[sl])
     sl_bot = (slice(None),) * grid.d + (0,)
     sl_top = (slice(None),) * grid.d + (-1,)
     V[sl_bot] = traces.psi.value(XP[sl_bot])

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import ansatz as _ans
 from . import discretize as _disc
+from .coefficients import HypothesisViolationError, check_ann
 from .config import DECAY_EPS, DEFAULT_EPS, ConfigError, RunConfig
 from .geometry import GeometryError
 
@@ -49,7 +50,7 @@ DECAY_MIN_R2 = 0.98
 
 
 class DataError(ValueError):
-    """Fit input is unusable (too few points, non-positive statistics)."""
+    """Fit input is unusable (too few points, non-finite or non-positive statistics)."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +138,10 @@ def fit_rate(sr: SweepResult, model: str = "power", m: int = 2, n: int = 2,
                         f"(statistic {sr.statistic!r})")
     eps = np.array([p.eps for p in pts])
     val = np.array([p.value for p in pts])
-    bad = np.flatnonzero(val <= 0)
+    bad = np.flatnonzero(~np.isfinite(val) | (val <= 0))
     if bad.size:
-        raise DataError(f"non-positive statistic at eps = {eps[bad[0]]:g} "
-                        f"(statistic {sr.statistic!r})")
+        raise DataError(f"non-finite or non-positive statistic {val[bad[0]]:g} at eps = "
+                        f"{eps[bad[0]]:g} (statistic {sr.statistic!r})")
     if model == "power":
         X, Y = np.log(eps), np.log(val)
     else:
@@ -231,9 +232,8 @@ class SolveBundle:
 
         def make():
             XP, T = self.coords
-            x = self.region.from_box(XP, T)
             af = self.ansatz if corrected else self.ansatz_unc
-            return af.gradient(x)
+            return af.gradient(XP[..., :1, :], T)
         return self._get(key, make)
 
     def remainder_inner(self, corrected=True):
@@ -245,23 +245,20 @@ class SolveBundle:
         return self._get(key, make)
 
     @property
-    def inner_xp(self):
-        return self._get("inner_xp", lambda: self.coords[0][self.inner])
-
-    @property
     def c2_norms(self):
         return self._get("c2n", lambda: self.traces.c2_total(
             2 * self.region.R0, dim=self.region.d))
 
-    def normalizer_theta(self):
-        xp = self.inner_xp
-        return (_ans.theta(self.traces, xp)
-                + self.region.delta(xp) * self.c2_norms)
+    def at_inner(self, column_values):
+        """Per-column values (..., 1) spread over the inner nodes."""
+        return np.broadcast_to(column_values, self.inner.shape)[self.inner]
 
-    def normalizer_theta_bar(self):
-        xp = self.inner_xp
-        return (_ans.theta_bar_delta(self.traces, self.region, xp)
-                + self.region.delta(xp) * self.c2_norms)
+    def normalizer(self, bar=False):
+        """Theta, or Theta_bar when ``bar``, plus delta * C2 norms at the inner nodes."""
+        xp = self.coords[0][..., :1, :]
+        gauge = (_ans.theta_bar_delta(self.traces, self.region, xp) if bar
+                 else _ans.theta(self.traces, xp))
+        return self.at_inner(gauge + self.region.delta(xp) * self.c2_norms)
 
     def column_max_grad(self, xprime_target):
         """max |grad u| over the interior vertical column nearest a tangential point."""
@@ -285,8 +282,8 @@ def _stat_thm11_sup_uncorrected(b: SolveBundle):
     return float(b.remainder_inner(corrected=False).max())
 
 
-def _stat_thm11_sup_normalized(b: SolveBundle):
-    return float((b.remainder_inner() / b.normalizer_theta()).max())
+def _stat_sup_normalized(b: SolveBundle):
+    return float((b.remainder_inner() / b.normalizer()).max())
 
 
 def _stat_sup_grad(b: SolveBundle):
@@ -308,18 +305,14 @@ def _stat_decay_normalized(b: SolveBundle):
 
 
 def _stat_cor41_thetabar(b: SolveBundle):
-    return float((b.remainder_inner() / b.normalizer_theta_bar()).max())
-
-
-def _stat_cor41_theta(b: SolveBundle):
-    return float((b.remainder_inner() / b.normalizer_theta()).max())
+    return float((b.remainder_inner() / b.normalizer(bar=True)).max())
 
 
 def _stat_gauge_margin(b: SolveBundle):
     """min over inner x' of Theta - Theta_bar_delta (>= 0 expected)."""
-    xp = b.inner_xp
-    return float((_ans.theta(b.traces, xp)
-                  - _ans.theta_bar_delta(b.traces, b.region, xp)).min())
+    xp = b.coords[0][..., :1, :]
+    return float(b.at_inner(_ans.theta(b.traces, xp)
+                            - _ans.theta_bar_delta(b.traces, b.region, xp)).min())
 
 
 def _stat_shortest_remainder(b: SolveBundle):
@@ -343,13 +336,13 @@ def _stat_energy_ratio(b: SolveBundle):
 STATISTICS = {
     "thm11_sup": _stat_thm11_sup,
     "thm11_sup_uncorrected": _stat_thm11_sup_uncorrected,
-    "thm11_sup_normalized": _stat_thm11_sup_normalized,
+    "thm11_sup_normalized": _stat_sup_normalized,
     "sup_grad": _stat_sup_grad,
     "shortest_segment_max": _stat_shortest_segment,
     "monomial_point_max": _stat_monomial_point,
     "decay_normalized": _stat_decay_normalized,
     "cor41_sup_thetabar": _stat_cor41_thetabar,
-    "cor41_sup_theta": _stat_cor41_theta,
+    "cor41_sup_theta": _stat_sup_normalized,
     "gauge_margin": _stat_gauge_margin,
     "shortest_remainder": _stat_shortest_remainder,
     "energy_ratio": _stat_energy_ratio,
@@ -384,8 +377,8 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
         raise GeometryError("energy window outside the grid")
 
     XP, T = df.grid.node_coords()
-    x_all = region.from_box(XP, T)
-    gw = df.gradient_nodes() - np.moveaxis(ansatz.gradient(x_all), (-2, -1), (0, 1))
+    gw = df.gradient_nodes() - np.moveaxis(ansatz.gradient(XP[..., :1, :], T),
+                                           (-2, -1), (0, 1))
     carrier = _disc.DiscreteField(df.grid, region,
                                   gw.reshape((-1,) + df.grid.shape))
 
@@ -398,8 +391,7 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     TQ = mesh[-1].ravel()
     keep = np.sum((YQ - z) ** 2, axis=-1) <= radius ** 2 * (1 + 1e-12)
     YQ, TQ = YQ[keep], TQ[keep]
-    xq = region.from_box(YQ, TQ)
-    vals = carrier.value_at(xq)
+    vals = carrier.value_at(YQ, TQ)
     w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ)
     cell = (2 * radius / nqy) ** d * (1.0 / nqt)
     return float(w2.sum() * cell)
@@ -488,15 +480,18 @@ def _sweep_group(reqs, outs):
                 t0 = time.perf_counter()
                 try:
                     b = SolveBundle(req.cfg, eps, grid_nodes, workers.live)
+                    t1 = time.perf_counter()
                     vals = {s: STATISTICS[s](b) for s in req.stats}
                 except Exception as exc:     # the request fails, not the sweep
                     found[i] = exc
                     continue
+                t2 = time.perf_counter()
                 slot = found.setdefault(i, [vals, {}, [], 0.0])
                 if grid_nodes == refined:
                     slot[1] = vals
-                slot[2].append({"case": req.case, "eps": eps, **b.report.record()})
-                slot[3] += time.perf_counter() - t0
+                slot[2].append({"case": req.case, "eps": eps, **b.report.record(),
+                                "stats_s": t2 - t1})
+                slot[3] += t2 - t0
         return found
 
     threads = max(1, cfg.experiment.threads)
@@ -590,16 +585,13 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
         d = region.d
         ax = np.linspace(-region.R0, region.R0, ns[0] + 2)[1:-1]
         ts = np.linspace(0.0, 1.0, ns[1] + 2)[1:-1]
-        mesh = np.meshgrid(*([ax] * d + [ts]), indexing="ij")
-        xp = np.stack([m.ravel() for m in mesh[:-1]], axis=-1)
-        t = mesh[-1].ravel()
-        x = region.from_box(xp, t)
-        xq = xp[::len(ts)]                  # delta and Theta depend on x' only
-        dlt = region.delta(xq)[:, None]
-        th = _ans.theta(traces, xq)[:, None]
+        mesh = np.meshgrid(*([ax] * d), indexing="ij")
+        xq = np.stack([m.ravel() for m in mesh], axis=-1)[:, None, :]   # x' columns
+        dlt = region.delta(xq)
+        th = _ans.theta(traces, xq)
         c2n = traces.c2_total(2 * region.R0, dim=d)
-        f = np.linalg.norm(af.residual(x), axis=-1).reshape(-1, len(ts))
-        f0 = np.linalg.norm(af0.residual(x), axis=-1).reshape(-1, len(ts))
+        f = np.linalg.norm(af.residual(xq, ts), axis=-1)
+        f0 = np.linalg.norm(af0.residual(xq, ts), axis=-1)
         corr = float((f * dlt / (th + dlt * c2n)).max())
         unc = float((f0 * dlt ** 2 / np.maximum(th, 1e-300)).max())
         return corr, unc
@@ -724,8 +716,7 @@ def _within(value, center, band):
 def _traces_are_zero(cfg):
     traces = cfg.build_traces()
     probe = np.linspace(-2 * cfg.geometry.R0, 2 * cfg.geometry.R0, 33)
-    xp = probe[:, None] if cfg.geometry.n == 2 else \
-        np.concatenate([probe[:, None]] * (cfg.geometry.n - 1), axis=-1)
+    xp = np.repeat(probe[:, None], cfg.geometry.n - 1, axis=-1)
     pv = np.abs(traces.phi.value(xp)).max()
     sv = np.abs(traces.psi.value(xp)).max()
     return max(pv, sv) < 1e-300
@@ -856,12 +847,17 @@ def _plan_decay(cfg: RunConfig):
         return Verdict("decay", "SKIPPED",
                        {"note": "zero solution: top/bottom and lateral data "
                                 "all vanish"})
+    eps_list = _eps_list(cfg, DECAY_EPS)
+    try:                      # decay never meets A^nn through the ansatz
+        check_ann(cfg.build_tensor()[0], region=cfg.geometry.build_region(eps_list[0]))
+    except HypothesisViolationError as exc:
+        raise HypothesisViolationError(f"A^nn numerically singular: {exc}") from None
     dcfg = replace(cfg,
                    traces=TracesConfig(family="constant", phi=(0.0,) * N,
                                        psi=(0.0,) * N),
                    solver=replace(cfg.solver, closure="constant",
                                   lateral_value=tuple(lateral)))
-    return [SweepRequest(dcfg, ("decay_normalized",), _eps_list(cfg, DECAY_EPS))]
+    return [SweepRequest(dcfg, ("decay_normalized",), eps_list)]
 
 
 def _judge_decay(cfg: RunConfig, results) -> Verdict:

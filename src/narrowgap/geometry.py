@@ -385,6 +385,16 @@ class NarrowRegion:
 
     # -- normalized vertical coordinate ------------------------------------
 
+    def _box(self, xp, t):
+        """(x', t) checked: x' (..., d) on the patch, t (...) in [0, 1]; they broadcast."""
+        xp = _as_points(xp, self.d)
+        self._check_patch(xp)
+        t = np.asarray(t, dtype=float)
+        if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
+            bad = t.flat[np.argmax(np.abs(t - 0.5))]
+            raise GeometryError(f"box coordinate t = {float(bad):.3g} outside [0, 1]")
+        return xp, t
+
     def vbar(self, x):
         x = _as_points(x, self.n)
         xp, xn = x[..., :-1], x[..., -1]
@@ -394,41 +404,30 @@ class NarrowRegion:
             raise GeometryError(f"point {tuple(bad)} outside the closed region")
         return t
 
-    def vbar_grad(self, x):
-        """Full spatial gradient of v, shape (..., n); the vertical slot is 1/delta."""
-        x = _as_points(x, self.n)
-        xp = x[..., :-1]
-        t = self.vbar(x)
+    def vbar_grad(self, xp, t):
+        """Gradient of v at (x', t), shape (..., n): (-(d h2 + t d delta), 1) / delta."""
+        xp, t = self._box(xp, t)
         dlt = self.delta(xp)
-        dh2 = self.profiles.h2.grad(xp)
-        ddlt = self.delta_grad(xp)
-        out = np.empty(x.shape)
-        out[..., :-1] = -(dh2 + t[..., None] * ddlt) / dlt[..., None]
+        out = np.empty(np.broadcast_shapes(xp.shape[:-1], t.shape) + (self.n,))
+        out[..., :-1] = -(self.profiles.h2.grad(xp)
+                          + t[..., None] * self.delta_grad(xp)) / dlt[..., None]
         out[..., -1] = 1.0 / dlt
         return out
 
-    def vbar_hess(self, x):
-        """Second derivatives of v, shape (..., n, n); the (n, n) slot is 0."""
-        x = _as_points(x, self.n)
-        xp = x[..., :-1]
-        t = self.vbar(x)
-        dlt = self.delta(xp)
-        ddlt = self.delta_grad(xp)
-        d2dlt = self.delta_hess(xp)
-        dh2 = self.profiles.h2.grad(xp)
-        d2h2 = self.profiles.h2.hess(xp)
-        dt = self.vbar_grad(x)[..., :-1]                      # tangential d v
-        q = dh2 + t[..., None] * ddlt
-        # d_b q_a = d2h2 + dt_b * ddlt_a + t * d2dlt
-        dq = (d2h2 + dt[..., None, :] * ddlt[..., :, None]
-              + t[..., None, None] * d2dlt)
-        out = np.zeros(x.shape + (self.n,))
-        tb = -dq / dlt[..., None, None] + (q[..., :, None] * ddlt[..., None, :]) / (dlt ** 2)[..., None, None]
-        out[..., :-1, :-1] = tb
-        mixed = -ddlt / (dlt ** 2)[..., None]
-        out[..., :-1, -1] = mixed
-        out[..., -1, :-1] = mixed
-        return out
+    def vbar_hess(self, xp, t):
+        """Second derivatives of v at (x', t), shape (..., n, n).
+
+        With D = (grad delta, 0):  d2 v = -(H + dv D^T + D dv^T) / delta,
+        where H is d2 h2 + t d2 delta in the tangential block and 0 elsewhere.
+        """
+        xp, t = self._box(xp, t)
+        dv = self.vbar_grad(xp, t)
+        D = np.zeros(xp.shape[:-1] + (self.n,))
+        D[..., :-1] = self.delta_grad(xp)
+        out = -(dv[..., :, None] * D[..., None, :] + D[..., :, None] * dv[..., None, :])
+        out[..., :-1, :-1] -= (self.profiles.h2.hess(xp)
+                               + t[..., None, None] * self.delta_hess(xp))
+        return out / self.delta(xp)[..., None, None]
 
     # -- box map ------------------------------------------------------------
 
@@ -439,10 +438,7 @@ class NarrowRegion:
 
     def from_box(self, xp, t):
         """Inverse map x_n = h2(x') + t * delta(x'); requires t in [0, 1]."""
-        xp = _as_points(xp, self.d)
-        t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
-            raise GeometryError(f"box coordinate t = {float(np.max(t)):.3g} outside [0, 1]")
+        xp, t = self._box(xp, t)
         xn = self.bottom(xp) + t * self.delta(xp)
         xp_full = np.broadcast_to(xp, xn.shape + (self.d,))
         return np.concatenate([xp_full, xn[..., None]], axis=-1)

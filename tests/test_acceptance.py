@@ -89,20 +89,21 @@ def test_criterion_2_ansatz_correctness():
     xp = rng.uniform(-0.99, 0.99, (5000, 1))
     top = region.from_box(xp, np.ones(5000))
     bot = region.from_box(xp, np.zeros(5000))
-    bmatch = max(float(np.abs(af.value(top) - traces.phi.value(xp)).max()),
-                 float(np.abs(af.value(bot) - traces.psi.value(xp)).max()))
+    bmatch = max(float(np.abs(af.value(*region.to_box(top)) - traces.phi.value(xp)).max()),
+                 float(np.abs(af.value(*region.to_box(bot)) - traces.psi.value(xp)).max()))
 
     xp_i = rng.uniform(-0.9, 0.9, (1000, 1))
     t_i = rng.uniform(0.05, 0.95, 1000)
     x = region.from_box(xp_i, t_i)
-    g = af.gradient(x)
+    g = af.gradient(xp_i, t_i)
     h = (1e-6 * region.delta(xp_i))[:, None]
     fd_err = 0.0
     scale = float(np.abs(g).max())
     for a in range(2):
         dx = np.zeros((1000, 2))
         dx[:, a] = h[:, 0]
-        fd = (af.value(x + dx) - af.value(x - dx)) / (2 * h)
+        fd = (af.value(*region.to_box(x + dx))
+              - af.value(*region.to_box(x - dx))) / (2 * h)
         fd_err = max(fd_err, float(np.abs(g[..., a] - fd).max()) / scale)
 
     lap_traces = BoundaryTraces(ConstantTrace([1.0]), zero_trace(1))

@@ -162,8 +162,7 @@ class TestAnsatzField:
         af = build_ansatz(make_laplace(2, 1), r, tr)
         xp = np.linspace(-0.9, 0.9, 9)[:, None]
         t = np.linspace(0.1, 0.9, 9)
-        x = r.from_box(xp, t)
-        assert np.allclose(af.value(x)[:, 0], 2.0 * t - 1.0 * (1 - t), atol=1e-14)
+        assert np.allclose(af.value(xp, t)[:, 0], 2.0 * t - 1.0 * (1 - t), atol=1e-14)
 
     def test_boundary_match_exact(self):
         r = region(m=3, upper=0.9, lower=0.7, eps=0.02)
@@ -173,8 +172,8 @@ class TestAnsatzField:
         xp = np.linspace(-0.99, 0.99, 500)[:, None]
         top = r.from_box(xp, np.ones(500))
         bot = r.from_box(xp, np.zeros(500))
-        assert np.abs(af.value(top) - tr.phi.value(xp)).max() <= 1e-14
-        assert np.abs(af.value(bot) - tr.psi.value(xp)).max() <= 1e-14
+        assert np.abs(af.value(*r.to_box(top)) - tr.phi.value(xp)).max() <= 1e-14
+        assert np.abs(af.value(*r.to_box(bot)) - tr.psi.value(xp)).max() <= 1e-14
 
     def test_modes_agree_pointwise(self):
         params = LameParameters(0.7, 1.3)
@@ -185,9 +184,9 @@ class TestAnsatzField:
         gen = build_ansatz(tensor, r, tr, "generic")
         cls = build_ansatz(tensor, r, tr, "lame_closed_form", lame=params)
         rng = np.random.default_rng(0)
-        x = r.from_box(rng.uniform(-0.9, 0.9, (10000, 1)), rng.uniform(0, 1, 10000))
-        dv = np.abs(gen.value(x) - cls.value(x)).max()
-        dg = np.abs(gen.gradient(x) - cls.gradient(x)).max()
+        x = (rng.uniform(-0.9, 0.9, (10000, 1)), rng.uniform(0, 1, 10000))
+        dv = np.abs(gen.value(*x) - cls.value(*x)).max()
+        dg = np.abs(gen.gradient(*x) - cls.gradient(*x)).max()
         assert dv <= 1e-12 and dg <= 1e-12
 
     def test_mode_tensor_mismatch_rejected(self):
@@ -201,9 +200,9 @@ class TestAnsatzField:
                             PolyTrace([[0.2], [0.1, -0.4]]))
         af = build_ansatz(LAME, r, tr)
         rng = np.random.default_rng(1)
-        x = r.from_box(rng.uniform(-0.9, 0.9, (50, 1)), rng.uniform(0, 1, 50))
-        total = sum(af.component(l, x) for l in range(2))
-        assert np.abs(total - af.value(x)).max() <= 1e-14
+        x = (rng.uniform(-0.9, 0.9, (50, 1)), rng.uniform(0, 1, 50))
+        total = sum(af.component(l, *x) for l in range(2))
+        assert np.abs(total - af.value(*x)).max() <= 1e-14
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
@@ -217,10 +216,10 @@ class TestAnsatzField:
         f1 = build_ansatz(LAME, r, tr1)
         f2 = build_ansatz(LAME, r, tr2)
         fm = build_ansatz(LAME, r, mixed)
-        x = r.from_box(np.array([[0.2], [-0.4]]), np.array([0.3, 0.8]))
-        want = a * f1.value(x) + b * f2.value(x)
+        x = (np.array([[0.2], [-0.4]]), np.array([0.3, 0.8]))
+        want = a * f1.value(*x) + b * f2.value(*x)
         scale = max(1.0, np.abs(want).max())
-        assert np.abs(fm.value(x) - want).max() <= 1e-12 * scale
+        assert np.abs(fm.value(*x) - want).max() <= 1e-12 * scale
 
 
 class TestGradAnsatz:
@@ -230,8 +229,7 @@ class TestGradAnsatz:
         tr = BoundaryTraces(ConstantTrace([3.0]), zero_trace(1))
         af = build_ansatz(make_laplace(2, 1), r, tr)
         xp = np.array([[0.1]])
-        x = r.from_box(xp, np.array([0.25]))
-        assert af.gradient(x)[0, 0, 1] == pytest.approx(3.0 / 0.02, rel=1e-14)
+        assert af.gradient(xp, np.array([0.25]))[0, 0, 1] == pytest.approx(3.0 / 0.02, rel=1e-14)
 
     @pytest.mark.parametrize("tensor, mode", field_cases())
     def test_matches_central_differences(self, tensor, mode):
@@ -243,13 +241,13 @@ class TestGradAnsatz:
         xp = rng.uniform(-0.9, 0.9, (1000, 1))
         t = rng.uniform(0.05, 0.95, 1000)
         x = r.from_box(xp, t)
-        g = af.gradient(x)
+        g = af.gradient(xp, t)
         h = (1e-6 * r.delta(xp))[:, None]
         scale = np.abs(g).max()
         for a in range(2):
             dx = np.zeros((1000, 2))
             dx[:, a] = h[:, 0]
-            fd = (af.value(x + dx) - af.value(x - dx)) / (2 * h)
+            fd = (af.value(*r.to_box(x + dx)) - af.value(*r.to_box(x - dx))) / (2 * h)
             assert np.abs(g[..., a] - fd).max() <= 1e-6 * scale
 
     def test_correction_singular_part_vanishes_at_origin(self):
@@ -259,10 +257,10 @@ class TestGradAnsatz:
         r = region(m=2, upper=1.0, lower=1.0, eps=0.01)
         af = build_ansatz(LAME, r, E1_GAP)
         af0 = build_ansatz(LAME, r, E1_GAP, include_correction=False)
-        x = r.from_box(np.zeros((1, 1)), np.array([0.37]))
+        x = (np.zeros((1, 1)), np.array([0.37]))
         S, dS, _ = af.correction_sum(np.zeros((1, 1)))
         assert np.abs(S).max() <= 1e-15
-        diff = af.gradient(x) - af0.gradient(x)
+        diff = af.gradient(*x) - af0.gradient(*x)
         assert np.abs(diff[0, :, 1]).max() <= 1e-14       # vertical slot clean
         assert np.abs(diff).max() <= 4.0                  # leftover is bounded
 
@@ -275,9 +273,9 @@ class TestGradAnsatz:
             r = region(eps=eps)
             af = build_ansatz(LAME, r, tr)
             xp = np.linspace(-0.9, 0.9, 101)[:, None]
-            x = r.from_box(xp, np.full(101, 0.3))
-            assert np.abs(af.value(x) - tr.phi.value(xp)).max() <= 1e-14
-            sups.append(np.abs(af.gradient(x)).max())
+            t = np.full(101, 0.3)
+            assert np.abs(af.value(xp, t) - tr.phi.value(xp)).max() <= 1e-14
+            sups.append(np.abs(af.gradient(xp, t)).max())
         assert max(sups) <= min(sups) * (1 + 1e-12)
 
 
@@ -290,8 +288,8 @@ class TestResidual:
         tr = BoundaryTraces(ConstantTrace([2.0]), ConstantTrace([-1.0]))
         af = build_ansatz(make_laplace(2, 1), r, tr)
         rng = np.random.default_rng(3)
-        x = r.from_box(rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0.05, 0.95, 200))
-        assert np.abs(af.residual(x)).max() <= 1e-10
+        x = (rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0.05, 0.95, 200))
+        assert np.abs(af.residual(*x)).max() <= 1e-10
 
     @pytest.mark.parametrize("mode", ["generic", "lame_closed_form"])
     def test_residual_matches_operator_of_fd_hessian(self, mode):
@@ -307,13 +305,13 @@ class TestResidual:
                 ea, eb = np.zeros(2), np.zeros(2)
                 ea[a] = h
                 eb[b] = h
-                hess[:, a, b] = (af.value((x0 + ea + eb)[None])[0]
-                                 - af.value((x0 + ea - eb)[None])[0]
-                                 - af.value((x0 - ea + eb)[None])[0]
-                                 + af.value((x0 - ea - eb)[None])[0]) / (4 * h * h)
+                hess[:, a, b] = (af.value(*r.to_box((x0 + ea + eb)[None]))[0]
+                                 - af.value(*r.to_box((x0 + ea - eb)[None]))[0]
+                                 - af.value(*r.to_box((x0 - ea + eb)[None]))[0]
+                                 + af.value(*r.to_box((x0 - ea - eb)[None]))[0]) / (4 * h * h)
         A = LAME.A(x0[None])[0]
         want = np.einsum("ijab,jab->i", A, hess)
-        got = af.residual(x0[None])[0]
+        got = af.residual(*r.to_box(x0[None]))[0]
         assert np.abs(got - want).max() <= 1e-3 * max(1.0, np.abs(want).max())
 
     def test_scaled_residual_bounded_with_correction(self):
@@ -326,10 +324,10 @@ class TestResidual:
             af = build_ansatz(LAME, r, tr)
             af0 = build_ansatz(LAME, r, tr, include_correction=False)
             xp = np.linspace(-0.45, 0.45, 151)[:, None]
-            x = r.from_box(xp, np.full(151, 0.35))
+            t = np.full(151, 0.35)
             dlt = r.delta(xp)
             th = theta(tr, xp)
-            corr.append((np.linalg.norm(af.residual(x), axis=-1) * dlt / th).max())
-            unc.append((np.linalg.norm(af0.residual(x), axis=-1) * dlt ** 2 / th).max())
+            corr.append((np.linalg.norm(af.residual(xp, t), axis=-1) * dlt / th).max())
+            unc.append((np.linalg.norm(af0.residual(xp, t), axis=-1) * dlt ** 2 / th).max())
         assert max(corr) <= 12.0                  # bounded, eps-uniform
         assert min(unc) >= 1.0                    # bounded below away from zero

@@ -1,6 +1,7 @@
 """Configuration parsing, run orchestration, artifact reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,24 @@ class TestParseConfig:
     def test_validate_config_accumulates(self):
         cfg = config_from_dict(MINI)
         assert validate_config(cfg) == []
+
+    def test_non_finite_numbers_rejected(self, tmp_path):
+        p = tmp_path / "nan.json"
+        p.write_text('{"geometry": {"R0": Infinity}, "tensor": {"kind": "custom_poly",'
+                     ' "custom_A": [NaN, 0, 0, 1]}}')
+        with pytest.raises(ConfigError) as err:
+            parse_config(p)
+        msg = str(err.value)
+        assert "geometry: R0 is not a finite number" in msg
+        assert "tensor: custom_A[0] is not a finite number" in msg
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_shipped_config_parses(path):
+    parse_config(path)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +228,7 @@ def test_solve_events_name_their_sweep_point(tmp_path):
     assert sorted(fresh) == sorted(points)
     assert all(e["factor_s"] == 0.0 for e in solves if e["reused"])
     assert all(e["factor_s"] > 0 and e["solve_s"] > 0 for e in solves if not e["reused"])
+    assert all(e["stats_s"] > 0 for e in solves)
 
 
 def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch):
@@ -237,7 +257,7 @@ def test_singular_vertical_block_fails_validation_and_aborts_checks(tmp_path):
                    "custom_A": [1, 0, 0, 0], "perturb_scale": 0},
         "traces": {"family": "constant", "phi": [1.0], "psi": [0.0]},
         "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
-        "experiment": {"checks": ["thm11", "remark13", "residual", "energy"],
+        "experiment": {"checks": ["thm11", "remark13", "decay", "residual", "energy"],
                        "eps_list": [0.01, 0.005, 0.002, 0.001]},
         "output": {"dir": str(tmp_path / "s")}})
     report = run(cfg, "all")
@@ -251,3 +271,28 @@ def test_singular_vertical_block_fails_validation_and_aborts_checks(tmp_path):
         assert v.status == "ABORTED"
         assert v.details["error"].startswith(message)
         assert checks[v.name]["error"].startswith(message)
+
+
+def test_overflowing_coefficients_abort_every_check(tmp_path):
+    # finite input whose pullback overflows: no verdict may pass or FAIL on
+    # the NaN statistics it would produce
+    cfg = config_from_dict({
+        "tensor": {"kind": "custom_poly", "custom_N": 1,
+                   "custom_A": [1e308, 0, 0, 1e308], "perturb_scale": 0},
+        "traces": {"family": "constant", "phi": [1.0], "psi": [0.0]},
+        "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
+        "experiment": {"eps_list": [0.01, 0.005, 0.002, 0.001]},
+        "output": {"dir": str(tmp_path / "o")}})
+    report = run(cfg, "all")
+    checks = {e["name"]: e for e in _runlog(tmp_path / "o") if e["event"] == "check"}
+    overflow = "AssemblyError: non-finite transformed A at node index (0, 4)"
+    expected = {"thm11": overflow, "remark13": overflow, "decay": overflow,
+                "energy": overflow,
+                "residual": "non-finite or non-positive statistic inf at eps = 0.01 "
+                            "(statistic 'residual_normalized')"}
+    ran = [v for v in report.verdicts if v.status != "SKIPPED"]
+    assert {v.name for v in ran} == set(expected)
+    for v in ran:
+        assert v.status == "ABORTED"
+        assert v.details["error"] == expected[v.name]
+        assert checks[v.name]["error"] == expected[v.name]

@@ -54,6 +54,10 @@ class TestFitRate:
         with pytest.raises(DataError, match="0.01"):
             fit_rate(synthetic(self.EPS, [1, 1, 1, 0.0, 1, 1, 1]))
 
+    def test_non_finite_value_named(self):
+        with pytest.raises(DataError, match="nan at eps = 0.02"):
+            fit_rate(synthetic(self.EPS, [1, 1, np.nan, 1, 1, 1, 1]))
+
     def test_flagged_points_excluded(self):
         pts = [SweepPoint(e, v, None, None, False, (0, 0))
                for e, v in zip(self.EPS, 1.0 / self.EPS)]
@@ -201,9 +205,8 @@ class TestLocalEnergy:
         region, af, df = energy_setup
         grid = df.grid
         XP, T = grid.node_coords()
-        x = region.from_box(XP, T)
         exact = DiscreteField(grid, region,
-                              np.moveaxis(af.value(x), -1, 0).copy())
+                              np.moveaxis(af.value(XP, T), -1, 0).copy())
         # the carrier is the nodal difference, which vanishes identically
         val = local_energy(exact, af, 0.0, 0.05)
         assert val <= 1e-16
