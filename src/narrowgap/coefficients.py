@@ -393,7 +393,8 @@ def check_ann(tensor: CoefficientTensor, region=None, points=None,
         raise HypothesisViolationError(
             f"A^nn loses positive definiteness at x = "
             f"{tuple(float(v) for v in points[kmin])} (min eig {lo:.3g})")
-    passed = lo >= tensor.Lambda1 * (1 - 1e-9) and hi <= tensor.Lambda2 * (1 + 1e-9)
+    passed = (bool(np.isfinite([lo, hi]).all()) and lo >= tensor.Lambda1 * (1 - 1e-9)
+              and hi <= tensor.Lambda2 * (1 + 1e-9))
     return AnnReport(lo, hi, (tensor.Lambda1, tensor.Lambda2), passed,
                      tuple(round(float(v), 12) for v in points[kmin]))
 

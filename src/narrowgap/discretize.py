@@ -30,6 +30,7 @@ orders the free block by geometric nested dissection of the grid.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -105,8 +106,20 @@ class BoxGrid:
                        (self.vertical_nodes - 1) * factor + 1, self.half_width)
 
 
+def require_planar(n: int):
+    """Refuse n != 2 before a grid is built.
+
+    For n > 2 the corners of the box [-2R0, 2R0]^(n-1) leave the round patch
+    |x'| <= 2R0 on which the gap is defined, and sample grids grow with the
+    (n-1)-th power of the tangential node count.
+    """
+    if n != 2:
+        raise GeometryError(f"grids need n = 2, got n = {n}")
+
+
 def grid_for(region: NarrowRegion, tangential_nodes: int = 257,
              vertical_nodes: int = 65) -> BoxGrid:
+    require_planar(region.n)
     return BoxGrid(region.n, tangential_nodes, vertical_nodes, 2.0 * region.R0)
 
 
@@ -184,14 +197,9 @@ def transform_forcing(region: NarrowRegion, grid: BoxGrid, forcing) -> np.ndarra
 
 @dataclass
 class LinearSystem:
-    """Stencil matrix with identity Dirichlet rows and its shared factorization.
-
-    ``rhs`` is the right-hand side ``assemble`` built when it was given
-    boundary values; ``solve_linear`` takes any other one as well.
-    """
+    """Stencil matrix with identity Dirichlet rows and its shared factorization."""
 
     matrix: sp.csr_matrix
-    rhs: np.ndarray | None
     dirichlet_mask: np.ndarray    # bool, length N * nodes
     grid: BoxGrid
     N: int
@@ -230,93 +238,75 @@ class LinearSystem:
         return self._factor, True, 0.0
 
 
-def _interior_slices(shape, offset):
-    out = []
-    for o, s in zip(offset, shape):
-        out.append(slice(1 + o, s - 1 + o))
-    return tuple(out)
-
-
-def assemble(tf: TransformedFields, boundary_values=None) -> LinearSystem:
+def assemble(tf: TransformedFields) -> LinearSystem:
     """Second-order stencil matrix with identity Dirichlet rows.
 
-    The matrix comes from the coefficient fields alone.  Given
-    ``boundary_values`` the system also carries their right-hand side.
+    The stencil is a table of N x N blocks, one per offset o in {-1, 0, 1}^n:
+    W[o][p, i, j] couples component i at interior node p to component j at
+    node p + o.  The matrix comes from the coefficient fields alone;
+    ``right_hand_side`` builds every right-hand side.
     """
     grid = tf.grid
-    shape, n = grid.shape, grid.n
+    shape, n, nodes = grid.shape, grid.n, grid.nodes
     N = tf.Atil.shape[-3]
     h = grid.spacing
-    nodes = grid.nodes
+
+    def at(arr, o):
+        """arr at the interior nodes shifted by offset o."""
+        return arr[tuple(slice(1 + k, s - 1 + k) for k, s in zip(o, shape))]
+
+    def step(*moves):
+        """Offset of the (sign, axis) moves."""
+        o = [0] * n
+        for sign, axis in moves:
+            o[axis] += sign
+        return tuple(o)
+
+    zero = step()
+    W = defaultdict(float)                  # offset -> (*interior, N, N)
+    for a in range(n):
+        ea, mea = step((1, a)), step((-1, a))
+        M = tf.Atil[..., a, a]
+        Mp = 0.5 * (at(M, zero) + at(M, ea))
+        Mm = 0.5 * (at(M, zero) + at(M, mea))
+        ha2 = h[a] * h[a]
+        W[ea] += Mp / ha2
+        W[mea] += Mm / ha2
+        W[zero] += -(Mp + Mm) / ha2
+        for b in range(n):
+            if b == a:
+                continue
+            c = 1.0 / (4.0 * h[a] * h[b])
+            for sa in (1, -1):
+                Ms = at(tf.Atil[..., a, b], step((sa, a))) * c
+                W[step((sa, a), (1, b))] += sa * Ms
+                W[step((sa, a), (-1, b))] += -sa * Ms
+        if tf.Btil is not None:
+            Bv = tf.Btil[..., a]
+            W[ea] += at(Bv, ea) / (2 * h[a])
+            W[mea] += -at(Bv, mea) / (2 * h[a])
+        if tf.Ctil is not None:
+            Cv = at(tf.Ctil[..., a], zero)
+            W[ea] += Cv / (2 * h[a])
+            W[mea] += -Cv / (2 * h[a])
+    if tf.Dtil is not None:
+        W[zero] += at(tf.Dtil, zero)
+
+    # block entry (p, i, j) of W[o] sits at row i*nodes + p, column j*nodes + p + o
     ids = np.arange(nodes).reshape(shape)
-    zero = (0,) * n
-    row_nodes = ids[_interior_slices(shape, zero)].ravel()
-
-    def shifted(offset):
-        return ids[_interior_slices(shape, offset)].ravel()
-
-    def at(arr, offset):
-        return arr[_interior_slices(shape, offset)].ravel()
-
-    rows, cols, vals = [], [], []
-
-    def add(i, j, col_nodes, w):
-        rows.append(i * nodes + row_nodes)
-        cols.append(j * nodes + col_nodes)
-        vals.append(w)
-
-    unit = [tuple(int(a == k) for k in range(n)) for a in range(n)]
-    for i in range(N):
-        for j in range(N):
-            for a in range(n):
-                ea = unit[a]
-                mea = tuple(-o for o in ea)
-                M = tf.Atil[..., i, j, a, a]
-                Mp = 0.5 * (at(M, zero) + at(M, ea))
-                Mm = 0.5 * (at(M, zero) + at(M, mea))
-                ha2 = h[a] * h[a]
-                add(i, j, shifted(ea), Mp / ha2)
-                add(i, j, shifted(mea), Mm / ha2)
-                add(i, j, row_nodes, -(Mp + Mm) / ha2)
-                for b in range(n):
-                    if b == a:
-                        continue
-                    eb = unit[b]
-                    M = tf.Atil[..., i, j, a, b]
-                    c = 1.0 / (4.0 * h[a] * h[b])
-                    Mpa = at(M, ea) * c
-                    Mma = at(M, mea) * c
-                    add(i, j, shifted(_vadd(ea, eb)), Mpa)
-                    add(i, j, shifted(_vsub(ea, eb)), -Mpa)
-                    add(i, j, shifted(_vadd(mea, eb)), -Mma)
-                    add(i, j, shifted(_vsub(mea, eb)), Mma)
-                if tf.Btil is not None:
-                    Bv = tf.Btil[..., i, j, a]
-                    add(i, j, shifted(ea), at(Bv, ea) / (2 * h[a]))
-                    add(i, j, shifted(mea), -at(Bv, mea) / (2 * h[a]))
-                if tf.Ctil is not None:
-                    Cv = at(tf.Ctil[..., i, j, a], zero)
-                    add(i, j, shifted(ea), Cv / (2 * h[a]))
-                    add(i, j, shifted(mea), -Cv / (2 * h[a]))
-            if tf.Dtil is not None:
-                add(i, j, row_nodes, at(tf.Dtil[..., i, j], zero))
-
-    # Dirichlet rows
+    comp = nodes * np.arange(N)
+    block = W[zero].shape
+    rows = np.broadcast_to(at(ids, zero)[..., None, None] + comp[:, None], block)
+    cols = [np.broadcast_to(at(ids, o)[..., None, None] + comp, block) for o in W]
     bmask = np.ones(shape, dtype=bool)
-    bmask[_interior_slices(shape, zero)] = False
-    bnodes = ids[bmask]
-    for i in range(N):
-        rows.append(i * nodes + bnodes)
-        cols.append(i * nodes + bnodes)
-        vals.append(np.ones(len(bnodes)))
-
+    at(bmask, zero)[...] = False
+    bnodes = (comp[:, None] + ids[bmask]).ravel()       # identity Dirichlet rows
     K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([w.ravel() for w in W.values()] + [np.ones(len(bnodes))]),
+         (np.concatenate([rows.ravel()] * len(W) + [bnodes]),
+          np.concatenate([c.ravel() for c in cols] + [bnodes]))),
         shape=(N * nodes, N * nodes)).tocsr()
-    ls = LinearSystem(K, None, np.tile(bmask.ravel(), N), grid, N)
-    if boundary_values is not None:
-        ls.rhs = right_hand_side(ls, boundary_values)
-    return ls
+    return LinearSystem(K, np.tile(bmask.ravel(), N), grid, N)
 
 
 def right_hand_side(ls: LinearSystem, boundary_values, Ftil=None) -> np.ndarray:
@@ -338,14 +328,6 @@ def right_hand_side(ls: LinearSystem, boundary_values, Ftil=None) -> np.ndarray:
         raise AssemblyError("non-finite Dirichlet data")
     rhs[bmask] = data
     return rhs.ravel()
-
-
-def _vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _vsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +433,16 @@ def _backward_error(K, x, b, Kfro):
     return num / den if den else num
 
 
-def solve_linear(ls: LinearSystem, rhs=None, tol: float = 1e-10):
+def solve_linear(ls: LinearSystem, rhs, tol: float = 1e-10):
     """Sparse LU solve against the system's shared factorization.
 
-    ``rhs`` defaults to ``ls.rhs``.  The reported residual is the normwise
-    backward error |Kx - b| / (|K| |x| + |b|) of the full system, recomputed
-    from the returned solution; one step of iterative refinement follows
-    when it exceeds ``tol``, and SolverError when it still does.
+    The reported residual is the normwise backward error
+    |Kx - b| / (|K| |x| + |b|) of the full system, recomputed from the
+    returned solution; one step of iterative refinement follows when it
+    exceeds ``tol``, and SolverError when it still does.
     """
     K = ls.matrix
-    b = ls.rhs if rhs is None else np.asarray(rhs, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     Kfro = sp.linalg.norm(K)
     t0 = time.perf_counter()
     lu, reused, factor_s = ls.factorization()

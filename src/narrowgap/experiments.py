@@ -572,6 +572,7 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
     Refinement doubles the sampling density; maxima that move more than the
     Richardson tolerance are flagged sampling-limited.
     """
+    _disc.require_planar(cfg.geometry.n)
     eps_list = tuple(eps_list) if eps_list is not None else _eps_list(cfg)
     tensor, lame = cfg.build_tensor()
     traces = cfg.build_traces()

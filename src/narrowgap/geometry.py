@@ -345,7 +345,8 @@ class NarrowRegion:
         lim = (2.0 * self.R0) ** 2 * (1 + self._patch_tol)
         if np.any(r2 > lim):
             bad = np.asarray(xp).reshape(-1, self.d)[np.argmax(r2.reshape(-1))]
-            raise GeometryError(f"tangential point {tuple(bad)} outside the patch |x'| <= {2 * self.R0}")
+            raise GeometryError(f"tangential point {tuple(map(float, bad))} outside the patch "
+                                f"|x'| <= {2 * self.R0}")
 
     def delta(self, xp):
         xp = _as_points(xp, self.d)
@@ -401,7 +402,7 @@ class NarrowRegion:
         t = (xn - self.bottom(xp)) / self.delta(xp)
         if np.any(t < -1e-10) or np.any(t > 1 + 1e-10):
             bad = x.reshape(-1, self.n)[np.argmax(np.abs(t - 0.5).reshape(-1))]
-            raise GeometryError(f"point {tuple(bad)} outside the closed region")
+            raise GeometryError(f"point {tuple(map(float, bad))} outside the closed region")
         return t
 
     def vbar_grad(self, xp, t):

@@ -95,12 +95,17 @@ class TestParseConfig:
         assert "tensor: custom_A[0] is not a finite number" in msg
 
 
-SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED = sorted((ROOT / "configs").glob("*.json"))
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
 def test_shipped_config_parses(path):
-    parse_config(path)
+    cfg = parse_config(path)
+    # runs/thm11 is the committed golden run of acceptance criterion 4
+    golden = ROOT / "runs" / "thm11"
+    out = (ROOT / cfg.output.dir).resolve()
+    assert out != golden and golden not in out.parents
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +289,7 @@ def test_overflowing_coefficients_abort_every_check(tmp_path):
         "experiment": {"eps_list": [0.01, 0.005, 0.002, 0.001]},
         "output": {"dir": str(tmp_path / "o")}})
     report = run(cfg, "all")
+    assert "[FAIL] A^nn spectrum in [inf, inf] vs declared (inf, inf)" in report.validation
     checks = {e["name"]: e for e in _runlog(tmp_path / "o") if e["event"] == "check"}
     overflow = "AssemblyError: non-finite transformed A at node index (0, 4)"
     expected = {"thm11": overflow, "remark13": overflow, "decay": overflow,
@@ -296,3 +302,25 @@ def test_overflowing_coefficients_abort_every_check(tmp_path):
         assert v.status == "ABORTED"
         assert v.details["error"] == expected[v.name]
         assert checks[v.name]["error"] == expected[v.name]
+
+
+def test_three_dimensional_grids_abort_with_their_reason(tmp_path):
+    # the box [-2R0, 2R0]^2 overhangs the round patch, and the residual
+    # sample grid would grow with the square of its node count: every check
+    # must stop before it builds a grid, naming the n = 2 restriction
+    cfg = config_from_dict({
+        "geometry": {"m": 2, "R0": 0.5, "n": 3},
+        "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
+        "traces": {"family": "constant", "phi": [1.0, 0.0, 0.0], "psi": [0.0, 0.0, 0.0]},
+        "solver": {"tangential_nodes": 9, "vertical_nodes": 5},
+        "experiment": {"eps_list": [0.01, 0.005, 0.002, 0.001]},
+        "output": {"dir": str(tmp_path / "n3")}})
+    report = run(cfg, "all")
+    checks = {e["name"]: e for e in _runlog(tmp_path / "n3") if e["event"] == "check"}
+    reason = "GeometryError: grids need n = 2, got n = 3"
+    ran = [v for v in report.verdicts if v.status != "SKIPPED"]
+    assert {v.name for v in ran} == set(cfg.experiment.checks)
+    for v in ran:
+        assert v.status == "ABORTED"
+        assert v.details["error"] == reason
+        assert checks[v.name]["error"] == reason

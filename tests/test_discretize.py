@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from narrowgap.ansatz import BoundaryTraces, ConstantTrace, build_ansatz, zero_trace
+from narrowgap.ansatz import (BoundaryTraces, ConstantTrace, apply_operator,
+                             build_ansatz, zero_trace)
 from narrowgap.coefficients import LameParameters, make_custom, make_lame, make_laplace
 from narrowgap.discretize import (BoxGrid, DiscreteField, SolverError,
                                   TrigSolution, assemble, dirichlet_values,
                                   grid_for, manufactured_forcing,
-                                  nested_dissection, solve_bvp, solve_linear,
-                                  transform_operator)
+                                  nested_dissection, right_hand_side, solve_bvp,
+                                  solve_linear, transform_operator)
 from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion,
                                 ProfilePair, power_pair)
 
@@ -51,8 +52,7 @@ class TestTransform:
         D0 = np.array([[2.0]])
         tensor = make_custom(2, 1, A0, D0=D0, lam=1.0)
         tf = transform_operator(tensor, reg, grid)
-        V = np.full(grid.shape + (1,), 3.0)
-        ls = assemble(tf, V)
+        ls = assemble(tf)
         const = np.full(grid.nodes, 3.0)
         out = (ls.matrix @ const).reshape(grid.shape)
         XP, _ = grid.node_coords()
@@ -87,8 +87,7 @@ class TestAssemble:
         reg = flat_region(eps=1.0)
         grid = BoxGrid(2, 17, 17, 1.0)
         tf = transform_operator(LAP, reg, grid)
-        V = np.zeros(grid.shape + (1,))
-        ls = assemble(tf, V)
+        ls = assemble(tf)
         hy, ht = grid.spacing
         ids = np.arange(grid.nodes).reshape(grid.shape)
         rows, cols, vals = [], [], []
@@ -119,17 +118,43 @@ class TestAssemble:
         af = build_ansatz(LAP, reg, tr)
         V = dirichlet_values(grid, reg, tr, "ansatz", af)
         tf = transform_operator(LAP, reg, grid)
-        ls = assemble(tf, V)
+        ls = assemble(tf)
         assert ls.dirichlet_rows_are_identity()
-        rhs = ls.rhs.reshape(grid.shape)
+        rhs = right_hand_side(ls, V).reshape(grid.shape)
         assert np.allclose(rhs[:, -1], 2.0)
         assert np.allclose(rhs[:, 0], -0.5)
+
+    def test_every_block_entry_matches_the_operator_on_quadratics(self):
+        # constant coefficients: every centered stencil is exact on a
+        # quadratic, so K u on the interior rows is L[u] to round-off.  A0,
+        # B0, C0 and D0 are not symmetric under i <-> j, so a block written
+        # in the wrong orientation fails
+        rng = np.random.default_rng(0)
+        tensor = make_custom(2, 2, rng.normal(size=(2, 2, 2, 2)),
+                             B0=rng.normal(size=(2, 2, 2)),
+                             C0=rng.normal(size=(2, 2, 2)), D0=rng.normal(size=(2, 2)))
+        reg = flat_region(eps=1.0)
+        grid = BoxGrid(2, 9, 7, 1.0)
+        XP, T = grid.node_coords()
+        x = reg.from_box(XP, T)                   # unit flat strip: x = (x', t)
+        c, g, H = rng.normal(size=2), rng.normal(size=(2, 2)), rng.normal(size=(2, 2, 2))
+        H = H + np.swapaxes(H, -1, -2)
+        u = (c + np.einsum("ia,...a->...i", g, x)
+             + 0.5 * np.einsum("iab,...a,...b->...i", H, x, x))
+        grad = g + np.einsum("iab,...b->...ia", H, x)
+        hess = np.broadcast_to(H, x.shape[:-1] + H.shape)
+        want = np.moveaxis(apply_operator(tensor, x, u, grad, hess), -1, 0)
+        ls = assemble(transform_operator(tensor, reg, grid))
+        got = (ls.matrix @ np.moveaxis(u, -1, 0).ravel()).reshape(want.shape)
+        interior = (slice(None), slice(1, -1), slice(1, -1))
+        err = np.abs(got[interior] - want[interior]).max()
+        assert err <= 1e-12 * np.abs(want[interior]).max()
 
     def test_lame_matrix_numerically_symmetric(self):
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         grid = BoxGrid(2, 33, 17, 1.0)
         tf = transform_operator(LAME, reg, grid)
-        ls = assemble(tf, np.zeros(grid.shape + (2,)))
+        ls = assemble(tf)
         assert ls.asymmetry() <= 1e-12
 
 
@@ -145,38 +170,39 @@ class TestSolveLinear:
         tf = transform_operator(LAP, reg, grid)
         rng = np.random.default_rng(0)
         V = rng.normal(size=grid.shape + (1,))
-        return assemble(tf, V)
+        ls = assemble(tf)
+        return ls, right_hand_side(ls, V)
 
     def test_identity_system(self):
         from narrowgap.discretize import LinearSystem
         n = 50
         rng = np.random.default_rng(1)
         b = rng.normal(size=n)
-        ls = LinearSystem(sp.identity(n, format="csr"), b,
+        ls = LinearSystem(sp.identity(n, format="csr"),
                           np.zeros(n, bool), BoxGrid(2, 10, 5, 1.0), 1)
-        x, rep = solve_linear(ls)
+        x, rep = solve_linear(ls, b)
         assert np.array_equal(x, b)
 
     def test_direct_matches_dense_solve(self):
-        ls = self._system()
-        x, rep = solve_linear(ls)
-        dense = np.linalg.solve(ls.matrix.toarray(), ls.rhs)
+        ls, b = self._system()
+        x, rep = solve_linear(ls, b)
+        dense = np.linalg.solve(ls.matrix.toarray(), b)
         assert rep.method == "direct"
         assert np.abs(x - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
     def test_residual_contract(self):
-        ls = self._system()
-        x, rep = solve_linear(ls, tol=1e-10)
+        ls, b = self._system()
+        x, rep = solve_linear(ls, b, tol=1e-10)
         K = ls.matrix
-        back = np.linalg.norm(K @ x - ls.rhs) / (sp.linalg.norm(K) * np.linalg.norm(x)
-                                                 + np.linalg.norm(ls.rhs))
+        back = np.linalg.norm(K @ x - b) / (sp.linalg.norm(K) * np.linalg.norm(x)
+                                            + np.linalg.norm(b))
         assert back <= 1e-10 and rep.residual <= 1e-10
 
     def test_residual_above_tol_after_refinement_raises(self):
         # no LU solve reaches a backward error of 1e-30, refined or not
-        ls = self._system(33, 33)
+        ls, b = self._system(33, 33)
         with pytest.raises(SolverError, match="above tol 1.0e-30"):
-            solve_linear(ls, tol=1e-30)
+            solve_linear(ls, b, tol=1e-30)
 
 
 class TestSharedFactorization:
@@ -184,9 +210,10 @@ class TestSharedFactorization:
     def _matches_spsolve(tensor, reg, grid):
         tf = transform_operator(tensor, reg, grid)
         rng = np.random.default_rng(3)
-        ls = assemble(tf, rng.normal(size=grid.shape + (tensor.N,)))
-        x, rep = solve_linear(ls)
-        want = sp.linalg.spsolve(ls.matrix.tocsc(), ls.rhs)
+        ls = assemble(tf)
+        b = right_hand_side(ls, rng.normal(size=grid.shape + (tensor.N,)))
+        x, rep = solve_linear(ls, b)
+        want = sp.linalg.spsolve(ls.matrix.tocsc(), b)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
         return ls, rep
 
