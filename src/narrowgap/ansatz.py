@@ -463,58 +463,59 @@ class AnsatzField:
         return _correction_rows(self._kernel(xp, order), self.traces, xp, order,
                                 summed=True)
 
+    def _jet(self, xp, t, order):
+        """[ubar, grad ubar, Hessian] at (x', t) up to ``order``.
+
+        Shapes (..., N), (..., N, n), (..., N, n, n).  The traces and the
+        correction sum are evaluated once, at ``order``, for every entry.
+        """
+        xp, t = self.region._box(xp, t)
+        fns = ("value", "grad", "hess")[:order + 1]
+        phi = [getattr(self.traces.phi, f)(xp) for f in fns]
+        psi = [getattr(self.traces.psi, f)(xp) for f in fns]
+        S = self.correction_sum(xp, order)
+        r, rp = smoother(t), smoother_prime(t)
+        out = [phi[0] * t[..., None] + psi[0] * (1 - t)[..., None] + r[..., None] * S[0]]
+        if order == 0:
+            return out
+        d, n = self.region.d, self.region.n
+        dv = self.region.vbar_grad(xp, t)                      # (..., n)
+        grad = np.zeros(dv.shape[:-1] + (self.N, n))
+        grad[..., :d] = (phi[1] * t[..., None, None] + psi[1] * (1 - t)[..., None, None]
+                         + r[..., None, None] * S[1])
+        coef = phi[0] - psi[0] + rp[..., None] * S[0]          # (..., N)
+        grad += coef[..., :, None] * dv[..., None, :]
+        out.append(grad)
+        if order == 1:
+            return out
+        d2v = self.region.vbar_hess(xp, t)
+        hess = np.zeros(dv.shape[:-1] + (self.N, n, n))
+        # tangential-tangential block from the x'-dependent factors
+        hess[..., :d, :d] = (phi[2] * t[..., None, None, None]
+                             + psi[2] * (1 - t)[..., None, None, None]
+                             + r[..., None, None, None] * S[2])
+        # cross terms between x'-factors and v
+        fac = phi[1] - psi[1] + rp[..., None, None] * S[1]     # (..., N, d)
+        hess[..., :d, :] += fac[..., :, None] * dv[..., None, None, :]
+        hess[..., :, :d] += fac[..., None, :] * dv[..., None, :, None]
+        # terms from differentiating v twice / the smoother twice
+        hess += coef[..., None, None] * d2v[..., None, :, :]
+        hess += (SMOOTHER_SECOND * S[0])[..., None, None] * (dv[..., None, :, None]
+                                                             * dv[..., None, None, :])
+        out.append(hess)
+        return out
+
     def value(self, xp, t):
         """ubar at the box points (x', t), shape (..., N)."""
-        xp, t = self.region._box(xp, t)
-        phi = self.traces.phi.value(xp)
-        psi = self.traces.psi.value(xp)
-        S, = self.correction_sum(xp, 0)
-        return (phi * t[..., None] + psi * (1 - t)[..., None]
-                + smoother(t)[..., None] * S)
+        return self._jet(xp, t, 0)[0]
 
     def gradient(self, xp, t):
         """Full spatial gradient at (x', t), shape (..., N, n)."""
-        xp, t = self.region._box(xp, t)
-        d = self.region.d
-        dv = self.region.vbar_grad(xp, t)                      # (..., n)
-        phi, psi = self.traces.phi.value(xp), self.traces.psi.value(xp)
-        dphi, dpsi = self.traces.phi.grad(xp), self.traces.psi.grad(xp)
-        S, dS = self.correction_sum(xp, 1)
-
-        out = np.zeros(dv.shape[:-1] + (self.N, self.region.n))
-        out[..., :d] = dphi * t[..., None, None] + dpsi * (1 - t)[..., None, None]
-        out[..., :d] += smoother(t)[..., None, None] * dS
-        out += ((phi - psi + smoother_prime(t)[..., None] * S)[..., :, None]
-                * dv[..., None, :])
-        return out
+        return self._jet(xp, t, 1)[1]
 
     def hessian(self, xp, t):
         """Full spatial Hessian at (x', t), shape (..., N, n, n)."""
-        xp, t = self.region._box(xp, t)
-        d, n = self.region.d, self.region.n
-        dv = self.region.vbar_grad(xp, t)
-        d2v = self.region.vbar_hess(xp, t)
-        phi, psi = self.traces.phi.value(xp), self.traces.psi.value(xp)
-        dphi, dpsi = self.traces.phi.grad(xp), self.traces.psi.grad(xp)
-        d2phi, d2psi = self.traces.phi.hess(xp), self.traces.psi.hess(xp)
-        S, dS, d2S = self.correction_sum(xp, 2)
-
-        r, rp = smoother(t), smoother_prime(t)
-        out = np.zeros(dv.shape[:-1] + (self.N, n, n))
-        # tangential-tangential block from the x'-dependent factors
-        out[..., :d, :d] = (d2phi * t[..., None, None, None]
-                            + d2psi * (1 - t)[..., None, None, None]
-                            + r[..., None, None, None] * d2S)
-        # cross terms between x'-factors and v
-        fac = dphi - dpsi + rp[..., None, None] * dS           # (..., N, d)
-        out[..., :d, :] += fac[..., :, None] * dv[..., None, None, :]
-        out[..., :, :d] += fac[..., None, :] * dv[..., None, :, None]
-        # terms from differentiating v twice / the smoother twice
-        coef = phi - psi + rp[..., None] * S                   # (..., N)
-        out += coef[..., None, None] * d2v[..., None, :, :]
-        out += (SMOOTHER_SECOND * S)[..., None, None] * (dv[..., None, :, None]
-                                                         * dv[..., None, None, :])
-        return out
+        return self._jet(xp, t, 2)[2]
 
     def component(self, l: int, xp, t):
         """The l-th summand at (x', t): (phi^l v + psi^l (1 - v)) e_l + r(v) G_l."""
@@ -531,8 +532,7 @@ class AnsatzField:
     def residual(self, xp, t):
         """f = L[ubar] at (x', t) with the full operator applied analytically."""
         return apply_operator(self.tensor, self.region.from_box(xp, t),
-                              self.value(xp, t), self.gradient(xp, t),
-                              self.hessian(xp, t))
+                              *self._jet(xp, t, 2))
 
 
 def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,

@@ -234,18 +234,20 @@ def test_solve_events_name_their_sweep_point(tmp_path):
     assert all(e["factor_s"] == 0.0 for e in solves if e["reused"])
     assert all(e["factor_s"] > 0 and e["solve_s"] > 0 for e in solves if not e["reused"])
     assert all(e["stats_s"] > 0 for e in solves)
+    assert all(e["method"] == "pbtrf" for e in solves)      # every solve is Lame
 
 
 def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch):
-    def broken(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(discretize.spla, "splu", broken)
+    # Cholesky reports a non-positive pivot, then banded LU an exact zero one
+    dgbtrf = discretize.lapack.dgbtrf
+    monkeypatch.setattr(discretize.lapack, "dpbtrf", lambda ab, **k: (ab, 1))
+    monkeypatch.setattr(discretize.lapack, "dgbtrf",
+                        lambda *a, **k: dgbtrf(*a, **k)[:2] + (1,))
     cfg = config_from_dict({**TINY, "output": {"dir": str(tmp_path / "f")}})
     report = run(cfg, "all")
     status = {v.name: v for v in report.verdicts}
     assert status["residual"].status == "PASS"
-    message = "SolverError: sparse LU factorization failed"
+    message = "SolverError: banded LU factorization failed: gbtrf info 1"
     checks = {e["name"]: e for e in _runlog(tmp_path / "f") if e["event"] == "check"}
     for name in ("thm11", "remark13", "decay", "cor41", "energy"):
         assert status[name].status == "ABORTED"

@@ -10,8 +10,8 @@ from narrowgap.coefficients import LameParameters, make_custom, make_lame, make_
 from narrowgap.discretize import (BoxGrid, DiscreteField, SolverError,
                                   TrigSolution, assemble, dirichlet_values,
                                   grid_for, manufactured_forcing,
-                                  nested_dissection, right_hand_side, solve_bvp,
-                                  solve_linear, transform_operator)
+                                  right_hand_side, solve_bvp, solve_linear,
+                                  transform_operator)
 from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion,
                                 ProfilePair, power_pair)
 
@@ -187,7 +187,7 @@ class TestSolveLinear:
         ls, b = self._system()
         x, rep = solve_linear(ls, b)
         dense = np.linalg.solve(ls.matrix.toarray(), b)
-        assert rep.method == "direct"
+        assert rep.method == "pbtrf"
         assert np.abs(x - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
     def test_residual_contract(self):
@@ -221,24 +221,38 @@ class TestSharedFactorization:
         reg = curved_region(eps=1e-3, upper=1.0, lower=0.5)
         ls, rep = self._matches_spsolve(LAME, reg, BoxGrid(2, 65, 17, 1.0))
         assert ls.asymmetry() <= 1e-12 and not rep.reused
+        assert rep.method == "pbtrf"
 
     def test_nonsymmetric_block_matches_full_system_spsolve(self):
-        # B and C make the free block non-symmetric; SymmetricMode only
-        # shapes the elimination tree, row pivoting keeps the answer right
+        # B and C make the free block non-symmetric: banded LU, row pivoting
         A0 = np.zeros((1, 1, 2, 2))
         A0[0, 0] = np.eye(2)
         tensor = make_custom(2, 1, A0, B0=np.array([[[3.0, -2.0]]]),
                              C0=np.array([[[1.0, 4.0]]]), lam=1.0)
-        ls, _ = self._matches_spsolve(tensor, curved_region(eps=0.05),
-                                      BoxGrid(2, 33, 17, 1.0))
-        assert ls.asymmetry() > 1e-3
+        ls, rep = self._matches_spsolve(tensor, curved_region(eps=0.05),
+                                        BoxGrid(2, 33, 17, 1.0))
+        assert ls.asymmetry() > 1e-3 and rep.method == "gbtrf"
+
+    def test_indefinite_symmetric_block_falls_back_to_banded_lu(self):
+        # Laplace plus D = 50: the diagonal stays negative (about -1000) but
+        # the lowest Dirichlet eigenvalues of -K (about 12) drop below zero,
+        # so Cholesky stops and the same block is factored by banded LU
+        A0 = np.zeros((1, 1, 2, 2))
+        A0[0, 0] = np.eye(2)
+        tensor = make_custom(2, 1, A0, D0=np.array([[50.0]]), lam=1.0)
+        ls, rep = self._matches_spsolve(tensor, flat_region(eps=1.0),
+                                        BoxGrid(2, 33, 17, 1.0))
+        K = ls.matrix.toarray()[~ls.dirichlet_mask][:, ~ls.dirichlet_mask]
+        assert ls.asymmetry() == 0.0 and np.all(np.diag(K) < 0)
+        assert np.linalg.eigvalsh(K).max() > 0 and rep.method == "gbtrf"
 
     def test_one_factorization_serves_every_right_hand_side(self, monkeypatch):
         from narrowgap import discretize
         calls = []
-        splu = discretize.spla.splu
-        monkeypatch.setattr(discretize.spla, "splu",
-                            lambda *a, **k: calls.append(1) or splu(*a, **k))
+        for routine in ("dpbtrf", "dgbtrf"):
+            lapack_fn = getattr(discretize.lapack, routine)
+            monkeypatch.setattr(discretize.lapack, routine,
+                                lambda *a, _f=lapack_fn, **k: calls.append(1) or _f(*a, **k))
         reg = curved_region(eps=0.01)
         grid = BoxGrid(2, 33, 9, 1.0)
         ls = assemble(transform_operator(LAME, reg, grid))
@@ -249,12 +263,6 @@ class TestSharedFactorization:
             assert rep.reused == (k > 0) and (rep.factor_s == 0.0) == (k > 0)
             assert np.linalg.norm(ls.matrix @ x - b) <= 1e-9 * np.linalg.norm(b)
         assert len(calls) == 1
-
-    def test_nested_dissection_numbers_the_middle_separator_last(self):
-        order = nested_dissection((33, 9))
-        assert np.array_equal(np.sort(order), np.arange(33 * 9))
-        ids = np.arange(33 * 9).reshape(33, 9)
-        assert set(order[-9:]) == set(ids[16])
 
 
 # ---------------------------------------------------------------------------

@@ -150,13 +150,12 @@ def test_checks_share_one_factorization_per_point(tmp_path, monkeypatch):
                     experiment={"eps_list": eps,
                                 "checks": ["thm11", "remark13", "cor41", "energy"]})
     calls = []
-    splu = discretize.spla.splu
+    for routine in ("dpbtrf", "dgbtrf"):
+        def counted(*args, _f=getattr(discretize.lapack, routine), **kwargs):
+            calls.append(args[0].shape)
+            return _f(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(discretize.spla, "splu", counted)
+        monkeypatch.setattr(discretize.lapack, routine, counted)
     run(cfg, "all", outdir=tmp_path / "all")
     assert len(calls) == 2 * len(eps)
     together = {p.name: p.read_bytes() for p in (tmp_path / "all").glob("*.csv")}
