@@ -13,9 +13,10 @@ Every run writes to the output directory:
   <check>_<stat>.dat plot-ready two-column data (clean points only)
   fits.json          fit summaries as structured records
   report.txt         human-readable report with a digest manifest
-  runlog.jsonl       solve events (check, case, eps, grid, factor_s, solve_s,
-                     stats_s, reused, residual, fill) and check events with
-                     wall-clock timings; an ABORTED check names its error
+  runlog.jsonl       solve events (check, case, eps, grid, assemble_s,
+                     factor_s, solve_s, stats_s, reused, residual, fill) and
+                     check events with wall-clock timings; an ABORTED check
+                     names its error
 
 report.txt and the CSV/JSON artifacts are byte-reproducible for a given
 configuration and package version; runlog.jsonl carries the timings and is

@@ -14,6 +14,8 @@ so the transformed problem keeps the same divergence structure
 
 and Atil inherits ellipticity wherever delta > 0.  No first-order terms are
 created by the map itself; the curvature lives inside the variable Atil.
+The congruence G A G^T is contracted by two explicit sums over the Jacobian
+columns (``_congruence``).
 
 Stencils are the standard second-order ones: half-node flux averages for the
 aligned second-derivative terms, composed centered differences for the cross
@@ -26,6 +28,9 @@ one lazily built factorization that every right-hand side solved against it
 shares.  The direct factorization eliminates the identity Dirichlet rows and
 factors the free block as a band, O(n b^2) at BLAS-3 speed: the classical
 choice for thin structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).
+The band is filled straight from the stencil's block table, one slice per
+offset and component pair; the sparse matrix serves the Dirichlet coupling
+and the backward error.
 """
 
 from __future__ import annotations
@@ -155,6 +160,18 @@ def _require_finite(name, arr, n):
         raise AssemblyError(f"non-finite transformed {name} at node index {tuple(map(int, bad))}")
 
 
+def _congruence(G, A):
+    """G A G^T over the derivative axes: (..., n, n) with (..., N, N, n, n).
+
+    Two explicit sums over the n Jacobian columns, GA = G A and then GA G^T,
+    each a broadcast product of node arrays.
+    """
+    g = G[..., None, None, :, :]
+    n = G.shape[-1]
+    GA = sum(g[..., :, k, None] * A[..., None, k, :] for k in range(n))
+    return sum(GA[..., :, None, k] * g[..., None, :, k] for k in range(n))
+
+
 def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
                        grid: BoxGrid) -> TransformedFields:
     """Evaluate the pulled-back coefficients at every grid node."""
@@ -166,9 +183,7 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
     x = region.from_box(XP, T)
     G = box_jacobian(region, XP, T)
 
-    A = tensor.A(x)
-    Atil = dlt[..., None, None, None, None] * np.einsum(
-        "...aA,...ijAB,...bB->...ijab", G, A, G)
+    Atil = dlt[..., None, None, None, None] * _congruence(G, tensor.A(x))
     Btil = Ctil = Dtil = None
     if np.any(tensor.B0):
         Btil = dlt[..., None, None, None] * np.einsum(
@@ -198,12 +213,20 @@ def transform_forcing(region: NarrowRegion, grid: BoxGrid, forcing) -> np.ndarra
 
 @dataclass
 class LinearSystem:
-    """Stencil matrix with identity Dirichlet rows and its shared factorization."""
+    """Stencil matrix with identity Dirichlet rows and its shared factorization.
+
+    ``blocks`` is the stencil table the matrix was built from: offset o ->
+    W[o] of shape (*interior, N, N), where W[o][p, i, j] couples component
+    i at interior node p to component j at node p + o.  The banded
+    factorization reads the free block from it; ``matrix`` serves the
+    Dirichlet coupling and the backward error.
+    """
 
     matrix: sp.csr_matrix
     dirichlet_mask: np.ndarray    # bool, length N * nodes
     grid: BoxGrid
     N: int
+    blocks: dict
     _factor: object = field(default=None, init=False, repr=False)
 
     def asymmetry(self) -> float:
@@ -307,7 +330,7 @@ def assemble(tf: TransformedFields) -> LinearSystem:
          (np.concatenate([rows.ravel()] * len(W) + [bnodes]),
           np.concatenate([c.ravel() for c in cols] + [bnodes]))),
         shape=(N * nodes, N * nodes)).tocsr()
-    return LinearSystem(K, np.tile(bmask.ravel(), N), grid, N)
+    return LinearSystem(K, np.tile(bmask.ravel(), N), grid, N, dict(W))
 
 
 def right_hand_side(ls: LinearSystem, boundary_values, Ftil=None) -> np.ndarray:
@@ -335,17 +358,71 @@ def right_hand_side(ls: LinearSystem, boundary_values, Ftil=None) -> np.ndarray:
 # banded factorization
 # ---------------------------------------------------------------------------
 
+class _FreeStencil:
+    """The free block K_ff read off the stencil table, numbered node-major.
+
+    Free unknown q * N + i is component i at the q-th interior node (C
+    order, t fastest).  For interior nodes p and p + o, block W[o][p] sits
+    at rows p * N + i and columns (p + step) * N + j, where step is the
+    offset's stride in that numbering: on band diagonal r - c = -step * N
+    + i - j.  Pairs whose p + o is a boundary node belong to K_fD instead.
+    """
+
+    def __init__(self, ls: LinearSystem):
+        self.W, self.N = ls.blocks, ls.N
+        self.inner = tuple(s - 2 for s in ls.grid.shape)
+        strides = np.cumprod((1,) + self.inner[:0:-1])[::-1]
+        self.pairs = {}                 # o -> (slice of p, slice of p + o, step)
+        for o in self.W:
+            if all(abs(k) < m for k, m in zip(o, self.inner)):
+                src = tuple(slice(max(0, -k), m - max(0, k)) for k, m in zip(o, self.inner))
+                tgt = tuple(slice(max(0, k), m + min(0, k)) for k, m in zip(o, self.inner))
+                self.pairs[o] = src, tgt, int(np.dot(o, strides))
+        N = self.N
+        self.kd = max(abs(step) * N + N - 1 for _, _, step in self.pairs.values())
+        self.nnz = sum(N * N * int(np.prod([s.stop - s.start for s in src]))
+                       for src, _, _ in self.pairs.values())
+
+    def negative_diagonal(self) -> bool:
+        W0 = self.W[(0,) * len(self.inner)]
+        return bool(np.all(np.diagonal(W0, axis1=-2, axis2=-1) < 0))
+
+    def symmetric(self) -> bool:
+        """K_ff == K_ff^T: each block against its mirror, W[o][p] == W[-o][p + o]^T."""
+        return all(np.array_equal(self.W[o][src],
+                                  np.swapaxes(self.W[tuple(-k for k in o)][tgt], -1, -2))
+                   for o, (src, tgt, _) in self.pairs.items())
+
+    def band(self, rows: int, top: int, sign: float = 1.0) -> np.ndarray:
+        """sign * K_ff in LAPACK band storage: entry (r, c) at ab[top + r - c, c].
+
+        Diagonals that fall outside the ``rows`` stored ones are skipped, so
+        rows = kd + 1, top = 0 gives the lower band.
+        """
+        N = self.N
+        ab = np.zeros((rows, N * int(np.prod(self.inner))), order="F")
+        for o, (src, tgt, step) in self.pairs.items():
+            for i in range(N):
+                for j in range(N):
+                    d = top - step * N + i - j
+                    if 0 <= d < rows:
+                        diagonal = ab[d].reshape(self.inner + (N,))   # view: ab[d] is 1-d
+                        diagonal[tgt + (j,)] = sign * self.W[o][src + (i, j)]
+        return ab
+
+
 class _FreeBlockBand:
     """Banded factorization of the free block, Dirichlet rows eliminated.
 
     The identity rows give x_D = b_D, so the free unknowns solve
     K_ff x_f = b_f - K_fD b_D.  Numbered node-major (node * N + component,
     t fastest), K_ff is a band of half-bandwidth N * (vertical nodes - 1)
-    + N - 1.  An exactly symmetric K_ff with a negative diagonal is factored
-    as -K_ff by banded Cholesky from its lower band alone (``pbtrf``).  Any
-    other block, and one that Cholesky finds indefinite, is factored by
-    banded LU with partial pivoting (``gbtrf``), which needs about three
-    times that storage.
+    + N - 1, filled block by block from the stencil table (``_FreeStencil``).
+    An exactly symmetric K_ff with a negative diagonal is factored as -K_ff
+    by banded Cholesky from its lower band alone (``pbtrf``).  Any other
+    block, and one that Cholesky finds indefinite, is factored by banded LU
+    with partial pivoting (``gbtrf``), which needs about three times that
+    storage.
     """
 
     def __init__(self, ls: LinearSystem):
@@ -354,33 +431,21 @@ class _FreeBlockBand:
         self.free = order[~ls.dirichlet_mask[order]]
         self.fixed = np.flatnonzero(ls.dirichlet_mask)
         self.coupling = K[self.free][:, self.fixed]
-        pos = np.full(K.shape[0], -1, dtype=np.int32)       # free number or -1
-        pos[self.free] = np.arange(len(self.free))
-        rows, cols = np.repeat(pos, np.diff(K.indptr)), pos[K.indices]
-        inner = (rows >= 0) & (cols >= 0)
-        r, c, v = rows[inner], cols[inner], K.data[inner]
-        del rows, cols, inner
-        n, nnz = len(self.free), len(v)
-        self.kd = kd = int(np.abs(r - c).max(initial=0))
-        lower, upper = r >= c, r < c
-        ab = np.zeros((kd + 1, n), order="F")
-        ab[(r - c)[lower], c[lower]] = -v[lower]
-        if (np.all(ab[0] > 0)                       # -K_ff: positive diagonal, symmetric
-                and np.count_nonzero(v[r > c]) == np.count_nonzero(v[upper])
-                and np.array_equal(ab[(c - r)[upper], r[upper]], -v[upper])):
-            ab, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        stencil = _FreeStencil(ls)
+        self.kd = kd = stencil.kd
+        if stencil.negative_diagonal() and stencil.symmetric():
+            ab, info = lapack.dpbtrf(stencil.band(kd + 1, 0, -1.0), lower=1,
+                                     overwrite_ab=1)
             if info == 0:
-                self.routine, self.ab, self.fill = "pbtrf", ab, ab.size / nnz
+                self.routine, self.ab, self.fill = "pbtrf", ab, ab.size / stencil.nnz
                 return
-        del ab, lower, upper                                # indefinite or not symmetric
-        ab = np.zeros((3 * kd + 1, n), order="F")
-        ab[2 * kd + r - c, c] = v
-        del r, c, v
-        ab, self.ipiv, info = lapack.dgbtrf(ab, kd, kd, overwrite_ab=1)
+            del ab                                  # indefinite: banded LU below
+        ab, self.ipiv, info = lapack.dgbtrf(stencil.band(3 * kd + 1, 2 * kd), kd, kd,
+                                            overwrite_ab=1)
         if info != 0:
             del ab                          # a kept exception must not hold the band
             raise SolverError(f"banded LU factorization failed: gbtrf info {info}")
-        self.routine, self.ab, self.fill = "gbtrf", ab, ab.size / nnz
+        self.routine, self.ab, self.fill = "gbtrf", ab, ab.size / stencil.nnz
 
     def solve(self, b):
         x = np.empty(len(b))

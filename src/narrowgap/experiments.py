@@ -169,13 +169,15 @@ class LiveOperator:
     def __init__(self):
         self.point = self.system = None
 
-    def at(self, eps, tensor, region, grid) -> _disc.LinearSystem:
-        if self.point != (eps, grid.shape):
-            self.point = self.system = None
-            self.system = _disc.assemble(
-                _disc.transform_operator(tensor, region, grid))
-            self.point = (eps, grid.shape)
-        return self.system
+    def at(self, eps, tensor, region, grid):
+        """(system, seconds spent transforming and assembling it now)."""
+        if self.point == (eps, grid.shape):
+            return self.system, 0.0
+        self.point = self.system = None
+        t0 = time.perf_counter()
+        self.system = _disc.assemble(_disc.transform_operator(tensor, region, grid))
+        self.point = (eps, grid.shape)
+        return self.system, time.perf_counter() - t0
 
 
 class SolveBundle:
@@ -196,7 +198,7 @@ class SolveBundle:
                                             mode, include_correction=False,
                                             lame=self.lame)
         self.grid = _disc.grid_for(self.region, *nodes)
-        system = live.at(eps, self.tensor, self.region, self.grid)
+        system, self.assemble_s = live.at(eps, self.tensor, self.region, self.grid)
         self.field, self.report = _disc.solve_bvp(
             self.tensor, self.region, self.traces, self.grid,
             closure=cfg.solver.closure, ansatz=self.ansatz,
@@ -376,12 +378,6 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     if np.linalg.norm(z) + radius > 2 * region.R0 * (1 + 1e-12):
         raise GeometryError("energy window outside the grid")
 
-    XP, T = df.grid.node_coords()
-    gw = df.gradient_nodes() - np.moveaxis(ansatz.gradient(XP[..., :1, :], T),
-                                           (-2, -1), (0, 1))
-    carrier = _disc.DiscreteField(df.grid, region,
-                                  gw.reshape((-1,) + df.grid.shape))
-
     nqy, nqt = nq
     mids = [z[a] + (np.arange(nqy) + 0.5) / nqy * 2 * radius - radius
             for a in range(d)]
@@ -391,6 +387,24 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     TQ = mesh[-1].ravel()
     keep = np.sum((YQ - z) ** 2, axis=-1) <= radius ** 2 * (1 + 1e-12)
     YQ, TQ = YQ[keep], TQ[keep]
+
+    # the remainder on the columns the interpolation reads (one spare each
+    # side); the carrier stays zero elsewhere
+    cols = []
+    for a, ax in enumerate(df.grid.axes[:d]):
+        f = (YQ[:, a] - ax[0]) / (ax[1] - ax[0])
+        cols.append(slice(max(int(np.floor(f.min())) - 1, 0),
+                          min(int(np.floor(f.max())) + 3, len(ax))))
+    cols = tuple(cols)
+    XP, T = df.grid.node_coords()
+    XP, T = XP[cols], T[cols]
+    g = df.gradient_nodes()
+    window = (slice(None), slice(None)) + cols
+    gw = np.zeros_like(g)
+    gw[window] = g[window] - np.moveaxis(ansatz.gradient(XP[..., :1, :], T),
+                                         (-2, -1), (0, 1))
+    carrier = _disc.DiscreteField(df.grid, region,
+                                  gw.reshape((-1,) + df.grid.shape))
     vals = carrier.value_at(YQ, TQ)
     w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ)
     cell = (2 * radius / nqy) ** d * (1.0 / nqt)
@@ -490,7 +504,7 @@ def _sweep_group(reqs, outs):
                 if grid_nodes == refined:
                     slot[1] = vals
                 slot[2].append({"case": req.case, "eps": eps, **b.report.record(),
-                                "stats_s": t2 - t1})
+                                "assemble_s": b.assemble_s, "stats_s": t2 - t1})
                 slot[3] += t2 - t0
         return found
 

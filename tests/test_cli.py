@@ -233,6 +233,9 @@ def test_solve_events_name_their_sweep_point(tmp_path):
     assert sorted(fresh) == sorted(points)
     assert all(e["factor_s"] == 0.0 for e in solves if e["reused"])
     assert all(e["factor_s"] > 0 and e["solve_s"] > 0 for e in solves if not e["reused"])
+    # the operator is transformed and assembled exactly where it is factored
+    assert all(e["assemble_s"] == 0.0 for e in solves if e["reused"])
+    assert all(e["assemble_s"] > 0 for e in solves if not e["reused"])
     assert all(e["stats_s"] > 0 for e in solves)
     assert all(e["method"] == "pbtrf" for e in solves)      # every solve is Lame
 

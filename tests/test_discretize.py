@@ -6,10 +6,11 @@ import scipy.sparse as sp
 
 from narrowgap.ansatz import (BoundaryTraces, ConstantTrace, apply_operator,
                              build_ansatz, zero_trace)
-from narrowgap.coefficients import LameParameters, make_custom, make_lame, make_laplace
-from narrowgap.discretize import (BoxGrid, DiscreteField, SolverError,
-                                  TrigSolution, assemble, dirichlet_values,
-                                  grid_for, manufactured_forcing,
+from narrowgap.coefficients import (LameParameters, MultiPoly, make_custom, make_lame,
+                                    make_laplace, make_perturbed)
+from narrowgap.discretize import (BoxGrid, DiscreteField, LinearSystem, SolverError,
+                                  TrigSolution, _FreeStencil, assemble, box_jacobian,
+                                  dirichlet_values, grid_for, manufactured_forcing,
                                   right_hand_side, solve_bvp, solve_linear,
                                   transform_operator)
 from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion,
@@ -26,6 +27,14 @@ def curved_region(eps=0.05, m=2, upper=1.0, lower=0.0, R0=0.5):
 
 LAP = make_laplace(2, 1)
 LAME = make_lame(LameParameters(1.0, 1.0), 2)
+_rng = np.random.default_rng(0)
+# B, C and D make the free block non-symmetric; the perturbation runs along
+# a second Lame direction, so A varies with x in a way A0 does not span
+LAME_BCD = make_custom(2, 2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
+                       C0=_rng.normal(size=(2, 2, 2)), D0=_rng.normal(size=(2, 2)))
+PERTURBED_BCD = make_perturbed(
+    LAME_BCD, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)), (0.3, (1, 1))]), 0.1,
+    direction=make_lame(LameParameters(2.0, 0.5), 2).A0)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +68,26 @@ class TestTransform:
         expected = reg.delta(XP) * 2.0 * 3.0         # delta * D * const
         interior = (slice(1, -1), slice(1, -1))
         assert np.abs(out[interior] - expected[interior]).max() <= 1e-10
+
+    @pytest.mark.parametrize("tensor, rel", [(LAME, 0.0), (LAP, 0.0),
+                                             (PERTURBED_BCD, 1e-15)],
+                             ids=["lame", "laplace", "perturbed_bcd"])
+    def test_contraction_matches_the_einsum_reference(self, tensor, rel):
+        # delta * G A G^T as the three-operand einsum writes it; Lame and
+        # Laplace agree bit for bit, an x-dependent A along another
+        # direction to round-off
+        reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
+        grid = BoxGrid(2, 33, 17, 1.0)
+        XP, T = grid.node_coords()
+        XP = XP[..., :1, :]
+        G, x = box_jacobian(reg, XP, T), reg.from_box(XP, T)
+        dlt = reg.delta(XP)[..., None, None, None, None]
+        want = dlt * np.einsum("...aA,...ijAB,...bB->...ijab", G, tensor.A(x), G)
+        got = transform_operator(tensor, reg, grid).Atil
+        if rel == 0.0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
     def test_ellipticity_inherited(self):
         # scalar case: the pulled-back form stays strictly positive definite;
@@ -174,14 +203,17 @@ class TestSolveLinear:
         return ls, right_hand_side(ls, V)
 
     def test_identity_system(self):
-        from narrowgap.discretize import LinearSystem
-        n = 50
-        rng = np.random.default_rng(1)
-        b = rng.normal(size=n)
-        ls = LinearSystem(sp.identity(n, format="csr"),
-                          np.zeros(n, bool), BoxGrid(2, 10, 5, 1.0), 1)
+        # identity Dirichlet rows and an identity stencil W[0] on the
+        # interior: the free block's diagonal is positive, so banded LU
+        grid = BoxGrid(2, 10, 5, 1.0)
+        bmask = np.ones(grid.shape, bool)
+        bmask[1:-1, 1:-1] = False
+        W0 = np.ones((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
+        ls = LinearSystem(sp.identity(grid.nodes, format="csr"), bmask.ravel(),
+                          grid, 1, {(0, 0): W0})
+        b = np.random.default_rng(1).normal(size=grid.nodes)
         x, rep = solve_linear(ls, b)
-        assert np.array_equal(x, b)
+        assert np.array_equal(x, b) and rep.method == "gbtrf"
 
     def test_direct_matches_dense_solve(self):
         ls, b = self._system()
@@ -263,6 +295,109 @@ class TestSharedFactorization:
             assert rep.reused == (k > 0) and (rep.factor_s == 0.0) == (k > 0)
             assert np.linalg.norm(ls.matrix @ x - b) <= 1e-9 * np.linalg.norm(b)
         assert len(calls) == 1
+
+
+def _free_block(ls):
+    """K_ff from the CSR, free unknowns numbered node-major."""
+    K = ls.matrix
+    order = np.arange(K.shape[0]).reshape(ls.N, -1).T.ravel()
+    free = order[~ls.dirichlet_mask[order]]
+    return K[free][:, free].tocoo()
+
+
+def _captured_band(monkeypatch, ls):
+    """The band each LAPACK factorization receives while ls is solved once."""
+    from narrowgap import discretize
+    bands = {}
+    for routine in ("dpbtrf", "dgbtrf"):
+        def keep(ab, *a, _f=getattr(discretize.lapack, routine), _r=routine, **k):
+            bands[_r] = ab.copy(order="F")
+            return _f(ab, *a, **k)
+        monkeypatch.setattr(discretize.lapack, routine, keep)
+    rng = np.random.default_rng(5)
+    solve_linear(ls, right_hand_side(ls, rng.normal(size=ls.grid.shape + (ls.N,))))
+    return bands
+
+
+class TestFreeBand:
+    CASES = [pytest.param(LAME, "dpbtrf", id="lame"),
+             pytest.param(LAP, "dpbtrf", id="laplace"),
+             pytest.param(LAME_BCD, "dgbtrf", id="bcd")]
+
+    @pytest.mark.parametrize("nodes", [(33, 9), (3, 9)], ids=["33x9", "3x9"])
+    @pytest.mark.parametrize("tensor, routine", CASES)
+    def test_band_from_the_stencil_equals_the_csr_scatter(self, monkeypatch,
+                                                          tensor, routine, nodes):
+        # reference: K_ff's entries scattered into LAPACK band storage,
+        # -K_ff's lower band for Cholesky, the general band for LU.  With 3
+        # tangential nodes one interior column is left, and the tangential
+        # offsets couple it to Dirichlet nodes only
+        reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(2, *nodes, 1.0)))
+        bands = _captured_band(monkeypatch, ls)
+        Kff = _free_block(ls)
+        kd = int(np.abs(Kff.row - Kff.col).max())
+        if routine == "dpbtrf":
+            lower = Kff.row >= Kff.col
+            want = np.zeros((kd + 1, Kff.shape[0]), order="F")
+            want[(Kff.row - Kff.col)[lower], Kff.col[lower]] = -Kff.data[lower]
+        else:
+            want = np.zeros((3 * kd + 1, Kff.shape[0]), order="F")
+            want[2 * kd + Kff.row - Kff.col, Kff.col] = Kff.data
+        assert list(bands) == [routine]
+        assert np.array_equal(bands[routine], want)
+
+    @pytest.mark.parametrize("tensor, routine", CASES)
+    def test_report_fill_and_nnz_come_from_the_matrix(self, tensor, routine):
+        # fill = band storage / nnz(K_ff), nnz = nnz(K) with its Dirichlet rows
+        reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(2, 33, 9, 1.0)))
+        b = np.random.default_rng(6).normal(size=ls.matrix.shape[0])
+        _, rep = solve_linear(ls, b)
+        Kff = _free_block(ls)
+        kd = int(np.abs(Kff.row - Kff.col).max())
+        rows = kd + 1 if routine == "dpbtrf" else 3 * kd + 1
+        assert rep.method == routine[1:]
+        assert rep.nnz == ls.matrix.nnz
+        assert rep.fill == rows * Kff.shape[0] / Kff.nnz
+
+    @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD,
+                                        make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2)],
+                             ids=["lame", "laplace", "bcd", "perturbed_bcd", "perturbed"])
+    def test_stencil_symmetry_agrees_with_the_matrix(self, tensor):
+        reg = curved_region(eps=0.05, upper=1.0, lower=0.5)
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(2, 17, 9, 1.0)))
+        Kff = _free_block(ls).tocsr()
+        assert _FreeStencil(ls).symmetric() == ((Kff != Kff.T).nnz == 0)
+
+    @pytest.mark.parametrize("p, mirrored, symmetric",
+                             [((4, 3), False, False), ((4, 3), True, True),
+                              ((14, 3), False, True)],
+                             ids=["interior_pair", "interior_pair_and_mirror",
+                                  "pair_reaching_the_boundary"])
+    def test_changed_entries_move_both_symmetry_tests(self, p, mirrored, symmetric):
+        # entry (i, j) of W[(1, 0)] at interior node p changed in the table
+        # and in K alike, and with ``mirrored`` entry (j, i) of W[(-1, 0)] at
+        # p + o too.  Two interior nodes break the symmetry of K_ff unless
+        # the mirror moves with them; from the last interior column (14 of
+        # 0..14) the offset reaches the Dirichlet face x' = 2R0, so the
+        # entry belongs to K_fD instead
+        grid = BoxGrid(2, 17, 9, 1.0)
+        ls = assemble(transform_operator(LAME, curved_region(eps=0.05), grid))
+        ids = np.arange(grid.nodes).reshape(grid.shape)
+
+        def change(o, p, i, j):
+            ls.blocks[o][p + (i, j)] += 1.0
+            node = (p[0] + 1, p[1] + 1)             # interior -> grid index
+            ls.matrix[i * grid.nodes + ids[node],
+                      j * grid.nodes + ids[node[0] + o[0], node[1] + o[1]]] += 1.0
+
+        change((1, 0), p, 0, 1)
+        if mirrored:
+            change((-1, 0), (p[0] + 1, p[1]), 1, 0)
+        Kff = _free_block(ls).tocsr()
+        assert ((Kff != Kff.T).nnz == 0) is symmetric
+        assert _FreeStencil(ls).symmetric() is symmetric
 
 
 # ---------------------------------------------------------------------------

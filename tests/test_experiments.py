@@ -210,6 +210,27 @@ class TestLocalEnergy:
         val = local_energy(exact, af, 0.0, 0.05)
         assert val <= 1e-16
 
+    @pytest.mark.parametrize("center, radius", [(0.0, 0.05), (0.3, 0.013), (-0.99, 0.01)])
+    def test_window_columns_match_the_whole_grid_carrier(self, energy_setup,
+                                                         center, radius):
+        # the remainder is formed only on the columns the window reads; the
+        # same quadrature over a carrier built on every column gives the
+        # same bits
+        region, af, df = energy_setup
+        XP, T = df.grid.node_coords()
+        gw = df.gradient_nodes() - np.moveaxis(af.gradient(XP[..., :1, :], T),
+                                               (-2, -1), (0, 1))
+        carrier = DiscreteField(df.grid, region, gw.reshape((-1,) + df.grid.shape))
+        nqy, nqt = 24, 48
+        yq = center + (np.arange(nqy) + 0.5) / nqy * 2 * radius - radius
+        tq = (np.arange(nqt) + 0.5) / nqt
+        YQ, TQ = (a.ravel() for a in np.meshgrid(yq, tq, indexing="ij"))
+        keep = (YQ - center) ** 2 <= radius ** 2 * (1 + 1e-12)
+        vals = carrier.value_at(YQ[keep, None], TQ[keep])
+        w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ[keep, None])
+        want = float(w2.sum() * ((2 * radius / nqy) * (1.0 / nqt)))
+        assert local_energy(df, af, center, radius, nq=(nqy, nqt)) == want
+
     def test_quadrature_refinement_agrees(self, energy_setup):
         region, af, df = energy_setup
         a = local_energy(df, af, 0.0, 0.05, nq=(16, 32))
