@@ -28,9 +28,10 @@ one lazily built factorization that every right-hand side solved against it
 shares.  The direct factorization eliminates the identity Dirichlet rows and
 factors the free block as a band, O(n b^2) at BLAS-3 speed: the classical
 choice for thin structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).
-The band is filled straight from the stencil's block table, one slice per
-offset and component pair; the sparse matrix serves the Dirichlet coupling
-and the backward error.
+The stencil's block table is the operator: the band is filled from it one
+slice per offset and component pair, and K is applied from it as a
+``LinearOperator`` for the Dirichlet coupling and the backward error.  No
+sparse matrix is built.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
@@ -211,37 +211,69 @@ def transform_forcing(region: NarrowRegion, grid: BoxGrid, forcing) -> np.ndarra
 # assembly
 # ---------------------------------------------------------------------------
 
+def _interior(arr, o):
+    """arr, leading axes on the grid, at the interior nodes shifted by offset o."""
+    return arr[tuple(slice(1 + k, s - 1 + k) for k, s in zip(o, arr.shape))]
+
+
+def _stencil_operator(blocks: dict, grid: BoxGrid, N: int) -> spla.LinearOperator:
+    """K applied from the block table, identity on the Dirichlet rows.
+
+    The Dirichlet rows are the boundary nodes of every component.  Each
+    interior row is summed in the order of its column-sorted CSR row,
+    component j outer and offsets by ascending stride inner, so K x rounds
+    exactly as a CSR product would.  The closure holds the table and the
+    grid only: a reference back to the LinearSystem would make a cycle that
+    keeps a dropped system's factorization alive until the next collection.
+    """
+    shape = grid.shape
+    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
+    offsets = sorted(blocks, key=lambda o: int(np.dot(o, strides)))
+    inner = tuple(s - 2 for s in shape)
+
+    def matvec(x):
+        x = np.reshape(x, (N,) + shape)
+        acc, term = np.zeros((N,) + inner), np.empty(inner)
+        for j in range(N):
+            for o in offsets:
+                xo = _interior(x[j], o)
+                for i in range(N):
+                    acc[i] += np.multiply(blocks[o][..., i, j], xo, out=term)
+        y = x.copy()
+        y[(slice(None),) + tuple(slice(1, s - 1) for s in shape)] = acc
+        return y.ravel()
+
+    return spla.LinearOperator((N * grid.nodes,) * 2, matvec=matvec, dtype=float)
+
+
 @dataclass
 class LinearSystem:
-    """Stencil matrix with identity Dirichlet rows and its shared factorization.
+    """The stencil table, its Dirichlet mask and the shared factorization.
 
-    ``blocks`` is the stencil table the matrix was built from: offset o ->
-    W[o] of shape (*interior, N, N), where W[o][p, i, j] couples component
-    i at interior node p to component j at node p + o.  The banded
-    factorization reads the free block from it; ``matrix`` serves the
-    Dirichlet coupling and the backward error.
+    ``blocks`` maps offset o -> W[o] of shape (*interior, N, N), where
+    W[o][p, i, j] couples component i at interior node p to component j at
+    node p + o.  Every boundary row is an identity Dirichlet row.  K is
+    never stored: ``matrix`` applies it from the table (``_stencil_operator``)
+    for the Dirichlet coupling and the backward error, and the banded
+    factorization reads the free block from the table.  ``nnz`` and
+    ``frobenius`` are those of K, counted from the table.
     """
 
-    matrix: sp.csr_matrix
     dirichlet_mask: np.ndarray    # bool, length N * nodes
     grid: BoxGrid
     N: int
     blocks: dict
+    matrix: spla.LinearOperator = field(init=False, repr=False)
+    nnz: int = field(init=False, repr=False)
+    frobenius: float = field(init=False, repr=False)
     _factor: object = field(default=None, init=False, repr=False)
 
-    def asymmetry(self) -> float:
-        """Relative Frobenius asymmetry of the free-free block."""
-        free = ~self.dirichlet_mask
-        K = self.matrix[free][:, free]
-        num = spla.norm(K - K.T)
-        den = spla.norm(K)
-        return float(num / den) if den else 0.0
-
-    def dirichlet_rows_are_identity(self) -> bool:
-        idx = np.flatnonzero(self.dirichlet_mask)
-        sub = self.matrix[idx]
-        eye_vals = sub[np.arange(len(idx)), idx]
-        return (sub.nnz == len(idx)) and bool(np.all(np.asarray(eye_vals) == 1.0))
+    def __post_init__(self):
+        self.matrix = _stencil_operator(self.blocks, self.grid, self.N)
+        dirichlet = int(np.count_nonzero(self.dirichlet_mask))
+        self.nnz = sum(w.size for w in self.blocks.values()) + dirichlet
+        self.frobenius = float(np.sqrt(
+            sum(np.vdot(w, w) for w in self.blocks.values()) + dirichlet))
 
     def factorization(self):
         """(factored free block, reused?, seconds spent factoring now).
@@ -263,21 +295,17 @@ class LinearSystem:
 
 
 def assemble(tf: TransformedFields) -> LinearSystem:
-    """Second-order stencil matrix with identity Dirichlet rows.
+    """Second-order stencil table with identity Dirichlet rows.
 
     The stencil is a table of N x N blocks, one per offset o in {-1, 0, 1}^n:
     W[o][p, i, j] couples component i at interior node p to component j at
-    node p + o.  The matrix comes from the coefficient fields alone;
+    node p + o.  The table comes from the coefficient fields alone;
     ``right_hand_side`` builds every right-hand side.
     """
     grid = tf.grid
-    shape, n, nodes = grid.shape, grid.n, grid.nodes
+    shape, n = grid.shape, grid.n
     N = tf.Atil.shape[-3]
     h = grid.spacing
-
-    def at(arr, o):
-        """arr at the interior nodes shifted by offset o."""
-        return arr[tuple(slice(1 + k, s - 1 + k) for k, s in zip(o, shape))]
 
     def step(*moves):
         """Offset of the (sign, axis) moves."""
@@ -291,8 +319,8 @@ def assemble(tf: TransformedFields) -> LinearSystem:
     for a in range(n):
         ea, mea = step((1, a)), step((-1, a))
         M = tf.Atil[..., a, a]
-        Mp = 0.5 * (at(M, zero) + at(M, ea))
-        Mm = 0.5 * (at(M, zero) + at(M, mea))
+        Mp = 0.5 * (_interior(M, zero) + _interior(M, ea))
+        Mm = 0.5 * (_interior(M, zero) + _interior(M, mea))
         ha2 = h[a] * h[a]
         W[ea] += Mp / ha2
         W[mea] += Mm / ha2
@@ -302,35 +330,23 @@ def assemble(tf: TransformedFields) -> LinearSystem:
                 continue
             c = 1.0 / (4.0 * h[a] * h[b])
             for sa in (1, -1):
-                Ms = at(tf.Atil[..., a, b], step((sa, a))) * c
+                Ms = _interior(tf.Atil[..., a, b], step((sa, a))) * c
                 W[step((sa, a), (1, b))] += sa * Ms
                 W[step((sa, a), (-1, b))] += -sa * Ms
         if tf.Btil is not None:
             Bv = tf.Btil[..., a]
-            W[ea] += at(Bv, ea) / (2 * h[a])
-            W[mea] += -at(Bv, mea) / (2 * h[a])
+            W[ea] += _interior(Bv, ea) / (2 * h[a])
+            W[mea] += -_interior(Bv, mea) / (2 * h[a])
         if tf.Ctil is not None:
-            Cv = at(tf.Ctil[..., a], zero)
+            Cv = _interior(tf.Ctil[..., a], zero)
             W[ea] += Cv / (2 * h[a])
             W[mea] += -Cv / (2 * h[a])
     if tf.Dtil is not None:
-        W[zero] += at(tf.Dtil, zero)
+        W[zero] += _interior(tf.Dtil, zero)
 
-    # block entry (p, i, j) of W[o] sits at row i*nodes + p, column j*nodes + p + o
-    ids = np.arange(nodes, dtype=np.int32).reshape(shape)
-    comp = nodes * np.arange(N, dtype=np.int32)
-    block = W[zero].shape
-    rows = np.broadcast_to(at(ids, zero)[..., None, None] + comp[:, None], block)
-    cols = [np.broadcast_to(at(ids, o)[..., None, None] + comp, block) for o in W]
     bmask = np.ones(shape, dtype=bool)
-    at(bmask, zero)[...] = False
-    bnodes = (comp[:, None] + ids[bmask]).ravel()       # identity Dirichlet rows
-    K = sp.coo_matrix(
-        (np.concatenate([w.ravel() for w in W.values()] + [np.ones(len(bnodes))]),
-         (np.concatenate([rows.ravel()] * len(W) + [bnodes]),
-          np.concatenate([c.ravel() for c in cols] + [bnodes]))),
-        shape=(N * nodes, N * nodes)).tocsr()
-    return LinearSystem(K, np.tile(bmask.ravel(), N), grid, N, dict(W))
+    _interior(bmask, zero)[...] = False
+    return LinearSystem(np.tile(bmask.ravel(), N), grid, N, dict(W))
 
 
 def right_hand_side(ls: LinearSystem, boundary_values, Ftil=None) -> np.ndarray:
@@ -415,9 +431,11 @@ class _FreeBlockBand:
     """Banded factorization of the free block, Dirichlet rows eliminated.
 
     The identity rows give x_D = b_D, so the free unknowns solve
-    K_ff x_f = b_f - K_fD b_D.  Numbered node-major (node * N + component,
-    t fastest), K_ff is a band of half-bandwidth N * (vertical nodes - 1)
-    + N - 1, filled block by block from the stencil table (``_FreeStencil``).
+    K_ff x_f = b_f - K_fD b_D, where K_fD b_D is read off the free rows of
+    K applied to the Dirichlet-only vector.  Numbered node-major (node * N +
+    component, t fastest), K_ff is a band of half-bandwidth N * (vertical
+    nodes - 1) + N - 1, filled block by block from the stencil table
+    (``_FreeStencil``).
     An exactly symmetric K_ff with a negative diagonal is factored as -K_ff
     by banded Cholesky from its lower band alone (``pbtrf``).  Any other
     block, and one that Cholesky finds indefinite, is factored by banded LU
@@ -426,11 +444,10 @@ class _FreeBlockBand:
     """
 
     def __init__(self, ls: LinearSystem):
-        K = ls.matrix
-        order = np.arange(K.shape[0]).reshape(ls.N, -1).T.ravel()   # node-major
+        self.K = ls.matrix
+        order = np.arange(self.K.shape[0]).reshape(ls.N, -1).T.ravel()   # node-major
         self.free = order[~ls.dirichlet_mask[order]]
         self.fixed = np.flatnonzero(ls.dirichlet_mask)
-        self.coupling = K[self.free][:, self.fixed]
         stencil = _FreeStencil(ls)
         self.kd = kd = stencil.kd
         if stencil.negative_diagonal() and stencil.symmetric():
@@ -448,9 +465,9 @@ class _FreeBlockBand:
         self.routine, self.ab, self.fill = "gbtrf", ab, ab.size / stencil.nnz
 
     def solve(self, b):
-        x = np.empty(len(b))
+        x = np.zeros(len(b))
         x[self.fixed] = b[self.fixed]
-        bf = b[self.free] - self.coupling @ b[self.fixed]
+        bf = b[self.free] - (self.K @ x)[self.free]
         if self.routine == "pbtrf":
             x[self.free] = lapack.dpbtrs(self.ab, -bf, lower=1)[0]
         else:
@@ -498,9 +515,8 @@ def solve_linear(ls: LinearSystem, rhs, tol: float = 1e-10):
     returned solution; one step of iterative refinement follows when it
     exceeds ``tol``, and SolverError when it still does.
     """
-    K = ls.matrix
+    K, Kfro = ls.matrix, ls.frobenius
     b = np.asarray(rhs, dtype=float)
-    Kfro = spla.norm(K)
     t0 = time.perf_counter()
     factor, reused, factor_s = ls.factorization()
     t1 = time.perf_counter()
@@ -512,7 +528,7 @@ def solve_linear(ls: LinearSystem, rhs, tol: float = 1e-10):
     if res > tol:
         raise SolverError(f"direct solve residual {res:.3e} above tol {tol:.1e}")
     t2 = time.perf_counter()
-    report = SolveReport(factor.routine, K.shape[0], K.nnz, float(res),
+    report = SolveReport(factor.routine, K.shape[0], ls.nnz, float(res),
                          fill=float(factor.fill),
                          elapsed=t2 - t0, grid="x".join(map(str, ls.grid.shape)),
                          factor_s=factor_s, solve_s=t2 - t1, reused=reused)

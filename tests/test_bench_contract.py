@@ -1,0 +1,59 @@
+"""The names the sweep benchmark wraps or reads still resolve in narrowgap.
+
+``sweepbench/layers.py`` times the layers by patching module attributes
+(``discretize.spla``, ``discretize.solve_linear`` and others) and reads
+``LinearSystem.matrix.shape``.  A rename in narrowgap would otherwise show
+only when a traced bench pass fails.  The test runs ``layers.install`` over a
+tiny ``cli.run`` in a fresh process, since its patches are process-wide.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACED_RUN = r"""
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import layers, spans
+from narrowgap import cli, discretize
+from narrowgap.config import config_from_dict
+
+tracer = spans.Tracer()
+factors, written = layers.install(tracer)
+cli.run(config_from_dict(json.loads(sys.argv[3])), "all", outdir=sys.argv[4])
+print(json.dumps({
+    "spans": sorted({s.name for s in tracer.spans}),
+    "metrics": layers.layer_metrics(tracer.spans, factors, written),
+    "lapack": [callable(getattr(discretize.lapack, r, None)) for r in ("dpbtrf", "dgbtrf")],
+}))
+"""
+
+# one eps on a 17x9 grid: the thm11 fit has too few points to pass, but the
+# sweep solves on the base and the Richardson grid
+TINY = {
+    "geometry": {"m": 2, "R0": 0.5},
+    "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
+    "traces": {"family": "constant", "phi": [1.0, 0.0], "psi": [0.0, 0.0]},
+    "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
+    "experiment": {"checks": ["thm11"], "eps_list": [0.01]},
+}
+
+
+def test_bench_layers_trace_a_tiny_run(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "sweepbench"), str(ROOT / "src"),
+         json.dumps(TINY), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    for name in ("discretize.transform_operator", "discretize.assemble",
+                 "discretize.solve_bvp", "discretize.solve_linear",
+                 "discretize.dirichlet_values", "discretize.gradient_nodes",
+                 "experiments.bundle", "experiments.statistic"):
+        assert name in out["spans"], name
+    assert out["metrics"]["discretize.unknowns_total"] > 0
+    assert out["metrics"]["discretize.solve_s"] > 0
+    assert out["lapack"] == [True, True]

@@ -1,5 +1,8 @@
 """Mapped-box finite differences: transform, assembly, solves, recovery."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -35,6 +38,54 @@ LAME_BCD = make_custom(2, 2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
 PERTURBED_BCD = make_perturbed(
     LAME_BCD, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)), (0.3, (1, 1))]), 0.1,
     direction=make_lame(LameParameters(2.0, 0.5), 2).A0)
+
+
+def _csr_reference(ls):
+    """K scattered entry by entry from the block table into a CSR matrix.
+
+    Entry (p, i, j) of W[o] sits at row i * nodes + p and column
+    j * nodes + p + o, nodes numbered in C order over the whole grid; every
+    Dirichlet unknown has an identity row.
+    """
+    shape, N, nodes = ls.grid.shape, ls.N, ls.grid.nodes
+    interior = np.indices(tuple(s - 2 for s in shape)) + 1          # (n, *inner)
+    rows, cols, vals = [], [], []
+    for o, w in ls.blocks.items():
+        p = np.ravel_multi_index(tuple(interior), shape).ravel()
+        q = np.ravel_multi_index(tuple(interior + np.reshape(o, (-1,) + (1,) * len(shape))),
+                                 shape).ravel()
+        for i in range(N):
+            for j in range(N):
+                rows.append(i * nodes + p)
+                cols.append(j * nodes + q)
+                vals.append(w[..., i, j].ravel())
+    fixed = np.flatnonzero(ls.dirichlet_mask)
+    rows.append(fixed)
+    cols.append(fixed)
+    vals.append(np.ones(len(fixed)))
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(N * nodes, N * nodes)).tocsr()
+
+
+def _asymmetry(ls):
+    """Relative Frobenius asymmetry of the reference free-free block."""
+    free = ~ls.dirichlet_mask
+    K = _csr_reference(ls)[free][:, free]
+    den = sp.linalg.norm(K)
+    return float(sp.linalg.norm(K - K.T) / den) if den else 0.0
+
+
+def _dirichlet_rows_are_identity(ls):
+    """Every Dirichlet row is e_k, in the reference and through the operator.
+
+    The operator is checked as (K x)_k = x_k for each Dirichlet unknown k on
+    a random x, which an off-diagonal entry in row k would break.
+    """
+    idx = np.flatnonzero(ls.dirichlet_mask)
+    sub = _csr_reference(ls)[idx]
+    in_reference = (sub.nnz == len(idx)) and bool(np.all(sub[np.arange(len(idx)), idx] == 1.0))
+    x = np.random.default_rng(2).normal(size=ls.matrix.shape[0])
+    return in_reference and np.array_equal((ls.matrix @ x)[idx], x[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +188,9 @@ class TestAssemble:
             vals.append(1.0)
         K5 = sp.coo_matrix((vals, (rows, cols)),
                            shape=(grid.nodes, grid.nodes)).tocsr()
-        diff = (ls.matrix - K5)
-        assert abs(diff).max() <= 1e-12
+        assert abs(_csr_reference(ls) - K5).max() <= 1e-12
+        dense = ls.matrix @ np.eye(grid.nodes)            # K through the operator
+        assert np.abs(dense - K5.toarray()).max() <= 1e-12
 
     def test_dirichlet_rows_carry_trace_values(self):
         reg = curved_region()
@@ -148,7 +200,7 @@ class TestAssemble:
         V = dirichlet_values(grid, reg, tr, "ansatz", af)
         tf = transform_operator(LAP, reg, grid)
         ls = assemble(tf)
-        assert ls.dirichlet_rows_are_identity()
+        assert _dirichlet_rows_are_identity(ls)
         rhs = right_hand_side(ls, V).reshape(grid.shape)
         assert np.allclose(rhs[:, -1], 2.0)
         assert np.allclose(rhs[:, 0], -0.5)
@@ -184,7 +236,7 @@ class TestAssemble:
         grid = BoxGrid(2, 33, 17, 1.0)
         tf = transform_operator(LAME, reg, grid)
         ls = assemble(tf)
-        assert ls.asymmetry() <= 1e-12
+        assert _asymmetry(ls) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +261,7 @@ class TestSolveLinear:
         bmask = np.ones(grid.shape, bool)
         bmask[1:-1, 1:-1] = False
         W0 = np.ones((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
-        ls = LinearSystem(sp.identity(grid.nodes, format="csr"), bmask.ravel(),
-                          grid, 1, {(0, 0): W0})
+        ls = LinearSystem(bmask.ravel(), grid, 1, {(0, 0): W0})
         b = np.random.default_rng(1).normal(size=grid.nodes)
         x, rep = solve_linear(ls, b)
         assert np.array_equal(x, b) and rep.method == "gbtrf"
@@ -218,14 +269,14 @@ class TestSolveLinear:
     def test_direct_matches_dense_solve(self):
         ls, b = self._system()
         x, rep = solve_linear(ls, b)
-        dense = np.linalg.solve(ls.matrix.toarray(), b)
+        dense = np.linalg.solve(_csr_reference(ls).toarray(), b)
         assert rep.method == "pbtrf"
         assert np.abs(x - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
     def test_residual_contract(self):
         ls, b = self._system()
         x, rep = solve_linear(ls, b, tol=1e-10)
-        K = ls.matrix
+        K = _csr_reference(ls)
         back = np.linalg.norm(K @ x - b) / (sp.linalg.norm(K) * np.linalg.norm(x)
                                             + np.linalg.norm(b))
         assert back <= 1e-10 and rep.residual <= 1e-10
@@ -245,14 +296,14 @@ class TestSharedFactorization:
         ls = assemble(tf)
         b = right_hand_side(ls, rng.normal(size=grid.shape + (tensor.N,)))
         x, rep = solve_linear(ls, b)
-        want = sp.linalg.spsolve(ls.matrix.tocsc(), b)
+        want = sp.linalg.spsolve(_csr_reference(ls).tocsc(), b)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
         return ls, rep
 
     def test_lame_matches_full_system_spsolve(self):
         reg = curved_region(eps=1e-3, upper=1.0, lower=0.5)
         ls, rep = self._matches_spsolve(LAME, reg, BoxGrid(2, 65, 17, 1.0))
-        assert ls.asymmetry() <= 1e-12 and not rep.reused
+        assert _asymmetry(ls) <= 1e-12 and not rep.reused
         assert rep.method == "pbtrf"
 
     def test_nonsymmetric_block_matches_full_system_spsolve(self):
@@ -263,7 +314,7 @@ class TestSharedFactorization:
                              C0=np.array([[[1.0, 4.0]]]), lam=1.0)
         ls, rep = self._matches_spsolve(tensor, curved_region(eps=0.05),
                                         BoxGrid(2, 33, 17, 1.0))
-        assert ls.asymmetry() > 1e-3 and rep.method == "gbtrf"
+        assert _asymmetry(ls) > 1e-3 and rep.method == "gbtrf"
 
     def test_indefinite_symmetric_block_falls_back_to_banded_lu(self):
         # Laplace plus D = 50: the diagonal stays negative (about -1000) but
@@ -274,8 +325,8 @@ class TestSharedFactorization:
         tensor = make_custom(2, 1, A0, D0=np.array([[50.0]]), lam=1.0)
         ls, rep = self._matches_spsolve(tensor, flat_region(eps=1.0),
                                         BoxGrid(2, 33, 17, 1.0))
-        K = ls.matrix.toarray()[~ls.dirichlet_mask][:, ~ls.dirichlet_mask]
-        assert ls.asymmetry() == 0.0 and np.all(np.diag(K) < 0)
+        K = _csr_reference(ls).toarray()[~ls.dirichlet_mask][:, ~ls.dirichlet_mask]
+        assert _asymmetry(ls) == 0.0 and np.all(np.diag(K) < 0)
         assert np.linalg.eigvalsh(K).max() > 0 and rep.method == "gbtrf"
 
     def test_one_factorization_serves_every_right_hand_side(self, monkeypatch):
@@ -297,12 +348,16 @@ class TestSharedFactorization:
         assert len(calls) == 1
 
 
+def _node_major_free(ls):
+    """Free unknowns numbered node-major, as the banded factorization orders them."""
+    order = np.arange(len(ls.dirichlet_mask)).reshape(ls.N, -1).T.ravel()
+    return order[~ls.dirichlet_mask[order]]
+
+
 def _free_block(ls):
-    """K_ff from the CSR, free unknowns numbered node-major."""
-    K = ls.matrix
-    order = np.arange(K.shape[0]).reshape(ls.N, -1).T.ravel()
-    free = order[~ls.dirichlet_mask[order]]
-    return K[free][:, free].tocoo()
+    """K_ff from the reference CSR, free unknowns numbered node-major."""
+    free = _node_major_free(ls)
+    return _csr_reference(ls)[free][:, free].tocoo()
 
 
 def _captured_band(monkeypatch, ls):
@@ -349,7 +404,8 @@ class TestFreeBand:
 
     @pytest.mark.parametrize("tensor, routine", CASES)
     def test_report_fill_and_nnz_come_from_the_matrix(self, tensor, routine):
-        # fill = band storage / nnz(K_ff), nnz = nnz(K) with its Dirichlet rows
+        # fill = band storage / nnz(K_ff), nnz = nnz(K) with its Dirichlet
+        # rows, both counted from the table against the reference CSR
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         ls = assemble(transform_operator(tensor, reg, BoxGrid(2, 33, 9, 1.0)))
         b = np.random.default_rng(6).normal(size=ls.matrix.shape[0])
@@ -358,7 +414,7 @@ class TestFreeBand:
         kd = int(np.abs(Kff.row - Kff.col).max())
         rows = kd + 1 if routine == "dpbtrf" else 3 * kd + 1
         assert rep.method == routine[1:]
-        assert rep.nnz == ls.matrix.nnz
+        assert rep.nnz == _csr_reference(ls).nnz
         assert rep.fill == rows * Kff.shape[0] / Kff.nnz
 
     @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD,
@@ -376,21 +432,18 @@ class TestFreeBand:
                              ids=["interior_pair", "interior_pair_and_mirror",
                                   "pair_reaching_the_boundary"])
     def test_changed_entries_move_both_symmetry_tests(self, p, mirrored, symmetric):
-        # entry (i, j) of W[(1, 0)] at interior node p changed in the table
-        # and in K alike, and with ``mirrored`` entry (j, i) of W[(-1, 0)] at
-        # p + o too.  Two interior nodes break the symmetry of K_ff unless
-        # the mirror moves with them; from the last interior column (14 of
-        # 0..14) the offset reaches the Dirichlet face x' = 2R0, so the
-        # entry belongs to K_fD instead
+        # entry (i, j) of W[(1, 0)] at interior node p changed in the table,
+        # the only representation of K, and with ``mirrored`` entry (j, i)
+        # of W[(-1, 0)] at p + o too.  Two interior nodes break the symmetry
+        # of K_ff unless the mirror moves with them; from the last interior
+        # column (14 of 0..14) the offset reaches the Dirichlet face
+        # x' = 2R0, so the entry belongs to K_fD instead.  The reference CSR
+        # is scattered from the changed table
         grid = BoxGrid(2, 17, 9, 1.0)
         ls = assemble(transform_operator(LAME, curved_region(eps=0.05), grid))
-        ids = np.arange(grid.nodes).reshape(grid.shape)
 
         def change(o, p, i, j):
             ls.blocks[o][p + (i, j)] += 1.0
-            node = (p[0] + 1, p[1] + 1)             # interior -> grid index
-            ls.matrix[i * grid.nodes + ids[node],
-                      j * grid.nodes + ids[node[0] + o[0], node[1] + o[1]]] += 1.0
 
         change((1, 0), p, 0, 1)
         if mirrored:
@@ -398,6 +451,86 @@ class TestFreeBand:
         Kff = _free_block(ls).tocsr()
         assert ((Kff != Kff.T).nnz == 0) is symmetric
         assert _FreeStencil(ls).symmetric() is symmetric
+
+
+def _captured_free_rhs(monkeypatch, ls, b):
+    """b_f - K_fD b_D as the first LAPACK triangular solve receives it."""
+    from narrowgap import discretize
+    got = []
+    for routine, pos, sign in (("dpbtrs", 1, -1.0), ("dgbtrs", 3, 1.0)):
+        def keep(*a, _f=getattr(discretize.lapack, routine), _pos=pos, _sign=sign, **k):
+            got.append(_sign * a[_pos])
+            return _f(*a, **k)
+        monkeypatch.setattr(discretize.lapack, routine, keep)
+    solve_linear(ls, b)
+    return got[0]
+
+
+class TestStencilOperator:
+    PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2)
+    CASES = [pytest.param(LAME, "pbtrf", id="lame"),
+             pytest.param(LAP, "pbtrf", id="laplace"),
+             pytest.param(LAME_BCD, "gbtrf", id="bcd"),
+             pytest.param(PERTURBED, "pbtrf", id="perturbed")]
+
+    @staticmethod
+    def _system(tensor, nodes=(33, 9)):
+        reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(2, *nodes, 1.0)))
+        rng = np.random.default_rng(7)
+        draw = ls.grid.shape + (ls.N,)
+        return ls, right_hand_side(ls, rng.normal(size=draw), rng.normal(size=draw))
+
+    @pytest.mark.parametrize("tensor, routine", CASES)
+    def test_free_right_hand_side_equals_the_csr_coupling(self, monkeypatch,
+                                                          tensor, routine):
+        # K_fD b_D from the stencil is summed in the CSR slice's column
+        # order, so it rounds exactly as the sparse product does
+        ls, b = self._system(tensor)
+        K = _csr_reference(ls)
+        free, fixed = _node_major_free(ls), np.flatnonzero(ls.dirichlet_mask)
+        want = b[free] - K[free][:, fixed] @ b[fixed]
+        assert np.array_equal(_captured_free_rhs(monkeypatch, ls, b), want)
+        assert solve_linear(ls, b)[1].method == routine
+
+    @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD],
+                             ids=["lame", "laplace", "bcd", "perturbed_bcd"])
+    def test_operator_matches_the_reference_csr(self, tensor):
+        ls, _ = self._system(tensor)
+        K = _csr_reference(ls)
+        x = np.random.default_rng(9).normal(size=K.shape[0])
+        want = K @ x
+        assert ls.matrix.shape == K.shape
+        assert np.abs(ls.matrix @ x - want).max() <= 1e-15 * np.abs(want).max()
+        assert ls.frobenius == pytest.approx(sp.linalg.norm(K), rel=1e-15)
+        assert ls.nnz == K.nnz
+
+    def test_solve_bvp_builds_no_sparse_matrix(self, monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("sparse matrix built on the solve path")
+
+        for cls in (sp.coo_matrix, sp.csr_matrix):
+            monkeypatch.setattr(cls, "__init__", refuse)
+            monkeypatch.setattr(sp, cls.__name__, refuse)
+        reg = curved_region(eps=0.05)
+        tr = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+        df, rep = solve_bvp(LAME, reg, tr, grid_for(reg, 33, 9))
+        assert rep.method == "pbtrf" and np.all(np.isfinite(df.values))
+
+    def test_dropped_system_frees_its_factorization(self):
+        # reference counting alone must free the band when a sweep drops a
+        # point: nothing the system owns may point back at it
+        ls, b = self._system(LAME)
+        solve_linear(ls, b)
+        factor = weakref.ref(ls._factor)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del ls
+            assert factor() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 # ---------------------------------------------------------------------------
