@@ -14,8 +14,8 @@ so the transformed problem keeps the same divergence structure
 
 and Atil inherits ellipticity wherever delta > 0.  No first-order terms are
 created by the map itself; the curvature lives inside the variable Atil.
-The congruence G A G^T is contracted by two explicit sums over the Jacobian
-columns (``_congruence``).
+For n = 2, G = [[1, 0], [d1 v, d2 v]]: the pull-back and the gradient
+recovery grad_x u = G^T grad_y u are written out entry by entry from grad v.
 
 Stencils are the standard second-order ones: half-node flux averages for the
 aligned second-derivative terms, composed centered differences for the cross
@@ -129,16 +129,6 @@ def grid_for(region: NarrowRegion, tangential_nodes: int = 257,
     return BoxGrid(region.n, tangential_nodes, vertical_nodes, 2.0 * region.R0)
 
 
-def box_jacobian(region: NarrowRegion, xp, t):
-    """G[a, A] = d y_a / d x_A: identity rows over grad v, shape (..., n, n)."""
-    dv = region.vbar_grad(xp, t)
-    G = np.zeros(dv.shape + (region.n,))
-    for a in range(region.d):
-        G[..., a, a] = 1.0
-    G[..., region.d, :] = dv
-    return G
-
-
 # ---------------------------------------------------------------------------
 # operator transform
 # ---------------------------------------------------------------------------
@@ -160,42 +150,43 @@ def _require_finite(name, arr, n):
         raise AssemblyError(f"non-finite transformed {name} at node index {tuple(map(int, bad))}")
 
 
-def _congruence(G, A):
-    """G A G^T over the derivative axes: (..., n, n) with (..., N, N, n, n).
-
-    Two explicit sums over the n Jacobian columns, GA = G A and then GA G^T,
-    each a broadcast product of node arrays.
-    """
-    g = G[..., None, None, :, :]
-    n = G.shape[-1]
-    GA = sum(g[..., :, k, None] * A[..., None, k, :] for k in range(n))
-    return sum(GA[..., :, None, k] * g[..., None, :, k] for k in range(n))
-
-
 def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
                        grid: BoxGrid) -> TransformedFields:
-    """Evaluate the pulled-back coefficients at every grid node."""
+    """Evaluate the pulled-back coefficients at every grid node.
+
+    For n = 2 the Jacobian is G = [[1, 0], [d1 v, d2 v]], and each product
+    with G is written out row by row (``_apply_jacobian``).  Atil is summed
+    as (G A) G^T: G A first, then its product with G^T.
+    """
+    require_planar(grid.n)
     XP, T = grid.node_coords()
     XP = XP[..., :1, :]                     # x'-factors once per column
     dlt = region.delta(XP)
     if np.any(dlt <= 0):
         raise GeometryError("gap function must stay positive on the patch")
     x = region.from_box(XP, T)
-    G = box_jacobian(region, XP, T)
+    dv = region.vbar_grad(XP, T)
 
-    Atil = dlt[..., None, None, None, None] * _congruence(G, tensor.A(x))
+    Atil = np.array(tensor.A(x))
+    _apply_jacobian(np.swapaxes(Atil, -1, -2), dv)            # G A
+    Atil = dlt[..., None, None, None, None] * _apply_jacobian(Atil, dv)   # (G A) G^T
     Btil = Ctil = Dtil = None
     if np.any(tensor.B0):
-        Btil = dlt[..., None, None, None] * np.einsum(
-            "...aA,...ijA->...ija", G, tensor.B(x))
+        Btil = dlt[..., None, None, None] * _apply_jacobian(np.array(tensor.B(x)), dv)
     if np.any(tensor.C0):
-        Ctil = dlt[..., None, None, None] * np.einsum(
-            "...bB,...ijB->...ijb", G, tensor.C(x))
+        Ctil = dlt[..., None, None, None] * _apply_jacobian(np.array(tensor.C(x)), dv)
     if np.any(tensor.D0):
         Dtil = dlt[..., None, None] * tensor.D(x)
     for name, arr in (("A", Atil), ("B", Btil), ("C", Ctil), ("D", Dtil)):
         _require_finite(name, arr, grid.n)
     return TransformedFields(grid, Atil, Btil, Ctil, Dtil)
+
+
+def _apply_jacobian(V, dv):
+    """V <- G V over V's last axis, in place: (V_0, d1 v V_0 + d2 v V_1)."""
+    v = dv.reshape(dv.shape[:-1] + (1,) * (V.ndim - dv.ndim) + (2,))
+    V[..., 1] = v[..., 0] * V[..., 0] + v[..., 1] * V[..., 1]
+    return V
 
 
 def transform_forcing(region: NarrowRegion, grid: BoxGrid, forcing) -> np.ndarray:
@@ -278,19 +269,20 @@ class LinearSystem:
     def factorization(self):
         """(factored free block, reused?, seconds spent factoring now).
 
-        Built on first use and kept for every later right-hand side; a
-        failed factorization is kept too and raised again.
+        Built on first use and kept for every later right-hand side.  A
+        failure keeps only its message, raised anew on each later call: a
+        kept exception's traceback would hold this system.
         """
         if self._factor is None:
             t0 = time.perf_counter()
             try:
                 self._factor = _FreeBlockBand(self)
             except SolverError as exc:
-                self._factor = exc
+                self._factor = str(exc)
                 raise
             return self._factor, False, time.perf_counter() - t0
-        if isinstance(self._factor, SolverError):
-            raise self._factor
+        if isinstance(self._factor, str):
+            raise SolverError(self._factor)
         return self._factor, True, 0.0
 
 
@@ -404,10 +396,13 @@ class _FreeStencil:
         return bool(np.all(np.diagonal(W0, axis1=-2, axis2=-1) < 0))
 
     def symmetric(self) -> bool:
-        """K_ff == K_ff^T: each block against its mirror, W[o][p] == W[-o][p + o]^T."""
-        return all(np.array_equal(self.W[o][src],
-                                  np.swapaxes(self.W[tuple(-k for k in o)][tgt], -1, -2))
-                   for o, (src, tgt, _) in self.pairs.items())
+        """K_ff == K_ff^T: each block against its mirror, W[o][p] == W[-o][p + o]^T.
+
+        The test for -o is that for o transposed, so each pair is tested once.
+        """
+        mirror = {o: tuple(-k for k in o) for o in self.pairs}
+        return all(np.array_equal(self.W[o][src], np.swapaxes(self.W[mirror[o]][tgt], -1, -2))
+                   for o, (src, tgt, _) in self.pairs.items() if o >= mirror[o])
 
     def band(self, rows: int, top: int, sign: float = 1.0) -> np.ndarray:
         """sign * K_ff in LAPACK band storage: entry (r, c) at ab[top + r - c, c].
@@ -562,12 +557,15 @@ class DiscreteField:
         return out
 
     def gradient_nodes(self):
-        """Physical gradients at nodes, shape (N, n, *shape)."""
+        """Physical gradients G^T grad_y u at nodes, shape (N, n, *shape)."""
         if self._grad_cache is None:
+            require_planar(self.grid.n)
             XP, T = self.grid.node_coords()
-            G = box_jacobian(self.region, XP[..., :1, :], T)     # (*shape, n, n)
-            dm = self.mapped_gradient()
-            self._grad_cache = np.einsum("...aA,ia...->iA...", G, dm)
+            dv = self.region.vbar_grad(XP[..., :1, :], T)       # (*shape, n)
+            g = self.mapped_gradient()
+            g[:, 0] += g[:, 1] * dv[..., 0]                     # d_1 u + d_t u d1 v
+            g[:, 1] *= dv[..., 1]                               # d_t u d2 v
+            self._grad_cache = g
         return self._grad_cache
 
     def _box_fractions(self, xp, t):

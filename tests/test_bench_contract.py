@@ -55,5 +55,8 @@ def test_bench_layers_trace_a_tiny_run(tmp_path):
                  "experiments.bundle", "experiments.statistic"):
         assert name in out["spans"], name
     assert out["metrics"]["discretize.unknowns_total"] > 0
-    assert out["metrics"]["discretize.solve_s"] > 0
+    # the pull-back and gradient recovery times read 0 if the program
+    # computes either around the wrapped names
+    for metric in ("discretize.solve_s", "discretize.transform_s", "discretize.gradient_s"):
+        assert out["metrics"][metric] > 0, metric
     assert out["lapack"] == [True, True]

@@ -12,7 +12,7 @@ from narrowgap.ansatz import (BoundaryTraces, ConstantTrace, apply_operator,
 from narrowgap.coefficients import (LameParameters, MultiPoly, make_custom, make_lame,
                                     make_laplace, make_perturbed)
 from narrowgap.discretize import (BoxGrid, DiscreteField, LinearSystem, SolverError,
-                                  TrigSolution, _FreeStencil, assemble, box_jacobian,
+                                  TrigSolution, _FreeStencil, assemble,
                                   dirichlet_values, grid_for, manufactured_forcing,
                                   right_hand_side, solve_bvp, solve_linear,
                                   transform_operator)
@@ -38,6 +38,16 @@ LAME_BCD = make_custom(2, 2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
 PERTURBED_BCD = make_perturbed(
     LAME_BCD, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)), (0.3, (1, 1))]), 0.1,
     direction=make_lame(LameParameters(2.0, 0.5), 2).A0)
+
+
+def box_jacobian(region, xp, t):
+    """G[a, A] = d y_a / d x_A: identity rows over grad v, shape (..., n, n)."""
+    dv = region.vbar_grad(xp, t)
+    G = np.zeros(dv.shape + (region.n,))
+    for a in range(region.d):
+        G[..., a, a] = 1.0
+    G[..., region.d, :] = dv
+    return G
 
 
 def _csr_reference(ls):
@@ -126,7 +136,7 @@ class TestTransform:
     def test_contraction_matches_the_einsum_reference(self, tensor, rel):
         # delta * G A G^T as the three-operand einsum writes it; Lame and
         # Laplace agree bit for bit, an x-dependent A along another
-        # direction to round-off
+        # direction to round-off, and so do delta * G B and delta * G C
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         grid = BoxGrid(2, 33, 17, 1.0)
         XP, T = grid.node_coords()
@@ -134,11 +144,23 @@ class TestTransform:
         G, x = box_jacobian(reg, XP, T), reg.from_box(XP, T)
         dlt = reg.delta(XP)[..., None, None, None, None]
         want = dlt * np.einsum("...aA,...ijAB,...bB->...ijab", G, tensor.A(x), G)
-        got = transform_operator(tensor, reg, grid).Atil
+        tf = transform_operator(tensor, reg, grid)
         if rel == 0.0:
-            assert np.array_equal(got, want)
+            assert np.array_equal(tf.Atil, want)
+            assert tf.Btil is None and tf.Ctil is None
         else:
-            assert np.abs(got - want).max() <= rel * np.abs(want).max()
+            assert np.abs(tf.Atil - want).max() <= rel * np.abs(want).max()
+            for got, V in ((tf.Btil, tensor.B(x)), (tf.Ctil, tensor.C(x))):
+                want = dlt[..., 0] * np.einsum("...aA,...ijA->...ija", G, V)
+                assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+    def test_grids_other_than_n2_are_refused(self):
+        grid = BoxGrid(3, 9, 5, 1.0)
+        with pytest.raises(GeometryError, match="grids need n = 2"):
+            transform_operator(LAP, curved_region(), grid)
+        df = DiscreteField(grid, curved_region(), np.zeros((1,) + grid.shape))
+        with pytest.raises(GeometryError, match="grids need n = 2"):
+            df.gradient_nodes()
 
     def test_ellipticity_inherited(self):
         # scalar case: the pulled-back form stays strictly positive definite;
@@ -426,28 +448,34 @@ class TestFreeBand:
         Kff = _free_block(ls).tocsr()
         assert _FreeStencil(ls).symmetric() == ((Kff != Kff.T).nnz == 0)
 
-    @pytest.mark.parametrize("p, mirrored, symmetric",
-                             [((4, 3), False, False), ((4, 3), True, True),
-                              ((14, 3), False, True)],
+    @pytest.mark.parametrize("o, p, mirrored, symmetric",
+                             [((1, 0), (4, 3), False, False), ((1, 0), (4, 3), True, True),
+                              ((1, 0), (14, 3), False, True),
+                              ((-1, 0), (10, 3), False, False), ((-1, 0), (10, 3), True, True),
+                              ((-1, 0), (0, 3), False, True)],
                              ids=["interior_pair", "interior_pair_and_mirror",
-                                  "pair_reaching_the_boundary"])
-    def test_changed_entries_move_both_symmetry_tests(self, p, mirrored, symmetric):
-        # entry (i, j) of W[(1, 0)] at interior node p changed in the table,
-        # the only representation of K, and with ``mirrored`` entry (j, i)
-        # of W[(-1, 0)] at p + o too.  Two interior nodes break the symmetry
-        # of K_ff unless the mirror moves with them; from the last interior
-        # column (14 of 0..14) the offset reaches the Dirichlet face
-        # x' = 2R0, so the entry belongs to K_fD instead.  The reference CSR
-        # is scattered from the changed table
+                                  "pair_reaching_the_boundary",
+                                  "minus_o_interior_pair", "minus_o_interior_pair_and_mirror",
+                                  "minus_o_pair_reaching_the_boundary"])
+    def test_changed_entries_move_both_symmetry_tests(self, o, p, mirrored, symmetric):
+        # entry (i, j) of W[o] at interior node p changed in the table, the
+        # only representation of K, and with ``mirrored`` entry (j, i) of
+        # W[-o] at p + o too.  Two interior nodes break the symmetry of K_ff
+        # unless the mirror moves with them; from the last interior column
+        # (14 of 0..14) the offset (1, 0) reaches the Dirichlet face x' = 2R0,
+        # and from the first (0) the offset (-1, 0) reaches x' = -2R0, so the
+        # entry belongs to K_fD instead.  Changing W[(-1, 0)] alone must be
+        # caught although each mirror pair is tested from one side only.
+        # The reference CSR is scattered from the changed table
         grid = BoxGrid(2, 17, 9, 1.0)
         ls = assemble(transform_operator(LAME, curved_region(eps=0.05), grid))
 
         def change(o, p, i, j):
             ls.blocks[o][p + (i, j)] += 1.0
 
-        change((1, 0), p, 0, 1)
+        change(o, p, 0, 1)
         if mirrored:
-            change((-1, 0), (p[0] + 1, p[1]), 1, 0)
+            change((-o[0], 0), (p[0] + o[0], p[1]), 1, 0)
         Kff = _free_block(ls).tocsr()
         assert ((Kff != Kff.T).nnz == 0) is symmetric
         assert _FreeStencil(ls).symmetric() is symmetric
@@ -528,6 +556,30 @@ class TestStencilOperator:
         try:
             del ls
             assert factor() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("solves", [1, 2], ids=["first_failure", "raised_again"])
+    def test_failed_factorization_frees_its_system(self, solves):
+        # a zero W[0] stops banded LU at gbtrf info 1; the failure is raised
+        # on every solve, and neither the first nor a later one may keep
+        # the system alive through a stored traceback
+        grid = BoxGrid(2, 10, 5, 1.0)
+        bmask = np.ones(grid.shape, bool)
+        bmask[1:-1, 1:-1] = False
+        W0 = np.zeros((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
+        ls = LinearSystem(bmask.ravel(), grid, 1, {(0, 0): W0})
+        b = np.random.default_rng(1).normal(size=grid.nodes)
+        system = weakref.ref(ls)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(solves):
+                with pytest.raises(SolverError, match="gbtrf info 1"):
+                    solve_linear(ls, b)
+            del ls
+            assert system() is None
         finally:
             if enabled:
                 gc.enable()
@@ -675,6 +727,21 @@ class TestRecoverGradient:
             hs.append(grid.spacing[0])
         order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert order >= 1.8
+
+    @pytest.mark.parametrize("tensor", [LAME, LAP, make_perturbed(
+        LAME, MultiPoly([(1.0, (1, 1))]), 0.2)], ids=["lame", "laplace", "perturbed"])
+    def test_gradient_matches_the_einsum_reference(self, tensor):
+        # G^T grad_y u as the generic einsum writes it, on a solved field
+        reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
+        tr = BoundaryTraces(ConstantTrace([1.0] + [0.0] * (tensor.N - 1)),
+                            zero_trace(tensor.N))
+        df, _ = solve_bvp(tensor, reg, tr, grid_for(reg, 33, 17))
+        XP, T = df.grid.node_coords()
+        G = box_jacobian(reg, XP[..., :1, :], T)
+        want = np.einsum("...aA,ia...->iA...", G, df.mapped_gradient())
+        got = df.gradient_nodes()
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_extrapolation_refused(self):
         reg = flat_region(eps=0.5)
