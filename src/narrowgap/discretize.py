@@ -63,13 +63,13 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoxGrid:
-    """Uniform tensor grid on the mapped box; t is the last axis.
+    """Uniform grid on the mapped box [-half_width, half_width] x [0, 1].
 
-    Node indexing is lexicographic in C order, unknowns are component-major:
-    global index = component * nodes + node.
+    The axes are (x1, t), t last.  Grids are planar: ``grid_for`` refuses a
+    region with n != 2.  Node indexing is lexicographic in C order, unknowns
+    are component-major: global index = component * nodes + node.
     """
 
-    n: int
     tangential_nodes: int
     vertical_nodes: int
     half_width: float
@@ -81,35 +81,27 @@ class BoxGrid:
             raise AssemblyError("half_width must be positive")
 
     @property
-    def d(self):
-        return self.n - 1
-
-    @property
     def shape(self):
-        return (self.tangential_nodes,) * self.d + (self.vertical_nodes,)
+        return (self.tangential_nodes, self.vertical_nodes)
 
     @property
     def nodes(self):
-        return int(np.prod(self.shape))
+        return self.tangential_nodes * self.vertical_nodes
 
     @property
     def axes(self):
-        tang = np.linspace(-self.half_width, self.half_width, self.tangential_nodes)
-        vert = np.linspace(0.0, 1.0, self.vertical_nodes)
-        return (tang,) * self.d + (vert,)
+        """(x1 nodes, t nodes)."""
+        return (np.linspace(-self.half_width, self.half_width, self.tangential_nodes),
+                np.linspace(0.0, 1.0, self.vertical_nodes))
 
     @property
     def spacing(self):
         return tuple(ax[1] - ax[0] for ax in self.axes)
 
     def node_coords(self):
-        """(XP, T) as full grid arrays: XP shape (*shape, d), T shape (*shape)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh[:-1], axis=-1), mesh[-1]
-
-    def refined(self, factor: int = 2):
-        return BoxGrid(self.n, (self.tangential_nodes - 1) * factor + 1,
-                       (self.vertical_nodes - 1) * factor + 1, self.half_width)
+        """(XP, T) as full grid arrays: XP shape (*shape, 1), T shape (*shape)."""
+        X1, T = np.meshgrid(*self.axes, indexing="ij")
+        return X1[..., None], T
 
 
 def require_planar(n: int):
@@ -126,7 +118,7 @@ def require_planar(n: int):
 def grid_for(region: NarrowRegion, tangential_nodes: int = 257,
              vertical_nodes: int = 65) -> BoxGrid:
     require_planar(region.n)
-    return BoxGrid(region.n, tangential_nodes, vertical_nodes, 2.0 * region.R0)
+    return BoxGrid(tangential_nodes, vertical_nodes, 2.0 * region.R0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +130,15 @@ class TransformedFields:
     """Nodal coefficient fields of the transformed operator on the box."""
 
     grid: BoxGrid
-    Atil: np.ndarray          # (*shape, N, N, n, n)
+    Atil: np.ndarray          # (*shape, N, N, 2, 2)
     Btil: np.ndarray | None
     Ctil: np.ndarray | None
     Dtil: np.ndarray | None
 
 
-def _require_finite(name, arr, n):
+def _require_finite(name, arr):
     if arr is not None and not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0][:n]
+        bad = np.argwhere(~np.isfinite(arr))[0][:2]
         raise AssemblyError(f"non-finite transformed {name} at node index {tuple(map(int, bad))}")
 
 
@@ -158,7 +150,6 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
     with G is written out row by row (``_apply_jacobian``).  Atil is summed
     as (G A) G^T: G A first, then its product with G^T.
     """
-    require_planar(grid.n)
     XP, T = grid.node_coords()
     XP = XP[..., :1, :]                     # x'-factors once per column
     dlt = region.delta(XP)
@@ -167,18 +158,18 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
     x = region.from_box(XP, T)
     dv = region.vbar_grad(XP, T)
 
-    Atil = np.array(tensor.A(x))
+    Atil = tensor.A(x)
     _apply_jacobian(np.swapaxes(Atil, -1, -2), dv)            # G A
     Atil = dlt[..., None, None, None, None] * _apply_jacobian(Atil, dv)   # (G A) G^T
     Btil = Ctil = Dtil = None
     if np.any(tensor.B0):
-        Btil = dlt[..., None, None, None] * _apply_jacobian(np.array(tensor.B(x)), dv)
+        Btil = dlt[..., None, None, None] * _apply_jacobian(tensor.B(x), dv)
     if np.any(tensor.C0):
-        Ctil = dlt[..., None, None, None] * _apply_jacobian(np.array(tensor.C(x)), dv)
+        Ctil = dlt[..., None, None, None] * _apply_jacobian(tensor.C(x), dv)
     if np.any(tensor.D0):
         Dtil = dlt[..., None, None] * tensor.D(x)
     for name, arr in (("A", Atil), ("B", Btil), ("C", Ctil), ("D", Dtil)):
-        _require_finite(name, arr, grid.n)
+        _require_finite(name, arr)
     return TransformedFields(grid, Atil, Btil, Ctil, Dtil)
 
 
@@ -194,7 +185,7 @@ def transform_forcing(region: NarrowRegion, grid: BoxGrid, forcing) -> np.ndarra
     XP, T = grid.node_coords()
     Ftil = region.delta(XP)[..., None] * np.asarray(
         forcing(region.from_box(XP, T)), dtype=float)
-    _require_finite("F", Ftil, grid.n)
+    _require_finite("F", Ftil)
     return Ftil
 
 
@@ -218,8 +209,8 @@ def _stencil_operator(blocks: dict, grid: BoxGrid, N: int) -> spla.LinearOperato
     keeps a dropped system's factorization alive until the next collection.
     """
     shape = grid.shape
-    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-    offsets = sorted(blocks, key=lambda o: int(np.dot(o, strides)))
+    # by stride o[0] * shape[1] + o[1], since |o[1]| <= 1 and shape[1] >= 3
+    offsets = sorted(blocks)
     inner = tuple(s - 2 for s in shape)
 
     def matvec(x):
@@ -231,7 +222,7 @@ def _stencil_operator(blocks: dict, grid: BoxGrid, N: int) -> spla.LinearOperato
                 for i in range(N):
                     acc[i] += np.multiply(blocks[o][..., i, j], xo, out=term)
         y = x.copy()
-        y[(slice(None),) + tuple(slice(1, s - 1) for s in shape)] = acc
+        y[:, 1:-1, 1:-1] = acc
         return y.ravel()
 
     return spla.LinearOperator((N * grid.nodes,) * 2, matvec=matvec, dtype=float)
@@ -289,26 +280,28 @@ class LinearSystem:
 def assemble(tf: TransformedFields) -> LinearSystem:
     """Second-order stencil table with identity Dirichlet rows.
 
-    The stencil is a table of N x N blocks, one per offset o in {-1, 0, 1}^n:
-    W[o][p, i, j] couples component i at interior node p to component j at
-    node p + o.  The table comes from the coefficient fields alone;
-    ``right_hand_side`` builds every right-hand side.
+    The stencil is a table of N x N blocks, one per offset o in {-1, 0, 1}^2
+    over (x1, t): W[o][p, i, j] couples component i at interior node p to
+    component j at node p + o.  The derivative axes a, b run over (x1, t),
+    and the offsets enter the table in the order this loop first meets
+    them, which is the order ``LinearSystem.frobenius`` sums them in.  The
+    table comes from the coefficient fields alone; ``right_hand_side``
+    builds every right-hand side.
     """
     grid = tf.grid
-    shape, n = grid.shape, grid.n
     N = tf.Atil.shape[-3]
     h = grid.spacing
 
     def step(*moves):
         """Offset of the (sign, axis) moves."""
-        o = [0] * n
+        o = [0, 0]
         for sign, axis in moves:
             o[axis] += sign
         return tuple(o)
 
     zero = step()
     W = defaultdict(float)                  # offset -> (*interior, N, N)
-    for a in range(n):
+    for a in range(2):
         ea, mea = step((1, a)), step((-1, a))
         M = tf.Atil[..., a, a]
         Mp = 0.5 * (_interior(M, zero) + _interior(M, ea))
@@ -317,7 +310,7 @@ def assemble(tf: TransformedFields) -> LinearSystem:
         W[ea] += Mp / ha2
         W[mea] += Mm / ha2
         W[zero] += -(Mp + Mm) / ha2
-        for b in range(n):
+        for b in range(2):
             if b == a:
                 continue
             c = 1.0 / (4.0 * h[a] * h[b])
@@ -336,7 +329,7 @@ def assemble(tf: TransformedFields) -> LinearSystem:
     if tf.Dtil is not None:
         W[zero] += _interior(tf.Dtil, zero)
 
-    bmask = np.ones(shape, dtype=bool)
+    bmask = np.ones(grid.shape, dtype=bool)
     _interior(bmask, zero)[...] = False
     return LinearSystem(np.tile(bmask.ravel(), N), grid, N, dict(W))
 
@@ -379,20 +372,19 @@ class _FreeStencil:
     def __init__(self, ls: LinearSystem):
         self.W, self.N = ls.blocks, ls.N
         self.inner = tuple(s - 2 for s in ls.grid.shape)
-        strides = np.cumprod((1,) + self.inner[:0:-1])[::-1]
         self.pairs = {}                 # o -> (slice of p, slice of p + o, step)
         for o in self.W:
             if all(abs(k) < m for k, m in zip(o, self.inner)):
                 src = tuple(slice(max(0, -k), m - max(0, k)) for k, m in zip(o, self.inner))
                 tgt = tuple(slice(max(0, k), m + min(0, k)) for k, m in zip(o, self.inner))
-                self.pairs[o] = src, tgt, int(np.dot(o, strides))
+                self.pairs[o] = src, tgt, o[0] * self.inner[1] + o[1]
         N = self.N
         self.kd = max(abs(step) * N + N - 1 for _, _, step in self.pairs.values())
         self.nnz = sum(N * N * int(np.prod([s.stop - s.start for s in src]))
                        for src, _, _ in self.pairs.values())
 
     def negative_diagonal(self) -> bool:
-        W0 = self.W[(0,) * len(self.inner)]
+        W0 = self.W[(0, 0)]
         return bool(np.all(np.diagonal(W0, axis1=-2, axis2=-1) < 0))
 
     def symmetric(self) -> bool:
@@ -548,20 +540,17 @@ class DiscreteField:
         return self.values.shape[0]
 
     def mapped_gradient(self):
-        """d û / d y_a at every node, shape (N, n, *shape); second order."""
-        shape = self.grid.shape
-        h = self.grid.spacing
-        out = np.empty((self.N, self.grid.n) + shape)
-        for a in range(self.grid.n):
-            out[:, a] = _diff_axis(self.values, 1 + a, h[a])
+        """d û / d(x1, t) at every node, shape (N, 2, *shape); second order."""
+        out = np.empty((self.N, 2) + self.grid.shape)
+        for a, h in enumerate(self.grid.spacing):
+            out[:, a] = _diff_axis(self.values, 1 + a, h)
         return out
 
     def gradient_nodes(self):
-        """Physical gradients G^T grad_y u at nodes, shape (N, n, *shape)."""
+        """Physical gradients G^T grad_y u at nodes, shape (N, 2, *shape)."""
         if self._grad_cache is None:
-            require_planar(self.grid.n)
             XP, T = self.grid.node_coords()
-            dv = self.region.vbar_grad(XP[..., :1, :], T)       # (*shape, n)
+            dv = self.region.vbar_grad(XP[..., :1, :], T)       # (*shape, 2)
             g = self.mapped_gradient()
             g[:, 0] += g[:, 1] * dv[..., 0]                     # d_1 u + d_t u d1 v
             g[:, 1] *= dv[..., 1]                               # d_t u d2 v
@@ -570,9 +559,8 @@ class DiscreteField:
 
     def _box_fractions(self, xp, t):
         xp, t = self.region._box(xp, t)
-        coords = [xp[..., k] for k in range(self.grid.d)] + [t]
         fracs = []
-        for c, ax in zip(coords, self.grid.axes):
+        for c, ax in zip((xp[..., 0], t), self.grid.axes):
             f = (c - ax[0]) / (ax[1] - ax[0])
             if np.any(f < -1e-9) or np.any(f > len(ax) - 1 + 1e-9):
                 raise GeometryError("point outside the grid; extrapolation refused")
@@ -580,44 +568,41 @@ class DiscreteField:
         return fracs
 
     def _interpolate(self, nodal, xp, t):
-        """Multilinear interpolation of a (*shape,)-leading nodal array at (x', t)."""
-        fracs = self._box_fractions(xp, t)
-        i0 = [np.minimum(np.floor(f).astype(int), s - 2)
-              for f, s in zip(fracs, self.grid.shape)]
-        w1 = [f - i for f, i in zip(fracs, i0)]
-        out = 0.0
-        n = self.grid.n
-        for corner in range(1 << n):
-            idx, w = [], 1.0
-            for k in range(n):
-                bit = (corner >> k) & 1
-                idx.append(i0[k] + bit)
-                w = w * (w1[k] if bit else (1.0 - w1[k]))
-            out = out + nodal[tuple(idx)] * np.asarray(w)[..., None]
-        return out
+        """Bilinear interpolation of a (*shape,)-leading nodal array at (x', t).
+
+        The corners are summed in the order (i, j), (i+1, j), (i, j+1),
+        (i+1, j+1), each weight formed x1 factor first: the order of the
+        2^n corner loop the tests keep as reference, so the sum rounds the same.
+        """
+        fx, ft = self._box_fractions(xp, t)
+        i = np.minimum(np.floor(fx).astype(int), self.grid.shape[0] - 2)
+        j = np.minimum(np.floor(ft).astype(int), self.grid.shape[1] - 2)
+        wx, wt = fx - i, ft - j
+        ux, ut = 1.0 - wx, 1.0 - wt
+        return (nodal[i, j] * np.asarray(ux * ut)[..., None]
+                + nodal[i + 1, j] * np.asarray(wx * ut)[..., None]
+                + nodal[i, j + 1] * np.asarray(ux * wt)[..., None]
+                + nodal[i + 1, j + 1] * np.asarray(wx * wt)[..., None])
 
     def value_at(self, xp, t):
-        """(..., N) multilinear interpolant of the nodal solution at (x', t)."""
+        """(..., N) bilinear interpolant of the nodal solution at (x', t)."""
         nodal = np.moveaxis(self.values, 0, -1)
         return self._interpolate(nodal, xp, t)
 
     def recover_gradient(self, xp, t):
-        """(..., N, n) gradient at (x', t): interpolated nodal physical gradients."""
-        g = self.gradient_nodes()                            # (N, n, *shape)
-        nodal = np.moveaxis(g.reshape((self.N * self.grid.n,) + self.grid.shape), 0, -1)
+        """(..., N, 2) gradient at (x', t): interpolated nodal physical gradients."""
+        g = self.gradient_nodes()                            # (N, 2, *shape)
+        nodal = np.moveaxis(g.reshape((self.N * 2,) + self.grid.shape), 0, -1)
         flat = self._interpolate(nodal, xp, t)
-        return flat.reshape(flat.shape[:-1] + (self.N, self.grid.n))
+        return flat.reshape(flat.shape[:-1] + (self.N, 2))
 
     def l2_norm(self):
         """Mapped midpoint quadrature of |u|^2 with Jacobian delta(x')."""
         u = np.moveaxis(self.values, 0, -1)
-        for axis in range(self.grid.n):
-            u = 0.5 * (np.take(u, range(0, u.shape[axis] - 1), axis=axis)
-                       + np.take(u, range(1, u.shape[axis]), axis=axis))
-        centers = [0.5 * (ax[:-1] + ax[1:]) for ax in self.grid.axes]
-        mesh = np.meshgrid(*centers[:-1], indexing="ij")
-        xp_c = np.stack(mesh, axis=-1) if mesh else np.zeros((1, 0))
-        dlt = self.region.delta(xp_c)
+        u = 0.5 * (u[:-1] + u[1:])
+        u = 0.5 * (u[:, :-1] + u[:, 1:])
+        x1 = self.grid.axes[0]
+        dlt = self.region.delta(0.5 * (x1[:-1] + x1[1:])[:, None])
         w = np.sum(u * u, axis=-1) * dlt[..., None]
         vol = float(np.prod(self.grid.spacing))
         return float(np.sqrt(w.sum() * vol))
@@ -652,16 +637,16 @@ def dirichlet_values(grid: BoxGrid, region: NarrowRegion,
                      traces: BoundaryTraces | None, closure: str = "ansatz",
                      ansatz: AnsatzField | None = None, lateral_value=None,
                      exact=None) -> np.ndarray:
-    """Nodal Dirichlet data: traces on t = 0, 1; lateral faces per closure.
+    """Nodal Dirichlet data: traces on t = 0, 1; faces x1 = +-half_width per closure.
 
-    Corners follow the top/bottom traces (laterals are written first and the
-    trace rows overwrite shared edges).  ``exact`` closure uses the supplied
-    field everywhere, which is what manufactured-solution runs need.
+    Corners follow the top/bottom traces (the lateral faces are written
+    first and the trace rows overwrite the shared corners).  ``exact``
+    closure uses the supplied field everywhere, which is what
+    manufactured-solution runs need.
     """
     if closure not in CLOSURES:
         raise AssemblyError(f"unknown lateral closure {closure!r}")
     XP, T = grid.node_coords()
-    shape = grid.shape
     if closure == "exact":
         if exact is None:
             raise AssemblyError("exact closure requires an exact field")
@@ -670,22 +655,16 @@ def dirichlet_values(grid: BoxGrid, region: NarrowRegion,
     if traces is None:
         raise AssemblyError("traces required unless closure is exact")
     N = traces.N
-    V = np.zeros(shape + (N,))
-    for axis in range(grid.d):
-        for side in (0, -1):
-            sl = [slice(None)] * grid.n
-            sl[axis] = side
-            sl = tuple(sl)
-            if closure == "constant":
-                if lateral_value is None:
-                    raise AssemblyError("constant closure requires lateral_value")
-                V[sl] = np.asarray(lateral_value, dtype=float)
-            else:
-                V[sl] = ansatz.value(XP[sl], T[sl])
-    sl_bot = (slice(None),) * grid.d + (0,)
-    sl_top = (slice(None),) * grid.d + (-1,)
-    V[sl_bot] = traces.psi.value(XP[sl_bot])
-    V[sl_top] = traces.phi.value(XP[sl_top])
+    V = np.zeros(grid.shape + (N,))
+    if closure == "constant":
+        if lateral_value is None:
+            raise AssemblyError("constant closure requires lateral_value")
+        V[0] = V[-1] = np.asarray(lateral_value, dtype=float)
+    else:
+        V[0] = ansatz.value(XP[0], T[0])
+        V[-1] = ansatz.value(XP[-1], T[-1])
+    V[:, 0] = traces.psi.value(XP[:, 0])
+    V[:, -1] = traces.phi.value(XP[:, -1])
     return V
 
 

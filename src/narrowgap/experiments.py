@@ -266,8 +266,7 @@ class SolveBundle:
         """max |grad u| over the interior vertical column nearest a tangential point."""
         axis = self.grid.axes[0]
         iy = int(np.argmin(np.abs(axis - xprime_target)))
-        g = self.field.gradient_nodes()          # (N, n, ny..., nt)
-        col = g[(slice(None), slice(None), iy) + (0,) * (self.region.d - 1)]
+        col = self.field.gradient_nodes()[:, :, iy]          # (N, 2, nt)
         mag = np.sqrt(np.sum(col * col, axis=(0, 1)))
         return float(mag[1:-1].max())
 
@@ -321,8 +320,7 @@ def _stat_shortest_remainder(b: SolveBundle):
     """max |grad(u - ubar)| on the shortest segment (Remark 1.1 extra)."""
     axis = b.grid.axes[0]
     iy = int(np.argmin(np.abs(axis)))
-    E = b.grad_num - b.grad_ansatz()
-    col = E[(iy,) + (0,) * (b.region.d - 1)]
+    col = (b.grad_num - b.grad_ansatz())[iy]
     mag = np.sqrt(np.sum(col * col, axis=(-2, -1)))
     return float(mag[1:-1].max())
 
@@ -357,7 +355,7 @@ STATISTICS = {
 
 def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
                  radius: float, nq=(24, 48)) -> float:
-    """Integral of |grad(u - ubar)|^2 over the window |x' - z'| < radius.
+    """Integral of |grad(u - ubar)|^2 over the window |x1 - zprime| < radius.
 
     Midpoint quadrature in mapped coordinates with Jacobian delta(x').  The
     remainder gradient is formed at the grid nodes first (so the huge common
@@ -367,47 +365,36 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     tangential spacing.
     """
     region = df.region
-    d = region.d
-    z = np.atleast_1d(np.asarray(zprime, dtype=float))
-    if z.size == 1 and d > 1:
-        z = np.full(d, float(z[0]))
-    if z.shape != (d,):
-        raise GeometryError(f"window center must have {d} tangential coordinates")
+    z = float(zprime)
     if radius <= 0:
         raise GeometryError("window radius must be positive")
-    if np.linalg.norm(z) + radius > 2 * region.R0 * (1 + 1e-12):
+    if abs(z) + radius > 2 * region.R0 * (1 + 1e-12):
         raise GeometryError("energy window outside the grid")
 
     nqy, nqt = nq
-    mids = [z[a] + (np.arange(nqy) + 0.5) / nqy * 2 * radius - radius
-            for a in range(d)]
-    tt = (np.arange(nqt) + 0.5) / nqt
-    mesh = np.meshgrid(*mids, tt, indexing="ij")
-    YQ = np.stack([m.ravel() for m in mesh[:-1]], axis=-1)
-    TQ = mesh[-1].ravel()
-    keep = np.sum((YQ - z) ** 2, axis=-1) <= radius ** 2 * (1 + 1e-12)
-    YQ, TQ = YQ[keep], TQ[keep]
+    yq = z + (np.arange(nqy) + 0.5) / nqy * 2 * radius - radius
+    tq = (np.arange(nqt) + 0.5) / nqt
+    YQ, TQ = (m.ravel() for m in np.meshgrid(yq, tq, indexing="ij"))
+    keep = (YQ - z) ** 2 <= radius ** 2 * (1 + 1e-12)
+    YQ, TQ = YQ[keep, None], TQ[keep]
 
     # the remainder on the columns the interpolation reads (one spare each
     # side); the carrier stays zero elsewhere
-    cols = []
-    for a, ax in enumerate(df.grid.axes[:d]):
-        f = (YQ[:, a] - ax[0]) / (ax[1] - ax[0])
-        cols.append(slice(max(int(np.floor(f.min())) - 1, 0),
-                          min(int(np.floor(f.max())) + 3, len(ax))))
-    cols = tuple(cols)
+    ax = df.grid.axes[0]
+    f = (YQ[:, 0] - ax[0]) / (ax[1] - ax[0])
+    cols = slice(max(int(np.floor(f.min())) - 1, 0),
+                 min(int(np.floor(f.max())) + 3, len(ax)))
     XP, T = df.grid.node_coords()
     XP, T = XP[cols], T[cols]
     g = df.gradient_nodes()
-    window = (slice(None), slice(None)) + cols
     gw = np.zeros_like(g)
-    gw[window] = g[window] - np.moveaxis(ansatz.gradient(XP[..., :1, :], T),
-                                         (-2, -1), (0, 1))
+    gw[:, :, cols] = g[:, :, cols] - np.moveaxis(ansatz.gradient(XP[..., :1, :], T),
+                                                 (-2, -1), (0, 1))
     carrier = _disc.DiscreteField(df.grid, region,
                                   gw.reshape((-1,) + df.grid.shape))
     vals = carrier.value_at(YQ, TQ)
     w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ)
-    cell = (2 * radius / nqy) ** d * (1.0 / nqt)
+    cell = (2 * radius / nqy) * (1.0 / nqt)
     return float(w2.sum() * cell)
 
 
@@ -597,14 +584,11 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
         af = _ans.build_ansatz(tensor, region, traces, mode, lame=lame)
         af0 = _ans.build_ansatz(tensor, region, traces, mode,
                                 include_correction=False, lame=lame)
-        d = region.d
-        ax = np.linspace(-region.R0, region.R0, ns[0] + 2)[1:-1]
+        xq = np.linspace(-region.R0, region.R0, ns[0] + 2)[1:-1, None, None]  # x1 columns
         ts = np.linspace(0.0, 1.0, ns[1] + 2)[1:-1]
-        mesh = np.meshgrid(*([ax] * d), indexing="ij")
-        xq = np.stack([m.ravel() for m in mesh], axis=-1)[:, None, :]   # x' columns
         dlt = region.delta(xq)
         th = _ans.theta(traces, xq)
-        c2n = traces.c2_total(2 * region.R0, dim=d)
+        c2n = traces.c2_total(2 * region.R0, dim=region.d)
         f = np.linalg.norm(af.residual(xq, ts), axis=-1)
         f0 = np.linalg.norm(af0.residual(xq, ts), axis=-1)
         corr = float((f * dlt / (th + dlt * c2n)).max())

@@ -50,6 +50,29 @@ def box_jacobian(region, xp, t):
     return G
 
 
+def corner_loop_interpolant(grid, nodal, xp, t):
+    """Interpolation at (x', t) as the n-generic sum over the 2^n cell corners.
+
+    Corner k takes bit a of k as its step along axis a; its weight is the
+    product over the axes, axis 0 first.
+    """
+    coords = [np.asarray(xp, dtype=float)[..., 0], np.asarray(t, dtype=float)]
+    fracs = [np.clip((c - ax[0]) / (ax[1] - ax[0]), 0.0, len(ax) - 1)
+             for c, ax in zip(coords, grid.axes)]
+    i0 = [np.minimum(np.floor(f).astype(int), s - 2) for f, s in zip(fracs, grid.shape)]
+    w1 = [f - i for f, i in zip(fracs, i0)]
+    n = len(fracs)
+    out = 0.0
+    for corner in range(1 << n):
+        idx, w = [], 1.0
+        for k in range(n):
+            bit = (corner >> k) & 1
+            idx.append(i0[k] + bit)
+            w = w * (w1[k] if bit else (1.0 - w1[k]))
+        out = out + nodal[tuple(idx)] * np.asarray(w)[..., None]
+    return out
+
+
 def _csr_reference(ls):
     """K scattered entry by entry from the block table into a CSR matrix.
 
@@ -106,7 +129,7 @@ class TestTransform:
     def test_flat_strip_is_pure_vertical_scaling(self):
         eps = 0.25
         reg = flat_region(eps=eps)
-        grid = BoxGrid(2, 9, 9, 1.0)
+        grid = BoxGrid(9, 9, 1.0)
         tf = transform_operator(LAP, reg, grid)
         # with the Jacobian convention Atil = delta G A G^T:
         # tangential block delta * A = eps, vertical block A^nn / eps
@@ -116,7 +139,7 @@ class TestTransform:
 
     def test_constant_field_feels_only_the_zeroth_order_term(self):
         reg = curved_region(eps=0.2)
-        grid = BoxGrid(2, 17, 9, 1.0)
+        grid = BoxGrid(17, 9, 1.0)
         A0 = np.zeros((1, 1, 2, 2))
         A0[0, 0] = np.eye(2)
         D0 = np.array([[2.0]])
@@ -138,7 +161,7 @@ class TestTransform:
         # Laplace agree bit for bit, an x-dependent A along another
         # direction to round-off, and so do delta * G B and delta * G C
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        grid = BoxGrid(2, 33, 17, 1.0)
+        grid = BoxGrid(33, 17, 1.0)
         XP, T = grid.node_coords()
         XP = XP[..., :1, :]
         G, x = box_jacobian(reg, XP, T), reg.from_box(XP, T)
@@ -155,19 +178,17 @@ class TestTransform:
                 assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
     def test_grids_other_than_n2_are_refused(self):
-        grid = BoxGrid(3, 9, 5, 1.0)
+        # a grid has the axes (x1, t) alone, so an n = 3 region gets none
+        region3 = NarrowRegion(power_pair(2, 1.0, 0.0, 0.5), 0.05, 3)
         with pytest.raises(GeometryError, match="grids need n = 2"):
-            transform_operator(LAP, curved_region(), grid)
-        df = DiscreteField(grid, curved_region(), np.zeros((1,) + grid.shape))
-        with pytest.raises(GeometryError, match="grids need n = 2"):
-            df.gradient_nodes()
+            grid_for(region3, 9, 5)
 
     def test_ellipticity_inherited(self):
         # scalar case: the pulled-back form stays strictly positive definite;
         # the elasticity form keeps its PSD structure (it is only coercive on
         # the image of the symmetric cone, so 0 remains its exact floor)
         reg = curved_region(eps=1e-3, upper=1.0, lower=1.0)
-        grid = BoxGrid(2, 33, 9, 1.0)
+        grid = BoxGrid(33, 9, 1.0)
         tf = transform_operator(LAP, reg, grid)
         Qs = tf.Atil[..., 0, 0, :, :]
         ev = np.linalg.eigvalsh(0.5 * (Qs + np.swapaxes(Qs, -1, -2)))
@@ -187,7 +208,7 @@ class TestAssemble:
         # unit flat strip: the interior rows must be the classical 5-point
         # Laplacian with the two mesh widths
         reg = flat_region(eps=1.0)
-        grid = BoxGrid(2, 17, 17, 1.0)
+        grid = BoxGrid(17, 17, 1.0)
         tf = transform_operator(LAP, reg, grid)
         ls = assemble(tf)
         hy, ht = grid.spacing
@@ -216,7 +237,7 @@ class TestAssemble:
 
     def test_dirichlet_rows_carry_trace_values(self):
         reg = curved_region()
-        grid = BoxGrid(2, 9, 7, 1.0)
+        grid = BoxGrid(9, 7, 1.0)
         tr = BoundaryTraces(ConstantTrace([2.0]), ConstantTrace([-0.5]))
         af = build_ansatz(LAP, reg, tr)
         V = dirichlet_values(grid, reg, tr, "ansatz", af)
@@ -237,7 +258,7 @@ class TestAssemble:
                              B0=rng.normal(size=(2, 2, 2)),
                              C0=rng.normal(size=(2, 2, 2)), D0=rng.normal(size=(2, 2)))
         reg = flat_region(eps=1.0)
-        grid = BoxGrid(2, 9, 7, 1.0)
+        grid = BoxGrid(9, 7, 1.0)
         XP, T = grid.node_coords()
         x = reg.from_box(XP, T)                   # unit flat strip: x = (x', t)
         c, g, H = rng.normal(size=2), rng.normal(size=(2, 2)), rng.normal(size=(2, 2, 2))
@@ -253,9 +274,28 @@ class TestAssemble:
         err = np.abs(got[interior] - want[interior]).max()
         assert err <= 1e-12 * np.abs(want[interior]).max()
 
+    @pytest.mark.parametrize("closure", ["constant", "ansatz"])
+    def test_lateral_faces_and_trace_corners(self, closure):
+        # the faces x1 = +-1 carry the closure and t = 0, 1 the traces; the
+        # traces are written last, so the four corners take them.  The
+        # ansatz comes from other traces, so no lateral value equals a trace
+        reg = curved_region()
+        grid = BoxGrid(9, 7, 1.0)
+        XP, T = grid.node_coords()
+        tr = BoundaryTraces(ConstantTrace([2.0]), ConstantTrace([-0.5]))
+        af = build_ansatz(LAP, reg, BoundaryTraces(ConstantTrace([5.0]), ConstantTrace([7.0])))
+        V = dirichlet_values(grid, reg, tr, closure, af, lateral_value=[3.0])
+        sides = [0, -1]
+        lateral = (np.full((2, grid.shape[1], 1), 3.0) if closure == "constant"
+                   else af.value(XP[sides, :], T[sides, :]))
+        assert np.array_equal(V[sides, 1:-1], lateral[:, 1:-1])
+        assert np.array_equal(V[:, 0], np.full((grid.shape[0], 1), -0.5))
+        assert np.array_equal(V[:, -1], np.full((grid.shape[0], 1), 2.0))
+        assert not np.any(lateral[:, [0, -1]] == V[sides][:, [0, -1]])
+
     def test_lame_matrix_numerically_symmetric(self):
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        grid = BoxGrid(2, 33, 17, 1.0)
+        grid = BoxGrid(33, 17, 1.0)
         tf = transform_operator(LAME, reg, grid)
         ls = assemble(tf)
         assert _asymmetry(ls) <= 1e-12
@@ -269,7 +309,7 @@ class TestSolveLinear:
     @staticmethod
     def _system(nodes_y=17, nodes_t=17):
         reg = flat_region(eps=1.0)
-        grid = BoxGrid(2, nodes_y, nodes_t, 1.0)
+        grid = BoxGrid(nodes_y, nodes_t, 1.0)
         tf = transform_operator(LAP, reg, grid)
         rng = np.random.default_rng(0)
         V = rng.normal(size=grid.shape + (1,))
@@ -279,7 +319,7 @@ class TestSolveLinear:
     def test_identity_system(self):
         # identity Dirichlet rows and an identity stencil W[0] on the
         # interior: the free block's diagonal is positive, so banded LU
-        grid = BoxGrid(2, 10, 5, 1.0)
+        grid = BoxGrid(10, 5, 1.0)
         bmask = np.ones(grid.shape, bool)
         bmask[1:-1, 1:-1] = False
         W0 = np.ones((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
@@ -324,7 +364,7 @@ class TestSharedFactorization:
 
     def test_lame_matches_full_system_spsolve(self):
         reg = curved_region(eps=1e-3, upper=1.0, lower=0.5)
-        ls, rep = self._matches_spsolve(LAME, reg, BoxGrid(2, 65, 17, 1.0))
+        ls, rep = self._matches_spsolve(LAME, reg, BoxGrid(65, 17, 1.0))
         assert _asymmetry(ls) <= 1e-12 and not rep.reused
         assert rep.method == "pbtrf"
 
@@ -335,7 +375,7 @@ class TestSharedFactorization:
         tensor = make_custom(2, 1, A0, B0=np.array([[[3.0, -2.0]]]),
                              C0=np.array([[[1.0, 4.0]]]), lam=1.0)
         ls, rep = self._matches_spsolve(tensor, curved_region(eps=0.05),
-                                        BoxGrid(2, 33, 17, 1.0))
+                                        BoxGrid(33, 17, 1.0))
         assert _asymmetry(ls) > 1e-3 and rep.method == "gbtrf"
 
     def test_indefinite_symmetric_block_falls_back_to_banded_lu(self):
@@ -346,7 +386,7 @@ class TestSharedFactorization:
         A0[0, 0] = np.eye(2)
         tensor = make_custom(2, 1, A0, D0=np.array([[50.0]]), lam=1.0)
         ls, rep = self._matches_spsolve(tensor, flat_region(eps=1.0),
-                                        BoxGrid(2, 33, 17, 1.0))
+                                        BoxGrid(33, 17, 1.0))
         K = _csr_reference(ls).toarray()[~ls.dirichlet_mask][:, ~ls.dirichlet_mask]
         assert _asymmetry(ls) == 0.0 and np.all(np.diag(K) < 0)
         assert np.linalg.eigvalsh(K).max() > 0 and rep.method == "gbtrf"
@@ -359,7 +399,7 @@ class TestSharedFactorization:
             monkeypatch.setattr(discretize.lapack, routine,
                                 lambda *a, _f=lapack_fn, **k: calls.append(1) or _f(*a, **k))
         reg = curved_region(eps=0.01)
-        grid = BoxGrid(2, 33, 9, 1.0)
+        grid = BoxGrid(33, 9, 1.0)
         ls = assemble(transform_operator(LAME, reg, grid))
         rng = np.random.default_rng(8)
         for k in range(3):
@@ -410,7 +450,7 @@ class TestFreeBand:
         # tangential nodes one interior column is left, and the tangential
         # offsets couple it to Dirichlet nodes only
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(2, *nodes, 1.0)))
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(*nodes, 1.0)))
         bands = _captured_band(monkeypatch, ls)
         Kff = _free_block(ls)
         kd = int(np.abs(Kff.row - Kff.col).max())
@@ -429,7 +469,7 @@ class TestFreeBand:
         # fill = band storage / nnz(K_ff), nnz = nnz(K) with its Dirichlet
         # rows, both counted from the table against the reference CSR
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(2, 33, 9, 1.0)))
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(33, 9, 1.0)))
         b = np.random.default_rng(6).normal(size=ls.matrix.shape[0])
         _, rep = solve_linear(ls, b)
         Kff = _free_block(ls)
@@ -444,7 +484,7 @@ class TestFreeBand:
                              ids=["lame", "laplace", "bcd", "perturbed_bcd", "perturbed"])
     def test_stencil_symmetry_agrees_with_the_matrix(self, tensor):
         reg = curved_region(eps=0.05, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(2, 17, 9, 1.0)))
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(17, 9, 1.0)))
         Kff = _free_block(ls).tocsr()
         assert _FreeStencil(ls).symmetric() == ((Kff != Kff.T).nnz == 0)
 
@@ -467,7 +507,7 @@ class TestFreeBand:
         # entry belongs to K_fD instead.  Changing W[(-1, 0)] alone must be
         # caught although each mirror pair is tested from one side only.
         # The reference CSR is scattered from the changed table
-        grid = BoxGrid(2, 17, 9, 1.0)
+        grid = BoxGrid(17, 9, 1.0)
         ls = assemble(transform_operator(LAME, curved_region(eps=0.05), grid))
 
         def change(o, p, i, j):
@@ -504,7 +544,7 @@ class TestStencilOperator:
     @staticmethod
     def _system(tensor, nodes=(33, 9)):
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(2, *nodes, 1.0)))
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(*nodes, 1.0)))
         rng = np.random.default_rng(7)
         draw = ls.grid.shape + (ls.N,)
         return ls, right_hand_side(ls, rng.normal(size=draw), rng.normal(size=draw))
@@ -565,7 +605,7 @@ class TestStencilOperator:
         # a zero W[0] stops banded LU at gbtrf info 1; the failure is raised
         # on every solve, and neither the first nor a later one may keep
         # the system alive through a stored traceback
-        grid = BoxGrid(2, 10, 5, 1.0)
+        grid = BoxGrid(10, 5, 1.0)
         bmask = np.ones(grid.shape, bool)
         bmask[1:-1, 1:-1] = False
         W0 = np.zeros((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
@@ -595,7 +635,7 @@ class TestSolveBVP:
         # stencil kernel, reproduced to round-off
         reg = flat_region(eps=0.3)
         tr = BoundaryTraces(ConstantTrace([1.0]), ConstantTrace([0.0]))
-        grid = BoxGrid(2, 17, 9, 1.0)
+        grid = BoxGrid(17, 9, 1.0)
         df, rep = solve_bvp(LAP, reg, tr, grid)
         _, T = grid.node_coords()
         assert np.abs(df.values[0] - T).max() <= 1e-12
@@ -634,7 +674,7 @@ class TestSolveBVP:
     def test_discrete_maximum_principle_flat(self):
         reg = flat_region(eps=0.5)
         tr = BoundaryTraces(ConstantTrace([1.0]), ConstantTrace([-1.0]))
-        grid = BoxGrid(2, 17, 17, 1.0)
+        grid = BoxGrid(17, 17, 1.0)
         df, _ = solve_bvp(LAP, reg, tr, grid)
         assert df.values.min() >= -1 - 1e-12
         assert df.values.max() <= 1 + 1e-12
@@ -743,9 +783,33 @@ class TestRecoverGradient:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
+    def test_bilinear_sum_matches_the_corner_loop(self):
+        # a curved-region Lame solve, read at random interior points, at
+        # nodes and on all four edges: value and gradient keep the bits of
+        # the 2^n corner loop
+        reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
+        tr = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+        df, _ = solve_bvp(LAME, reg, tr, grid_for(reg, 33, 17))
+        x1, t = df.grid.axes
+        rng = np.random.default_rng(6)
+        k = 12
+        xs = np.concatenate([rng.uniform(-0.99, 0.99, 40), x1[rng.integers(0, len(x1), k)],
+                             np.full(k, x1[0]), np.full(k, x1[-1]),
+                             rng.uniform(-1.0, 1.0, 2 * k)])
+        ts = np.concatenate([rng.uniform(0.01, 0.99, 40), t[rng.integers(0, len(t), k)],
+                             rng.uniform(0.0, 1.0, 2 * k), np.repeat([0.0, 1.0], k)])
+        pts = (xs[:, None], ts)
+        nodal = np.moveaxis(df.values, 0, -1)
+        assert np.array_equal(df.value_at(*pts),
+                              corner_loop_interpolant(df.grid, nodal, *pts))
+        g = df.gradient_nodes()
+        nodal = np.moveaxis(g.reshape((-1,) + df.grid.shape), 0, -1)
+        want = corner_loop_interpolant(df.grid, nodal, *pts).reshape(-1, 2, 2)
+        assert np.array_equal(df.recover_gradient(*pts), want)
+
     def test_extrapolation_refused(self):
         reg = flat_region(eps=0.5)
-        grid = BoxGrid(2, 9, 9, 1.0)
+        grid = BoxGrid(9, 9, 1.0)
         XP, T = grid.node_coords()
         df = DiscreteField(grid, reg, T[None])
         with pytest.raises(GeometryError):
@@ -763,8 +827,5 @@ def test_l2_norm_against_exact_integral():
 
 
 def test_grid_refinement_and_guards():
-    g = BoxGrid(2, 33, 17, 1.0)
-    r = g.refined()
-    assert (r.tangential_nodes, r.vertical_nodes) == (65, 33)
     with pytest.raises(Exception):
-        BoxGrid(2, 2, 17, 1.0)
+        BoxGrid(2, 17, 1.0)
