@@ -13,28 +13,30 @@ x', the smoother
 keeps the boundary data untouched, and for each l the correction vector
 G_l in R^N solves
 
-    A^{nn}_{ij} g^j_l = (sum_{a<n} (A^{an}_{il} + A^{na}_{il}) d_a delta)
-                        * (phi^l - psi^l)(x').
+    A^{22}_{ij} g^j_l = (A^{12}_{il} + A^{21}_{il}) d_1 delta * (phi^l - psi^l)(x1).
 
-The vertical block A^{nn} is positive definite by hypothesis, so G_l is
+The vertical block A^{22} is positive definite by hypothesis, so G_l is
 unique.  The correction is exactly what cancels the delta^{-2} part of the
 residual of ubar under the full operator; without it the remainder of the
 gradient approximation picks up an extra negative power of the gap.
 
 For the isotropic elasticity tensor the solve collapses to closed forms
 
-    G_l = (lam+mu)/(lam+2mu) * (phi^l - psi^l) d_l delta * e_n     (l < n)
-    G_n = (lam+mu)/mu * (phi^n - psi^n) * sum_{l<n} d_l delta e_l,
+    G_1 = (lam+mu)/(lam+2mu) * (phi^1 - psi^1) * d_1 delta * e_2,
+    G_2 = (lam+mu)/mu * (phi^2 - psi^2) * d_1 delta * e_1,
 
 available as ``mode="lame_closed_form"``.
 
+The box evaluators are written for n = 2, with x' = x1 and the axes
+(x1, t); ``require_planar`` refuses any other n when a field is built.
+
 All derivatives here are analytic: the correction's first and second
 derivatives come from differentiating the linear system (one inverse of
-A^{nn} per point serves every order), never from finite differences, so
+A^{22} per point serves every order), never from finite differences, so
 convergence-rate measurements are not polluted by evaluation noise.  Each
 evaluation computes derivatives only to the order it needs.  When the
-tensor varies with x_n the system is evaluated at the mid-gap height
-x_n = h2 + delta/2.
+tensor varies with x2 the system is evaluated at the mid-gap height
+x2 = h2 + delta/2.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 from .coefficients import (CoefficientTensor, ConstructionError,
                            HypothesisViolationError, LameParameters,
                            estimate_c2_norms)
-from .geometry import NarrowRegion, _as_points
+from .geometry import NarrowRegion, _as_points, require_planar
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +228,13 @@ def theta(traces: BoundaryTraces, xp):
             + np.sqrt(np.sum(dg * dg, axis=(-2, -1))))
 
 
-def theta_component(traces: BoundaryTraces, xp, l: int):
-    """Single-component variant |phi^l - psi^l| + |grad(phi^l - psi^l)|."""
-    xp = np.asarray(xp, dtype=float)
-    dv = traces.diff_value(xp)[..., l]
-    dg = traces.diff_grad(xp)[..., l, :]
-    return np.abs(dv) + np.linalg.norm(dg, axis=-1)
-
-
 def theta_bar_delta(traces: BoundaryTraces, region: NarrowRegion, xp):
     """Elasticity gauge |phi - psi| delta^{1 - 2/m} + |grad(phi - psi)|.
 
     For m = 2 the exponent vanishes and this coincides with ``theta``; for
     m > 2 it is pointwise smaller whenever delta <= 1.
     """
-    xp = _as_points(xp, region.d)
+    xp = _as_points(xp, 1)
     dv = traces.diff_value(xp)
     dg = traces.diff_grad(xp)
     expo = 1.0 - 2.0 / region.profiles.m
@@ -253,135 +247,130 @@ def theta_bar_delta(traces: BoundaryTraces, region: NarrowRegion, xp):
 # ---------------------------------------------------------------------------
 #
 # Each correction vector factors as G_l = (phi^l - psi^l) Q_l, where the
-# kernel row Q_l solves  A^nn Q_l = sum_{c<n} (A^{cn} + A^{nc})_{:l} d_c delta
-# and depends on the tensor and the gap alone.  Quantities travel as lists
-# [f, df, d2f] cut at the order the caller needs; tangential derivative axes
-# come last.
+# kernel row Q_l solves  A^{22} Q_l = (A^{12} + A^{21})_{:l} d_1 delta
+# and depends on the tensor and the gap alone.  The tangential space is the
+# x1-axis, so every derivative is a plain x1-derivative: quantities travel as
+# lists [f, d_1 f, d_11 f] cut at the order the caller needs, each entry of
+# the shape of f.
 
-def _leibniz(spec, F, G, order):
-    """einsum(spec, f, g) and its derivatives up to ``order`` (product rule)."""
-    ins, out = spec.split("->")
-    f, g = ins.split(",")
-    res = [np.einsum(spec, F[0], G[0])]
+def _leibniz(mul, F, G, order):
+    """mul(f, g) and its x1-derivatives up to ``order`` (product rule)."""
+    res = [mul(F[0], G[0])]
     if order >= 1:
-        res.append(np.einsum(f"{f}y,{g}->{out}y", F[1], G[0])
-                   + np.einsum(f"{f},{g}y->{out}y", F[0], G[1]))
+        res.append(mul(F[1], G[0]) + mul(F[0], G[1]))
     if order >= 2:
-        res.append(np.einsum(f"{f}yz,{g}->{out}yz", F[2], G[0])
-                   + np.einsum(f"{f}y,{g}z->{out}yz", F[1], G[1])
-                   + np.einsum(f"{f}z,{g}y->{out}yz", F[1], G[1])
-                   + np.einsum(f"{f},{g}yz->{out}yz", F[0], G[2]))
+        cross = mul(F[1], G[1])
+        res.append(mul(F[2], G[0]) + cross + cross + mul(F[0], G[2]))
     return res
 
 
+def _x1_jet(trace, xp, order):
+    """[f, d_1 f, d_11 f] of a boundary trace, up to ``order``."""
+    out = [trace.value(xp)]
+    if order >= 1:
+        out.append(trace.grad(xp)[..., 0])
+    if order >= 2:
+        out.append(trace.hess(xp)[..., 0, 0])
+    return out
+
+
 def _gap_slopes(region, xp, order):
-    """[d delta, d2 delta, d3 delta]: d delta and its derivatives to ``order``."""
+    """[d_1 delta, d_11 delta, d_111 delta] up to ``order``, each of shape (...)."""
     fns = (region.delta_grad, region.delta_hess, region.delta_third)
-    return [fn(xp) for fn in fns[:order + 1]]
+    return [fn(xp).reshape(xp.shape[:-1]) for fn in fns[:order + 1]]
 
 
 def _midpoint_tensor_derivs(tensor, region, xp, order):
-    """[A, dA, d2A] up to ``order`` total tangential derivatives at mid-gap.
+    """[A, A', A''] up to ``order`` total x1-derivatives at mid-gap.
 
-    The evaluation height is x_n = h2(x') + delta(x')/2; the chain rule folds
-    the height's x'-dependence into the returned tangential derivatives.
+    The evaluation height is x2 = h2(x1) + delta(x1)/2, of slope
+    m' = h2' + delta'/2.  The chain rule folds it into the returned
+    x1-derivatives:  A' = A_{,1} + A_{,2} m'  and
+    A'' = A_{,11} + A_{,12} m' + A_{,21} m' + A_{,22} m' m' + A_{,2} m''.
     """
-    d, nn = region.d, region.n - 1
     x_mid = region.from_box(xp, np.full(xp.shape[:-1], 0.5))
     Av = tensor.A(x_mid)
     out = [Av]
     if order >= 1 and tensor.is_constant:
-        out += [np.zeros(Av.shape + (d,) * k) for k in range(1, order + 1)]
+        out += [np.zeros_like(Av) for _ in range(order)]
     elif order >= 1:
-        ms = region.profiles.h2.grad(xp) + 0.5 * region.delta_grad(xp)
+        # m' and m'' carry the tensor's four axes (i, j, a, b) as length 1
+        ms = (region.profiles.h2.grad(xp)
+              + 0.5 * region.delta_grad(xp))[..., 0, None, None, None, None]
         Ag = tensor.A_grad(x_mid)
-        out.append(Ag[..., :d]
-                   + np.einsum("...ijab,...g->...ijabg", Ag[..., nn], ms))
+        out.append(Ag[..., 0] + Ag[..., 1] * ms)
         if order >= 2:
-            m2s = region.profiles.h2.hess(xp) + 0.5 * region.delta_hess(xp)
+            m2s = (region.profiles.h2.hess(xp)
+                   + 0.5 * region.delta_hess(xp))[..., 0, 0, None, None, None, None]
             Ah = tensor.A_hess(x_mid)
-            out.append(Ah[..., :d, :d]
-                       + np.einsum("...ijabg,...h->...ijabgh", Ah[..., :d, nn], ms)
-                       + np.einsum("...ijabh,...g->...ijabgh", Ah[..., nn, :d], ms)
-                       + np.einsum("...ijab,...g,...h->...ijabgh",
-                                   Ah[..., nn, nn], ms, ms)
-                       + np.einsum("...ijab,...gh->...ijabgh", Ag[..., nn], m2s))
+            out.append(Ah[..., 0, 0] + Ah[..., 0, 1] * ms + Ah[..., 1, 0] * ms
+                       + Ah[..., 1, 1] * ms * ms + Ag[..., 1] * m2s)
     return out
 
 
 def _generic_kernel(tensor, region, xp, order):
     """Kernel rows Q[..., l, :] from the vertical-block solve, to ``order``.
 
-    Differentiating  M Q = s  gives  M dQ = ds - dM Q  and
-    M d2Q = d2s - dM_a dQ_b - dM_b dQ_a - d2M Q; one inverse of M per point
-    serves all three.  Raises HypothesisViolationError if M is singular.
+    Differentiating  M Q = s  gives  M Q' = s' - M' Q  and
+    M Q'' = s'' - 2 M' Q' - M'' Q; one inverse of M per point serves all
+    three.  Raises HypothesisViolationError if M is singular.
     """
-    d, nn = region.d, region.n - 1
     As = _midpoint_tensor_derivs(tensor, region, xp, order)
-    tails = [(slice(None),) * k for k in range(order + 1)]
-    M = [A[(Ellipsis, nn, nn) + t] for A, t in zip(As, tails)]
-    mixed = [A[(Ellipsis, slice(None, d), nn) + t]            # A^{cn} + A^{nc}
-             + A[(Ellipsis, nn, slice(None, d)) + t] for A, t in zip(As, tails)]
-    s = _leibniz("...ilc,...c->...il", mixed, _gap_slopes(region, xp, order), order)
+    M = [A[..., 1, 1] for A in As]
+    mixed = [A[..., 0, 1] + A[..., 1, 0] for A in As]           # A^{12} + A^{21}
+    s = _leibniz(lambda f, g: f * g[..., None, None], mixed,
+                 _gap_slopes(region, xp, order), order)
     try:
         Minv = np.linalg.inv(M[0])
     except np.linalg.LinAlgError as exc:
         raise HypothesisViolationError(
-            f"A^nn numerically singular at x' = {_worst_point(M[0], xp, d)}"
+            f"A^nn numerically singular at x' = {_worst_point(M[0], xp)}"
         ) from exc
-
-    def apply(X):
-        return (Minv @ X.reshape(Minv.shape[:-1] + (-1,))).reshape(X.shape)
 
     Q = [Minv @ s[0]]
     if order >= 1:
         rhs = s[1]
-        if not tensor.is_constant:                      # else dM = d2M = 0
-            rhs = rhs - np.einsum("...ija,...jl->...ila", M[1], Q[0])
-        Q.append(apply(rhs))
+        if not tensor.is_constant:                      # else M' = M'' = 0
+            rhs = rhs - np.einsum("...ij,...jl->...il", M[1], Q[0])
+        Q.append(Minv @ rhs)
     if order >= 2:
         rhs = s[2]
         if not tensor.is_constant:
-            rhs = rhs - (np.einsum("...ija,...jlb->...ilab", M[1], Q[1])
-                         + np.einsum("...ijb,...jla->...ilab", M[1], Q[1])
-                         + np.einsum("...ijab,...jl->...ilab", M[2], Q[0]))
-        Q.append(apply(rhs))
-    return [np.swapaxes(q, -2 - k, -1 - k) for k, q in enumerate(Q)]
+            dM_dQ = np.einsum("...ij,...jl->...il", M[1], Q[1])
+            rhs = rhs - (dM_dQ + dM_dQ + np.einsum("...ij,...jl->...il", M[2], Q[0]))
+        Q.append(Minv @ rhs)
+    return [np.swapaxes(q, -2, -1) for q in Q]
 
 
-def _worst_point(M, xp, d):
+def _worst_point(M, xp):
     """Tangential point whose vertical block is closest to singular."""
     det = np.abs(np.linalg.det(np.asarray(M).reshape(-1, *M.shape[-2:])))
     k = int(np.argmin(det))
-    return tuple(float(v) for v in np.asarray(xp).reshape(-1, d)[k])
+    return tuple(float(v) for v in np.asarray(xp).reshape(-1, 1)[k])
 
 
 def _lame_kernel(params, region, xp, order):
     """Closed-form kernel rows for the isotropic elasticity tensor:
 
-        Q_l = (lam+mu)/(lam+2mu) d_l delta e_n   (l < n),
-        Q_n = (lam+mu)/mu sum_{c<n} d_c delta e_c,
+        Q_1 = k_t d_1 delta e_2,  k_t = (lam+mu)/(lam+2mu),
+        Q_2 = k_n d_1 delta e_1,  k_n = (lam+mu)/mu,
 
-    linear in d delta, so each derivative order just differentiates it.
+    linear in d_1 delta, so each derivative order just differentiates it.
     """
-    d, n = region.d, region.n
-    coef = np.zeros((n, n, d))                     # coef[l, i, c]
-    for c in range(d):
-        coef[c, n - 1, c] = (params.lam + params.mu) / (params.lam + 2 * params.mu)
-        coef[n - 1, c, c] = (params.lam + params.mu) / params.mu
-    specs = ("lic,...c->...li", "lic,...ca->...lia", "lic,...cab->...liab")
-    return [np.einsum(spec, coef, D)
-            for spec, D in zip(specs, _gap_slopes(region, xp, order))]
+    k_t = (params.lam + params.mu) / (params.lam + 2 * params.mu)
+    k_n = (params.lam + params.mu) / params.mu
+    out = []
+    for D in _gap_slopes(region, xp, order):
+        Q = np.zeros(D.shape + (2, 2))                 # Q[..., l, i]
+        Q[..., 0, 1] = k_t * D
+        Q[..., 1, 0] = k_n * D
+        out.append(Q)
+    return out
 
 
-def _correction_rows(kernel, traces, xp, order, summed=False):
-    """G_l = (phi^l - psi^l) Q_l and its derivatives: rows l, to ``order``.
-
-    ``summed`` contracts the rows into S = sum_l G_l on the way.
-    """
-    diff = [traces.diff_value, traces.diff_grad, traces.diff_hess]
-    spec = "...l,...li->...i" if summed else "...l,...li->...li"
-    return _leibniz(spec, [f(xp) for f in diff[:order + 1]], kernel, order)
+def _correction_rows(kernel, traces, xp):
+    """Rows G_l = (phi^l - psi^l) Q_l at x', shape (..., N, N)."""
+    return traces.diff_value(xp)[..., None] * kernel[0]
 
 
 def correction_coeffs(tensor: CoefficientTensor, region: NarrowRegion,
@@ -391,18 +380,20 @@ def correction_coeffs(tensor: CoefficientTensor, region: NarrowRegion,
     Solves the N x N vertical-block system per l; raises
     HypothesisViolationError if that block is numerically singular.
     """
-    xp = _as_points(xp, region.d)
-    return _correction_rows(_generic_kernel(tensor, region, xp, 0), traces, xp, 0)[0]
+    require_planar(region.n)
+    xp = _as_points(xp, 1)
+    return _correction_rows(_generic_kernel(tensor, region, xp, 0), traces, xp)
 
 
 def lame_correction(params: LameParameters, region: NarrowRegion,
                     traces: BoundaryTraces, xp):
     """Closed-form correction rows for the isotropic elasticity tensor."""
-    params.validate(region.n)
-    if traces.N != region.n:
+    require_planar(region.n)
+    params.validate(2)
+    if traces.N != 2:
         raise ConstructionError("elasticity requires N == n traces")
-    xp = _as_points(xp, region.d)
-    return _correction_rows(_lame_kernel(params, region, xp, 0), traces, xp, 0)[0]
+    xp = _as_points(xp, 1)
+    return _correction_rows(_lame_kernel(params, region, xp, 0), traces, xp)
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +405,14 @@ MODES = ("generic", "lame_closed_form")
 
 @dataclass(frozen=True)
 class AnsatzField:
-    """Evaluation of ubar, its gradient/Hessian and its residual on the box.
+    """Evaluation of ubar, its gradient and its residual on the box.
 
-    Evaluators take box coordinates (x', t) that broadcast: a grid passed as
-    XP[..., :1, :] and T evaluates every x'-only factor once per column.
+    Evaluators take box coordinates (x1, t) that broadcast: a grid passed as
+    XP[..., :1, :] and T evaluates every x1-only factor once per column.
     Immutable and pure: sweep workers may share one instance per epsilon.
     ``include_correction=False`` drops the r(v) * sum G_l term and yields the
     plain two-point interpolant (the quantity the correction improves on).
+    The field is written for n = 2; construction refuses any other n.
     """
 
     region: NarrowRegion
@@ -431,6 +423,7 @@ class AnsatzField:
     lame: LameParameters | None = None
 
     def __post_init__(self):
+        require_planar(self.region.n)
         if self.mode not in MODES:
             raise ConstructionError(f"unknown ansatz mode {self.mode!r}")
         if self.mode == "lame_closed_form":
@@ -449,55 +442,57 @@ class AnsatzField:
             return _lame_kernel(self.lame, self.region, xp, order)
         return _generic_kernel(self.tensor, self.region, xp, order)
 
-    def correction_rows(self, xp, order: int = 0):
-        """[G, dG, d2G] up to ``order``: row l of G is G_l at x'."""
-        xp = _as_points(xp, self.region.d)
-        return _correction_rows(self._kernel(xp, order), self.traces, xp, order)
+    def _correction_sum(self, xp, diff, order):
+        """[S, S', S''] from ``diff``, the x1-jet of phi - psi at x'."""
+        if not self.include_correction:
+            return [np.zeros(xp.shape[:-1] + (self.N,)) for _ in range(order + 1)]
+        return _leibniz(lambda f, Q: np.einsum("...l,...li->...i", f, Q),
+                        diff, self._kernel(xp, order), order)
 
     def correction_sum(self, xp, order: int = 2):
-        """[S, dS, d2S] up to ``order`` with S = sum_l G_l; zeros when dropped."""
-        xp = _as_points(xp, self.region.d)
-        if not self.include_correction:
-            lead = xp.shape[:-1] + (self.N,)
-            return [np.zeros(lead + (self.region.d,) * k) for k in range(order + 1)]
-        return _correction_rows(self._kernel(xp, order), self.traces, xp, order,
-                                summed=True)
+        """[S, S', S''] up to ``order`` with S = sum_l G_l, each (..., N).
+
+        Zeros when the correction is dropped.
+        """
+        xp = _as_points(xp, 1)
+        diff = [p - q for p, q in zip(_x1_jet(self.traces.phi, xp, order),
+                                      _x1_jet(self.traces.psi, xp, order))]
+        return self._correction_sum(xp, diff, order)
 
     def _jet(self, xp, t, order):
-        """[ubar, grad ubar, Hessian] at (x', t) up to ``order``.
+        """[ubar, grad ubar, Hessian] at (x1, t) up to ``order``.
 
-        Shapes (..., N), (..., N, n), (..., N, n, n).  The traces and the
-        correction sum are evaluated once, at ``order``, for every entry.
+        Shapes (..., N), (..., N, 2), (..., N, 2, 2).  The traces and the
+        correction sum are read once, as x1-jets at ``order``, and so are the
+        t-factors t, r(t) and r'(t).
         """
         xp, t = self.region._box(xp, t)
-        fns = ("value", "grad", "hess")[:order + 1]
-        phi = [getattr(self.traces.phi, f)(xp) for f in fns]
-        psi = [getattr(self.traces.psi, f)(xp) for f in fns]
-        S = self.correction_sum(xp, order)
-        r, rp = smoother(t), smoother_prime(t)
-        out = [phi[0] * t[..., None] + psi[0] * (1 - t)[..., None] + r[..., None] * S[0]]
+        phi = _x1_jet(self.traces.phi, xp, order)
+        psi = _x1_jet(self.traces.psi, xp, order)
+        diff = [p - q for p, q in zip(phi, psi)]
+        S = self._correction_sum(xp, diff, order)
+        tv, sv = t[..., None], (1 - t)[..., None]
+        r, rp = smoother(t)[..., None], smoother_prime(t)[..., None]
+        out = [phi[0] * tv + psi[0] * sv + r * S[0]]
         if order == 0:
             return out
-        d, n = self.region.d, self.region.n
-        dv = self.region.vbar_grad(xp, t)                      # (..., n)
-        grad = np.zeros(dv.shape[:-1] + (self.N, n))
-        grad[..., :d] = (phi[1] * t[..., None, None] + psi[1] * (1 - t)[..., None, None]
-                         + r[..., None, None] * S[1])
-        coef = phi[0] - psi[0] + rp[..., None] * S[0]          # (..., N)
+        dv = self.region.vbar_grad(xp, t)                      # (..., 2)
+        grad = np.zeros(dv.shape[:-1] + (self.N, 2))
+        grad[..., 0] = phi[1] * tv + psi[1] * sv + r * S[1]
+        coef = diff[0] + rp * S[0]                             # (..., N)
         grad += coef[..., :, None] * dv[..., None, :]
         out.append(grad)
         if order == 1:
             return out
-        d2v = self.region.vbar_hess(xp, t)
-        hess = np.zeros(dv.shape[:-1] + (self.N, n, n))
-        # tangential-tangential block from the x'-dependent factors
-        hess[..., :d, :d] = (phi[2] * t[..., None, None, None]
-                             + psi[2] * (1 - t)[..., None, None, None]
-                             + r[..., None, None, None] * S[2])
-        # cross terms between x'-factors and v
-        fac = phi[1] - psi[1] + rp[..., None, None] * S[1]     # (..., N, d)
-        hess[..., :d, :] += fac[..., :, None] * dv[..., None, None, :]
-        hess[..., :, :d] += fac[..., None, :] * dv[..., None, :, None]
+        d2v = self.region.vbar_hess(xp, t, dv)
+        hess = np.zeros(dv.shape[:-1] + (self.N, 2, 2))
+        # x1-x1 entry from the x1-dependent factors
+        hess[..., 0, 0] = phi[2] * tv + psi[2] * sv + r * S[2]
+        # cross terms between x1-factors and v
+        fac = diff[1] + rp * S[1]                              # (..., N)
+        cross = fac[..., None] * dv[..., None, :]
+        hess[..., 0, :] += cross
+        hess[..., :, 0] += cross
         # terms from differentiating v twice / the smoother twice
         hess += coef[..., None, None] * d2v[..., None, :, :]
         hess += (SMOOTHER_SECOND * S[0])[..., None, None] * (dv[..., None, :, None]
@@ -506,31 +501,15 @@ class AnsatzField:
         return out
 
     def value(self, xp, t):
-        """ubar at the box points (x', t), shape (..., N)."""
+        """ubar at the box points (x1, t), shape (..., N)."""
         return self._jet(xp, t, 0)[0]
 
     def gradient(self, xp, t):
-        """Full spatial gradient at (x', t), shape (..., N, n)."""
+        """Full spatial gradient at (x1, t), shape (..., N, 2)."""
         return self._jet(xp, t, 1)[1]
 
-    def hessian(self, xp, t):
-        """Full spatial Hessian at (x', t), shape (..., N, n, n)."""
-        return self._jet(xp, t, 2)[2]
-
-    def component(self, l: int, xp, t):
-        """The l-th summand at (x', t): (phi^l v + psi^l (1 - v)) e_l + r(v) G_l."""
-        xp, t = self.region._box(xp, t)
-        phi = self.traces.phi.value(xp)[..., l]
-        psi = self.traces.psi.value(xp)[..., l]
-        out = np.zeros(np.broadcast_shapes(xp.shape[:-1], t.shape) + (self.N,))
-        out[..., l] = phi * t + psi * (1 - t)
-        if self.include_correction:
-            G, = self.correction_rows(xp)
-            out += smoother(t)[..., None] * G[..., l, :]
-        return out
-
     def residual(self, xp, t):
-        """f = L[ubar] at (x', t) with the full operator applied analytically."""
+        """f = L[ubar] at (x1, t) with the full operator applied analytically."""
         return apply_operator(self.tensor, self.region.from_box(xp, t),
                               *self._jet(xp, t, 2))
 

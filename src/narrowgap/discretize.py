@@ -46,7 +46,7 @@ from scipy.linalg import lapack
 
 from .ansatz import AnsatzField, BoundaryTraces, apply_operator
 from .coefficients import CoefficientTensor
-from .geometry import GeometryError, NarrowRegion
+from .geometry import GeometryError, NarrowRegion, require_planar
 
 
 class AssemblyError(RuntimeError):
@@ -102,17 +102,6 @@ class BoxGrid:
         """(XP, T) as full grid arrays: XP shape (*shape, 1), T shape (*shape)."""
         X1, T = np.meshgrid(*self.axes, indexing="ij")
         return X1[..., None], T
-
-
-def require_planar(n: int):
-    """Refuse n != 2 before a grid is built.
-
-    For n > 2 the corners of the box [-2R0, 2R0]^(n-1) leave the round patch
-    |x'| <= 2R0 on which the gap is defined, and sample grids grow with the
-    (n-1)-th power of the tangential node count.
-    """
-    if n != 2:
-        raise GeometryError(f"grids need n = 2, got n = {n}")
 
 
 def grid_for(region: NarrowRegion, tangential_nodes: int = 257,

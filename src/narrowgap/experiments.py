@@ -36,7 +36,7 @@ from . import ansatz as _ans
 from . import discretize as _disc
 from .coefficients import HypothesisViolationError, check_ann
 from .config import DECAY_EPS, DEFAULT_EPS, ConfigError, RunConfig
-from .geometry import GeometryError
+from .geometry import GeometryError, require_planar
 
 EPS_FIT_MAX = 1e-2          # default tail cut for bounded-remainder fits
 NOISE_FLOOR = 1e-12         # relative floor before a point counts as solver noise
@@ -384,11 +384,10 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     f = (YQ[:, 0] - ax[0]) / (ax[1] - ax[0])
     cols = slice(max(int(np.floor(f.min())) - 1, 0),
                  min(int(np.floor(f.max())) + 3, len(ax)))
-    XP, T = df.grid.node_coords()
-    XP, T = XP[cols], T[cols]
+    x1, t = df.grid.axes
     g = df.gradient_nodes()
     gw = np.zeros_like(g)
-    gw[:, :, cols] = g[:, :, cols] - np.moveaxis(ansatz.gradient(XP[..., :1, :], T),
+    gw[:, :, cols] = g[:, :, cols] - np.moveaxis(ansatz.gradient(x1[cols, None, None], t),
                                                  (-2, -1), (0, 1))
     carrier = _disc.DiscreteField(df.grid, region,
                                   gw.reshape((-1,) + df.grid.shape))
@@ -573,7 +572,7 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
     Refinement doubles the sampling density; maxima that move more than the
     Richardson tolerance are flagged sampling-limited.
     """
-    _disc.require_planar(cfg.geometry.n)
+    require_planar(cfg.geometry.n)
     eps_list = tuple(eps_list) if eps_list is not None else _eps_list(cfg)
     tensor, lame = cfg.build_tensor()
     traces = cfg.build_traces()

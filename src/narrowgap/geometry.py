@@ -36,6 +36,18 @@ class EvaluationError(RuntimeError):
     """A profile produced a non-finite value."""
 
 
+def require_planar(n: int):
+    """Refuse n != 2 before a grid or an ansatz is built.
+
+    For n > 2 the corners of the box [-2R0, 2R0]^(n-1) leave the round patch
+    |x'| <= 2R0 on which the gap is defined, and sample grids grow with the
+    (n-1)-th power of the tangential node count.  The ansatz is written for
+    the axes (x1, t) alone.
+    """
+    if n != 2:
+        raise GeometryError(f"grids need n = 2, got n = {n}")
+
+
 def _as_points(xp, d):
     xp = np.asarray(xp, dtype=float)
     if xp.ndim == 0:
@@ -415,14 +427,14 @@ class NarrowRegion:
         out[..., -1] = 1.0 / dlt
         return out
 
-    def vbar_hess(self, xp, t):
+    def vbar_hess(self, xp, t, dv):
         """Second derivatives of v at (x', t), shape (..., n, n).
 
         With D = (grad delta, 0):  d2 v = -(H + dv D^T + D dv^T) / delta,
         where H is d2 h2 + t d2 delta in the tangential block and 0 elsewhere.
+        ``dv`` is ``vbar_grad(xp, t)``, which every caller already holds.
         """
         xp, t = self._box(xp, t)
-        dv = self.vbar_grad(xp, t)
         D = np.zeros(xp.shape[:-1] + (self.n,))
         D[..., :-1] = self.delta_grad(xp)
         out = -(dv[..., :, None] * D[..., None, :] + D[..., :, None] * dv[..., None, :])

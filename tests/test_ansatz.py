@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narrowgap.ansatz import (BoundaryTraces, ConstantTrace, MonomialTrace,
-                              PolyTrace, build_ansatz, correction_coeffs,
+from narrowgap.ansatz import (SMOOTHER_SECOND, AnsatzField, BoundaryTraces,
+                              ConstantTrace, MonomialTrace, PolyTrace,
+                              apply_operator, build_ansatz, correction_coeffs,
                               lame_correction, smoother, smoother_prime, theta,
-                              theta_bar_delta, theta_component, zero_trace)
+                              theta_bar_delta, zero_trace)
 from narrowgap.coefficients import (ConstructionError, LameParameters,
                                     MultiPoly, make_lame, make_laplace,
                                     make_perturbed)
-from narrowgap.geometry import FLAT, NarrowRegion, ProfilePair, power_pair
+from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion, ProfilePair,
+                                power_pair)
 
 
 def region(m=2, upper=1.0, lower=0.0, eps=0.01, R0=0.5):
@@ -138,12 +140,6 @@ class TestGauges:
         tr = BoundaryTraces(MonomialTrace(2, 0, 1), zero_trace(2))
         assert theta(tr, np.zeros((1, 1)))[0] == pytest.approx(1.0)
 
-    def test_component_variant(self):
-        tr = BoundaryTraces(ConstantTrace([3.0, 4.0]), zero_trace(2))
-        xp = np.zeros((1, 1))
-        assert theta_component(tr, xp, 0)[0] == pytest.approx(3.0)
-        assert theta_component(tr, xp, 1)[0] == pytest.approx(4.0)
-
     def test_thetabar_smaller_for_m4(self):
         tr = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
         r = region(m=4, eps=1e-3)
@@ -193,16 +189,6 @@ class TestAnsatzField:
         with pytest.raises(ConstructionError):
             build_ansatz(make_laplace(2, 2), region(), E1_GAP,
                          "lame_closed_form", lame=LameParameters(1.0, 1.0))
-
-    def test_component_decomposition_sums_to_field(self):
-        r = region(eps=0.02)
-        tr = BoundaryTraces(PolyTrace([[1.0, 0.3], [0.5]]),
-                            PolyTrace([[0.2], [0.1, -0.4]]))
-        af = build_ansatz(LAME, r, tr)
-        rng = np.random.default_rng(1)
-        x = (rng.uniform(-0.9, 0.9, (50, 1)), rng.uniform(0, 1, 50))
-        total = sum(af.component(l, *x) for l in range(2))
-        assert np.abs(total - af.value(*x)).max() <= 1e-14
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
@@ -331,3 +317,201 @@ class TestResidual:
             unc.append((np.linalg.norm(af0.residual(xp, t), axis=-1) * dlt ** 2 / th).max())
         assert max(corr) <= 12.0                  # bounded, eps-uniform
         assert min(unc) >= 1.0                    # bounded below away from zero
+
+
+class TestPlanarRefusal:
+    @pytest.mark.parametrize("evaluator", ["AnsatzField", "correction_coeffs",
+                                           "lame_correction"])
+    def test_three_dimensional_regions_are_refused(self, evaluator):
+        # the evaluators are written for (x1, t): an n = 3 region must be
+        # refused with the reason, not met with a reshape error
+        region3 = NarrowRegion(power_pair(2, 1.0, 0.0, 0.5), 0.05, 3)
+        params = LameParameters(1.0, 1.0)
+        tensor = make_lame(params, 3)
+        tr = BoundaryTraces(ConstantTrace([1.0, 0.0, 0.0]), zero_trace(3))
+        xp = np.zeros((1, 2))
+        calls = {"AnsatzField": lambda: AnsatzField(region3, tensor, tr),
+                 "correction_coeffs": lambda: correction_coeffs(tensor, region3, tr, xp),
+                 "lame_correction": lambda: lame_correction(params, region3, tr, xp)}
+        with pytest.raises(GeometryError, match="grids need n = 2, got n = 3"):
+            calls[evaluator]()
+
+
+# ---------------------------------------------------------------------------
+# n-general reference for the planar evaluators
+# ---------------------------------------------------------------------------
+#
+# The jet as it was written for any n: tangential derivative axes of length
+# d = n - 1 travel with every factor and the product and chain rules are
+# einsums over them.  At n = 2 the planar evaluators must reproduce it bit
+# for bit.
+
+def ref_leibniz(spec, F, G, order):
+    ins, out = spec.split("->")
+    f, g = ins.split(",")
+    res = [np.einsum(spec, F[0], G[0])]
+    if order >= 1:
+        res.append(np.einsum(f"{f}y,{g}->{out}y", F[1], G[0])
+                   + np.einsum(f"{f},{g}y->{out}y", F[0], G[1]))
+    if order >= 2:
+        res.append(np.einsum(f"{f}yz,{g}->{out}yz", F[2], G[0])
+                   + np.einsum(f"{f}y,{g}z->{out}yz", F[1], G[1])
+                   + np.einsum(f"{f}z,{g}y->{out}yz", F[1], G[1])
+                   + np.einsum(f"{f},{g}yz->{out}yz", F[0], G[2]))
+    return res
+
+
+def ref_gap_slopes(region, xp, order):
+    fns = (region.delta_grad, region.delta_hess, region.delta_third)
+    return [fn(xp) for fn in fns[:order + 1]]
+
+
+def ref_midpoint_tensor_derivs(tensor, region, xp, order):
+    d, nn = region.d, region.n - 1
+    x_mid = region.from_box(xp, np.full(xp.shape[:-1], 0.5))
+    Av = tensor.A(x_mid)
+    out = [Av]
+    if order >= 1 and tensor.is_constant:
+        out += [np.zeros(Av.shape + (d,) * k) for k in range(1, order + 1)]
+    elif order >= 1:
+        ms = region.profiles.h2.grad(xp) + 0.5 * region.delta_grad(xp)
+        Ag = tensor.A_grad(x_mid)
+        out.append(Ag[..., :d]
+                   + np.einsum("...ijab,...g->...ijabg", Ag[..., nn], ms))
+        if order >= 2:
+            m2s = region.profiles.h2.hess(xp) + 0.5 * region.delta_hess(xp)
+            Ah = tensor.A_hess(x_mid)
+            out.append(Ah[..., :d, :d]
+                       + np.einsum("...ijabg,...h->...ijabgh", Ah[..., :d, nn], ms)
+                       + np.einsum("...ijabh,...g->...ijabgh", Ah[..., nn, :d], ms)
+                       + np.einsum("...ijab,...g,...h->...ijabgh",
+                                   Ah[..., nn, nn], ms, ms)
+                       + np.einsum("...ijab,...gh->...ijabgh", Ag[..., nn], m2s))
+    return out
+
+
+def ref_generic_kernel(tensor, region, xp, order):
+    d, nn = region.d, region.n - 1
+    As = ref_midpoint_tensor_derivs(tensor, region, xp, order)
+    tails = [(slice(None),) * k for k in range(order + 1)]
+    M = [A[(Ellipsis, nn, nn) + t] for A, t in zip(As, tails)]
+    mixed = [A[(Ellipsis, slice(None, d), nn) + t]
+             + A[(Ellipsis, nn, slice(None, d)) + t] for A, t in zip(As, tails)]
+    s = ref_leibniz("...ilc,...c->...il", mixed, ref_gap_slopes(region, xp, order), order)
+    Minv = np.linalg.inv(M[0])
+
+    def apply(X):
+        return (Minv @ X.reshape(Minv.shape[:-1] + (-1,))).reshape(X.shape)
+
+    Q = [Minv @ s[0]]
+    if order >= 1:
+        rhs = s[1]
+        if not tensor.is_constant:
+            rhs = rhs - np.einsum("...ija,...jl->...ila", M[1], Q[0])
+        Q.append(apply(rhs))
+    if order >= 2:
+        rhs = s[2]
+        if not tensor.is_constant:
+            rhs = rhs - (np.einsum("...ija,...jlb->...ilab", M[1], Q[1])
+                         + np.einsum("...ijb,...jla->...ilab", M[1], Q[1])
+                         + np.einsum("...ijab,...jl->...ilab", M[2], Q[0]))
+        Q.append(apply(rhs))
+    return [np.swapaxes(q, -2 - k, -1 - k) for k, q in enumerate(Q)]
+
+
+def ref_lame_kernel(params, region, xp, order):
+    d, n = region.d, region.n
+    coef = np.zeros((n, n, d))                     # coef[l, i, c]
+    for c in range(d):
+        coef[c, n - 1, c] = (params.lam + params.mu) / (params.lam + 2 * params.mu)
+        coef[n - 1, c, c] = (params.lam + params.mu) / params.mu
+    specs = ("lic,...c->...li", "lic,...ca->...lia", "lic,...cab->...liab")
+    return [np.einsum(spec, coef, D)
+            for spec, D in zip(specs, ref_gap_slopes(region, xp, order))]
+
+
+def ref_correction_sum(af, xp, order):
+    if not af.include_correction:
+        lead = xp.shape[:-1] + (af.N,)
+        return [np.zeros(lead + (af.region.d,) * k) for k in range(order + 1)]
+    if af.mode == "lame_closed_form":
+        kernel = ref_lame_kernel(af.lame, af.region, xp, order)
+    else:
+        kernel = ref_generic_kernel(af.tensor, af.region, xp, order)
+    diff = [af.traces.diff_value, af.traces.diff_grad, af.traces.diff_hess]
+    return ref_leibniz("...l,...li->...i", [f(xp) for f in diff[:order + 1]],
+                       kernel, order)
+
+
+def ref_jet(af, xp, t, order):
+    """[ubar, grad ubar, Hessian] with d tangential derivative axes."""
+    region = af.region
+    xp, t = region._box(xp, t)
+    fns = ("value", "grad", "hess")[:order + 1]
+    phi = [getattr(af.traces.phi, f)(xp) for f in fns]
+    psi = [getattr(af.traces.psi, f)(xp) for f in fns]
+    S = ref_correction_sum(af, xp, order)
+    r, rp = smoother(t), smoother_prime(t)
+    out = [phi[0] * t[..., None] + psi[0] * (1 - t)[..., None] + r[..., None] * S[0]]
+    if order == 0:
+        return out
+    d, n = region.d, region.n
+    dv = region.vbar_grad(xp, t)
+    grad = np.zeros(dv.shape[:-1] + (af.N, n))
+    grad[..., :d] = (phi[1] * t[..., None, None] + psi[1] * (1 - t)[..., None, None]
+                     + r[..., None, None] * S[1])
+    coef = phi[0] - psi[0] + rp[..., None] * S[0]
+    grad += coef[..., :, None] * dv[..., None, :]
+    out.append(grad)
+    if order == 1:
+        return out
+    d2v = region.vbar_hess(xp, t, dv)
+    hess = np.zeros(dv.shape[:-1] + (af.N, n, n))
+    hess[..., :d, :d] = (phi[2] * t[..., None, None, None]
+                         + psi[2] * (1 - t)[..., None, None, None]
+                         + r[..., None, None, None] * S[2])
+    fac = phi[1] - psi[1] + rp[..., None, None] * S[1]
+    hess[..., :d, :] += fac[..., :, None] * dv[..., None, None, :]
+    hess[..., :, :d] += fac[..., None, :] * dv[..., None, :, None]
+    hess += coef[..., None, None] * d2v[..., None, :, :]
+    hess += (SMOOTHER_SECOND * S[0])[..., None, None] * (dv[..., None, :, None]
+                                                         * dv[..., None, None, :])
+    out.append(hess)
+    return out
+
+
+# A(x) = A0 + 0.1 p(x) T with an x2^2 term in p: PERTURBED is linear in x2,
+# so its A_{,22} m' m' chain-rule term vanishes and could be dropped unseen
+PERTURBED_X2SQ = make_perturbed(LAME, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)),
+                                                 (0.3, (1, 1)), (0.4, (0, 2))]), 0.1,
+                                direction=make_lame(LameParameters(2.0, 0.5), 2).A0)
+
+
+class TestPlanarJetReference:
+    @pytest.mark.parametrize("include_correction", [True, False],
+                             ids=["corrected", "uncorrected"])
+    @pytest.mark.parametrize("tensor, mode", [
+        pytest.param(LAME, "generic", id="lame_generic"),
+        pytest.param(LAME, "lame_closed_form", id="lame_closed_form"),
+        pytest.param(make_laplace(2, 1), "generic", id="laplace"),
+        pytest.param(PERTURBED_X2SQ, "generic", id="perturbed_x2_squared")])
+    def test_value_gradient_residual_match_bit_for_bit(self, tensor, mode,
+                                                       include_correction):
+        # h2 has a slope, so the mid-gap height moves and every chain-rule
+        # term of the perturbed tensor is live
+        r = region(m=2, upper=1.0, lower=0.5, eps=5e-3)
+        phi = [[1.0, 0.2, -0.1, 0.3], [0.5, 0.4, 0.2]]
+        psi = [[0.0, -0.3, 0.1], [0.1, 0.0, -0.2]]
+        tr = BoundaryTraces(PolyTrace(phi[:tensor.N]), PolyTrace(psi[:tensor.N]))
+        af = build_ansatz(tensor, r, tr, mode, include_correction,
+                          lame=LameParameters(1.0, 1.0))
+        X1, T = np.meshgrid(np.linspace(-0.9, 0.9, 17), np.linspace(0.0, 1.0, 9),
+                            indexing="ij")
+        rng = np.random.default_rng(5)
+        points = {"columns": (X1[..., None][..., :1, :], T),
+                  "scattered": (rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0, 1, 200))}
+        for where, (xp, t) in points.items():
+            assert np.array_equal(af.value(xp, t), ref_jet(af, xp, t, 0)[0]), where
+            assert np.array_equal(af.gradient(xp, t), ref_jet(af, xp, t, 1)[1]), where
+            want = apply_operator(tensor, r.from_box(xp, t), *ref_jet(af, xp, t, 2))
+            assert np.array_equal(af.residual(xp, t), want), where

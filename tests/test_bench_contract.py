@@ -31,14 +31,15 @@ print(json.dumps({
 }))
 """
 
-# one eps on a 17x9 grid: the thm11 and energy fits have too few points to
-# pass, but the sweep solves on the base and the Richardson grid
+# one eps on a 17x9 grid: the thm11, energy and residual fits have too few
+# points to pass, but the sweep solves on the base and the Richardson grid,
+# and the residual check samples the ansatz residual
 TINY = {
     "geometry": {"m": 2, "R0": 0.5},
     "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
     "traces": {"family": "constant", "phi": [1.0, 0.0], "psi": [0.0, 0.0]},
     "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
-    "experiment": {"checks": ["thm11", "energy"], "eps_list": [0.01]},
+    "experiment": {"checks": ["thm11", "energy", "residual"], "eps_list": [0.01]},
 }
 
 
@@ -53,12 +54,13 @@ def test_bench_layers_trace_a_tiny_run(tmp_path):
                  "discretize.solve_bvp", "discretize.solve_linear",
                  "discretize.dirichlet_values", "discretize.gradient_nodes",
                  "experiments.bundle", "experiments.statistic",
-                 "experiments.local_energy"):
+                 "experiments.local_energy", "ansatz.build_ansatz", "ansatz.value",
+                 "ansatz.gradient", "ansatz.residual"):
         assert name in out["spans"], name
     assert out["metrics"]["discretize.unknowns_total"] > 0
-    # the pull-back and gradient recovery times read 0 if the program
-    # computes either around the wrapped names
+    # the pull-back, gradient recovery and ansatz times read 0 if the program
+    # computes any of them around the wrapped names
     for metric in ("discretize.solve_s", "discretize.transform_s", "discretize.gradient_s",
-                   "experiments.energy_s"):
+                   "experiments.energy_s", "ansatz.gradient_s", "ansatz.residual_s"):
         assert out["metrics"][metric] > 0, metric
     assert out["lapack"] == [True, True]

@@ -146,7 +146,8 @@ class TestVbar:
     def test_hessian_matches_finite_differences(self):
         r = region(m=2, upper=1.0, lower=0.3, eps=0.05)
         x = r.from_box(np.array([[0.2]]), np.array([0.4]))[0]
-        H = r.vbar_hess(*r.to_box(x[None]))[0]
+        box = r.to_box(x[None])
+        H = r.vbar_hess(*box, r.vbar_grad(*box))[0]
         h = 1e-6
         for a in range(2):
             da = np.zeros(2)
