@@ -205,9 +205,6 @@ class BoundaryTraces:
     def diff_grad(self, xp):
         return self.phi.grad(xp) - self.psi.grad(xp)
 
-    def diff_hess(self, xp):
-        return self.phi.hess(xp) - self.psi.hess(xp)
-
     def c2_total(self, radius, dim=1, samples=201):
         """‖phi‖_C2 + ‖psi‖_C2 sampled on the tangential patch of given radius."""
         lo, hi = [-radius] * dim, [radius] * dim
@@ -462,9 +459,11 @@ class AnsatzField:
     def _jet(self, xp, t, order):
         """[ubar, grad ubar, Hessian] at (x1, t) up to ``order``.
 
-        Shapes (..., N), (..., N, 2), (..., N, 2, 2).  The traces and the
-        correction sum are read once, as x1-jets at ``order``, and so are the
-        t-factors t, r(t) and r'(t).
+        Shapes (..., N), (..., N, 2), (..., N, 2, 2).  The traces, the
+        correction sum, delta and h2 are read once per column, as x1-jets at
+        ``order``, and the t-factors t, r(t) and r'(t) once.  Each entry is
+        written from them with grad v = (dv0, dv1) = (-(h2' + t delta'), 1)
+        / delta; the x1-only factors are never spread over t.
         """
         xp, t = self.region._box(xp, t)
         phi = _x1_jet(self.traces.phi, xp, order)
@@ -476,27 +475,28 @@ class AnsatzField:
         out = [phi[0] * tv + psi[0] * sv + r * S[0]]
         if order == 0:
             return out
-        dv = self.region.vbar_grad(xp, t)                      # (..., 2)
-        grad = np.zeros(dv.shape[:-1] + (self.N, 2))
-        grad[..., 0] = phi[1] * tv + psi[1] * sv + r * S[1]
+        h2 = self.region.profiles.h2
+        dlt = self.region.delta(xp)[..., None]                 # (..., 1)
+        D = [s[..., None] for s in _gap_slopes(self.region, xp, order - 1)]
+        dv0 = -(h2.grad(xp)[..., 0, None] + tv * D[0]) / dlt
+        dv1 = 1.0 / dlt
         coef = diff[0] + rp * S[0]                             # (..., N)
-        grad += coef[..., :, None] * dv[..., None, :]
+        grad = np.empty(coef.shape + (2,))
+        grad[..., 0] = phi[1] * tv + psi[1] * sv + r * S[1] + coef * dv0
+        grad[..., 1] = coef * dv1
         out.append(grad)
         if order == 1:
             return out
-        d2v = self.region.vbar_hess(xp, t, dv)
-        hess = np.zeros(dv.shape[:-1] + (self.N, 2, 2))
-        # x1-x1 entry from the x1-dependent factors
-        hess[..., 0, 0] = phi[2] * tv + psi[2] * sv + r * S[2]
-        # cross terms between x1-factors and v
+        d2h = h2.hess(xp)[..., 0, 0, None] + tv * D[1]
+        d2v00 = (-(dv0 * D[0] + D[0] * dv0) - d2h) / dlt
+        d2v01 = -(D[0] * dv1) / dlt                            # d2v11 = 0
         fac = diff[1] + rp * S[1]                              # (..., N)
-        cross = fac[..., None] * dv[..., None, :]
-        hess[..., 0, :] += cross
-        hess[..., :, 0] += cross
-        # terms from differentiating v twice / the smoother twice
-        hess += coef[..., None, None] * d2v[..., None, :, :]
-        hess += (SMOOTHER_SECOND * S[0])[..., None, None] * (dv[..., None, :, None]
-                                                             * dv[..., None, None, :])
+        rpp = SMOOTHER_SECOND * S[0]
+        hess = np.empty(coef.shape + (2, 2))
+        hess[..., 0, 0] = (phi[2] * tv + psi[2] * sv + r * S[2] + fac * dv0 + fac * dv0
+                           + coef * d2v00 + rpp * (dv0 * dv0))
+        hess[..., 0, 1] = hess[..., 1, 0] = fac * dv1 + coef * d2v01 + rpp * (dv0 * dv1)
+        hess[..., 1, 1] = rpp * (dv1 * dv1)
         out.append(hess)
         return out
 

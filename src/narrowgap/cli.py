@@ -5,7 +5,7 @@ samples), solve (single boundary-value solve), one per check in
 ``experiments.CHECKS`` (thm11, remark13, decay, cor41, residual, energy),
 and all (every check named in the configuration).  Checks run together
 share their sweeps: each distinct (tensor, geometry, eps, grid) matrix is
-factored once and every check and case solves against it.
+factored once, and each distinct check config solves against it once.
 
 Every run writes to the output directory:
   config_echo.json   the parsed configuration with defaults filled
@@ -14,9 +14,10 @@ Every run writes to the output directory:
   fits.json          fit summaries as structured records
   report.txt         human-readable report with a digest manifest
   runlog.jsonl       solve events (check, case, eps, grid, assemble_s,
-                     factor_s, solve_s, stats_s, reused, residual, fill) and
-                     check events with wall-clock timings; an ABORTED check
-                     names its error
+                     factor_s, solve_s, stats_s, reused, residual, fill; a
+                     check that read another's solve has zero solve times
+                     and names it in shared_with) and check events with
+                     wall-clock timings; an ABORTED check names its error
 
 report.txt and the CSV/JSON artifacts are byte-reproducible for a given
 configuration and package version; runlog.jsonl carries the timings and is

@@ -543,6 +543,7 @@ class DiscreteField:
             g = self.mapped_gradient()
             g[:, 0] += g[:, 1] * dv[..., 0]                     # d_1 u + d_t u d1 v
             g[:, 1] *= dv[..., 1]                               # d_t u d2 v
+            g.flags.writeable = False                           # shared by every reader
             self._grad_cache = g
         return self._grad_cache
 

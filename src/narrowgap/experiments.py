@@ -9,8 +9,8 @@ and compare against the predicted band.
 A check declares its sweeps as SweepRequests and judges its own results.
 The matrix depends only on tensor, geometry, eps and grid, so checks run
 together (``run_checks``) share one sweep per matrix: its outer loop is
-(eps, grid), the operator is factored once per point, and every check and
-case solves its own right-hand side against that factorization.
+(eps, grid), the operator is factored once per point, and each distinct
+request config solves its right-hand side once against that factorization.
 
 The bounded-remainder checks fit the asymptotic tail of the sweep (default
 eps <= 1e-2) rather than the full window: the remainder approaches its O(1)
@@ -207,8 +207,11 @@ class SolveBundle:
         self._cache = {}
 
     def _get(self, key, fn):
+        """fn() once; its arrays are made read-only, as requests share the bundle."""
         if key not in self._cache:
-            self._cache[key] = fn()
+            value = self._cache[key] = fn()
+            for a in value if isinstance(value, tuple) else (value,):
+                np.asarray(a).flags.writeable = False      # a float gives a throwaway copy
         return self._cache[key]
 
     @property
@@ -414,6 +417,7 @@ class SweepRequest:
     eps_list: tuple
     case: str = ""
     richardson: bool = True
+    check: str = ""             # the check that planned it, for the runlog
 
     def __post_init__(self):
         for s in self.stats:
@@ -445,10 +449,10 @@ def run_sweeps(requests) -> list:
 
     Requests that share a matrix key share one sweep whose outer loop is
     (eps, grid): at each point the operator is transformed, assembled and
-    factored once, every request there solves its own right-hand side
-    against that factorization, and the factorization is freed before the
-    next point.  Eps points run on ``experiment.threads`` workers, one live
-    factorization each.
+    factored once, each distinct config there solves its right-hand side
+    against that factorization once for all its requests, and the
+    factorization is freed before the next point.  Eps points run on
+    ``experiment.threads`` workers, one live factorization each.
     """
     outcomes = [SweepOutcome() for _ in requests]
     groups = {}
@@ -468,30 +472,48 @@ def _sweep_group(reqs, outs):
     workers = threading.local()
 
     def run_point(eps):
-        """Request index -> [values, refined values, events, seconds] or error."""
+        """Request index -> [values, refined values, events, seconds] or error.
+
+        Requests with equal configs read one SolveBundle per grid; the first
+        solves, and the others log a shared solve naming its check and case.
+        """
         if not hasattr(workers, "live"):
             workers.live = LiveOperator()
         found = {}
         for grid_nodes in (nodes, refined):
+            groups = {}
             for i, req in enumerate(reqs):
-                if (eps not in req.eps_list or isinstance(found.get(i), Exception)
-                        or (grid_nodes == refined and not req.richardson)):
-                    continue
+                if (eps in req.eps_list and not isinstance(found.get(i), Exception)
+                        and (grid_nodes == nodes or req.richardson)):
+                    groups.setdefault(req.cfg, []).append(i)
+            for members in groups.values():
+                solver = reqs[members[0]]
                 t0 = time.perf_counter()
                 try:
-                    b = SolveBundle(req.cfg, eps, grid_nodes, workers.live)
-                    t1 = time.perf_counter()
-                    vals = {s: STATISTICS[s](b) for s in req.stats}
-                except Exception as exc:     # the request fails, not the sweep
-                    found[i] = exc
+                    b = SolveBundle(solver.cfg, eps, grid_nodes, workers.live)
+                except Exception as exc:     # its requests fail, not the sweep
+                    found.update(dict.fromkeys(members, exc))
                     continue
-                t2 = time.perf_counter()
-                slot = found.setdefault(i, [vals, {}, [], 0.0])
-                if grid_nodes == refined:
-                    slot[1] = vals
-                slot[2].append({"case": req.case, "eps": eps, **b.report.record(),
-                                "assemble_s": b.assemble_s, "stats_s": t2 - t1})
-                slot[3] += t2 - t0
+                solved = {**b.report.record(), "assemble_s": b.assemble_s}
+                shared = {**solved, "reused": True, "elapsed": 0.0, "factor_s": 0.0,
+                          "solve_s": 0.0, "assemble_s": 0.0,
+                          "shared_with": "/".join(filter(None, (solver.check, solver.case)))}
+                for i in members:
+                    t1 = time.perf_counter()
+                    try:
+                        vals = {s: STATISTICS[s](b) for s in reqs[i].stats}
+                    except Exception as exc:
+                        found[i] = exc
+                        continue
+                    t2 = time.perf_counter()
+                    slot = found.setdefault(i, [vals, {}, [], 0.0])
+                    if grid_nodes == refined:
+                        slot[1] = vals
+                    slot[2].append({"case": reqs[i].case, "eps": eps, **solved,
+                                    "stats_s": t2 - t1})
+                    slot[3] += t2 - t0
+                    solved, t0 = shared, t2          # the rest read this solve
+                del b                        # before the next bundle is built
         return found
 
     threads = max(1, cfg.experiment.threads)
@@ -671,8 +693,9 @@ def _run(checks, cfg):
         except Exception as exc:
             plan = exc
         plans.append((plan, time.perf_counter() - t0))
-    outcomes = iter(run_sweeps([r for plan, _ in plans if isinstance(plan, list)
-                                for r in plan]))
+    outcomes = iter(run_sweeps([replace(r, check=check.name)
+                                for check, (plan, _) in zip(checks, plans)
+                                if isinstance(plan, list) for r in plan]))
     out = []
     for check, (plan, plan_s) in zip(checks, plans):
         if not isinstance(plan, list):

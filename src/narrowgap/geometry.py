@@ -427,21 +427,6 @@ class NarrowRegion:
         out[..., -1] = 1.0 / dlt
         return out
 
-    def vbar_hess(self, xp, t, dv):
-        """Second derivatives of v at (x', t), shape (..., n, n).
-
-        With D = (grad delta, 0):  d2 v = -(H + dv D^T + D dv^T) / delta,
-        where H is d2 h2 + t d2 delta in the tangential block and 0 elsewhere.
-        ``dv`` is ``vbar_grad(xp, t)``, which every caller already holds.
-        """
-        xp, t = self._box(xp, t)
-        D = np.zeros(xp.shape[:-1] + (self.n,))
-        D[..., :-1] = self.delta_grad(xp)
-        out = -(dv[..., :, None] * D[..., None, :] + D[..., :, None] * dv[..., None, :])
-        out[..., :-1, :-1] -= (self.profiles.h2.hess(xp)
-                               + t[..., None, None] * self.delta_hess(xp))
-        return out / self.delta(xp)[..., None, None]
-
     # -- box map ------------------------------------------------------------
 
     def to_box(self, x):

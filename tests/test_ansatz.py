@@ -430,6 +430,26 @@ def ref_lame_kernel(params, region, xp, order):
             for spec, D in zip(specs, ref_gap_slopes(region, xp, order))]
 
 
+def ref_diff_hess(traces, xp):
+    return traces.phi.hess(xp) - traces.psi.hess(xp)
+
+
+def ref_vbar_hess(region, xp, t, dv):
+    """Second derivatives of v at (x', t), shape (..., n, n).
+
+    With D = (grad delta, 0):  d2 v = -(H + dv D^T + D dv^T) / delta,
+    where H is d2 h2 + t d2 delta in the tangential block and 0 elsewhere;
+    ``dv`` is ``region.vbar_grad(xp, t)``.
+    """
+    xp, t = region._box(xp, t)
+    D = np.zeros(xp.shape[:-1] + (region.n,))
+    D[..., :-1] = region.delta_grad(xp)
+    out = -(dv[..., :, None] * D[..., None, :] + D[..., :, None] * dv[..., None, :])
+    out[..., :-1, :-1] -= (region.profiles.h2.hess(xp)
+                           + t[..., None, None] * region.delta_hess(xp))
+    return out / region.delta(xp)[..., None, None]
+
+
 def ref_correction_sum(af, xp, order):
     if not af.include_correction:
         lead = xp.shape[:-1] + (af.N,)
@@ -438,7 +458,8 @@ def ref_correction_sum(af, xp, order):
         kernel = ref_lame_kernel(af.lame, af.region, xp, order)
     else:
         kernel = ref_generic_kernel(af.tensor, af.region, xp, order)
-    diff = [af.traces.diff_value, af.traces.diff_grad, af.traces.diff_hess]
+    diff = [af.traces.diff_value, af.traces.diff_grad,
+            lambda x: ref_diff_hess(af.traces, x)]
     return ref_leibniz("...l,...li->...i", [f(xp) for f in diff[:order + 1]],
                        kernel, order)
 
@@ -465,7 +486,7 @@ def ref_jet(af, xp, t, order):
     out.append(grad)
     if order == 1:
         return out
-    d2v = region.vbar_hess(xp, t, dv)
+    d2v = ref_vbar_hess(region, xp, t, dv)
     hess = np.zeros(dv.shape[:-1] + (af.N, n, n))
     hess[..., :d, :d] = (phi[2] * t[..., None, None, None]
                          + psi[2] * (1 - t)[..., None, None, None]

@@ -238,6 +238,20 @@ def test_solve_events_name_their_sweep_point(tmp_path):
     assert all(e["assemble_s"] > 0 for e in solves if not e["reused"])
     assert all(e["stats_s"] > 0 for e in solves)
     assert all(e["method"] == "pbtrf" for e in solves)      # every solve is Lame
+    # thm11, cor41 and energy ask for the same solve: one of them solves at
+    # each point and the other two name it, with no solve time of their own
+    for point in points:
+        trio = [e for e in solves if (e["eps"], e["grid"]) == point
+                and e["check"] in ("thm11", "cor41", "energy")]
+        solved = [e for e in trio if e["solve_s"] > 0]
+        assert len(trio) == 3 and len(solved) == 1
+        assert "shared_with" not in solved[0]
+        for e in trio:
+            if e is not solved[0]:
+                assert e["shared_with"] == solved[0]["check"] and e["reused"]
+                assert e["elapsed"] == e["solve_s"] == e["factor_s"] == 0.0
+    assert not any("shared_with" in e for e in solves
+                   if e["check"] in ("remark13", "decay"))
 
 
 def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Sweeps, rate fits, windowed energy, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,9 @@ from narrowgap.ansatz import BoundaryTraces, ConstantTrace, build_ansatz, zero_t
 from narrowgap.coefficients import LameParameters, make_lame
 from narrowgap.config import config_from_dict
 from narrowgap.discretize import DiscreteField, grid_for, solve_bvp
-from narrowgap.experiments import (DataError, SweepPoint, SweepResult,
-                                   check_theorem_1_3, fit_rate, local_energy,
-                                   residual_sweep, sweep)
+from narrowgap.experiments import (STATISTICS, DataError, LiveOperator, SolveBundle,
+                                   SweepPoint, SweepResult, check_theorem_1_3,
+                                   fit_rate, local_energy, residual_sweep, sweep)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
 
 
@@ -165,6 +167,61 @@ def test_checks_share_one_factorization_per_point(tmp_path, monkeypatch):
         alone = {p.name: p.read_bytes() for p in (tmp_path / check).glob("*.csv")}
         assert alone and alone == {k: v for k, v in together.items()
                                    if k.startswith(check + "_")}
+
+
+def test_equal_configs_share_one_solve_and_change_nothing(tmp_path, monkeypatch):
+    # thm11, cor41 and energy plan the same config: together they make one
+    # solve per (eps, grid) and write what each writes alone
+    from narrowgap import discretize
+    from narrowgap.cli import run
+
+    eps = [0.1, 0.05, 0.02, 0.01]
+    cfg = small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
+                    experiment={"eps_list": eps, "richardson_tol": 0.99})
+    systems = {}
+    solve_linear = discretize.solve_linear
+
+    def counted(ls, *args, **kwargs):
+        systems.setdefault(id(ls), [ls, 0])[1] += 1      # ls kept: ids stay unique
+        return solve_linear(ls, *args, **kwargs)
+
+    monkeypatch.setattr(discretize, "solve_linear", counted)
+    run(cfg, "all", outdir=tmp_path / "all")
+    # {thm11, cor41, energy}, three remark13 cases and decay; residual solves nothing
+    assert sorted(n for _, n in systems.values()) == [5] * (2 * len(eps))
+    monkeypatch.setattr(discretize, "solve_linear", solve_linear)
+
+    def outputs(name, check):
+        fits = json.loads((tmp_path / name / "fits.json").read_text())[check]
+        csvs = {p.name: p.read_text().splitlines()
+                for p in (tmp_path / name).glob(check + "_*.csv")}
+        return fits, csvs
+
+    for check in ("thm11", "cor41", "energy"):
+        run(cfg, check, outdir=tmp_path / check)
+        fits, csvs = outputs(check, check)
+        assert set(fits) - {"status", "details"} and csvs      # fitted, not ABORTED
+        assert (fits, csvs) == outputs("all", check)
+
+
+def test_cached_arrays_are_read_only(monkeypatch):
+    # one bundle serves every request of its config, so a statistic that
+    # wrote into a cached array would change the next request's numbers
+    cfg = small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9})
+    b = SolveBundle(cfg, 0.01, (17, 9), LiveOperator())
+    cached = {"XP": b.coords[0], "T": b.coords[1], "inner": b.inner,
+              "grad_num": b.grad_num, "gradient_nodes": b.field.gradient_nodes(),
+              **{f"{name}_{c}": getattr(b, name)(c) for c in (True, False)
+                 for name in ("grad_ansatz", "remainder_inner")}}
+    assert not [name for name, a in cached.items() if a.flags.writeable]
+
+    def writes(bundle):
+        bundle.grad_num[..., 0, 0] = 0.0
+        return 1.0
+
+    monkeypatch.setitem(STATISTICS, "sup_grad", writes)
+    with pytest.raises(ValueError, match="read-only"):
+        sweep(cfg, ["sup_grad"], eps_list=[0.01], richardson=False)
 
 
 class TestResidualSweep:
