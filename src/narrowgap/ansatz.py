@@ -205,9 +205,9 @@ class BoundaryTraces:
     def diff_grad(self, xp):
         return self.phi.grad(xp) - self.psi.grad(xp)
 
-    def c2_total(self, radius, dim=1, samples=201):
-        """‖phi‖_C2 + ‖psi‖_C2 sampled on the tangential patch of given radius."""
-        lo, hi = [-radius] * dim, [radius] * dim
+    def c2_total(self, radius, samples=201):
+        """‖phi‖_C2 + ‖psi‖_C2 sampled on the tangential interval of given radius."""
+        lo, hi = [-radius], [radius]
         return (estimate_c2_norms(self.phi, lo, hi, samples=samples)
                 + estimate_c2_norms(self.psi, lo, hi, samples=samples))
 
@@ -407,8 +407,9 @@ class AnsatzField:
     Evaluators take box coordinates (x1, t) that broadcast: a grid passed as
     XP[..., :1, :] and T evaluates every x1-only factor once per column.
     Immutable and pure: sweep workers may share one instance per epsilon.
-    ``include_correction=False`` drops the r(v) * sum G_l term and yields the
-    plain two-point interpolant (the quantity the correction improves on).
+    ``corrected=False`` on ``gradient`` and ``residual`` drops the
+    r(v) * sum G_l term and yields the plain two-point interpolant (the
+    quantity the correction improves on) without building the correction.
     The field is written for n = 2; construction refuses any other n.
     """
 
@@ -416,7 +417,6 @@ class AnsatzField:
     tensor: CoefficientTensor
     traces: BoundaryTraces
     mode: str = "generic"
-    include_correction: bool = True
     lame: LameParameters | None = None
 
     def __post_init__(self):
@@ -441,35 +441,32 @@ class AnsatzField:
 
     def _correction_sum(self, xp, diff, order):
         """[S, S', S''] from ``diff``, the x1-jet of phi - psi at x'."""
-        if not self.include_correction:
-            return [np.zeros(xp.shape[:-1] + (self.N,)) for _ in range(order + 1)]
         return _leibniz(lambda f, Q: np.einsum("...l,...li->...i", f, Q),
                         diff, self._kernel(xp, order), order)
 
     def correction_sum(self, xp, order: int = 2):
-        """[S, S', S''] up to ``order`` with S = sum_l G_l, each (..., N).
-
-        Zeros when the correction is dropped.
-        """
+        """[S, S', S''] up to ``order`` with S = sum_l G_l, each (..., N)."""
         xp = _as_points(xp, 1)
         diff = [p - q for p, q in zip(_x1_jet(self.traces.phi, xp, order),
                                       _x1_jet(self.traces.psi, xp, order))]
         return self._correction_sum(xp, diff, order)
 
-    def _jet(self, xp, t, order):
+    def _jet(self, xp, t, order, corrected=True):
         """[ubar, grad ubar, Hessian] at (x1, t) up to ``order``.
 
         Shapes (..., N), (..., N, 2), (..., N, 2, 2).  The traces, the
         correction sum, delta and h2 are read once per column, as x1-jets at
         ``order``, and the t-factors t, r(t) and r'(t) once.  Each entry is
         written from them with grad v = (dv0, dv1) = (-(h2' + t delta'), 1)
-        / delta; the x1-only factors are never spread over t.
+        / delta; the x1-only factors are never spread over t.  With
+        ``corrected=False``, S is the scalar 0.0: no kernel is built, and
+        each r(v) * S term adds a zero to what the same formula gives.
         """
         xp, t = self.region._box(xp, t)
         phi = _x1_jet(self.traces.phi, xp, order)
         psi = _x1_jet(self.traces.psi, xp, order)
         diff = [p - q for p, q in zip(phi, psi)]
-        S = self._correction_sum(xp, diff, order)
+        S = self._correction_sum(xp, diff, order) if corrected else [0.0] * (order + 1)
         tv, sv = t[..., None], (1 - t)[..., None]
         r, rp = smoother(t)[..., None], smoother_prime(t)[..., None]
         out = [phi[0] * tv + psi[0] * sv + r * S[0]]
@@ -504,23 +501,20 @@ class AnsatzField:
         """ubar at the box points (x1, t), shape (..., N)."""
         return self._jet(xp, t, 0)[0]
 
-    def gradient(self, xp, t):
+    def gradient(self, xp, t, corrected=True):
         """Full spatial gradient at (x1, t), shape (..., N, 2)."""
-        return self._jet(xp, t, 1)[1]
+        return self._jet(xp, t, 1, corrected)[1]
 
-    def residual(self, xp, t):
+    def residual(self, xp, t, corrected=True):
         """f = L[ubar] at (x1, t) with the full operator applied analytically."""
         return apply_operator(self.tensor, self.region.from_box(xp, t),
-                              *self._jet(xp, t, 2))
+                              *self._jet(xp, t, 2, corrected))
 
 
 def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,
                  traces: BoundaryTraces, mode: str = "generic",
-                 include_correction: bool = True,
                  lame: LameParameters | None = None) -> AnsatzField:
-    if mode == "lame_closed_form" and lame is None and tensor.kind == "lame":
-        raise ConstructionError("pass the LameParameters used to build the tensor")
-    return AnsatzField(region, tensor, traces, mode, include_correction, lame)
+    return AnsatzField(region, tensor, traces, mode, lame)
 
 
 # ---------------------------------------------------------------------------

@@ -191,12 +191,8 @@ class SolveBundle:
         self.region = cfg.geometry.build_region(eps)
         self.tensor, self.lame = cfg.build_tensor()
         self.traces = cfg.build_traces()
-        mode = cfg.solver.ansatz_mode
         self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces,
-                                        mode, lame=self.lame)
-        self.ansatz_unc = _ans.build_ansatz(self.tensor, self.region, self.traces,
-                                            mode, include_correction=False,
-                                            lame=self.lame)
+                                        cfg.solver.ansatz_mode, lame=self.lame)
         self.grid = _disc.grid_for(self.region, *nodes)
         system, self.assemble_s = live.at(eps, self.tensor, self.region, self.grid)
         self.field, self.report = _disc.solve_bvp(
@@ -237,8 +233,7 @@ class SolveBundle:
 
         def make():
             XP, T = self.coords
-            af = self.ansatz if corrected else self.ansatz_unc
-            return af.gradient(XP[..., :1, :], T)
+            return self.ansatz.gradient(XP[..., :1, :], T, corrected)
         return self._get(key, make)
 
     def remainder_inner(self, corrected=True):
@@ -251,8 +246,7 @@ class SolveBundle:
 
     @property
     def c2_norms(self):
-        return self._get("c2n", lambda: self.traces.c2_total(
-            2 * self.region.R0, dim=self.region.d))
+        return self._get("c2n", lambda: self.traces.c2_total(2 * self.region.R0))
 
     def at_inner(self, column_values):
         """Per-column values (..., 1) spread over the inner nodes."""
@@ -598,20 +592,16 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
     eps_list = tuple(eps_list) if eps_list is not None else _eps_list(cfg)
     tensor, lame = cfg.build_tensor()
     traces = cfg.build_traces()
-    mode = cfg.solver.ansatz_mode
+    c2n = traces.c2_total(2 * cfg.geometry.R0)
 
-    def measure(eps, ns):
-        region = cfg.geometry.build_region(eps)
-        af = _ans.build_ansatz(tensor, region, traces, mode, lame=lame)
-        af0 = _ans.build_ansatz(tensor, region, traces, mode,
-                                include_correction=False, lame=lame)
+    def measure(af, ns):
+        region = af.region
         xq = np.linspace(-region.R0, region.R0, ns[0] + 2)[1:-1, None, None]  # x1 columns
         ts = np.linspace(0.0, 1.0, ns[1] + 2)[1:-1]
         dlt = region.delta(xq)
         th = _ans.theta(traces, xq)
-        c2n = traces.c2_total(2 * region.R0, dim=region.d)
         f = np.linalg.norm(af.residual(xq, ts), axis=-1)
-        f0 = np.linalg.norm(af0.residual(xq, ts), axis=-1)
+        f0 = np.linalg.norm(af.residual(xq, ts, corrected=False), axis=-1)
         corr = float((f * dlt / (th + dlt * c2n)).max())
         unc = float((f0 * dlt ** 2 / np.maximum(th, 1e-300)).max())
         return corr, unc
@@ -622,8 +612,10 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
     pts = {"residual_normalized": [], "residual_uncorrected": []}
     fine = tuple(2 * s + 1 for s in samples)
     for eps in eps_list:
-        base = measure(eps, samples)
-        ref = measure(eps, fine)
+        af = _ans.build_ansatz(tensor, cfg.geometry.build_region(eps), traces,
+                               cfg.solver.ansatz_mode, lame=lame)
+        base = measure(af, samples)
+        ref = measure(af, fine)
         for name, v, rv in (("residual_normalized", base[0], ref[0]),
                             ("residual_uncorrected", base[1], ref[1])):
             rel = abs(rv - v) / max(abs(v), abs(rv), 1e-300)

@@ -10,9 +10,9 @@ from narrowgap.ansatz import (SMOOTHER_SECOND, AnsatzField, BoundaryTraces,
                               apply_operator, build_ansatz, correction_coeffs,
                               lame_correction, smoother, smoother_prime, theta,
                               theta_bar_delta, zero_trace)
-from narrowgap.coefficients import (ConstructionError, LameParameters,
-                                    MultiPoly, make_lame, make_laplace,
-                                    make_perturbed)
+from narrowgap.coefficients import (ConstructionError, HypothesisViolationError,
+                                    LameParameters, MultiPoly, make_custom,
+                                    make_lame, make_laplace, make_perturbed)
 from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion, ProfilePair,
                                 power_pair)
 
@@ -189,6 +189,9 @@ class TestAnsatzField:
         with pytest.raises(ConstructionError):
             build_ansatz(make_laplace(2, 2), region(), E1_GAP,
                          "lame_closed_form", lame=LameParameters(1.0, 1.0))
+        # a Lame tensor passed without the parameters it was built from
+        with pytest.raises(ConstructionError):
+            build_ansatz(LAME, region(), E1_GAP, "lame_closed_form", lame=None)
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
@@ -242,13 +245,24 @@ class TestGradAnsatz:
         # what survives is the bounded r(v) dS term driven by the curvature
         r = region(m=2, upper=1.0, lower=1.0, eps=0.01)
         af = build_ansatz(LAME, r, E1_GAP)
-        af0 = build_ansatz(LAME, r, E1_GAP, include_correction=False)
         x = (np.zeros((1, 1)), np.array([0.37]))
         S, dS, _ = af.correction_sum(np.zeros((1, 1)))
         assert np.abs(S).max() <= 1e-15
-        diff = af.gradient(*x) - af0.gradient(*x)
+        diff = af.gradient(*x) - af.gradient(*x, corrected=False)
         assert np.abs(diff[0, :, 1]).max() <= 1e-14       # vertical slot clean
         assert np.abs(diff).max() <= 4.0                  # leftover is bounded
+
+    def test_uncorrected_gradient_builds_no_correction(self):
+        # a singular A^nn makes the correction kernel raise; the plain
+        # interpolant never reaches it and matches the Laplacian's bit for bit
+        r = region(m=2, upper=1.0, lower=0.5, eps=5e-3)
+        tr = BoundaryTraces(PolyTrace([[1.0, 0.2, -0.1]]), PolyTrace([[0.0, -0.3]]))
+        singular = build_ansatz(make_custom(2, 1, [[[[1.0, 0.0], [0.0, 0.0]]]]), r, tr)
+        x = (np.linspace(-0.9, 0.9, 17)[:, None, None], np.linspace(0.0, 1.0, 9))
+        with pytest.raises(HypothesisViolationError):
+            singular.gradient(*x)
+        want = build_ansatz(make_laplace(2, 1), r, tr).gradient(*x, corrected=False)
+        assert np.array_equal(singular.gradient(*x, corrected=False), want)
 
     def test_degenerate_equal_traces_stay_bounded(self):
         # phi == psi independent of x_n: ubar = phi and grad is eps-uniform
@@ -308,13 +322,13 @@ class TestResidual:
         for eps in (1e-2, 1e-3, 1e-4):
             r = region(eps=eps)
             af = build_ansatz(LAME, r, tr)
-            af0 = build_ansatz(LAME, r, tr, include_correction=False)
             xp = np.linspace(-0.45, 0.45, 151)[:, None]
             t = np.full(151, 0.35)
             dlt = r.delta(xp)
             th = theta(tr, xp)
             corr.append((np.linalg.norm(af.residual(xp, t), axis=-1) * dlt / th).max())
-            unc.append((np.linalg.norm(af0.residual(xp, t), axis=-1) * dlt ** 2 / th).max())
+            f0 = np.linalg.norm(af.residual(xp, t, corrected=False), axis=-1)
+            unc.append((f0 * dlt ** 2 / th).max())
         assert max(corr) <= 12.0                  # bounded, eps-uniform
         assert min(unc) >= 1.0                    # bounded below away from zero
 
@@ -450,8 +464,8 @@ def ref_vbar_hess(region, xp, t, dv):
     return out / region.delta(xp)[..., None, None]
 
 
-def ref_correction_sum(af, xp, order):
-    if not af.include_correction:
+def ref_correction_sum(af, xp, order, corrected):
+    if not corrected:
         lead = xp.shape[:-1] + (af.N,)
         return [np.zeros(lead + (af.region.d,) * k) for k in range(order + 1)]
     if af.mode == "lame_closed_form":
@@ -464,14 +478,14 @@ def ref_correction_sum(af, xp, order):
                        kernel, order)
 
 
-def ref_jet(af, xp, t, order):
+def ref_jet(af, xp, t, order, corrected=True):
     """[ubar, grad ubar, Hessian] with d tangential derivative axes."""
     region = af.region
     xp, t = region._box(xp, t)
     fns = ("value", "grad", "hess")[:order + 1]
     phi = [getattr(af.traces.phi, f)(xp) for f in fns]
     psi = [getattr(af.traces.psi, f)(xp) for f in fns]
-    S = ref_correction_sum(af, xp, order)
+    S = ref_correction_sum(af, xp, order, corrected)
     r, rp = smoother(t), smoother_prime(t)
     out = [phi[0] * t[..., None] + psi[0] * (1 - t)[..., None] + r[..., None] * S[0]]
     if order == 0:
@@ -509,30 +523,30 @@ PERTURBED_X2SQ = make_perturbed(LAME, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)),
 
 
 class TestPlanarJetReference:
-    @pytest.mark.parametrize("include_correction", [True, False],
+    @pytest.mark.parametrize("corrected", [True, False],
                              ids=["corrected", "uncorrected"])
     @pytest.mark.parametrize("tensor, mode", [
         pytest.param(LAME, "generic", id="lame_generic"),
         pytest.param(LAME, "lame_closed_form", id="lame_closed_form"),
         pytest.param(make_laplace(2, 1), "generic", id="laplace"),
         pytest.param(PERTURBED_X2SQ, "generic", id="perturbed_x2_squared")])
-    def test_value_gradient_residual_match_bit_for_bit(self, tensor, mode,
-                                                       include_correction):
+    def test_value_gradient_residual_match_bit_for_bit(self, tensor, mode, corrected):
         # h2 has a slope, so the mid-gap height moves and every chain-rule
         # term of the perturbed tensor is live
         r = region(m=2, upper=1.0, lower=0.5, eps=5e-3)
         phi = [[1.0, 0.2, -0.1, 0.3], [0.5, 0.4, 0.2]]
         psi = [[0.0, -0.3, 0.1], [0.1, 0.0, -0.2]]
         tr = BoundaryTraces(PolyTrace(phi[:tensor.N]), PolyTrace(psi[:tensor.N]))
-        af = build_ansatz(tensor, r, tr, mode, include_correction,
-                          lame=LameParameters(1.0, 1.0))
+        af = build_ansatz(tensor, r, tr, mode, lame=LameParameters(1.0, 1.0))
         X1, T = np.meshgrid(np.linspace(-0.9, 0.9, 17), np.linspace(0.0, 1.0, 9),
                             indexing="ij")
         rng = np.random.default_rng(5)
         points = {"columns": (X1[..., None][..., :1, :], T),
                   "scattered": (rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0, 1, 200))}
         for where, (xp, t) in points.items():
-            assert np.array_equal(af.value(xp, t), ref_jet(af, xp, t, 0)[0]), where
-            assert np.array_equal(af.gradient(xp, t), ref_jet(af, xp, t, 1)[1]), where
-            want = apply_operator(tensor, r.from_box(xp, t), *ref_jet(af, xp, t, 2))
-            assert np.array_equal(af.residual(xp, t), want), where
+            if corrected:                   # the plain interpolant has no value evaluator
+                assert np.array_equal(af.value(xp, t), ref_jet(af, xp, t, 0)[0]), where
+            assert np.array_equal(af.gradient(xp, t, corrected),
+                                  ref_jet(af, xp, t, 1, corrected)[1]), where
+            want = apply_operator(tensor, r.from_box(xp, t), *ref_jet(af, xp, t, 2, corrected))
+            assert np.array_equal(af.residual(xp, t, corrected), want), where

@@ -58,6 +58,9 @@ def test_bench_layers_trace_a_tiny_run(tmp_path):
                  "ansatz.gradient", "ansatz.residual"):
         assert name in out["spans"], name
     assert out["metrics"]["discretize.unknowns_total"] > 0
+    # one ansatz field per solve bundle (base and Richardson grid) and one per
+    # eps for the residual check: a second field per point would read 6
+    assert out["metrics"]["ansatz.build_calls"] == 3
     # the pull-back, gradient recovery and ansatz times read 0 if the program
     # computes any of them around the wrapped names
     for metric in ("discretize.solve_s", "discretize.transform_s", "discretize.gradient_s",
