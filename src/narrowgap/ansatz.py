@@ -458,44 +458,51 @@ class AnsatzField:
         correction sum, delta and h2 are read once per column, as x1-jets at
         ``order``, and the t-factors t, r(t) and r'(t) once.  Each entry is
         written from them with grad v = (dv0, dv1) = (-(h2' + t delta'), 1)
-        / delta; the x1-only factors are never spread over t.  With
-        ``corrected=False``, S is the scalar 0.0: no kernel is built, and
-        each r(v) * S term adds a zero to what the same formula gives.
+        / delta; the x1-only factors are never spread over t.  Entries are
+        written one component k at a time, so every product of a column
+        factor and a t-factor runs over t rather than over the N components.
+        With ``corrected=False``, S is the scalar 0.0: no kernel is built,
+        and each r(v) * S term adds a zero to what the same formula gives.
         """
         xp, t = self.region._box(xp, t)
         phi = _x1_jet(self.traces.phi, xp, order)
         psi = _x1_jet(self.traces.psi, xp, order)
         diff = [p - q for p, q in zip(phi, psi)]
-        S = self._correction_sum(xp, diff, order) if corrected else [0.0] * (order + 1)
-        tv, sv = t[..., None], (1 - t)[..., None]
-        r, rp = smoother(t)[..., None], smoother_prime(t)[..., None]
-        out = [phi[0] * tv + psi[0] * sv + r * S[0]]
-        if order == 0:
-            return out
-        h2 = self.region.profiles.h2
-        dlt = self.region.delta(xp)[..., None]                 # (..., 1)
-        D = [s[..., None] for s in _gap_slopes(self.region, xp, order - 1)]
-        dv0 = -(h2.grad(xp)[..., 0, None] + tv * D[0]) / dlt
-        dv1 = 1.0 / dlt
-        coef = diff[0] + rp * S[0]                             # (..., N)
-        grad = np.empty(coef.shape + (2,))
-        grad[..., 0] = phi[1] * tv + psi[1] * sv + r * S[1] + coef * dv0
-        grad[..., 1] = coef * dv1
-        out.append(grad)
-        if order == 1:
-            return out
-        d2h = h2.hess(xp)[..., 0, 0, None] + tv * D[1]
-        d2v00 = (-(dv0 * D[0] + D[0] * dv0) - d2h) / dlt
-        d2v01 = -(D[0] * dv1) / dlt                            # d2v11 = 0
-        fac = diff[1] + rp * S[1]                              # (..., N)
-        rpp = SMOOTHER_SECOND * S[0]
-        hess = np.empty(coef.shape + (2, 2))
-        hess[..., 0, 0] = (phi[2] * tv + psi[2] * sv + r * S[2] + fac * dv0 + fac * dv0
-                           + coef * d2v00 + rpp * (dv0 * dv0))
-        hess[..., 0, 1] = hess[..., 1, 0] = fac * dv1 + coef * d2v01 + rpp * (dv0 * dv1)
-        hess[..., 1, 1] = rpp * (dv1 * dv1)
-        out.append(hess)
-        return out
+        S = self._correction_sum(xp, diff, order) if corrected else None
+        s, r, rp = 1 - t, smoother(t), smoother_prime(t)
+        shape = np.broadcast_shapes(xp.shape[:-1], t.shape) + (self.N,)
+        val = np.empty(shape)
+        if order >= 1:
+            h2 = self.region.profiles.h2
+            dlt = self.region.delta(xp)
+            D = _gap_slopes(self.region, xp, order - 1)
+            dv0 = -(h2.grad(xp)[..., 0] + t * D[0]) / dlt
+            dv1 = 1.0 / dlt
+            grad = np.empty(shape + (2,))
+        if order >= 2:
+            d2h = h2.hess(xp)[..., 0, 0] + t * D[1]
+            d2v00 = (-(dv0 * D[0] + D[0] * dv0) - d2h) / dlt
+            d2v01 = -(D[0] * dv1) / dlt                        # d2v11 = 0
+            dv00, dv01, dv11 = dv0 * dv0, dv0 * dv1, dv1 * dv1
+            hess = np.empty(shape + (2, 2))
+        for k in range(self.N):
+            pk, qk, dk = ([f[..., k] for f in jet] for jet in (phi, psi, diff))
+            Sk = [f[..., k] for f in S] if corrected else [0.0] * (order + 1)
+            val[..., k] = pk[0] * t + qk[0] * s + r * Sk[0]
+            if order == 0:
+                continue
+            coef = dk[0] + rp * Sk[0]
+            grad[..., k, 0] = pk[1] * t + qk[1] * s + r * Sk[1] + coef * dv0
+            grad[..., k, 1] = coef * dv1
+            if order == 1:
+                continue
+            fac = dk[1] + rp * Sk[1]
+            rpp = SMOOTHER_SECOND * Sk[0]
+            hess[..., k, 0, 0] = (pk[2] * t + qk[2] * s + r * Sk[2] + fac * dv0 + fac * dv0
+                                  + coef * d2v00 + rpp * dv00)
+            hess[..., k, 0, 1] = hess[..., k, 1, 0] = fac * dv1 + coef * d2v01 + rpp * dv01
+            hess[..., k, 1, 1] = rpp * dv11
+        return [val] if order == 0 else [val, grad] if order == 1 else [val, grad, hess]
 
     def value(self, xp, t):
         """ubar at the box points (x1, t), shape (..., N)."""
@@ -528,9 +535,10 @@ def apply_operator(tensor: CoefficientTensor, x, value, grad, hess):
     (..., N), (..., N, n), (..., N, n, n).
     """
     x = np.asarray(x, dtype=float)
-    A = tensor.A(x)
-    f = np.einsum("...ijab,...jab->...i", A, hess)
-    if not tensor.is_constant:
+    if tensor.is_constant:                  # A0 itself, not a copy per sample
+        f = np.einsum("ijab,...jab->...i", tensor.A0, hess)
+    else:
+        f = np.einsum("...ijab,...jab->...i", tensor.A(x), hess)
         Ag = tensor.A_grad(x)
         divA = np.einsum("...ijaba->...ijb", Ag)
         f += np.einsum("...ijb,...jb->...i", divA, grad)

@@ -30,8 +30,8 @@ factors the free block as a band, O(n b^2) at BLAS-3 speed: the classical
 choice for thin structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).
 The stencil's block table is the operator: the band is filled from it one
 slice per offset and component pair, and K is applied from it as a
-``LinearOperator`` for the Dirichlet coupling and the backward error.  No
-sparse matrix is built.
+``LinearOperator`` for the backward error; the Dirichlet coupling is summed
+from it on the boundary strips alone.  No sparse matrix is built.
 """
 
 from __future__ import annotations
@@ -187,31 +187,44 @@ def _interior(arr, o):
     return arr[tuple(slice(1 + k, s - 1 + k) for k, s in zip(o, arr.shape))]
 
 
+def _stencil_sum(blocks: dict, x, S):
+    """sum over j, o of W[o][p, i, j] x[j, p + o] at the interior nodes p in S.
+
+    ``x`` has shape (N, *shape) and S is a pair of slices of the interior;
+    the result has shape (N, *strip).  The sum runs in the order of a
+    column-sorted CSR row, component j outer and offsets by ascending stride
+    inner, so it rounds exactly as a CSR product would.
+    """
+    N = x.shape[0]
+    size = tuple(s.stop - s.start for s in S)
+    acc, term = np.zeros((N,) + size), np.empty(size)
+    # by stride o[0] * shape[1] + o[1], since |o[1]| <= 1 and shape[1] >= 3
+    offsets = sorted(blocks)
+    for j in range(N):
+        for o in offsets:
+            xo = x[(j,) + tuple(slice(1 + k + s.start, 1 + k + s.stop) for k, s in zip(o, S))]
+            W = blocks[o][S]
+            for i in range(N):
+                acc[i] += np.multiply(W[..., i, j], xo, out=term)
+    return acc
+
+
 def _stencil_operator(blocks: dict, grid: BoxGrid, N: int) -> spla.LinearOperator:
     """K applied from the block table, identity on the Dirichlet rows.
 
-    The Dirichlet rows are the boundary nodes of every component.  Each
-    interior row is summed in the order of its column-sorted CSR row,
-    component j outer and offsets by ascending stride inner, so K x rounds
-    exactly as a CSR product would.  The closure holds the table and the
-    grid only: a reference back to the LinearSystem would make a cycle that
-    keeps a dropped system's factorization alive until the next collection.
+    The Dirichlet rows are the boundary nodes of every component; the
+    interior rows are ``_stencil_sum`` over the whole interior.  The closure
+    holds the table and the grid only: a reference back to the LinearSystem
+    would make a cycle that keeps a dropped system's factorization alive
+    until the next collection.
     """
     shape = grid.shape
-    # by stride o[0] * shape[1] + o[1], since |o[1]| <= 1 and shape[1] >= 3
-    offsets = sorted(blocks)
-    inner = tuple(s - 2 for s in shape)
+    interior = tuple(slice(0, s - 2) for s in shape)
 
     def matvec(x):
         x = np.reshape(x, (N,) + shape)
-        acc, term = np.zeros((N,) + inner), np.empty(inner)
-        for j in range(N):
-            for o in offsets:
-                xo = _interior(x[j], o)
-                for i in range(N):
-                    acc[i] += np.multiply(blocks[o][..., i, j], xo, out=term)
         y = x.copy()
-        y[:, 1:-1, 1:-1] = acc
+        y[:, 1:-1, 1:-1] = _stencil_sum(blocks, x, interior)
         return y.ravel()
 
     return spla.LinearOperator((N * grid.nodes,) * 2, matvec=matvec, dtype=float)
@@ -225,8 +238,8 @@ class LinearSystem:
     W[o][p, i, j] couples component i at interior node p to component j at
     node p + o.  Every boundary row is an identity Dirichlet row.  K is
     never stored: ``matrix`` applies it from the table (``_stencil_operator``)
-    for the Dirichlet coupling and the backward error, and the banded
-    factorization reads the free block from the table.  ``nnz`` and
+    for the backward error, and the banded factorization reads the free
+    block and the Dirichlet coupling from the table.  ``nnz`` and
     ``frobenius`` are those of K, counted from the table.
     """
 
@@ -407,23 +420,31 @@ class _FreeBlockBand:
     """Banded factorization of the free block, Dirichlet rows eliminated.
 
     The identity rows give x_D = b_D, so the free unknowns solve
-    K_ff x_f = b_f - K_fD b_D, where K_fD b_D is read off the free rows of
-    K applied to the Dirichlet-only vector.  Numbered node-major (node * N +
-    component, t fastest), K_ff is a band of half-bandwidth N * (vertical
-    nodes - 1) + N - 1, filled block by block from the stencil table
-    (``_FreeStencil``).
+    K_ff x_f = b_f - K_fD b_D.  K_fD b_D is nonzero only at the interior
+    nodes next to the boundary, so ``_stencil_sum`` forms it on those four
+    strips alone, from b_D with zeros inside: the zero terms of interior
+    neighbours leave each sum as the whole-grid product rounds it.
+    Numbered node-major (node * N + component, t fastest), K_ff is a band of
+    half-bandwidth N * (vertical nodes - 1) + N - 1, filled block by block
+    from the stencil table (``_FreeStencil``).
     An exactly symmetric K_ff with a negative diagonal is factored as -K_ff
     by banded Cholesky from its lower band alone (``pbtrf``).  Any other
     block, and one that Cholesky finds indefinite, is factored by banded LU
     with partial pivoting (``gbtrf``), which needs about three times that
-    storage.
+    storage.  The factor keeps the table, not the system: a reference back
+    to the LinearSystem would make a cycle that keeps a dropped system's
+    band alive until the next collection.
     """
 
     def __init__(self, ls: LinearSystem):
-        self.K = ls.matrix
-        order = np.arange(self.K.shape[0]).reshape(ls.N, -1).T.ravel()   # node-major
-        self.free = order[~ls.dirichlet_mask[order]]
-        self.fixed = np.flatnonzero(ls.dirichlet_mask)
+        self.blocks, self.N, self.shape = ls.blocks, ls.N, ls.grid.shape
+        m1, m2 = (s - 2 for s in self.shape)
+        strips = [(slice(0, 1), slice(0, m2)), (slice(m1 - 1, m1), slice(0, m2)),
+                  (slice(1, m1 - 1), slice(0, 1)), (slice(1, m1 - 1), slice(m2 - 1, m2))]
+        self.strips = []                            # disjoint, nonempty
+        for S in strips:
+            if all(s.start < s.stop for s in S) and S not in self.strips:
+                self.strips.append(S)
         stencil = _FreeStencil(ls)
         self.kd = kd = stencil.kd
         if stencil.negative_diagonal() and stencil.symmetric():
@@ -441,14 +462,17 @@ class _FreeBlockBand:
         self.routine, self.ab, self.fill = "gbtrf", ab, ab.size / stencil.nnz
 
     def solve(self, b):
-        x = np.zeros(len(b))
-        x[self.fixed] = b[self.fixed]
-        bf = b[self.free] - (self.K @ x)[self.free]
+        x = np.array(b, dtype=float).reshape((self.N,) + self.shape)
+        bf = np.moveaxis(x[:, 1:-1, 1:-1], 0, -1).copy()     # (*inner, N): node-major
+        x[:, 1:-1, 1:-1] = 0.0                               # x_D = b_D
+        for S in self.strips:
+            bf[S] -= np.moveaxis(_stencil_sum(self.blocks, x, S), 0, -1)
         if self.routine == "pbtrf":
-            x[self.free] = lapack.dpbtrs(self.ab, -bf, lower=1)[0]
+            xf = lapack.dpbtrs(self.ab, -bf.ravel(), lower=1)[0]
         else:
-            x[self.free] = lapack.dgbtrs(self.ab, self.kd, self.kd, bf, self.ipiv)[0]
-        return x
+            xf = lapack.dgbtrs(self.ab, self.kd, self.kd, bf.ravel(), self.ipiv)[0]
+        x[:, 1:-1, 1:-1] = np.moveaxis(xf.reshape(bf.shape), -1, 0)
+        return x.ravel()
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,47 @@ class TestResidual:
         assert min(unc) >= 1.0                    # bounded below away from zero
 
 
+def ref_apply_operator(tensor, x, value, grad, hess):
+    """The operator with A(x) copied to every sample, as for a varying tensor."""
+    f = np.einsum("...ijab,...jab->...i", tensor.A(x), hess)
+    if not tensor.is_constant:
+        f += np.einsum("...ijb,...jb->...i",
+                       np.einsum("...ijaba->...ijb", tensor.A_grad(x)), grad)
+    if np.any(tensor.B0):
+        f += np.einsum("...ijaa,...j->...i", tensor.B_grad(x), value)
+        f += np.einsum("...ija,...ja->...i", tensor.B(x), grad)
+    if np.any(tensor.C0):
+        f += np.einsum("...ijb,...jb->...i", tensor.C(x), grad)
+    if np.any(tensor.D0):
+        f += np.einsum("...ij,...j->...i", tensor.D(x), value)
+    return f
+
+
+class TestApplyOperator:
+    _rng = np.random.default_rng(11)
+    CUSTOM = make_custom(2, 2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
+                         C0=_rng.normal(size=(2, 2, 2)), D0=_rng.normal(size=(2, 2)))
+
+    @pytest.mark.parametrize("tensor", [make_laplace(2, 1), LAME, CUSTOM],
+                             ids=["laplace", "lame", "custom_bcd"])
+    def test_constant_tensor_matches_the_per_sample_contraction(self, tensor):
+        # a constant tensor contracts A0 itself; the sums must round as
+        # they do over a copy of A0 at every sample, on a column grid of
+        # residual_sweep's size and at scattered points
+        r = region(eps=0.01)
+        rng = np.random.default_rng(12)
+        xq = np.linspace(-0.45, 0.45, 399)[:, None, None]
+        ts = np.linspace(0.0, 1.0, 65)[1:-1]
+        scattered = (rng.uniform(-0.45, 0.45, (200, 1)), rng.uniform(0, 1, 200))
+        for where, (xp, t) in {"columns": (xq, ts), "scattered": scattered}.items():
+            x = r.from_box(xp, t)
+            lead, N = x.shape[:-1], tensor.N
+            jet = (rng.normal(size=lead + (N,)), rng.normal(size=lead + (N, 2)),
+                   rng.normal(size=lead + (N, 2, 2)))
+            assert np.array_equal(apply_operator(tensor, x, *jet),
+                                  ref_apply_operator(tensor, x, *jet)), where
+
+
 class TestPlanarRefusal:
     @pytest.mark.parametrize("evaluator", ["AnsatzField", "correction_coeffs",
                                            "lame_correction"])

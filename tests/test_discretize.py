@@ -561,6 +561,32 @@ class TestStencilOperator:
         assert np.array_equal(_captured_free_rhs(monkeypatch, ls, b), want)
         assert solve_linear(ls, b)[1].method == routine
 
+    @pytest.mark.parametrize("nodes", [(5, 4), (33, 9)], ids=["5x4", "33x9"])
+    @pytest.mark.parametrize("tensor, routine", [
+        pytest.param(LAME, "pbtrf", id="lame"),
+        pytest.param(LAP, "pbtrf", id="laplace"),
+        pytest.param(PERTURBED_BCD, "gbtrf", id="perturbed_bcd")])
+    def test_strip_coupling_equals_the_whole_grid_product(self, tensor, routine, nodes):
+        # reference: x_D = b_D with zero free entries, K applied to it over
+        # the whole grid (the reference CSR, which the operator rounds as),
+        # and b_f - (K x)_f solved with the same factor.  On the 5x4 grid
+        # every interior node lies on a boundary strip, and two strips meet
+        # at each of its corners
+        from narrowgap import discretize
+        ls, b = self._system(tensor, nodes)
+        factor = ls.factorization()[0]
+        assert factor.routine == routine
+        free, fixed = _node_major_free(ls), np.flatnonzero(ls.dirichlet_mask)
+        x = np.zeros(len(b))
+        x[fixed] = b[fixed]
+        bf = b[free] - (_csr_reference(ls) @ x)[free]
+        if routine == "pbtrf":
+            x[free] = discretize.lapack.dpbtrs(factor.ab, -bf, lower=1)[0]
+        else:
+            x[free] = discretize.lapack.dgbtrs(factor.ab, factor.kd, factor.kd, bf,
+                                               factor.ipiv)[0]
+        assert np.array_equal(factor.solve(b), x)
+
     @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD],
                              ids=["lame", "laplace", "bcd", "perturbed_bcd"])
     def test_operator_matches_the_reference_csr(self, tensor):
