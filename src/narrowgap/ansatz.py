@@ -542,11 +542,10 @@ def apply_operator(tensor: CoefficientTensor, x, value, grad, hess):
         Ag = tensor.A_grad(x)
         divA = np.einsum("...ijaba->...ijb", Ag)
         f += np.einsum("...ijb,...jb->...i", divA, grad)
-    B = tensor.B(x)
     if np.any(tensor.B0):
         Bg = tensor.B_grad(x)
         f += np.einsum("...ijaa,...j->...i", Bg, value)
-        f += np.einsum("...ija,...ja->...i", B, grad)
+        f += np.einsum("...ija,...ja->...i", tensor.B(x), grad)
     if np.any(tensor.C0):
         f += np.einsum("...ijb,...jb->...i", tensor.C(x), grad)
     if np.any(tensor.D0):

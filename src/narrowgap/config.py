@@ -135,7 +135,7 @@ class SolverConfig:
     tangential_nodes: int = 257
     vertical_nodes: int = 65
     tol: float = 1e-10
-    closure: str = "ansatz"          # "ansatz" | "constant" | "exact"
+    closure: str = "ansatz"          # "ansatz" | "constant"
     lateral_value: tuple | None = None
     ansatz_mode: str = "generic"     # "generic" | "lame_closed_form"
     grid_scale: float = 1.0
@@ -285,7 +285,10 @@ def validate_config(cfg: RunConfig):
         v.append("traces: poly family requires poly_phi and poly_psi")
     if tr.family == "monomial" and tr.k < 0:
         v.append("traces: monomial degree k must be >= 0")
-    if s.closure not in ("ansatz", "constant", "exact"):
+    if s.closure == "exact":        # only the Python API can pass the exact field
+        v.append("solver: the exact closure needs an exact field, which a config "
+                 "cannot supply")
+    elif s.closure not in ("ansatz", "constant"):
         v.append(f"solver: unknown closure {s.closure!r}")
     if s.closure == "constant" and s.lateral_value is None:
         v.append("solver: constant closure requires lateral_value")
@@ -315,6 +318,12 @@ def validate_config(cfg: RunConfig):
             v.append("experiment: eps_list entries must be positive")
         elif any(a <= b for a, b in zip(eps, eps[1:])):
             v.append("experiment: eps_list must be strictly decreasing")
+    if e.eps_fit_max is not None and not e.eps_fit_max > 0:
+        v.append("experiment: eps_fit_max must be positive")
+    q = e.energy_quad
+    if not (isinstance(q, tuple) and len(q) == 2
+            and all(type(k) is int and k > 0 for k in q)):
+        v.append("experiment: energy_quad must be two positive integers")
     if not 0 < e.richardson_tol < 1:
         v.append("experiment: richardson_tol must be in (0, 1)")
     return v

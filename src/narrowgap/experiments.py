@@ -24,7 +24,6 @@ configurations produce identical CSV bytes.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -159,33 +158,15 @@ def fit_rate(sr: SweepResult, model: str = "power", m: int = 2, n: int = 2,
 # one solve, lazily post-processed
 # ---------------------------------------------------------------------------
 
-class LiveOperator:
-    """A sweep worker's one live operator, replaced when the point changes.
-
-    The previous (eps, grid) point's system, factorization included, is
-    dropped before the next one is assembled, so a worker never holds two.
-    """
-
-    def __init__(self):
-        self.point = self.system = None
-
-    def at(self, eps, tensor, region, grid):
-        """(system, seconds spent transforming and assembling it now)."""
-        if self.point == (eps, grid.shape):
-            return self.system, 0.0
-        self.point = self.system = None
-        t0 = time.perf_counter()
-        self.system = _disc.assemble(_disc.transform_operator(tensor, region, grid))
-        self.point = (eps, grid.shape)
-        return self.system, time.perf_counter() - t0
-
-
 class SolveBundle:
     """Everything the statistics need about one (eps, grid) solve."""
 
-    def __init__(self, cfg: RunConfig, eps: float, nodes: tuple,
-                 live: LiveOperator):
-        """Solve at (eps, nodes) against the worker's live operator."""
+    def __init__(self, cfg: RunConfig, eps: float, nodes: tuple, point: dict):
+        """Solve at (eps, nodes) against ``point["system"]``.
+
+        ``point`` holds the system of every bundle at this (eps, grid); the
+        first bundle to find it empty transforms and assembles it.
+        """
         self.cfg = cfg
         self.eps = eps
         self.region = cfg.geometry.build_region(eps)
@@ -194,12 +175,17 @@ class SolveBundle:
         self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces,
                                         cfg.solver.ansatz_mode, lame=self.lame)
         self.grid = _disc.grid_for(self.region, *nodes)
-        system, self.assemble_s = live.at(eps, self.tensor, self.region, self.grid)
+        self.assemble_s = 0.0
+        if "system" not in point:
+            t0 = time.perf_counter()
+            point["system"] = _disc.assemble(
+                _disc.transform_operator(self.tensor, self.region, self.grid))
+            self.assemble_s = time.perf_counter() - t0
         self.field, self.report = _disc.solve_bvp(
             self.tensor, self.region, self.traces, self.grid,
             closure=cfg.solver.closure, ansatz=self.ansatz,
             lateral_value=cfg.solver.lateral_value, tol=cfg.solver.tol,
-            system=system)
+            system=point["system"])
         self._cache = {}
 
     def _get(self, key, fn):
@@ -259,13 +245,13 @@ class SolveBundle:
                  else _ans.theta(self.traces, xp))
         return self.at_inner(gauge + self.region.delta(xp) * self.c2_norms)
 
-    def column_max_grad(self, xprime_target):
-        """max |grad u| over the interior vertical column nearest a tangential point."""
-        axis = self.grid.axes[0]
-        iy = int(np.argmin(np.abs(axis - xprime_target)))
-        col = self.field.gradient_nodes()[:, :, iy]          # (N, 2, nt)
-        mag = np.sqrt(np.sum(col * col, axis=(0, 1)))
-        return float(mag[1:-1].max())
+    def column_max(self, E, xprime):
+        """max |E| over the interior of the vertical column nearest x'.
+
+        ``E`` is a gradient field of shape (*shape, N, n), such as ``grad_num``.
+        """
+        col = E[int(np.argmin(np.abs(self.grid.axes[0] - xprime)))]
+        return float(np.sqrt(np.sum(col * col, axis=(-2, -1)))[1:-1].max())
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +276,15 @@ def _stat_sup_grad(b: SolveBundle):
 
 
 def _stat_shortest_segment(b: SolveBundle):
-    return b.column_max_grad(0.0)
+    return b.column_max(b.grad_num, 0.0)
 
 
 def _stat_monomial_point(b: SolveBundle):
-    target = b.eps ** (1.0 / b.region.profiles.m)
-    return b.column_max_grad(target)
+    return b.column_max(b.grad_num, b.eps ** (1.0 / b.region.profiles.m))
 
 
 def _stat_decay_normalized(b: SolveBundle):
-    return b.column_max_grad(0.0) / b.field.l2_norm()
+    return b.column_max(b.grad_num, 0.0) / b.field.l2_norm()
 
 
 def _stat_cor41_thetabar(b: SolveBundle):
@@ -315,11 +300,7 @@ def _stat_gauge_margin(b: SolveBundle):
 
 def _stat_shortest_remainder(b: SolveBundle):
     """max |grad(u - ubar)| on the shortest segment (Remark 1.1 extra)."""
-    axis = b.grid.axes[0]
-    iy = int(np.argmin(np.abs(axis)))
-    col = (b.grad_num - b.grad_ansatz())[iy]
-    mag = np.sqrt(np.sum(col * col, axis=(-2, -1)))
-    return float(mag[1:-1].max())
+    return b.column_max(b.grad_num - b.grad_ansatz(), 0.0)
 
 
 def _stat_energy_ratio(b: SolveBundle):
@@ -463,18 +444,16 @@ def _sweep_group(reqs, outs):
     refined = tuple(2 * (k - 1) + 1 for k in nodes)
     eps_all = list(dict.fromkeys(e for r in reqs for e in r.eps_list))
 
-    workers = threading.local()
-
     def run_point(eps):
         """Request index -> [values, refined values, events, seconds] or error.
 
         Requests with equal configs read one SolveBundle per grid; the first
         solves, and the others log a shared solve naming its check and case.
+        A kept error drops its traceback, whose frames hold the system.
         """
-        if not hasattr(workers, "live"):
-            workers.live = LiveOperator()
         found = {}
         for grid_nodes in (nodes, refined):
+            point = {}          # this grid's system: the base one is freed here
             groups = {}
             for i, req in enumerate(reqs):
                 if (eps in req.eps_list and not isinstance(found.get(i), Exception)
@@ -484,9 +463,9 @@ def _sweep_group(reqs, outs):
                 solver = reqs[members[0]]
                 t0 = time.perf_counter()
                 try:
-                    b = SolveBundle(solver.cfg, eps, grid_nodes, workers.live)
+                    b = SolveBundle(solver.cfg, eps, grid_nodes, point)
                 except Exception as exc:     # its requests fail, not the sweep
-                    found.update(dict.fromkeys(members, exc))
+                    found.update(dict.fromkeys(members, exc.with_traceback(None)))
                     continue
                 solved = {**b.report.record(), "assemble_s": b.assemble_s}
                 shared = {**solved, "reused": True, "elapsed": 0.0, "factor_s": 0.0,
@@ -497,7 +476,7 @@ def _sweep_group(reqs, outs):
                     try:
                         vals = {s: STATISTICS[s](b) for s in reqs[i].stats}
                     except Exception as exc:
-                        found[i] = exc
+                        found[i] = exc.with_traceback(None)
                         continue
                     t2 = time.perf_counter()
                     slot = found.setdefault(i, [vals, {}, [], 0.0])
@@ -528,6 +507,18 @@ def _sweep_group(reqs, outs):
         out.elapsed = sum(row[3] for _, row in rows)
 
 
+def _richardson_point(eps, value, refined, tol, grid, reason):
+    """SweepPoint of a value and its refined one (None: not refined).
+
+    Flagged ``reason`` when they differ, relative to the larger, by more than ``tol``.
+    """
+    if refined is None:
+        return SweepPoint(eps, value, None, None, False, grid)
+    rel = abs(refined - value) / max(abs(value), abs(refined), 1e-300)
+    flagged = rel > tol
+    return SweepPoint(eps, value, refined, rel, flagged, grid, reason if flagged else "")
+
+
 def _sweep_results(cfg, stat_names, nodes, rows):
     """One SweepResult per statistic from (eps, [values, refined, ...]) rows.
 
@@ -541,19 +532,9 @@ def _sweep_results(cfg, stat_names, nodes, rows):
             "closure": cfg.solver.closure,
             "richardson_tol": cfg.experiment.richardson_tol}
     for s in stat_names:
-        pts = []
-        for eps, (vals, ref_vals, *_) in rows:
-            v = vals[s]
-            rv = ref_vals.get(s)
-            rel = None
-            flagged = False
-            reason = ""
-            if rv is not None:
-                scale = max(abs(v), abs(rv), 1e-300)
-                rel = abs(rv - v) / scale
-                if rel > cfg.experiment.richardson_tol:
-                    flagged, reason = True, "grid-limited"
-            pts.append(SweepPoint(eps, v, rv, rel, flagged, nodes, reason))
+        pts = [_richardson_point(eps, vals[s], ref_vals.get(s),
+                                 cfg.experiment.richardson_tol, nodes, "grid-limited")
+               for eps, (vals, ref_vals, *_) in rows]
         vmax = max((abs(p.value) for p in pts), default=0.0)
         cleaned = []
         for p in pts:
@@ -618,10 +599,8 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
         ref = measure(af, fine)
         for name, v, rv in (("residual_normalized", base[0], ref[0]),
                             ("residual_uncorrected", base[1], ref[1])):
-            rel = abs(rv - v) / max(abs(v), abs(rv), 1e-300)
-            flagged = rel > cfg.experiment.richardson_tol
-            pts[name].append(SweepPoint(eps, v, rv, rel, flagged, samples,
-                                        "sampling-limited" if flagged else ""))
+            pts[name].append(_richardson_point(eps, v, rv, cfg.experiment.richardson_tol,
+                                               samples, "sampling-limited"))
     return {name: SweepResult(name, p, dict(meta, statistic=name))
             for name, p in pts.items()}
 

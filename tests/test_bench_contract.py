@@ -24,8 +24,12 @@ from narrowgap.config import config_from_dict
 tracer = spans.Tracer()
 factors, written = layers.install(tracer)
 cli.run(config_from_dict(json.loads(sys.argv[3])), "all", outdir=sys.argv[4])
+names = {s.id: s.name for s in tracer.spans}
 print(json.dumps({
-    "spans": sorted({s.name for s in tracer.spans}),
+    "spans": sorted(set(names.values())),
+    "unbundled": [s.name for s in tracer.spans
+                  if s.name in ("discretize.transform_operator", "discretize.assemble")
+                  and names.get(s.parent) != "experiments.bundle"],
     "metrics": layers.layer_metrics(tracer.spans, factors, written),
     "lapack": [callable(getattr(discretize.lapack, r, None)) for r in ("dpbtrf", "dgbtrf")],
 }))
@@ -58,6 +62,9 @@ def test_bench_layers_trace_a_tiny_run(tmp_path):
                  "ansatz.gradient", "ansatz.residual"):
         assert name in out["spans"], name
     assert out["metrics"]["discretize.unknowns_total"] > 0
+    # the operator is built inside the bundle that first needs it, so the
+    # inclusive experiments.bundle_s covers its transform and assembly
+    assert out["unbundled"] == []
     # one ansatz field per solve bundle (base and Richardson grid) and one per
     # eps for the residual check: a second field per point would read 6
     assert out["metrics"]["ansatz.build_calls"] == 3

@@ -68,6 +68,22 @@ class TestParseConfig:
             config_from_dict({"tensor": {"kind": "laplace"},
                               "solver": {"ansatz_mode": "lame_closed_form"}})
 
+    def test_exact_closure_refused(self):
+        # the exact field comes from the Python API; a config has none to give
+        with pytest.raises(ConfigError, match="exact closure needs an exact field"):
+            config_from_dict({**MINI, "solver": {"closure": "exact"}})
+
+    @pytest.mark.parametrize("quad", [[2.5, 3], [0, 48], [24], [24, 48, 2],
+                                      [True, 48], 24])
+    def test_energy_quad_must_be_two_positive_integers(self, quad):
+        with pytest.raises(ConfigError, match="energy_quad must be two positive integers"):
+            config_from_dict({**MINI, "experiment": {"energy_quad": quad}})
+
+    @pytest.mark.parametrize("eps_max", [0, 0.0, -1e-2])
+    def test_eps_fit_max_must_be_positive(self, eps_max):
+        with pytest.raises(ConfigError, match="eps_fit_max must be positive"):
+            config_from_dict({**MINI, "experiment": {"eps_fit_max": eps_max}})
+
     def test_roundtrip_structural_equality(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINI))
         echoed = tmp_path / "echo.json"
@@ -252,6 +268,27 @@ def test_solve_events_name_their_sweep_point(tmp_path):
                 assert e["elapsed"] == e["solve_s"] == e["factor_s"] == 0.0
     assert not any("shared_with" in e for e in solves
                    if e["check"] in ("remark13", "decay"))
+
+
+def test_threads_write_what_one_thread_writes(tmp_path):
+    # every check of TINY shares its sweep points, so two workers each hold
+    # their own point's system while the other solves
+    timings = ("elapsed", "factor_s", "solve_s", "assemble_s", "stats_s")
+
+    def outputs(threads):
+        out = tmp_path / f"t{threads}"
+        run(config_from_dict({**TINY, "experiment": {**TINY["experiment"],
+                                                     "threads": threads}}),
+            "all", outdir=out)
+        files = {p.name: p.read_bytes() for p in out.iterdir()
+                 if p.suffix in (".csv", ".dat") or p.name == "fits.json"}
+        solves = [{k: v for k, v in e.items() if k not in timings}
+                  for e in _runlog(out) if e["event"] == "solve"]
+        return files, solves
+
+    files, solves = outputs(1)
+    assert "fits.json" in files and solves
+    assert outputs(2) == (files, solves)
 
 
 def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch):

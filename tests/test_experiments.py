@@ -1,6 +1,8 @@
 """Sweeps, rate fits, windowed energy, determinism."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from narrowgap.ansatz import BoundaryTraces, ConstantTrace, build_ansatz, zero_t
 from narrowgap.coefficients import LameParameters, make_lame
 from narrowgap.config import config_from_dict
 from narrowgap.discretize import DiscreteField, grid_for, solve_bvp
-from narrowgap.experiments import (STATISTICS, DataError, LiveOperator, SolveBundle,
-                                   SweepPoint, SweepResult, check_theorem_1_3,
-                                   fit_rate, local_energy, residual_sweep, sweep)
+from narrowgap.experiments import (STATISTICS, DataError, SolveBundle, SweepPoint,
+                                   SweepRequest, SweepResult, check_theorem_1_3,
+                                   fit_rate, local_energy, residual_sweep, run_sweeps,
+                                   sweep)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
 
 
@@ -204,11 +207,79 @@ def test_equal_configs_share_one_solve_and_change_nothing(tmp_path, monkeypatch)
         assert (fits, csvs) == outputs("all", check)
 
 
+def alive_after_failed_sweep(monkeypatch, requests):
+    """(outcomes, systems alive, factored bands alive) with the outcomes held.
+
+    The cyclic collector is off, so a system counts as alive when a kept
+    error's traceback frames still reach it.
+    """
+    from narrowgap import discretize
+
+    systems, bands = [], []
+    assemble = discretize.assemble
+
+    def recorded(tf):
+        ls = assemble(tf)
+        systems.append(weakref.ref(ls))
+        return ls
+
+    class RecordedBand(discretize._FreeBlockBand):
+        def __init__(self, ls):
+            super().__init__(ls)
+            bands.append(weakref.ref(self))
+
+    monkeypatch.setattr(discretize, "assemble", recorded)
+    monkeypatch.setattr(discretize, "_FreeBlockBand", RecordedBand)
+    gc.collect()
+    gc.disable()
+    try:
+        outs = run_sweeps(requests)
+        return (outs, sum(r() is not None for r in systems),
+                sum(r() is not None for r in bands))
+    finally:
+        gc.enable()
+
+
+def test_failed_factorizations_hold_no_system(monkeypatch):
+    # Cholesky reports a non-positive pivot, then banded LU an exact zero one,
+    # so each eps fails on its base grid, for the second config by reuse
+    from narrowgap import discretize
+
+    dgbtrf = discretize.lapack.dgbtrf
+    monkeypatch.setattr(discretize.lapack, "dpbtrf", lambda ab, **k: (ab, 1))
+    monkeypatch.setattr(discretize.lapack, "dgbtrf",
+                        lambda *a, **k: dgbtrf(*a, **k)[:2] + (1,))
+    eps = (0.01, 0.005, 0.002, 0.001)
+    cfgs = [small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9}),
+            small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
+                      traces={"phi": [2.0, 0.0]})]
+    outs, systems, _ = alive_after_failed_sweep(
+        monkeypatch, [SweepRequest(cfg, ("sup_grad",), eps) for cfg in cfgs])
+    for out in outs:
+        assert type(out.error) is discretize.SolverError
+        assert str(out.error) == "banded LU factorization failed: gbtrf info 1"
+    assert systems == 0
+
+
+def test_failed_backward_errors_hold_no_band(monkeypatch):
+    # no solve meets tol 1e-30, so every point fails after its factorization
+    from narrowgap import discretize
+
+    eps = (0.01, 0.005, 0.002, 0.001)
+    outs, systems, bands = alive_after_failed_sweep(
+        monkeypatch, [SweepRequest(small_cfg(solver={"tol": 1e-30}), ("sup_grad",), eps)])
+    out, = outs
+    assert type(out.error) is discretize.SolverError
+    assert str(out.error).startswith("direct solve residual")
+    assert str(out.error).endswith("above tol 1.0e-30")
+    assert (systems, bands) == (0, 0)
+
+
 def test_cached_arrays_are_read_only(monkeypatch):
     # one bundle serves every request of its config, so a statistic that
     # wrote into a cached array would change the next request's numbers
     cfg = small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9})
-    b = SolveBundle(cfg, 0.01, (17, 9), LiveOperator())
+    b = SolveBundle(cfg, 0.01, (17, 9), {})
     cached = {"XP": b.coords[0], "T": b.coords[1], "inner": b.inner,
               "grad_num": b.grad_num, "gradient_nodes": b.field.gradient_nodes(),
               **{f"{name}_{c}": getattr(b, name)(c) for c in (True, False)
