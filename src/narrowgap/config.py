@@ -246,9 +246,31 @@ def _parse_block(cls, data, block, violations):
         return cls()
 
 
-def validate_config(cfg: RunConfig):
-    """Cross-field constraint checks; returns a list of violations."""
+def _type_violations(cfg: RunConfig):
+    """Each int or float field (None where allowed) that holds anything else."""
     v = []
+    for block in _BLOCKS:
+        obj = getattr(cfg, block)
+        for f in fields(obj):
+            kind, value = f.type.removesuffix(" | None"), getattr(obj, f.name)
+            if kind not in ("int", "float") or (value is None and kind != f.type):
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, int if kind == "int" else (int, float)):
+                what = "an integer" if kind == "int" else "a number"
+                v.append(f"{block}: {f.name} must be {what}, got {value!r}")
+    return v
+
+
+def validate_config(cfg: RunConfig):
+    """Cross-field constraint checks; returns a list of violations.
+
+    A field of the wrong type is reported alone: the value checks below
+    would compare it.
+    """
+    v = _type_violations(cfg)
+    if v:
+        return v
     g, t, tr, s, e = (cfg.geometry, cfg.tensor, cfg.traces, cfg.solver,
                       cfg.experiment)
     if g.n < 2:

@@ -29,9 +29,12 @@ shares.  The direct factorization eliminates the identity Dirichlet rows and
 factors the free block as a band, O(n b^2) at BLAS-3 speed: the classical
 choice for thin structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).
 The stencil's block table is the operator: the band is filled from it one
-slice per offset and component pair, and K is applied from it as a
-``LinearOperator`` for the backward error; the Dirichlet coupling is summed
-from it on the boundary strips alone.  No sparse matrix is built.
+slice per offset and component pair, the Dirichlet coupling is summed from it
+on the boundary strips alone, and the backward error's K x is summed from it
+over the interior.  Every right-hand side of one system can be solved in one
+pass: the coupling, the triangular solves and the backward error each run
+once over the stack.  ``LinearSystem.matrix`` is kept for the tests and for
+the benchmark's read of its shape.  No sparse matrix is built.
 """
 
 from __future__ import annotations
@@ -188,44 +191,51 @@ def _interior(arr, o):
 
 
 def _stencil_sum(blocks: dict, x, S):
-    """sum over j, o of W[o][p, i, j] x[j, p + o] at the interior nodes p in S.
+    """sum over j, o of W[o][p, i, j] x[:, j, p + o] at the interior nodes p in S.
 
-    ``x`` has shape (N, *shape) and S is a pair of slices of the interior;
-    the result has shape (N, *strip).  The sum runs in the order of a
-    column-sorted CSR row, component j outer and offsets by ascending stride
-    inner, so it rounds exactly as a CSR product would.
+    ``x`` is a stack of shape (k, N, *shape) and S is a pair of slices of the
+    interior; the result has shape (k, N, *strip).  The sum runs in the
+    order of a column-sorted CSR row, component j outer and offsets by
+    ascending stride inner, so each of the k rounds exactly as a CSR product
+    would.
     """
-    N = x.shape[0]
+    k, N = x.shape[:2]
     size = tuple(s.stop - s.start for s in S)
-    acc, term = np.zeros((N,) + size), np.empty(size)
+    acc, term = np.zeros((k, N) + size), np.empty((k,) + size)
     # by stride o[0] * shape[1] + o[1], since |o[1]| <= 1 and shape[1] >= 3
     offsets = sorted(blocks)
     for j in range(N):
         for o in offsets:
-            xo = x[(j,) + tuple(slice(1 + k + s.start, 1 + k + s.stop) for k, s in zip(o, S))]
+            xo = x[(slice(None), j)
+                   + tuple(slice(1 + d + s.start, 1 + d + s.stop) for d, s in zip(o, S))]
             W = blocks[o][S]
             for i in range(N):
-                acc[i] += np.multiply(W[..., i, j], xo, out=term)
+                acc[:, i] += np.multiply(W[..., i, j], xo, out=term)
     return acc
 
 
-def _stencil_operator(blocks: dict, grid: BoxGrid, N: int) -> spla.LinearOperator:
-    """K applied from the block table, identity on the Dirichlet rows.
+def _apply(blocks: dict, x):
+    """K x for a stack x of shape (k, N, *shape), identity on the Dirichlet rows.
 
     The Dirichlet rows are the boundary nodes of every component; the
-    interior rows are ``_stencil_sum`` over the whole interior.  The closure
-    holds the table and the grid only: a reference back to the LinearSystem
-    would make a cycle that keeps a dropped system's factorization alive
-    until the next collection.
+    interior rows are ``_stencil_sum`` over the whole interior.
     """
-    shape = grid.shape
-    interior = tuple(slice(0, s - 2) for s in shape)
+    y = x.copy()
+    y[:, :, 1:-1, 1:-1] = _stencil_sum(blocks, x, tuple(slice(0, s - 2) for s in x.shape[2:]))
+    return y
+
+
+def _stencil_operator(blocks: dict, grid: BoxGrid, N: int) -> spla.LinearOperator:
+    """K as a ``LinearOperator``, applied from the block table by ``_apply``.
+
+    The closure holds the table and the grid only: a reference back to the
+    LinearSystem would make a cycle that keeps a dropped system's
+    factorization alive until the next collection.
+    """
+    shape = (1, N) + grid.shape
 
     def matvec(x):
-        x = np.reshape(x, (N,) + shape)
-        y = x.copy()
-        y[:, 1:-1, 1:-1] = _stencil_sum(blocks, x, interior)
-        return y.ravel()
+        return _apply(blocks, np.reshape(x, shape)).ravel()
 
     return spla.LinearOperator((N * grid.nodes,) * 2, matvec=matvec, dtype=float)
 
@@ -237,10 +247,12 @@ class LinearSystem:
     ``blocks`` maps offset o -> W[o] of shape (*interior, N, N), where
     W[o][p, i, j] couples component i at interior node p to component j at
     node p + o.  Every boundary row is an identity Dirichlet row.  K is
-    never stored: ``matrix`` applies it from the table (``_stencil_operator``)
-    for the backward error, and the banded factorization reads the free
-    block and the Dirichlet coupling from the table.  ``nnz`` and
-    ``frobenius`` are those of K, counted from the table.
+    never stored: the banded factorization reads the free block and the
+    Dirichlet coupling from the table, and ``solve_linear`` sums K x from it
+    for the backward error.  ``matrix`` applies K from the table as a
+    ``LinearOperator``; it is kept for the tests and for the benchmark's
+    read of its shape.  ``nnz`` and ``frobenius`` are those of K, counted
+    from the table.
     """
 
     dirichlet_mask: np.ndarray    # bool, length N * nodes
@@ -462,17 +474,23 @@ class _FreeBlockBand:
         self.routine, self.ab, self.fill = "gbtrf", ab, ab.size / stencil.nnz
 
     def solve(self, b):
-        x = np.array(b, dtype=float).reshape((self.N,) + self.shape)
-        bf = np.moveaxis(x[:, 1:-1, 1:-1], 0, -1).copy()     # (*inner, N): node-major
-        x[:, 1:-1, 1:-1] = 0.0                               # x_D = b_D
+        """Solutions of b, one right-hand side or a stack of k, in b's shape.
+
+        The k right-hand sides share one coupling sum and one LAPACK call
+        with k columns, which solves each column alone.
+        """
+        x = np.array(b, dtype=float).reshape((-1, self.N) + self.shape)
+        bf = np.moveaxis(x[:, :, 1:-1, 1:-1], 1, -1).copy()  # (k, *inner, N): node-major
+        x[:, :, 1:-1, 1:-1] = 0.0                            # x_D = b_D
         for S in self.strips:
-            bf[S] -= np.moveaxis(_stencil_sum(self.blocks, x, S), 0, -1)
+            bf[(slice(None),) + S] -= np.moveaxis(_stencil_sum(self.blocks, x, S), 1, -1)
+        cols = bf.reshape(len(x), -1).T                      # one Fortran column per b
         if self.routine == "pbtrf":
-            xf = lapack.dpbtrs(self.ab, -bf.ravel(), lower=1)[0]
+            xf = lapack.dpbtrs(self.ab, -cols, lower=1, overwrite_b=1)[0]
         else:
-            xf = lapack.dgbtrs(self.ab, self.kd, self.kd, bf.ravel(), self.ipiv)[0]
-        x[:, 1:-1, 1:-1] = np.moveaxis(xf.reshape(bf.shape), -1, 0)
-        return x.ravel()
+            xf = lapack.dgbtrs(self.ab, self.kd, self.kd, cols, self.ipiv, overwrite_b=1)[0]
+        x[:, :, 1:-1, 1:-1] = np.moveaxis(xf.T.reshape(bf.shape), -1, 1)
+        return x.reshape(np.shape(b))
 
 
 # ---------------------------------------------------------------------------
@@ -491,48 +509,76 @@ class SolveReport:
     factor_s: float = 0.0         # 0 when the factorization was reused
     solve_s: float = 0.0
     reused: bool = False
+    rhs: int = 1                  # right-hand sides solved in the same pass
 
     def record(self):
         return {"method": self.method, "unknowns": self.unknowns, "nnz": self.nnz,
                 "residual": self.residual, "fill": self.fill,
                 "elapsed": self.elapsed, "grid": self.grid,
                 "factor_s": self.factor_s, "solve_s": self.solve_s,
-                "reused": self.reused}
+                "reused": self.reused, "rhs": self.rhs}
 
 
-def _backward_error(K, x, b, Kfro):
-    """Normwise backward error |Kx - b| / (|K|_F |x| + |b|)."""
-    num = np.linalg.norm(K @ x - b)
-    den = Kfro * np.linalg.norm(x) + np.linalg.norm(b)
-    return num / den if den else num
+def _backward_errors(ls: LinearSystem, x, b):
+    """Normwise backward error |Kx - b| / (|K|_F |x| + |b|) of each row of x, b.
+
+    x and b are stacks of shape (k, N, *shape); K x - b is summed from the
+    table (``_apply``) for all k at once.
+    """
+    r = _apply(ls.blocks, x)
+    r -= b
+    out = np.empty(len(x))
+    for j in range(len(x)):
+        num = np.linalg.norm(r[j])
+        den = ls.frobenius * np.linalg.norm(x[j]) + np.linalg.norm(b[j])
+        out[j] = num / den if den else num
+    return out
 
 
-def solve_linear(ls: LinearSystem, rhs, tol: float = 1e-10):
+def solve_linear(ls: LinearSystem, rhs, tol=1e-10):
     """Direct solve against the system's shared banded factorization.
 
-    The reported residual is the normwise backward error
-    |Kx - b| / (|K| |x| + |b|) of the full system, recomputed from the
-    returned solution; one step of iterative refinement follows when it
-    exceeds ``tol``, and SolverError when it still does.
+    ``rhs`` is one right-hand side (n,) or a stack (k, n) solved in one
+    pass, and ``tol`` one bound or one per row.  The reported residual is
+    the normwise backward error |Kx - b| / (|K| |x| + |b|) of the full
+    system, recomputed from each returned solution; a row whose error
+    exceeds its tol gets one step of iterative refinement on its own, and
+    fails with SolverError when it still does.
+
+    One right-hand side returns (x, SolveReport) and raises its SolverError.
+    A stack returns (x, reports) with x of shape (k, n) and one SolveReport
+    per row, or the SolverError of a row that failed; the first
+    SolveReport carries the pass's times.  A failed factorization raises.
     """
-    K, Kfro = ls.matrix, ls.frobenius
     b = np.asarray(rhs, dtype=float)
+    B = b.reshape((-1, ls.N) + ls.grid.shape)
+    tols = np.broadcast_to(tol, len(B))
     t0 = time.perf_counter()
     factor, reused, factor_s = ls.factorization()
     t1 = time.perf_counter()
-    x = factor.solve(b)
-    res = _backward_error(K, x, b, Kfro)
-    if res > tol:                           # one step of iterative refinement
-        x += factor.solve(b - K @ x)
-        res = _backward_error(K, x, b, Kfro)
-    if res > tol:
-        raise SolverError(f"direct solve residual {res:.3e} above tol {tol:.1e}")
+    X = factor.solve(B)
+    res = _backward_errors(ls, X, B)
+    for j in np.flatnonzero(res > tols):    # one step of iterative refinement
+        row = slice(j, j + 1)
+        X[row] += factor.solve(B[row] - _apply(ls.blocks, X[row]))
+        res[j] = _backward_errors(ls, X[row], B[row])[0]
     t2 = time.perf_counter()
-    report = SolveReport(factor.routine, K.shape[0], ls.nnz, float(res),
-                         fill=float(factor.fill),
-                         elapsed=t2 - t0, grid="x".join(map(str, ls.grid.shape)),
-                         factor_s=factor_s, solve_s=t2 - t1, reused=reused)
-    return x, report
+    reports, times = [], {"elapsed": t2 - t0, "factor_s": factor_s,
+                          "solve_s": t2 - t1, "reused": reused}
+    for r, t in zip(res, tols):
+        if r > t:
+            reports.append(SolverError(f"direct solve residual {r:.3e} above tol {t:.1e}"))
+            continue
+        reports.append(SolveReport(factor.routine, ls.N * ls.grid.nodes, ls.nnz, float(r),
+                                   fill=float(factor.fill),
+                                   grid="x".join(map(str, ls.grid.shape)),
+                                   rhs=len(B), **times))
+        times = {"reused": True}            # the rest were solved in this pass
+    if b.ndim == 1:
+        if isinstance(reports[0], SolverError):
+            raise reports.pop()             # held by no local: no cycle through the frame
+        return X.ravel(), reports[0]
+    return X.reshape(len(B), -1), reports
 
 
 # ---------------------------------------------------------------------------
@@ -675,35 +721,62 @@ def dirichlet_values(grid: BoxGrid, region: NarrowRegion,
             raise AssemblyError("constant closure requires lateral_value")
         V[0] = V[-1] = np.asarray(lateral_value, dtype=float)
     else:
-        V[0] = ansatz.value(XP[0], T[0])
-        V[-1] = ansatz.value(XP[-1], T[-1])
+        V[[0, -1]] = ansatz.value(XP[[0, -1]], T[[0, -1]])
     V[:, 0] = traces.psi.value(XP[:, 0])
     V[:, -1] = traces.phi.value(XP[:, -1])
     return V
 
 
 def solve_bvp(tensor: CoefficientTensor, region: NarrowRegion,
-              traces: BoundaryTraces | None, grid: BoxGrid,
+              traces: BoundaryTraces | None | list, grid: BoxGrid,
               closure: str = "ansatz", ansatz: AnsatzField | None = None,
               lateral_value=None, exact=None, forcing=None,
-              tol: float = 1e-10, system: LinearSystem | None = None):
+              tol=1e-10, system: LinearSystem | None = None):
     """transform -> assemble -> solve -> DiscreteField.
 
     ``system`` is the already assembled LinearSystem of (tensor, region,
     grid): only the right-hand side is built then, and the solve shares the
     system's factorization with every other solve against it.
+
+    ``traces`` may instead be a list of boundary-data sets (traces, closure,
+    ansatz, lateral_value).  Every set's right-hand side is built first,
+    then all are solved in one pass (``solve_linear`` on their stack), with
+    ``tol`` shared or one per set.  The list returns one (DiscreteField,
+    SolveReport) per set, or the exception that stopped that set alone; a
+    failed factorization raises.
     """
-    if closure == "ansatz" and ansatz is None:
-        from .ansatz import build_ansatz
-        ansatz = build_ansatz(tensor, region, traces)
+    single = not isinstance(traces, list)
+    sets = [(traces, closure, ansatz, lateral_value)] if single else traces
     if system is None:
         system = assemble(transform_operator(tensor, region, grid))
-    V = dirichlet_values(grid, region, traces, closure, ansatz, lateral_value, exact)
     Ftil = None if forcing is None else transform_forcing(region, grid, forcing)
-    rhs = right_hand_side(system, V, Ftil)
-    x, report = solve_linear(system, rhs, tol=tol)
-    values = x.reshape(tensor.N, *grid.shape)
-    return DiscreteField(grid, region, values), report
+    out, rows = [], []
+    for tr, cl, af, lv in sets:
+        try:
+            if cl == "ansatz" and af is None:
+                from .ansatz import build_ansatz
+                af = build_ansatz(tensor, region, tr)
+            V = dirichlet_values(grid, region, tr, cl, af, lv, exact)
+            rows.append(right_hand_side(system, V, Ftil))
+            out.append(None)
+        except Exception as exc:
+            if single:
+                raise
+            out.append(exc.with_traceback(None))
+    shape = (system.N,) + grid.shape
+    if single:
+        x, report = solve_linear(system, rows[0], tol=tol)
+        return DiscreteField(grid, region, x.reshape(shape)), report
+    todo = [j for j, o in enumerate(out) if o is None]
+    if todo:
+        # a lone row is solved as a view: np.stack would copy it
+        B = rows[0][None] if len(rows) == 1 else np.stack(rows)
+        del rows
+        X, reports = solve_linear(system, B, tol=np.broadcast_to(tol, len(sets))[todo])
+        for j, x, rep in zip(todo, X, reports):
+            out[j] = rep if isinstance(rep, SolverError) else (
+                DiscreteField(grid, region, x.reshape(shape)), rep)
+    return out
 
 
 # ---------------------------------------------------------------------------

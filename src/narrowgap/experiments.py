@@ -9,8 +9,9 @@ and compare against the predicted band.
 A check declares its sweeps as SweepRequests and judges its own results.
 The matrix depends only on tensor, geometry, eps and grid, so checks run
 together (``run_checks``) share one sweep per matrix: its outer loop is
-(eps, grid), the operator is factored once per point, and each distinct
-request config solves its right-hand side once against that factorization.
+(eps, grid), the operator is factored once per point, and the right-hand
+sides of the distinct request configs there are solved against that
+factorization in one pass.
 
 The bounded-remainder checks fit the asymptotic tail of the sweep (default
 eps <= 1e-2) rather than the full window: the remainder approaches its O(1)
@@ -162,10 +163,13 @@ class SolveBundle:
     """Everything the statistics need about one (eps, grid) solve."""
 
     def __init__(self, cfg: RunConfig, eps: float, nodes: tuple, point: dict):
-        """Solve at (eps, nodes) against ``point["system"]``.
+        """Set up the solve at (eps, nodes) against ``point["system"]``.
 
         ``point`` holds the system of every bundle at this (eps, grid); the
-        first bundle to find it empty transforms and assembles it.
+        first bundle to find it empty transforms and assembles it.  The
+        bundle stops at its boundary data, whose lateral faces its own
+        ansatz gives: ``solve_point`` solves every bundle of the point in
+        one pass and sets ``field`` and ``report``.
         """
         self.cfg = cfg
         self.eps = eps
@@ -181,11 +185,7 @@ class SolveBundle:
             point["system"] = _disc.assemble(
                 _disc.transform_operator(self.tensor, self.region, self.grid))
             self.assemble_s = time.perf_counter() - t0
-        self.field, self.report = _disc.solve_bvp(
-            self.tensor, self.region, self.traces, self.grid,
-            closure=cfg.solver.closure, ansatz=self.ansatz,
-            lateral_value=cfg.solver.lateral_value, tol=cfg.solver.tol,
-            system=point["system"])
+        self.field = self.report = None
         self._cache = {}
 
     def _get(self, key, fn):
@@ -252,6 +252,30 @@ class SolveBundle:
         """
         col = E[int(np.argmin(np.abs(self.grid.axes[0] - xprime)))]
         return float(np.sqrt(np.sum(col * col, axis=(-2, -1)))[1:-1].max())
+
+
+def solve_point(bundles, system) -> list:
+    """Solve the bundles of one (eps, grid) in one pass against ``system``.
+
+    Every bundle's right-hand side is built first, then all are solved
+    together (``discretize.solve_bvp`` on their boundary data).  Each solved
+    bundle gets its field and report.  Returns, per bundle, None or the
+    exception that stopped it alone; a failed factorization stops them all.
+    Kept errors drop their tracebacks, whose frames hold the system.
+    """
+    first = bundles[0]
+    try:
+        solved = _disc.solve_bvp(
+            first.tensor, first.region,
+            [(b.traces, b.cfg.solver.closure, b.ansatz, b.cfg.solver.lateral_value)
+             for b in bundles],
+            first.grid, tol=[b.cfg.solver.tol for b in bundles], system=system)
+    except Exception as exc:
+        return [exc.with_traceback(None)] * len(bundles)
+    for b, got in zip(bundles, solved):
+        if not isinstance(got, Exception):
+            b.field, b.report = got
+    return [got if isinstance(got, Exception) else None for got in solved]
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +448,11 @@ def run_sweeps(requests) -> list:
 
     Requests that share a matrix key share one sweep whose outer loop is
     (eps, grid): at each point the operator is transformed, assembled and
-    factored once, each distinct config there solves its right-hand side
-    against that factorization once for all its requests, and the
-    factorization is freed before the next point.  Eps points run on
-    ``experiment.threads`` workers, one live factorization each.
+    factored once, the right-hand sides of the distinct configs there are
+    solved against that factorization in one pass, each once for all its
+    requests, and the factorization is freed before the next point.  Eps
+    points run on ``experiment.threads`` workers, one live factorization
+    each.
     """
     outcomes = [SweepOutcome() for _ in requests]
     groups = {}
@@ -447,9 +472,12 @@ def _sweep_group(reqs, outs):
     def run_point(eps):
         """Request index -> [values, refined values, events, seconds] or error.
 
-        Requests with equal configs read one SolveBundle per grid; the first
-        solves, and the others log a shared solve naming its check and case.
-        A kept error drops its traceback, whose frames hold the system.
+        Requests with equal configs read one SolveBundle per grid.  Every
+        bundle of a grid is set up first and all are solved in one pass;
+        then each runs its statistics and is dropped before the next.  The
+        first request of a config logs its solve, and the others log a
+        shared solve naming its check and case.  A kept error drops its
+        traceback, whose frames hold the system.
         """
         found = {}
         for grid_nodes in (nodes, refined):
@@ -459,14 +487,21 @@ def _sweep_group(reqs, outs):
                 if (eps in req.eps_list and not isinstance(found.get(i), Exception)
                         and (grid_nodes == nodes or req.richardson)):
                     groups.setdefault(req.cfg, []).append(i)
+            t0 = time.perf_counter()
+            bundles = []
             for members in groups.values():
-                solver = reqs[members[0]]
-                t0 = time.perf_counter()
                 try:
-                    b = SolveBundle(solver.cfg, eps, grid_nodes, point)
+                    bundles.append((members, SolveBundle(reqs[members[0]].cfg, eps,
+                                                         grid_nodes, point)))
                 except Exception as exc:     # its requests fail, not the sweep
                     found.update(dict.fromkeys(members, exc.with_traceback(None)))
+            errors = solve_point([b for _, b in bundles], point["system"]) if bundles else []
+            for error in errors:
+                members, b = bundles.pop(0)
+                if error is not None:
+                    found.update(dict.fromkeys(members, error))
                     continue
+                solver = reqs[members[0]]
                 solved = {**b.report.record(), "assemble_s": b.assemble_s}
                 shared = {**solved, "reused": True, "elapsed": 0.0, "factor_s": 0.0,
                           "solve_s": 0.0, "assemble_s": 0.0,
@@ -486,7 +521,7 @@ def _sweep_group(reqs, outs):
                                     "stats_s": t2 - t1})
                     slot[3] += t2 - t0
                     solved, t0 = shared, t2          # the rest read this solve
-                del b                        # before the next bundle is built
+                del b                        # before the next bundle's statistics
         return found
 
     threads = max(1, cfg.experiment.threads)

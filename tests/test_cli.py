@@ -1,6 +1,8 @@
 """Configuration parsing, run orchestration, artifact reproducibility."""
 
+import ctypes
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -169,6 +171,17 @@ class TestRun:
         assert main(["validate", "--config", str(p)]) == 2
         assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("block, key, value, what", [
+        ("experiment", "richardson_tol", "x", "a number"),
+        ("solver", "tol", "x", "a number"),
+        ("geometry", "R0", [1], "a number"),
+        ("experiment", "threads", "x", "an integer")],
+        ids=["richardson_tol", "tol", "R0", "threads"])
+    def test_mistyped_numbers_exit_2(self, tmp_path, capsys, block, key, value, what):
+        p = write_cfg(tmp_path, {**MINI, block: {**MINI.get(block, {}), key: value}})
+        assert main(["validate", "--config", str(p)]) == 2
+        assert f"{block}: {key} must be {what}, got {value!r}" in capsys.readouterr().err
+
     def test_ansatz_command_emits_field_samples(self, tmp_path):
         cfg = {**MINI, "output": {"dir": str(tmp_path / "anz")}}
         code = main(["ansatz", "--config", str(write_cfg(tmp_path, cfg, "a.json"))])
@@ -268,6 +281,12 @@ def test_solve_events_name_their_sweep_point(tmp_path):
                 assert e["elapsed"] == e["solve_s"] == e["factor_s"] == 0.0
     assert not any("shared_with" in e for e in solves
                    if e["check"] in ("remark13", "decay"))
+    # the five configs of a point ({thm11, cor41, energy}, the three remark13
+    # cases and decay) are solved in one pass, whose solve time is logged once
+    for point in points:
+        here = [e for e in solves if (e["eps"], e["grid"]) == point]
+        assert all(e["rhs"] == 5 for e in here)
+        assert sum(e["solve_s"] > 0 for e in here) == 1
 
 
 def test_threads_write_what_one_thread_writes(tmp_path):
@@ -380,3 +399,22 @@ def test_three_dimensional_grids_abort_with_their_reason(tmp_path):
         assert v.status == "ABORTED"
         assert v.details["error"] == reason
         assert checks[v.name]["error"] == reason
+
+
+def test_both_blas_pools_take_the_thread_count_of_the_environment():
+    # numpy and scipy each bundle an OpenBLAS with its own pool; the root
+    # conftest sets one thread unless the environment already chose
+    import numpy
+    import scipy
+
+    seen = {}
+    for pkg, symbol in ((numpy, "scipy_openblas_get_num_threads64_"),
+                        (scipy, "scipy_openblas_get_num_threads")):
+        libs = sorted((Path(pkg.__file__).parents[1] / f"{pkg.__name__}.libs")
+                      .glob("libscipy_openblas*.so"))
+        if not libs:
+            pytest.skip(f"{pkg.__name__} bundles no scipy-openblas library")
+        get_num_threads = getattr(ctypes.CDLL(str(libs[0])), symbol)
+        get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+        seen[pkg.__name__] = get_num_threads()
+    assert seen["numpy"] == seen["scipy"] <= int(os.environ["OPENBLAS_NUM_THREADS"])

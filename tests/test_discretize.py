@@ -11,8 +11,8 @@ from narrowgap.ansatz import (BoundaryTraces, ConstantTrace, apply_operator,
                              build_ansatz, zero_trace)
 from narrowgap.coefficients import (LameParameters, MultiPoly, make_custom, make_lame,
                                     make_laplace, make_perturbed)
-from narrowgap.discretize import (BoxGrid, DiscreteField, LinearSystem, SolverError,
-                                  TrigSolution, _FreeStencil, assemble,
+from narrowgap.discretize import (AssemblyError, BoxGrid, DiscreteField, LinearSystem,
+                                  SolverError, TrigSolution, _FreeStencil, assemble,
                                   dirichlet_values, grid_for, manufactured_forcing,
                                   right_hand_side, solve_bvp, solve_linear,
                                   transform_operator)
@@ -410,6 +410,92 @@ class TestSharedFactorization:
         assert len(calls) == 1
 
 
+class TestStackedSolve:
+    """Right-hand sides solved in one pass against one factorization."""
+
+    TIMES = ("elapsed", "factor_s", "solve_s", "reused", "rhs")
+
+    @staticmethod
+    def _stack(tensor, k, nodes=(33, 9)):
+        reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(*nodes, 1.0)))
+        rng = np.random.default_rng(11)
+        return ls, np.stack([right_hand_side(ls, rng.normal(size=ls.grid.shape + (ls.N,)))
+                             for _ in range(k)])
+
+    @classmethod
+    def _untimed(cls, report):
+        return {k: v for k, v in report.record().items() if k not in cls.TIMES}
+
+    # dgbtrs with k columns swaps and updates all of them per pivot (dger),
+    # yet each column still rounds as it does alone: equality, no tolerance
+    @pytest.mark.parametrize("tensor, routine", [
+        pytest.param(LAME, "pbtrf", id="pbtrf"),
+        pytest.param(PERTURBED_BCD, "gbtrf", id="gbtrf")])
+    def test_stack_equals_single_solves(self, tensor, routine):
+        ls, B = self._stack(tensor, 4)
+        X, reports = solve_linear(ls, B)
+        assert X.shape == B.shape
+        assert [r.rhs for r in reports] == [4] * 4
+        assert [r.reused for r in reports] == [False, True, True, True]
+        assert reports[0].solve_s > 0 and reports[0].factor_s > 0
+        assert all(r.solve_s == r.factor_s == r.elapsed == 0.0 for r in reports[1:])
+        for x, rep, b in zip(X, reports, B):
+            want_x, want = solve_linear(ls, b)
+            assert rep.method == routine and want.rhs == 1
+            assert np.array_equal(x, want_x)
+            assert self._untimed(rep) == self._untimed(want)
+
+    def test_stack_of_one_equals_the_single_path(self):
+        ls, B = self._stack(LAME, 1)
+        X, (rep,) = solve_linear(ls, B)
+        x, want = solve_linear(ls, B[0])
+        assert X.shape == (1, len(x)) and np.array_equal(X[0], x)
+        assert self._untimed(rep) == self._untimed(want) and rep.rhs == want.rhs == 1
+
+    def test_a_row_past_its_tol_is_refined_and_fails_alone(self, monkeypatch):
+        # row 1 is given tol 1e-30, which no solve reaches: it alone gets the
+        # refinement step and the SolverError; rows 0 and 2 are reported as
+        # their single solves are
+        from narrowgap import discretize
+        ls, B = self._stack(LAME, 3)
+        sizes = []
+        solve = discretize._FreeBlockBand.solve
+        monkeypatch.setattr(discretize._FreeBlockBand, "solve",
+                            lambda self, b: sizes.append(len(b)) or solve(self, b))
+        X, reports = solve_linear(ls, B, tol=[1e-10, 1e-30, 1e-10])
+        assert sizes == [3, 1]
+        assert isinstance(reports[1], SolverError)
+        assert str(reports[1]).endswith("above tol 1.0e-30")
+        monkeypatch.setattr(discretize._FreeBlockBand, "solve", solve)
+        for j in (0, 2):
+            want_x, want = solve_linear(ls, B[j])
+            assert np.array_equal(X[j], want_x)
+            assert self._untimed(reports[j]) == self._untimed(want)
+        with pytest.raises(SolverError, match="above tol 1.0e-30"):
+            solve_linear(ls, B[1], tol=1e-30)
+
+    def test_solve_bvp_sets_equal_their_single_solves(self):
+        # one set without its lateral value stops alone; the others are
+        # solved in one pass as each is alone
+        reg = curved_region(eps=0.05)
+        grid = grid_for(reg, 33, 9)
+        ls = assemble(transform_operator(LAME, reg, grid))
+        one = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+        two = BoundaryTraces(ConstantTrace([0.0, 2.0]), ConstantTrace([1.0, 1.0]))
+        sets = [(one, "ansatz", build_ansatz(LAME, reg, one), None),
+                (two, "constant", None, None),
+                (two, "constant", None, [0.5, -1.0])]
+        out = solve_bvp(LAME, reg, sets, grid, system=ls)
+        assert isinstance(out[1], AssemblyError) and out[1].__traceback__ is None
+        for (tr, closure, af, lateral), got in zip(sets[::2], out[::2]):
+            df, rep = got
+            want_df, want = solve_bvp(LAME, reg, tr, grid, closure=closure, ansatz=af,
+                                      lateral_value=lateral, system=ls)
+            assert np.array_equal(df.values, want_df.values)
+            assert rep.rhs == 2 and self._untimed(rep) == self._untimed(want)
+
+
 def _node_major_free(ls):
     """Free unknowns numbered node-major, as the banded factorization orders them."""
     order = np.arange(len(ls.dirichlet_mask)).reshape(ls.N, -1).T.ravel()
@@ -522,12 +608,12 @@ class TestFreeBand:
 
 
 def _captured_free_rhs(monkeypatch, ls, b):
-    """b_f - K_fD b_D as the first LAPACK triangular solve receives it."""
+    """b_f - K_fD b_D as the first LAPACK triangular solve receives it (column 0)."""
     from narrowgap import discretize
     got = []
     for routine, pos, sign in (("dpbtrs", 1, -1.0), ("dgbtrs", 3, 1.0)):
         def keep(*a, _f=getattr(discretize.lapack, routine), _pos=pos, _sign=sign, **k):
-            got.append(_sign * a[_pos])
+            got.append(_sign * a[_pos][:, 0])
             return _f(*a, **k)
         monkeypatch.setattr(discretize.lapack, routine, keep)
     solve_linear(ls, b)

@@ -16,7 +16,7 @@ from narrowgap.discretize import DiscreteField, grid_for, solve_bvp
 from narrowgap.experiments import (STATISTICS, DataError, SolveBundle, SweepPoint,
                                    SweepRequest, SweepResult, check_theorem_1_3,
                                    fit_rate, local_energy, residual_sweep, run_sweeps,
-                                   sweep)
+                                   solve_point, sweep)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
 
 
@@ -184,14 +184,16 @@ def test_equal_configs_share_one_solve_and_change_nothing(tmp_path, monkeypatch)
     systems = {}
     solve_linear = discretize.solve_linear
 
-    def counted(ls, *args, **kwargs):
-        systems.setdefault(id(ls), [ls, 0])[1] += 1      # ls kept: ids stay unique
-        return solve_linear(ls, *args, **kwargs)
+    def counted(ls, rhs, *args, **kwargs):
+        # ls kept: ids stay unique
+        systems.setdefault(id(ls), [ls, []])[1].append(len(np.atleast_2d(rhs)))
+        return solve_linear(ls, rhs, *args, **kwargs)
 
     monkeypatch.setattr(discretize, "solve_linear", counted)
     run(cfg, "all", outdir=tmp_path / "all")
-    # {thm11, cor41, energy}, three remark13 cases and decay; residual solves nothing
-    assert sorted(n for _, n in systems.values()) == [5] * (2 * len(eps))
+    # one pass per system with a right-hand side for each of {thm11, cor41,
+    # energy}, the three remark13 cases and decay; residual solves nothing
+    assert [rows for _, rows in systems.values()] == [[5]] * (2 * len(eps))
     monkeypatch.setattr(discretize, "solve_linear", solve_linear)
 
     def outputs(name, check):
@@ -275,11 +277,32 @@ def test_failed_backward_errors_hold_no_band(monkeypatch):
     assert (systems, bands) == (0, 0)
 
 
+def test_a_failed_column_fails_only_its_config(monkeypatch):
+    # two configs share each base-grid pass and differ only in tol: the one
+    # no solve can meet fails there, and the other sweeps as it does alone,
+    # by itself on the refined grid
+    from narrowgap import discretize
+
+    eps = (0.01, 0.005, 0.002, 0.001)
+    requests = [SweepRequest(small_cfg(solver={"tol": tol}), ("sup_grad",), eps)
+                for tol in (1e-30, 1e-10)]
+    (failed, solved), systems, bands = alive_after_failed_sweep(monkeypatch, requests)
+    assert type(failed.error) is discretize.SolverError
+    assert str(failed.error).endswith("above tol 1.0e-30")
+    assert solved.error is None
+    assert [ev["rhs"] for ev in solved.events] == [2, 1] * len(eps)
+    alone, = run_sweeps(requests[1:])
+    assert solved.results["sup_grad"].to_csv() == alone.results["sup_grad"].to_csv()
+    assert (systems, bands) == (0, 0)
+
+
 def test_cached_arrays_are_read_only(monkeypatch):
     # one bundle serves every request of its config, so a statistic that
     # wrote into a cached array would change the next request's numbers
     cfg = small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9})
-    b = SolveBundle(cfg, 0.01, (17, 9), {})
+    point = {}
+    b = SolveBundle(cfg, 0.01, (17, 9), point)
+    assert solve_point([b], point["system"]) == [None]
     cached = {"XP": b.coords[0], "T": b.coords[1], "inner": b.inner,
               "grad_num": b.grad_num, "gradient_nodes": b.field.gradient_nodes(),
               **{f"{name}_{c}": getattr(b, name)(c) for c in (True, False)
