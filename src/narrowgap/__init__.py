@@ -9,10 +9,18 @@ blow-up rates and exponential decay as the gap closes.
 
 __version__ = "0.1.0"
 
-from .ansatz import (AnsatzField, BoundaryTraces, ConstantTrace, MonomialTrace,
-                     PolyTrace, build_ansatz, correction_coeffs,
-                     lame_correction, smoother, smoother_prime, theta,
-                     theta_bar_delta, zero_trace)
+import os
+
+# numpy and scipy each load an OpenBLAS whose pool starts a thread per core;
+# the two pools then contend with each other and with the numpy work between
+# solves.  One thread each unless the environment already chose; this must
+# run before the imports below load numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .ansatz import (AnsatzField, BoundaryTraces, PolyTrace,
+                     build_ansatz, correction_coeffs, lame_correction,
+                     smoother, smoother_prime, theta, theta_bar_delta)
 from .coefficients import (CoefficientTensor, LameParameters, check_ann,
                            check_pointwise_ellipticity, estimate_c2_norms,
                            make_lame, make_laplace, make_perturbed)
@@ -26,7 +34,7 @@ from .geometry import (NarrowRegion, PolyProfile, PowerProfile, ProfilePair,
 
 __all__ = [
     "AnsatzField", "BoundaryTraces", "BoxGrid", "CHECKS", "CoefficientTensor",
-    "ConstantTrace", "DiscreteField", "LameParameters", "MonomialTrace",
+    "DiscreteField", "LameParameters",
     "NarrowRegion", "PolyProfile", "PolyTrace", "PowerProfile", "ProfilePair",
     "RateFit", "RunConfig", "SweepResult", "assemble", "build_ansatz",
     "check_ann", "check_pointwise_ellipticity", "correction_coeffs",
@@ -35,5 +43,4 @@ __all__ = [
     "make_perturbed", "parse_config", "power_pair",
     "smoother", "smoother_prime", "solve_bvp", "solve_linear", "sweep",
     "theta", "theta_bar_delta", "transform_operator", "validate_profiles",
-    "zero_trace",
 ]

@@ -29,6 +29,9 @@ available as ``mode="lame_closed_form"``.
 
 The box evaluators are written for n = 2, with x' = x1 and the axes
 (x1, t); ``require_planar`` refuses any other n when a field is built.
+Each trace is one ``PolyTrace``: a coefficient row in x1 per component
+(a constant is a row of degree 0), whose ``jet`` returns the exact
+x1-derivatives [f, d_1 f, d_11 f] that every evaluator here reads.
 
 All derivatives here are analytic: the correction's first and second
 derivatives come from differentiating the linear system (one inverse of
@@ -44,10 +47,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .coefficients import (CoefficientTensor, ConstructionError,
-                           HypothesisViolationError, LameParameters,
-                           estimate_c2_norms)
+                           HypothesisViolationError, LameParameters)
 from .geometry import NarrowRegion, _as_points, require_planar
 
 
@@ -74,122 +77,52 @@ SMOOTHER_SECOND = 1.0
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConstantTrace:
-    vec: tuple
-
-    def __init__(self, vec):
-        object.__setattr__(self, "vec", tuple(float(v) for v in np.atleast_1d(vec)))
-
-    @property
-    def N(self):
-        return len(self.vec)
-
-    def value(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        return np.broadcast_to(np.array(self.vec), xp.shape[:-1] + (self.N,)).copy()
-
-    def grad(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        return np.zeros(xp.shape[:-1] + (self.N, xp.shape[-1]))
-
-    def hess(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        d = xp.shape[-1]
-        return np.zeros(xp.shape[:-1] + (self.N, d, d))
-
-
-def zero_trace(N):
-    return ConstantTrace([0.0] * N)
-
-
-@dataclass(frozen=True)
-class MonomialTrace:
-    """scale * x_1^degree in one component, zero elsewhere."""
-
-    N: int
-    component: int = 0
-    degree: int = 1
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0 <= self.component < self.N:
-            raise ConstructionError("monomial trace component out of range")
-        if self.degree < 0:
-            raise ConstructionError("monomial degree must be >= 0")
-
-    def _x1pow(self, xp, drop):
-        k = self.degree
-        x1 = np.asarray(xp, dtype=float)[..., 0]
-        if k - drop < 0:
-            return np.zeros_like(x1)
-        c = self.scale * np.prod([k - i for i in range(drop)]) if drop else self.scale
-        return c * x1 ** (k - drop)
-
-    def value(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        out = np.zeros(xp.shape[:-1] + (self.N,))
-        out[..., self.component] = self._x1pow(xp, 0)
-        return out
-
-    def grad(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        out = np.zeros(xp.shape[:-1] + (self.N, xp.shape[-1]))
-        out[..., self.component, 0] = self._x1pow(xp, 1)
-        return out
-
-    def hess(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        d = xp.shape[-1]
-        out = np.zeros(xp.shape[:-1] + (self.N, d, d))
-        out[..., self.component, 0, 0] = self._x1pow(xp, 2)
-        return out
-
-
-@dataclass(frozen=True)
 class PolyTrace:
-    """Per-component polynomials in x_1: coeffs[c][k] multiplies x_1^k."""
+    """Per-component polynomials in x_1: rows[c][k] multiplies x_1^k.
 
-    coeffs: tuple
+    A constant trace has one row of degree 0 per component; scale * x_1^k in
+    component c alone is the row [0] * k + [scale] there, with [0] elsewhere.
+    Traces depend on x' through x_1 only, so the x1-jet is all of their
+    derivatives.
+    """
 
-    def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs",
-                           tuple(tuple(float(c) for c in row) for row in coeffs))
+    rows: tuple
+
+    def __init__(self, rows):
+        rows = tuple(tuple(float(c) for c in row) for row in rows)
+        if not rows or not all(rows):
+            raise ConstructionError("a trace needs one non-empty coefficient row "
+                                    "per component")
+        if not np.isfinite([c for row in rows for c in row]).all():
+            raise ConstructionError("trace coefficients must be finite")
+        object.__setattr__(self, "rows", rows)
+        # coefficient columns of f, d_1 f and d_11 f: C[k, c] multiplies x_1^k
+        width = max(map(len, rows))
+        derivs = []
+        for order in range(3):
+            C = np.zeros((width, len(rows)))
+            for c, row in enumerate(rows):
+                der = P.polyder(row, order)
+                C[:len(der), c] = der
+            derivs.append(C)
+        object.__setattr__(self, "_derivs", tuple(derivs))
 
     @property
     def N(self):
-        return len(self.coeffs)
+        return len(self.rows)
 
-    def _eval(self, xp, deriv):
-        x1 = np.asarray(xp, dtype=float)[..., 0]
-        cols = []
-        for row in self.coeffs:
-            p = np.polynomial.Polynomial(row)
-            cols.append(p.deriv(deriv)(x1) if deriv else p(x1))
-        return np.stack(cols, axis=-1)
-
-    def value(self, xp):
-        return self._eval(xp, 0)
-
-    def grad(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        out = np.zeros(xp.shape[:-1] + (self.N, xp.shape[-1]))
-        out[..., 0] = self._eval(xp, 1)
-        return out
-
-    def hess(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        d = xp.shape[-1]
-        out = np.zeros(xp.shape[:-1] + (self.N, d, d))
-        out[..., 0, 0] = self._eval(xp, 2)
-        return out
+    def jet(self, xp, order=2):
+        """[f, d_1 f, d_11 f] at x' up to ``order``, each of shape (..., N)."""
+        x1 = np.asarray(xp, dtype=float)[..., :1]
+        return [P.polyval(x1, C, tensor=False) for C in self._derivs[:order + 1]]
 
 
 @dataclass(frozen=True)
 class BoundaryTraces:
     """Top trace phi and bottom trace psi with exact tangential derivatives."""
 
-    phi: object
-    psi: object
+    phi: PolyTrace
+    psi: PolyTrace
 
     @property
     def N(self):
@@ -199,17 +132,21 @@ class BoundaryTraces:
         if self.phi.N != self.psi.N:
             raise ConstructionError("phi and psi must have the same number of components")
 
-    def diff_value(self, xp):
-        return self.phi.value(xp) - self.psi.value(xp)
-
-    def diff_grad(self, xp):
-        return self.phi.grad(xp) - self.psi.grad(xp)
+    def diff_jet(self, xp, order):
+        """[f, d_1 f, d_11 f] of f = phi - psi up to ``order``, each (..., N)."""
+        return [p - q for p, q in zip(self.phi.jet(xp, order), self.psi.jet(xp, order))]
 
     def c2_total(self, radius, samples=201):
-        """‖phi‖_C2 + ‖psi‖_C2 sampled on the tangential interval of given radius."""
-        lo, hi = [-radius], [radius]
-        return (estimate_c2_norms(self.phi, lo, hi, samples=samples)
-                + estimate_c2_norms(self.psi, lo, hi, samples=samples))
+        """‖phi‖_C2 + ‖psi‖_C2 sampled on the tangential interval of given radius.
+
+        Each norm is the sample maximum of |f| + |d_1 f| + |d_11 f|.
+        """
+        xp = np.linspace(-radius, radius, samples)[:, None]
+        total = 0.0
+        for tr in (self.phi, self.psi):
+            f, d1, d11 = (np.sqrt(np.sum(g ** 2, axis=-1)) for g in tr.jet(xp))
+            total += float((f + d1 + d11).max())
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +155,8 @@ class BoundaryTraces:
 
 def theta(traces: BoundaryTraces, xp):
     """|phi - psi| + |grad_{x'}(phi - psi)| at x'."""
-    xp = np.asarray(xp, dtype=float)
-    dv = traces.diff_value(xp)
-    dg = traces.diff_grad(xp)
-    return (np.linalg.norm(dv, axis=-1)
-            + np.sqrt(np.sum(dg * dg, axis=(-2, -1))))
+    dv, dg = traces.diff_jet(xp, 1)
+    return np.linalg.norm(dv, axis=-1) + np.sqrt(np.sum(dg * dg, axis=-1))
 
 
 def theta_bar_delta(traces: BoundaryTraces, region: NarrowRegion, xp):
@@ -232,11 +166,10 @@ def theta_bar_delta(traces: BoundaryTraces, region: NarrowRegion, xp):
     m > 2 it is pointwise smaller whenever delta <= 1.
     """
     xp = _as_points(xp, 1)
-    dv = traces.diff_value(xp)
-    dg = traces.diff_grad(xp)
+    dv, dg = traces.diff_jet(xp, 1)
     expo = 1.0 - 2.0 / region.profiles.m
     return (np.linalg.norm(dv, axis=-1) * region.delta(xp) ** expo
-            + np.sqrt(np.sum(dg * dg, axis=(-2, -1))))
+            + np.sqrt(np.sum(dg * dg, axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +192,6 @@ def _leibniz(mul, F, G, order):
         cross = mul(F[1], G[1])
         res.append(mul(F[2], G[0]) + cross + cross + mul(F[0], G[2]))
     return res
-
-
-def _x1_jet(trace, xp, order):
-    """[f, d_1 f, d_11 f] of a boundary trace, up to ``order``."""
-    out = [trace.value(xp)]
-    if order >= 1:
-        out.append(trace.grad(xp)[..., 0])
-    if order >= 2:
-        out.append(trace.hess(xp)[..., 0, 0])
-    return out
 
 
 def _gap_slopes(region, xp, order):
@@ -367,7 +290,7 @@ def _lame_kernel(params, region, xp, order):
 
 def _correction_rows(kernel, traces, xp):
     """Rows G_l = (phi^l - psi^l) Q_l at x', shape (..., N, N)."""
-    return traces.diff_value(xp)[..., None] * kernel[0]
+    return traces.diff_jet(xp, 0)[0][..., None] * kernel[0]
 
 
 def correction_coeffs(tensor: CoefficientTensor, region: NarrowRegion,
@@ -447,9 +370,7 @@ class AnsatzField:
     def correction_sum(self, xp, order: int = 2):
         """[S, S', S''] up to ``order`` with S = sum_l G_l, each (..., N)."""
         xp = _as_points(xp, 1)
-        diff = [p - q for p, q in zip(_x1_jet(self.traces.phi, xp, order),
-                                      _x1_jet(self.traces.psi, xp, order))]
-        return self._correction_sum(xp, diff, order)
+        return self._correction_sum(xp, self.traces.diff_jet(xp, order), order)
 
     def _jet(self, xp, t, order, corrected=True):
         """[ubar, grad ubar, Hessian] at (x1, t) up to ``order``.
@@ -465,8 +386,8 @@ class AnsatzField:
         and each r(v) * S term adds a zero to what the same formula gives.
         """
         xp, t = self.region._box(xp, t)
-        phi = _x1_jet(self.traces.phi, xp, order)
-        psi = _x1_jet(self.traces.psi, xp, order)
+        phi = self.traces.phi.jet(xp, order)
+        psi = self.traces.psi.jet(xp, order)
         diff = [p - q for p, q in zip(phi, psi)]
         S = self._correction_sum(xp, diff, order) if corrected else None
         s, r, rp = 1 - t, smoother(t), smoother_prime(t)

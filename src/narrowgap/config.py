@@ -109,25 +109,21 @@ class TracesConfig:
     poly_psi: tuple | None = None
 
     def build(self, N: int) -> _ansatz.BoundaryTraces:
+        """phi and psi as N coefficient rows in x1 each; missing rows are zero."""
         if self.family == "constant":
-            return _ansatz.BoundaryTraces(_ansatz.ConstantTrace(_pad(self.phi, N)),
-                                          _ansatz.ConstantTrace(_pad(self.psi, N)))
-        if self.family == "monomial":
-            return _ansatz.BoundaryTraces(
-                _ansatz.MonomialTrace(N, self.component, self.k, self.scale),
-                _ansatz.zero_trace(N))
-        return _ansatz.BoundaryTraces(_ansatz.PolyTrace(_pad_rows(self.poly_phi, N)),
-                                      _ansatz.PolyTrace(_pad_rows(self.poly_psi, N)))
-
-
-def _pad(vec, N):
-    out = list(vec)[:N]
-    return tuple(out + [0.0] * (N - len(out)))
+            phi, psi = ([(v,) for v in vec] for vec in (self.phi, self.psi))
+        elif self.family == "monomial":
+            phi, psi = _pad_rows((), N), ()
+            phi[self.component] = (0.0,) * self.k + (self.scale,)
+        else:
+            phi, psi = self.poly_phi, self.poly_psi
+        return _ansatz.BoundaryTraces(_ansatz.PolyTrace(_pad_rows(phi, N)),
+                                      _ansatz.PolyTrace(_pad_rows(psi, N)))
 
 
 def _pad_rows(rows, N):
     rows = [tuple(r) for r in (rows or ())][:N]
-    return tuple(rows + [(0.0,)] * (N - len(rows)))
+    return rows + [(0.0,)] * (N - len(rows))
 
 
 @dataclass(frozen=True)
@@ -262,6 +258,32 @@ def _type_violations(cfg: RunConfig):
     return v
 
 
+def _numbers(value, where):
+    """Violations unless ``value`` is a list of numbers (a bool is not one)."""
+    if not isinstance(value, tuple):
+        return [f"traces: {where} must be a list of numbers, got {value!r}"]
+    return [f"traces: {where}[{i}] must be a number, got {x!r}"
+            for i, x in enumerate(value)
+            if isinstance(x, bool) or not isinstance(x, (int, float))]
+
+
+def _coefficient_violations(tr: TracesConfig):
+    """Each trace value or coefficient row that cannot build a trace."""
+    v = _numbers(tr.phi, "phi") + _numbers(tr.psi, "psi")
+    for key in ("poly_phi", "poly_psi"):
+        rows = getattr(tr, key)
+        if rows is None:
+            continue
+        if not isinstance(rows, tuple):
+            v.append(f"traces: {key} must be a list of coefficient rows, got {rows!r}")
+            continue
+        for i, row in enumerate(rows):
+            v += _numbers(row, f"{key}[{i}]")
+            if row == ():
+                v.append(f"traces: {key}[{i}] is an empty coefficient row")
+    return v
+
+
 def validate_config(cfg: RunConfig):
     """Cross-field constraint checks; returns a list of violations.
 
@@ -307,6 +329,10 @@ def validate_config(cfg: RunConfig):
         v.append("traces: poly family requires poly_phi and poly_psi")
     if tr.family == "monomial" and tr.k < 0:
         v.append("traces: monomial degree k must be >= 0")
+    if tr.family == "monomial" and not 0 <= tr.component < cfg.N:
+        v.append(f"traces: monomial component must be in [0, {cfg.N}), "
+                 f"got {tr.component}")
+    v += _coefficient_violations(tr)
     if s.closure == "exact":        # only the Python API can pass the exact field
         v.append("solver: the exact closure needs an exact field, which a config "
                  "cannot supply")

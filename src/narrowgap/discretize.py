@@ -722,8 +722,8 @@ def dirichlet_values(grid: BoxGrid, region: NarrowRegion,
         V[0] = V[-1] = np.asarray(lateral_value, dtype=float)
     else:
         V[[0, -1]] = ansatz.value(XP[[0, -1]], T[[0, -1]])
-    V[:, 0] = traces.psi.value(XP[:, 0])
-    V[:, -1] = traces.phi.value(XP[:, -1])
+    V[:, 0] = traces.psi.jet(XP[:, 0], 0)[0]
+    V[:, -1] = traces.phi.jet(XP[:, -1], 0)[0]
     return V
 
 
@@ -743,7 +743,8 @@ def solve_bvp(tensor: CoefficientTensor, region: NarrowRegion,
     then all are solved in one pass (``solve_linear`` on their stack), with
     ``tol`` shared or one per set.  The list returns one (DiscreteField,
     SolveReport) per set, or the exception that stopped that set alone; a
-    failed factorization raises.
+    failed factorization raises.  One set given by the arguments returns
+    its (DiscreteField, SolveReport) and raises its exception.
     """
     single = not isinstance(traces, list)
     sets = [(traces, closure, ansatz, lateral_value)] if single else traces
@@ -760,13 +761,8 @@ def solve_bvp(tensor: CoefficientTensor, region: NarrowRegion,
             rows.append(right_hand_side(system, V, Ftil))
             out.append(None)
         except Exception as exc:
-            if single:
-                raise
             out.append(exc.with_traceback(None))
     shape = (system.N,) + grid.shape
-    if single:
-        x, report = solve_linear(system, rows[0], tol=tol)
-        return DiscreteField(grid, region, x.reshape(shape)), report
     todo = [j for j, o in enumerate(out) if o is None]
     if todo:
         # a lone row is solved as a view: np.stack would copy it
@@ -776,7 +772,9 @@ def solve_bvp(tensor: CoefficientTensor, region: NarrowRegion,
         for j, x, rep in zip(todo, X, reports):
             out[j] = rep if isinstance(rep, SolverError) else (
                 DiscreteField(grid, region, x.reshape(shape)), rep)
-    return out
+    if single and isinstance(out[0], Exception):
+        raise out.pop()                     # held by no local: no cycle through the frame
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

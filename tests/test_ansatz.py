@@ -6,15 +6,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrowgap.ansatz import (SMOOTHER_SECOND, AnsatzField, BoundaryTraces,
-                              ConstantTrace, MonomialTrace, PolyTrace,
-                              apply_operator, build_ansatz, correction_coeffs,
-                              lame_correction, smoother, smoother_prime, theta,
-                              theta_bar_delta, zero_trace)
+                              PolyTrace, apply_operator, build_ansatz,
+                              correction_coeffs, lame_correction, smoother,
+                              smoother_prime, theta, theta_bar_delta)
 from narrowgap.coefficients import (ConstructionError, HypothesisViolationError,
-                                    LameParameters, MultiPoly, make_custom,
-                                    make_lame, make_laplace, make_perturbed)
+                                    LameParameters, MultiPoly, estimate_c2_norms,
+                                    make_custom, make_lame, make_laplace,
+                                    make_perturbed)
 from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion, ProfilePair,
                                 power_pair)
+
+
+def const(*v):
+    """A constant trace: one coefficient row of degree 0 per component."""
+    return PolyTrace([[c] for c in v])
+
+
+class RefTrace:
+    """value/grad/hess of a trace's coefficient rows, with one tangential axis.
+
+    Each row is evaluated as a ``np.polynomial.Polynomial`` on its own, as
+    an independent reference for ``PolyTrace.jet`` and the input that
+    ``estimate_c2_norms`` reads.
+    """
+
+    def __init__(self, trace):
+        self.polys = [np.polynomial.Polynomial(row) for row in trace.rows]
+
+    def _eval(self, xp, order):
+        x1 = np.asarray(xp, dtype=float)[..., 0]
+        return np.stack([p.deriv(order)(x1) for p in self.polys], axis=-1)
+
+    def value(self, xp):
+        return self._eval(xp, 0)
+
+    def grad(self, xp):
+        return self._eval(xp, 1)[..., None]
+
+    def hess(self, xp):
+        return self._eval(xp, 2)[..., None, None]
 
 
 def region(m=2, upper=1.0, lower=0.0, eps=0.01, R0=0.5):
@@ -22,7 +52,7 @@ def region(m=2, upper=1.0, lower=0.0, eps=0.01, R0=0.5):
 
 
 LAME = make_lame(LameParameters(1.0, 1.0), 2)
-E1_GAP = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+E1_GAP = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
 # A(x) = A0 + 0.1 p(x) T with T not proportional to A0: a scalar factor
 # c(x) A0 cancels from every correction row, so only a different direction
 # exercises the x-dependent dA and d2A chain rule through the mid-gap height
@@ -67,13 +97,70 @@ class TestSmoother:
 
 
 # ---------------------------------------------------------------------------
+# boundary traces
+# ---------------------------------------------------------------------------
+
+X1 = np.linspace(-0.9, 0.9, 19).reshape(19, 1, 1)      # a column of x' points
+
+
+class TestPolyTrace:
+    def test_constant_jet(self):
+        f, d1, d11 = const(2.0, -0.5).jet(X1)
+        assert f.shape == d1.shape == d11.shape == (19, 1, 2)
+        assert np.all(f == [2.0, -0.5]) and np.all(d1 == 0.0) and np.all(d11 == 0.0)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_monomial_jet(self, k):
+        # scale * x1^k in component 1 of 3; Horner's rule and x1**k agree
+        # bit for bit below k = 2 and may round apart from k = 2 on
+        scale, x = 1.7, X1[..., 0]
+        tr = PolyTrace([[0.0], [0.0] * k + [scale], [0.0]])
+        want = [scale * x ** k,
+                scale * k * x ** max(k - 1, 0),
+                scale * k * (k - 1) * x ** max(k - 2, 0)]
+        for order in range(3):
+            got = tr.jet(X1, order)
+            assert len(got) == order + 1
+            for f, w in zip(got, want):
+                assert np.all(f[..., [0, 2]] == 0.0)
+                np.testing.assert_allclose(f[..., 1], w, rtol=1e-15 if k >= 2 else 0, atol=0)
+
+    def test_poly_jet(self):
+        tr = PolyTrace([[1.0, -2.0, 0.5, 0.25], [3.0]])
+        x = X1[..., 0]
+        f, d1, d11 = tr.jet(X1)
+        np.testing.assert_allclose(f[..., 0], 1.0 - 2.0 * x + 0.5 * x ** 2 + 0.25 * x ** 3,
+                                   rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(d1[..., 0], -2.0 + x + 0.75 * x ** 2, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(d11[..., 0], 1.0 + 1.5 * x, rtol=1e-15, atol=1e-15)
+        assert np.all(f[..., 1] == 3.0) and np.all(d1[..., 1] == 0.0) and np.all(d11[..., 1] == 0.0)
+
+    @pytest.mark.parametrize("phi, psi", [
+        ([[1.0], [0.0]], [[0.0], [0.0]]),
+        ([[0.0, 0.0, 1.7], [0.0]], [[0.0], [0.0]]),
+        ([[1.0, 0.2, -0.1, 0.3], [0.5, 0.4, 0.2]], [[0.0, -0.3, 0.1], [0.1, 0.0, -0.2]])],
+        ids=["constant", "monomial", "poly"])
+    def test_c2_total_equals_the_sampled_c2_norms(self, phi, psi):
+        tr = BoundaryTraces(PolyTrace(phi), PolyTrace(psi))
+        want = (estimate_c2_norms(RefTrace(tr.phi), [-1.0], [1.0], samples=201)
+                + estimate_c2_norms(RefTrace(tr.psi), [-1.0], [1.0], samples=201))
+        assert tr.c2_total(1.0) == want
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[1.0], []], [[1.0, np.nan]], [[np.inf]]],
+                             ids=["no_rows", "empty_row", "one_empty_row", "nan", "inf"])
+    def test_empty_or_non_finite_rows_refused(self, rows):
+        with pytest.raises(ConstructionError):
+            PolyTrace(rows)
+
+
+# ---------------------------------------------------------------------------
 # correction coefficients
 # ---------------------------------------------------------------------------
 
 class TestCorrection:
     def test_laplacian_correction_vanishes_exactly(self):
         r = region()
-        tr = BoundaryTraces(ConstantTrace([1.0]), zero_trace(1))
+        tr = BoundaryTraces(const(1.0), const(0.0))
         G = correction_coeffs(make_laplace(2, 1), r, tr, np.array([[0.3]]))
         assert np.all(G == 0.0)
 
@@ -88,7 +175,7 @@ class TestCorrection:
     def test_lame_normal_row(self):
         # phi^n - psi^n = 1, d1 delta = 0.2: G_n = (lam+mu)/mu * 0.2 * e_1
         r = region(eps=0.01)
-        tr = BoundaryTraces(ConstantTrace([0.0, 1.0]), zero_trace(2))
+        tr = BoundaryTraces(const(0.0, 1.0), const(0.0, 0.0))
         G = lame_correction(LameParameters(1.0, 1.0), r, tr, np.array([[0.1]]))[0]
         assert G[1] == pytest.approx([0.4, 0.0], abs=1e-15)
         assert np.all(G[0] == 0.0)
@@ -124,24 +211,24 @@ class TestCorrection:
 
 class TestGauges:
     def test_equal_traces_vanish(self):
-        tr = BoundaryTraces(ConstantTrace([2.0, -1.0]), ConstantTrace([2.0, -1.0]))
+        tr = BoundaryTraces(const(2.0, -1.0), const(2.0, -1.0))
         xp = np.linspace(-0.9, 0.9, 7)[:, None]
         assert np.all(theta(tr, xp) == 0.0)
         assert np.all(theta_bar_delta(tr, region(), xp) == 0.0)
 
     def test_constant_gap_m2_gauges_coincide(self):
-        tr = BoundaryTraces(ConstantTrace([3.0, 4.0]), zero_trace(2))
+        tr = BoundaryTraces(const(3.0, 4.0), const(0.0, 0.0))
         r = region(m=2)
         xp = np.linspace(-0.9, 0.9, 7)[:, None]
         assert np.allclose(theta(tr, xp), 5.0)
         assert np.allclose(theta_bar_delta(tr, r, xp), 5.0)
 
     def test_monomial_gap_at_origin(self):
-        tr = BoundaryTraces(MonomialTrace(2, 0, 1), zero_trace(2))
+        tr = BoundaryTraces(PolyTrace([[0.0, 1.0], [0.0]]), const(0.0, 0.0))
         assert theta(tr, np.zeros((1, 1)))[0] == pytest.approx(1.0)
 
     def test_thetabar_smaller_for_m4(self):
-        tr = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+        tr = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
         r = region(m=4, eps=1e-3)
         xp = np.linspace(-0.9, 0.9, 33)[:, None]
         assert np.all(theta_bar_delta(tr, r, xp) <= theta(tr, xp))
@@ -154,7 +241,7 @@ class TestGauges:
 class TestAnsatzField:
     def test_laplace_reduces_to_interpolant(self):
         r = region()
-        tr = BoundaryTraces(ConstantTrace([2.0]), ConstantTrace([-1.0]))
+        tr = BoundaryTraces(const(2.0), const(-1.0))
         af = build_ansatz(make_laplace(2, 1), r, tr)
         xp = np.linspace(-0.9, 0.9, 9)[:, None]
         t = np.linspace(0.1, 0.9, 9)
@@ -168,8 +255,8 @@ class TestAnsatzField:
         xp = np.linspace(-0.99, 0.99, 500)[:, None]
         top = r.from_box(xp, np.ones(500))
         bot = r.from_box(xp, np.zeros(500))
-        assert np.abs(af.value(*r.to_box(top)) - tr.phi.value(xp)).max() <= 1e-14
-        assert np.abs(af.value(*r.to_box(bot)) - tr.psi.value(xp)).max() <= 1e-14
+        assert np.abs(af.value(*r.to_box(top)) - tr.phi.jet(xp, 0)[0]).max() <= 1e-14
+        assert np.abs(af.value(*r.to_box(bot)) - tr.psi.jet(xp, 0)[0]).max() <= 1e-14
 
     def test_modes_agree_pointwise(self):
         params = LameParameters(0.7, 1.3)
@@ -197,11 +284,11 @@ class TestAnsatzField:
     @settings(max_examples=20, deadline=None)
     def test_linearity_in_the_data(self, a, b):
         r = region(eps=0.05)
-        tr1 = BoundaryTraces(ConstantTrace([1.0, 0.0]), ConstantTrace([0.0, 0.5]))
-        tr2 = BoundaryTraces(PolyTrace([[0.0, 1.0], [0.3]]), zero_trace(2))
+        tr1 = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.5))
+        tr2 = BoundaryTraces(PolyTrace([[0.0, 1.0], [0.3]]), const(0.0, 0.0))
         mixed = BoundaryTraces(
             PolyTrace([[a, b], [0.3 * b]]),
-            ConstantTrace([0.0, 0.5 * a]))
+            const(0.0, 0.5 * a))
         f1 = build_ansatz(LAME, r, tr1)
         f2 = build_ansatz(LAME, r, tr2)
         fm = build_ansatz(LAME, r, mixed)
@@ -215,7 +302,7 @@ class TestGradAnsatz:
     def test_vertical_derivative_of_interpolant(self):
         # Laplacian, constant data gap a: d_n ubar = a / delta exactly
         r = region(eps=0.01)
-        tr = BoundaryTraces(ConstantTrace([3.0]), zero_trace(1))
+        tr = BoundaryTraces(const(3.0), const(0.0))
         af = build_ansatz(make_laplace(2, 1), r, tr)
         xp = np.array([[0.1]])
         assert af.gradient(xp, np.array([0.25]))[0, 0, 1] == pytest.approx(3.0 / 0.02, rel=1e-14)
@@ -274,7 +361,7 @@ class TestGradAnsatz:
             af = build_ansatz(LAME, r, tr)
             xp = np.linspace(-0.9, 0.9, 101)[:, None]
             t = np.full(101, 0.3)
-            assert np.abs(af.value(xp, t) - tr.phi.value(xp)).max() <= 1e-14
+            assert np.abs(af.value(xp, t) - tr.phi.jet(xp, 0)[0]).max() <= 1e-14
             sups.append(np.abs(af.gradient(xp, t)).max())
         assert max(sups) <= min(sups) * (1 + 1e-12)
 
@@ -285,7 +372,7 @@ class TestResidual:
         # harmonic, so the residual vanishes identically
         flat = ProfilePair(FLAT, FLAT, 2, 1, 1, 1, 1, 0.5)
         r = NarrowRegion(flat, 1.0, 2)
-        tr = BoundaryTraces(ConstantTrace([2.0]), ConstantTrace([-1.0]))
+        tr = BoundaryTraces(const(2.0), const(-1.0))
         af = build_ansatz(make_laplace(2, 1), r, tr)
         rng = np.random.default_rng(3)
         x = (rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0.05, 0.95, 200))
@@ -295,7 +382,7 @@ class TestResidual:
     def test_residual_matches_operator_of_fd_hessian(self, mode):
         # independent check: contract the tensor with FD second derivatives
         r = region(m=2, upper=0.8, lower=0.2, eps=0.05)
-        tr = BoundaryTraces(PolyTrace([[0.5, 1.0], [0.0, 0.2]]), zero_trace(2))
+        tr = BoundaryTraces(PolyTrace([[0.5, 1.0], [0.0, 0.2]]), const(0.0, 0.0))
         af = build(LAME, r, tr, mode)
         x0 = r.from_box(np.array([[0.21]]), np.array([0.6]))[0]
         h = 2e-6
@@ -383,7 +470,7 @@ class TestPlanarRefusal:
         region3 = NarrowRegion(power_pair(2, 1.0, 0.0, 0.5), 0.05, 3)
         params = LameParameters(1.0, 1.0)
         tensor = make_lame(params, 3)
-        tr = BoundaryTraces(ConstantTrace([1.0, 0.0, 0.0]), zero_trace(3))
+        tr = BoundaryTraces(const(1.0, 0.0, 0.0), const(0.0, 0.0, 0.0))
         xp = np.zeros((1, 2))
         calls = {"AnsatzField": lambda: AnsatzField(region3, tensor, tr),
                  "correction_coeffs": lambda: correction_coeffs(tensor, region3, tr, xp),
@@ -485,8 +572,9 @@ def ref_lame_kernel(params, region, xp, order):
             for spec, D in zip(specs, ref_gap_slopes(region, xp, order))]
 
 
-def ref_diff_hess(traces, xp):
-    return traces.phi.hess(xp) - traces.psi.hess(xp)
+def ref_diff(traces, fn, xp):
+    """``fn`` ("value", "grad" or "hess") of phi - psi with a tangential axis."""
+    return getattr(RefTrace(traces.phi), fn)(xp) - getattr(RefTrace(traces.psi), fn)(xp)
 
 
 def ref_vbar_hess(region, xp, t, dv):
@@ -513,10 +601,8 @@ def ref_correction_sum(af, xp, order, corrected):
         kernel = ref_lame_kernel(af.lame, af.region, xp, order)
     else:
         kernel = ref_generic_kernel(af.tensor, af.region, xp, order)
-    diff = [af.traces.diff_value, af.traces.diff_grad,
-            lambda x: ref_diff_hess(af.traces, x)]
-    return ref_leibniz("...l,...li->...i", [f(xp) for f in diff[:order + 1]],
-                       kernel, order)
+    diff = [ref_diff(af.traces, fn, xp) for fn in ("value", "grad", "hess")[:order + 1]]
+    return ref_leibniz("...l,...li->...i", diff, kernel, order)
 
 
 def ref_jet(af, xp, t, order, corrected=True):
@@ -524,8 +610,8 @@ def ref_jet(af, xp, t, order, corrected=True):
     region = af.region
     xp, t = region._box(xp, t)
     fns = ("value", "grad", "hess")[:order + 1]
-    phi = [getattr(af.traces.phi, f)(xp) for f in fns]
-    psi = [getattr(af.traces.psi, f)(xp) for f in fns]
+    phi = [getattr(RefTrace(af.traces.phi), f)(xp) for f in fns]
+    psi = [getattr(RefTrace(af.traces.psi), f)(xp) for f in fns]
     S = ref_correction_sum(af, xp, order, corrected)
     r, rp = smoother(t), smoother_prime(t)
     out = [phi[0] * t[..., None] + psi[0] * (1 - t)[..., None] + r[..., None] * S[0]]

@@ -3,6 +3,8 @@
 import ctypes
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,6 +183,20 @@ class TestRun:
         p = write_cfg(tmp_path, {**MINI, block: {**MINI.get(block, {}), key: value}})
         assert main(["validate", "--config", str(p)]) == 2
         assert f"{block}: {key} must be {what}, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("traces, what", [
+        ({"phi": [1, "x"]}, "traces: phi[1] must be a number, got 'x'"),
+        ({"family": "poly", "poly_phi": [[0.5, "x"]], "poly_psi": [[0.0]]},
+         "traces: poly_phi[0][1] must be a number, got 'x'"),
+        ({"family": "poly", "poly_phi": [[1.0]], "poly_psi": [[]]},
+         "traces: poly_psi[0] is an empty coefficient row"),
+        ({"family": "monomial", "component": 2},
+         "traces: monomial component must be in [0, 2), got 2")],
+        ids=["phi_entry", "poly_entry", "empty_poly_row", "monomial_component"])
+    def test_unbuildable_traces_exit_2(self, tmp_path, capsys, traces, what):
+        p = write_cfg(tmp_path, {**MINI, "traces": traces})
+        assert main(["validate", "--config", str(p)]) == 2
+        assert what in capsys.readouterr().err
 
     def test_ansatz_command_emits_field_samples(self, tmp_path):
         cfg = {**MINI, "output": {"dir": str(tmp_path / "anz")}}
@@ -401,9 +417,8 @@ def test_three_dimensional_grids_abort_with_their_reason(tmp_path):
         assert checks[v.name]["error"] == reason
 
 
-def test_both_blas_pools_take_the_thread_count_of_the_environment():
-    # numpy and scipy each bundle an OpenBLAS with its own pool; the root
-    # conftest sets one thread unless the environment already chose
+def blas_pool_threads():
+    """Thread counts of the OpenBLAS pools that numpy and scipy each bundle."""
     import numpy
     import scipy
 
@@ -417,4 +432,29 @@ def test_both_blas_pools_take_the_thread_count_of_the_environment():
         get_num_threads = getattr(ctypes.CDLL(str(libs[0])), symbol)
         get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
         seen[pkg.__name__] = get_num_threads()
+    return seen
+
+
+def test_both_blas_pools_take_the_thread_count_of_the_environment():
+    # the root conftest sets one thread unless the environment already chose
+    seen = blas_pool_threads()
     assert seen["numpy"] == seen["scipy"] <= int(os.environ["OPENBLAS_NUM_THREADS"])
+
+
+@pytest.mark.parametrize("chosen", [None, 2], ids=["default", "user_set"])
+def test_importing_the_package_sets_one_blas_thread_unless_chosen(chosen):
+    # a fresh process that imports narrowgap before numpy; OpenBLAS caps its
+    # pool at the core count
+    blas_pool_threads()                     # skips where the libraries differ
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if chosen is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(chosen)
+    code = ("import json, sys; sys.path[:0] = sys.argv[1:]; import narrowgap; "
+            "from test_cli import blas_pool_threads; print(json.dumps(blas_pool_threads()))")
+    root = Path(__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(root / "tests")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = min(chosen or 1, len(os.sched_getaffinity(0)))
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"numpy": want, "scipy": want}

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from narrowgap.ansatz import (BoundaryTraces, ConstantTrace, apply_operator,
-                             build_ansatz, zero_trace)
+from narrowgap.ansatz import (BoundaryTraces, PolyTrace, apply_operator,
+                             build_ansatz)
 from narrowgap.coefficients import (LameParameters, MultiPoly, make_custom, make_lame,
                                     make_laplace, make_perturbed)
 from narrowgap.discretize import (AssemblyError, BoxGrid, DiscreteField, LinearSystem,
@@ -18,6 +18,11 @@ from narrowgap.discretize import (AssemblyError, BoxGrid, DiscreteField, LinearS
                                   transform_operator)
 from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion,
                                 ProfilePair, power_pair)
+
+
+def const(*v):
+    """A constant trace: one coefficient row of degree 0 per component."""
+    return PolyTrace([[c] for c in v])
 
 
 def flat_region(eps=1.0, R0=0.5):
@@ -238,7 +243,7 @@ class TestAssemble:
     def test_dirichlet_rows_carry_trace_values(self):
         reg = curved_region()
         grid = BoxGrid(9, 7, 1.0)
-        tr = BoundaryTraces(ConstantTrace([2.0]), ConstantTrace([-0.5]))
+        tr = BoundaryTraces(const(2.0), const(-0.5))
         af = build_ansatz(LAP, reg, tr)
         V = dirichlet_values(grid, reg, tr, "ansatz", af)
         tf = transform_operator(LAP, reg, grid)
@@ -282,8 +287,8 @@ class TestAssemble:
         reg = curved_region()
         grid = BoxGrid(9, 7, 1.0)
         XP, T = grid.node_coords()
-        tr = BoundaryTraces(ConstantTrace([2.0]), ConstantTrace([-0.5]))
-        af = build_ansatz(LAP, reg, BoundaryTraces(ConstantTrace([5.0]), ConstantTrace([7.0])))
+        tr = BoundaryTraces(const(2.0), const(-0.5))
+        af = build_ansatz(LAP, reg, BoundaryTraces(const(5.0), const(7.0)))
         V = dirichlet_values(grid, reg, tr, closure, af, lateral_value=[3.0])
         sides = [0, -1]
         lateral = (np.full((2, grid.shape[1], 1), 3.0) if closure == "constant"
@@ -481,13 +486,15 @@ class TestStackedSolve:
         reg = curved_region(eps=0.05)
         grid = grid_for(reg, 33, 9)
         ls = assemble(transform_operator(LAME, reg, grid))
-        one = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
-        two = BoundaryTraces(ConstantTrace([0.0, 2.0]), ConstantTrace([1.0, 1.0]))
+        one = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
+        two = BoundaryTraces(const(0.0, 2.0), const(1.0, 1.0))
         sets = [(one, "ansatz", build_ansatz(LAME, reg, one), None),
                 (two, "constant", None, None),
                 (two, "constant", None, [0.5, -1.0])]
         out = solve_bvp(LAME, reg, sets, grid, system=ls)
         assert isinstance(out[1], AssemblyError) and out[1].__traceback__ is None
+        with pytest.raises(AssemblyError, match="requires lateral_value"):
+            solve_bvp(LAME, reg, two, grid, closure="constant", system=ls)
         for (tr, closure, af, lateral), got in zip(sets[::2], out[::2]):
             df, rep = got
             want_df, want = solve_bvp(LAME, reg, tr, grid, closure=closure, ansatz=af,
@@ -693,7 +700,7 @@ class TestStencilOperator:
             monkeypatch.setattr(cls, "__init__", refuse)
             monkeypatch.setattr(sp, cls.__name__, refuse)
         reg = curved_region(eps=0.05)
-        tr = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+        tr = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
         df, rep = solve_bvp(LAME, reg, tr, grid_for(reg, 33, 9))
         assert rep.method == "pbtrf" and np.all(np.isfinite(df.values))
 
@@ -746,7 +753,7 @@ class TestSolveBVP:
         # flat strip, phi = 1, psi = 0, lateral = interpolant: u = t in the
         # stencil kernel, reproduced to round-off
         reg = flat_region(eps=0.3)
-        tr = BoundaryTraces(ConstantTrace([1.0]), ConstantTrace([0.0]))
+        tr = BoundaryTraces(const(1.0), const(0.0))
         grid = BoxGrid(17, 9, 1.0)
         df, rep = solve_bvp(LAP, reg, tr, grid)
         _, T = grid.node_coords()
@@ -785,7 +792,7 @@ class TestSolveBVP:
 
     def test_discrete_maximum_principle_flat(self):
         reg = flat_region(eps=0.5)
-        tr = BoundaryTraces(ConstantTrace([1.0]), ConstantTrace([-1.0]))
+        tr = BoundaryTraces(const(1.0), const(-1.0))
         grid = BoxGrid(17, 17, 1.0)
         df, _ = solve_bvp(LAP, reg, tr, grid)
         assert df.values.min() >= -1 - 1e-12
@@ -793,7 +800,7 @@ class TestSolveBVP:
 
     def test_self_convergence_on_constant_gap(self):
         reg = curved_region(eps=0.02)
-        tr = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+        tr = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
         fine, _ = solve_bvp(LAME, reg, tr, grid_for(reg, 129, 33))
         diffs = []
         for ny, nt in ((17, 5), (33, 9), (65, 17)):
@@ -885,8 +892,8 @@ class TestRecoverGradient:
     def test_gradient_matches_the_einsum_reference(self, tensor):
         # G^T grad_y u as the generic einsum writes it, on a solved field
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        tr = BoundaryTraces(ConstantTrace([1.0] + [0.0] * (tensor.N - 1)),
-                            zero_trace(tensor.N))
+        tr = BoundaryTraces(const(1.0, *[0.0] * (tensor.N - 1)),
+                            const(*[0.0] * tensor.N))
         df, _ = solve_bvp(tensor, reg, tr, grid_for(reg, 33, 17))
         XP, T = df.grid.node_coords()
         G = box_jacobian(reg, XP[..., :1, :], T)
@@ -900,7 +907,7 @@ class TestRecoverGradient:
         # nodes and on all four edges: value and gradient keep the bits of
         # the 2^n corner loop
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        tr = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+        tr = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
         df, _ = solve_bvp(LAME, reg, tr, grid_for(reg, 33, 17))
         x1, t = df.grid.axes
         rng = np.random.default_rng(6)

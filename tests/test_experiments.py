@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narrowgap.ansatz import BoundaryTraces, ConstantTrace, build_ansatz, zero_trace
+from narrowgap.ansatz import BoundaryTraces, PolyTrace, build_ansatz
 from narrowgap.coefficients import LameParameters, make_lame
 from narrowgap.config import config_from_dict
 from narrowgap.discretize import DiscreteField, grid_for, solve_bvp
@@ -18,6 +18,11 @@ from narrowgap.experiments import (STATISTICS, DataError, SolveBundle, SweepPoin
                                    fit_rate, local_energy, residual_sweep, run_sweeps,
                                    solve_point, sweep)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
+
+
+def const(*v):
+    """A constant trace: one coefficient row of degree 0 per component."""
+    return PolyTrace([[c] for c in v])
 
 
 def synthetic(eps, values, stat="s"):
@@ -342,7 +347,7 @@ class TestResidualSweep:
 def energy_setup():
     region = NarrowRegion(power_pair(2, 1.0, 0.0, R0=0.5), 0.02, 2)
     tensor = make_lame(LameParameters(1.0, 1.0), 2)
-    traces = BoundaryTraces(ConstantTrace([1.0, 0.0]), zero_trace(2))
+    traces = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
     af = build_ansatz(tensor, region, traces)
     df, _ = solve_bvp(tensor, region, traces, grid_for(region, 129, 33),
                       ansatz=af)
