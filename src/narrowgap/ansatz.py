@@ -329,7 +329,7 @@ class AnsatzField:
 
     Evaluators take box coordinates (x1, t) that broadcast: a grid passed as
     XP[..., :1, :] and T evaluates every x1-only factor once per column.
-    Immutable and pure: sweep workers may share one instance per epsilon.
+    Immutable and pure.
     ``corrected=False`` on ``gradient`` and ``residual`` drops the
     r(v) * sum G_l term and yields the plain two-point interpolant (the
     quantity the correction improves on) without building the correction.

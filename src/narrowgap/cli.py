@@ -20,8 +20,10 @@ Every run writes to the output directory:
                      wall-clock timings; an ABORTED check names its error
 
 report.txt and the CSV/JSON artifacts are byte-reproducible for a given
-configuration and package version; runlog.jsonl carries the timings and is
-the only non-deterministic file (the manifest lists it without a digest).
+configuration, package version and BLAS thread count (one per OpenBLAS pool
+unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set; another count moved
+sweep values by up to 1.4e-13 relative); runlog.jsonl carries the timings and
+is the only non-deterministic file (the manifest lists it without a digest).
 
 Exit status: 0 when every verdict is PASS or SKIPPED, 1 otherwise, 2 for
 configuration errors.
@@ -289,8 +291,6 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.threads is not None:
-        cfg = replace(cfg, experiment=replace(cfg.experiment, threads=args.threads))
     if args.seed is not None:
         cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
     if args.grid_scale is not None:
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, metavar="PATH")
         p.add_argument("--out", default=None, metavar="DIR")
-        p.add_argument("--threads", type=int, default=None, metavar="K")
         p.add_argument("--seed", type=int, default=None, metavar="S")
         p.add_argument("--grid-scale", type=float, default=None, metavar="F",
                        dest="grid_scale")

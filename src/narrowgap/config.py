@@ -152,7 +152,12 @@ class ExperimentConfig:
     monomial_k: int = 1
     remark13_cases: tuple = ("i", "ii", "iii")
     energy_quad: tuple = (24, 48)
-    threads: int = 1
+
+    @property
+    def threads(self):
+        """1: sweeps run on the calling thread.  Read only by the check in
+        ``sweepbench/worker.py``, and goes with it (ROADMAP item 3)."""
+        return 1
 
 
 @dataclass(frozen=True)
@@ -258,11 +263,11 @@ def _type_violations(cfg: RunConfig):
     return v
 
 
-def _numbers(value, where):
+def _numbers(value, where, block="traces"):
     """Violations unless ``value`` is a list of numbers (a bool is not one)."""
     if not isinstance(value, tuple):
-        return [f"traces: {where} must be a list of numbers, got {value!r}"]
-    return [f"traces: {where}[{i}] must be a number, got {x!r}"
+        return [f"{block}: {where} must be a list of numbers, got {value!r}"]
+    return [f"{block}: {where}[{i}] must be a number, got {x!r}"
             for i, x in enumerate(value)
             if isinstance(x, bool) or not isinstance(x, (int, float))]
 
@@ -282,6 +287,18 @@ def _coefficient_violations(tr: TracesConfig):
             if row == ():
                 v.append(f"traces: {key}[{i}] is an empty coefficient row")
     return v
+
+
+def _beyond_n(tr: TracesConfig, N):
+    """Traces with nonzero data beyond N; zeros let phi (1, 0) serve N = 1."""
+    if tr.family == "constant":
+        return [f"traces: {key} has a nonzero entry beyond N = {N}"
+                for key in ("phi", "psi") if any(getattr(tr, key)[N:])]
+    if tr.family == "poly":
+        return [f"traces: {key} has a nonzero row beyond N = {N}"
+                for key in ("poly_phi", "poly_psi")
+                if any(any(row) for row in (getattr(tr, key) or ())[N:])]
+    return []
 
 
 def validate_config(cfg: RunConfig):
@@ -332,7 +349,7 @@ def validate_config(cfg: RunConfig):
     if tr.family == "monomial" and not 0 <= tr.component < cfg.N:
         v.append(f"traces: monomial component must be in [0, {cfg.N}), "
                  f"got {tr.component}")
-    v += _coefficient_violations(tr)
+    v += _coefficient_violations(tr) or _beyond_n(tr, cfg.N)
     if s.closure == "exact":        # only the Python API can pass the exact field
         v.append("solver: the exact closure needs an exact field, which a config "
                  "cannot supply")
@@ -340,6 +357,11 @@ def validate_config(cfg: RunConfig):
         v.append(f"solver: unknown closure {s.closure!r}")
     if s.closure == "constant" and s.lateral_value is None:
         v.append("solver: constant closure requires lateral_value")
+    if s.lateral_value is not None:
+        v += _numbers(s.lateral_value, "lateral_value", "solver") or (
+            [] if len(s.lateral_value) == cfg.N else
+            [f"solver: lateral_value must have N = {cfg.N} entries, "
+             f"got {len(s.lateral_value)}"])
     if s.ansatz_mode not in ("generic", "lame_closed_form"):
         v.append(f"solver: unknown ansatz_mode {s.ansatz_mode!r}")
     if s.ansatz_mode == "lame_closed_form" and t.kind != "lame":

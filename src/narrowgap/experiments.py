@@ -20,14 +20,15 @@ the approach transient even though the quantity is uniformly bounded.  Both
 the tail fit and the full-window fit are recorded.
 
 Deterministic by construction: no randomness enters a sweep, so identical
-configurations produce identical CSV bytes.
+configurations produce identical CSV bytes at one BLAS thread count (another
+moved values by up to 1.4e-13 relative).  The package pins one per OpenBLAS
+pool unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -72,7 +73,6 @@ class SweepPoint:
 class SweepResult:
     statistic: str
     points: list
-    metadata: dict = field(default_factory=dict)
 
     def clean(self):
         return [p for p in self.points if not p.flagged]
@@ -422,6 +422,8 @@ class SweepRequest:
         for s in self.stats:
             if s not in STATISTICS:
                 raise ConfigError([f"unknown statistic {s!r}"])
+        if any(a <= b for a, b in zip(self.eps_list, self.eps_list[1:])):
+            raise ConfigError(["eps_list must be strictly decreasing"])
 
     @property
     def matrix_key(self):
@@ -450,9 +452,7 @@ def run_sweeps(requests) -> list:
     (eps, grid): at each point the operator is transformed, assembled and
     factored once, the right-hand sides of the distinct configs there are
     solved against that factorization in one pass, each once for all its
-    requests, and the factorization is freed before the next point.  Eps
-    points run on ``experiment.threads`` workers, one live factorization
-    each.
+    requests, and the factorization is freed before the next point.
     """
     outcomes = [SweepOutcome() for _ in requests]
     groups = {}
@@ -464,27 +464,25 @@ def run_sweeps(requests) -> list:
 
 
 def _sweep_group(reqs, outs):
-    cfg = reqs[0].cfg
-    nodes = cfg.solver.scaled_nodes()
+    """Sweep requests that share a matrix key, one (eps, grid) point at a time.
+
+    Eps runs from the largest down, so every request meets its points in
+    its own order.  Requests with equal configs read one SolveBundle per
+    point.  Every bundle of a point is set up first and all are solved in
+    one pass; then each runs its statistics and is dropped before the next.
+    The first request of a config logs its solve, and the others log a
+    shared solve naming its check and case.  A request stops at its first
+    error, kept without its traceback, whose frames hold the system.
+    """
+    nodes = reqs[0].cfg.solver.scaled_nodes()
     refined = tuple(2 * (k - 1) + 1 for k in nodes)
-    eps_all = list(dict.fromkeys(e for r in reqs for e in r.eps_list))
-
-    def run_point(eps):
-        """Request index -> [values, refined values, events, seconds] or error.
-
-        Requests with equal configs read one SolveBundle per grid.  Every
-        bundle of a grid is set up first and all are solved in one pass;
-        then each runs its statistics and is dropped before the next.  The
-        first request of a config logs its solve, and the others log a
-        shared solve naming its check and case.  A kept error drops its
-        traceback, whose frames hold the system.
-        """
-        found = {}
+    rows = [[] for _ in reqs]           # per request: [eps, values, refined values]
+    for eps in sorted({e for r in reqs for e in r.eps_list}, reverse=True):
         for grid_nodes in (nodes, refined):
             point = {}          # this grid's system: the base one is freed here
             groups = {}
             for i, req in enumerate(reqs):
-                if (eps in req.eps_list and not isinstance(found.get(i), Exception)
+                if (eps in req.eps_list and outs[i].error is None
                         and (grid_nodes == nodes or req.richardson)):
                     groups.setdefault(req.cfg, []).append(i)
             t0 = time.perf_counter()
@@ -494,12 +492,14 @@ def _sweep_group(reqs, outs):
                     bundles.append((members, SolveBundle(reqs[members[0]].cfg, eps,
                                                          grid_nodes, point)))
                 except Exception as exc:     # its requests fail, not the sweep
-                    found.update(dict.fromkeys(members, exc.with_traceback(None)))
+                    for i in members:
+                        outs[i].error = exc.with_traceback(None)
             errors = solve_point([b for _, b in bundles], point["system"]) if bundles else []
             for error in errors:
                 members, b = bundles.pop(0)
                 if error is not None:
-                    found.update(dict.fromkeys(members, error))
+                    for i in members:
+                        outs[i].error = error
                     continue
                 solver = reqs[members[0]]
                 solved = {**b.report.record(), "assemble_s": b.assemble_s}
@@ -511,35 +511,21 @@ def _sweep_group(reqs, outs):
                     try:
                         vals = {s: STATISTICS[s](b) for s in reqs[i].stats}
                     except Exception as exc:
-                        found[i] = exc.with_traceback(None)
+                        outs[i].error = exc.with_traceback(None)
                         continue
                     t2 = time.perf_counter()
-                    slot = found.setdefault(i, [vals, {}, [], 0.0])
-                    if grid_nodes == refined:
-                        slot[1] = vals
-                    slot[2].append({"case": reqs[i].case, "eps": eps, **solved,
-                                    "stats_s": t2 - t1})
-                    slot[3] += t2 - t0
+                    if grid_nodes == nodes:
+                        rows[i].append([eps, vals, {}])
+                    else:
+                        rows[i][-1][2] = vals
+                    outs[i].events.append({"case": reqs[i].case, "eps": eps, **solved,
+                                           "stats_s": t2 - t1})
+                    outs[i].elapsed += t2 - t0
                     solved, t0 = shared, t2          # the rest read this solve
                 del b                        # before the next bundle's statistics
-        return found
-
-    threads = max(1, cfg.experiment.threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            by_eps = dict(zip(eps_all, pool.map(run_point, eps_all)))
-    else:
-        by_eps = {eps: run_point(eps) for eps in eps_all}
-
-    for i, (req, out) in enumerate(zip(reqs, outs)):
-        rows = [(eps, by_eps[eps][i]) for eps in req.eps_list]
-        errors = [row for _, row in rows if isinstance(row, Exception)]
-        if errors:
-            out.error = errors[0]
-            continue
-        out.results = _sweep_results(req.cfg, req.stats, nodes, rows)
-        out.events = [ev for _, row in rows for ev in row[2]]
-        out.elapsed = sum(row[3] for _, row in rows)
+    for req, out, got in zip(reqs, outs, rows):
+        if out.error is None:
+            out.results = _sweep_results(req.cfg, req.stats, nodes, got)
 
 
 def _richardson_point(eps, value, refined, tol, grid, reason):
@@ -555,28 +541,24 @@ def _richardson_point(eps, value, refined, tol, grid, reason):
 
 
 def _sweep_results(cfg, stat_names, nodes, rows):
-    """One SweepResult per statistic from (eps, [values, refined, ...]) rows.
+    """One SweepResult per statistic from (eps, values, refined values) rows.
 
     Points whose base/refined values differ by more than the Richardson
     tolerance are flagged grid-limited; values under the noise floor are
     flagged as solver noise.
     """
     out = {}
-    meta = {"tensor": cfg.tensor.kind, "traces": cfg.traces.family,
-            "m": cfg.geometry.m, "grid": "x".join(map(str, nodes)),
-            "closure": cfg.solver.closure,
-            "richardson_tol": cfg.experiment.richardson_tol}
     for s in stat_names:
         pts = [_richardson_point(eps, vals[s], ref_vals.get(s),
                                  cfg.experiment.richardson_tol, nodes, "grid-limited")
-               for eps, (vals, ref_vals, *_) in rows]
+               for eps, vals, ref_vals in rows]
         vmax = max((abs(p.value) for p in pts), default=0.0)
         cleaned = []
         for p in pts:
             if not p.flagged and vmax > 0 and abs(p.value) < vmax * NOISE_FLOOR:
                 p = replace(p, flagged=True, reason="noise-floor")
             cleaned.append(p)
-        out[s] = SweepResult(s, cleaned, dict(meta, statistic=s))
+        out[s] = SweepResult(s, cleaned)
     return out
 
 
@@ -622,9 +604,6 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
         unc = float((f0 * dlt ** 2 / np.maximum(th, 1e-300)).max())
         return corr, unc
 
-    meta = {"tensor": cfg.tensor.kind, "traces": cfg.traces.family,
-            "m": cfg.geometry.m, "samples": "x".join(map(str, samples)),
-            "closure": "n/a", "richardson_tol": cfg.experiment.richardson_tol}
     pts = {"residual_normalized": [], "residual_uncorrected": []}
     fine = tuple(2 * s + 1 for s in samples)
     for eps in eps_list:
@@ -636,8 +615,7 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
                             ("residual_uncorrected", base[1], ref[1])):
             pts[name].append(_richardson_point(eps, v, rv, cfg.experiment.richardson_tol,
                                                samples, "sampling-limited"))
-    return {name: SweepResult(name, p, dict(meta, statistic=name))
-            for name, p in pts.items()}
+    return {name: SweepResult(name, p) for name, p in pts.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -327,8 +327,7 @@ def validate_profiles(pair: ProfilePair, samples: int = 201, dim: int = 1) -> Pr
 class NarrowRegion:
     """The set  { h2(x') < x_n < eps + h1(x'),  |x'| < 2 R0 }.
 
-    Immutable; all evaluators are pure, so instances are safe to share
-    between workers.
+    Immutable; all evaluators are pure.
     """
 
     profiles: ProfilePair

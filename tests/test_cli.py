@@ -11,8 +11,8 @@ import pytest
 
 from narrowgap import discretize
 from narrowgap.cli import build_parser, main, run
-from narrowgap.config import (ConfigError, config_from_dict, parse_config,
-                              validate_config)
+from narrowgap.config import (ConfigError, ExperimentConfig, config_from_dict,
+                              parse_config, validate_config)
 from narrowgap.experiments import CHECKS
 
 MINI = {
@@ -177,8 +177,8 @@ class TestRun:
         ("experiment", "richardson_tol", "x", "a number"),
         ("solver", "tol", "x", "a number"),
         ("geometry", "R0", [1], "a number"),
-        ("experiment", "threads", "x", "an integer")],
-        ids=["richardson_tol", "tol", "R0", "threads"])
+        ("experiment", "seed", "x", "an integer")],
+        ids=["richardson_tol", "tol", "R0", "seed"])
     def test_mistyped_numbers_exit_2(self, tmp_path, capsys, block, key, value, what):
         p = write_cfg(tmp_path, {**MINI, block: {**MINI.get(block, {}), key: value}})
         assert main(["validate", "--config", str(p)]) == 2
@@ -197,6 +197,44 @@ class TestRun:
         p = write_cfg(tmp_path, {**MINI, "traces": traces})
         assert main(["validate", "--config", str(p)]) == 2
         assert what in capsys.readouterr().err
+
+    # MINI is Lame with N = 2: data for a third component would be dropped
+    # or fail to broadcast, so it is refused; zeros beyond N stay allowed
+    @pytest.mark.parametrize("block, data, what", [
+        ("traces", {"phi": [1.0, 0.0, 5.0]},
+         "traces: phi has a nonzero entry beyond N = 2"),
+        ("traces", {"psi": [0.0, 0.0, 0.0, -1.0]},
+         "traces: psi has a nonzero entry beyond N = 2"),
+        ("traces", {"family": "poly", "poly_phi": [[1.0], [0.0], [0.0, 2.0]],
+                    "poly_psi": [[0.0]]},
+         "traces: poly_phi has a nonzero row beyond N = 2"),
+        ("traces", {"family": "poly", "poly_phi": [[1.0]],
+                    "poly_psi": [[0.0], [0.0], [0.0], [3.0]]},
+         "traces: poly_psi has a nonzero row beyond N = 2"),
+        ("solver", {**MINI["solver"], "lateral_value": [1.0]},
+         "solver: lateral_value must have N = 2 entries, got 1"),
+        ("solver", {**MINI["solver"], "lateral_value": [1, 1, 1]},
+         "solver: lateral_value must have N = 2 entries, got 3")],
+        ids=["phi", "psi", "poly_phi", "poly_psi", "lateral_short", "lateral_long"])
+    def test_data_beyond_the_components_exit_2(self, tmp_path, capsys, block, data, what):
+        p = write_cfg(tmp_path, {**MINI, block: data})
+        assert main(["validate", "--config", str(p)]) == 2
+        assert what in capsys.readouterr().err
+
+    def test_zeros_beyond_the_components_are_allowed(self):
+        cfg = config_from_dict({"tensor": {"kind": "laplace"},
+                                "traces": {"phi": [1.0, 0.0], "psi": [0.0, 0.0]}})
+        assert cfg.build_traces().phi.rows == ((1.0,),)
+
+    def test_threads_is_not_a_key_or_an_option(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="experiment: unknown key 'threads'"):
+            config_from_dict({"experiment": {"threads": 2}})
+        p = write_cfg(tmp_path, MINI)
+        with pytest.raises(SystemExit) as exc:
+            main(["all", "--config", str(p), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert ExperimentConfig().threads == 1
 
     def test_ansatz_command_emits_field_samples(self, tmp_path):
         cfg = {**MINI, "output": {"dir": str(tmp_path / "anz")}}
@@ -232,7 +270,7 @@ class TestRun:
         cfg = config_from_dict(MINI)
         from narrowgap.cli import _apply_overrides
         import argparse
-        ns = argparse.Namespace(threads=None, seed=None, grid_scale=2.0, out=None)
+        ns = argparse.Namespace(seed=None, grid_scale=2.0, out=None)
         scaled = _apply_overrides(cfg, ns)
         assert scaled.solver.scaled_nodes() == (65, 17)
 
@@ -303,27 +341,6 @@ def test_solve_events_name_their_sweep_point(tmp_path):
         here = [e for e in solves if (e["eps"], e["grid"]) == point]
         assert all(e["rhs"] == 5 for e in here)
         assert sum(e["solve_s"] > 0 for e in here) == 1
-
-
-def test_threads_write_what_one_thread_writes(tmp_path):
-    # every check of TINY shares its sweep points, so two workers each hold
-    # their own point's system while the other solves
-    timings = ("elapsed", "factor_s", "solve_s", "assemble_s", "stats_s")
-
-    def outputs(threads):
-        out = tmp_path / f"t{threads}"
-        run(config_from_dict({**TINY, "experiment": {**TINY["experiment"],
-                                                     "threads": threads}}),
-            "all", outdir=out)
-        files = {p.name: p.read_bytes() for p in out.iterdir()
-                 if p.suffix in (".csv", ".dat") or p.name == "fits.json"}
-        solves = [{k: v for k, v in e.items() if k not in timings}
-                  for e in _runlog(out) if e["event"] == "solve"]
-        return files, solves
-
-    files, solves = outputs(1)
-    assert "fits.json" in files and solves
-    assert outputs(2) == (files, solves)
 
 
 def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch):

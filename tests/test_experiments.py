@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from narrowgap.ansatz import BoundaryTraces, PolyTrace, build_ansatz
 from narrowgap.coefficients import LameParameters, make_lame
-from narrowgap.config import config_from_dict
+from narrowgap.config import ConfigError, config_from_dict
 from narrowgap.discretize import DiscreteField, grid_for, solve_bvp
 from narrowgap.experiments import (STATISTICS, DataError, SolveBundle, SweepPoint,
                                    SweepRequest, SweepResult, check_theorem_1_3,
@@ -110,14 +110,11 @@ class TestSweep:
         assert (a["shortest_segment_max"].to_csv().encode()
                 == b["shortest_segment_max"].to_csv().encode())
 
-    def test_threads_match_sequential(self):
-        cfg = small_cfg()
-        seq = sweep(cfg, ["shortest_segment_max"], eps_list=[0.1, 0.02])
-        cfg_t = config_from_dict({**cfg.to_dict(), "experiment":
-                                  {**cfg.to_dict()["experiment"], "threads": 2}})
-        par = sweep(cfg_t, ["shortest_segment_max"], eps_list=[0.1, 0.02])
-        assert (seq["shortest_segment_max"].to_csv()
-                == par["shortest_segment_max"].to_csv())
+    def test_eps_must_decrease(self):
+        # the sweep visits eps from the largest down, so a request's points
+        # and its first error come in its own order only when it decreases
+        with pytest.raises(ConfigError, match="strictly decreasing"):
+            sweep(small_cfg(), ["sup_grad"], eps_list=[0.01, 0.1])
 
     def test_statistic_linearity_under_trace_scaling(self):
         # remainder statistics scale linearly with the data, so fitted
@@ -283,9 +280,9 @@ def test_failed_backward_errors_hold_no_band(monkeypatch):
 
 
 def test_a_failed_column_fails_only_its_config(monkeypatch):
-    # two configs share each base-grid pass and differ only in tol: the one
-    # no solve can meet fails there, and the other sweeps as it does alone,
-    # by itself on the refined grid
+    # two configs differ only in tol: the one no solve can meet fails in the
+    # first base-grid pass they share and is not solved again, and the other
+    # sweeps as it does alone
     from narrowgap import discretize
 
     eps = (0.01, 0.005, 0.002, 0.001)
@@ -295,7 +292,7 @@ def test_a_failed_column_fails_only_its_config(monkeypatch):
     assert type(failed.error) is discretize.SolverError
     assert str(failed.error).endswith("above tol 1.0e-30")
     assert solved.error is None
-    assert [ev["rhs"] for ev in solved.events] == [2, 1] * len(eps)
+    assert [ev["rhs"] for ev in solved.events] == [2] + [1] * (2 * len(eps) - 1)
     alone, = run_sweeps(requests[1:])
     assert solved.results["sup_grad"].to_csv() == alone.results["sup_grad"].to_csv()
     assert (systems, bands) == (0, 0)
