@@ -25,7 +25,8 @@ For the isotropic elasticity tensor the solve collapses to closed forms
     G_1 = (lam+mu)/(lam+2mu) * (phi^1 - psi^1) * d_1 delta * e_2,
     G_2 = (lam+mu)/mu * (phi^2 - psi^2) * d_1 delta * e_1,
 
-available as ``mode="lame_closed_form"``.
+given by ``lame_correction``.  The field always solves the block system;
+the closed form is the reference it is tested against.
 
 The box evaluators are written for n = 2, with x' = x1 and the axes
 (x1, t); ``require_planar`` refuses any other n when a field is built.
@@ -320,9 +321,6 @@ def lame_correction(params: LameParameters, region: NarrowRegion,
 # the ansatz field
 # ---------------------------------------------------------------------------
 
-MODES = ("generic", "lame_closed_form")
-
-
 @dataclass(frozen=True)
 class AnsatzField:
     """Evaluation of ubar, its gradient and its residual on the box.
@@ -339,17 +337,9 @@ class AnsatzField:
     region: NarrowRegion
     tensor: CoefficientTensor
     traces: BoundaryTraces
-    mode: str = "generic"
-    lame: LameParameters | None = None
 
     def __post_init__(self):
         require_planar(self.region.n)
-        if self.mode not in MODES:
-            raise ConstructionError(f"unknown ansatz mode {self.mode!r}")
-        if self.mode == "lame_closed_form":
-            if self.tensor.kind != "lame" or self.lame is None:
-                raise ConstructionError(
-                    "lame_closed_form mode requires a lame tensor and its parameters")
         if self.traces.N != self.tensor.N:
             raise ConstructionError("trace components must match tensor N")
 
@@ -357,15 +347,10 @@ class AnsatzField:
     def N(self):
         return self.tensor.N
 
-    def _kernel(self, xp, order):
-        if self.mode == "lame_closed_form":
-            return _lame_kernel(self.lame, self.region, xp, order)
-        return _generic_kernel(self.tensor, self.region, xp, order)
-
     def _correction_sum(self, xp, diff, order):
         """[S, S', S''] from ``diff``, the x1-jet of phi - psi at x'."""
         return _leibniz(lambda f, Q: np.einsum("...l,...li->...i", f, Q),
-                        diff, self._kernel(xp, order), order)
+                        diff, _generic_kernel(self.tensor, self.region, xp, order), order)
 
     def correction_sum(self, xp, order: int = 2):
         """[S, S', S''] up to ``order`` with S = sum_l G_l, each (..., N)."""
@@ -440,9 +425,8 @@ class AnsatzField:
 
 
 def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,
-                 traces: BoundaryTraces, mode: str = "generic",
-                 lame: LameParameters | None = None) -> AnsatzField:
-    return AnsatzField(region, tensor, traces, mode, lame)
+                 traces: BoundaryTraces) -> AnsatzField:
+    return AnsatzField(region, tensor, traces)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def _hypothesis_summary(cfg: RunConfig, seed: int):
     out.append(f"profiles ((A1)-(A3)): {'pass' if rep.passed else 'FAIL'}")
     out += ["  " + ln.strip() for ln in str(rep).splitlines()]
     region = cfg.geometry.build_region(eps)
-    tensor, _ = cfg.build_tensor()
+    tensor = cfg.build_tensor()
     ell = check_pointwise_ellipticity(tensor, region=region, rng=seed)
     out.append(str(ell))
     try:
@@ -181,9 +181,9 @@ def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
     """Sample ubar and its gradient on the solver grid and write them out."""
     eps = _single_eps(cfg)
     region = cfg.geometry.build_region(eps)
-    tensor, lame = cfg.build_tensor()
+    tensor = cfg.build_tensor()
     traces = cfg.build_traces()
-    af = build_ansatz(tensor, region, traces, cfg.solver.ansatz_mode, lame=lame)
+    af = build_ansatz(tensor, region, traces)
     grid = grid_for(region, *cfg.solver.scaled_nodes())
     XP, T = grid.node_coords()
     x = region.from_box(XP, T)
@@ -203,9 +203,9 @@ def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
 def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
     eps = _single_eps(cfg)
     region = cfg.geometry.build_region(eps)
-    tensor, lame = cfg.build_tensor()
+    tensor = cfg.build_tensor()
     traces = cfg.build_traces()
-    af = build_ansatz(tensor, region, traces, cfg.solver.ansatz_mode, lame=lame)
+    af = build_ansatz(tensor, region, traces)
     grid = grid_for(region, *cfg.solver.scaled_nodes())
     df, rep = solve_bvp(tensor, region, traces, grid,
                         closure=cfg.solver.closure, ansatz=af,

@@ -92,10 +92,10 @@ def _elasticity_symmetric(A0, tol=1e-12):
 class CoefficientTensor:
     """Constant-base coefficient fields with an optional A-perturbation.
 
-    ``Lambda`` bounds |A| entrywise, ``lam`` is the (pointwise Legendre)
-    coercivity constant, ``Lambda1 <= Lambda2`` bound the symmetric part of
-    A^{nn}, ``tau0`` bounds the sampled C2 norms.  These are declared values;
-    the check_* routines measure whether the fields actually satisfy them.
+    ``lam`` is the declared (pointwise Legendre) coercivity constant and
+    ``Lambda1 <= Lambda2`` the declared bounds on the symmetric part of
+    A^{nn}; ``check_pointwise_ellipticity`` and ``check_ann`` measure the
+    fields against them.
     """
 
     n: int
@@ -108,11 +108,9 @@ class CoefficientTensor:
     perturb_scale: float = 0.0
     perturb_poly: MultiPoly | None = None
     perturb_dir: np.ndarray | None = None
-    Lambda: float = 0.0
     lam: float = 0.0
     Lambda1: float = 0.0
     Lambda2: float = 0.0
-    tau0: float = 0.0
     is_elasticity: bool = False
 
     @property
@@ -187,11 +185,9 @@ def _finish(n, N, A0, B0, C0, D0, kind, lam, Lambda1, Lambda2, **kw):
     B0 = np.zeros((N, N, n)) if B0 is None else np.asarray(B0, dtype=float)
     C0 = np.zeros((N, N, n)) if C0 is None else np.asarray(C0, dtype=float)
     D0 = np.zeros((N, N)) if D0 is None else np.asarray(D0, dtype=float)
-    Lambda = float(np.abs(A0).max())
-    tau0 = float(sum(np.linalg.norm(M) for M in (A0, B0, C0, D0)))
     return CoefficientTensor(n=n, N=N, A0=A0, B0=B0, C0=C0, D0=D0, kind=kind,
-                             Lambda=Lambda, lam=lam, Lambda1=Lambda1, Lambda2=Lambda2,
-                             tau0=tau0, is_elasticity=_elasticity_symmetric(A0), **kw)
+                             lam=lam, Lambda1=Lambda1, Lambda2=Lambda2,
+                             is_elasticity=_elasticity_symmetric(A0), **kw)
 
 
 def make_laplace(n: int, N: int = 1) -> CoefficientTensor:
@@ -252,8 +248,7 @@ def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float,
         n=base.n, N=base.N, A0=base.A0, B0=base.B0, C0=base.C0, D0=base.D0,
         kind=base.kind + "_perturbed", perturb_scale=float(scale),
         perturb_poly=poly, perturb_dir=direction,
-        Lambda=base.Lambda * (1 + abs(scale)), lam=lam,
-        Lambda1=base.Lambda1, Lambda2=base.Lambda2, tau0=base.tau0,
+        lam=lam, Lambda1=base.Lambda1, Lambda2=base.Lambda2,
         is_elasticity=base.is_elasticity and _elasticity_symmetric(direction))
 
 

@@ -3,8 +3,8 @@
 A run is described by five blocks (geometry, tensor, traces, solver,
 experiment) plus an output block.  Parsing is strict: unknown keys anywhere
 are errors, all violations are collected and reported together, and
-cross-field constraints (closed-form ansatz needs an elasticity tensor,
-the monomial blow-up case needs m > k, ...) are enforced at parse time.
+cross-field constraints (custom_A holds N^2 n^2 entries, the monomial
+blow-up case needs m > k, ...) are enforced at parse time.
 """
 
 from __future__ import annotations
@@ -77,24 +77,23 @@ class TensorConfig:
     custom_A: tuple | None = None    # custom_poly: flat A entries, shape (N,N,n,n)
     custom_N: int = 1
 
-    def build(self, n: int):
-        """Returns (tensor, lame_params_or_None)."""
+    def build(self, n: int) -> _coeff.CoefficientTensor:
         if self.kind == "laplace":
-            return _coeff.make_laplace(n, self.N), None
+            return _coeff.make_laplace(n, self.N)
         params = _coeff.LameParameters(self.lam, self.mu)
         if self.kind == "lame":
-            return _coeff.make_lame(params, n), params
+            return _coeff.make_lame(params, n)
         if self.kind == "lame_perturbed":
             base = _coeff.make_lame(params, n)
             poly = _coeff.MultiPoly(self.perturb_poly)
-            return _coeff.make_perturbed(base, poly, self.perturb_scale), params
+            return _coeff.make_perturbed(base, poly, self.perturb_scale)
         A0 = np.array(self.custom_A, dtype=float).reshape(
             self.custom_N, self.custom_N, n, n)
         tensor = _coeff.make_custom(n, self.custom_N, A0)
         if self.perturb_scale:
             poly = _coeff.MultiPoly(self.perturb_poly)
             tensor = _coeff.make_perturbed(tensor, poly, self.perturb_scale)
-        return tensor, None
+        return tensor
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,6 @@ class SolverConfig:
     tol: float = 1e-10
     closure: str = "ansatz"          # "ansatz" | "constant"
     lateral_value: tuple | None = None
-    ansatz_mode: str = "generic"     # "generic" | "lame_closed_form"
     grid_scale: float = 1.0
 
     def scaled_nodes(self):
@@ -185,7 +183,7 @@ class RunConfig:
     def build_traces(self):
         return self.traces.build(self.N)
 
-    def build_tensor(self):
+    def build_tensor(self) -> _coeff.CoefficientTensor:
         return self.tensor.build(self.geometry.n)
 
     def to_dict(self):
@@ -272,6 +270,20 @@ def _numbers(value, where, block="traces"):
             if isinstance(x, bool) or not isinstance(x, (int, float))]
 
 
+def _perturb_poly_violations(terms, n):
+    """Each perturb_poly term that is not [coef, exponents] with n exponents >= 0."""
+    if not isinstance(terms, tuple):
+        return [f"tensor: perturb_poly must be a list of [coef, exponents] terms, "
+                f"got {terms!r}"]
+    return [f"tensor: perturb_poly[{i}] must be [coef, exponents] with {n} "
+            f"non-negative integer exponents, got {term!r}"
+            for i, term in enumerate(terms)
+            if not (isinstance(term, tuple) and len(term) == 2
+                    and not isinstance(term[0], bool) and isinstance(term[0], (int, float))
+                    and isinstance(term[1], tuple) and len(term[1]) == n
+                    and all(type(e) is int and e >= 0 for e in term[1]))]
+
+
 def _coefficient_violations(tr: TracesConfig):
     """Each trace value or coefficient row that cannot build a trace."""
     v = _numbers(tr.phi, "phi") + _numbers(tr.psi, "psi")
@@ -340,6 +352,19 @@ def validate_config(cfg: RunConfig):
             v.append("tensor: n*lam + 2*mu must be positive")
     if t.kind == "laplace" and t.N < 1:
         v.append("tensor: N must be >= 1")
+    if t.kind == "custom_poly":
+        if t.custom_N < 1:
+            v.append("tensor: custom_N must be >= 1")
+        size = t.custom_N ** 2 * g.n ** 2
+        if t.custom_A is None:
+            v.append("tensor: custom_poly requires custom_A")
+        else:
+            v += _numbers(t.custom_A, "custom_A", "tensor") or (
+                [] if len(t.custom_A) == size else
+                [f"tensor: custom_A must hold custom_N^2 * n^2 = {size} numbers, "
+                 f"got {len(t.custom_A)}"])
+    if t.kind == "lame_perturbed" or (t.kind == "custom_poly" and t.perturb_scale):
+        v += _perturb_poly_violations(t.perturb_poly, g.n)
     if tr.family not in ("constant", "monomial", "poly"):
         v.append(f"traces: unknown family {tr.family!r}")
     if tr.family == "poly" and (tr.poly_phi is None or tr.poly_psi is None):
@@ -362,10 +387,6 @@ def validate_config(cfg: RunConfig):
             [] if len(s.lateral_value) == cfg.N else
             [f"solver: lateral_value must have N = {cfg.N} entries, "
              f"got {len(s.lateral_value)}"])
-    if s.ansatz_mode not in ("generic", "lame_closed_form"):
-        v.append(f"solver: unknown ansatz_mode {s.ansatz_mode!r}")
-    if s.ansatz_mode == "lame_closed_form" and t.kind != "lame":
-        v.append("solver: lame_closed_form ansatz requires tensor kind 'lame'")
     if s.tangential_nodes < 3 or s.vertical_nodes < 3:
         v.append("solver: need at least 3 nodes per axis")
     if s.tol <= 0:

@@ -23,11 +23,11 @@ terms, centered differences for the first-order terms.  Dirichlet rows are
 replaced by identity rows carrying the trace values.
 
 The matrix depends only on the tensor, the region and the grid; boundary data
-and forcing enter the right-hand side alone.  A LinearSystem therefore holds
-one lazily built factorization that every right-hand side solved against it
-shares.  The direct factorization eliminates the identity Dirichlet rows and
-factors the free block as a band, O(n b^2) at BLAS-3 speed: the classical
-choice for thin structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).
+and forcing enter the right-hand side alone.  ``solve_linear`` factors a
+system once per pass and drops the factorization on return.  It eliminates
+the identity Dirichlet rows and factors the free block as a band,
+O(n b^2) at BLAS-3 speed: the classical choice for thin structured grids
+(George & Liu 1981, ch. 4; LAPACK xPBTRF).
 The stencil's block table is the operator: the band is filled from it one
 slice per offset and component pair, the Dirichlet coupling is summed from it
 on the boundary strips alone, and the backward error's K x is summed from it
@@ -229,8 +229,8 @@ def _stencil_operator(blocks: dict, grid: BoxGrid, N: int) -> spla.LinearOperato
     """K as a ``LinearOperator``, applied from the block table by ``_apply``.
 
     The closure holds the table and the grid only: a reference back to the
-    LinearSystem would make a cycle that keeps a dropped system's
-    factorization alive until the next collection.
+    LinearSystem would make a cycle that keeps a dropped system alive until
+    the next collection.
     """
     shape = (1, N) + grid.shape
 
@@ -242,7 +242,7 @@ def _stencil_operator(blocks: dict, grid: BoxGrid, N: int) -> spla.LinearOperato
 
 @dataclass
 class LinearSystem:
-    """The stencil table, its Dirichlet mask and the shared factorization.
+    """The stencil table and its Dirichlet mask.
 
     ``blocks`` maps offset o -> W[o] of shape (*interior, N, N), where
     W[o][p, i, j] couples component i at interior node p to component j at
@@ -262,7 +262,6 @@ class LinearSystem:
     matrix: spla.LinearOperator = field(init=False, repr=False)
     nnz: int = field(init=False, repr=False)
     frobenius: float = field(init=False, repr=False)
-    _factor: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.matrix = _stencil_operator(self.blocks, self.grid, self.N)
@@ -270,25 +269,6 @@ class LinearSystem:
         self.nnz = sum(w.size for w in self.blocks.values()) + dirichlet
         self.frobenius = float(np.sqrt(
             sum(np.vdot(w, w) for w in self.blocks.values()) + dirichlet))
-
-    def factorization(self):
-        """(factored free block, reused?, seconds spent factoring now).
-
-        Built on first use and kept for every later right-hand side.  A
-        failure keeps only its message, raised anew on each later call: a
-        kept exception's traceback would hold this system.
-        """
-        if self._factor is None:
-            t0 = time.perf_counter()
-            try:
-                self._factor = _FreeBlockBand(self)
-            except SolverError as exc:
-                self._factor = str(exc)
-                raise
-            return self._factor, False, time.perf_counter() - t0
-        if isinstance(self._factor, str):
-            raise SolverError(self._factor)
-        return self._factor, True, 0.0
 
 
 def assemble(tf: TransformedFields) -> LinearSystem:
@@ -443,9 +423,7 @@ class _FreeBlockBand:
     by banded Cholesky from its lower band alone (``pbtrf``).  Any other
     block, and one that Cholesky finds indefinite, is factored by banded LU
     with partial pivoting (``gbtrf``), which needs about three times that
-    storage.  The factor keeps the table, not the system: a reference back
-    to the LinearSystem would make a cycle that keeps a dropped system's
-    band alive until the next collection.
+    storage.
     """
 
     def __init__(self, ls: LinearSystem):
@@ -506,7 +484,7 @@ class SolveReport:
     fill: float = 0.0
     elapsed: float = 0.0
     grid: str = ""                # "257x65"
-    factor_s: float = 0.0         # 0 when the factorization was reused
+    factor_s: float = 0.0         # 0 on every row but the first of a pass
     solve_s: float = 0.0
     reused: bool = False
     rhs: int = 1                  # right-hand sides solved in the same pass
@@ -536,7 +514,7 @@ def _backward_errors(ls: LinearSystem, x, b):
 
 
 def solve_linear(ls: LinearSystem, rhs, tol=1e-10):
-    """Direct solve against the system's shared banded factorization.
+    """Direct solve against a banded factorization built for this pass.
 
     ``rhs`` is one right-hand side (n,) or a stack (k, n) solved in one
     pass, and ``tol`` one bound or one per row.  The reported residual is
@@ -549,12 +527,13 @@ def solve_linear(ls: LinearSystem, rhs, tol=1e-10):
     A stack returns (x, reports) with x of shape (k, n) and one SolveReport
     per row, or the SolverError of a row that failed; the first
     SolveReport carries the pass's times.  A failed factorization raises.
+    The factorization is dropped on return.
     """
     b = np.asarray(rhs, dtype=float)
     B = b.reshape((-1, ls.N) + ls.grid.shape)
     tols = np.broadcast_to(tol, len(B))
     t0 = time.perf_counter()
-    factor, reused, factor_s = ls.factorization()
+    factor = _FreeBlockBand(ls)
     t1 = time.perf_counter()
     X = factor.solve(B)
     res = _backward_errors(ls, X, B)
@@ -563,8 +542,7 @@ def solve_linear(ls: LinearSystem, rhs, tol=1e-10):
         X[row] += factor.solve(B[row] - _apply(ls.blocks, X[row]))
         res[j] = _backward_errors(ls, X[row], B[row])[0]
     t2 = time.perf_counter()
-    reports, times = [], {"elapsed": t2 - t0, "factor_s": factor_s,
-                          "solve_s": t2 - t1, "reused": reused}
+    reports, times = [], {"elapsed": t2 - t0, "factor_s": t1 - t0, "solve_s": t2 - t1}
     for r, t in zip(res, tols):
         if r > t:
             reports.append(SolverError(f"direct solve residual {r:.3e} above tol {t:.1e}"))

@@ -174,10 +174,9 @@ class SolveBundle:
         self.cfg = cfg
         self.eps = eps
         self.region = cfg.geometry.build_region(eps)
-        self.tensor, self.lame = cfg.build_tensor()
+        self.tensor = cfg.build_tensor()
         self.traces = cfg.build_traces()
-        self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces,
-                                        cfg.solver.ansatz_mode, lame=self.lame)
+        self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces)
         self.grid = _disc.grid_for(self.region, *nodes)
         self.assemble_s = 0.0
         if "system" not in point:
@@ -588,7 +587,7 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
     """
     require_planar(cfg.geometry.n)
     eps_list = tuple(eps_list) if eps_list is not None else _eps_list(cfg)
-    tensor, lame = cfg.build_tensor()
+    tensor = cfg.build_tensor()
     traces = cfg.build_traces()
     c2n = traces.c2_total(2 * cfg.geometry.R0)
 
@@ -607,8 +606,7 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
     pts = {"residual_normalized": [], "residual_uncorrected": []}
     fine = tuple(2 * s + 1 for s in samples)
     for eps in eps_list:
-        af = _ans.build_ansatz(tensor, cfg.geometry.build_region(eps), traces,
-                               cfg.solver.ansatz_mode, lame=lame)
+        af = _ans.build_ansatz(tensor, cfg.geometry.build_region(eps), traces)
         base = measure(af, samples)
         ref = measure(af, fine)
         for name, v, rv in (("residual_normalized", base[0], ref[0]),
@@ -850,7 +848,7 @@ def _plan_decay(cfg: RunConfig):
                                 "all vanish"})
     eps_list = _eps_list(cfg, DECAY_EPS)
     try:                      # decay never meets A^nn through the ansatz
-        check_ann(cfg.build_tensor()[0], region=cfg.geometry.build_region(eps_list[0]))
+        check_ann(cfg.build_tensor(), region=cfg.geometry.build_region(eps_list[0]))
     except HypothesisViolationError as exc:
         raise HypothesisViolationError(f"A^nn numerically singular: {exc}") from None
     dcfg = replace(cfg,

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrowgap.ansatz import (SMOOTHER_SECOND, AnsatzField, BoundaryTraces,
-                              PolyTrace, apply_operator, build_ansatz,
-                              correction_coeffs, lame_correction, smoother,
-                              smoother_prime, theta, theta_bar_delta)
+                              PolyTrace, _generic_kernel, _lame_kernel,
+                              apply_operator, build_ansatz, correction_coeffs,
+                              lame_correction, smoother, smoother_prime, theta,
+                              theta_bar_delta)
 from narrowgap.coefficients import (ConstructionError, HypothesisViolationError,
                                     LameParameters, MultiPoly, estimate_c2_norms,
                                     make_custom, make_lame, make_laplace,
@@ -62,14 +63,9 @@ PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)),
 
 
 def field_cases():
-    """(tensor, mode) pairs covering both correction modes and an x-dependent A."""
-    return [pytest.param(LAME, "generic", id="generic"),
-            pytest.param(LAME, "lame_closed_form", id="lame_closed_form"),
-            pytest.param(PERTURBED, "generic", id="perturbed_generic")]
-
-
-def build(tensor, r, tr, mode):
-    return build_ansatz(tensor, r, tr, mode, lame=LameParameters(1.0, 1.0))
+    """A constant tensor and an x-dependent A through the generic kernel."""
+    return [pytest.param(LAME, id="generic"),
+            pytest.param(PERTURBED, id="perturbed_generic")]
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +193,22 @@ class TestCorrection:
             scale = max(np.abs(want).max(), 1e-30)
             assert np.abs(got - want).max() <= 1e-12 * scale
 
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("lam, mu", [(1.0, 1.0), (0.7, 1.3), (-0.5, 2.0)])
+    def test_generic_kernel_equals_the_closed_form_kernel(self, lam, mu, m):
+        # the block solve against the closed form at every derivative order
+        # the ansatz reads: the closed form is linear in d_1 delta, so this
+        # cross-checks the kernel's derivative chain too
+        r = region(m=m, upper=1.1, lower=0.4, eps=5e-3)
+        xp = np.linspace(-0.9, 0.9, 37)[:, None]
+        params = LameParameters(lam, mu)
+        got = _generic_kernel(make_lame(params, 2), r, xp, 2)
+        want = _lame_kernel(params, r, xp, 2)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
     def test_correction_vanishes_as_lam_approaches_minus_mu(self):
         r = region()
         for d in (1e-3, 1e-6, 1e-9):
@@ -258,28 +270,6 @@ class TestAnsatzField:
         assert np.abs(af.value(*r.to_box(top)) - tr.phi.jet(xp, 0)[0]).max() <= 1e-14
         assert np.abs(af.value(*r.to_box(bot)) - tr.psi.jet(xp, 0)[0]).max() <= 1e-14
 
-    def test_modes_agree_pointwise(self):
-        params = LameParameters(0.7, 1.3)
-        tensor = make_lame(params, 2)
-        r = region(m=2, upper=1.1, lower=0.4, eps=5e-3)
-        tr = BoundaryTraces(PolyTrace([[1.0, 0.5], [0.2, -0.3]]),
-                            PolyTrace([[0.0], [0.4]]))
-        gen = build_ansatz(tensor, r, tr, "generic")
-        cls = build_ansatz(tensor, r, tr, "lame_closed_form", lame=params)
-        rng = np.random.default_rng(0)
-        x = (rng.uniform(-0.9, 0.9, (10000, 1)), rng.uniform(0, 1, 10000))
-        dv = np.abs(gen.value(*x) - cls.value(*x)).max()
-        dg = np.abs(gen.gradient(*x) - cls.gradient(*x)).max()
-        assert dv <= 1e-12 and dg <= 1e-12
-
-    def test_mode_tensor_mismatch_rejected(self):
-        with pytest.raises(ConstructionError):
-            build_ansatz(make_laplace(2, 2), region(), E1_GAP,
-                         "lame_closed_form", lame=LameParameters(1.0, 1.0))
-        # a Lame tensor passed without the parameters it was built from
-        with pytest.raises(ConstructionError):
-            build_ansatz(LAME, region(), E1_GAP, "lame_closed_form", lame=None)
-
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
     def test_linearity_in_the_data(self, a, b):
@@ -307,12 +297,12 @@ class TestGradAnsatz:
         xp = np.array([[0.1]])
         assert af.gradient(xp, np.array([0.25]))[0, 0, 1] == pytest.approx(3.0 / 0.02, rel=1e-14)
 
-    @pytest.mark.parametrize("tensor, mode", field_cases())
-    def test_matches_central_differences(self, tensor, mode):
+    @pytest.mark.parametrize("tensor", field_cases())
+    def test_matches_central_differences(self, tensor):
         r = region(m=2, upper=1.0, lower=0.5, eps=5e-3)
         tr = BoundaryTraces(PolyTrace([[1.0, 0.2, -0.1], [0.5, 0.4]]),
                             PolyTrace([[0.0, -0.3], [0.1]]))
-        af = build(tensor, r, tr, mode)
+        af = build_ansatz(tensor, r, tr)
         rng = np.random.default_rng(2)
         xp = rng.uniform(-0.9, 0.9, (1000, 1))
         t = rng.uniform(0.05, 0.95, 1000)
@@ -378,12 +368,11 @@ class TestResidual:
         x = (rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0.05, 0.95, 200))
         assert np.abs(af.residual(*x)).max() <= 1e-10
 
-    @pytest.mark.parametrize("mode", ["generic", "lame_closed_form"])
-    def test_residual_matches_operator_of_fd_hessian(self, mode):
+    def test_residual_matches_operator_of_fd_hessian(self):
         # independent check: contract the tensor with FD second derivatives
         r = region(m=2, upper=0.8, lower=0.2, eps=0.05)
         tr = BoundaryTraces(PolyTrace([[0.5, 1.0], [0.0, 0.2]]), const(0.0, 0.0))
-        af = build(LAME, r, tr, mode)
+        af = build_ansatz(LAME, r, tr)
         x0 = r.from_box(np.array([[0.21]]), np.array([0.6]))[0]
         h = 2e-6
         hess = np.zeros((2, 2, 2))
@@ -561,17 +550,6 @@ def ref_generic_kernel(tensor, region, xp, order):
     return [np.swapaxes(q, -2 - k, -1 - k) for k, q in enumerate(Q)]
 
 
-def ref_lame_kernel(params, region, xp, order):
-    d, n = region.d, region.n
-    coef = np.zeros((n, n, d))                     # coef[l, i, c]
-    for c in range(d):
-        coef[c, n - 1, c] = (params.lam + params.mu) / (params.lam + 2 * params.mu)
-        coef[n - 1, c, c] = (params.lam + params.mu) / params.mu
-    specs = ("lic,...c->...li", "lic,...ca->...lia", "lic,...cab->...liab")
-    return [np.einsum(spec, coef, D)
-            for spec, D in zip(specs, ref_gap_slopes(region, xp, order))]
-
-
 def ref_diff(traces, fn, xp):
     """``fn`` ("value", "grad" or "hess") of phi - psi with a tangential axis."""
     return getattr(RefTrace(traces.phi), fn)(xp) - getattr(RefTrace(traces.psi), fn)(xp)
@@ -597,10 +575,7 @@ def ref_correction_sum(af, xp, order, corrected):
     if not corrected:
         lead = xp.shape[:-1] + (af.N,)
         return [np.zeros(lead + (af.region.d,) * k) for k in range(order + 1)]
-    if af.mode == "lame_closed_form":
-        kernel = ref_lame_kernel(af.lame, af.region, xp, order)
-    else:
-        kernel = ref_generic_kernel(af.tensor, af.region, xp, order)
+    kernel = ref_generic_kernel(af.tensor, af.region, xp, order)
     diff = [ref_diff(af.traces, fn, xp) for fn in ("value", "grad", "hess")[:order + 1]]
     return ref_leibniz("...l,...li->...i", diff, kernel, order)
 
@@ -652,19 +627,18 @@ PERTURBED_X2SQ = make_perturbed(LAME, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)),
 class TestPlanarJetReference:
     @pytest.mark.parametrize("corrected", [True, False],
                              ids=["corrected", "uncorrected"])
-    @pytest.mark.parametrize("tensor, mode", [
-        pytest.param(LAME, "generic", id="lame_generic"),
-        pytest.param(LAME, "lame_closed_form", id="lame_closed_form"),
-        pytest.param(make_laplace(2, 1), "generic", id="laplace"),
-        pytest.param(PERTURBED_X2SQ, "generic", id="perturbed_x2_squared")])
-    def test_value_gradient_residual_match_bit_for_bit(self, tensor, mode, corrected):
+    @pytest.mark.parametrize("tensor", [
+        pytest.param(LAME, id="lame_generic"),
+        pytest.param(make_laplace(2, 1), id="laplace"),
+        pytest.param(PERTURBED_X2SQ, id="perturbed_x2_squared")])
+    def test_value_gradient_residual_match_bit_for_bit(self, tensor, corrected):
         # h2 has a slope, so the mid-gap height moves and every chain-rule
         # term of the perturbed tensor is live
         r = region(m=2, upper=1.0, lower=0.5, eps=5e-3)
         phi = [[1.0, 0.2, -0.1, 0.3], [0.5, 0.4, 0.2]]
         psi = [[0.0, -0.3, 0.1], [0.1, 0.0, -0.2]]
         tr = BoundaryTraces(PolyTrace(phi[:tensor.N]), PolyTrace(psi[:tensor.N]))
-        af = build_ansatz(tensor, r, tr, mode, lame=LameParameters(1.0, 1.0))
+        af = build_ansatz(tensor, r, tr)
         X1, T = np.meshgrid(np.linspace(-0.9, 0.9, 17), np.linspace(0.0, 1.0, 9),
                             indexing="ij")
         rng = np.random.default_rng(5)

@@ -67,10 +67,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="m > k"):
             parse_config(write_cfg(tmp_path, bad))
 
-    def test_closed_form_mode_needs_elasticity_tensor(self):
-        with pytest.raises(ConfigError, match="lame_closed_form"):
-            config_from_dict({"tensor": {"kind": "laplace"},
-                              "solver": {"ansatz_mode": "lame_closed_form"}})
+    def test_retired_ansatz_mode_key_rejected(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, {**MINI, "solver": {"ansatz_mode": "lame_closed_form"}})
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "solver: unknown key 'ansatz_mode'" in capsys.readouterr().err
 
     def test_exact_closure_refused(self):
         # the exact field comes from the Python API; a config has none to give
@@ -197,6 +197,32 @@ class TestRun:
         p = write_cfg(tmp_path, {**MINI, "traces": traces})
         assert main(["validate", "--config", str(p)]) == 2
         assert what in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tensor, what", [
+        ({"kind": "custom_poly"}, "tensor: custom_poly requires custom_A"),
+        ({"kind": "custom_poly", "custom_A": [1, 0, 0]},
+         "tensor: custom_A must hold custom_N^2 * n^2 = 4 numbers, got 3"),
+        ({"kind": "custom_poly", "custom_N": 0, "custom_A": []},
+         "tensor: custom_N must be >= 1"),
+        ({"kind": "lame_perturbed", "perturb_poly": [[1.0, [1]]]},
+         "tensor: perturb_poly[0] must be [coef, exponents] with 2 non-negative "
+         "integer exponents, got (1.0, (1,))"),
+        ({"kind": "custom_poly", "custom_A": [1, 0, 0, 1], "perturb_scale": 0.1,
+          "perturb_poly": [[1.0, [0, -1]]]},
+         "tensor: perturb_poly[0] must be [coef, exponents] with 2 non-negative "
+         "integer exponents, got (1.0, (0, -1))")],
+        ids=["custom_A_missing", "custom_A_length", "custom_N", "perturb_poly",
+             "custom_perturb_poly"])
+    def test_unbuildable_tensors_exit_2(self, tmp_path, capsys, tensor, what):
+        p = write_cfg(tmp_path, {"tensor": tensor, "traces": {"phi": [1.0]}})
+        assert main(["validate", "--config", str(p)]) == 2
+        assert what in capsys.readouterr().err
+
+    def test_perturb_poly_is_read_only_by_a_perturbed_kind(self):
+        cfg = config_from_dict({"tensor": {"kind": "custom_poly", "custom_A": [1, 0, 0, 1],
+                                           "perturb_scale": 0, "perturb_poly": [[1.0, [1]]]},
+                                "traces": {"phi": [1.0]}})
+        assert cfg.build_tensor().is_constant
 
     # MINI is Lame with N = 2: data for a third component would be dropped
     # or fail to broadcast, so it is refused; zeros beyond N stay allowed

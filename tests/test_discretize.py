@@ -406,13 +406,15 @@ class TestSharedFactorization:
         reg = curved_region(eps=0.01)
         grid = BoxGrid(33, 9, 1.0)
         ls = assemble(transform_operator(LAME, reg, grid))
-        rng = np.random.default_rng(8)
-        for k in range(3):
-            b = rng.normal(size=ls.matrix.shape[0])
-            x, rep = solve_linear(ls, b)
-            assert rep.reused == (k > 0) and (rep.factor_s == 0.0) == (k > 0)
+        B = np.random.default_rng(8).normal(size=(3, ls.matrix.shape[0]))
+        X, reports = solve_linear(ls, B)
+        assert [rep.reused for rep in reports] == [False, True, True]
+        assert [rep.factor_s > 0 for rep in reports] == [True, False, False]
+        for x, b in zip(X, B):
             assert np.linalg.norm(ls.matrix @ x - b) <= 1e-9 * np.linalg.norm(b)
         assert len(calls) == 1
+        solve_linear(ls, B[0])              # the system keeps no factorization
+        assert len(calls) == 2
 
 
 class TestStackedSolve:
@@ -667,7 +669,7 @@ class TestStencilOperator:
         # at each of its corners
         from narrowgap import discretize
         ls, b = self._system(tensor, nodes)
-        factor = ls.factorization()[0]
+        factor = discretize._FreeBlockBand(ls)
         assert factor.routine == routine
         free, fixed = _node_major_free(ls), np.flatnonzero(ls.dirichlet_mask)
         x = np.zeros(len(b))
@@ -704,26 +706,33 @@ class TestStencilOperator:
         df, rep = solve_bvp(LAME, reg, tr, grid_for(reg, 33, 9))
         assert rep.method == "pbtrf" and np.all(np.isfinite(df.values))
 
-    def test_dropped_system_frees_its_factorization(self):
-        # reference counting alone must free the band when a sweep drops a
-        # point: nothing the system owns may point back at it
+    def test_solve_linear_frees_its_factorization(self, monkeypatch):
+        # reference counting alone must free the band when solve_linear
+        # returns: neither the system nor the reports may hold the factor
+        from narrowgap import discretize
+        band, made = discretize._FreeBlockBand, []
+
+        def factor(ls):
+            f = band(ls)
+            made.append(weakref.ref(f))
+            return f
+
+        monkeypatch.setattr(discretize, "_FreeBlockBand", factor)
         ls, b = self._system(LAME)
-        solve_linear(ls, b)
-        factor = weakref.ref(ls._factor)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            del ls
-            assert factor() is None
+            x, rep = solve_linear(ls, b)
+            assert rep.method == "pbtrf" and len(made) == 1 and made[0]() is None
         finally:
             if enabled:
                 gc.enable()
 
     @pytest.mark.parametrize("solves", [1, 2], ids=["first_failure", "raised_again"])
     def test_failed_factorization_frees_its_system(self, solves):
-        # a zero W[0] stops banded LU at gbtrf info 1; the failure is raised
-        # on every solve, and neither the first nor a later one may keep
-        # the system alive through a stored traceback
+        # a zero W[0] stops banded LU at gbtrf info 1 on every solve, and
+        # neither the first nor a later one may keep the system alive
+        # through a stored traceback
         grid = BoxGrid(10, 5, 1.0)
         bmask = np.ones(grid.shape, bool)
         bmask[1:-1, 1:-1] = False

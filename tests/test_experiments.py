@@ -439,26 +439,6 @@ def test_decay_exponent_model_selection_m3():
     assert (1 - wrong.r_squared) > 5 * (1 - right.r_squared)
 
 
-def test_cor41_statistics_identical_across_ansatz_modes():
-    # closed-form and generic correction paths produce the same normalized
-    # remainder, so the corollary verdict cannot depend on the mode
-    def cfg_for(mode):
-        return config_from_dict({
-            "geometry": {"m": 4, "R0": 0.5},
-            "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
-            "traces": {"family": "constant", "phi": [1.0, 0.0], "psi": [0.0, 0.0]},
-            "solver": {"tangential_nodes": 65, "vertical_nodes": 17,
-                       "ansatz_mode": mode},
-            "experiment": {"eps_list": [0.05, 0.01]},
-        })
-
-    a = sweep(cfg_for("generic"), ["cor41_sup_thetabar"], richardson=False)
-    b = sweep(cfg_for("lame_closed_form"), ["cor41_sup_thetabar"], richardson=False)
-    va = a["cor41_sup_thetabar"].values()
-    vb = b["cor41_sup_thetabar"].values()
-    assert np.allclose(va, vb, rtol=1e-9)
-
-
 def test_shortest_segment_remainder_order_eps_when_gauge_vanishes():
     # phi - psi = (x1^2, 0) has Theta(0') = 0, so the remainder on the
     # shortest segment drops to O(eps) instead of O(1)
