@@ -57,11 +57,9 @@ COMMANDS = ("validate", "ansatz", "solve", *CHECKS, "all")
 class RunReport:
     version: str
     command: str
-    config: dict
     verdicts: list = field(default_factory=list)
     validation: list = field(default_factory=list)
     manifest: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
 
     @property
     def all_passed(self):
@@ -117,7 +115,7 @@ def _float_csv(rows, header):
     return "\n".join(lines) + "\n"
 
 
-def _hypothesis_summary(cfg: RunConfig, seed: int):
+def _hypothesis_summary(cfg: RunConfig):
     """Profile and tensor hypothesis checks at the widest configured gap."""
     eps = (cfg.experiment.eps_list or (1e-1,))[0]
     out = []
@@ -127,10 +125,10 @@ def _hypothesis_summary(cfg: RunConfig, seed: int):
     out += ["  " + ln.strip() for ln in str(rep).splitlines()]
     region = cfg.geometry.build_region(eps)
     tensor = cfg.build_tensor()
-    ell = check_pointwise_ellipticity(tensor, region=region, rng=seed)
+    ell = check_pointwise_ellipticity(tensor, region)
     out.append(str(ell))
     try:
-        ann = check_ann(tensor, region=region)
+        ann = check_ann(tensor, region)
     except HypothesisViolationError as exc:
         out.append(f"[FAIL] {exc}")
         return out, False
@@ -197,7 +195,6 @@ def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
                            x[..., -1].reshape(-1, 1), u.reshape(-1, N),
                            g.reshape(-1, N * n)], axis=-1)
     em.write("ansatz_field.csv", _float_csv(flat, ",".join(cols)))
-    return []
 
 
 def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
@@ -233,10 +230,10 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
     def log(record):
         events.append(record)
 
-    report = RunReport(__version__, command, cfg.to_dict())
+    report = RunReport(__version__, command)
     t_start = time.perf_counter()
 
-    validation, hyp_ok = _hypothesis_summary(cfg, cfg.experiment.seed)
+    validation, hyp_ok = _hypothesis_summary(cfg)
     report.validation = validation
 
     if command == "validate":
@@ -272,27 +269,24 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
             if verdict.status == "ABORTED":
                 event["error"] = verdict.details.get("error")
             log(event)
-            report.timings[name] = verdict.elapsed
 
     em.write("config_echo.json", cfg.to_json() + "\n")
     em.write("fits.json", json.dumps(_fits_record(report.verdicts), indent=2,
                                      sort_keys=True) + "\n")
 
-    report.timings["total"] = time.perf_counter() - t_start
+    total = time.perf_counter() - t_start
     report.manifest = dict(em.manifest)
     report.manifest["runlog.jsonl"] = "(timing log, excluded from digests)"
     em.write("report.txt", report.render())
     report.manifest["report.txt"] = em.manifest["report.txt"]
 
-    log({"event": "total", "elapsed": report.timings["total"]})
+    log({"event": "total", "elapsed": total})
     runlog = "\n".join(json.dumps(_jsonable(e), sort_keys=True) for e in events)
     (outdir / "runlog.jsonl").write_text(runlog + "\n", encoding="utf-8")
     return report
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, experiment=replace(cfg.experiment, seed=args.seed))
     if args.grid_scale is not None:
         cfg = replace(cfg, solver=replace(cfg.solver, grid_scale=args.grid_scale))
     if args.out is not None:
@@ -311,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, metavar="PATH")
         p.add_argument("--out", default=None, metavar="DIR")
-        p.add_argument("--seed", type=int, default=None, metavar="S")
         p.add_argument("--grid-scale", type=float, default=None, metavar="F",
                        dest="grid_scale")
     return parser

@@ -146,7 +146,6 @@ class ExperimentConfig:
     eps_list: tuple | None = None    # None: per-check default
     eps_fit_max: float | None = None  # None: per-check default tail cut
     richardson_tol: float = 0.1
-    seed: int = 0
     monomial_k: int = 1
     remark13_cases: tuple = ("i", "ii", "iii")
     energy_quad: tuple = (24, 48)
@@ -313,6 +312,22 @@ def _beyond_n(tr: TracesConfig, N):
     return []
 
 
+def _profile_violations(g: GeometryConfig):
+    """Why the profile pair cannot be built or evaluated finitely, if it cannot.
+
+    Profiles are sampled on one tangential axis: the power family is radial,
+    and the poly family has n = 2.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            _geom.validate_profiles(g.build_pair())
+    except (_geom.GeometryError, _geom.EvaluationError) as exc:
+        return [f"geometry: {exc}"]
+    except OverflowError:
+        return [f"geometry: the profile constants overflow (m = {g.m}, R0 = {g.R0!r})"]
+    return []
+
+
 def validate_config(cfg: RunConfig):
     """Cross-field constraint checks; returns a list of violations.
 
@@ -330,19 +345,30 @@ def validate_config(cfg: RunConfig):
         v.append(f"geometry: unknown family {g.family!r}")
     if g.family == "power" and g.upper_coef + g.lower_coef <= 0:
         v.append("geometry: upper_coef + lower_coef must be positive")
+    kappas = (g.kappa1, g.kappa2, g.kappa3, g.kappa4)
     if g.family == "poly":
-        if g.poly_upper is None or g.poly_lower is None:
-            v.append("geometry: poly family requires poly_upper and poly_lower")
-        if None in (g.kappa1, g.kappa2, g.kappa3, g.kappa4):
+        for key in ("poly_upper", "poly_lower"):
+            coeffs = getattr(g, key)
+            if coeffs is None:
+                v.append(f"geometry: poly family requires {key}")
+            elif coeffs == ():
+                v.append(f"geometry: {key} is an empty coefficient list")
+            else:
+                v += _numbers(coeffs, key, "geometry")
+        if None in kappas:
             v.append("geometry: poly family requires explicit kappa1..kappa4")
         if g.n != 2:
             v.append("geometry: poly profiles are defined for n = 2")
+    elif None in kappas and kappas != (None,) * 4:
+        v.append("geometry: kappa1..kappa4 must be given together or not at all")
     if g.m < 2:
         v.append("geometry: m must be >= 2")
     if g.R0 <= 0:
         v.append("geometry: R0 must be positive")
     if g.epsilon is not None and g.epsilon <= 0:
         v.append("geometry: epsilon must be positive")
+    if not v:       # the fields are sound: the profiles must build and evaluate
+        v += _profile_violations(g)
     if t.kind not in ("laplace", "lame", "lame_perturbed", "custom_poly"):
         v.append(f"tensor: unknown kind {t.kind!r}")
     if t.kind in ("lame", "lame_perturbed"):
@@ -393,19 +419,25 @@ def validate_config(cfg: RunConfig):
         v.append("solver: tol must be positive")
     if s.grid_scale <= 0:
         v.append("solver: grid_scale must be positive")
-    for c in e.checks:
-        if c not in CHECK_NAMES:
-            v.append(f"experiment: unknown check {c!r}")
-    for c in e.remark13_cases:
-        if c not in ("i", "ii", "iii"):
-            v.append(f"experiment: unknown remark13 case {c!r}")
-    wants_iii = "remark13" in e.checks and "iii" in e.remark13_cases
+    lists = True
+    for key, known, what in (("checks", CHECK_NAMES, "check"),
+                             ("remark13_cases", ("i", "ii", "iii"), "remark13 case")):
+        items = getattr(e, key)
+        if not isinstance(items, tuple):
+            v.append(f"experiment: {key} must be a list")
+            lists = False
+            continue
+        v += [f"experiment: unknown {what} {c!r}" for c in items if c not in known]
+    wants_iii = lists and "remark13" in e.checks and "iii" in e.remark13_cases
     if wants_iii and g.m <= e.monomial_k:
         v.append("experiment: remark 1.3(iii) requires m > k "
                  f"(got m = {g.m}, k = {e.monomial_k})")
     if e.eps_list is not None:
-        eps = tuple(e.eps_list)
-        if len(eps) < 1 or any(x <= 0 for x in eps):
+        eps = e.eps_list
+        not_numbers = _numbers(eps, "eps_list", "experiment")
+        if not_numbers:
+            v += not_numbers
+        elif len(eps) < 1 or any(x <= 0 for x in eps):
             v.append("experiment: eps_list entries must be positive")
         elif any(a <= b for a, b in zip(eps, eps[1:])):
             v.append("experiment: eps_list must be strictly decreasing")

@@ -100,7 +100,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    residuals: tuple
     npoints: int
     m: int = 2
     n: int = 2
@@ -152,7 +151,7 @@ def fit_rate(sr: SweepResult, model: str = "power", m: int = 2, n: int = 2,
     ss_tot = float(np.sum((Y - Y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return RateFit(model, float(slope), float(intercept),
-                   float(min(max(r2, 0.0), 1.0)), tuple(resid), len(pts), m, n)
+                   float(min(max(r2, 0.0), 1.0)), len(pts), m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -955,13 +954,10 @@ def _judge_energy(cfg: RunConfig, results) -> Verdict:
                    {"energy": fit}, srs)
 
 
-check_theorem_1_1 = Check("thm11", _plan_thm11, _judge_thm11)
-check_remark_1_3 = Check("remark13", _plan_remark13, _judge_remark13)
-check_theorem_1_3 = Check("decay", _plan_decay, _judge_decay)
-check_corollary_4_1 = Check("cor41", _plan_cor41, _judge_cor41)
-check_residual_cancellation = Check("residual", _plan_residual, _judge_residual)
-check_local_energy = Check("energy", _plan_energy, _judge_energy)
-
-CHECKS = {c.name: c for c in (check_theorem_1_1, check_remark_1_3,
-                              check_theorem_1_3, check_corollary_4_1,
-                              check_residual_cancellation, check_local_energy)}
+CHECKS = {c.name: c for c in (
+    Check("thm11", _plan_thm11, _judge_thm11),
+    Check("remark13", _plan_remark13, _judge_remark13),
+    Check("decay", _plan_decay, _judge_decay),
+    Check("cor41", _plan_cor41, _judge_cor41),
+    Check("residual", _plan_residual, _judge_residual),
+    Check("energy", _plan_energy, _judge_energy))}

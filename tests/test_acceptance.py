@@ -17,9 +17,7 @@ from narrowgap.ansatz import (BoundaryTraces, PolyTrace, build_ansatz,
 from narrowgap.coefficients import LameParameters, make_lame, make_laplace
 from narrowgap.config import config_from_dict
 from narrowgap.discretize import TrigSolution, grid_for, manufactured_forcing, solve_bvp
-from narrowgap.experiments import (check_corollary_4_1, check_local_energy,
-                                   check_remark_1_3, check_residual_cancellation,
-                                   check_theorem_1_1, check_theorem_1_3)
+from narrowgap.experiments import CHECKS
 from narrowgap.geometry import NarrowRegion, power_pair
 
 
@@ -163,7 +161,7 @@ def test_criterion_4_corrected_remainder_bounded():
     # the committed runs/thm11 artifacts come from the same configuration
     # (configs/thm11.json); its slopes are the golden reference at 4 dp
     t0 = time.perf_counter()
-    verdict = check_theorem_1_1(lame_gap_config())
+    verdict = CHECKS["thm11"](lame_gap_config())
     elapsed = time.perf_counter() - t0
     d = verdict.details
     golden = json.loads(GOLDEN_THM11.read_text())["thm11"]["details"]
@@ -184,7 +182,7 @@ def test_criterion_4_corrected_remainder_bounded():
 
 def test_criterion_5_blowup_rates():
     t0 = time.perf_counter()
-    verdict = check_remark_1_3(lame_gap_config())
+    verdict = CHECKS["remark13"](lame_gap_config())
     elapsed = time.perf_counter() - t0
     d = verdict.details
     parts = []
@@ -212,7 +210,7 @@ def test_criterion_6_exponential_decay():
                        "psi": [0.0] * (1 if kind == "laplace" else 2)},
             "solver": {"tangential_nodes": 257, "vertical_nodes": 65},
         })
-        verdict = check_theorem_1_3(cfg)
+        verdict = CHECKS["decay"](cfg)
         results.append((kind, verdict))
     elapsed = time.perf_counter() - t0
     ok = all(v.status == "PASS" for _, v in results)
@@ -229,7 +227,7 @@ def test_criterion_6_exponential_decay():
 
 def test_criterion_7_residual_cancellation():
     t0 = time.perf_counter()
-    verdict = check_residual_cancellation(lame_gap_config())
+    verdict = CHECKS["residual"](lame_gap_config())
     elapsed = time.perf_counter() - t0
     d = verdict.details
     report(7, verdict.status == "PASS",
@@ -245,7 +243,7 @@ def test_criterion_7_residual_cancellation():
 def test_criterion_8_elasticity_gauge_m4():
     t0 = time.perf_counter()
     cfg = lame_gap_config(geometry={"m": 4})
-    verdict = check_corollary_4_1(cfg)
+    verdict = CHECKS["cor41"](cfg)
     elapsed = time.perf_counter() - t0
     d = verdict.details
     report(8, verdict.status == "PASS",
@@ -260,7 +258,7 @@ def test_criterion_8_elasticity_gauge_m4():
 
 def test_criterion_9_local_energy_scaling():
     t0 = time.perf_counter()
-    verdict = check_local_energy(lame_gap_config())
+    verdict = CHECKS["energy"](lame_gap_config())
     elapsed = time.perf_counter() - t0
     report(9, verdict.status == "PASS",
            f"windowed energy / (delta^n Theta^2) slope "

@@ -1,18 +1,21 @@
 """Configuration parsing, run orchestration, artifact reproducibility."""
 
+import argparse
 import ctypes
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from narrowgap import discretize
 from narrowgap.cli import build_parser, main, run
-from narrowgap.config import (ConfigError, ExperimentConfig, config_from_dict,
-                              parse_config, validate_config)
+from narrowgap.config import (_BLOCKS, ConfigError, ExperimentConfig, OutputConfig,
+                              config_from_dict, parse_config, validate_config)
 from narrowgap.experiments import CHECKS
 
 MINI = {
@@ -128,6 +131,32 @@ def test_shipped_config_parses(path):
     assert out != golden and golden not in out.parents
 
 
+def test_golden_run_echoes_its_config():
+    echo = parse_config(ROOT / "runs" / "thm11" / "config_echo.json")
+    shipped = parse_config(ROOT / "configs" / "thm11.json")
+    assert echo == replace(shipped, output=OutputConfig(dir="runs/thm11"))
+
+
+def test_readme_names_every_option_and_key():
+    readme = (ROOT / "README.md").read_text()
+    usage = next(ln for ln in readme.splitlines() if ln.startswith("narrowgap <command>"))
+    listed = set(re.findall(r"--[a-z][a-z-]*", usage))
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings
+                   if o not in ("-h", "--help")}
+        assert options == listed, name
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    for block, cls in _BLOCKS.items():
+        item = re.search(rf"^- `{block}`:(.*?)(?=^- |\Z)", section, re.S | re.M)[1]
+        named = set(re.findall(r"`([^`]+)`", item))
+        for stem, lo, hi in re.findall(r"^(\w+?)(\d)\.\.(\d)$", "\n".join(named), re.M):
+            named |= {f"{stem}{i}" for i in range(int(lo), int(hi) + 1)}
+        missing = [f.name for f in fields(cls) if f.name not in named]
+        assert not missing, f"README Configuration does not name {block}: {missing}"
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
@@ -177,8 +206,8 @@ class TestRun:
         ("experiment", "richardson_tol", "x", "a number"),
         ("solver", "tol", "x", "a number"),
         ("geometry", "R0", [1], "a number"),
-        ("experiment", "seed", "x", "an integer")],
-        ids=["richardson_tol", "tol", "R0", "seed"])
+        ("experiment", "monomial_k", "x", "an integer")],
+        ids=["richardson_tol", "tol", "R0", "monomial_k"])
     def test_mistyped_numbers_exit_2(self, tmp_path, capsys, block, key, value, what):
         p = write_cfg(tmp_path, {**MINI, block: {**MINI.get(block, {}), key: value}})
         assert main(["validate", "--config", str(p)]) == 2
@@ -262,6 +291,63 @@ class TestRun:
         assert "--threads" in capsys.readouterr().err
         assert ExperimentConfig().threads == 1
 
+    def test_seed_is_not_a_key_or_an_option(self, tmp_path, capsys):
+        # no sweep or check draws random numbers, so there is nothing to seed
+        p = write_cfg(tmp_path, {**MINI, "experiment": {"seed": 7}})
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "experiment: unknown key 'seed'" in capsys.readouterr().err
+        p = write_cfg(tmp_path, MINI)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", str(p), "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, what", [
+        ({"eps_list": ["a", 0.1]}, "experiment: eps_list[0] must be a number, got 'a'"),
+        ({"checks": "thm11"}, "experiment: checks must be a list"),
+        ({"remark13_cases": "iii"}, "experiment: remark13_cases must be a list")],
+        ids=["eps_list_entry", "checks_string", "remark13_cases_string"])
+    def test_malformed_experiment_lists_exit_2(self, tmp_path, capsys, experiment, what):
+        p = write_cfg(tmp_path, {**MINI, "experiment": experiment})
+        assert main(["validate", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert what in err
+        # each is reported alone: no per-character or comparison messages
+        assert err.count("\n  - ") == 1
+
+    @pytest.mark.parametrize("geometry, what", [
+        ({"family": "poly", "poly_upper": ["x"], "poly_lower": [0.0],
+          "kappa1": 1, "kappa2": 1, "kappa3": 2, "kappa4": 5},
+         "geometry: poly_upper[0] must be a number, got 'x'"),
+        ({"family": "poly", "poly_upper": [0, 0, 1], "poly_lower": [[0]],
+          "kappa1": 1, "kappa2": 1, "kappa3": 2, "kappa4": 5},
+         "geometry: poly_lower[0] must be a number, got (0,)"),
+        ({"kappa1": -1, "kappa2": 1, "kappa3": 2, "kappa4": 5},
+         "geometry: kappa1 must be positive"),
+        ({"kappa1": 1},
+         "geometry: kappa1..kappa4 must be given together or not at all"),
+        ({"R0": 1e300},
+         "geometry: the profile constants overflow (m = 2, R0 = 1e+300)"),
+        ({"upper_coef": 1e308},
+         "geometry: non-finite h1 gradient")],
+        ids=["poly_upper_entry", "poly_lower_row", "kappa1_negative", "kappa1_alone",
+             "R0_overflow", "upper_coef_overflow"])
+    def test_unbuildable_geometry_exit_2(self, tmp_path, capsys, geometry, what):
+        p = write_cfg(tmp_path, {**MINI, "geometry": geometry})
+        assert main(["validate", "--config", str(p)]) == 2
+        assert what in capsys.readouterr().err
+
+    def test_poly_geometry_config_validates(self, tmp_path):
+        # h1 = x1^2, h2 = 0: the power family's m = 2 pair written as a polynomial
+        poly = {"family": "poly", "poly_upper": [0, 0, 1], "poly_lower": [0],
+                "kappa1": 1, "kappa2": 1, "kappa3": 2, "kappa4": 5}
+        power = config_from_dict(MINI).geometry.build_pair()
+        pair = config_from_dict({**MINI, "geometry": poly}).geometry.build_pair()
+        xp = [[-0.7], [0.3], [1.0]]
+        assert pair.gap(xp) == pytest.approx(power.gap(xp), abs=1e-15)
+        cfg = {**MINI, "geometry": poly, "output": {"dir": str(tmp_path / "poly")}}
+        assert main(["validate", "--config", str(write_cfg(tmp_path, cfg))]) == 0
+
     def test_ansatz_command_emits_field_samples(self, tmp_path):
         cfg = {**MINI, "output": {"dir": str(tmp_path / "anz")}}
         code = main(["ansatz", "--config", str(write_cfg(tmp_path, cfg, "a.json"))])
@@ -296,7 +382,7 @@ class TestRun:
         cfg = config_from_dict(MINI)
         from narrowgap.cli import _apply_overrides
         import argparse
-        ns = argparse.Namespace(seed=None, grid_scale=2.0, out=None)
+        ns = argparse.Namespace(grid_scale=2.0, out=None)
         scaled = _apply_overrides(cfg, ns)
         assert scaled.solver.scaled_nodes() == (65, 17)
 

@@ -60,20 +60,18 @@ class TestMakeLame:
 class TestEllipticity:
     def test_identity_tensor(self, reg):
         t = make_laplace(2, 1)
-        rep = check_pointwise_ellipticity(t, region=reg, rng=0)
+        rep = check_pointwise_ellipticity(t, region=reg)
         assert rep.min_quotient == pytest.approx(1.0, abs=1e-12)
         assert rep.passed
 
     def test_lame_symmetric_xi_bounds(self, reg):
-        # on symmetric xi the quotient lies in [min(2mu, n lam+2mu), max(...)]
+        # on symmetric xi the minimum quotient is min(2mu, n lam+2mu)
         for lam, mu in [(1.0, 1.0), (-0.4, 1.0), (3.0, 0.5)]:
             t = make_lame(LameParameters(lam, mu), 2)
-            rep = check_pointwise_ellipticity(t, region=reg, rng=1)
-            lo = min(2 * mu, 2 * lam + 2 * mu)
-            hi = max(2 * mu, 2 * lam + 2 * mu)
+            rep = check_pointwise_ellipticity(t, region=reg)
             assert rep.symmetric_xi
-            assert rep.min_quotient == pytest.approx(lo, rel=1e-12)
-            assert lo - 1e-12 <= rep.min_sampled <= hi + 1e-12
+            assert rep.min_quotient == pytest.approx(min(2 * mu, 2 * lam + 2 * mu),
+                                                     rel=1e-12)
 
     def test_random_tensor_matches_dense_eigen_oracle(self, reg):
         rng = np.random.default_rng(5)
@@ -82,10 +80,9 @@ class TestEllipticity:
         M = M + M.T + 2 * N * n * np.eye(N * n)     # diagonally dominant
         A0 = M.reshape(N, n, N, n).transpose(0, 2, 1, 3)
         t = make_custom(n, N, A0, lam=float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
-        rep = check_pointwise_ellipticity(t, region=reg, symmetric_xi=False, rng=2)
+        rep = check_pointwise_ellipticity(t, region=reg, symmetric_xi=False)
         oracle = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
         assert rep.min_quotient == pytest.approx(oracle, rel=1e-12)
-        assert rep.min_sampled >= rep.min_quotient - 1e-12
 
 
 class TestAnn:
@@ -140,7 +137,7 @@ def test_perturbed_tensor_derivatives(reg):
         assert np.abs(t.A_grad(x)[..., g] - fd).max() <= 1e-8
     fd2 = (t.A_grad(x + [[h, 0]]) - t.A_grad(x - [[h, 0]])) / (2 * h)
     assert np.abs(t.A_hess(x)[..., 0] - fd2).max() <= 1e-6
-    rep = check_pointwise_ellipticity(t, region=reg, rng=0)
+    rep = check_pointwise_ellipticity(t, region=reg)
     assert rep.passed and rep.min_quotient > 1.5    # stays uniformly elliptic
 
 
@@ -149,16 +146,8 @@ def test_perturbed_tensor_derivatives(reg):
 # ---------------------------------------------------------------------------
 
 class TestC2Norms:
-    def test_constant_field(self):
-        assert estimate_c2_norms(lambda x: np.full(np.asarray(x).shape[:-1], -3.0),
-                                 [-1.0], [1.0]) == pytest.approx(3.0, abs=1e-4)
-
-    def test_quadratic_by_hand(self):
-        # x1^2 on [-1, 1]: sup|f| + sup|f'| + sup|f''| met at x = 1: 1 + 2 + 2
-        val = estimate_c2_norms(lambda x: np.asarray(x)[..., 0] ** 2, [-1.0], [1.0])
-        assert val == pytest.approx(5.0, abs=1e-4)
-
     def test_exact_derivative_path(self):
+        # x1^2 on [-1, 1]: sup|f| + sup|f'| + sup|f''| met at x = 1: 1 + 2 + 2
         class Quad:
             def value(self, x):
                 return np.asarray(x)[..., 0] ** 2
@@ -172,13 +161,3 @@ class TestC2Norms:
                 return np.full(x.shape[:-1] + (1, 1), 2.0)
 
         assert estimate_c2_norms(Quad(), [-1.0], [1.0]) == pytest.approx(5.0, abs=1e-12)
-
-    def test_constant_tensor_patch_independent(self):
-        t = make_lame(LameParameters(1.0, 1.0), 2)
-
-        def field(x):
-            return t.A(x).reshape(np.asarray(x).shape[:-1] + (-1,))
-
-        a = estimate_c2_norms(field, [-1, -1], [1, 1], samples=5)
-        b = estimate_c2_norms(field, [-9, -9], [9, 9], samples=5)
-        assert a == pytest.approx(b, rel=1e-12)

@@ -13,9 +13,9 @@ from narrowgap.ansatz import BoundaryTraces, PolyTrace, build_ansatz
 from narrowgap.coefficients import LameParameters, make_lame
 from narrowgap.config import ConfigError, config_from_dict
 from narrowgap.discretize import DiscreteField, grid_for, solve_bvp
-from narrowgap.experiments import (STATISTICS, DataError, SolveBundle, SweepPoint,
-                                   SweepRequest, SweepResult, check_theorem_1_3,
-                                   fit_rate, local_energy, residual_sweep, run_sweeps,
+from narrowgap.experiments import (CHECKS, STATISTICS, DataError, SolveBundle,
+                                   SweepPoint, SweepRequest, SweepResult, fit_rate,
+                                   local_energy, residual_sweep, run_sweeps,
                                    solve_point, sweep)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
 
@@ -410,7 +410,7 @@ def test_decay_zero_lateral_is_skipped():
         "solver": {"tangential_nodes": 33, "vertical_nodes": 9,
                    "closure": "constant", "lateral_value": [0.0]},
     })
-    verdict = check_theorem_1_3(cfg)
+    verdict = CHECKS["decay"](cfg)
     assert verdict.status == "SKIPPED"
     assert "zero solution" in verdict.details["note"]
     assert verdict.passed
@@ -457,10 +457,9 @@ def test_shortest_segment_remainder_order_eps_when_gauge_vanishes():
 
 def test_remark13_case_iii_rejected_when_m_not_above_k():
     from narrowgap.config import ConfigError
-    from narrowgap.experiments import check_remark_1_3
     from dataclasses import replace
     cfg = small_cfg()
     broken = replace(cfg, experiment=replace(cfg.experiment, monomial_k=2,
                                              remark13_cases=("iii",)))
     with pytest.raises(ConfigError, match="m > k"):
-        check_remark_1_3(broken)
+        CHECKS["remark13"](broken)
