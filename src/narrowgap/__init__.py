@@ -18,17 +18,15 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .ansatz import (AnsatzField, BoundaryTraces, PolyTrace,
-                     build_ansatz, correction_coeffs, lame_correction,
+from .ansatz import (AnsatzField, BoundaryTraces, PolyTrace, build_ansatz,
                      smoother, smoother_prime, theta, theta_bar_delta)
 from .coefficients import (CoefficientTensor, LameParameters, check_ann,
-                           check_pointwise_ellipticity, estimate_c2_norms,
-                           make_lame, make_laplace, make_perturbed)
+                           check_pointwise_ellipticity, make_lame, make_laplace,
+                           make_perturbed)
 from .config import RunConfig, parse_config
 from .discretize import (BoxGrid, DiscreteField, assemble, grid_for,
                          solve_bvp, solve_linear, transform_operator)
-from .experiments import (CHECKS, RateFit, SweepResult, fit_rate, local_energy,
-                          sweep)
+from .experiments import CHECKS, RateFit, SweepResult, fit_rate, local_energy
 from .geometry import (NarrowRegion, PolyProfile, PowerProfile, ProfilePair,
                        power_pair, validate_profiles)
 
@@ -37,10 +35,9 @@ __all__ = [
     "DiscreteField", "LameParameters",
     "NarrowRegion", "PolyProfile", "PolyTrace", "PowerProfile", "ProfilePair",
     "RateFit", "RunConfig", "SweepResult", "assemble", "build_ansatz",
-    "check_ann", "check_pointwise_ellipticity", "correction_coeffs",
-    "estimate_c2_norms", "fit_rate", "grid_for",
-    "lame_correction", "local_energy", "make_lame", "make_laplace",
+    "check_ann", "check_pointwise_ellipticity", "fit_rate", "grid_for",
+    "local_energy", "make_lame", "make_laplace",
     "make_perturbed", "parse_config", "power_pair",
-    "smoother", "smoother_prime", "solve_bvp", "solve_linear", "sweep",
+    "smoother", "smoother_prime", "solve_bvp", "solve_linear",
     "theta", "theta_bar_delta", "transform_operator", "validate_profiles",
 ]

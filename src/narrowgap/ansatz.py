@@ -25,8 +25,8 @@ For the isotropic elasticity tensor the solve collapses to closed forms
     G_1 = (lam+mu)/(lam+2mu) * (phi^1 - psi^1) * d_1 delta * e_2,
     G_2 = (lam+mu)/mu * (phi^2 - psi^2) * d_1 delta * e_1,
 
-given by ``lame_correction``.  The field always solves the block system;
-the closed form is the reference it is tested against.
+The field always solves the block system; the tests check it against these
+closed forms.
 
 The box evaluators are written for n = 2, with x' = x1 and the axes
 (x1, t); ``require_planar`` refuses any other n when a field is built.
@@ -51,7 +51,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .coefficients import (CoefficientTensor, ConstructionError,
-                           HypothesisViolationError, LameParameters)
+                           HypothesisViolationError)
 from .geometry import NarrowRegion, _as_points, require_planar
 
 
@@ -270,53 +270,6 @@ def _worst_point(M, xp):
     return tuple(float(v) for v in np.asarray(xp).reshape(-1, 1)[k])
 
 
-def _lame_kernel(params, region, xp, order):
-    """Closed-form kernel rows for the isotropic elasticity tensor:
-
-        Q_1 = k_t d_1 delta e_2,  k_t = (lam+mu)/(lam+2mu),
-        Q_2 = k_n d_1 delta e_1,  k_n = (lam+mu)/mu,
-
-    linear in d_1 delta, so each derivative order just differentiates it.
-    """
-    k_t = (params.lam + params.mu) / (params.lam + 2 * params.mu)
-    k_n = (params.lam + params.mu) / params.mu
-    out = []
-    for D in _gap_slopes(region, xp, order):
-        Q = np.zeros(D.shape + (2, 2))                 # Q[..., l, i]
-        Q[..., 0, 1] = k_t * D
-        Q[..., 1, 0] = k_n * D
-        out.append(Q)
-    return out
-
-
-def _correction_rows(kernel, traces, xp):
-    """Rows G_l = (phi^l - psi^l) Q_l at x', shape (..., N, N)."""
-    return traces.diff_jet(xp, 0)[0][..., None] * kernel[0]
-
-
-def correction_coeffs(tensor: CoefficientTensor, region: NarrowRegion,
-                      traces: BoundaryTraces, xp):
-    """All correction vectors at x': rows l of the returned (..., N, N) array.
-
-    Solves the N x N vertical-block system per l; raises
-    HypothesisViolationError if that block is numerically singular.
-    """
-    require_planar(region.n)
-    xp = _as_points(xp, 1)
-    return _correction_rows(_generic_kernel(tensor, region, xp, 0), traces, xp)
-
-
-def lame_correction(params: LameParameters, region: NarrowRegion,
-                    traces: BoundaryTraces, xp):
-    """Closed-form correction rows for the isotropic elasticity tensor."""
-    require_planar(region.n)
-    params.validate(2)
-    if traces.N != 2:
-        raise ConstructionError("elasticity requires N == n traces")
-    xp = _as_points(xp, 1)
-    return _correction_rows(_lame_kernel(params, region, xp, 0), traces, xp)
-
-
 # ---------------------------------------------------------------------------
 # the ansatz field
 # ---------------------------------------------------------------------------
@@ -351,11 +304,6 @@ class AnsatzField:
         """[S, S', S''] from ``diff``, the x1-jet of phi - psi at x'."""
         return _leibniz(lambda f, Q: np.einsum("...l,...li->...i", f, Q),
                         diff, _generic_kernel(self.tensor, self.region, xp, order), order)
-
-    def correction_sum(self, xp, order: int = 2):
-        """[S, S', S''] up to ``order`` with S = sum_l G_l, each (..., N)."""
-        xp = _as_points(xp, 1)
-        return self._correction_sum(xp, self.traces.diff_jet(xp, order), order)
 
     def _jet(self, xp, t, order, corrected=True):
         """[ubar, grad ubar, Hessian] at (x1, t) up to ``order``.

@@ -46,8 +46,8 @@ from .ansatz import build_ansatz
 from .coefficients import (HypothesisViolationError, check_ann,
                            check_pointwise_ellipticity)
 from .config import ConfigError, RunConfig, parse_config
-from .discretize import grid_for, solve_bvp
-from .experiments import CHECKS, Verdict, run_checks
+from .discretize import grid_for
+from .experiments import CHECKS, SolveBundle, Verdict, run_checks, solve_point
 from .geometry import validate_profiles
 
 COMMANDS = ("validate", "ansatz", "solve", *CHECKS, "all")
@@ -198,18 +198,16 @@ def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
 
 
 def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
+    """One solve at ``_single_eps``, set up and solved as a sweep point is."""
     eps = _single_eps(cfg)
-    region = cfg.geometry.build_region(eps)
-    tensor = cfg.build_tensor()
-    traces = cfg.build_traces()
-    af = build_ansatz(tensor, region, traces)
-    grid = grid_for(region, *cfg.solver.scaled_nodes())
-    df, rep = solve_bvp(tensor, region, traces, grid,
-                        closure=cfg.solver.closure, ansatz=af,
-                        lateral_value=cfg.solver.lateral_value,
-                        tol=cfg.solver.tol)
+    point = {}
+    b = SolveBundle(cfg, eps, cfg.solver.scaled_nodes(), point)
+    error, = solve_point([b], point["system"])
+    if error is not None:
+        raise error
+    region, df, rep = b.region, b.field, b.report
     log({"event": "solve", "eps": eps, **rep.record()})
-    XP, T = grid.node_coords()
+    XP, T = b.grid.node_coords()
     u = np.moveaxis(df.values, 0, -1)
     flat = np.concatenate([XP.reshape(-1, region.d), T.reshape(-1, 1),
                            u.reshape(-1, df.N)], axis=-1)

@@ -366,25 +366,3 @@ def check_ann(tensor: CoefficientTensor, region) -> AnnReport:
     passed = (bool(np.isfinite([lo, hi]).all()) and lo >= tensor.Lambda1 * (1 - 1e-9)
               and hi <= tensor.Lambda2 * (1 + 1e-9))
     return AnnReport(lo, hi, (tensor.Lambda1, tensor.Lambda2), passed)
-
-
-def estimate_c2_norms(field, lo, hi, samples: int = 21) -> float:
-    """max over a sample grid of |f| + |grad f| + |hess f| on the box [lo, hi].
-
-    ``field`` carries exact value/grad/hess methods.  Vector/tensor values
-    are measured in the Frobenius norm.
-    """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    d = len(lo)
-    axes = [np.linspace(lo[a], hi[a], samples) for a in range(d)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-
-    v, g, h = field.value(pts), field.grad(pts), field.hess(pts)
-    P = len(pts)
-    total = (_frob(v, P) + _frob(g, P) + _frob(h, P))
-    return float(total.max())
-
-
-def _frob(arr, P):
-    return np.sqrt(np.sum(np.asarray(arr, dtype=float).reshape(P, -1) ** 2, axis=-1))

@@ -153,7 +153,7 @@ class ExperimentConfig:
     @property
     def threads(self):
         """1: sweeps run on the calling thread.  Read only by the check in
-        ``sweepbench/worker.py``, and goes with it (ROADMAP item 3)."""
+        ``sweepbench/worker.py``, and goes with it (ROADMAP item 1)."""
         return 1
 
 
@@ -401,10 +401,7 @@ def validate_config(cfg: RunConfig):
         v.append(f"traces: monomial component must be in [0, {cfg.N}), "
                  f"got {tr.component}")
     v += _coefficient_violations(tr) or _beyond_n(tr, cfg.N)
-    if s.closure == "exact":        # only the Python API can pass the exact field
-        v.append("solver: the exact closure needs an exact field, which a config "
-                 "cannot supply")
-    elif s.closure not in ("ansatz", "constant"):
+    if s.closure not in ("ansatz", "constant"):
         v.append(f"solver: unknown closure {s.closure!r}")
     if s.closure == "constant" and s.lateral_value is None:
         v.append("solver: constant closure requires lateral_value")

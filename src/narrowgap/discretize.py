@@ -10,7 +10,7 @@ Jacobian of the map x -> y = (x', t), the weak form transforms exactly with
 
 so the transformed problem keeps the same divergence structure
 
-    d_a ( Atil d_b u + Btil u ) + Ctil d_b u + Dtil u = -delta * F
+    d_a ( Atil d_b u + Btil u ) + Ctil d_b u + Dtil u = 0
 
 and Atil inherits ellipticity wherever delta > 0.  No first-order terms are
 created by the map itself; the curvature lives inside the variable Atil.
@@ -22,8 +22,10 @@ aligned second-derivative terms, composed centered differences for the cross
 terms, centered differences for the first-order terms.  Dirichlet rows are
 replaced by identity rows carrying the trace values.
 
-The matrix depends only on the tensor, the region and the grid; boundary data
-and forcing enter the right-hand side alone.  ``solve_linear`` factors a
+The matrix depends only on the tensor, the region and the grid; the boundary
+data enter the right-hand side alone, whose interior rows are zero: the
+problem is homogeneous, with Dirichlet data phi on the top boundary, psi on
+the bottom one and a closure on the lateral faces.  ``solve_linear`` factors a
 system once per pass and drops the factorization on return.  It eliminates
 the identity Dirichlet rows and factors the free block as a band,
 O(n b^2) at BLAS-3 speed: the classical choice for thin structured grids
@@ -47,7 +49,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .ansatz import AnsatzField, BoundaryTraces, apply_operator
+from .ansatz import AnsatzField, BoundaryTraces
 from .coefficients import CoefficientTensor
 from .geometry import GeometryError, NarrowRegion, require_planar
 
@@ -170,15 +172,6 @@ def _apply_jacobian(V, dv):
     v = dv.reshape(dv.shape[:-1] + (1,) * (V.ndim - dv.ndim) + (2,))
     V[..., 1] = v[..., 0] * V[..., 0] + v[..., 1] * V[..., 1]
     return V
-
-
-def transform_forcing(region: NarrowRegion, grid: BoxGrid, forcing) -> np.ndarray:
-    """Ftil = delta * F at every grid node, shape (*shape, N)."""
-    XP, T = grid.node_coords()
-    Ftil = region.delta(XP)[..., None] * np.asarray(
-        forcing(region.from_box(XP, T)), dtype=float)
-    _require_finite("F", Ftil)
-    return Ftil
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +321,17 @@ def assemble(tf: TransformedFields) -> LinearSystem:
     return LinearSystem(np.tile(bmask.ravel(), N), grid, N, dict(W))
 
 
-def right_hand_side(ls: LinearSystem, boundary_values, Ftil=None) -> np.ndarray:
-    """Dirichlet values on the boundary rows, -Ftil on the interior rows.
+def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
+    """Dirichlet values on the boundary rows, zero on the interior rows.
 
     ``boundary_values`` has shape (*shape, N); only its boundary entries are
-    read.  ``Ftil`` is the transformed forcing (``transform_forcing``).
+    read.
     """
     shape, N = ls.grid.shape, ls.N
     bv = np.asarray(boundary_values, dtype=float)
     if bv.shape != shape + (N,):
         raise AssemblyError(f"boundary values must have shape {shape + (N,)}")
     rhs = np.zeros((N,) + shape)
-    if Ftil is not None:
-        rhs[...] = -np.moveaxis(Ftil, -1, 0)
     bmask = ls.dirichlet_mask.reshape((N,) + shape)
     data = np.moveaxis(bv, -1, 0)[bmask]
     if not np.all(np.isfinite(data)):
@@ -668,75 +659,49 @@ def _diff_axis(vals, axis, h):
 # boundary data and the end-to-end pipeline
 # ---------------------------------------------------------------------------
 
-CLOSURES = ("ansatz", "constant", "exact")
+CLOSURES = ("ansatz", "constant")
 
 
-def dirichlet_values(grid: BoxGrid, region: NarrowRegion,
-                     traces: BoundaryTraces | None, closure: str = "ansatz",
-                     ansatz: AnsatzField | None = None, lateral_value=None,
-                     exact=None) -> np.ndarray:
+def dirichlet_values(grid: BoxGrid, traces: BoundaryTraces, closure: str,
+                     ansatz: AnsatzField | None = None, lateral_value=None) -> np.ndarray:
     """Nodal Dirichlet data: traces on t = 0, 1; faces x1 = +-half_width per closure.
 
-    Corners follow the top/bottom traces (the lateral faces are written
-    first and the trace rows overwrite the shared corners).  ``exact``
-    closure uses the supplied field everywhere, which is what
-    manufactured-solution runs need.
+    The ``ansatz`` closure writes the field's values on the lateral faces,
+    the ``constant`` closure ``lateral_value``.  Corners follow the
+    top/bottom traces (the lateral faces are written first and the trace
+    rows overwrite the shared corners).
     """
     if closure not in CLOSURES:
         raise AssemblyError(f"unknown lateral closure {closure!r}")
+    V = np.zeros(grid.shape + (traces.N,))
     XP, T = grid.node_coords()
-    if closure == "exact":
-        if exact is None:
-            raise AssemblyError("exact closure requires an exact field")
-        return np.asarray(exact.value(region.from_box(XP, T)), dtype=float)
-
-    if traces is None:
-        raise AssemblyError("traces required unless closure is exact")
-    N = traces.N
-    V = np.zeros(grid.shape + (N,))
     if closure == "constant":
         if lateral_value is None:
             raise AssemblyError("constant closure requires lateral_value")
         V[0] = V[-1] = np.asarray(lateral_value, dtype=float)
     else:
+        if ansatz is None:
+            raise AssemblyError("ansatz closure requires an ansatz field")
         V[[0, -1]] = ansatz.value(XP[[0, -1]], T[[0, -1]])
     V[:, 0] = traces.psi.jet(XP[:, 0], 0)[0]
     V[:, -1] = traces.phi.jet(XP[:, -1], 0)[0]
     return V
 
 
-def solve_bvp(tensor: CoefficientTensor, region: NarrowRegion,
-              traces: BoundaryTraces | None | list, grid: BoxGrid,
-              closure: str = "ansatz", ansatz: AnsatzField | None = None,
-              lateral_value=None, exact=None, forcing=None,
-              tol=1e-10, system: LinearSystem | None = None):
-    """transform -> assemble -> solve -> DiscreteField.
+def solve_bvp(system: LinearSystem, region: NarrowRegion, sets: list, tol):
+    """Boundary-value solves of one assembled system, one per set of boundary data.
 
-    ``system`` is the already assembled LinearSystem of (tensor, region,
-    grid): only the right-hand side is built then, and the solve shares the
-    system's factorization with every other solve against it.
-
-    ``traces`` may instead be a list of boundary-data sets (traces, closure,
-    ansatz, lateral_value).  Every set's right-hand side is built first,
-    then all are solved in one pass (``solve_linear`` on their stack), with
-    ``tol`` shared or one per set.  The list returns one (DiscreteField,
-    SolveReport) per set, or the exception that stopped that set alone; a
-    failed factorization raises.  One set given by the arguments returns
-    its (DiscreteField, SolveReport) and raises its exception.
+    ``sets`` lists (traces, closure, ansatz, lateral_value); ``tol`` is one
+    bound or one per set.  Every set's right-hand side is built first, then
+    all are solved in one pass (``solve_linear`` on their stack).  Returns
+    one (DiscreteField, SolveReport) per set, or the exception that stopped
+    that set alone; a failed factorization raises.
     """
-    single = not isinstance(traces, list)
-    sets = [(traces, closure, ansatz, lateral_value)] if single else traces
-    if system is None:
-        system = assemble(transform_operator(tensor, region, grid))
-    Ftil = None if forcing is None else transform_forcing(region, grid, forcing)
+    grid = system.grid
     out, rows = [], []
     for tr, cl, af, lv in sets:
         try:
-            if cl == "ansatz" and af is None:
-                from .ansatz import build_ansatz
-                af = build_ansatz(tensor, region, tr)
-            V = dirichlet_values(grid, region, tr, cl, af, lv, exact)
-            rows.append(right_hand_side(system, V, Ftil))
+            rows.append(right_hand_side(system, dirichlet_values(grid, tr, cl, af, lv)))
             out.append(None)
         except Exception as exc:
             out.append(exc.with_traceback(None))
@@ -750,57 +715,4 @@ def solve_bvp(tensor: CoefficientTensor, region: NarrowRegion,
         for j, x, rep in zip(todo, X, reports):
             out[j] = rep if isinstance(rep, SolverError) else (
                 DiscreteField(grid, region, x.reshape(shape)), rep)
-    if single and isinstance(out[0], Exception):
-        raise out.pop()                     # held by no local: no cycle through the frame
-    return out[0] if single else out
-
-
-# ---------------------------------------------------------------------------
-# manufactured solutions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrigSolution:
-    """u_i = sin(x_1) x_n for even i, cos(x_1) x_n for odd i."""
-
-    N: int
-    n: int
-
-    def _parts(self, x):
-        x = np.asarray(x, dtype=float)
-        return x[..., 0], x[..., -1]
-
-    def value(self, x):
-        x1, xn = self._parts(x)
-        cols = [np.sin(x1) * xn if i % 2 == 0 else np.cos(x1) * xn
-                for i in range(self.N)]
-        return np.stack(cols, axis=-1)
-
-    def grad(self, x):
-        x1, xn = self._parts(x)
-        out = np.zeros(np.shape(x1) + (self.N, self.n))
-        for i in range(self.N):
-            f, fp = (np.sin, np.cos) if i % 2 == 0 else (np.cos, lambda z: -np.sin(z))
-            out[..., i, 0] = fp(x1) * xn
-            out[..., i, -1] = f(x1)
-        return out
-
-    def hess(self, x):
-        x1, xn = self._parts(x)
-        out = np.zeros(np.shape(x1) + (self.N, self.n, self.n))
-        for i in range(self.N):
-            f, fp = (np.sin, np.cos) if i % 2 == 0 else (np.cos, lambda z: -np.sin(z))
-            out[..., i, 0, 0] = -f(x1) * xn
-            out[..., i, 0, -1] = fp(x1)
-            out[..., i, -1, 0] = fp(x1)
-        return out
-
-
-def manufactured_forcing(tensor: CoefficientTensor, mms):
-    """F with L[mms] = -F, so mms solves the forced problem exactly."""
-
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        return -apply_operator(tensor, x, mms.value(x), mms.grad(x), mms.hess(x))
-
-    return F
+    return out

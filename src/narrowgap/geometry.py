@@ -219,6 +219,7 @@ class HypothesisCheck:
     worst: float          # tightest ratio (or norm) observed
     bound: float          # the constant it is checked against
     at: tuple             # sample point realizing the worst value
+    reason: str = ""      # why the check failed without a worst value
 
 
 @dataclass(frozen=True)
@@ -233,6 +234,9 @@ class ProfileReport:
         lines = []
         for c in self.checks:
             status = "pass" if c.passed else "FAIL"
+            if c.reason:
+                lines.append(f"  [{status}] {c.name}: {c.reason}")
+                continue
             lines.append(f"  [{status}] {c.name}: worst {c.worst:.6g} vs bound {c.bound:.6g} at {c.at}")
         return "\n".join(lines)
 
@@ -254,6 +258,25 @@ def _sample_patch(d, radius, samples):
     return np.concatenate([grid, probes])
 
 
+def _ratio_check(name, mag, r, pts, power, bound, lower=False):
+    """mag / r**power at its greatest (its least when ``lower``) against ``bound``.
+
+    Points inside the origin guard are skipped, and so are points where
+    r**power is below the smallest normal float: there the ratio is 0/0,
+    or has lost the digits that the relative slack assumes.
+    """
+    rp = r ** power
+    keep = (r > _ORIGIN_GUARD) & (rp >= np.finfo(float).tiny)
+    if not keep.any():
+        return HypothesisCheck(name, False, 0.0, bound, (),
+                               f"no sample has |x'|^{power} above the smallest normal float")
+    ratio = mag[keep] / rp[keep]
+    i = int(np.argmin(ratio) if lower else np.argmax(ratio))
+    worst = float(ratio[i])
+    passed = worst >= bound * (1 - _REL_SLACK) if lower else worst <= bound * (1 + _REL_SLACK)
+    return HypothesisCheck(name, passed, worst, bound, _pt(pts[keep][i]))
+
+
 def _spectral(h):
     """Spectral norm of stacked symmetric matrices (..., d, d)."""
     if h.shape[-1] == 1:
@@ -266,7 +289,9 @@ def validate_profiles(pair: ProfilePair, samples: int = 201, dim: int = 1) -> Pr
 
     Ratio checks exclude a tiny ball around the origin, where the pointwise
     inequalities are trivially 0 <= 0; the origin limit is probed at radius
-    1e-6 instead.  Raises EvaluationError on non-finite profile values.
+    1e-6 instead.  They also skip samples where the power of |x'| they
+    divide by underflows (``_ratio_check``), and fail with that reason when
+    none is left.  Raises EvaluationError on non-finite profile values.
     """
     if samples < 2:
         raise GeometryError("need at least 2 samples per axis")
@@ -283,27 +308,14 @@ def validate_profiles(pair: ProfilePair, samples: int = 201, dim: int = 1) -> Pr
                 raise EvaluationError(f"non-finite {name} {what} at x' = {tuple(bad)}")
         vals[name] = (v, g, h)
 
-    away = r > _ORIGIN_GUARD
-    ra, pa = r[away], pts[away]
-    gap = vals["h1"][0][away] - vals["h2"][0][away]
-    rm = ra ** pair.m
-    ratio = gap / rm
-
-    checks = []
-    i_lo, i_hi = int(np.argmin(ratio)), int(np.argmax(ratio))
-    checks.append(HypothesisCheck("(A1) lower", ratio[i_lo] >= pair.kappa1 * (1 - _REL_SLACK),
-                                  float(ratio[i_lo]), pair.kappa1, _pt(pa[i_lo])))
-    checks.append(HypothesisCheck("(A1) upper", ratio[i_hi] <= pair.kappa2 * (1 + _REL_SLACK),
-                                  float(ratio[i_hi]), pair.kappa2, _pt(pa[i_hi])))
-
+    gap = vals["h1"][0] - vals["h2"][0]
+    checks = [_ratio_check("(A1) lower", gap, r, pts, pair.m, pair.kappa1, lower=True),
+              _ratio_check("(A1) upper", gap, r, pts, pair.m, pair.kappa2)]
     for name in ("h1", "h2"):
         _, g, h = vals[name]
-        for j, mag in ((1, np.linalg.norm(g[away], axis=-1)), (2, _spectral(h[away]))):
-            rj = mag / ra ** (pair.m - j)
-            i = int(np.argmax(rj))
-            checks.append(HypothesisCheck(f"(A2) {name} order {j}",
-                                          rj[i] <= pair.kappa3 * (1 + _REL_SLACK),
-                                          float(rj[i]), pair.kappa3, _pt(pa[i])))
+        for j, mag in ((1, np.linalg.norm(g, axis=-1)), (2, _spectral(h))):
+            checks.append(_ratio_check(f"(A2) {name} order {j}", mag, r, pts,
+                                       pair.m - j, pair.kappa3))
 
     c2 = 0.0
     at = (0.0,) * d
@@ -380,21 +392,6 @@ class NarrowRegion:
         xp = _as_points(xp, self.d)
         return self.profiles.h2.value(xp)
 
-    def top(self, xp):
-        xp = _as_points(xp, self.d)
-        return self.epsilon + self.profiles.h1.value(xp)
-
-    def contains(self, x, closed=True):
-        x = _as_points(x, self.n)
-        xp, xn = x[..., :-1], x[..., -1]
-        r2 = np.sum(xp * xp, axis=-1)
-        inside = r2 <= (2 * self.R0) ** 2 * (1 + self._patch_tol)
-        lo, hi = self.bottom(xp), self.top(xp)
-        slack = self._patch_tol * (self.epsilon + np.abs(hi) + np.abs(lo))
-        if closed:
-            return inside & (xn >= lo - slack) & (xn <= hi + slack)
-        return inside & (xn > lo) & (xn < hi)
-
     # -- normalized vertical coordinate ------------------------------------
 
     def _box(self, xp, t):
@@ -407,15 +404,6 @@ class NarrowRegion:
             raise GeometryError(f"box coordinate t = {float(bad):.3g} outside [0, 1]")
         return xp, t
 
-    def vbar(self, x):
-        x = _as_points(x, self.n)
-        xp, xn = x[..., :-1], x[..., -1]
-        t = (xn - self.bottom(xp)) / self.delta(xp)
-        if np.any(t < -1e-10) or np.any(t > 1 + 1e-10):
-            bad = x.reshape(-1, self.n)[np.argmax(np.abs(t - 0.5).reshape(-1))]
-            raise GeometryError(f"point {tuple(map(float, bad))} outside the closed region")
-        return t
-
     def vbar_grad(self, xp, t):
         """Gradient of v at (x', t), shape (..., n): (-(d h2 + t d delta), 1) / delta."""
         xp, t = self._box(xp, t)
@@ -427,11 +415,6 @@ class NarrowRegion:
         return out
 
     # -- box map ------------------------------------------------------------
-
-    def to_box(self, x):
-        """Map a physical point to (x', t) with t = v(x) in [0, 1]."""
-        x = _as_points(x, self.n)
-        return x[..., :-1].copy(), self.vbar(x)
 
     def from_box(self, xp, t):
         """Inverse map x_n = h2(x') + t * delta(x'); requires t in [0, 1]."""

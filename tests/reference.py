@@ -1,0 +1,248 @@
+"""References and fixtures that only the tests read.
+
+The package computes each of these another way, or has no run that needs
+it; the tests compare against them:
+- the closed-form Lame correction (``lame_correction``, ``_lame_kernel``),
+  against which the vertical-block solve of ``ansatz._generic_kernel`` is
+  checked, and the correction rows and sums of a field;
+- sampled C2 norms (``estimate_c2_norms``), the reference for
+  ``BoundaryTraces.c2_total``;
+- a manufactured solution, its forcing and a solver for the forced problem
+  (``TrigSolution``, ``manufactured_forcing``, ``forced_right_hand_side``,
+  ``solve_manufactured``): the package's problem carries no forcing;
+- the inverse box map (``vbar``, ``to_box``) and region membership
+  (``contains``);
+- one boundary-value solve (``solve_one``) and one sweep (``sweep``)
+  through the calls a run makes.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from narrowgap.ansatz import _gap_slopes, _generic_kernel, apply_operator, build_ansatz
+from narrowgap.coefficients import ConstructionError
+from narrowgap.discretize import (DiscreteField, assemble, right_hand_side, solve_bvp,
+                                  solve_linear, transform_operator)
+from narrowgap.experiments import SweepRequest, _eps_list, run_sweeps
+from narrowgap.geometry import GeometryError, _as_points, require_planar
+
+
+# ---------------------------------------------------------------------------
+# correction rows
+# ---------------------------------------------------------------------------
+
+def _lame_kernel(params, region, xp, order):
+    """Closed-form kernel rows for the isotropic elasticity tensor:
+
+        Q_1 = k_t d_1 delta e_2,  k_t = (lam+mu)/(lam+2mu),
+        Q_2 = k_n d_1 delta e_1,  k_n = (lam+mu)/mu,
+
+    linear in d_1 delta, so each derivative order just differentiates it.
+    """
+    k_t = (params.lam + params.mu) / (params.lam + 2 * params.mu)
+    k_n = (params.lam + params.mu) / params.mu
+    out = []
+    for D in _gap_slopes(region, xp, order):
+        Q = np.zeros(D.shape + (2, 2))                 # Q[..., l, i]
+        Q[..., 0, 1] = k_t * D
+        Q[..., 1, 0] = k_n * D
+        out.append(Q)
+    return out
+
+
+def _correction_rows(kernel, traces, xp):
+    """Rows G_l = (phi^l - psi^l) Q_l at x', shape (..., N, N)."""
+    return traces.diff_jet(xp, 0)[0][..., None] * kernel[0]
+
+
+def correction_coeffs(tensor, region, traces, xp):
+    """All correction vectors at x': rows l of the returned (..., N, N) array.
+
+    Solves the N x N vertical-block system per l; raises
+    HypothesisViolationError if that block is numerically singular.
+    """
+    require_planar(region.n)
+    xp = _as_points(xp, 1)
+    return _correction_rows(_generic_kernel(tensor, region, xp, 0), traces, xp)
+
+
+def lame_correction(params, region, traces, xp):
+    """Closed-form correction rows for the isotropic elasticity tensor."""
+    require_planar(region.n)
+    params.validate(2)
+    if traces.N != 2:
+        raise ConstructionError("elasticity requires N == n traces")
+    xp = _as_points(xp, 1)
+    return _correction_rows(_lame_kernel(params, region, xp, 0), traces, xp)
+
+
+def correction_sum(af, xp):
+    """[S, S', S''] of the field ``af`` with S = sum_l G_l, each (..., N)."""
+    xp = _as_points(xp, 1)
+    return af._correction_sum(xp, af.traces.diff_jet(xp, 2), 2)
+
+
+# ---------------------------------------------------------------------------
+# C2 norms
+# ---------------------------------------------------------------------------
+
+def estimate_c2_norms(field, lo, hi, samples: int = 21) -> float:
+    """max over a sample grid of |f| + |grad f| + |hess f| on the box [lo, hi].
+
+    ``field`` carries exact value/grad/hess methods.  Vector/tensor values
+    are measured in the Frobenius norm.
+    """
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    d = len(lo)
+    axes = [np.linspace(lo[a], hi[a], samples) for a in range(d)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+    v, g, h = field.value(pts), field.grad(pts), field.hess(pts)
+    P = len(pts)
+    total = (_frob(v, P) + _frob(g, P) + _frob(h, P))
+    return float(total.max())
+
+
+def _frob(arr, P):
+    return np.sqrt(np.sum(np.asarray(arr, dtype=float).reshape(P, -1) ** 2, axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# manufactured solutions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TrigSolution:
+    """u_i = sin(x_1) x_n for even i, cos(x_1) x_n for odd i."""
+
+    N: int
+    n: int
+
+    def _parts(self, x):
+        x = np.asarray(x, dtype=float)
+        return x[..., 0], x[..., -1]
+
+    def value(self, x):
+        x1, xn = self._parts(x)
+        cols = [np.sin(x1) * xn if i % 2 == 0 else np.cos(x1) * xn
+                for i in range(self.N)]
+        return np.stack(cols, axis=-1)
+
+    def grad(self, x):
+        x1, xn = self._parts(x)
+        out = np.zeros(np.shape(x1) + (self.N, self.n))
+        for i in range(self.N):
+            f, fp = (np.sin, np.cos) if i % 2 == 0 else (np.cos, lambda z: -np.sin(z))
+            out[..., i, 0] = fp(x1) * xn
+            out[..., i, -1] = f(x1)
+        return out
+
+    def hess(self, x):
+        x1, xn = self._parts(x)
+        out = np.zeros(np.shape(x1) + (self.N, self.n, self.n))
+        for i in range(self.N):
+            f, fp = (np.sin, np.cos) if i % 2 == 0 else (np.cos, lambda z: -np.sin(z))
+            out[..., i, 0, 0] = -f(x1) * xn
+            out[..., i, 0, -1] = fp(x1)
+            out[..., i, -1, 0] = fp(x1)
+        return out
+
+
+def manufactured_forcing(tensor, mms):
+    """F with L[mms] = -F, so mms solves the forced problem exactly."""
+
+    def F(x):
+        x = np.asarray(x, dtype=float)
+        return -apply_operator(tensor, x, mms.value(x), mms.grad(x), mms.hess(x))
+
+    return F
+
+
+def forced_right_hand_side(ls, boundary_values, Ftil):
+    """Dirichlet values on the boundary rows, -Ftil (*shape, N) on the interior rows."""
+    b = right_hand_side(ls, boundary_values).reshape((ls.N,) + ls.grid.shape)
+    interior = ~ls.dirichlet_mask.reshape(b.shape)
+    b[interior] = -np.moveaxis(Ftil, -1, 0)[interior]
+    return b.ravel()
+
+
+def solve_manufactured(tensor, region, grid, mms):
+    """(DiscreteField, SolveReport) of the problem that ``mms`` solves exactly.
+
+    The system is assembled as a run assembles it.  The exact values go on
+    the Dirichlet rows and -delta F, the transformed forcing of
+    ``manufactured_forcing``, on the interior rows; ``solve_linear`` solves it.
+    """
+    ls = assemble(transform_operator(tensor, region, grid))
+    XP, T = grid.node_coords()
+    x = region.from_box(XP, T)
+    Ftil = region.delta(XP)[..., None] * manufactured_forcing(tensor, mms)(x)
+    u, rep = solve_linear(ls, forced_right_hand_side(ls, mms.value(x), Ftil))
+    return DiscreteField(grid, region, u.reshape((ls.N,) + grid.shape)), rep
+
+
+# ---------------------------------------------------------------------------
+# the inverse box map
+# ---------------------------------------------------------------------------
+
+def vbar(region, x):
+    """v(x) = (x_n - h2(x')) / delta(x') at physical points x (..., n)."""
+    x = _as_points(x, region.n)
+    xp, xn = x[..., :-1], x[..., -1]
+    t = (xn - region.bottom(xp)) / region.delta(xp)
+    if np.any(t < -1e-10) or np.any(t > 1 + 1e-10):
+        bad = x.reshape(-1, region.n)[np.argmax(np.abs(t - 0.5).reshape(-1))]
+        raise GeometryError(f"point {tuple(map(float, bad))} outside the closed region")
+    return t
+
+
+def to_box(region, x):
+    """Map a physical point to (x', t) with t = v(x) in [0, 1]."""
+    x = _as_points(x, region.n)
+    return x[..., :-1].copy(), vbar(region, x)
+
+
+def contains(region, x):
+    """Whether each physical point x (..., n) lies in the closed region."""
+    x = _as_points(x, region.n)
+    xp, xn = x[..., :-1], x[..., -1]
+    r2 = np.sum(xp * xp, axis=-1)
+    inside = r2 <= (2 * region.R0) ** 2 * (1 + region._patch_tol)
+    lo, hi = region.bottom(xp), region.epsilon + region.profiles.h1.value(xp)
+    slack = region._patch_tol * (region.epsilon + np.abs(hi) + np.abs(lo))
+    return inside & (xn >= lo - slack) & (xn <= hi + slack)
+
+
+# ---------------------------------------------------------------------------
+# one solve, one sweep
+# ---------------------------------------------------------------------------
+
+def solve_one(tensor, region, traces, grid):
+    """(DiscreteField, SolveReport) of one set of boundary data; its error raises.
+
+    The system is assembled, and the lateral faces come from the ansatz of
+    (tensor, region, traces), as at a sweep point.
+    """
+    system = assemble(transform_operator(tensor, region, grid))
+    got, = solve_bvp(system, region,
+                     [(traces, "ansatz", build_ansatz(tensor, region, traces), None)], 1e-10)
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def sweep(cfg, stat_names, eps_list=None, richardson: bool = True) -> dict:
+    """Solve per eps (base and refined grid) and evaluate named statistics.
+
+    Returns one SweepResult per statistic; the solves are shared across
+    statistics.  A failed solve raises.
+    """
+    req = SweepRequest(cfg, tuple(stat_names),
+                       tuple(eps_list) if eps_list is not None else _eps_list(cfg),
+                       richardson=richardson)
+    out, = run_sweeps([req])
+    if out.error is not None:
+        raise out.error
+    return out.results

