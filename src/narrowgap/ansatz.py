@@ -28,11 +28,12 @@ For the isotropic elasticity tensor the solve collapses to closed forms
 The field always solves the block system; the tests check it against these
 closed forms.
 
-The box evaluators are written for n = 2, with x' = x1 and the axes
-(x1, t); ``require_planar`` refuses any other n when a field is built.
+The region is planar (``geometry``), so the box evaluators are written
+for the axes (x1, t) and every tangential derivative is an x1-derivative.
 Each trace is one ``PolyTrace``: a coefficient row in x1 per component
 (a constant is a row of degree 0), whose ``jet`` returns the exact
-x1-derivatives [f, d_1 f, d_11 f] that every evaluator here reads.
+x1-derivatives [f, d_1 f, d_11 f] that every evaluator here reads; the
+profiles and the gap give theirs the same way (``jet``, ``delta_jet``).
 
 All derivatives here are analytic: the correction's first and second
 derivatives come from differentiating the linear system (one inverse of
@@ -52,7 +53,7 @@ from numpy.polynomial import polynomial as P
 
 from .coefficients import (CoefficientTensor, ConstructionError,
                            HypothesisViolationError)
-from .geometry import NarrowRegion, _as_points, require_planar
+from .geometry import NarrowRegion, _as_points
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,9 @@ class PolyTrace:
         return [P.polyval(x1, C, tensor=False) for C in self._derivs[:order + 1]]
 
 
+_C2_SAMPLES = 201          # uniform samples of ``c2_total`` over the interval
+
+
 @dataclass(frozen=True)
 class BoundaryTraces:
     """Top trace phi and bottom trace psi with exact tangential derivatives."""
@@ -137,12 +141,13 @@ class BoundaryTraces:
         """[f, d_1 f, d_11 f] of f = phi - psi up to ``order``, each (..., N)."""
         return [p - q for p, q in zip(self.phi.jet(xp, order), self.psi.jet(xp, order))]
 
-    def c2_total(self, radius, samples=201):
+    def c2_total(self, radius):
         """‖phi‖_C2 + ‖psi‖_C2 sampled on the tangential interval of given radius.
 
-        Each norm is the sample maximum of |f| + |d_1 f| + |d_11 f|.
+        Each norm is the maximum of |f| + |d_1 f| + |d_11 f| over
+        ``_C2_SAMPLES`` uniform samples.
         """
-        xp = np.linspace(-radius, radius, samples)[:, None]
+        xp = np.linspace(-radius, radius, _C2_SAMPLES)[:, None]
         total = 0.0
         for tr in (self.phi, self.psi):
             f, d1, d11 = (np.sqrt(np.sum(g ** 2, axis=-1)) for g in tr.jet(xp))
@@ -166,7 +171,7 @@ def theta_bar_delta(traces: BoundaryTraces, region: NarrowRegion, xp):
     For m = 2 the exponent vanishes and this coincides with ``theta``; for
     m > 2 it is pointwise smaller whenever delta <= 1.
     """
-    xp = _as_points(xp, 1)
+    xp = _as_points(xp)
     dv, dg = traces.diff_jet(xp, 1)
     expo = 1.0 - 2.0 / region.profiles.m
     return (np.linalg.norm(dv, axis=-1) * region.delta(xp) ** expo
@@ -195,12 +200,6 @@ def _leibniz(mul, F, G, order):
     return res
 
 
-def _gap_slopes(region, xp, order):
-    """[d_1 delta, d_11 delta, d_111 delta] up to ``order``, each of shape (...)."""
-    fns = (region.delta_grad, region.delta_hess, region.delta_third)
-    return [fn(xp).reshape(xp.shape[:-1]) for fn in fns[:order + 1]]
-
-
 def _midpoint_tensor_derivs(tensor, region, xp, order):
     """[A, A', A''] up to ``order`` total x1-derivatives at mid-gap.
 
@@ -216,13 +215,13 @@ def _midpoint_tensor_derivs(tensor, region, xp, order):
         out += [np.zeros_like(Av) for _ in range(order)]
     elif order >= 1:
         # m' and m'' carry the tensor's four axes (i, j, a, b) as length 1
-        ms = (region.profiles.h2.grad(xp)
-              + 0.5 * region.delta_grad(xp))[..., 0, None, None, None, None]
+        h2 = region.profiles.h2.jet(xp, order)
+        dlt = region.delta_jet(xp, order)
+        ms = (h2[1] + 0.5 * dlt[1])[..., None, None, None, None]
         Ag = tensor.A_grad(x_mid)
         out.append(Ag[..., 0] + Ag[..., 1] * ms)
         if order >= 2:
-            m2s = (region.profiles.h2.hess(xp)
-                   + 0.5 * region.delta_hess(xp))[..., 0, 0, None, None, None, None]
+            m2s = (h2[2] + 0.5 * dlt[2])[..., None, None, None, None]
             Ah = tensor.A_hess(x_mid)
             out.append(Ah[..., 0, 0] + Ah[..., 0, 1] * ms + Ah[..., 1, 0] * ms
                        + Ah[..., 1, 1] * ms * ms + Ag[..., 1] * m2s)
@@ -240,7 +239,7 @@ def _generic_kernel(tensor, region, xp, order):
     M = [A[..., 1, 1] for A in As]
     mixed = [A[..., 0, 1] + A[..., 1, 0] for A in As]           # A^{12} + A^{21}
     s = _leibniz(lambda f, g: f * g[..., None, None], mixed,
-                 _gap_slopes(region, xp, order), order)
+                 region.delta_jet(xp, order + 1)[1:], order)
     try:
         Minv = np.linalg.inv(M[0])
     except np.linalg.LinAlgError as exc:
@@ -284,7 +283,6 @@ class AnsatzField:
     ``corrected=False`` on ``gradient`` and ``residual`` drops the
     r(v) * sum G_l term and yields the plain two-point interpolant (the
     quantity the correction improves on) without building the correction.
-    The field is written for n = 2; construction refuses any other n.
     """
 
     region: NarrowRegion
@@ -292,7 +290,6 @@ class AnsatzField:
     traces: BoundaryTraces
 
     def __post_init__(self):
-        require_planar(self.region.n)
         if self.traces.N != self.tensor.N:
             raise ConstructionError("trace components must match tensor N")
 
@@ -327,14 +324,13 @@ class AnsatzField:
         shape = np.broadcast_shapes(xp.shape[:-1], t.shape) + (self.N,)
         val = np.empty(shape)
         if order >= 1:
-            h2 = self.region.profiles.h2
-            dlt = self.region.delta(xp)
-            D = _gap_slopes(self.region, xp, order - 1)
-            dv0 = -(h2.grad(xp)[..., 0] + t * D[0]) / dlt
+            h2 = self.region.profiles.h2.jet(xp, order)
+            dlt, *D = self.region.delta_jet(xp, order)
+            dv0 = -(h2[1] + t * D[0]) / dlt
             dv1 = 1.0 / dlt
             grad = np.empty(shape + (2,))
         if order >= 2:
-            d2h = h2.hess(xp)[..., 0, 0] + t * D[1]
+            d2h = h2[2] + t * D[1]
             d2v00 = (-(dv0 * D[0] + D[0] * dv0) - d2h) / dlt
             d2v01 = -(D[0] * dv1) / dlt                        # d2v11 = 0
             dv00, dv01, dv11 = dv0 * dv0, dv0 * dv1, dv1 * dv1

@@ -120,7 +120,7 @@ def _hypothesis_summary(cfg: RunConfig):
     eps = (cfg.experiment.eps_list or (1e-1,))[0]
     out = []
     pair = cfg.geometry.build_pair()
-    rep = validate_profiles(pair, dim=cfg.geometry.n - 1)
+    rep = validate_profiles(pair)
     out.append(f"profiles ((A1)-(A3)): {'pass' if rep.passed else 'FAIL'}")
     out += ["  " + ln.strip() for ln in str(rep).splitlines()]
     region = cfg.geometry.build_region(eps)
@@ -188,10 +188,9 @@ def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
     u = af.value(XP[..., :1, :], T)
     g = af.gradient(XP[..., :1, :], T)
     N, n = u.shape[-1], g.shape[-1]
-    cols = (["xprime%d" % a for a in range(region.d)] + ["t", "xn"]
-            + ["u%d" % i for i in range(N)]
+    cols = (["xprime0", "t", "xn"] + ["u%d" % i for i in range(N)]
             + ["du%d_dx%d" % (i, a) for i in range(N) for a in range(n)])
-    flat = np.concatenate([XP.reshape(-1, region.d), T.reshape(-1, 1),
+    flat = np.concatenate([XP.reshape(-1, 1), T.reshape(-1, 1),
                            x[..., -1].reshape(-1, 1), u.reshape(-1, N),
                            g.reshape(-1, N * n)], axis=-1)
     em.write("ansatz_field.csv", _float_csv(flat, ",".join(cols)))
@@ -205,14 +204,13 @@ def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
     error, = solve_point([b], point["system"])
     if error is not None:
         raise error
-    region, df, rep = b.region, b.field, b.report
+    df, rep = b.field, b.report
     log({"event": "solve", "eps": eps, **rep.record()})
     XP, T = b.grid.node_coords()
     u = np.moveaxis(df.values, 0, -1)
-    flat = np.concatenate([XP.reshape(-1, region.d), T.reshape(-1, 1),
+    flat = np.concatenate([XP.reshape(-1, 1), T.reshape(-1, 1),
                            u.reshape(-1, df.N)], axis=-1)
-    cols = (["xprime%d" % a for a in range(region.d)] + ["t"]
-            + ["u%d" % i for i in range(df.N)])
+    cols = ["xprime0", "t"] + ["u%d" % i for i in range(df.N)]
     em.write("solution.csv", _float_csv(flat, ",".join(cols)))
     note = (f"single solve at eps {eps:g}: method {rep.method}, "
             f"{rep.unknowns} unknowns, residual {rep.residual:.3e}")

@@ -293,14 +293,10 @@ def _symmetric_basis(n):
 
 
 def _sample_region_points(region, per_axis):
-    """Interior sample grid of a NarrowRegion via its box map."""
-    d = region.d
-    axes = [np.linspace(-2 * region.R0, 2 * region.R0, per_axis + 2)[1:-1]] * d
-    axes.append(np.linspace(0.0, 1.0, per_axis + 2)[1:-1])
-    mesh = np.meshgrid(*axes, indexing="ij")
-    xp = np.stack([m.ravel() for m in mesh[:-1]], axis=-1)
-    t = mesh[-1].ravel()
-    return region.from_box(xp, t)
+    """Interior sample grid of a NarrowRegion via its box map, (x1, t) order."""
+    X1, T = np.meshgrid(np.linspace(-2 * region.R0, 2 * region.R0, per_axis + 2)[1:-1],
+                        np.linspace(0.0, 1.0, per_axis + 2)[1:-1], indexing="ij")
+    return region.from_box(X1.reshape(-1, 1), T.ravel())
 
 
 def check_pointwise_ellipticity(tensor: CoefficientTensor, region,

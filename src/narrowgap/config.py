@@ -36,7 +36,6 @@ CHECK_NAMES = ("thm11", "remark13", "decay", "cor41", "residual", "energy")
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    n: int = 2
     family: str = "power"            # "power" | "poly"
     m: int = 2
     upper_coef: float = 1.0          # h1 = upper_coef |x'|^m
@@ -63,7 +62,7 @@ class GeometryConfig:
                                  self.kappa3, self.kappa4, self.R0)
 
     def build_region(self, eps: float) -> _geom.NarrowRegion:
-        return _geom.NarrowRegion(self.build_pair(), eps, self.n)
+        return _geom.NarrowRegion(self.build_pair(), eps)
 
 
 @dataclass(frozen=True)
@@ -98,12 +97,9 @@ class TensorConfig:
 
 @dataclass(frozen=True)
 class TracesConfig:
-    family: str = "constant"         # "constant" | "monomial" | "poly"
+    family: str = "constant"         # "constant" | "poly"
     phi: tuple = (1.0, 0.0)
     psi: tuple = (0.0, 0.0)
-    k: int = 1                       # monomial: phi - psi = (x1^k, 0, ...)
-    component: int = 0
-    scale: float = 1.0
     poly_phi: tuple | None = None    # poly: per-component coefficient rows
     poly_psi: tuple | None = None
 
@@ -111,9 +107,6 @@ class TracesConfig:
         """phi and psi as N coefficient rows in x1 each; missing rows are zero."""
         if self.family == "constant":
             phi, psi = ([(v,) for v in vec] for vec in (self.phi, self.psi))
-        elif self.family == "monomial":
-            phi, psi = _pad_rows((), N), ()
-            phi[self.component] = (0.0,) * self.k + (self.scale,)
         else:
             phi, psi = self.poly_phi, self.poly_psi
         return _ansatz.BoundaryTraces(_ansatz.PolyTrace(_pad_rows(phi, N)),
@@ -177,13 +170,13 @@ class RunConfig:
             return self.tensor.N
         if self.tensor.kind == "custom_poly":
             return self.tensor.custom_N
-        return self.geometry.n
+        return _geom.DIM
 
     def build_traces(self):
         return self.traces.build(self.N)
 
     def build_tensor(self) -> _coeff.CoefficientTensor:
-        return self.tensor.build(self.geometry.n)
+        return self.tensor.build(_geom.DIM)
 
     def to_dict(self):
         return asdict(self)
@@ -313,11 +306,7 @@ def _beyond_n(tr: TracesConfig, N):
 
 
 def _profile_violations(g: GeometryConfig):
-    """Why the profile pair cannot be built or evaluated finitely, if it cannot.
-
-    Profiles are sampled on one tangential axis: the power family is radial,
-    and the poly family has n = 2.
-    """
+    """Why the profile pair cannot be built or evaluated finitely, if it cannot."""
     try:
         with np.errstate(all="ignore"):
             _geom.validate_profiles(g.build_pair())
@@ -339,8 +328,6 @@ def validate_config(cfg: RunConfig):
         return v
     g, t, tr, s, e = (cfg.geometry, cfg.tensor, cfg.traces, cfg.solver,
                       cfg.experiment)
-    if g.n < 2:
-        v.append("geometry: n must be >= 2")
     if g.family not in ("power", "poly"):
         v.append(f"geometry: unknown family {g.family!r}")
     if g.family == "power" and g.upper_coef + g.lower_coef <= 0:
@@ -357,8 +344,6 @@ def validate_config(cfg: RunConfig):
                 v += _numbers(coeffs, key, "geometry")
         if None in kappas:
             v.append("geometry: poly family requires explicit kappa1..kappa4")
-        if g.n != 2:
-            v.append("geometry: poly profiles are defined for n = 2")
     elif None in kappas and kappas != (None,) * 4:
         v.append("geometry: kappa1..kappa4 must be given together or not at all")
     if g.m < 2:
@@ -371,17 +356,18 @@ def validate_config(cfg: RunConfig):
         v += _profile_violations(g)
     if t.kind not in ("laplace", "lame", "lame_perturbed", "custom_poly"):
         v.append(f"tensor: unknown kind {t.kind!r}")
+    n = _geom.DIM
     if t.kind in ("lame", "lame_perturbed"):
         if t.mu <= 0:
             v.append("tensor: mu must be positive")
-        if g.n * t.lam + 2 * t.mu <= 0:
+        if n * t.lam + 2 * t.mu <= 0:
             v.append("tensor: n*lam + 2*mu must be positive")
     if t.kind == "laplace" and t.N < 1:
         v.append("tensor: N must be >= 1")
     if t.kind == "custom_poly":
         if t.custom_N < 1:
             v.append("tensor: custom_N must be >= 1")
-        size = t.custom_N ** 2 * g.n ** 2
+        size = t.custom_N ** 2 * n ** 2
         if t.custom_A is None:
             v.append("tensor: custom_poly requires custom_A")
         else:
@@ -390,16 +376,11 @@ def validate_config(cfg: RunConfig):
                 [f"tensor: custom_A must hold custom_N^2 * n^2 = {size} numbers, "
                  f"got {len(t.custom_A)}"])
     if t.kind == "lame_perturbed" or (t.kind == "custom_poly" and t.perturb_scale):
-        v += _perturb_poly_violations(t.perturb_poly, g.n)
-    if tr.family not in ("constant", "monomial", "poly"):
+        v += _perturb_poly_violations(t.perturb_poly, n)
+    if tr.family not in ("constant", "poly"):
         v.append(f"traces: unknown family {tr.family!r}")
     if tr.family == "poly" and (tr.poly_phi is None or tr.poly_psi is None):
         v.append("traces: poly family requires poly_phi and poly_psi")
-    if tr.family == "monomial" and tr.k < 0:
-        v.append("traces: monomial degree k must be >= 0")
-    if tr.family == "monomial" and not 0 <= tr.component < cfg.N:
-        v.append(f"traces: monomial component must be in [0, {cfg.N}), "
-                 f"got {tr.component}")
     v += _coefficient_violations(tr) or _beyond_n(tr, cfg.N)
     if s.closure not in ("ansatz", "constant"):
         v.append(f"solver: unknown closure {s.closure!r}")

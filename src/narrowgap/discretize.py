@@ -51,7 +51,7 @@ from scipy.linalg import lapack
 
 from .ansatz import AnsatzField, BoundaryTraces
 from .coefficients import CoefficientTensor
-from .geometry import GeometryError, NarrowRegion, require_planar
+from .geometry import GeometryError, NarrowRegion
 
 
 class AssemblyError(RuntimeError):
@@ -111,7 +111,6 @@ class BoxGrid:
 
 def grid_for(region: NarrowRegion, tangential_nodes: int = 257,
              vertical_nodes: int = 65) -> BoxGrid:
-    require_planar(region.n)
     return BoxGrid(tangential_nodes, vertical_nodes, 2.0 * region.R0)
 
 

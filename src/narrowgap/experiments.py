@@ -37,7 +37,7 @@ from . import ansatz as _ans
 from . import discretize as _disc
 from .coefficients import HypothesisViolationError, check_ann
 from .config import DECAY_EPS, DEFAULT_EPS, ConfigError, RunConfig
-from .geometry import GeometryError, require_planar
+from .geometry import DIM, GeometryError
 
 EPS_FIT_MAX = 1e-2          # default tail cut for bounded-remainder fits
 NOISE_FLOOR = 1e-12         # relative floor before a point counts as solver noise
@@ -102,7 +102,6 @@ class RateFit:
     r_squared: float
     npoints: int
     m: int = 2
-    n: int = 2
 
     @property
     def decay_constant(self):
@@ -120,13 +119,13 @@ class RateFit:
         return s
 
 
-def fit_rate(sr: SweepResult, model: str = "power", m: int = 2, n: int = 2,
+def fit_rate(sr: SweepResult, model: str = "power", m: int = 2,
              eps_max: float | None = None) -> RateFit:
     """Least-squares rate fit over the unflagged sweep points.
 
-    power: log s against log eps.  stretched_exponential: log(s eps^{n/2})
+    power: log s against log eps.  stretched_exponential: log(s eps)
     against eps^{-(1-1/m)}, i.e. the decay-rate model with the dimensional
-    prefactor removed.
+    prefactor eps^{n/2} = eps of the plane removed.
     """
     if model not in ("power", "stretched_exponential"):
         raise DataError(f"unknown fit model {model!r}")
@@ -145,13 +144,13 @@ def fit_rate(sr: SweepResult, model: str = "power", m: int = 2, n: int = 2,
         X, Y = np.log(eps), np.log(val)
     else:
         X = eps ** (-(1.0 - 1.0 / m))
-        Y = np.log(val * eps ** (n / 2.0))
+        Y = np.log(val * eps)
     slope, intercept = np.polyfit(X, Y, 1)
     resid = Y - (slope * X + intercept)
     ss_tot = float(np.sum((Y - Y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return RateFit(model, float(slope), float(intercept),
-                   float(min(max(r2, 0.0), 1.0)), len(pts), m, n)
+                   float(min(max(r2, 0.0), 1.0)), len(pts), m)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +324,14 @@ def _stat_shortest_remainder(b: SolveBundle):
 
 
 def _stat_energy_ratio(b: SolveBundle):
-    """Window energy over delta(0)^n (Theta(0)^2 + delta(0)^2 C2^2) at z' = 0.
+    """Window energy over delta(0)^2 (Theta(0)^2 + delta(0)^2 C2^2) at z' = 0.
 
     Blind to the correction: ``_judge_energy`` says why.
     """
-    dlt0 = float(b.region.delta(np.zeros((1, b.region.d)))[0])
+    dlt0 = float(b.region.delta(np.zeros((1, 1)))[0])
     E = local_energy(b.field, b.ansatz, 0.0, dlt0, nq=b.cfg.experiment.energy_quad)
-    th0 = float(_ans.theta(b.traces, np.zeros((1, b.region.d)))[0])
-    denom = dlt0 ** b.region.n * (th0 ** 2 + dlt0 ** 2 * b.c2_norms ** 2)
+    th0 = float(_ans.theta(b.traces, np.zeros((1, 1)))[0])
+    denom = dlt0 ** 2 * (th0 ** 2 + dlt0 ** 2 * b.c2_norms ** 2)
     return float(E / denom)
 
 
@@ -563,7 +562,10 @@ def _sweep_results(cfg, stat_names, nodes, rows):
     return out
 
 
-def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
+_RESIDUAL_SAMPLES = (199, 31)      # (x1, t) interior samples of the base measurement
+
+
+def residual_sweep(cfg: RunConfig, eps_list=None) -> dict:
     """Analytic-residual sweep (no PDE solves).
 
     Statistics over an interior sample grid of Omega_{R0}:
@@ -572,7 +574,6 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
     Refinement doubles the sampling density; maxima that move more than the
     Richardson tolerance are flagged sampling-limited.
     """
-    require_planar(cfg.geometry.n)
     eps_list = tuple(eps_list) if eps_list is not None else _eps_list(cfg)
     tensor = cfg.build_tensor()
     traces = cfg.build_traces()
@@ -591,15 +592,15 @@ def residual_sweep(cfg: RunConfig, eps_list=None, samples=(199, 31)) -> dict:
         return corr, unc
 
     pts = {"residual_normalized": [], "residual_uncorrected": []}
-    fine = tuple(2 * s + 1 for s in samples)
+    fine = tuple(2 * s + 1 for s in _RESIDUAL_SAMPLES)
     for eps in eps_list:
         af = _ans.build_ansatz(tensor, cfg.geometry.build_region(eps), traces)
-        base = measure(af, samples)
+        base = measure(af, _RESIDUAL_SAMPLES)
         ref = measure(af, fine)
         for name, v, rv in (("residual_normalized", base[0], ref[0]),
                             ("residual_uncorrected", base[1], ref[1])):
             pts[name].append(_richardson_point(eps, v, rv, cfg.experiment.richardson_tol,
-                                               samples, "sampling-limited"))
+                                               _RESIDUAL_SAMPLES, "sampling-limited"))
     return {name: SweepResult(name, p) for name, p in pts.items()}
 
 
@@ -762,18 +763,20 @@ def _judge_thm11(cfg: RunConfig, results) -> Verdict:
 
 def _remark13_case_cfg(cfg, case):
     from .config import TracesConfig
-    n = cfg.geometry.n
     if case == "i":
         tr = TracesConfig(family="poly",
                           poly_phi=((1.0, 0.0, 1.0),) + ((0.0,),) * (cfg.N - 1),
                           poly_psi=((1.0, 0.0, 1.0),) + ((0.0,),) * (cfg.N - 1))
     elif case == "ii":
         gap = [0.0] * cfg.N
-        gap[min(n, cfg.N) - 1] = 1.0
+        gap[min(DIM, cfg.N) - 1] = 1.0
         tr = TracesConfig(family="constant", phi=tuple(gap),
                           psi=(0.0,) * cfg.N)
     else:
-        tr = TracesConfig(family="monomial", k=cfg.experiment.monomial_k)
+        tr = TracesConfig(family="poly",
+                          poly_phi=((0.0,) * cfg.experiment.monomial_k + (1.0,),)
+                          + ((0.0,),) * (cfg.N - 1),
+                          poly_psi=((0.0,),) * cfg.N)
     return replace(cfg, traces=tr)
 
 
@@ -851,7 +854,7 @@ def _judge_decay(cfg: RunConfig, results) -> Verdict:
     srs, = results
     try:
         fit = fit_rate(srs["decay_normalized"], model="stretched_exponential",
-                       m=cfg.geometry.m, n=cfg.geometry.n)
+                       m=cfg.geometry.m)
     except DataError as exc:
         return Verdict("decay", "ABORTED", {"error": str(exc)}, sweeps=srs)
     ok = fit.slope < 0 and fit.r_squared >= DECAY_MIN_R2

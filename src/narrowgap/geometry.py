@@ -17,15 +17,23 @@ onto the box B'_{2R0} x [0, 1].  Everything downstream (ansatz evaluation,
 finite differences on the mapped box) relies on exact derivatives of the
 profiles, so profiles are supplied analytically, never tabulated.
 
-Conventions: tangential points ``xp`` have shape (..., d) with d = n - 1,
-full points ``x`` have shape (..., n); all evaluators broadcast.
+The region is planar: x' = x1, and every layer below (grids, the box
+Jacobian, the ansatz, the traces) is written for the axes (x1, t).
+Tangential points ``xp`` have shape (..., 1), full points ``x`` have shape
+(..., 2); all evaluators broadcast.  A function of x1 gives its derivatives
+as one jet [f, d_1 f, d_11 f, d_111 f] cut at ``order``, each entry of
+shape (...), as ``ansatz.PolyTrace.jet`` does for the traces: each profile
+has ``jet`` and the region has ``delta_jet``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+
+DIM = 2    # the spatial dimension n: the region lies in the (x1, x2) plane
 
 
 class GeometryError(ValueError):
@@ -36,26 +44,12 @@ class EvaluationError(RuntimeError):
     """A profile produced a non-finite value."""
 
 
-def require_planar(n: int):
-    """Refuse n != 2 before a grid or an ansatz is built.
-
-    For n > 2 the corners of the box [-2R0, 2R0]^(n-1) leave the round patch
-    |x'| <= 2R0 on which the gap is defined, and sample grids grow with the
-    (n-1)-th power of the tangential node count.  The ansatz is written for
-    the axes (x1, t) alone.
-    """
-    if n != 2:
-        raise GeometryError(f"grids need n = 2, got n = {n}")
-
-
-def _as_points(xp, d):
+def _as_points(xp):
     xp = np.asarray(xp, dtype=float)
     if xp.ndim == 0:
-        if d != 1:
-            raise GeometryError(f"scalar point given for a {d}-dimensional tangential space")
         xp = xp.reshape(1)
-    if xp.shape[-1] != d:
-        raise GeometryError(f"expected points with last axis {d}, got shape {xp.shape}")
+    if xp.shape[-1] != 1:
+        raise GeometryError(f"expected points with last axis 1, got shape {xp.shape}")
     return xp
 
 
@@ -65,11 +59,11 @@ def _as_points(xp, d):
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Radial profile  h(x') = coef * |x'|^power  with power >= 2.
+    """Radial profile  h(x1) = coef * |x1|^power  with power >= 2.
 
     Exact derivatives up to third order.  At the origin the derivative
     formulas below have removable singularities; they are defined by their
-    limits (zero for power >= 3, constant Hessian for power == 2).
+    limits (zero for power >= 3, constant h'' for power == 2).
     """
 
     coef: float
@@ -79,43 +73,23 @@ class PowerProfile:
         if self.power < 2:
             raise GeometryError("profile power must be >= 2")
 
-    def value(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        r2 = np.sum(xp * xp, axis=-1)
-        return self.coef * r2 ** (self.power / 2.0)
-
-    def grad(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        m = self.power
-        r2 = np.sum(xp * xp, axis=-1)
-        # m r^{m-2} x,  with r^{m-2} := 0 at the origin for m > 2 and 1 for m == 2
-        fac = self.coef * m * _safe_pow(r2, (m - 2) / 2.0)
-        return fac[..., None] * xp
-
-    def hess(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        m = self.power
-        d = xp.shape[-1]
-        r2 = np.sum(xp * xp, axis=-1)
-        eye = np.eye(d)
-        f1 = self.coef * m * (m - 2) * _safe_pow(r2, (m - 4) / 2.0)
-        f2 = self.coef * m * _safe_pow(r2, (m - 2) / 2.0)
-        return (f1[..., None, None] * xp[..., :, None] * xp[..., None, :]
-                + f2[..., None, None] * eye)
-
-    def third(self, xp):
-        xp = np.asarray(xp, dtype=float)
-        m = self.power
-        d = xp.shape[-1]
-        r2 = np.sum(xp * xp, axis=-1)
-        eye = np.eye(d)
-        f1 = self.coef * m * (m - 2) * (m - 4) * _safe_pow(r2, (m - 6) / 2.0)
-        f2 = self.coef * m * (m - 2) * _safe_pow(r2, (m - 4) / 2.0)
-        xxx = xp[..., :, None, None] * xp[..., None, :, None] * xp[..., None, None, :]
-        sym = (eye[:, :, None] * xp[..., None, None, :]
-               + eye[:, None, :] * xp[..., None, :, None]
-               + eye[None, :, :] * xp[..., :, None, None])
-        return f1[..., None, None, None] * xxx + f2[..., None, None, None] * sym
+    def jet(self, xp, order=2):
+        """[h, d_1 h, d_11 h, d_111 h] at x' up to ``order``, each of shape (...)."""
+        x = np.asarray(xp, dtype=float)[..., 0]
+        c, m = self.coef, self.power
+        r2 = x * x
+        out = [c * r2 ** (m / 2.0)]
+        if order >= 1:
+            # m r^{m-2} x,  with r^{m-2} := 0 at the origin for m > 2 and 1 for m == 2
+            out.append(c * m * _safe_pow(r2, (m - 2) / 2.0) * x)
+        if order >= 2:
+            f1 = c * m * (m - 2) * _safe_pow(r2, (m - 4) / 2.0)
+            out.append(f1 * x * x + c * m * _safe_pow(r2, (m - 2) / 2.0))
+        if order >= 3:
+            f1 = c * m * (m - 2) * (m - 4) * _safe_pow(r2, (m - 6) / 2.0)
+            f2 = c * m * (m - 2) * _safe_pow(r2, (m - 4) / 2.0)
+            out.append(f1 * (x * x * x) + f2 * (x + x + x))
+        return out
 
 
 def _safe_pow(r2, exponent):
@@ -132,31 +106,18 @@ def _safe_pow(r2, exponent):
 
 @dataclass(frozen=True)
 class PolyProfile:
-    """Polynomial profile h(x1) = sum_k coeffs[k] * x1^k for a 1-d tangential space."""
+    """Polynomial profile h(x1) = sum_k coeffs[k] * x1^k."""
 
     coeffs: tuple
 
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
 
-    def _poly(self, xp, deriv):
-        xp = np.asarray(xp, dtype=float)
-        if xp.shape[-1] != 1:
-            raise GeometryError("PolyProfile is defined for a 1-d tangential space")
+    def jet(self, xp, order=2):
+        """[h, d_1 h, d_11 h, d_111 h] at x' up to ``order``, each of shape (...)."""
+        x = np.asarray(xp, dtype=float)[..., 0]
         p = np.polynomial.Polynomial(self.coeffs)
-        return p.deriv(deriv)(xp[..., 0]) if deriv else p(xp[..., 0])
-
-    def value(self, xp):
-        return self._poly(xp, 0)
-
-    def grad(self, xp):
-        return self._poly(xp, 1)[..., None]
-
-    def hess(self, xp):
-        return self._poly(xp, 2)[..., None, None]
-
-    def third(self, xp):
-        return self._poly(xp, 3)[..., None, None, None]
+        return [p(x)] + [p.deriv(k)(x) for k in range(1, order + 1)]
 
 
 FLAT = PowerProfile(0.0, 2)
@@ -172,7 +133,7 @@ class ProfilePair:
 
     The constants assert, on the patch B'_{2R0},
       (A1)  kappa1 |x'|^m <= h1 - h2 <= kappa2 |x'|^m
-      (A2)  |grad^j h_i|  <= kappa3 |x'|^{m-j},  j = 1, 2
+      (A2)  |d_1^j h_i|   <= kappa3 |x'|^{m-j},  j = 1, 2
       (A3)  C2 norms of h1, h2 summed <= kappa4
     Construction does not enforce them; ``validate_profiles`` reports.
     """
@@ -193,12 +154,14 @@ class ProfilePair:
             if getattr(self, name) <= 0:
                 raise GeometryError(f"{name} must be positive")
 
-    def gap(self, xp):
-        return self.h1.value(xp) - self.h2.value(xp)
-
 
 def power_pair(m, upper_coef=1.0, lower_coef=0.0, R0=0.5, kappas=None):
-    """Standard pair h1 = a|x'|^m, h2 = -b|x'|^m with exact hypothesis constants."""
+    """Standard pair h1 = a|x'|^m, h2 = -b|x'|^m with exact hypothesis constants.
+
+    For a large m every term of the (A3) constant can underflow; it is then
+    floored at the smallest normal float, still an upper bound on the C2
+    norms, whose samples underflow as well.
+    """
     a, b = float(upper_coef), float(lower_coef)
     if a + b <= 0:
         raise GeometryError("upper_coef + lower_coef must be positive for a genuine gap")
@@ -207,6 +170,7 @@ def power_pair(m, upper_coef=1.0, lower_coef=0.0, R0=0.5, kappas=None):
         k3 = cmax * m * max(1, m - 1)
         r = 2.0 * R0
         c2 = (abs(a) + abs(b)) * (r ** m + m * r ** (m - 1) + m * max(1, m - 1) * r ** (m - 2))
+        c2 = max(c2, np.finfo(float).tiny)
         kappas = (a + b, a + b, k3, c2)
     k1, k2, k3, k4 = kappas
     return ProfilePair(PowerProfile(a, m), PowerProfile(-b, m), m, k1, k2, k3, k4, R0)
@@ -244,18 +208,18 @@ class ProfileReport:
 _ORIGIN_GUARD = 1e-8       # (A1)/(A2) ratios are checked outside this ball
 _LIMIT_RADIUS = 1e-6       # Taylor-ratio probes near the origin
 _REL_SLACK = 1e-9          # absorbs round-off in equality cases
+_SAMPLES = 201             # uniform samples over the patch [-2 R0, 2 R0]
+_PATCH_TOL = 1e-12         # relative slack of the patch test |x'| <= 2 R0
 
 
 def _pt(p):
     return tuple(round(float(v), 12) for v in np.atleast_1d(p))
 
 
-def _sample_patch(d, radius, samples):
-    axes = [np.linspace(-radius, radius, samples)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    grid = grid[np.sum(grid * grid, axis=-1) <= radius * radius * (1 + 1e-12)]
-    probes = np.concatenate([np.eye(d) * _LIMIT_RADIUS, -np.eye(d) * _LIMIT_RADIUS])
-    return np.concatenate([grid, probes])
+def _sample_patch(radius):
+    """(P, 1) points: the uniform samples of [-radius, radius], then the origin probes."""
+    x = np.linspace(-radius, radius, _SAMPLES)
+    return np.concatenate([x, [_LIMIT_RADIUS, -_LIMIT_RADIUS]])[:, None]
 
 
 def _ratio_check(name, mag, r, pts, power, bound, lower=False):
@@ -277,14 +241,7 @@ def _ratio_check(name, mag, r, pts, power, bound, lower=False):
     return HypothesisCheck(name, passed, worst, bound, _pt(pts[keep][i]))
 
 
-def _spectral(h):
-    """Spectral norm of stacked symmetric matrices (..., d, d)."""
-    if h.shape[-1] == 1:
-        return np.abs(h[..., 0, 0])
-    return np.abs(np.linalg.eigvalsh(h)).max(axis=-1)
-
-
-def validate_profiles(pair: ProfilePair, samples: int = 201, dim: int = 1) -> ProfileReport:
+def validate_profiles(pair: ProfilePair) -> ProfileReport:
     """Check (A1)-(A3) on a uniform sample grid over B'_{2R0}.
 
     Ratio checks exclude a tiny ball around the origin, where the pointwise
@@ -293,35 +250,30 @@ def validate_profiles(pair: ProfilePair, samples: int = 201, dim: int = 1) -> Pr
     divide by underflows (``_ratio_check``), and fail with that reason when
     none is left.  Raises EvaluationError on non-finite profile values.
     """
-    if samples < 2:
-        raise GeometryError("need at least 2 samples per axis")
-    d = dim
-    pts = _sample_patch(d, 2.0 * pair.R0, samples)
-    r = np.sqrt(np.sum(pts * pts, axis=-1))
+    pts = _sample_patch(2.0 * pair.R0)
+    r = np.abs(pts[:, 0])
 
-    vals = {}
+    jets = {}
     for name, prof in (("h1", pair.h1), ("h2", pair.h2)):
-        v, g, h = prof.value(pts), prof.grad(pts), prof.hess(pts)
-        for arr, what in ((v, "value"), (g, "gradient"), (h, "Hessian")):
+        jets[name] = prof.jet(pts, 2)
+        for arr, what in zip(jets[name], ("value", "gradient", "Hessian")):
             if not np.all(np.isfinite(arr)):
-                bad = pts[~np.isfinite(arr.reshape(len(pts), -1)).all(axis=1)][0]
-                raise EvaluationError(f"non-finite {name} {what} at x' = {tuple(bad)}")
-        vals[name] = (v, g, h)
+                bad = pts[~np.isfinite(arr)][0]
+                raise EvaluationError(f"non-finite {name} {what} at x' = {_pt(bad)}")
 
-    gap = vals["h1"][0] - vals["h2"][0]
+    gap = jets["h1"][0] - jets["h2"][0]
     checks = [_ratio_check("(A1) lower", gap, r, pts, pair.m, pair.kappa1, lower=True),
               _ratio_check("(A1) upper", gap, r, pts, pair.m, pair.kappa2)]
     for name in ("h1", "h2"):
-        _, g, h = vals[name]
-        for j, mag in ((1, np.linalg.norm(g, axis=-1)), (2, _spectral(h))):
-            checks.append(_ratio_check(f"(A2) {name} order {j}", mag, r, pts,
-                                       pair.m - j, pair.kappa3))
+        for j in (1, 2):
+            checks.append(_ratio_check(f"(A2) {name} order {j}", np.abs(jets[name][j]), r,
+                                       pts, pair.m - j, pair.kappa3))
 
     c2 = 0.0
-    at = (0.0,) * d
+    at = (0.0,)
     for name in ("h1", "h2"):
-        v, g, h = vals[name]
-        total = np.abs(v) + np.linalg.norm(g, axis=-1) + _spectral(h)
+        v, g, h = jets[name]
+        total = np.abs(v) + np.abs(g) + np.abs(h)
         i = int(np.argmax(total))
         if total[i] > c2:
             at = _pt(pts[i])
@@ -337,25 +289,17 @@ def validate_profiles(pair: ProfilePair, samples: int = 201, dim: int = 1) -> Pr
 
 @dataclass(frozen=True)
 class NarrowRegion:
-    """The set  { h2(x') < x_n < eps + h1(x'),  |x'| < 2 R0 }.
+    """The set  { h2(x1) < x2 < eps + h1(x1),  |x1| < 2 R0 }.
 
     Immutable; all evaluators are pure.
     """
 
     profiles: ProfilePair
     epsilon: float
-    n: int = 2
-    _patch_tol: float = field(default=1e-12, repr=False)
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise GeometryError("epsilon must be positive (touching boundaries unsupported)")
-        if self.n < 2:
-            raise GeometryError("spatial dimension must be >= 2")
-
-    @property
-    def d(self):
-        return self.n - 1
 
     @property
     def R0(self):
@@ -365,38 +309,29 @@ class NarrowRegion:
 
     def _check_patch(self, xp):
         r2 = np.sum(xp * xp, axis=-1)
-        lim = (2.0 * self.R0) ** 2 * (1 + self._patch_tol)
+        lim = (2.0 * self.R0) ** 2 * (1 + _PATCH_TOL)
         if np.any(r2 > lim):
-            bad = np.asarray(xp).reshape(-1, self.d)[np.argmax(r2.reshape(-1))]
-            raise GeometryError(f"tangential point {tuple(map(float, bad))} outside the patch "
+            bad = np.asarray(xp).reshape(-1)[np.argmax(r2.reshape(-1))]
+            raise GeometryError(f"tangential point {(float(bad),)} outside the patch "
                                 f"|x'| <= {2 * self.R0}")
 
-    def delta(self, xp):
-        xp = _as_points(xp, self.d)
+    def delta_jet(self, xp, order=2):
+        """[delta, d_1 delta, d_11 delta, d_111 delta] at x' up to ``order``, each (...)."""
+        xp = _as_points(xp)
         self._check_patch(xp)
-        return self.epsilon + self.profiles.gap(xp)
+        out = [f1 - f2 for f1, f2 in zip(self.profiles.h1.jet(xp, order),
+                                          self.profiles.h2.jet(xp, order))]
+        out[0] = self.epsilon + out[0]
+        return out
 
-    def delta_grad(self, xp):
-        xp = _as_points(xp, self.d)
-        return self.profiles.h1.grad(xp) - self.profiles.h2.grad(xp)
-
-    def delta_hess(self, xp):
-        xp = _as_points(xp, self.d)
-        return self.profiles.h1.hess(xp) - self.profiles.h2.hess(xp)
-
-    def delta_third(self, xp):
-        xp = _as_points(xp, self.d)
-        return self.profiles.h1.third(xp) - self.profiles.h2.third(xp)
-
-    def bottom(self, xp):
-        xp = _as_points(xp, self.d)
-        return self.profiles.h2.value(xp)
+    def delta(self, xp):
+        return self.delta_jet(xp, 0)[0]
 
     # -- normalized vertical coordinate ------------------------------------
 
     def _box(self, xp, t):
-        """(x', t) checked: x' (..., d) on the patch, t (...) in [0, 1]; they broadcast."""
-        xp = _as_points(xp, self.d)
+        """(x', t) checked: x' (..., 1) on the patch, t (...) in [0, 1]; they broadcast."""
+        xp = _as_points(xp)
         self._check_patch(xp)
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
@@ -405,20 +340,18 @@ class NarrowRegion:
         return xp, t
 
     def vbar_grad(self, xp, t):
-        """Gradient of v at (x', t), shape (..., n): (-(d h2 + t d delta), 1) / delta."""
+        """Gradient of v at (x1, t), shape (..., 2): (-(h2' + t delta'), 1) / delta."""
         xp, t = self._box(xp, t)
-        dlt = self.delta(xp)
-        out = np.empty(np.broadcast_shapes(xp.shape[:-1], t.shape) + (self.n,))
-        out[..., :-1] = -(self.profiles.h2.grad(xp)
-                          + t[..., None] * self.delta_grad(xp)) / dlt[..., None]
-        out[..., -1] = 1.0 / dlt
+        dlt, d1 = self.delta_jet(xp, 1)
+        out = np.empty(np.broadcast_shapes(dlt.shape, t.shape) + (2,))
+        out[..., 0] = -(self.profiles.h2.jet(xp, 1)[1] + t * d1) / dlt
+        out[..., 1] = 1.0 / dlt
         return out
 
     # -- box map ------------------------------------------------------------
 
     def from_box(self, xp, t):
-        """Inverse map x_n = h2(x') + t * delta(x'); requires t in [0, 1]."""
+        """Inverse map x2 = h2(x1) + t * delta(x1); requires t in [0, 1]."""
         xp, t = self._box(xp, t)
-        xn = self.bottom(xp) + t * self.delta(xp)
-        xp_full = np.broadcast_to(xp, xn.shape + (self.d,))
-        return np.concatenate([xp_full, xn[..., None]], axis=-1)
+        xn = self.profiles.h2.jet(xp, 0)[0] + t * self.delta(xp)
+        return np.concatenate([np.broadcast_to(xp, xn.shape + (1,)), xn[..., None]], axis=-1)

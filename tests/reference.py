@@ -12,6 +12,9 @@ it; the tests compare against them:
   ``solve_manufactured``): the package's problem carries no forcing;
 - the inverse box map (``vbar``, ``to_box``) and region membership
   (``contains``);
+- the profile derivatives as written for d = n - 1 tangential axes
+  (``RefProfile``), against which every entry of the profile and gap jets is
+  checked bit for bit at d = 1;
 - one boundary-value solve (``solve_one``) and one sweep (``sweep``)
   through the calls a run makes.
 """
@@ -20,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from narrowgap.ansatz import _gap_slopes, _generic_kernel, apply_operator, build_ansatz
+from narrowgap.ansatz import _generic_kernel, apply_operator, build_ansatz
 from narrowgap.coefficients import ConstructionError
 from narrowgap.discretize import (DiscreteField, assemble, right_hand_side, solve_bvp,
                                   solve_linear, transform_operator)
 from narrowgap.experiments import SweepRequest, _eps_list, run_sweeps
-from narrowgap.geometry import GeometryError, _as_points, require_planar
+from narrowgap.geometry import (_PATCH_TOL, GeometryError, PowerProfile, _as_points,
+                                _safe_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +47,7 @@ def _lame_kernel(params, region, xp, order):
     k_t = (params.lam + params.mu) / (params.lam + 2 * params.mu)
     k_n = (params.lam + params.mu) / params.mu
     out = []
-    for D in _gap_slopes(region, xp, order):
+    for D in region.delta_jet(xp, order + 1)[1:]:
         Q = np.zeros(D.shape + (2, 2))                 # Q[..., l, i]
         Q[..., 0, 1] = k_t * D
         Q[..., 1, 0] = k_n * D
@@ -62,24 +66,22 @@ def correction_coeffs(tensor, region, traces, xp):
     Solves the N x N vertical-block system per l; raises
     HypothesisViolationError if that block is numerically singular.
     """
-    require_planar(region.n)
-    xp = _as_points(xp, 1)
+    xp = _as_points(xp)
     return _correction_rows(_generic_kernel(tensor, region, xp, 0), traces, xp)
 
 
 def lame_correction(params, region, traces, xp):
     """Closed-form correction rows for the isotropic elasticity tensor."""
-    require_planar(region.n)
     params.validate(2)
     if traces.N != 2:
         raise ConstructionError("elasticity requires N == n traces")
-    xp = _as_points(xp, 1)
+    xp = _as_points(xp)
     return _correction_rows(_lame_kernel(params, region, xp, 0), traces, xp)
 
 
 def correction_sum(af, xp):
     """[S, S', S''] of the field ``af`` with S = sum_l G_l, each (..., N)."""
-    xp = _as_points(xp, 1)
+    xp = _as_points(xp)
     return af._correction_sum(xp, af.traces.diff_jet(xp, 2), 2)
 
 
@@ -187,32 +189,116 @@ def solve_manufactured(tensor, region, grid, mms):
 # the inverse box map
 # ---------------------------------------------------------------------------
 
+def _full_points(x):
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != 2:
+        raise GeometryError(f"expected points with last axis 2, got shape {x.shape}")
+    return x
+
+
 def vbar(region, x):
-    """v(x) = (x_n - h2(x')) / delta(x') at physical points x (..., n)."""
-    x = _as_points(x, region.n)
+    """v(x) = (x_2 - h2(x1)) / delta(x1) at physical points x (..., 2)."""
+    x = _full_points(x)
     xp, xn = x[..., :-1], x[..., -1]
-    t = (xn - region.bottom(xp)) / region.delta(xp)
+    t = (xn - region.profiles.h2.jet(xp, 0)[0]) / region.delta(xp)
     if np.any(t < -1e-10) or np.any(t > 1 + 1e-10):
-        bad = x.reshape(-1, region.n)[np.argmax(np.abs(t - 0.5).reshape(-1))]
+        bad = x.reshape(-1, 2)[np.argmax(np.abs(t - 0.5).reshape(-1))]
         raise GeometryError(f"point {tuple(map(float, bad))} outside the closed region")
     return t
 
 
 def to_box(region, x):
     """Map a physical point to (x', t) with t = v(x) in [0, 1]."""
-    x = _as_points(x, region.n)
+    x = _full_points(x)
     return x[..., :-1].copy(), vbar(region, x)
 
 
 def contains(region, x):
-    """Whether each physical point x (..., n) lies in the closed region."""
-    x = _as_points(x, region.n)
+    """Whether each physical point x (..., 2) lies in the closed region."""
+    x = _full_points(x)
     xp, xn = x[..., :-1], x[..., -1]
     r2 = np.sum(xp * xp, axis=-1)
-    inside = r2 <= (2 * region.R0) ** 2 * (1 + region._patch_tol)
-    lo, hi = region.bottom(xp), region.epsilon + region.profiles.h1.value(xp)
-    slack = region._patch_tol * (region.epsilon + np.abs(hi) + np.abs(lo))
+    inside = r2 <= (2 * region.R0) ** 2 * (1 + _PATCH_TOL)
+    lo = region.profiles.h2.jet(xp, 0)[0]
+    hi = region.epsilon + region.profiles.h1.jet(xp, 0)[0]
+    slack = _PATCH_TOL * (region.epsilon + np.abs(hi) + np.abs(lo))
     return inside & (xn >= lo - slack) & (xn <= hi + slack)
+
+
+# ---------------------------------------------------------------------------
+# profile derivatives with tangential axes
+# ---------------------------------------------------------------------------
+
+class RefProfile:
+    """value/grad/hess/third of a profile over d tangential axes, shapes
+    (...), (..., d), (..., d, d) and (..., d, d, d).
+
+    The formulas hold for any n: a radial power coef |x'|^m, or a
+    polynomial in x1 evaluated with ``np.polynomial``.  At d = 1 each entry
+    of a profile's x1-jet must equal them bit for bit.
+    """
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def _poly(self, xp, deriv):
+        xp = np.asarray(xp, dtype=float)
+        if xp.shape[-1] != 1:
+            raise GeometryError("PolyProfile is defined for a 1-d tangential space")
+        p = np.polynomial.Polynomial(self.profile.coeffs)
+        return p.deriv(deriv)(xp[..., 0]) if deriv else p(xp[..., 0])
+
+    def value(self, xp):
+        if not isinstance(self.profile, PowerProfile):
+            return self._poly(xp, 0)
+        xp = np.asarray(xp, dtype=float)
+        r2 = np.sum(xp * xp, axis=-1)
+        return self.profile.coef * r2 ** (self.profile.power / 2.0)
+
+    def grad(self, xp):
+        if not isinstance(self.profile, PowerProfile):
+            return self._poly(xp, 1)[..., None]
+        xp = np.asarray(xp, dtype=float)
+        c, m = self.profile.coef, self.profile.power
+        r2 = np.sum(xp * xp, axis=-1)
+        fac = c * m * _safe_pow(r2, (m - 2) / 2.0)
+        return fac[..., None] * xp
+
+    def hess(self, xp):
+        if not isinstance(self.profile, PowerProfile):
+            return self._poly(xp, 2)[..., None, None]
+        xp = np.asarray(xp, dtype=float)
+        c, m = self.profile.coef, self.profile.power
+        r2 = np.sum(xp * xp, axis=-1)
+        eye = np.eye(xp.shape[-1])
+        f1 = c * m * (m - 2) * _safe_pow(r2, (m - 4) / 2.0)
+        f2 = c * m * _safe_pow(r2, (m - 2) / 2.0)
+        return (f1[..., None, None] * xp[..., :, None] * xp[..., None, :]
+                + f2[..., None, None] * eye)
+
+    def third(self, xp):
+        if not isinstance(self.profile, PowerProfile):
+            return self._poly(xp, 3)[..., None, None, None]
+        xp = np.asarray(xp, dtype=float)
+        c, m = self.profile.coef, self.profile.power
+        r2 = np.sum(xp * xp, axis=-1)
+        eye = np.eye(xp.shape[-1])
+        f1 = c * m * (m - 2) * (m - 4) * _safe_pow(r2, (m - 6) / 2.0)
+        f2 = c * m * (m - 2) * _safe_pow(r2, (m - 4) / 2.0)
+        xxx = xp[..., :, None, None] * xp[..., None, :, None] * xp[..., None, None, :]
+        sym = (eye[:, :, None] * xp[..., None, None, :]
+               + eye[:, None, :] * xp[..., None, :, None]
+               + eye[None, :, :] * xp[..., :, None, None])
+        return f1[..., None, None, None] * xxx + f2[..., None, None, None] * sym
+
+
+REF_DERIVS = ("value", "grad", "hess", "third")
+
+
+def ref_gap(region, fn, xp):
+    """``fn`` (one of ``REF_DERIVS``) of h1 - h2 with tangential axes."""
+    p = region.profiles
+    return getattr(RefProfile(p.h1), fn)(xp) - getattr(RefProfile(p.h2), fn)(xp)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
         m = int(rng.choice([2, 3, 4]))
         region = NarrowRegion(power_pair(m, rng.uniform(0.2, 2.0),
                                          rng.uniform(0.0, 2.0), 0.5),
-                              rng.uniform(1e-3, 1e-1), 2)
+                              rng.uniform(1e-3, 1e-1))
         traces = BoundaryTraces(PolyTrace(rng.normal(size=(2, 4))),
                                 PolyTrace(rng.normal(size=(2, 4))))
         params = LameParameters(lam, mu)
@@ -82,7 +82,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
 
 def test_criterion_2_ansatz_correctness():
     t0 = time.perf_counter()
-    region = NarrowRegion(power_pair(2, 1.0, 0.3, 0.5), 5e-3, 2)
+    region = NarrowRegion(power_pair(2, 1.0, 0.3, 0.5), 5e-3)
     tensor = make_lame(LameParameters(1.0, 1.0), 2)
     traces = BoundaryTraces(PolyTrace([[1.0, 0.4, -0.2], [0.3, 0.5]]),
                             PolyTrace([[0.1, -0.3], [0.0, 0.2]]))
@@ -127,7 +127,7 @@ def test_criterion_2_ansatz_correctness():
 
 def test_criterion_3_solver_order():
     t0 = time.perf_counter()
-    region = NarrowRegion(power_pair(2, 1.0, 0.0, 0.5), 0.05, 2)
+    region = NarrowRegion(power_pair(2, 1.0, 0.0, 0.5), 0.05)
     tensor = make_lame(LameParameters(1.0, 1.0), 2)
     mms = TrigSolution(2, 2)
     errs_u, errs_g, hs = [], [], []

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narrowgap.ansatz import (SMOOTHER_SECOND, AnsatzField, BoundaryTraces,
-                              PolyTrace, _generic_kernel, apply_operator,
-                              build_ansatz, smoother, smoother_prime, theta,
-                              theta_bar_delta)
+from narrowgap.ansatz import (SMOOTHER_SECOND, BoundaryTraces, PolyTrace,
+                              _generic_kernel, apply_operator, build_ansatz,
+                              smoother, smoother_prime, theta, theta_bar_delta)
 from narrowgap.coefficients import (ConstructionError, HypothesisViolationError,
                                     LameParameters, MultiPoly, make_custom,
                                     make_lame, make_laplace, make_perturbed)
-from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion, ProfilePair,
-                                power_pair)
-from reference import (_lame_kernel, correction_coeffs, correction_sum,
-                       estimate_c2_norms, lame_correction, to_box)
+from narrowgap.geometry import FLAT, NarrowRegion, ProfilePair, power_pair
+from reference import (REF_DERIVS, RefProfile, _lame_kernel, correction_coeffs,
+                       correction_sum, estimate_c2_norms, lame_correction, ref_gap,
+                       to_box)
 
 
 def const(*v):
@@ -49,7 +48,7 @@ class RefTrace:
 
 
 def region(m=2, upper=1.0, lower=0.0, eps=0.01, R0=0.5):
-    return NarrowRegion(power_pair(m, upper, lower, R0), eps, 2)
+    return NarrowRegion(power_pair(m, upper, lower, R0), eps)
 
 
 LAME = make_lame(LameParameters(1.0, 1.0), 2)
@@ -361,7 +360,7 @@ class TestResidual:
         # flat strip + Laplacian + data linear in x_n: the interpolant is
         # harmonic, so the residual vanishes identically
         flat = ProfilePair(FLAT, FLAT, 2, 1, 1, 1, 1, 0.5)
-        r = NarrowRegion(flat, 1.0, 2)
+        r = NarrowRegion(flat, 1.0)
         tr = BoundaryTraces(const(2.0), const(-1.0))
         af = build_ansatz(make_laplace(2, 1), r, tr)
         rng = np.random.default_rng(3)
@@ -450,32 +449,15 @@ class TestApplyOperator:
                                   ref_apply_operator(tensor, x, *jet)), where
 
 
-class TestPlanarRefusal:
-    @pytest.mark.parametrize("evaluator", ["AnsatzField", "correction_coeffs",
-                                           "lame_correction"])
-    def test_three_dimensional_regions_are_refused(self, evaluator):
-        # the evaluators are written for (x1, t): an n = 3 region must be
-        # refused with the reason, not met with a reshape error
-        region3 = NarrowRegion(power_pair(2, 1.0, 0.0, 0.5), 0.05, 3)
-        params = LameParameters(1.0, 1.0)
-        tensor = make_lame(params, 3)
-        tr = BoundaryTraces(const(1.0, 0.0, 0.0), const(0.0, 0.0, 0.0))
-        xp = np.zeros((1, 2))
-        calls = {"AnsatzField": lambda: AnsatzField(region3, tensor, tr),
-                 "correction_coeffs": lambda: correction_coeffs(tensor, region3, tr, xp),
-                 "lame_correction": lambda: lame_correction(params, region3, tr, xp)}
-        with pytest.raises(GeometryError, match="grids need n = 2, got n = 3"):
-            calls[evaluator]()
-
-
 # ---------------------------------------------------------------------------
 # n-general reference for the planar evaluators
 # ---------------------------------------------------------------------------
 #
 # The jet as it was written for any n: tangential derivative axes of length
 # d = n - 1 travel with every factor and the product and chain rules are
-# einsums over them.  At n = 2 the planar evaluators must reproduce it bit
-# for bit.
+# einsums over them.  The profile and gap derivatives come from the
+# n-general formulas of ``reference.RefProfile``.  At n = 2 (d = 1, and x2
+# is axis nn = 1) the planar evaluators must reproduce it bit for bit.
 
 def ref_leibniz(spec, F, G, order):
     ins, out = spec.split("->")
@@ -493,24 +475,24 @@ def ref_leibniz(spec, F, G, order):
 
 
 def ref_gap_slopes(region, xp, order):
-    fns = (region.delta_grad, region.delta_hess, region.delta_third)
-    return [fn(xp) for fn in fns[:order + 1]]
+    return [ref_gap(region, fn, xp) for fn in REF_DERIVS[1:order + 2]]
 
 
 def ref_midpoint_tensor_derivs(tensor, region, xp, order):
-    d, nn = region.d, region.n - 1
+    d, nn = 1, 1
+    h2 = RefProfile(region.profiles.h2)
     x_mid = region.from_box(xp, np.full(xp.shape[:-1], 0.5))
     Av = tensor.A(x_mid)
     out = [Av]
     if order >= 1 and tensor.is_constant:
         out += [np.zeros(Av.shape + (d,) * k) for k in range(1, order + 1)]
     elif order >= 1:
-        ms = region.profiles.h2.grad(xp) + 0.5 * region.delta_grad(xp)
+        ms = h2.grad(xp) + 0.5 * ref_gap(region, "grad", xp)
         Ag = tensor.A_grad(x_mid)
         out.append(Ag[..., :d]
                    + np.einsum("...ijab,...g->...ijabg", Ag[..., nn], ms))
         if order >= 2:
-            m2s = region.profiles.h2.hess(xp) + 0.5 * region.delta_hess(xp)
+            m2s = h2.hess(xp) + 0.5 * ref_gap(region, "hess", xp)
             Ah = tensor.A_hess(x_mid)
             out.append(Ah[..., :d, :d]
                        + np.einsum("...ijabg,...h->...ijabgh", Ah[..., :d, nn], ms)
@@ -522,7 +504,7 @@ def ref_midpoint_tensor_derivs(tensor, region, xp, order):
 
 
 def ref_generic_kernel(tensor, region, xp, order):
-    d, nn = region.d, region.n - 1
+    d, nn = 1, 1
     As = ref_midpoint_tensor_derivs(tensor, region, xp, order)
     tails = [(slice(None),) * k for k in range(order + 1)]
     M = [A[(Ellipsis, nn, nn) + t] for A, t in zip(As, tails)]
@@ -563,18 +545,18 @@ def ref_vbar_hess(region, xp, t, dv):
     ``dv`` is ``region.vbar_grad(xp, t)``.
     """
     xp, t = region._box(xp, t)
-    D = np.zeros(xp.shape[:-1] + (region.n,))
-    D[..., :-1] = region.delta_grad(xp)
+    D = np.zeros(xp.shape[:-1] + (2,))
+    D[..., :-1] = ref_gap(region, "grad", xp)
     out = -(dv[..., :, None] * D[..., None, :] + D[..., :, None] * dv[..., None, :])
-    out[..., :-1, :-1] -= (region.profiles.h2.hess(xp)
-                           + t[..., None, None] * region.delta_hess(xp))
+    out[..., :-1, :-1] -= (RefProfile(region.profiles.h2).hess(xp)
+                           + t[..., None, None] * ref_gap(region, "hess", xp))
     return out / region.delta(xp)[..., None, None]
 
 
 def ref_correction_sum(af, xp, order, corrected):
     if not corrected:
         lead = xp.shape[:-1] + (af.N,)
-        return [np.zeros(lead + (af.region.d,) * k) for k in range(order + 1)]
+        return [np.zeros(lead + (1,) * k) for k in range(order + 1)]
     kernel = ref_generic_kernel(af.tensor, af.region, xp, order)
     diff = [ref_diff(af.traces, fn, xp) for fn in ("value", "grad", "hess")[:order + 1]]
     return ref_leibniz("...l,...li->...i", diff, kernel, order)
@@ -592,7 +574,7 @@ def ref_jet(af, xp, t, order, corrected=True):
     out = [phi[0] * t[..., None] + psi[0] * (1 - t)[..., None] + r[..., None] * S[0]]
     if order == 0:
         return out
-    d, n = region.d, region.n
+    d, n = 1, 2
     dv = region.vbar_grad(xp, t)
     grad = np.zeros(dv.shape[:-1] + (af.N, n))
     grad[..., :d] = (phi[1] * t[..., None, None] + psi[1] * (1 - t)[..., None, None]

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from narrowgap import discretize
-from narrowgap.cli import build_parser, main, run
+from narrowgap.cli import COMMANDS, build_parser, main, run
 from narrowgap.config import (_BLOCKS, ConfigError, ExperimentConfig, OutputConfig,
                               config_from_dict, parse_config, validate_config)
 from narrowgap.experiments import CHECKS
@@ -137,6 +137,32 @@ def test_golden_run_echoes_its_config():
     assert echo == replace(shipped, output=OutputConfig(dir="runs/thm11"))
 
 
+# every settable (block, field) of a run config; a new knob edits this set
+CONFIG_FIELDS = {
+    ("geometry", "family"), ("geometry", "m"), ("geometry", "upper_coef"),
+    ("geometry", "lower_coef"), ("geometry", "R0"), ("geometry", "epsilon"),
+    ("geometry", "poly_upper"), ("geometry", "poly_lower"), ("geometry", "kappa1"),
+    ("geometry", "kappa2"), ("geometry", "kappa3"), ("geometry", "kappa4"),
+    ("tensor", "kind"), ("tensor", "lam"), ("tensor", "mu"), ("tensor", "N"),
+    ("tensor", "perturb_scale"), ("tensor", "perturb_poly"), ("tensor", "custom_A"),
+    ("tensor", "custom_N"),
+    ("traces", "family"), ("traces", "phi"), ("traces", "psi"), ("traces", "poly_phi"),
+    ("traces", "poly_psi"),
+    ("solver", "tangential_nodes"), ("solver", "vertical_nodes"), ("solver", "tol"),
+    ("solver", "closure"), ("solver", "lateral_value"), ("solver", "grid_scale"),
+    ("experiment", "checks"), ("experiment", "eps_list"), ("experiment", "eps_fit_max"),
+    ("experiment", "richardson_tol"), ("experiment", "monomial_k"),
+    ("experiment", "remark13_cases"), ("experiment", "energy_quad"),
+    ("output", "dir"),
+}
+
+
+def test_config_fields_are_the_census():
+    got = {(block, f.name) for block, cls in _BLOCKS.items() for f in fields(cls)}
+    assert got == CONFIG_FIELDS
+    assert len(got) == 39
+
+
 def test_readme_names_every_option_and_key():
     readme = (ROOT / "README.md").read_text()
     usage = next(ln for ln in readme.splitlines() if ln.startswith("narrowgap <command>"))
@@ -166,6 +192,21 @@ class TestRun:
         # the origin probe's r^60 underflows to 0: it is skipped, not divided
         p = write_cfg(tmp_path, {"geometry": {"m": 60}})
         assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 0
+
+    def test_underflowed_c2_constant_parses_and_validate_gives_the_reason(self, tmp_path,
+                                                                          capsys):
+        # every term of the exact (A3) constant underflows at m = 1100 on
+        # |x'| <= 0.5: it is floored at the smallest normal float, so a config
+        # that sets no kappa parses, and the (A1)/(A2) checks fail with their reason
+        cfg = {"geometry": {"m": 1100, "R0": 0.25}}
+        assert config_from_dict(cfg).geometry.build_pair().kappa4 == sys.float_info.min
+        p = write_cfg(tmp_path, cfg)
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 1
+        out = capsys.readouterr().out
+        for check, power in (("(A1) lower", 1100), ("(A1) upper", 1100),
+                             ("(A2) h1 order 1", 1099), ("(A2) h2 order 2", 1098)):
+            assert (f"[FAIL] {check}: no sample has |x'|^{power} above the smallest "
+                    f"normal float") in out
 
     def test_validate_command_solve_free(self, tmp_path):
         cfg = config_from_dict({**MINI, "output": {"dir": str(tmp_path / "v")}})
@@ -223,10 +264,8 @@ class TestRun:
         ({"family": "poly", "poly_phi": [[0.5, "x"]], "poly_psi": [[0.0]]},
          "traces: poly_phi[0][1] must be a number, got 'x'"),
         ({"family": "poly", "poly_phi": [[1.0]], "poly_psi": [[]]},
-         "traces: poly_psi[0] is an empty coefficient row"),
-        ({"family": "monomial", "component": 2},
-         "traces: monomial component must be in [0, 2), got 2")],
-        ids=["phi_entry", "poly_entry", "empty_poly_row", "monomial_component"])
+         "traces: poly_psi[0] is an empty coefficient row")],
+        ids=["phi_entry", "poly_entry", "empty_poly_row"])
     def test_unbuildable_traces_exit_2(self, tmp_path, capsys, traces, what):
         p = write_cfg(tmp_path, {**MINI, "traces": traces})
         assert main(["validate", "--config", str(p)]) == 2
@@ -349,7 +388,12 @@ class TestRun:
         power = config_from_dict(MINI).geometry.build_pair()
         pair = config_from_dict({**MINI, "geometry": poly}).geometry.build_pair()
         xp = [[-0.7], [0.3], [1.0]]
-        assert pair.gap(xp) == pytest.approx(power.gap(xp), abs=1e-15)
+        for order in range(4):
+            got = [f1 - f2 for f1, f2 in zip(pair.h1.jet(xp, order), pair.h2.jet(xp, order))]
+            want = [f1 - f2 for f1, f2 in zip(power.h1.jet(xp, order),
+                                              power.h2.jet(xp, order))]
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, abs=1e-15)
         cfg = {**MINI, "geometry": poly, "output": {"dir": str(tmp_path / "poly")}}
         assert main(["validate", "--config", str(write_cfg(tmp_path, cfg))]) == 0
 
@@ -529,26 +573,14 @@ def test_overflowing_coefficients_abort_every_check(tmp_path):
         assert checks[v.name]["error"] == expected[v.name]
 
 
-def test_three_dimensional_grids_abort_with_their_reason(tmp_path):
-    # the box [-2R0, 2R0]^2 overhangs the round patch, and the residual
-    # sample grid would grow with the square of its node count: every check
-    # must stop before it builds a grid, naming the n = 2 restriction
-    cfg = config_from_dict({
-        "geometry": {"m": 2, "R0": 0.5, "n": 3},
-        "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
-        "traces": {"family": "constant", "phi": [1.0, 0.0, 0.0], "psi": [0.0, 0.0, 0.0]},
-        "solver": {"tangential_nodes": 9, "vertical_nodes": 5},
-        "experiment": {"eps_list": [0.01, 0.005, 0.002, 0.001]},
-        "output": {"dir": str(tmp_path / "n3")}})
-    report = run(cfg, "all")
-    checks = {e["name"]: e for e in _runlog(tmp_path / "n3") if e["event"] == "check"}
-    reason = "GeometryError: grids need n = 2, got n = 3"
-    ran = [v for v in report.verdicts if v.status != "SKIPPED"]
-    assert {v.name for v in ran} == set(cfg.experiment.checks)
-    for v in ran:
-        assert v.status == "ABORTED"
-        assert v.details["error"] == reason
-        assert checks[v.name]["error"] == reason
+def test_the_dimension_is_not_a_key(tmp_path, capsys):
+    # every layer is planar: a config that names n is refused at parse by
+    # every command, before anything is built
+    p = write_cfg(tmp_path, {"geometry": {"n": 3}})
+    for command in COMMANDS:
+        assert main([command, "--config", str(p), "--out", str(tmp_path / command)]) == 2
+        assert "geometry: unknown key 'n'" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 def blas_pool_threads():

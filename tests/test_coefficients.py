@@ -13,7 +13,7 @@ from reference import estimate_c2_norms
 
 @pytest.fixture
 def reg():
-    return NarrowRegion(power_pair(2, 1.0, 0.0, R0=0.5), 0.05, 2)
+    return NarrowRegion(power_pair(2, 1.0, 0.0, R0=0.5), 0.05)
 
 
 # ---------------------------------------------------------------------------

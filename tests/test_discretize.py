@@ -27,11 +27,11 @@ def const(*v):
 
 
 def flat_region(eps=1.0, R0=0.5):
-    return NarrowRegion(ProfilePair(FLAT, FLAT, 2, 1, 1, 1, 1, R0), eps, 2)
+    return NarrowRegion(ProfilePair(FLAT, FLAT, 2, 1, 1, 1, 1, R0), eps)
 
 
 def curved_region(eps=0.05, m=2, upper=1.0, lower=0.0, R0=0.5):
-    return NarrowRegion(power_pair(m, upper, lower, R0), eps, 2)
+    return NarrowRegion(power_pair(m, upper, lower, R0), eps)
 
 
 LAP = make_laplace(2, 1)
@@ -47,12 +47,11 @@ PERTURBED_BCD = make_perturbed(
 
 
 def box_jacobian(region, xp, t):
-    """G[a, A] = d y_a / d x_A: identity rows over grad v, shape (..., n, n)."""
+    """G[a, A] = d y_a / d x_A: the identity row over grad v, shape (..., 2, 2)."""
     dv = region.vbar_grad(xp, t)
-    G = np.zeros(dv.shape + (region.n,))
-    for a in range(region.d):
-        G[..., a, a] = 1.0
-    G[..., region.d, :] = dv
+    G = np.zeros(dv.shape + (2,))
+    G[..., 0, 0] = 1.0
+    G[..., 1, :] = dv
     return G
 
 
@@ -182,12 +181,6 @@ class TestTransform:
             for got, V in ((tf.Btil, tensor.B(x)), (tf.Ctil, tensor.C(x))):
                 want = dlt[..., 0] * np.einsum("...aA,...ijA->...ija", G, V)
                 assert np.abs(got - want).max() <= rel * np.abs(want).max()
-
-    def test_grids_other_than_n2_are_refused(self):
-        # a grid has the axes (x1, t) alone, so an n = 3 region gets none
-        region3 = NarrowRegion(power_pair(2, 1.0, 0.0, 0.5), 0.05, 3)
-        with pytest.raises(GeometryError, match="grids need n = 2"):
-            grid_for(region3, 9, 5)
 
     def test_ellipticity_inherited(self):
         # scalar case: the pulled-back form stays strictly positive definite;

@@ -49,10 +49,10 @@ class TestFitRate:
         assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_stretched_exponential_recovery(self):
-        # s = eps^{-1} exp(-2 / sqrt(eps)) with n = 2 removes the prefactor
+        # s = eps^{-1} exp(-2 / sqrt(eps)): the plane's eps^{n/2} = eps removes
+        # the prefactor
         vals = self.EPS ** -1.0 * np.exp(-2.0 / np.sqrt(self.EPS))
-        fit = fit_rate(synthetic(self.EPS, vals), model="stretched_exponential",
-                       m=2, n=2)
+        fit = fit_rate(synthetic(self.EPS, vals), model="stretched_exponential", m=2)
         assert fit.slope == pytest.approx(-2.0, abs=1e-10)
         assert fit.r_squared >= 0.999
         assert fit.decay_constant == pytest.approx(0.25, abs=1e-10)
@@ -343,7 +343,7 @@ class TestResidualSweep:
 
 @pytest.fixture(scope="module")
 def energy_setup():
-    region = NarrowRegion(power_pair(2, 1.0, 0.0, R0=0.5), 0.02, 2)
+    region = NarrowRegion(power_pair(2, 1.0, 0.0, R0=0.5), 0.02)
     tensor = make_lame(LameParameters(1.0, 1.0), 2)
     traces = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
     af = build_ansatz(tensor, region, traces)
@@ -432,8 +432,8 @@ def test_decay_exponent_model_selection_m3():
         "experiment": {"eps_list": [0.1, 0.08, 0.06, 0.045, 0.035]},
     })
     srs = sweep(cfg, ["decay_normalized"], richardson=False)
-    right = fit_rate(srs["decay_normalized"], model="stretched_exponential", m=3, n=2)
-    wrong = fit_rate(srs["decay_normalized"], model="stretched_exponential", m=2, n=2)
+    right = fit_rate(srs["decay_normalized"], model="stretched_exponential", m=3)
+    wrong = fit_rate(srs["decay_normalized"], model="stretched_exponential", m=2)
     assert right.r_squared >= 0.9995
     assert wrong.r_squared < right.r_squared
     assert (1 - wrong.r_squared) > 5 * (1 - right.r_squared)
@@ -445,7 +445,7 @@ def test_shortest_segment_remainder_order_eps_when_gauge_vanishes():
     cfg = config_from_dict({
         "geometry": {"m": 2, "R0": 0.5},
         "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
-        "traces": {"family": "monomial", "k": 2},
+        "traces": {"family": "poly", "poly_phi": [[0.0, 0.0, 1.0]], "poly_psi": [[0.0]]},
         "solver": {"tangential_nodes": 257, "vertical_nodes": 65},
         "experiment": {"eps_list": [0.02, 0.01, 0.005, 0.002]},
     })

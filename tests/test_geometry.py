@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from narrowgap.geometry import (FLAT, EvaluationError, GeometryError,
                                 NarrowRegion, PolyProfile, PowerProfile,
                                 ProfilePair, power_pair, validate_profiles)
-from reference import contains, to_box, vbar
+from reference import REF_DERIVS, RefProfile, contains, ref_gap, to_box, vbar
 from test_ansatz import ref_vbar_hess
 
 
 def region(m=2, upper=1.0, lower=0.0, eps=0.01, R0=0.5):
-    return NarrowRegion(power_pair(m, upper, lower, R0), eps, 2)
+    return NarrowRegion(power_pair(m, upper, lower, R0), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ class TestValidateProfiles:
         # |h_i'| = 4|x'|^3, |h_i''| = 12|x'|^2 on the sample grid
         R0 = 0.5
         pts = np.linspace(-2 * R0, 2 * R0, 401)[:, None]
-        gap = PowerProfile(1.0, 4).value(pts) - PowerProfile(-1.0, 4).value(pts)
+        gap = PowerProfile(1.0, 4).jet(pts, 0)[0] - PowerProfile(-1.0, 4).jet(pts, 0)[0]
         mask = np.abs(pts[:, 0]) > 1e-8
         ratio = gap[mask] / np.abs(pts[mask, 0]) ** 4
         assert np.allclose(ratio, 2.0)
@@ -49,28 +49,14 @@ class TestValidateProfiles:
 
     def test_nonfinite_profile_reports_point(self):
         class Bad:
-            def value(self, xp):
-                out = np.asarray(xp)[..., 0] * 0.0
-                return np.where(np.abs(np.asarray(xp)[..., 0]) > 0.5, np.nan, out)
-
-            def grad(self, xp):
-                return np.zeros_like(np.asarray(xp))
-
-            def hess(self, xp):
-                xp = np.asarray(xp)
-                return np.zeros(xp.shape + (1,))
-
-            def third(self, xp):
-                xp = np.asarray(xp)
-                return np.zeros(xp.shape + (1, 1))
+            def jet(self, xp, order=2):
+                x = np.asarray(xp)[..., 0]
+                value = np.where(np.abs(x) > 0.5, np.nan, x * 0.0)
+                return [value] + [np.zeros_like(x)] * order
 
         pair = ProfilePair(Bad(), FLAT, 2, 1, 1, 1, 1, 0.5)
         with pytest.raises(EvaluationError, match="h1"):
             validate_profiles(pair)
-
-    def test_sample_count_guard(self):
-        with pytest.raises(GeometryError):
-            validate_profiles(power_pair(2), samples=1)
 
     @pytest.mark.parametrize("m", [2, 4, 53, 54, 60, 1000])
     def test_high_orders_pass_with_finite_ratios(self, m):
@@ -105,9 +91,9 @@ class TestDelta:
     def test_matches_raw_profile_calls(self):
         rng = np.random.default_rng(7)
         pair = power_pair(3, 1.3, 0.4, R0=0.4)
-        r = NarrowRegion(pair, 0.05, 2)
+        r = NarrowRegion(pair, 0.05)
         xp = rng.uniform(-0.8, 0.8, (64, 1))
-        expected = 0.05 + pair.h1.value(xp) - pair.h2.value(xp)
+        expected = 0.05 + pair.h1.jet(xp, 0)[0] - pair.h2.jet(xp, 0)[0]
         assert np.allclose(r.delta(xp), expected, rtol=0, atol=1e-15)
 
     def test_out_of_patch_raises(self):
@@ -119,9 +105,9 @@ class TestDelta:
     def test_shift_invariance(self, c):
         # adding the same constant to both profiles leaves delta unchanged
         base = NarrowRegion(ProfilePair(PolyProfile([0, 0, 1.0]), PolyProfile([0.0]),
-                                        2, 1, 1, 2, 6, 0.5), 0.01, 2)
+                                        2, 1, 1, 2, 6, 0.5), 0.01)
         shifted = NarrowRegion(ProfilePair(PolyProfile([c, 0, 1.0]), PolyProfile([c]),
-                                           2, 1, 1, 2, 6, 0.5), 0.01, 2)
+                                           2, 1, 1, 2, 6, 0.5), 0.01)
         xp = np.linspace(-0.9, 0.9, 17)[:, None]
         assert np.allclose(base.delta(xp), shifted.delta(xp), rtol=0, atol=1e-12)
 
@@ -231,14 +217,55 @@ def test_power_profile_third_derivative_vs_fd(m):
     p = PowerProfile(0.83, m)
     xp = np.array([[0.37], [-0.52], [0.9]])
     h = 1e-5
-    fd = (p.hess(xp + h)[:, 0, 0] - p.hess(xp - h)[:, 0, 0]) / (2 * h)
-    assert np.abs(p.third(xp)[:, 0, 0, 0] - fd).max() <= 2e-4 * max(1.0, np.abs(fd).max())
+    fd = (p.jet(xp + h)[2] - p.jet(xp - h)[2]) / (2 * h)
+    assert np.abs(p.jet(xp, 3)[3] - fd).max() <= 2e-4 * max(1.0, np.abs(fd).max())
 
 
 def test_poly_profile_derivatives():
     p = PolyProfile([1.0, -2.0, 0.5, 3.0])       # 1 - 2x + x^2/2 + 3x^3
-    xp = np.array([[0.4]])
-    assert p.value(xp)[0] == pytest.approx(1 - 0.8 + 0.08 + 3 * 0.064)
-    assert p.grad(xp)[0, 0] == pytest.approx(-2 + 0.4 + 9 * 0.16)
-    assert p.hess(xp)[0, 0, 0] == pytest.approx(1.0 + 18 * 0.4)
-    assert p.third(xp)[0, 0, 0, 0] == pytest.approx(18.0)
+    f, d1, d11, d111 = p.jet(np.array([[0.4]]), 3)
+    assert f[0] == pytest.approx(1 - 0.8 + 0.08 + 3 * 0.064)
+    assert d1[0] == pytest.approx(-2 + 0.4 + 9 * 0.16)
+    assert d11[0] == pytest.approx(1.0 + 18 * 0.4)
+    assert d111[0] == pytest.approx(18.0)
+
+
+# the jets keep the operation order of the formulas written for d = n - 1
+# tangential axes (``reference.RefProfile``), so at d = 1 they agree bit for
+# bit, also at the origin and its probes, where the removable singularities
+# take their limits
+JET_X = np.array([0.0, 1e-6, -1e-6, 0.5, -0.5, 1.0, -1.0])[:, None]      # R0 = 0.5
+POLY_PAIR = ProfilePair(PolyProfile([0.3, -0.2, 1.1, 0.7]), PolyProfile([0.3, 0.1, -0.4]),
+                        2, 1, 1, 1, 1, 0.5)
+
+
+def assert_jet_matches_reference(jet, ref, order):
+    assert len(jet) == order + 1
+    for got, want in zip(jet, ref):
+        assert got.shape == JET_X.shape[:-1]
+        assert np.array_equal(got, want.reshape(got.shape))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_power_jet_equals_the_tangential_formulas(m, order):
+    for coef in (0.83, -1.7):
+        p = PowerProfile(coef, m)
+        ref = [getattr(RefProfile(p), fn)(JET_X) for fn in REF_DERIVS]
+        assert_jet_matches_reference(p.jet(JET_X, order), ref, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_poly_jet_equals_the_tangential_formulas(order):
+    for p in (POLY_PAIR.h1, POLY_PAIR.h2):
+        ref = [getattr(RefProfile(p), fn)(JET_X) for fn in REF_DERIVS]
+        assert_jet_matches_reference(p.jet(JET_X, order), ref, order)
+
+
+@pytest.mark.parametrize("pair", [power_pair(3, 1.3, 0.4, R0=0.5), POLY_PAIR],
+                         ids=["power", "poly"])
+def test_delta_jet_equals_the_tangential_formulas(pair):
+    r = NarrowRegion(pair, 0.05)
+    ref = [0.05 + ref_gap(r, "value", JET_X)] + [ref_gap(r, fn, JET_X) for fn in REF_DERIVS[1:]]
+    assert_jet_matches_reference(r.delta_jet(JET_X, 3), ref, 3)
+    assert np.array_equal(r.delta(JET_X), ref[0])
