@@ -33,7 +33,9 @@ for the axes (x1, t) and every tangential derivative is an x1-derivative.
 Each trace is one ``PolyTrace``: a coefficient row in x1 per component
 (a constant is a row of degree 0), whose ``jet`` returns the exact
 x1-derivatives [f, d_1 f, d_11 f] that every evaluator here reads; the
-profiles and the gap give theirs the same way (``jet``, ``delta_jet``).
+profiles and the gap give theirs the same way (``jet``, ``delta_jet``),
+and the tensor gives [A, grad A, hess A] (``A_jet``).  B, C and D are
+constant, so ``apply_operator`` contracts B0, C0 and D0 as they are.
 
 All derivatives here are analytic: the correction's first and second
 derivatives come from differentiating the linear system (one inverse of
@@ -209,20 +211,21 @@ def _midpoint_tensor_derivs(tensor, region, xp, order):
     A'' = A_{,11} + A_{,12} m' + A_{,21} m' + A_{,22} m' m' + A_{,2} m''.
     """
     x_mid = region.from_box(xp, np.full(xp.shape[:-1], 0.5))
-    Av = tensor.A(x_mid)
+    if tensor.is_constant:
+        Av = tensor.A(x_mid)
+        return [Av] + [np.zeros_like(Av) for _ in range(order)]
+    Av, *dA = tensor.A_jet(x_mid, order)
     out = [Av]
-    if order >= 1 and tensor.is_constant:
-        out += [np.zeros_like(Av) for _ in range(order)]
-    elif order >= 1:
+    if order >= 1:
         # m' and m'' carry the tensor's four axes (i, j, a, b) as length 1
         h2 = region.profiles.h2.jet(xp, order)
         dlt = region.delta_jet(xp, order)
         ms = (h2[1] + 0.5 * dlt[1])[..., None, None, None, None]
-        Ag = tensor.A_grad(x_mid)
+        Ag = dA[0]
         out.append(Ag[..., 0] + Ag[..., 1] * ms)
         if order >= 2:
             m2s = (h2[2] + 0.5 * dlt[2])[..., None, None, None, None]
-            Ah = tensor.A_hess(x_mid)
+            Ah = dA[1]
             out.append(Ah[..., 0, 0] + Ah[..., 0, 1] * ms + Ah[..., 1, 0] * ms
                        + Ah[..., 1, 1] * ms * ms + Ag[..., 1] * m2s)
     return out
@@ -381,22 +384,20 @@ def apply_operator(tensor: CoefficientTensor, x, value, grad, hess):
     """d_a(A d_b u + B u) + C d_b u + D u expanded by the product rule.
 
     ``value, grad, hess`` are the field and its derivatives at x, shapes
-    (..., N), (..., N, n), (..., N, n, n).
+    (..., N), (..., N, 2), (..., N, 2, 2).  B, C and D are constant, so
+    d_a(B u) = B d_a u, and B0, C0, D0 are contracted as they are.
     """
-    x = np.asarray(x, dtype=float)
     if tensor.is_constant:                  # A0 itself, not a copy per sample
         f = np.einsum("ijab,...jab->...i", tensor.A0, hess)
     else:
-        f = np.einsum("...ijab,...jab->...i", tensor.A(x), hess)
-        Ag = tensor.A_grad(x)
+        Av, Ag = tensor.A_jet(x, 1)
+        f = np.einsum("...ijab,...jab->...i", Av, hess)
         divA = np.einsum("...ijaba->...ijb", Ag)
         f += np.einsum("...ijb,...jb->...i", divA, grad)
     if np.any(tensor.B0):
-        Bg = tensor.B_grad(x)
-        f += np.einsum("...ijaa,...j->...i", Bg, value)
-        f += np.einsum("...ija,...ja->...i", tensor.B(x), grad)
+        f += np.einsum("ija,...ja->...i", tensor.B0, grad)
     if np.any(tensor.C0):
-        f += np.einsum("...ijb,...jb->...i", tensor.C(x), grad)
+        f += np.einsum("ijb,...jb->...i", tensor.C0, grad)
     if np.any(tensor.D0):
-        f += np.einsum("...ij,...j->...i", tensor.D(x), value)
+        f += np.einsum("ij,...j->...i", tensor.D0, value)
     return f

@@ -45,7 +45,7 @@ from . import __version__
 from .ansatz import build_ansatz
 from .coefficients import (HypothesisViolationError, check_ann,
                            check_pointwise_ellipticity)
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config, validate_config
 from .discretize import grid_for
 from .experiments import CHECKS, SolveBundle, Verdict, run_checks, solve_point
 from .geometry import validate_profiles
@@ -310,8 +310,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     try:
-        cfg = parse_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(parse_config(args.config), args)
+        violations = validate_config(cfg)           # the overrides are checked too
+        if violations:
+            raise ConfigError(violations)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

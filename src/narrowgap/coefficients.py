@@ -2,17 +2,19 @@
 
 The operator is
 
-    d_a ( A^{ab}_{ij}(x) d_b u^j + B^a_{ij}(x) u^j ) + C^b_{ij}(x) d_b u^j
-        + D_{ij}(x) u^j    (sum a, b = 1..n;  i, j = 1..N),
+    d_a ( A^{ab}_{ij}(x) d_b u^j + B^a_{ij} u^j ) + C^b_{ij} d_b u^j
+        + D_{ij} u^j    (sum a, b = 1, 2;  i, j = 1..N),
 
-with A bounded, the vertical block A^{nn} uniformly elliptic (its positive
+with A bounded, the vertical block A^{22} uniformly elliptic (its positive
 definiteness is what makes the correction coefficients uniquely solvable),
-and all fields C2.  Array layout:  A(x)[..., i, j, a, b],  B(x)[..., i, j, a],
-C(x)[..., i, j, b],  D(x)[..., i, j];  derivative axes are appended last.
+and A C2.  The region is planar (``geometry.DIM``), so every spatial axis
+has length 2.  Array layout:  A(x)[..., i, j, a, b],  B0[i, j, a],
+C0[i, j, b],  D0[i, j];  derivative axes are appended last.
 
-Tensors here are a constant base plus an optional polynomial perturbation
-s * p(x) * T of the second-order block, which is enough to exercise every
-variable-coefficient code path while keeping derivatives exact.
+Only A varies with x: it is a constant base A0 plus an optional polynomial
+perturbation s * p(x) * T, which is enough to exercise every
+variable-coefficient code path while keeping derivatives exact.  B, C and D
+are the constants B0, C0 and D0, which callers read directly.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import DIM
 
 
 class HypothesisViolationError(RuntimeError):
@@ -31,7 +35,7 @@ class ConstructionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# scalar polynomials on R^n (exact derivatives for perturbed tensors)
+# scalar polynomials on the plane (exact derivatives for perturbed tensors)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -64,16 +68,16 @@ class MultiPoly:
                 terms.append((c * ex[axis], tuple(new)))
         return MultiPoly(terms or [(0.0, self.terms[0][1] if self.terms else (0,))])
 
-    def grad(self, x):
+    def jet(self, x, order):
+        """[p, grad p, hess p] at x up to ``order``: shapes (...), (..., 2), (..., 2, 2)."""
         x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        return np.stack([self.diff(a).value(x) for a in range(n)], axis=-1)
-
-    def hess(self, x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        cols = [[self.diff(a).diff(b).value(x) for b in range(n)] for a in range(n)]
-        return np.stack([np.stack(row, axis=-1) for row in cols], axis=-2)
+        out = [self.value(x)]
+        if order >= 1:
+            out.append(np.stack([self.diff(a).value(x) for a in range(DIM)], axis=-1))
+        if order >= 2:
+            cols = [[self.diff(a).diff(b).value(x) for b in range(DIM)] for a in range(DIM)]
+            out.append(np.stack([np.stack(row, axis=-1) for row in cols], axis=-2))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +85,7 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 def _elasticity_symmetric(A0, tol=1e-12):
-    N, _, n, _ = A0.shape
-    if N != n:
+    if A0.shape[0] != DIM:
         return False
     return (np.allclose(A0, np.transpose(A0, (1, 0, 3, 2)), atol=tol)
             and np.allclose(A0, np.transpose(A0, (2, 1, 0, 3)), atol=tol))
@@ -90,15 +93,14 @@ def _elasticity_symmetric(A0, tol=1e-12):
 
 @dataclass(frozen=True)
 class CoefficientTensor:
-    """Constant-base coefficient fields with an optional A-perturbation.
+    """Constant coefficients with an optional A-perturbation.
 
     ``lam`` is the declared (pointwise Legendre) coercivity constant and
     ``Lambda1 <= Lambda2`` the declared bounds on the symmetric part of
-    A^{nn}; ``check_pointwise_ellipticity`` and ``check_ann`` measure the
+    A^{22}; ``check_pointwise_ellipticity`` and ``check_ann`` measure the
     fields against them.
     """
 
-    n: int
     N: int
     A0: np.ndarray
     B0: np.ndarray
@@ -116,115 +118,79 @@ class CoefficientTensor:
     def is_constant(self):
         return self.perturb_scale == 0.0
 
-    def _lead(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.n:
-            raise ConstructionError(f"points must have last axis {self.n}")
-        return x, x.shape[:-1]
+    def A_jet(self, x, order):
+        """[A, grad A, hess A] at x (..., 2) up to ``order``, derivative axes last.
 
-    def _pfield(self, x, order):
-        """Perturbation factor s * d^order p(x), or None for constant tensors."""
-        if self.is_constant:
-            return None
-        p = self.perturb_poly
-        fn = {0: p.value, 1: p.grad, 2: p.hess}[order]
-        return self.perturb_scale * fn(x)
+        Shapes (..., N, N, 2, 2), then one more axis of length 2 per order;
+        the derivatives of a constant tensor are zero.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != DIM:
+            raise ConstructionError(f"points must have last axis {DIM}")
+        lead = x.shape[:-1]
+        out = [np.broadcast_to(self.A0, lead + self.A0.shape).copy()]
+        out += [np.zeros(lead + self.A0.shape + (DIM,) * k) for k in range(1, order + 1)]
+        if not self.is_constant:
+            for k, p in enumerate(self.perturb_poly.jet(x, order)):
+                f = self.perturb_scale * p
+                out[k] += (self.perturb_dir[(...,) + (None,) * k]
+                           * f[(..., None, None, None, None) + (slice(None),) * k])
+        return out
 
     def A(self, x):
-        x, lead = self._lead(x)
-        base = np.broadcast_to(self.A0, lead + self.A0.shape).copy()
-        f = self._pfield(x, 0)
-        if f is not None:
-            base += f[..., None, None, None, None] * self.perturb_dir
-        return base
-
-    def A_grad(self, x):
-        """d_g A, shape (..., N, N, n, n, n) with the derivative axis last."""
-        x, lead = self._lead(x)
-        out = np.zeros(lead + self.A0.shape + (self.n,))
-        f = self._pfield(x, 1)
-        if f is not None:
-            out += (self.perturb_dir[..., None]
-                    * f[..., None, None, None, None, :])
-        return out
-
-    def A_hess(self, x):
-        x, lead = self._lead(x)
-        out = np.zeros(lead + self.A0.shape + (self.n, self.n))
-        f = self._pfield(x, 2)
-        if f is not None:
-            out += (self.perturb_dir[..., None, None]
-                    * f[..., None, None, None, None, :, :])
-        return out
-
-    def B(self, x):
-        x, lead = self._lead(x)
-        return np.broadcast_to(self.B0, lead + self.B0.shape).copy()
-
-    def B_grad(self, x):
-        x, lead = self._lead(x)
-        return np.zeros(lead + self.B0.shape + (self.n,))
-
-    def C(self, x):
-        x, lead = self._lead(x)
-        return np.broadcast_to(self.C0, lead + self.C0.shape).copy()
-
-    def D(self, x):
-        x, lead = self._lead(x)
-        return np.broadcast_to(self.D0, lead + self.D0.shape).copy()
+        return self.A_jet(x, 0)[0]
 
     def Ann(self, x):
-        return self.A(x)[..., :, :, self.n - 1, self.n - 1]
+        return self.A(x)[..., :, :, 1, 1]
 
 
-def _finish(n, N, A0, B0, C0, D0, lam, Lambda1, Lambda2):
+def _finish(N, A0, B0, C0, D0, lam, Lambda1, Lambda2):
     A0 = np.asarray(A0, dtype=float)
-    if A0.shape != (N, N, n, n):
-        raise ConstructionError(f"A must have shape {(N, N, n, n)}, got {A0.shape}")
-    B0 = np.zeros((N, N, n)) if B0 is None else np.asarray(B0, dtype=float)
-    C0 = np.zeros((N, N, n)) if C0 is None else np.asarray(C0, dtype=float)
+    if A0.shape != (N, N, DIM, DIM):
+        raise ConstructionError(f"A must have shape {(N, N, DIM, DIM)}, got {A0.shape}")
+    B0 = np.zeros((N, N, DIM)) if B0 is None else np.asarray(B0, dtype=float)
+    C0 = np.zeros((N, N, DIM)) if C0 is None else np.asarray(C0, dtype=float)
     D0 = np.zeros((N, N)) if D0 is None else np.asarray(D0, dtype=float)
-    return CoefficientTensor(n=n, N=N, A0=A0, B0=B0, C0=C0, D0=D0,
+    return CoefficientTensor(N=N, A0=A0, B0=B0, C0=C0, D0=D0,
                              lam=lam, Lambda1=Lambda1, Lambda2=Lambda2,
                              is_elasticity=_elasticity_symmetric(A0))
 
 
-def make_laplace(n: int, N: int = 1) -> CoefficientTensor:
+def make_laplace(N: int = 1) -> CoefficientTensor:
     """Decoupled Laplacians: A^{ab}_{ij} = delta_ij delta_ab, B = C = D = 0."""
-    eye_N, eye_n = np.eye(N), np.eye(n)
-    A0 = np.einsum("ij,ab->ijab", eye_N, eye_n)
-    return _finish(n, N, A0, None, None, None, 1.0, 1.0, 1.0)
+    A0 = np.einsum("ij,ab->ijab", np.eye(N), np.eye(DIM))
+    return _finish(N, A0, None, None, None, 1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
 class LameParameters:
-    """Isotropic elasticity constants; requires mu > 0 and n*lam + 2*mu > 0."""
+    """Isotropic elasticity constants; requires mu > 0 and n*lam + 2*mu > 0 (n = 2)."""
 
     lam: float
     mu: float
 
-    def validate(self, n):
+    def validate(self):
         if self.mu <= 0:
             raise ConstructionError("mu must be positive")
-        if n * self.lam + 2 * self.mu <= 0:
+        if DIM * self.lam + 2 * self.mu <= 0:
             raise ConstructionError("n*lam + 2*mu must be positive")
 
 
-def make_lame(params: LameParameters, n: int) -> CoefficientTensor:
-    """Isotropic elasticity tensor with N = n.
+def make_lame(params: LameParameters) -> CoefficientTensor:
+    """Isotropic elasticity tensor with N = 2.
 
     A^{ab}_{ij} = lam d_ia d_jb + mu (d_ib d_aj + d_ij d_ab); the vertical
-    block is A^{nn} = mu I + (lam + mu) e_n e_n^T, so (Lambda1, Lambda2) =
+    block is A^{22} = mu I + (lam + mu) e_2 e_2^T, so (Lambda1, Lambda2) =
     (mu, lam + 2 mu).  On symmetric matrices the Legendre constant is
-    min(2 mu, n lam + 2 mu).
+    min(2 mu, 2 lam + 2 mu).
     """
-    params.validate(n)
+    params.validate()
     lam, mu = params.lam, params.mu
-    eye = np.eye(n)
+    eye = np.eye(DIM)
     A0 = (lam * np.einsum("ia,jb->ijab", eye, eye)
           + mu * (np.einsum("ib,ja->ijab", eye, eye) + np.einsum("ij,ab->ijab", eye, eye)))
-    return _finish(n, n, A0, None, None, None,
-                   min(2 * mu, n * lam + 2 * mu), mu, lam + 2 * mu)
+    return _finish(DIM, A0, None, None, None,
+                   min(2 * mu, DIM * lam + 2 * mu), mu, lam + 2 * mu)
 
 
 def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float,
@@ -244,17 +210,17 @@ def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float,
     if direction.shape != base.A0.shape:
         raise ConstructionError("perturbation direction must match A's shape")
     return CoefficientTensor(
-        n=base.n, N=base.N, A0=base.A0, B0=base.B0, C0=base.C0, D0=base.D0,
+        N=base.N, A0=base.A0, B0=base.B0, C0=base.C0, D0=base.D0,
         perturb_scale=float(scale), perturb_poly=poly, perturb_dir=direction,
         lam=lam, Lambda1=base.Lambda1, Lambda2=base.Lambda2,
         is_elasticity=base.is_elasticity and _elasticity_symmetric(direction))
 
 
-def make_custom(n, N, A0, B0=None, C0=None, D0=None, lam=0.0, Lambda1=None, Lambda2=None):
+def make_custom(N, A0, B0=None, C0=None, D0=None, lam=0.0, Lambda1=None, Lambda2=None):
     A0 = np.asarray(A0, dtype=float)
-    Ann = 0.5 * (A0[:, :, n - 1, n - 1] + A0[:, :, n - 1, n - 1].T)
+    Ann = 0.5 * (A0[:, :, 1, 1] + A0[:, :, 1, 1].T)
     ev = np.linalg.eigvalsh(Ann)
-    return _finish(n, N, A0, B0, C0, D0, lam,
+    return _finish(N, A0, B0, C0, D0, lam,
                    float(ev[0]) if Lambda1 is None else Lambda1,
                    float(ev[-1]) if Lambda2 is None else Lambda2)
 
@@ -278,18 +244,9 @@ class EllipticityReport:
                 f"{self.min_quotient:.6g} vs declared {self.declared:.6g} at {self.at}")
 
 
-def _symmetric_basis(n):
-    basis = []
-    for a in range(n):
-        E = np.zeros((n, n))
-        E[a, a] = 1.0
-        basis.append(E)
-    for a in range(n):
-        for b in range(a + 1, n):
-            E = np.zeros((n, n))
-            E[a, b] = E[b, a] = 1.0 / np.sqrt(2.0)
-            basis.append(E)
-    return np.array(basis)
+# an orthonormal basis of the symmetric 2 x 2 matrices: two diagonal, one off
+_SYMMETRIC_BASIS = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                             np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2.0)])
 
 
 def _sample_region_points(region, per_axis):
@@ -299,28 +256,23 @@ def _sample_region_points(region, per_axis):
     return region.from_box(X1.reshape(-1, 1), T.ravel())
 
 
-def check_pointwise_ellipticity(tensor: CoefficientTensor, region,
-                                symmetric_xi: bool | None = None) -> EllipticityReport:
+def check_pointwise_ellipticity(tensor: CoefficientTensor, region) -> EllipticityReport:
     """Minimum Rayleigh quotient of A over sampled x and all matrices xi.
 
     The integral coercivity hypothesis is untestable directly; this measures
     the pointwise Legendre surrogate  A^{ab}_{ij} xi^i_a xi^j_b >= lam |xi|^2
     at 5 interior samples per axis of ``region``.  The per-point minimum
-    over xi is exact: the smallest eigenvalue of the flattened (nN) x (nN)
-    symmetric part, restricted to symmetric xi for elasticity tensors unless
-    ``symmetric_xi`` says otherwise.
+    over xi is exact: the smallest eigenvalue of the flattened (2N) x (2N)
+    symmetric part, restricted to symmetric xi for elasticity tensors.
     """
-    points = _sample_region_points(region, 5).reshape(-1, tensor.n)
-    if symmetric_xi is None:
-        symmetric_xi = tensor.is_elasticity
+    points = _sample_region_points(region, 5).reshape(-1, DIM)
+    symmetric_xi = tensor.is_elasticity
 
-    n, N = tensor.n, tensor.N
-    Avals = tensor.A(points)                                   # (P, N, N, n, n)
-    Q = np.transpose(Avals, (0, 1, 3, 2, 4)).reshape(len(points), N * n, N * n)
-    if symmetric_xi:
-        if N != n:
-            raise ConstructionError("symmetric-xi mode requires N == n")
-        E = _symmetric_basis(n).reshape(-1, n * n)             # (K, n*n) orthonormal
+    N = tensor.N
+    Avals = tensor.A(points)                                   # (P, N, N, 2, 2)
+    Q = np.transpose(Avals, (0, 1, 3, 2, 4)).reshape(len(points), N * DIM, N * DIM)
+    if symmetric_xi:                                           # then N = 2
+        E = _SYMMETRIC_BASIS.reshape(-1, DIM * DIM)            # (3, 4) orthonormal
         Q = np.einsum("kx,pxy,ly->pkl", E, Q, E)
     Qs = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
     ev = np.linalg.eigvalsh(Qs)
@@ -345,12 +297,12 @@ class AnnReport:
 
 
 def check_ann(tensor: CoefficientTensor, region) -> AnnReport:
-    """Extreme eigenvalues of sym(A^{nn}) at 5 samples per axis of ``region``.
+    """Extreme eigenvalues of sym(A^{22}) at 5 samples per axis of ``region``.
 
     Raises HypothesisViolationError when the minimum is not positive, since
     the correction-coefficient solve would then be ill-posed.
     """
-    points = _sample_region_points(region, 5).reshape(-1, tensor.n)
+    points = _sample_region_points(region, 5).reshape(-1, DIM)
     Ann = tensor.Ann(points)
     ev = np.linalg.eigvalsh(0.5 * (Ann + np.transpose(Ann, (0, 2, 1))))
     kmin = int(np.argmin(ev[:, 0]))

@@ -3,8 +3,9 @@
 A run is described by five blocks (geometry, tensor, traces, solver,
 experiment) plus an output block.  Parsing is strict: unknown keys anywhere
 are errors, all violations are collected and reported together, and
-cross-field constraints (custom_A holds N^2 n^2 entries, the monomial
-blow-up case needs m > k, ...) are enforced at parse time.
+cross-field constraints (custom_A holds the N^2 * 4 entries of a planar A,
+the monomial blow-up case needs m > k, ...) are enforced at parse time.
+The dimension is not a key: every block is planar (``geometry.DIM``).
 """
 
 from __future__ import annotations
@@ -70,25 +71,24 @@ class TensorConfig:
     kind: str = "lame"               # "laplace" | "lame" | "lame_perturbed" | "custom_poly"
     lam: float = 1.0
     mu: float = 1.0
-    N: int = 1                       # laplace only; systems take N = n
+    N: int = 1                       # laplace and custom_poly; lame takes N = 2
     perturb_scale: float = 0.1
     perturb_poly: tuple = ((1.0, (1, 0)),)   # terms (coef, exponents)
-    custom_A: tuple | None = None    # custom_poly: flat A entries, shape (N,N,n,n)
-    custom_N: int = 1
+    custom_A: tuple | None = None    # custom_poly: flat A entries, shape (N, N, 2, 2)
 
-    def build(self, n: int) -> _coeff.CoefficientTensor:
+    def build(self) -> _coeff.CoefficientTensor:
         if self.kind == "laplace":
-            return _coeff.make_laplace(n, self.N)
+            return _coeff.make_laplace(self.N)
         params = _coeff.LameParameters(self.lam, self.mu)
         if self.kind == "lame":
-            return _coeff.make_lame(params, n)
+            return _coeff.make_lame(params)
         if self.kind == "lame_perturbed":
-            base = _coeff.make_lame(params, n)
+            base = _coeff.make_lame(params)
             poly = _coeff.MultiPoly(self.perturb_poly)
             return _coeff.make_perturbed(base, poly, self.perturb_scale)
-        A0 = np.array(self.custom_A, dtype=float).reshape(
-            self.custom_N, self.custom_N, n, n)
-        tensor = _coeff.make_custom(n, self.custom_N, A0)
+        dim = _geom.DIM
+        A0 = np.array(self.custom_A, dtype=float).reshape(self.N, self.N, dim, dim)
+        tensor = _coeff.make_custom(self.N, A0)
         if self.perturb_scale:
             poly = _coeff.MultiPoly(self.perturb_poly)
             tensor = _coeff.make_perturbed(tensor, poly, self.perturb_scale)
@@ -166,17 +166,15 @@ class RunConfig:
 
     @property
     def N(self):
-        if self.tensor.kind == "laplace":
+        if self.tensor.kind in ("laplace", "custom_poly"):
             return self.tensor.N
-        if self.tensor.kind == "custom_poly":
-            return self.tensor.custom_N
         return _geom.DIM
 
     def build_traces(self):
         return self.traces.build(self.N)
 
     def build_tensor(self) -> _coeff.CoefficientTensor:
-        return self.tensor.build(_geom.DIM)
+        return self.tensor.build()
 
     def to_dict(self):
         return asdict(self)
@@ -262,17 +260,17 @@ def _numbers(value, where, block="traces"):
             if isinstance(x, bool) or not isinstance(x, (int, float))]
 
 
-def _perturb_poly_violations(terms, n):
-    """Each perturb_poly term that is not [coef, exponents] with n exponents >= 0."""
+def _perturb_poly_violations(terms):
+    """Each perturb_poly term that is not [coef, exponents] with 2 exponents >= 0."""
     if not isinstance(terms, tuple):
         return [f"tensor: perturb_poly must be a list of [coef, exponents] terms, "
                 f"got {terms!r}"]
-    return [f"tensor: perturb_poly[{i}] must be [coef, exponents] with {n} "
+    return [f"tensor: perturb_poly[{i}] must be [coef, exponents] with {_geom.DIM} "
             f"non-negative integer exponents, got {term!r}"
             for i, term in enumerate(terms)
             if not (isinstance(term, tuple) and len(term) == 2
                     and not isinstance(term[0], bool) and isinstance(term[0], (int, float))
-                    and isinstance(term[1], tuple) and len(term[1]) == n
+                    and isinstance(term[1], tuple) and len(term[1]) == _geom.DIM
                     and all(type(e) is int and e >= 0 for e in term[1]))]
 
 
@@ -356,27 +354,24 @@ def validate_config(cfg: RunConfig):
         v += _profile_violations(g)
     if t.kind not in ("laplace", "lame", "lame_perturbed", "custom_poly"):
         v.append(f"tensor: unknown kind {t.kind!r}")
-    n = _geom.DIM
     if t.kind in ("lame", "lame_perturbed"):
         if t.mu <= 0:
             v.append("tensor: mu must be positive")
-        if n * t.lam + 2 * t.mu <= 0:
+        if _geom.DIM * t.lam + 2 * t.mu <= 0:
             v.append("tensor: n*lam + 2*mu must be positive")
-    if t.kind == "laplace" and t.N < 1:
+    if t.kind in ("laplace", "custom_poly") and t.N < 1:
         v.append("tensor: N must be >= 1")
     if t.kind == "custom_poly":
-        if t.custom_N < 1:
-            v.append("tensor: custom_N must be >= 1")
-        size = t.custom_N ** 2 * n ** 2
+        size = t.N ** 2 * _geom.DIM ** 2
         if t.custom_A is None:
             v.append("tensor: custom_poly requires custom_A")
         else:
             v += _numbers(t.custom_A, "custom_A", "tensor") or (
                 [] if len(t.custom_A) == size else
-                [f"tensor: custom_A must hold custom_N^2 * n^2 = {size} numbers, "
+                [f"tensor: custom_A must hold N^2 * 4 = {size} numbers, "
                  f"got {len(t.custom_A)}"])
     if t.kind == "lame_perturbed" or (t.kind == "custom_poly" and t.perturb_scale):
-        v += _perturb_poly_violations(t.perturb_poly, n)
+        v += _perturb_poly_violations(t.perturb_poly)
     if tr.family not in ("constant", "poly"):
         v.append(f"traces: unknown family {tr.family!r}")
     if tr.family == "poly" and (tr.poly_phi is None or tr.poly_psi is None):
@@ -395,8 +390,13 @@ def validate_config(cfg: RunConfig):
         v.append("solver: need at least 3 nodes per axis")
     if s.tol <= 0:
         v.append("solver: tol must be positive")
-    if s.grid_scale <= 0:
+    if not math.isfinite(s.grid_scale):
+        v.append("solver: grid_scale must be finite")
+    elif s.grid_scale <= 0:
         v.append("solver: grid_scale must be positive")
+    elif min(s.scaled_nodes()) < 3 <= min(s.tangential_nodes, s.vertical_nodes):
+        v.append(f"solver: grid_scale {s.grid_scale!r} leaves {s.scaled_nodes()} "
+                 "nodes; need at least 3 per axis")
     lists = True
     for key, known, what in (("checks", CHECK_NAMES, "check"),
                              ("remark13_cases", ("i", "ii", "iii"), "remark13 case")):

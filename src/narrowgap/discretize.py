@@ -70,9 +70,8 @@ class SolverError(RuntimeError):
 class BoxGrid:
     """Uniform grid on the mapped box [-half_width, half_width] x [0, 1].
 
-    The axes are (x1, t), t last.  Grids are planar: ``grid_for`` refuses a
-    region with n != 2.  Node indexing is lexicographic in C order, unknowns
-    are component-major: global index = component * nodes + node.
+    The axes are (x1, t), t last.  Node indexing is lexicographic in C
+    order, unknowns are component-major: global index = component * nodes + node.
     """
 
     tangential_nodes: int
@@ -141,7 +140,8 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
 
     For n = 2 the Jacobian is G = [[1, 0], [d1 v, d2 v]], and each product
     with G is written out row by row (``_apply_jacobian``).  Atil is summed
-    as (G A) G^T: G A first, then its product with G^T.
+    as (G A) G^T: G A first, then its product with G^T.  B, C and D are the
+    constants B0, C0 and D0, copied to every node before G meets them.
     """
     XP, T = grid.node_coords()
     XP = XP[..., :1, :]                     # x'-factors once per column
@@ -155,12 +155,16 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
     _apply_jacobian(np.swapaxes(Atil, -1, -2), dv)            # G A
     Atil = dlt[..., None, None, None, None] * _apply_jacobian(Atil, dv)   # (G A) G^T
     Btil = Ctil = Dtil = None
+
+    def at_nodes(V0):
+        return np.broadcast_to(V0, x.shape[:-1] + V0.shape)
+
     if np.any(tensor.B0):
-        Btil = dlt[..., None, None, None] * _apply_jacobian(tensor.B(x), dv)
+        Btil = dlt[..., None, None, None] * _apply_jacobian(at_nodes(tensor.B0).copy(), dv)
     if np.any(tensor.C0):
-        Ctil = dlt[..., None, None, None] * _apply_jacobian(tensor.C(x), dv)
+        Ctil = dlt[..., None, None, None] * _apply_jacobian(at_nodes(tensor.C0).copy(), dv)
     if np.any(tensor.D0):
-        Dtil = dlt[..., None, None] * tensor.D(x)
+        Dtil = dlt[..., None, None] * at_nodes(tensor.D0)
     for name, arr in (("A", Atil), ("B", Btil), ("C", Ctil), ("D", Dtil)):
         _require_finite(name, arr)
     return TransformedFields(grid, Atil, Btil, Ctil, Dtil)

@@ -77,9 +77,6 @@ class SweepResult:
     def clean(self):
         return [p for p in self.points if not p.flagged]
 
-    def eps(self, clean=True):
-        return np.array([p.eps for p in (self.clean() if clean else self.points)])
-
     def values(self, clean=True):
         return np.array([p.value for p in (self.clean() if clean else self.points)])
 
@@ -318,11 +315,6 @@ def _stat_gauge_margin(b: SolveBundle):
                             - _ans.theta_bar_delta(b.traces, b.region, xp)).min())
 
 
-def _stat_shortest_remainder(b: SolveBundle):
-    """max |grad(u - ubar)| on the shortest segment (Remark 1.1 extra)."""
-    return b.column_max(b.grad_num - b.grad_ansatz(), 0.0)
-
-
 def _stat_energy_ratio(b: SolveBundle):
     """Window energy over delta(0)^2 (Theta(0)^2 + delta(0)^2 C2^2) at z' = 0.
 
@@ -346,7 +338,6 @@ STATISTICS = {
     "cor41_sup_thetabar": _stat_cor41_thetabar,
     "cor41_sup_theta": _stat_sup_normalized,
     "gauge_margin": _stat_gauge_margin,
-    "shortest_remainder": _stat_shortest_remainder,
     "energy_ratio": _stat_energy_ratio,
 }
 
@@ -415,7 +406,6 @@ class SweepRequest:
     stats: tuple
     eps_list: tuple
     case: str = ""
-    richardson: bool = True
     check: str = ""             # the check that planned it, for the runlog
 
     def __post_init__(self):
@@ -482,8 +472,7 @@ def _sweep_group(reqs, outs):
             point = {}          # this grid's system: the base one is freed here
             groups = {}
             for i, req in enumerate(reqs):
-                if (eps in req.eps_list and outs[i].error is None
-                        and (grid_nodes == nodes or req.richardson)):
+                if eps in req.eps_list and outs[i].error is None:
                     groups.setdefault(req.cfg, []).append(i)
             t0 = time.perf_counter()
             bundles = []
@@ -529,12 +518,10 @@ def _sweep_group(reqs, outs):
 
 
 def _richardson_point(eps, value, refined, tol, grid, reason):
-    """SweepPoint of a value and its refined one (None: not refined).
+    """SweepPoint of a value and its refined one.
 
     Flagged ``reason`` when they differ, relative to the larger, by more than ``tol``.
     """
-    if refined is None:
-        return SweepPoint(eps, value, None, None, False, grid)
     rel = abs(refined - value) / max(abs(value), abs(refined), 1e-300)
     flagged = rel > tol
     return SweepPoint(eps, value, refined, rel, flagged, grid, reason if flagged else "")
@@ -549,7 +536,7 @@ def _sweep_results(cfg, stat_names, nodes, rows):
     """
     out = {}
     for s in stat_names:
-        pts = [_richardson_point(eps, vals[s], ref_vals.get(s),
+        pts = [_richardson_point(eps, vals[s], ref_vals[s],
                                  cfg.experiment.richardson_tol, nodes, "grid-limited")
                for eps, vals, ref_vals in rows]
         vmax = max((abs(p.value) for p in pts), default=0.0)

@@ -5,6 +5,10 @@ it; the tests compare against them:
 - the closed-form Lame correction (``lame_correction``, ``_lame_kernel``),
   against which the vertical-block solve of ``ansatz._generic_kernel`` is
   checked, and the correction rows and sums of a field;
+- the coefficients as per-sample arrays (``per_sample``, ``ref_A_derivs``):
+  constant B, C and D copied to every point, and A with its gradient and
+  Hessian written out per derivative order, which the contractions over
+  B0, C0, D0 and ``CoefficientTensor.A_jet`` must reproduce;
 - sampled C2 norms (``estimate_c2_norms``), the reference for
   ``BoundaryTraces.c2_total``;
 - a manufactured solution, its forcing and a solver for the forced problem
@@ -72,7 +76,7 @@ def correction_coeffs(tensor, region, traces, xp):
 
 def lame_correction(params, region, traces, xp):
     """Closed-form correction rows for the isotropic elasticity tensor."""
-    params.validate(2)
+    params.validate()
     if traces.N != 2:
         raise ConstructionError("elasticity requires N == n traces")
     xp = _as_points(xp)
@@ -83,6 +87,32 @@ def correction_sum(af, xp):
     """[S, S', S''] of the field ``af`` with S = sum_l G_l, each (..., N)."""
     xp = _as_points(xp)
     return af._correction_sum(xp, af.traces.diff_jet(xp, 2), 2)
+
+
+# ---------------------------------------------------------------------------
+# coefficients per sample
+# ---------------------------------------------------------------------------
+
+def per_sample(V0, x):
+    """The constant coefficient V0 copied to every point of x (..., 2)."""
+    return np.broadcast_to(V0, np.shape(x)[:-1] + np.shape(V0)).copy()
+
+
+def ref_A_derivs(tensor, x):
+    """A, grad A and hess A at x (..., 2) as one evaluator per order writes
+    them, derivative axes last; zero derivatives for a constant tensor."""
+    x = np.asarray(x, dtype=float)
+    A = per_sample(tensor.A0, x)
+    dA, d2A = np.zeros(A.shape + (2,)), np.zeros(A.shape + (2, 2))
+    if not tensor.is_constant:
+        p, s, T = tensor.perturb_poly, tensor.perturb_scale, tensor.perturb_dir
+        g = np.stack([p.diff(a).value(x) for a in range(2)], axis=-1)
+        h = np.stack([np.stack([p.diff(a).diff(b).value(x) for b in range(2)], axis=-1)
+                      for a in range(2)], axis=-2)
+        A += (s * p.value(x))[..., None, None, None, None] * T
+        dA += T[..., None] * (s * g)[..., None, None, None, None, :]
+        d2A += T[..., None, None] * (s * h)[..., None, None, None, None, :, :]
+    return A, dA, d2A
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +349,14 @@ def solve_one(tensor, region, traces, grid):
     return got
 
 
-def sweep(cfg, stat_names, eps_list=None, richardson: bool = True) -> dict:
+def sweep(cfg, stat_names, eps_list=None) -> dict:
     """Solve per eps (base and refined grid) and evaluate named statistics.
 
     Returns one SweepResult per statistic; the solves are shared across
     statistics.  A failed solve raises.
     """
     req = SweepRequest(cfg, tuple(stat_names),
-                       tuple(eps_list) if eps_list is not None else _eps_list(cfg),
-                       richardson=richardson)
+                       tuple(eps_list) if eps_list is not None else _eps_list(cfg))
     out, = run_sweeps([req])
     if out.error is not None:
         raise out.error

@@ -66,7 +66,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
                                 PolyTrace(rng.normal(size=(2, 4))))
         params = LameParameters(lam, mu)
         xp = rng.uniform(-0.95, 0.95, (8, 1))
-        got = correction_coeffs(make_lame(params, 2), region, traces, xp)
+        got = correction_coeffs(make_lame(params), region, traces, xp)
         want = lame_correction(params, region, traces, xp)
         scale = max(float(np.abs(want).max()), 1e-30)
         worst = max(worst, float(np.abs(got - want).max()) / scale)
@@ -83,7 +83,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
 def test_criterion_2_ansatz_correctness():
     t0 = time.perf_counter()
     region = NarrowRegion(power_pair(2, 1.0, 0.3, 0.5), 5e-3)
-    tensor = make_lame(LameParameters(1.0, 1.0), 2)
+    tensor = make_lame(LameParameters(1.0, 1.0))
     traces = BoundaryTraces(PolyTrace([[1.0, 0.4, -0.2], [0.3, 0.5]]),
                             PolyTrace([[0.1, -0.3], [0.0, 0.2]]))
     af = build_ansatz(tensor, region, traces)
@@ -110,7 +110,7 @@ def test_criterion_2_ansatz_correctness():
         fd_err = max(fd_err, float(np.abs(g[..., a] - fd).max()) / scale)
 
     lap_traces = BoundaryTraces(const(1.0), const(0.0))
-    G = correction_coeffs(make_laplace(2, 1), region, lap_traces, xp_i)
+    G = correction_coeffs(make_laplace(), region, lap_traces, xp_i)
     lap_zero = bool(np.all(G == 0.0))
 
     elapsed = time.perf_counter() - t0
@@ -128,7 +128,7 @@ def test_criterion_2_ansatz_correctness():
 def test_criterion_3_solver_order():
     t0 = time.perf_counter()
     region = NarrowRegion(power_pair(2, 1.0, 0.0, 0.5), 0.05)
-    tensor = make_lame(LameParameters(1.0, 1.0), 2)
+    tensor = make_lame(LameParameters(1.0, 1.0))
     mms = TrigSolution(2, 2)
     errs_u, errs_g, hs = [], [], []
     for ny, nt in ((33, 17), (65, 33), (129, 65), (257, 129)):

@@ -13,8 +13,8 @@ from narrowgap.coefficients import (ConstructionError, HypothesisViolationError,
                                     make_lame, make_laplace, make_perturbed)
 from narrowgap.geometry import FLAT, NarrowRegion, ProfilePair, power_pair
 from reference import (REF_DERIVS, RefProfile, _lame_kernel, correction_coeffs,
-                       correction_sum, estimate_c2_norms, lame_correction, ref_gap,
-                       to_box)
+                       correction_sum, estimate_c2_norms, lame_correction, per_sample,
+                       ref_A_derivs, ref_gap, to_box)
 
 
 def const(*v):
@@ -51,14 +51,14 @@ def region(m=2, upper=1.0, lower=0.0, eps=0.01, R0=0.5):
     return NarrowRegion(power_pair(m, upper, lower, R0), eps)
 
 
-LAME = make_lame(LameParameters(1.0, 1.0), 2)
+LAME = make_lame(LameParameters(1.0, 1.0))
 E1_GAP = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
 # A(x) = A0 + 0.1 p(x) T with T not proportional to A0: a scalar factor
 # c(x) A0 cancels from every correction row, so only a different direction
 # exercises the x-dependent dA and d2A chain rule through the mid-gap height
 PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)),
                                             (0.3, (1, 1))]), 0.1,
-                           direction=make_lame(LameParameters(2.0, 0.5), 2).A0)
+                           direction=make_lame(LameParameters(2.0, 0.5)).A0)
 
 
 def field_cases():
@@ -156,7 +156,7 @@ class TestCorrection:
     def test_laplacian_correction_vanishes_exactly(self):
         r = region()
         tr = BoundaryTraces(const(1.0), const(0.0))
-        G = correction_coeffs(make_laplace(2, 1), r, tr, np.array([[0.3]]))
+        G = correction_coeffs(make_laplace(), r, tr, np.array([[0.3]]))
         assert np.all(G == 0.0)
 
     def test_lame_tangential_row(self):
@@ -187,7 +187,7 @@ class TestCorrection:
                                 PolyTrace(rng.normal(size=(2, 3))))
             xp = rng.uniform(-0.9, 0.9, (5, 1))
             params = LameParameters(lam, mu)
-            got = correction_coeffs(make_lame(params, 2), r, tr, xp)
+            got = correction_coeffs(make_lame(params), r, tr, xp)
             want = lame_correction(params, r, tr, xp)
             scale = max(np.abs(want).max(), 1e-30)
             assert np.abs(got - want).max() <= 1e-12 * scale
@@ -201,7 +201,7 @@ class TestCorrection:
         r = region(m=m, upper=1.1, lower=0.4, eps=5e-3)
         xp = np.linspace(-0.9, 0.9, 37)[:, None]
         params = LameParameters(lam, mu)
-        got = _generic_kernel(make_lame(params, 2), r, xp, 2)
+        got = _generic_kernel(make_lame(params), r, xp, 2)
         want = _lame_kernel(params, r, xp, 2)
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):
@@ -253,7 +253,7 @@ class TestAnsatzField:
     def test_laplace_reduces_to_interpolant(self):
         r = region()
         tr = BoundaryTraces(const(2.0), const(-1.0))
-        af = build_ansatz(make_laplace(2, 1), r, tr)
+        af = build_ansatz(make_laplace(), r, tr)
         xp = np.linspace(-0.9, 0.9, 9)[:, None]
         t = np.linspace(0.1, 0.9, 9)
         assert np.allclose(af.value(xp, t)[:, 0], 2.0 * t - 1.0 * (1 - t), atol=1e-14)
@@ -292,7 +292,7 @@ class TestGradAnsatz:
         # Laplacian, constant data gap a: d_n ubar = a / delta exactly
         r = region(eps=0.01)
         tr = BoundaryTraces(const(3.0), const(0.0))
-        af = build_ansatz(make_laplace(2, 1), r, tr)
+        af = build_ansatz(make_laplace(), r, tr)
         xp = np.array([[0.1]])
         assert af.gradient(xp, np.array([0.25]))[0, 0, 1] == pytest.approx(3.0 / 0.02, rel=1e-14)
 
@@ -333,11 +333,11 @@ class TestGradAnsatz:
         # interpolant never reaches it and matches the Laplacian's bit for bit
         r = region(m=2, upper=1.0, lower=0.5, eps=5e-3)
         tr = BoundaryTraces(PolyTrace([[1.0, 0.2, -0.1]]), PolyTrace([[0.0, -0.3]]))
-        singular = build_ansatz(make_custom(2, 1, [[[[1.0, 0.0], [0.0, 0.0]]]]), r, tr)
+        singular = build_ansatz(make_custom(1, [[[[1.0, 0.0], [0.0, 0.0]]]]), r, tr)
         x = (np.linspace(-0.9, 0.9, 17)[:, None, None], np.linspace(0.0, 1.0, 9))
         with pytest.raises(HypothesisViolationError):
             singular.gradient(*x)
-        want = build_ansatz(make_laplace(2, 1), r, tr).gradient(*x, corrected=False)
+        want = build_ansatz(make_laplace(), r, tr).gradient(*x, corrected=False)
         assert np.array_equal(singular.gradient(*x, corrected=False), want)
 
     def test_degenerate_equal_traces_stay_bounded(self):
@@ -362,7 +362,7 @@ class TestResidual:
         flat = ProfilePair(FLAT, FLAT, 2, 1, 1, 1, 1, 0.5)
         r = NarrowRegion(flat, 1.0)
         tr = BoundaryTraces(const(2.0), const(-1.0))
-        af = build_ansatz(make_laplace(2, 1), r, tr)
+        af = build_ansatz(make_laplace(), r, tr)
         rng = np.random.default_rng(3)
         x = (rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0.05, 0.95, 200))
         assert np.abs(af.residual(*x)).max() <= 1e-10
@@ -409,27 +409,26 @@ class TestResidual:
 
 
 def ref_apply_operator(tensor, x, value, grad, hess):
-    """The operator with A(x) copied to every sample, as for a varying tensor."""
-    f = np.einsum("...ijab,...jab->...i", tensor.A(x), hess)
+    """The operator with A, B, C and D copied to every sample, as for varying fields."""
+    A, dA, _ = ref_A_derivs(tensor, x)
+    f = np.einsum("...ijab,...jab->...i", A, hess)
     if not tensor.is_constant:
-        f += np.einsum("...ijb,...jb->...i",
-                       np.einsum("...ijaba->...ijb", tensor.A_grad(x)), grad)
+        f += np.einsum("...ijb,...jb->...i", np.einsum("...ijaba->...ijb", dA), grad)
     if np.any(tensor.B0):
-        f += np.einsum("...ijaa,...j->...i", tensor.B_grad(x), value)
-        f += np.einsum("...ija,...ja->...i", tensor.B(x), grad)
+        f += np.einsum("...ija,...ja->...i", per_sample(tensor.B0, x), grad)
     if np.any(tensor.C0):
-        f += np.einsum("...ijb,...jb->...i", tensor.C(x), grad)
+        f += np.einsum("...ijb,...jb->...i", per_sample(tensor.C0, x), grad)
     if np.any(tensor.D0):
-        f += np.einsum("...ij,...j->...i", tensor.D(x), value)
+        f += np.einsum("...ij,...j->...i", per_sample(tensor.D0, x), value)
     return f
 
 
 class TestApplyOperator:
     _rng = np.random.default_rng(11)
-    CUSTOM = make_custom(2, 2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
+    CUSTOM = make_custom(2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
                          C0=_rng.normal(size=(2, 2, 2)), D0=_rng.normal(size=(2, 2)))
 
-    @pytest.mark.parametrize("tensor", [make_laplace(2, 1), LAME, CUSTOM],
+    @pytest.mark.parametrize("tensor", [make_laplace(), LAME, CUSTOM],
                              ids=["laplace", "lame", "custom_bcd"])
     def test_constant_tensor_matches_the_per_sample_contraction(self, tensor):
         # a constant tensor contracts A0 itself; the sums must round as
@@ -482,18 +481,16 @@ def ref_midpoint_tensor_derivs(tensor, region, xp, order):
     d, nn = 1, 1
     h2 = RefProfile(region.profiles.h2)
     x_mid = region.from_box(xp, np.full(xp.shape[:-1], 0.5))
-    Av = tensor.A(x_mid)
+    Av, Ag, Ah = ref_A_derivs(tensor, x_mid)
     out = [Av]
     if order >= 1 and tensor.is_constant:
         out += [np.zeros(Av.shape + (d,) * k) for k in range(1, order + 1)]
     elif order >= 1:
         ms = h2.grad(xp) + 0.5 * ref_gap(region, "grad", xp)
-        Ag = tensor.A_grad(x_mid)
         out.append(Ag[..., :d]
                    + np.einsum("...ijab,...g->...ijabg", Ag[..., nn], ms))
         if order >= 2:
             m2s = h2.hess(xp) + 0.5 * ref_gap(region, "hess", xp)
-            Ah = tensor.A_hess(x_mid)
             out.append(Ah[..., :d, :d]
                        + np.einsum("...ijabg,...h->...ijabgh", Ah[..., :d, nn], ms)
                        + np.einsum("...ijabh,...g->...ijabgh", Ah[..., nn, :d], ms)
@@ -603,7 +600,7 @@ def ref_jet(af, xp, t, order, corrected=True):
 # so its A_{,22} m' m' chain-rule term vanishes and could be dropped unseen
 PERTURBED_X2SQ = make_perturbed(LAME, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)),
                                                  (0.3, (1, 1)), (0.4, (0, 2))]), 0.1,
-                                direction=make_lame(LameParameters(2.0, 0.5), 2).A0)
+                                direction=make_lame(LameParameters(2.0, 0.5)).A0)
 
 
 class TestPlanarJetReference:
@@ -611,7 +608,7 @@ class TestPlanarJetReference:
                              ids=["corrected", "uncorrected"])
     @pytest.mark.parametrize("tensor", [
         pytest.param(LAME, id="lame_generic"),
-        pytest.param(make_laplace(2, 1), id="laplace"),
+        pytest.param(make_laplace(), id="laplace"),
         pytest.param(PERTURBED_X2SQ, id="perturbed_x2_squared")])
     def test_value_gradient_residual_match_bit_for_bit(self, tensor, corrected):
         # h2 has a slope, so the mid-gap height moves and every chain-rule

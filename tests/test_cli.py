@@ -145,7 +145,6 @@ CONFIG_FIELDS = {
     ("geometry", "kappa2"), ("geometry", "kappa3"), ("geometry", "kappa4"),
     ("tensor", "kind"), ("tensor", "lam"), ("tensor", "mu"), ("tensor", "N"),
     ("tensor", "perturb_scale"), ("tensor", "perturb_poly"), ("tensor", "custom_A"),
-    ("tensor", "custom_N"),
     ("traces", "family"), ("traces", "phi"), ("traces", "psi"), ("traces", "poly_phi"),
     ("traces", "poly_psi"),
     ("solver", "tangential_nodes"), ("solver", "vertical_nodes"), ("solver", "tol"),
@@ -160,7 +159,7 @@ CONFIG_FIELDS = {
 def test_config_fields_are_the_census():
     got = {(block, f.name) for block, cls in _BLOCKS.items() for f in fields(cls)}
     assert got == CONFIG_FIELDS
-    assert len(got) == 39
+    assert len(got) == 38
 
 
 def test_readme_names_every_option_and_key():
@@ -274,9 +273,11 @@ class TestRun:
     @pytest.mark.parametrize("tensor, what", [
         ({"kind": "custom_poly"}, "tensor: custom_poly requires custom_A"),
         ({"kind": "custom_poly", "custom_A": [1, 0, 0]},
-         "tensor: custom_A must hold custom_N^2 * n^2 = 4 numbers, got 3"),
-        ({"kind": "custom_poly", "custom_N": 0, "custom_A": []},
-         "tensor: custom_N must be >= 1"),
+         "tensor: custom_A must hold N^2 * 4 = 4 numbers, got 3"),
+        ({"kind": "custom_poly", "N": 2, "custom_A": [1, 0, 0, 1]},
+         "tensor: custom_A must hold N^2 * 4 = 16 numbers, got 4"),
+        ({"kind": "custom_poly", "N": 0, "custom_A": []},
+         "tensor: N must be >= 1"),
         ({"kind": "lame_perturbed", "perturb_poly": [[1.0, [1]]]},
          "tensor: perturb_poly[0] must be [coef, exponents] with 2 non-negative "
          "integer exponents, got (1.0, (1,))"),
@@ -284,8 +285,8 @@ class TestRun:
           "perturb_poly": [[1.0, [0, -1]]]},
          "tensor: perturb_poly[0] must be [coef, exponents] with 2 non-negative "
          "integer exponents, got (1.0, (0, -1))")],
-        ids=["custom_A_missing", "custom_A_length", "custom_N", "perturb_poly",
-             "custom_perturb_poly"])
+        ids=["custom_A_missing", "custom_A_length", "custom_A_length_N2", "N",
+             "perturb_poly", "custom_perturb_poly"])
     def test_unbuildable_tensors_exit_2(self, tmp_path, capsys, tensor, what):
         p = write_cfg(tmp_path, {"tensor": tensor, "traces": {"phi": [1.0]}})
         assert main(["validate", "--config", str(p)]) == 2
@@ -527,7 +528,7 @@ def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch)
 def test_singular_vertical_block_fails_validation_and_aborts_checks(tmp_path):
     # A = e_1 (x) e_1: elliptic nowhere in the vertical direction, A^nn = 0
     cfg = config_from_dict({
-        "tensor": {"kind": "custom_poly", "custom_N": 1,
+        "tensor": {"kind": "custom_poly", "N": 1,
                    "custom_A": [1, 0, 0, 0], "perturb_scale": 0},
         "traces": {"family": "constant", "phi": [1.0], "psi": [0.0]},
         "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
@@ -551,7 +552,7 @@ def test_overflowing_coefficients_abort_every_check(tmp_path):
     # finite input whose pullback overflows: no verdict may pass or FAIL on
     # the NaN statistics it would produce
     cfg = config_from_dict({
-        "tensor": {"kind": "custom_poly", "custom_N": 1,
+        "tensor": {"kind": "custom_poly", "N": 1,
                    "custom_A": [1e308, 0, 0, 1e308], "perturb_scale": 0},
         "traces": {"family": "constant", "phi": [1.0], "psi": [0.0]},
         "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
@@ -571,6 +572,39 @@ def test_overflowing_coefficients_abort_every_check(tmp_path):
         assert v.status == "ABORTED"
         assert v.details["error"] == expected[v.name]
         assert checks[v.name]["error"] == expected[v.name]
+
+
+def test_custom_N_is_not_a_key(tmp_path, capsys):
+    # custom_poly reads N, as laplace does; the old name is refused
+    p = write_cfg(tmp_path, {"tensor": {"kind": "custom_poly", "custom_N": 1,
+                                        "custom_A": [1, 0, 0, 1]},
+                             "traces": {"phi": [1.0]}})
+    assert main(["validate", "--config", str(p)]) == 2
+    assert "tensor: unknown key 'custom_N'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bad_grid_scale_overrides_exit_2(tmp_path, capsys, command):
+    # an override is validated as the file is: a scale that is not finite,
+    # not positive or leaves fewer than 3 nodes on an axis is refused before
+    # anything is built or written
+    p = write_cfg(tmp_path, TINY)
+    for scale, what in (("nan", "grid_scale must be finite"),
+                        ("inf", "grid_scale must be finite"),
+                        ("0", "grid_scale must be positive"),
+                        ("-1", "grid_scale must be positive"),
+                        ("0.001", "grid_scale 0.001 leaves (1, 1) nodes")):
+        out = tmp_path / f"{command}_{scale}"
+        assert main([command, "--config", str(p), "--out", str(out),
+                     "--grid-scale", scale]) == 2, scale
+        assert f"solver: {what}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_grid_scale_that_leaves_too_few_nodes_is_refused_in_a_file(tmp_path, capsys):
+    p = write_cfg(tmp_path, {**TINY, "solver": {**TINY["solver"], "grid_scale": 0.1}})
+    assert main(["validate", "--config", str(p)]) == 2
+    assert "solver: grid_scale 0.1 leaves (3, 2) nodes" in capsys.readouterr().err
 
 
 def test_the_dimension_is_not_a_key(tmp_path, capsys):

@@ -23,12 +23,12 @@ def reg():
 class TestMakeLame:
     def test_vertical_block(self):
         # lam = mu = 1, n = 2: A^nn = diag(mu, lam + 2 mu) = diag(1, 3)
-        t = make_lame(LameParameters(1.0, 1.0), 2)
+        t = make_lame(LameParameters(1.0, 1.0))
         assert np.allclose(t.Ann(np.zeros((1, 2)))[0], np.diag([1.0, 3.0]))
         assert (t.Lambda1, t.Lambda2) == (1.0, 3.0)
 
     def test_zero_lambda_reduces_to_symmetrized_gradient_form(self):
-        t = make_lame(LameParameters(0.0, 0.5), 2)
+        t = make_lame(LameParameters(0.0, 0.5))
         eye = np.eye(2)
         expected = 0.5 * (np.einsum("ib,ja->ijab", eye, eye)
                           + np.einsum("ij,ab->ijab", eye, eye))
@@ -36,18 +36,18 @@ class TestMakeLame:
 
     @pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (-0.3, 1.0), (2.5, 0.7)])
     def test_elasticity_symmetries_exact(self, lam, mu):
-        A = make_lame(LameParameters(lam, mu), 3).A0
+        A = make_lame(LameParameters(lam, mu)).A0
         assert np.array_equal(A, np.transpose(A, (1, 0, 3, 2)))   # A^{ab}_{ij} = A^{ba}_{ji}
         assert np.array_equal(A, np.transpose(A, (2, 1, 0, 3)))   # = A^{ib}_{aj}
 
     def test_parameter_constraints(self):
         with pytest.raises(ConstructionError):
-            make_lame(LameParameters(1.0, -1.0), 2)
+            make_lame(LameParameters(1.0, -1.0))
         with pytest.raises(ConstructionError):
-            make_lame(LameParameters(-2.0, 1.0), 2)   # n lam + 2 mu = -2
+            make_lame(LameParameters(-2.0, 1.0))   # n lam + 2 mu = -2
 
     def test_accessors_are_pure(self, reg):
-        t = make_lame(LameParameters(1.0, 2.0), 2)
+        t = make_lame(LameParameters(1.0, 2.0))
         x = np.array([[0.1, 0.2]])
         a1, a2 = t.A(x), t.A(x)
         assert a1.tobytes() == a2.tobytes()
@@ -59,15 +59,15 @@ class TestMakeLame:
 
 class TestEllipticity:
     def test_identity_tensor(self, reg):
-        t = make_laplace(2, 1)
+        t = make_laplace()
         rep = check_pointwise_ellipticity(t, region=reg)
         assert rep.min_quotient == pytest.approx(1.0, abs=1e-12)
         assert rep.passed
 
     def test_lame_symmetric_xi_bounds(self, reg):
-        # on symmetric xi the minimum quotient is min(2mu, n lam+2mu)
+        # on symmetric xi the minimum quotient is min(2mu, 2 lam+2mu)
         for lam, mu in [(1.0, 1.0), (-0.4, 1.0), (3.0, 0.5)]:
-            t = make_lame(LameParameters(lam, mu), 2)
+            t = make_lame(LameParameters(lam, mu))
             rep = check_pointwise_ellipticity(t, region=reg)
             assert rep.symmetric_xi
             assert rep.min_quotient == pytest.approx(min(2 * mu, 2 * lam + 2 * mu),
@@ -79,21 +79,22 @@ class TestEllipticity:
         M = rng.normal(size=(N * n, N * n))
         M = M + M.T + 2 * N * n * np.eye(N * n)     # diagonally dominant
         A0 = M.reshape(N, n, N, n).transpose(0, 2, 1, 3)
-        t = make_custom(n, N, A0, lam=float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
-        rep = check_pointwise_ellipticity(t, region=reg, symmetric_xi=False)
+        t = make_custom(N, A0, lam=float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
+        rep = check_pointwise_ellipticity(t, region=reg)
+        assert not rep.symmetric_xi
         oracle = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
         assert rep.min_quotient == pytest.approx(oracle, rel=1e-12)
 
 
 class TestAnn:
     def test_lame_spectrum(self, reg):
-        t = make_lame(LameParameters(1.0, 1.0), 2)
+        t = make_lame(LameParameters(1.0, 1.0))
         rep = check_ann(t, region=reg)
         assert (rep.lambda1_est, rep.lambda2_est) == pytest.approx((1.0, 3.0))
         assert rep.passed
 
     def test_identity(self, reg):
-        rep = check_ann(make_laplace(2, 1), region=reg)
+        rep = check_ann(make_laplace(), region=reg)
         assert (rep.lambda1_est, rep.lambda2_est) == pytest.approx((1.0, 1.0))
 
     def test_random_spd_blocks_match_eigen_oracle(self, reg):
@@ -105,7 +106,7 @@ class TestAnn:
             A0 = np.zeros((N, N, 2, 2))
             A0[:, :, 1, 1] = Ann
             A0[:, :, 0, 0] = np.eye(N)
-            t = make_custom(2, N, A0)
+            t = make_custom(N, A0)
             rep = check_ann(t, region=reg)
             ev = np.linalg.eigvalsh(Ann)
             assert rep.lambda1_est == pytest.approx(float(ev[0]), rel=1e-12)
@@ -115,7 +116,7 @@ class TestAnn:
         A0 = np.zeros((1, 1, 2, 2))
         A0[0, 0, 0, 0] = 1.0
         A0[0, 0, 1, 1] = -1.0
-        t = make_custom(2, 1, A0, Lambda1=0.1, Lambda2=1.0)
+        t = make_custom(1, A0, Lambda1=0.1, Lambda2=1.0)
         with pytest.raises(HypothesisViolationError):
             check_ann(t, region=reg)
 
@@ -125,18 +126,20 @@ class TestAnn:
 # ---------------------------------------------------------------------------
 
 def test_perturbed_tensor_derivatives(reg):
-    base = make_lame(LameParameters(1.0, 1.0), 2)
+    base = make_lame(LameParameters(1.0, 1.0))
     poly = MultiPoly([(0.7, (1, 0)), (-0.3, (0, 2))])     # 0.7 x1 - 0.3 xn^2
     t = make_perturbed(base, poly, scale=0.05)
     x = np.array([[0.2, 0.1]])
+    A, dA, d2A = t.A_jet(x, 2)
+    assert np.array_equal(A, t.A(x))
     h = 1e-6
     for g in range(2):
         dx = np.zeros((1, 2))
         dx[0, g] = h
         fd = (t.A(x + dx) - t.A(x - dx)) / (2 * h)
-        assert np.abs(t.A_grad(x)[..., g] - fd).max() <= 1e-8
-    fd2 = (t.A_grad(x + [[h, 0]]) - t.A_grad(x - [[h, 0]])) / (2 * h)
-    assert np.abs(t.A_hess(x)[..., 0] - fd2).max() <= 1e-6
+        assert np.abs(dA[..., g] - fd).max() <= 1e-8
+    fd2 = (t.A_jet(x + [[h, 0]], 1)[1] - t.A_jet(x - [[h, 0]], 1)[1]) / (2 * h)
+    assert np.abs(d2A[..., 0] - fd2).max() <= 1e-6
     rep = check_pointwise_ellipticity(t, region=reg)
     assert rep.passed and rep.min_quotient > 1.5    # stays uniformly elliptic
 

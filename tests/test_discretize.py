@@ -17,8 +17,8 @@ from narrowgap.discretize import (AssemblyError, BoxGrid, DiscreteField, LinearS
                                   transform_operator)
 from narrowgap.geometry import (FLAT, GeometryError, NarrowRegion,
                                 ProfilePair, power_pair)
-from reference import (TrigSolution, forced_right_hand_side, solve_manufactured, solve_one,
-                       vbar)
+from reference import (TrigSolution, forced_right_hand_side, per_sample, solve_manufactured,
+                       solve_one, vbar)
 
 
 def const(*v):
@@ -34,16 +34,16 @@ def curved_region(eps=0.05, m=2, upper=1.0, lower=0.0, R0=0.5):
     return NarrowRegion(power_pair(m, upper, lower, R0), eps)
 
 
-LAP = make_laplace(2, 1)
-LAME = make_lame(LameParameters(1.0, 1.0), 2)
+LAP = make_laplace()
+LAME = make_lame(LameParameters(1.0, 1.0))
 _rng = np.random.default_rng(0)
 # B, C and D make the free block non-symmetric; the perturbation runs along
 # a second Lame direction, so A varies with x in a way A0 does not span
-LAME_BCD = make_custom(2, 2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
+LAME_BCD = make_custom(2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
                        C0=_rng.normal(size=(2, 2, 2)), D0=_rng.normal(size=(2, 2)))
 PERTURBED_BCD = make_perturbed(
     LAME_BCD, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)), (0.3, (1, 1))]), 0.1,
-    direction=make_lame(LameParameters(2.0, 0.5), 2).A0)
+    direction=make_lame(LameParameters(2.0, 0.5)).A0)
 
 
 def box_jacobian(region, xp, t):
@@ -148,7 +148,7 @@ class TestTransform:
         A0 = np.zeros((1, 1, 2, 2))
         A0[0, 0] = np.eye(2)
         D0 = np.array([[2.0]])
-        tensor = make_custom(2, 1, A0, D0=D0, lam=1.0)
+        tensor = make_custom(1, A0, D0=D0, lam=1.0)
         tf = transform_operator(tensor, reg, grid)
         ls = assemble(tf)
         const = np.full(grid.nodes, 3.0)
@@ -178,7 +178,8 @@ class TestTransform:
             assert tf.Btil is None and tf.Ctil is None
         else:
             assert np.abs(tf.Atil - want).max() <= rel * np.abs(want).max()
-            for got, V in ((tf.Btil, tensor.B(x)), (tf.Ctil, tensor.C(x))):
+            for got, V in ((tf.Btil, per_sample(tensor.B0, x)),
+                           (tf.Ctil, per_sample(tensor.C0, x))):
                 want = dlt[..., 0] * np.einsum("...aA,...ijA->...ija", G, V)
                 assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
@@ -253,7 +254,7 @@ class TestAssemble:
         # B0, C0 and D0 are not symmetric under i <-> j, so a block written
         # in the wrong orientation fails
         rng = np.random.default_rng(0)
-        tensor = make_custom(2, 2, rng.normal(size=(2, 2, 2, 2)),
+        tensor = make_custom(2, rng.normal(size=(2, 2, 2, 2)),
                              B0=rng.normal(size=(2, 2, 2)),
                              C0=rng.normal(size=(2, 2, 2)), D0=rng.normal(size=(2, 2)))
         reg = flat_region(eps=1.0)
@@ -371,7 +372,7 @@ class TestSharedFactorization:
         # B and C make the free block non-symmetric: banded LU, row pivoting
         A0 = np.zeros((1, 1, 2, 2))
         A0[0, 0] = np.eye(2)
-        tensor = make_custom(2, 1, A0, B0=np.array([[[3.0, -2.0]]]),
+        tensor = make_custom(1, A0, B0=np.array([[[3.0, -2.0]]]),
                              C0=np.array([[[1.0, 4.0]]]), lam=1.0)
         ls, rep = self._matches_spsolve(tensor, curved_region(eps=0.05),
                                         BoxGrid(33, 17, 1.0))
@@ -383,7 +384,7 @@ class TestSharedFactorization:
         # so Cholesky stops and the same block is factored by banded LU
         A0 = np.zeros((1, 1, 2, 2))
         A0[0, 0] = np.eye(2)
-        tensor = make_custom(2, 1, A0, D0=np.array([[50.0]]), lam=1.0)
+        tensor = make_custom(1, A0, D0=np.array([[50.0]]), lam=1.0)
         ls, rep = self._matches_spsolve(tensor, flat_region(eps=1.0),
                                         BoxGrid(33, 17, 1.0))
         K = _csr_reference(ls).toarray()[~ls.dirichlet_mask][:, ~ls.dirichlet_mask]
@@ -771,7 +772,7 @@ class TestSolveBVP:
         rng = np.random.default_rng(0)
         draws = {"B0": rng.normal(size=(2, 2, 2)), "C0": rng.normal(size=(2, 2, 2)),
                  "D0": rng.normal(size=(2, 2))}
-        tensor = make_custom(2, 2, LAME.A0,
+        tensor = make_custom(2, LAME.A0,
                              **{f"{k}0": draws[f"{k}0"] for k in terms})
         assert _mms_order(tensor) == pytest.approx(2.0, abs=0.2)
 

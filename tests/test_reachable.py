@@ -5,6 +5,10 @@ no run reaches.  A reference that only the tests read belongs in
 ``tests/reference.py``; anything else goes.  The scan is by name: a
 definition counts as reached when any ``src/`` module names it, as a
 variable or as an attribute.  Dunders are called by Python itself.
+
+A statistic is reached by its key, a string, not by the name of its
+function: the ``STATISTICS`` table names every function, so each key must
+also be written by a plan somewhere else in ``src/``.
 """
 
 import ast
@@ -47,3 +51,20 @@ def test_allowlist_names_only_unreached_definitions():
     defined = {name for _, name in defs}
     stale = [name for name in ALLOWED if name not in defined or name in named]
     assert not stale, f"allowlisted but defined nowhere or named in src/: {stale}"
+
+
+def test_every_statistic_is_planned():
+    keys, written = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                    and [getattr(t, "id", None) for t in node.targets] == ["STATISTICS"]):
+                table |= {id(k) for k in node.value.keys}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                (keys if id(node) in table else written).add(node.value)
+    assert keys, "no STATISTICS table found"
+    unplanned = sorted(keys - written)
+    assert not unplanned, f"statistics no src/ line names besides the table: {unplanned}"
