@@ -19,24 +19,24 @@ recovery grad_x u = G^T grad_y u are written out entry by entry from grad v.
 
 Stencils are the standard second-order ones: half-node flux averages for the
 aligned second-derivative terms, composed centered differences for the cross
-terms, centered differences for the first-order terms.  Dirichlet rows are
-replaced by identity rows carrying the trace values.
+terms, centered differences for the first-order terms.  The Dirichlet rows
+are those of the grid's boundary nodes, read from its shape: identity rows
+carrying the trace values.
 
 The matrix depends only on the tensor, the region and the grid; the boundary
 data enter the right-hand side alone, whose interior rows are zero: the
 problem is homogeneous, with Dirichlet data phi on the top boundary, psi on
-the bottom one and a closure on the lateral faces.  ``solve_linear`` factors a
-system once per pass and drops the factorization on return.  It eliminates
-the identity Dirichlet rows and factors the free block as a band,
-O(n b^2) at BLAS-3 speed: the classical choice for thin structured grids
-(George & Liu 1981, ch. 4; LAPACK xPBTRF).
+the bottom one and a closure on the lateral faces.  ``solve_linear`` takes a
+stack of right-hand sides, factors the system once for it and drops the
+factorization on return.  It eliminates the identity Dirichlet rows and
+factors the free block as a band, O(n b^2) at BLAS-3 speed: the classical
+choice for thin structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).
 The stencil's block table is the operator: the band is filled from it one
 slice per offset and component pair, the Dirichlet coupling is summed from it
 on the boundary strips alone, and the backward error's K x is summed from it
-over the interior.  Every right-hand side of one system can be solved in one
-pass: the coupling, the triangular solves and the backward error each run
-once over the stack.  ``LinearSystem.matrix`` is kept for the tests and for
-the benchmark's read of its shape.  No sparse matrix is built.
+over the interior.  The coupling, the triangular solves and the backward
+error each run once over the stack.  ``LinearSystem.matrix`` is kept for the
+tests and for the benchmark's read of its shape.  No sparse matrix is built.
 """
 
 from __future__ import annotations
@@ -138,43 +138,46 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
                        grid: BoxGrid) -> TransformedFields:
     """Evaluate the pulled-back coefficients at every grid node.
 
-    For n = 2 the Jacobian is G = [[1, 0], [d1 v, d2 v]], and each product
-    with G is written out row by row (``_apply_jacobian``).  Atil is summed
-    as (G A) G^T: G A first, then its product with G^T.  B, C and D are the
-    constants B0, C0 and D0, copied to every node before G meets them.
+    For n = 2 the Jacobian is G = [[1, 0], [d1 v, d2 v]], so a product with
+    G keeps row 0 and forms row 1 as d1 v row 0 + d2 v row 1.  The fields
+    are written plane by plane from the planes of A (A0, broadcast, unless
+    the tensor varies), B0 and C0.  Atil is summed as (G A) G^T: G A first,
+    then its product with G^T, then the factor delta.
     """
     XP, T = grid.node_coords()
     XP = XP[..., :1, :]                     # x'-factors once per column
     dlt = region.delta(XP)
     if np.any(dlt <= 0):
         raise GeometryError("gap function must stay positive on the patch")
-    x = region.from_box(XP, T)
     dv = region.vbar_grad(XP, T)
+    g1, g2 = dv[..., 0, None, None], dv[..., 1, None, None]   # (*shape, 1, 1)
 
-    Atil = tensor.A(x)
-    _apply_jacobian(np.swapaxes(Atil, -1, -2), dv)            # G A
-    Atil = dlt[..., None, None, None, None] * _apply_jacobian(Atil, dv)   # (G A) G^T
-    Btil = Ctil = Dtil = None
+    def rows(V0, V1):
+        """Rows 0 and 1 of G V, given V's rows."""
+        return V0, g1 * V0 + g2 * V1
 
-    def at_nodes(V0):
-        return np.broadcast_to(V0, x.shape[:-1] + V0.shape)
+    A = tensor.A0 if tensor.is_constant else tensor.A(region.from_box(XP, T))
+    GA = [rows(A[..., 0, b], A[..., 1, b]) for b in range(2)]    # GA[b][a] = (G A)^{ab}
+    Atil = np.empty(grid.shape + A.shape[-4:])
+    for a in range(2):
+        Atil[..., a, 0], Atil[..., a, 1] = rows(GA[0][a], GA[1][a])
+    Atil *= dlt[..., None, None, None, None]
 
-    if np.any(tensor.B0):
-        Btil = dlt[..., None, None, None] * _apply_jacobian(at_nodes(tensor.B0).copy(), dv)
-    if np.any(tensor.C0):
-        Ctil = dlt[..., None, None, None] * _apply_jacobian(at_nodes(tensor.C0).copy(), dv)
+    def pulled(V0):
+        """delta G V0 over V0's last axis, at every node."""
+        V = np.empty(grid.shape + V0.shape)
+        V[..., 0], V[..., 1] = rows(V0[..., 0], V0[..., 1])
+        V *= dlt[..., None, None, None]
+        return V
+
+    Btil = pulled(tensor.B0) if np.any(tensor.B0) else None
+    Ctil = pulled(tensor.C0) if np.any(tensor.C0) else None
+    Dtil = None
     if np.any(tensor.D0):
-        Dtil = dlt[..., None, None] * at_nodes(tensor.D0)
+        Dtil = dlt[..., None, None] * np.broadcast_to(tensor.D0, grid.shape + tensor.D0.shape)
     for name, arr in (("A", Atil), ("B", Btil), ("C", Ctil), ("D", Dtil)):
         _require_finite(name, arr)
     return TransformedFields(grid, Atil, Btil, Ctil, Dtil)
-
-
-def _apply_jacobian(V, dv):
-    """V <- G V over V's last axis, in place: (V_0, d1 v V_0 + d2 v V_1)."""
-    v = dv.reshape(dv.shape[:-1] + (1,) * (V.ndim - dv.ndim) + (2,))
-    V[..., 1] = v[..., 0] * V[..., 0] + v[..., 1] * V[..., 1]
-    return V
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +241,12 @@ def _stencil_operator(blocks: dict, grid: BoxGrid, N: int) -> spla.LinearOperato
 
 @dataclass
 class LinearSystem:
-    """The stencil table and its Dirichlet mask.
+    """The stencil table of K on the box grid.
 
     ``blocks`` maps offset o -> W[o] of shape (*interior, N, N), where
     W[o][p, i, j] couples component i at interior node p to component j at
-    node p + o.  Every boundary row is an identity Dirichlet row.  K is
+    node p + o.  Every boundary node of the grid carries an identity
+    Dirichlet row per component: the grid's shape is the mask.  K is
     never stored: the banded factorization reads the free block and the
     Dirichlet coupling from the table, and ``solve_linear`` sums K x from it
     for the backward error.  ``matrix`` applies K from the table as a
@@ -251,7 +255,6 @@ class LinearSystem:
     from the table.
     """
 
-    dirichlet_mask: np.ndarray    # bool, length N * nodes
     grid: BoxGrid
     N: int
     blocks: dict
@@ -261,7 +264,8 @@ class LinearSystem:
 
     def __post_init__(self):
         self.matrix = _stencil_operator(self.blocks, self.grid, self.N)
-        dirichlet = int(np.count_nonzero(self.dirichlet_mask))
+        interior = int(np.prod([s - 2 for s in self.grid.shape]))
+        dirichlet = self.N * (self.grid.nodes - interior)
         self.nnz = sum(w.size for w in self.blocks.values()) + dirichlet
         self.frobenius = float(np.sqrt(
             sum(np.vdot(w, w) for w in self.blocks.values()) + dirichlet))
@@ -318,10 +322,7 @@ def assemble(tf: TransformedFields) -> LinearSystem:
             W[mea] += -Cv / (2 * h[a])
     if tf.Dtil is not None:
         W[zero] += _interior(tf.Dtil, zero)
-
-    bmask = np.ones(grid.shape, dtype=bool)
-    _interior(bmask, zero)[...] = False
-    return LinearSystem(np.tile(bmask.ravel(), N), grid, N, dict(W))
+    return LinearSystem(grid, N, dict(W))
 
 
 def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
@@ -334,12 +335,10 @@ def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
     bv = np.asarray(boundary_values, dtype=float)
     if bv.shape != shape + (N,):
         raise AssemblyError(f"boundary values must have shape {shape + (N,)}")
-    rhs = np.zeros((N,) + shape)
-    bmask = ls.dirichlet_mask.reshape((N,) + shape)
-    data = np.moveaxis(bv, -1, 0)[bmask]
-    if not np.all(np.isfinite(data)):
+    rhs = np.moveaxis(bv, -1, 0).copy()
+    rhs[:, 1:-1, 1:-1] = 0.0
+    if not np.all(np.isfinite(rhs)):
         raise AssemblyError("non-finite Dirichlet data")
-    rhs[bmask] = data
     return rhs.ravel()
 
 
@@ -347,59 +346,32 @@ def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
 # banded factorization
 # ---------------------------------------------------------------------------
 
-class _FreeStencil:
-    """The free block K_ff read off the stencil table, numbered node-major.
+def _free_pairs(ls: LinearSystem) -> dict:
+    """The offsets of the table that couple two interior nodes.
 
-    Free unknown q * N + i is component i at the q-th interior node (C
-    order, t fastest).  For interior nodes p and p + o, block W[o][p] sits
-    at rows p * N + i and columns (p + step) * N + j, where step is the
-    offset's stride in that numbering: on band diagonal r - c = -step * N
-    + i - j.  Pairs whose p + o is a boundary node belong to K_fD instead.
+    Maps o -> (slice of p, slice of p + o, step) over the interior, where
+    step is the offset's stride in the node-major numbering of the free
+    unknowns.  Pairs whose p + o is a boundary node belong to K_fD instead.
     """
+    inner = tuple(s - 2 for s in ls.grid.shape)
+    pairs = {}
+    for o in ls.blocks:
+        if all(abs(k) < m for k, m in zip(o, inner)):
+            src = tuple(slice(max(0, -k), m - max(0, k)) for k, m in zip(o, inner))
+            tgt = tuple(slice(max(0, k), m + min(0, k)) for k, m in zip(o, inner))
+            pairs[o] = src, tgt, o[0] * inner[1] + o[1]
+    return pairs
 
-    def __init__(self, ls: LinearSystem):
-        self.W, self.N = ls.blocks, ls.N
-        self.inner = tuple(s - 2 for s in ls.grid.shape)
-        self.pairs = {}                 # o -> (slice of p, slice of p + o, step)
-        for o in self.W:
-            if all(abs(k) < m for k, m in zip(o, self.inner)):
-                src = tuple(slice(max(0, -k), m - max(0, k)) for k, m in zip(o, self.inner))
-                tgt = tuple(slice(max(0, k), m + min(0, k)) for k, m in zip(o, self.inner))
-                self.pairs[o] = src, tgt, o[0] * self.inner[1] + o[1]
-        N = self.N
-        self.kd = max(abs(step) * N + N - 1 for _, _, step in self.pairs.values())
-        self.nnz = sum(N * N * int(np.prod([s.stop - s.start for s in src]))
-                       for src, _, _ in self.pairs.values())
 
-    def negative_diagonal(self) -> bool:
-        W0 = self.W[(0, 0)]
-        return bool(np.all(np.diagonal(W0, axis1=-2, axis2=-1) < 0))
+def _symmetric(W: dict, pairs: dict) -> bool:
+    """K_ff == K_ff^T: each block against its mirror, W[o][p] == W[-o][p + o]^T.
 
-    def symmetric(self) -> bool:
-        """K_ff == K_ff^T: each block against its mirror, W[o][p] == W[-o][p + o]^T.
-
-        The test for -o is that for o transposed, so each pair is tested once.
-        """
-        mirror = {o: tuple(-k for k in o) for o in self.pairs}
-        return all(np.array_equal(self.W[o][src], np.swapaxes(self.W[mirror[o]][tgt], -1, -2))
-                   for o, (src, tgt, _) in self.pairs.items() if o >= mirror[o])
-
-    def band(self, rows: int, top: int, sign: float = 1.0) -> np.ndarray:
-        """sign * K_ff in LAPACK band storage: entry (r, c) at ab[top + r - c, c].
-
-        Diagonals that fall outside the ``rows`` stored ones are skipped, so
-        rows = kd + 1, top = 0 gives the lower band.
-        """
-        N = self.N
-        ab = np.zeros((rows, N * int(np.prod(self.inner))), order="F")
-        for o, (src, tgt, step) in self.pairs.items():
-            for i in range(N):
-                for j in range(N):
-                    d = top - step * N + i - j
-                    if 0 <= d < rows:
-                        diagonal = ab[d].reshape(self.inner + (N,))   # view: ab[d] is 1-d
-                        diagonal[tgt + (j,)] = sign * self.W[o][src + (i, j)]
-        return ab
+    ``pairs`` is ``_free_pairs`` of the table W.  The test for -o is that
+    for o transposed, so each pair is tested once.
+    """
+    mirror = {o: tuple(-k for k in o) for o in pairs}
+    return all(np.array_equal(W[o][src], np.swapaxes(W[mirror[o]][tgt], -1, -2))
+               for o, (src, tgt, _) in pairs.items() if o >= mirror[o])
 
 
 class _FreeBlockBand:
@@ -410,48 +382,72 @@ class _FreeBlockBand:
     nodes next to the boundary, so ``_stencil_sum`` forms it on those four
     strips alone, from b_D with zeros inside: the zero terms of interior
     neighbours leave each sum as the whole-grid product rounds it.
-    Numbered node-major (node * N + component, t fastest), K_ff is a band of
+
+    Free unknown q * N + i is component i at the q-th interior node (C
+    order, t fastest).  For interior nodes p and p + o, block W[o][p] sits
+    at rows p * N + i and columns (p + step) * N + j (``_free_pairs``): on
+    band diagonal r - c = -step * N + i - j.  So K_ff is a band of
     half-bandwidth N * (vertical nodes - 1) + N - 1, filled block by block
-    from the stencil table (``_FreeStencil``).
-    An exactly symmetric K_ff with a negative diagonal is factored as -K_ff
-    by banded Cholesky from its lower band alone (``pbtrf``).  Any other
-    block, and one that Cholesky finds indefinite, is factored by banded LU
-    with partial pivoting (``gbtrf``), which needs about three times that
-    storage.
+    from the stencil table.  An exactly symmetric K_ff with a negative
+    diagonal is factored as -K_ff by banded Cholesky from its lower band
+    alone (``pbtrf``).  Any other block, and one that Cholesky finds
+    indefinite, is factored by banded LU with partial pivoting (``gbtrf``),
+    which needs about three times that storage.
     """
 
     def __init__(self, ls: LinearSystem):
         self.blocks, self.N, self.shape = ls.blocks, ls.N, ls.grid.shape
-        m1, m2 = (s - 2 for s in self.shape)
+        m1, m2 = self.inner = tuple(s - 2 for s in self.shape)
         strips = [(slice(0, 1), slice(0, m2)), (slice(m1 - 1, m1), slice(0, m2)),
                   (slice(1, m1 - 1), slice(0, 1)), (slice(1, m1 - 1), slice(m2 - 1, m2))]
         self.strips = []                            # disjoint, nonempty
         for S in strips:
             if all(s.start < s.stop for s in S) and S not in self.strips:
                 self.strips.append(S)
-        stencil = _FreeStencil(ls)
-        self.kd = kd = stencil.kd
-        if stencil.negative_diagonal() and stencil.symmetric():
-            ab, info = lapack.dpbtrf(stencil.band(kd + 1, 0, -1.0), lower=1,
+        N, pairs = self.N, _free_pairs(ls)
+        self.kd = kd = max(abs(step) * N + N - 1 for _, _, step in pairs.values())
+        nnz = sum(N * N * int(np.prod([s.stop - s.start for s in src]))
+                  for src, _, _ in pairs.values())
+        negative = np.all(np.diagonal(self.blocks[(0, 0)], axis1=-2, axis2=-1) < 0)
+        if negative and _symmetric(self.blocks, pairs):
+            ab, info = lapack.dpbtrf(self._band(pairs, kd + 1, 0, -1.0), lower=1,
                                      overwrite_ab=1)
             if info == 0:
-                self.routine, self.ab, self.fill = "pbtrf", ab, ab.size / stencil.nnz
+                self.routine, self.ab, self.fill = "pbtrf", ab, ab.size / nnz
                 return
             del ab                                  # indefinite: banded LU below
-        ab, self.ipiv, info = lapack.dgbtrf(stencil.band(3 * kd + 1, 2 * kd), kd, kd,
+        ab, self.ipiv, info = lapack.dgbtrf(self._band(pairs, 3 * kd + 1, 2 * kd), kd, kd,
                                             overwrite_ab=1)
         if info != 0:
             del ab                          # a kept exception must not hold the band
             raise SolverError(f"banded LU factorization failed: gbtrf info {info}")
-        self.routine, self.ab, self.fill = "gbtrf", ab, ab.size / stencil.nnz
+        self.routine, self.ab, self.fill = "gbtrf", ab, ab.size / nnz
+
+    def _band(self, pairs, rows: int, top: int, sign: float = 1.0) -> np.ndarray:
+        """sign * K_ff in LAPACK band storage: entry (r, c) at ab[top + r - c, c].
+
+        Diagonals that fall outside the ``rows`` stored ones are skipped, so
+        rows = kd + 1, top = 0 gives the lower band.
+        """
+        N, inner = self.N, self.inner
+        ab = np.zeros((rows, N * int(np.prod(inner))), order="F")
+        for o, (src, tgt, step) in pairs.items():
+            for i in range(N):
+                for j in range(N):
+                    d = top - step * N + i - j
+                    if 0 <= d < rows:
+                        diagonal = ab[d].reshape(inner + (N,))   # view: ab[d] is 1-d
+                        diagonal[tgt + (j,)] = sign * self.blocks[o][src + (i, j)]
+        return ab
 
     def solve(self, b):
-        """Solutions of b, one right-hand side or a stack of k, in b's shape.
+        """Solutions of a stack b of k right-hand sides, in b's shape.
 
-        The k right-hand sides share one coupling sum and one LAPACK call
-        with k columns, which solves each column alone.
+        b is (k, n), or (k, N, *shape) on the grid.  The k right-hand sides
+        share one coupling sum and one LAPACK call with k columns, which
+        solves each column alone.
         """
-        x = np.array(b, dtype=float).reshape((-1, self.N) + self.shape)
+        x = np.array(b, dtype=float).reshape((len(b), self.N) + self.shape)
         bf = np.moveaxis(x[:, :, 1:-1, 1:-1], 1, -1).copy()  # (k, *inner, N): node-major
         x[:, :, 1:-1, 1:-1] = 0.0                            # x_D = b_D
         for S in self.strips:
@@ -507,24 +503,22 @@ def _backward_errors(ls: LinearSystem, x, b):
     return out
 
 
-def solve_linear(ls: LinearSystem, rhs, tol=1e-10):
-    """Direct solve against a banded factorization built for this pass.
+def solve_linear(ls: LinearSystem, B, tol=1e-10):
+    """Direct solve of a stack B (k, n) against a banded factorization built
+    for this pass.
 
-    ``rhs`` is one right-hand side (n,) or a stack (k, n) solved in one
-    pass, and ``tol`` one bound or one per row.  The reported residual is
-    the normwise backward error |Kx - b| / (|K| |x| + |b|) of the full
-    system, recomputed from each returned solution; a row whose error
-    exceeds its tol gets one step of iterative refinement on its own, and
-    fails with SolverError when it still does.
+    ``tol`` is one bound or one per row.  The reported residual is the
+    normwise backward error |Kx - b| / (|K| |x| + |b|) of the full system,
+    recomputed from each returned solution; a row whose error exceeds its
+    tol gets one step of iterative refinement on its own, and fails with
+    SolverError when it still does.
 
-    One right-hand side returns (x, SolveReport) and raises its SolverError.
-    A stack returns (x, reports) with x of shape (k, n) and one SolveReport
-    per row, or the SolverError of a row that failed; the first
-    SolveReport carries the pass's times.  A failed factorization raises.
-    The factorization is dropped on return.
+    Returns (X, reports): X of shape (k, n), and per row a SolveReport or
+    the SolverError of that row.  The first SolveReport carries the pass's
+    times.  A failed factorization raises.  The factorization is dropped on
+    return.
     """
-    b = np.asarray(rhs, dtype=float)
-    B = b.reshape((-1, ls.N) + ls.grid.shape)
+    B = np.asarray(B, dtype=float).reshape((len(B), ls.N) + ls.grid.shape)
     tols = np.broadcast_to(tol, len(B))
     t0 = time.perf_counter()
     factor = _FreeBlockBand(ls)
@@ -546,10 +540,6 @@ def solve_linear(ls: LinearSystem, rhs, tol=1e-10):
                                    grid="x".join(map(str, ls.grid.shape)),
                                    rhs=len(B), **times))
         times = {"reused": True}            # the rest were solved in this pass
-    if b.ndim == 1:
-        if isinstance(reports[0], SolverError):
-            raise reports.pop()             # held by no local: no cycle through the frame
-        return X.ravel(), reports[0]
     return X.reshape(len(B), -1), reports
 
 
@@ -599,27 +589,25 @@ class DiscreteField:
             fracs.append(np.clip(f, 0.0, len(ax) - 1))
         return fracs
 
-    def _interpolate(self, nodal, xp, t):
+    def _interpolate(self, nodal, xp, t, first=0):
         """Bilinear interpolation of a (*shape,)-leading nodal array at (x', t).
 
-        The corners are summed in the order (i, j), (i+1, j), (i, j+1),
-        (i+1, j+1), each weight formed x1 factor first: the order of the
-        2^n corner loop the tests keep as reference, so the sum rounds the same.
+        ``nodal`` may hold the x1 columns from ``first`` on only, as long as
+        they cover the cells of (x', t).  The corners are summed in the
+        order (i, j), (i+1, j), (i, j+1), (i+1, j+1), each weight formed x1
+        factor first: the order of the 2^n corner loop the tests keep as
+        reference, so the sum rounds the same.
         """
         fx, ft = self._box_fractions(xp, t)
         i = np.minimum(np.floor(fx).astype(int), self.grid.shape[0] - 2)
         j = np.minimum(np.floor(ft).astype(int), self.grid.shape[1] - 2)
         wx, wt = fx - i, ft - j
         ux, ut = 1.0 - wx, 1.0 - wt
+        i = i - first
         return (nodal[i, j] * np.asarray(ux * ut)[..., None]
                 + nodal[i + 1, j] * np.asarray(wx * ut)[..., None]
                 + nodal[i, j + 1] * np.asarray(ux * wt)[..., None]
                 + nodal[i + 1, j + 1] * np.asarray(wx * wt)[..., None])
-
-    def value_at(self, xp, t):
-        """(..., N) bilinear interpolant of the nodal solution at (x', t)."""
-        nodal = np.moveaxis(self.values, 0, -1)
-        return self._interpolate(nodal, xp, t)
 
     def recover_gradient(self, xp, t):
         """(..., N, 2) gradient at (x', t): interpolated nodal physical gradients."""

@@ -372,19 +372,15 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     YQ, TQ = YQ[keep, None], TQ[keep]
 
     # the remainder on the columns the interpolation reads (one spare each
-    # side); the carrier stays zero elsewhere
-    ax = df.grid.axes[0]
-    f = (YQ[:, 0] - ax[0]) / (ax[1] - ax[0])
-    cols = slice(max(int(np.floor(f.min())) - 1, 0),
-                 min(int(np.floor(f.max())) + 3, len(ax)))
+    # side), interpolated from those columns alone
     x1, t = df.grid.axes
-    g = df.gradient_nodes()
-    gw = np.zeros_like(g)
-    gw[:, :, cols] = g[:, :, cols] - np.moveaxis(ansatz.gradient(x1[cols, None, None], t),
-                                                 (-2, -1), (0, 1))
-    carrier = _disc.DiscreteField(df.grid, region,
-                                  gw.reshape((-1,) + df.grid.shape))
-    vals = carrier.value_at(YQ, TQ)
+    f = (YQ[:, 0] - x1[0]) / (x1[1] - x1[0])
+    cols = slice(max(int(np.floor(f.min())) - 1, 0),
+                 min(int(np.floor(f.max())) + 3, len(x1)))
+    gw = df.gradient_nodes()[:, :, cols] - np.moveaxis(
+        ansatz.gradient(x1[cols, None, None], t), (-2, -1), (0, 1))
+    nodal = np.moveaxis(gw.reshape((-1,) + gw.shape[2:]), 0, -1)
+    vals = df._interpolate(nodal, YQ, TQ, first=cols.start)
     w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ)
     cell = (2 * radius / nqy) * (1.0 / nqt)
     return float(w2.sum() * cell)

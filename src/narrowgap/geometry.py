@@ -120,9 +120,6 @@ class PolyProfile:
         return [p(x)] + [p.deriv(k)(x) for k in range(1, order + 1)]
 
 
-FLAT = PowerProfile(0.0, 2)
-
-
 # ---------------------------------------------------------------------------
 # profile pair and hypothesis validation
 # ---------------------------------------------------------------------------
@@ -222,6 +219,12 @@ def _sample_patch(radius):
     return np.concatenate([x, [_LIMIT_RADIUS, -_LIMIT_RADIUS]])[:, None]
 
 
+def _no_normal_sample(name, power, bound):
+    """The failed check when |x'|^power underflows on every sample kept."""
+    return HypothesisCheck(name, False, 0.0, bound, (),
+                           f"no sample has |x'|^{power} above the smallest normal float")
+
+
 def _ratio_check(name, mag, r, pts, power, bound, lower=False):
     """mag / r**power at its greatest (its least when ``lower``) against ``bound``.
 
@@ -232,8 +235,7 @@ def _ratio_check(name, mag, r, pts, power, bound, lower=False):
     rp = r ** power
     keep = (r > _ORIGIN_GUARD) & (rp >= np.finfo(float).tiny)
     if not keep.any():
-        return HypothesisCheck(name, False, 0.0, bound, (),
-                               f"no sample has |x'|^{power} above the smallest normal float")
+        return _no_normal_sample(name, power, bound)
     ratio = mag[keep] / rp[keep]
     i = int(np.argmin(ratio) if lower else np.argmax(ratio))
     worst = float(ratio[i])
@@ -248,7 +250,10 @@ def validate_profiles(pair: ProfilePair) -> ProfileReport:
     inequalities are trivially 0 <= 0; the origin limit is probed at radius
     1e-6 instead.  They also skip samples where the power of |x'| they
     divide by underflows (``_ratio_check``), and fail with that reason when
-    none is left.  Raises EvaluationError on non-finite profile values.
+    none is left.  The (A3) norms count only the samples where |x'|^(m-2),
+    the order-2 divisor of (A2), is normal: where it underflows, so do the
+    norms of a power profile, and a sum of such zeros proves nothing.
+    Raises EvaluationError on non-finite profile values.
     """
     pts = _sample_patch(2.0 * pair.R0)
     r = np.abs(pts[:, 0])
@@ -269,14 +274,18 @@ def validate_profiles(pair: ProfilePair) -> ProfileReport:
             checks.append(_ratio_check(f"(A2) {name} order {j}", np.abs(jets[name][j]), r,
                                        pts, pair.m - j, pair.kappa3))
 
+    keep = r ** (pair.m - 2) >= np.finfo(float).tiny
+    if not keep.any():
+        checks.append(_no_normal_sample("(A3) C2 norms", pair.m - 2, pair.kappa4))
+        return ProfileReport(tuple(checks))
     c2 = 0.0
     at = (0.0,)
     for name in ("h1", "h2"):
-        v, g, h = jets[name]
+        v, g, h = (arr[keep] for arr in jets[name])
         total = np.abs(v) + np.abs(g) + np.abs(h)
         i = int(np.argmax(total))
         if total[i] > c2:
-            at = _pt(pts[i])
+            at = _pt(pts[keep][i])
         c2 += float(total[i])
     checks.append(HypothesisCheck("(A3) C2 norms", c2 <= pair.kappa4 * (1 + _REL_SLACK),
                                   c2, pair.kappa4, at))

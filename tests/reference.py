@@ -20,7 +20,10 @@ it; the tests compare against them:
   (``RefProfile``), against which every entry of the profile and gap jets is
   checked bit for bit at d = 1;
 - one boundary-value solve (``solve_one``) and one sweep (``sweep``)
-  through the calls a run makes.
+  through the calls a run makes;
+- the flat profile ``FLAT``, the Dirichlet mask of a system
+  (``dirichlet_mask``) and the interpolant of a solution's values
+  (``value_at``), which no run builds.
 """
 
 from dataclasses import dataclass
@@ -34,6 +37,9 @@ from narrowgap.discretize import (DiscreteField, assemble, right_hand_side, solv
 from narrowgap.experiments import SweepRequest, _eps_list, run_sweeps
 from narrowgap.geometry import (_PATCH_TOL, GeometryError, PowerProfile, _as_points,
                                 _safe_pow)
+
+
+FLAT = PowerProfile(0.0, 2)          # h = 0: a flat strip from a pair of them
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +198,21 @@ def manufactured_forcing(tensor, mms):
     return F
 
 
+def dirichlet_mask(ls):
+    """The Dirichlet unknowns of ls, a bool mask of length N * nodes.
+
+    Unknown i * nodes + p is fixed when node p lies on the boundary of the
+    grid, for every component i.
+    """
+    boundary = np.ones(ls.grid.shape, dtype=bool)
+    boundary[1:-1, 1:-1] = False
+    return np.tile(boundary.ravel(), ls.N)
+
+
 def forced_right_hand_side(ls, boundary_values, Ftil):
     """Dirichlet values on the boundary rows, -Ftil (*shape, N) on the interior rows."""
     b = right_hand_side(ls, boundary_values).reshape((ls.N,) + ls.grid.shape)
-    interior = ~ls.dirichlet_mask.reshape(b.shape)
+    interior = ~dirichlet_mask(ls).reshape(b.shape)
     b[interior] = -np.moveaxis(Ftil, -1, 0)[interior]
     return b.ravel()
 
@@ -205,14 +222,22 @@ def solve_manufactured(tensor, region, grid, mms):
 
     The system is assembled as a run assembles it.  The exact values go on
     the Dirichlet rows and -delta F, the transformed forcing of
-    ``manufactured_forcing``, on the interior rows; ``solve_linear`` solves it.
+    ``manufactured_forcing``, on the interior rows; ``solve_linear`` solves it
+    as a stack of one, and its SolverError raises.
     """
     ls = assemble(transform_operator(tensor, region, grid))
     XP, T = grid.node_coords()
     x = region.from_box(XP, T)
     Ftil = region.delta(XP)[..., None] * manufactured_forcing(tensor, mms)(x)
-    u, rep = solve_linear(ls, forced_right_hand_side(ls, mms.value(x), Ftil))
+    (u,), (rep,) = solve_linear(ls, forced_right_hand_side(ls, mms.value(x), Ftil)[None])
+    if isinstance(rep, Exception):
+        raise rep
     return DiscreteField(grid, region, u.reshape((ls.N,) + grid.shape)), rep
+
+
+def value_at(df, xp, t):
+    """(..., N) bilinear interpolant of the nodal solution of ``df`` at (x', t)."""
+    return df._interpolate(np.moveaxis(df.values, 0, -1), xp, t)
 
 
 # ---------------------------------------------------------------------------

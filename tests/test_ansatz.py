@@ -11,8 +11,8 @@ from narrowgap.ansatz import (SMOOTHER_SECOND, BoundaryTraces, PolyTrace,
 from narrowgap.coefficients import (ConstructionError, HypothesisViolationError,
                                     LameParameters, MultiPoly, make_custom,
                                     make_lame, make_laplace, make_perturbed)
-from narrowgap.geometry import FLAT, NarrowRegion, ProfilePair, power_pair
-from reference import (REF_DERIVS, RefProfile, _lame_kernel, correction_coeffs,
+from narrowgap.geometry import NarrowRegion, ProfilePair, power_pair
+from reference import (FLAT, REF_DERIVS, RefProfile, _lame_kernel, correction_coeffs,
                        correction_sum, estimate_c2_norms, lame_correction, per_sample,
                        ref_A_derivs, ref_gap, to_box)
 

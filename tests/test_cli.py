@@ -196,14 +196,16 @@ class TestRun:
                                                                           capsys):
         # every term of the exact (A3) constant underflows at m = 1100 on
         # |x'| <= 0.5: it is floored at the smallest normal float, so a config
-        # that sets no kappa parses, and the (A1)/(A2) checks fail with their reason
+        # that sets no kappa parses, and the (A1)/(A2) checks fail with their
+        # reason.  So does (A3), whose norms underflow on every sample
         cfg = {"geometry": {"m": 1100, "R0": 0.25}}
         assert config_from_dict(cfg).geometry.build_pair().kappa4 == sys.float_info.min
         p = write_cfg(tmp_path, cfg)
         assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 1
         out = capsys.readouterr().out
         for check, power in (("(A1) lower", 1100), ("(A1) upper", 1100),
-                             ("(A2) h1 order 1", 1099), ("(A2) h2 order 2", 1098)):
+                             ("(A2) h1 order 1", 1099), ("(A2) h2 order 2", 1098),
+                             ("(A3) C2 norms", 1098)):
             assert (f"[FAIL] {check}: no sample has |x'|^{power} above the smallest "
                     f"normal float") in out
 

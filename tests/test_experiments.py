@@ -18,7 +18,7 @@ from narrowgap.experiments import (CHECKS, STATISTICS, DataError, SolveBundle,
                                    local_energy, residual_sweep, run_sweeps,
                                    solve_point)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
-from reference import solve_one, sweep
+from reference import solve_one, sweep, value_at
 
 
 def const(*v):
@@ -379,7 +379,7 @@ class TestLocalEnergy:
         tq = (np.arange(nqt) + 0.5) / nqt
         YQ, TQ = (a.ravel() for a in np.meshgrid(yq, tq, indexing="ij"))
         keep = (YQ - center) ** 2 <= radius ** 2 * (1 + 1e-12)
-        vals = carrier.value_at(YQ[keep, None], TQ[keep])
+        vals = value_at(carrier, YQ[keep, None], TQ[keep])
         w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ[keep, None])
         want = float(w2.sum() * ((2 * radius / nqy) * (1.0 / nqt)))
         assert local_energy(df, af, center, radius, nq=(nqy, nqt)) == want

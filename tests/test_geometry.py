@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narrowgap.geometry import (FLAT, EvaluationError, GeometryError,
-                                NarrowRegion, PolyProfile, PowerProfile,
-                                ProfilePair, power_pair, validate_profiles)
-from reference import REF_DERIVS, RefProfile, contains, ref_gap, to_box, vbar
+from narrowgap.geometry import (EvaluationError, GeometryError, NarrowRegion, PolyProfile,
+                                PowerProfile, ProfilePair, power_pair, validate_profiles)
+from reference import FLAT, REF_DERIVS, RefProfile, contains, ref_gap, to_box, vbar
 from test_ansatz import ref_vbar_hess
 
 
@@ -67,11 +66,14 @@ class TestValidateProfiles:
         assert all(np.isfinite(c.worst) for c in report.checks), str(report)
 
     def test_no_normal_sample_fails_with_its_reason(self):
-        # on |x'| <= 0.5, |x'|^1100 is below the smallest normal float everywhere
+        # on |x'| <= 0.5, |x'|^1100 is below the smallest normal float
+        # everywhere, and so is |x'|^1098, which the (A3) norms are counted by
         report = validate_profiles(power_pair(1100, R0=0.25, kappas=(1.0, 1.0, 1.0, 1.0)))
-        ratios = [c for c in report.checks if c.name.startswith(("(A1)", "(A2)"))]
-        assert ratios and not any(c.passed for c in ratios)
-        assert all("above the smallest normal float" in c.reason for c in ratios)
+        checks = [c for c in report.checks if c.name.startswith(("(A1)", "(A2)", "(A3)"))]
+        assert len(checks) == 7 and not any(c.passed for c in checks)
+        assert all("above the smallest normal float" in c.reason for c in checks)
+        assert report.checks[-1].reason == ("no sample has |x'|^1098 above the smallest "
+                                            "normal float")
         assert "nan" not in str(report)
 
 

@@ -1,10 +1,11 @@
 """Every definition in ``src/narrowgap`` is named somewhere else in ``src/``.
 
-A function, class or method that no other line of the package names is code
-no run reaches.  A reference that only the tests read belongs in
-``tests/reference.py``; anything else goes.  The scan is by name: a
-definition counts as reached when any ``src/`` module names it, as a
-variable or as an attribute.  Dunders are called by Python itself.
+A function, class or method, or a name assigned at module level, that no
+other line of the package names is code no run reaches.  A reference that
+only the tests read belongs in ``tests/reference.py``; anything else goes.
+The scan is by name: a definition counts as reached when any ``src/`` module
+reads it, as a variable or as an attribute; assigning a name does not read
+it.  Dunders are called or read by Python itself.
 
 A statistic is reached by its key, a string, not by the name of its
 function: the ``STATISTICS`` table names every function, so each key must
@@ -24,15 +25,26 @@ ALLOWED = {
 }
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def scan(src):
-    """(definitions as (where, name), every name that src/ mentions)."""
+    """(definitions as (where, name), every name that src/ reads)."""
     defs, named = [], set()
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(f"{path.name}:{node.lineno}", t.id) for target in targets
+                         for t in ast.walk(target)
+                         if isinstance(t, ast.Name) and not _dunder(t.id)]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
+                if not _dunder(node.name):
                     defs.append((f"{path.name}:{node.lineno}", node.name))
-            elif isinstance(node, ast.Name):
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
