@@ -59,6 +59,10 @@ class MultiPoly:
             out += term
         return out
 
+    def bound(self, reach):
+        """sum_k |coef_k| prod_a reach_a^{e_ka}: a bound of |p| wherever |x_a| <= reach_a."""
+        return sum(abs(c) * np.prod([r ** e for r, e in zip(reach, ex)]) for c, ex in self.terms)
+
     def diff(self, axis):
         terms = []
         for c, ex in self.terms:
@@ -193,27 +197,32 @@ def make_lame(params: LameParameters) -> CoefficientTensor:
                    min(2 * mu, DIM * lam + 2 * mu), mu, lam + 2 * mu)
 
 
-def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float,
-                   direction: np.ndarray | None = None,
-                   lam: float = 0.0) -> CoefficientTensor:
+def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float, reach,
+                   direction: np.ndarray | None = None) -> CoefficientTensor:
     """A(x) = A0 + scale * p(x) * T with T defaulting to the base A0 itself.
 
-    The scale must keep the sampled Legendre minimum positive; that is the
-    caller's burden and is what check_pointwise_ellipticity verifies.  The
-    declared coercivity constant defaults to 0 (positivity only) because the
-    perturbation eats into the base constant by an amount that depends on
-    the patch; pass a sharper ``lam`` when one is known.
+    ``reach`` holds the largest |x1| and |x2| the tensor is evaluated at, so
+    |scale p| <= f = |scale| * ``poly.bound(reach)`` there.  A is affine in
+    scale p, the least eigenvalues of sym(A^{22}) and of the Legendre
+    quotient are concave in it and the greatest is convex, so each extreme
+    over the box is met at A0 - f T or A0 + f T: those two tensors give the
+    declared constants, floored at 0 (positivity only) where f can reach it.
     """
     if direction is None:
         direction = base.A0
     direction = np.asarray(direction, dtype=float)
     if direction.shape != base.A0.shape:
         raise ConstructionError("perturbation direction must match A's shape")
+    f = abs(scale) * poly.bound(reach)
+    ends = base.A0 + np.multiply.outer([-f, f], direction)
+    is_elasticity = base.is_elasticity and _elasticity_symmetric(direction)
+    ev = _sym_eigs(ends[..., 1, 1])
     return CoefficientTensor(
         N=base.N, A0=base.A0, B0=base.B0, C0=base.C0, D0=base.D0,
         perturb_scale=float(scale), perturb_poly=poly, perturb_dir=direction,
-        lam=lam, Lambda1=base.Lambda1, Lambda2=base.Lambda2,
-        is_elasticity=base.is_elasticity and _elasticity_symmetric(direction))
+        lam=max(float(_legendre_min(ends, is_elasticity).min()), 0.0),
+        Lambda1=max(float(ev[:, 0].min()), 0.0), Lambda2=float(ev[:, -1].max()),
+        is_elasticity=is_elasticity)
 
 
 def make_custom(N, A0, B0=None, C0=None, D0=None, lam=0.0, Lambda1=None, Lambda2=None):
@@ -266,21 +275,27 @@ def check_pointwise_ellipticity(tensor: CoefficientTensor, region) -> Ellipticit
     symmetric part, restricted to symmetric xi for elasticity tensors.
     """
     points = _sample_region_points(region, 5).reshape(-1, DIM)
-    symmetric_xi = tensor.is_elasticity
+    quotients = _legendre_min(tensor.A(points), tensor.is_elasticity)
+    kmin = int(np.argmin(quotients))
+    min_quotient = float(quotients[kmin])
+    passed = min_quotient >= tensor.lam * (1 - 1e-9)
+    return EllipticityReport(min_quotient, tensor.lam, passed, tensor.is_elasticity,
+                             tuple(round(float(v), 12) for v in points[kmin]))
 
-    N = tensor.N
-    Avals = tensor.A(points)                                   # (P, N, N, 2, 2)
-    Q = np.transpose(Avals, (0, 1, 3, 2, 4)).reshape(len(points), N * DIM, N * DIM)
+
+def _legendre_min(A, symmetric_xi):
+    """Least Legendre quotient of each A in (P, N, N, 2, 2), over all or symmetric xi."""
+    P, N = A.shape[:2]
+    Q = np.transpose(A, (0, 1, 3, 2, 4)).reshape(P, N * DIM, N * DIM)
     if symmetric_xi:                                           # then N = 2
         E = _SYMMETRIC_BASIS.reshape(-1, DIM * DIM)            # (3, 4) orthonormal
         Q = np.einsum("kx,pxy,ly->pkl", E, Q, E)
-    Qs = 0.5 * (Q + np.transpose(Q, (0, 2, 1)))
-    ev = np.linalg.eigvalsh(Qs)
-    kmin = int(np.argmin(ev[:, 0]))
-    min_quotient = float(ev[kmin, 0])
-    passed = min_quotient >= tensor.lam * (1 - 1e-9)
-    return EllipticityReport(min_quotient, tensor.lam, passed, symmetric_xi,
-                             tuple(round(float(v), 12) for v in points[kmin]))
+    return _sym_eigs(Q)[:, 0]
+
+
+def _sym_eigs(M):
+    """Ascending eigenvalues of the symmetric part of each matrix in (P, k, k)."""
+    return np.linalg.eigvalsh(0.5 * (M + np.transpose(M, (0, 2, 1))))
 
 
 @dataclass(frozen=True)
@@ -303,8 +318,7 @@ def check_ann(tensor: CoefficientTensor, region) -> AnnReport:
     the correction-coefficient solve would then be ill-posed.
     """
     points = _sample_region_points(region, 5).reshape(-1, DIM)
-    Ann = tensor.Ann(points)
-    ev = np.linalg.eigvalsh(0.5 * (Ann + np.transpose(Ann, (0, 2, 1))))
+    ev = _sym_eigs(tensor.Ann(points))
     kmin = int(np.argmin(ev[:, 0]))
     lo, hi = float(ev[:, 0].min()), float(ev[:, -1].max())
     if lo <= 0:

@@ -76,7 +76,8 @@ class TensorConfig:
     perturb_poly: tuple = ((1.0, (1, 0)),)   # terms (coef, exponents)
     custom_A: tuple | None = None    # custom_poly: flat A entries, shape (N, N, 2, 2)
 
-    def build(self) -> _coeff.CoefficientTensor:
+    def build(self, reach) -> _coeff.CoefficientTensor:
+        """The tensor; a perturbed one declares its constants for |x_a| <= reach[a]."""
         if self.kind == "laplace":
             return _coeff.make_laplace(self.N)
         params = _coeff.LameParameters(self.lam, self.mu)
@@ -85,13 +86,13 @@ class TensorConfig:
         if self.kind == "lame_perturbed":
             base = _coeff.make_lame(params)
             poly = _coeff.MultiPoly(self.perturb_poly)
-            return _coeff.make_perturbed(base, poly, self.perturb_scale)
+            return _coeff.make_perturbed(base, poly, self.perturb_scale, reach)
         dim = _geom.DIM
         A0 = np.array(self.custom_A, dtype=float).reshape(self.N, self.N, dim, dim)
         tensor = _coeff.make_custom(self.N, A0)
         if self.perturb_scale:
             poly = _coeff.MultiPoly(self.perturb_poly)
-            tensor = _coeff.make_perturbed(tensor, poly, self.perturb_scale)
+            tensor = _coeff.make_perturbed(tensor, poly, self.perturb_scale, reach)
         return tensor
 
 
@@ -174,7 +175,20 @@ class RunConfig:
         return self.traces.build(self.N)
 
     def build_tensor(self) -> _coeff.CoefficientTensor:
-        return self.tensor.build()
+        return self.tensor.build(self.reach())
+
+    def reach(self):
+        """The largest |x1| and |x2| of every grid this config solves or samples on.
+
+        The grids cover |x1| <= 2 R0 and h2 <= x2 <= eps + h1 at the widest
+        eps of any sweep or single solve; the profiles bound |h| from their
+        coefficients.
+        """
+        eps = max(self.experiment.eps_list or DEFAULT_EPS + DECAY_EPS)
+        pair = self.geometry.build_pair()
+        r = 2 * pair.R0
+        return r, max(eps, self.geometry.epsilon or 0.0) + max(pair.h1.bound(r),
+                                                               pair.h2.bound(r))
 
     def to_dict(self):
         return asdict(self)

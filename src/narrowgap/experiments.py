@@ -1,10 +1,13 @@
 """Epsilon sweeps, rate fits and verdicts for the narrow-region claims.
 
 Every check follows the same pattern: sweep the gap width over a decreasing
-list, measure a gradient statistic per width on the base grid and once more
-on a doubled grid (points whose statistic moves by more than the Richardson
-tolerance are flagged grid-limited and excluded from fits), then fit a rate
-and compare against the predicted band.
+list, measure a statistic per width on a base grid and once more on a
+refined grid, then fit a rate and compare against the predicted band.  One
+comparison (``_sweep_results``) turns the two values into a sweep point for
+the solve sweeps (doubled solver grid) and the residual sweep (doubled
+sample grid) alike: a point whose value moves by more than the Richardson
+tolerance is flagged grid- or sampling-limited, one under the noise floor
+is flagged as solver noise, and flagged points are excluded from fits.
 
 A check declares its sweeps as SweepRequests and judges its own results.
 The matrix depends only on tensor, geometry, eps and grid, so checks run
@@ -62,8 +65,8 @@ class DataError(ValueError):
 class SweepPoint:
     eps: float
     value: float
-    refined_value: float | None
-    rel_change: float | None
+    refined_value: float
+    rel_change: float
     flagged: bool
     grid: tuple
     reason: str = ""
@@ -83,11 +86,9 @@ class SweepResult:
     def to_csv(self):
         lines = ["eps,value,refined_value,rel_change,grid,flagged,reason"]
         for p in self.points:
-            ref = "" if p.refined_value is None else repr(p.refined_value)
-            rel = "" if p.rel_change is None else repr(p.rel_change)
             g = "x".join(str(k) for k in p.grid)
-            lines.append(f"{p.eps!r},{p.value!r},{ref},{rel},{g},"
-                         f"{int(p.flagged)},{p.reason}")
+            lines.append(f"{p.eps!r},{p.value!r},{p.refined_value!r},{p.rel_change!r},"
+                         f"{g},{int(p.flagged)},{p.reason}")
         return "\n".join(lines) + "\n"
 
 
@@ -461,11 +462,11 @@ def _sweep_group(reqs, outs):
     error, kept without its traceback, whose frames hold the system.
     """
     nodes = reqs[0].cfg.solver.scaled_nodes()
-    refined = tuple(2 * (k - 1) + 1 for k in nodes)
-    rows = [[] for _ in reqs]           # per request: [eps, values, refined values]
+    grids = (nodes, tuple(2 * (k - 1) + 1 for k in nodes))     # base, then refined
+    rows = [{} for _ in reqs]           # per request: eps -> one value dict per grid
     for eps in sorted({e for r in reqs for e in r.eps_list}, reverse=True):
-        for grid_nodes in (nodes, refined):
-            point = {}          # this grid's system: the base one is freed here
+        for grid_nodes in grids:
+            point = {}          # this grid's system: the previous one is freed here
             groups = {}
             for i, req in enumerate(reqs):
                 if eps in req.eps_list and outs[i].error is None:
@@ -499,10 +500,7 @@ def _sweep_group(reqs, outs):
                         outs[i].error = exc.with_traceback(None)
                         continue
                     t2 = time.perf_counter()
-                    if grid_nodes == nodes:
-                        rows[i].append([eps, vals, {}])
-                    else:
-                        rows[i][-1][2] = vals
+                    rows[i].setdefault(eps, []).append(vals)
                     outs[i].events.append({"case": reqs[i].case, "eps": eps, **solved,
                                            "stats_s": t2 - t1})
                     outs[i].elapsed += t2 - t0
@@ -510,54 +508,45 @@ def _sweep_group(reqs, outs):
                 del b                        # before the next bundle's statistics
     for req, out, got in zip(reqs, outs, rows):
         if out.error is None:
-            out.results = _sweep_results(req.cfg, req.stats, nodes, got)
+            out.results = _sweep_results(req.cfg, req.stats, grids, got, "grid-limited")
 
 
-def _richardson_point(eps, value, refined, tol, grid, reason):
-    """SweepPoint of a value and its refined one.
+def _sweep_results(cfg, stat_names, grids, rows, reason):
+    """One SweepResult per statistic from rows {eps: one value dict per grid}.
 
-    Flagged ``reason`` when they differ, relative to the larger, by more than ``tol``.
-    """
-    rel = abs(refined - value) / max(abs(value), abs(refined), 1e-300)
-    flagged = rel > tol
-    return SweepPoint(eps, value, refined, rel, flagged, grid, reason if flagged else "")
-
-
-def _sweep_results(cfg, stat_names, nodes, rows):
-    """One SweepResult per statistic from (eps, values, refined values) rows.
-
-    Points whose base/refined values differ by more than the Richardson
-    tolerance are flagged grid-limited; values under the noise floor are
-    flagged as solver noise.
+    Each value on the base grid is compared with its value on the refined
+    grid: a point whose two values differ, relative to the larger, by more
+    than the Richardson tolerance is flagged ``reason``.  Of the rest, a
+    value under the noise floor times the sweep's largest is flagged as
+    solver noise.
     """
     out = {}
     for s in stat_names:
-        pts = [_richardson_point(eps, vals[s], ref_vals[s],
-                                 cfg.experiment.richardson_tol, nodes, "grid-limited")
-               for eps, vals, ref_vals in rows]
-        vmax = max((abs(p.value) for p in pts), default=0.0)
-        cleaned = []
-        for p in pts:
-            if not p.flagged and vmax > 0 and abs(p.value) < vmax * NOISE_FLOOR:
-                p = replace(p, flagged=True, reason="noise-floor")
-            cleaned.append(p)
-        out[s] = SweepResult(s, cleaned)
+        vmax = max((abs(vals[0][s]) for vals in rows.values()), default=0.0)
+        pts = []
+        for eps, (base, refined) in rows.items():
+            v, rv = base[s], refined[s]
+            rel = abs(rv - v) / max(abs(v), abs(rv), 1e-300)
+            why = (reason if rel > cfg.experiment.richardson_tol else
+                   "noise-floor" if abs(v) < vmax * NOISE_FLOOR else "")
+            pts.append(SweepPoint(eps, v, rv, rel, bool(why), grids[0], why))
+        out[s] = SweepResult(s, pts)
     return out
 
 
 _RESIDUAL_SAMPLES = (199, 31)      # (x1, t) interior samples of the base measurement
 
 
-def residual_sweep(cfg: RunConfig, eps_list=None) -> dict:
+def residual_sweep(cfg: RunConfig) -> dict:
     """Analytic-residual sweep (no PDE solves).
 
     Statistics over an interior sample grid of Omega_{R0}:
       residual_normalized   = max |f| delta / (Theta + delta * C2 norms)
       residual_uncorrected  = max |f0| delta^2 / Theta  (correction dropped)
-    Refinement doubles the sampling density; maxima that move more than the
-    Richardson tolerance are flagged sampling-limited.
+    The refined sample grid doubles the density, and its maxima go through
+    the solve sweeps' comparison: moving more than the Richardson tolerance
+    flags a point sampling-limited.
     """
-    eps_list = tuple(eps_list) if eps_list is not None else _eps_list(cfg)
     tensor = cfg.build_tensor()
     traces = cfg.build_traces()
     c2n = traces.c2_total(2 * cfg.geometry.R0)
@@ -570,21 +559,16 @@ def residual_sweep(cfg: RunConfig, eps_list=None) -> dict:
         th = _ans.theta(traces, xq)
         f = np.linalg.norm(af.residual(xq, ts), axis=-1)
         f0 = np.linalg.norm(af.residual(xq, ts, corrected=False), axis=-1)
-        corr = float((f * dlt / (th + dlt * c2n)).max())
-        unc = float((f0 * dlt ** 2 / np.maximum(th, 1e-300)).max())
-        return corr, unc
+        return {"residual_normalized": float((f * dlt / (th + dlt * c2n)).max()),
+                "residual_uncorrected": float((f0 * dlt ** 2 / np.maximum(th, 1e-300)).max())}
 
-    pts = {"residual_normalized": [], "residual_uncorrected": []}
-    fine = tuple(2 * s + 1 for s in _RESIDUAL_SAMPLES)
-    for eps in eps_list:
+    grids = (_RESIDUAL_SAMPLES, tuple(2 * s + 1 for s in _RESIDUAL_SAMPLES))
+    rows = {}
+    for eps in _eps_list(cfg):
         af = _ans.build_ansatz(tensor, cfg.geometry.build_region(eps), traces)
-        base = measure(af, _RESIDUAL_SAMPLES)
-        ref = measure(af, fine)
-        for name, v, rv in (("residual_normalized", base[0], ref[0]),
-                            ("residual_uncorrected", base[1], ref[1])):
-            pts[name].append(_richardson_point(eps, v, rv, cfg.experiment.richardson_tol,
-                                               _RESIDUAL_SAMPLES, "sampling-limited"))
-    return {name: SweepResult(name, p) for name, p in pts.items()}
+        rows[eps] = [measure(af, ns) for ns in grids]
+    return _sweep_results(cfg, ("residual_normalized", "residual_uncorrected"), grids,
+                          rows, "sampling-limited")
 
 
 # ---------------------------------------------------------------------------

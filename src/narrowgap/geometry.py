@@ -91,6 +91,10 @@ class PowerProfile:
             out.append(f1 * (x * x * x) + f2 * (x + x + x))
         return out
 
+    def bound(self, r):
+        """The largest |h| on |x1| <= r."""
+        return abs(self.coef) * r ** self.power
+
 
 def _safe_pow(r2, exponent):
     """r^{2*exponent} with the r -> 0 limit (0 for negative powers of r at 0)."""
@@ -118,6 +122,10 @@ class PolyProfile:
         x = np.asarray(xp, dtype=float)[..., 0]
         p = np.polynomial.Polynomial(self.coeffs)
         return [p(x)] + [p.deriv(k)(x) for k in range(1, order + 1)]
+
+    def bound(self, r):
+        """sum_k |coeffs[k]| r^k, a bound of |h| on |x1| <= r."""
+        return sum(abs(c) * r ** k for k, c in enumerate(self.coeffs))
 
 
 # ---------------------------------------------------------------------------

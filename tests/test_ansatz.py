@@ -57,7 +57,7 @@ E1_GAP = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
 # c(x) A0 cancels from every correction row, so only a different direction
 # exercises the x-dependent dA and d2A chain rule through the mid-gap height
 PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)),
-                                            (0.3, (1, 1))]), 0.1,
+                                            (0.3, (1, 1))]), 0.1, (1.0, 1.1),
                            direction=make_lame(LameParameters(2.0, 0.5)).A0)
 
 
@@ -600,7 +600,7 @@ def ref_jet(af, xp, t, order, corrected=True):
 # so its A_{,22} m' m' chain-rule term vanishes and could be dropped unseen
 PERTURBED_X2SQ = make_perturbed(LAME, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)),
                                                  (0.3, (1, 1)), (0.4, (0, 2))]), 0.1,
-                                direction=make_lame(LameParameters(2.0, 0.5)).A0)
+                                (1.0, 1.1), direction=make_lame(LameParameters(2.0, 0.5)).A0)
 
 
 class TestPlanarJetReference:

@@ -209,6 +209,23 @@ class TestRun:
             assert (f"[FAIL] {check}: no sample has |x'|^{power} above the smallest "
                     f"normal float") in out
 
+    def test_perturbed_tensor_validates_over_the_box_of_its_grids(self, tmp_path, capsys):
+        # 1 + 0.1 p reaches 0.812 and 1.188 on the box |x1| <= 1, |x2| <= 1.1,
+        # so A^nn's sampled spectrum [0.9305, 3.2875] lies inside the declared
+        # (1 - 0.188, 3 (1 + 0.188)), and not inside the base's (1, 3)
+        data = {**MINI, "geometry": {"m": 2, "R0": 0.5, "lower_coef": 0.5},
+                "tensor": {"kind": "lame_perturbed", "perturb_scale": 0.1,
+                           "perturb_poly": [[1.0, [1, 0]], [0.5, [0, 1]], [0.3, [1, 1]]]},
+                "solver": {"tangential_nodes": 65, "vertical_nodes": 17},
+                "experiment": {}}
+        assert config_from_dict(data).reach() == pytest.approx((1.0, 1.1), rel=1e-15)
+        p = write_cfg(tmp_path, data)
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 0
+        out = capsys.readouterr().out
+        assert "[pass] A^nn spectrum in [0.9305, 3.2875]" in out
+        assert "[pass] pointwise Legendre (symmetric-xi): min quotient 1.861 vs declared 1.624" \
+            in out
+
     def test_validate_command_solve_free(self, tmp_path):
         cfg = config_from_dict({**MINI, "output": {"dir": str(tmp_path / "v")}})
         report = run(cfg, "validate")

@@ -128,7 +128,7 @@ class TestAnn:
 def test_perturbed_tensor_derivatives(reg):
     base = make_lame(LameParameters(1.0, 1.0))
     poly = MultiPoly([(0.7, (1, 0)), (-0.3, (0, 2))])     # 0.7 x1 - 0.3 xn^2
-    t = make_perturbed(base, poly, scale=0.05)
+    t = make_perturbed(base, poly, 0.05, (1.0, 1.1))
     x = np.array([[0.2, 0.1]])
     A, dA, d2A = t.A_jet(x, 2)
     assert np.array_equal(A, t.A(x))
@@ -142,6 +142,46 @@ def test_perturbed_tensor_derivatives(reg):
     assert np.abs(d2A[..., 0] - fd2).max() <= 1e-6
     rep = check_pointwise_ellipticity(t, region=reg)
     assert rep.passed and rep.min_quotient > 1.5    # stays uniformly elliptic
+
+
+# p = x1 + 0.5 x2 + 0.3 x1 x2, so |p| <= 1 + 0.5 * 1.1 + 0.3 * 1.1 = 1.88 on
+# |x1| <= 1, |x2| <= 1.1: the box of R0 = 0.5, h1 = x1^2, h2 = -0.5 x1^2 and
+# eps <= 0.1
+MIXED_POLY = MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)), (0.3, (1, 1))])
+
+
+@pytest.fixture
+def wide_reg():
+    return NarrowRegion(power_pair(2, 1.0, 0.5, R0=0.5), 0.1)
+
+
+def test_perturbed_tensor_declares_the_scaled_base_constants(wide_reg):
+    # A = (1 + 0.1 p) A0 with |0.1 p| <= 0.188 scales every constant of A0
+    lame = make_lame(LameParameters(1.0, 1.0))
+    t = make_perturbed(lame, MIXED_POLY, 0.1, (1.0, 1.1))
+    assert MIXED_POLY.bound((1.0, 1.1)) == pytest.approx(1.88, rel=1e-15)
+    assert (t.lam, t.Lambda1, t.Lambda2) == pytest.approx(
+        (2 * 0.812, 0.812, 3 * 1.188), rel=1e-14)
+    assert check_ann(t, wide_reg).passed
+    assert check_pointwise_ellipticity(t, wide_reg).passed
+
+
+def test_perturbed_tensor_beyond_its_declared_box_fails_check_ann(wide_reg):
+    # declared for |x_a| <= 0.1, sampled out to |x1| = 1
+    t = make_perturbed(make_lame(LameParameters(1.0, 1.0)), MIXED_POLY, 0.1, (0.1, 0.1))
+    rep = check_ann(t, wide_reg)
+    assert not rep.passed
+    assert rep.lambda1_est < t.Lambda1 and rep.lambda2_est > t.Lambda2
+
+
+def test_perturbation_that_makes_Ann_indefinite_still_raises(wide_reg):
+    # 1 + 2 x1 < 0 for x1 < -0.5: the declared constants floor at 0, and the
+    # sampled spectrum leaves positive definiteness
+    t = make_perturbed(make_lame(LameParameters(1.0, 1.0)), MultiPoly([(1.0, (1, 0))]),
+                       2.0, (1.0, 1.1))
+    assert (t.lam, t.Lambda1) == (0.0, 0.0)
+    with pytest.raises(HypothesisViolationError, match="positive definiteness"):
+        check_ann(t, wide_reg)
 
 
 # ---------------------------------------------------------------------------

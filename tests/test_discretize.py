@@ -42,7 +42,7 @@ LAME_BCD = make_custom(2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
                        C0=_rng.normal(size=(2, 2, 2)), D0=_rng.normal(size=(2, 2)))
 PERTURBED_BCD = make_perturbed(
     LAME_BCD, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)), (0.3, (1, 1))]), 0.1,
-    direction=make_lame(LameParameters(2.0, 0.5)).A0)
+    (1.0, 1.1), direction=make_lame(LameParameters(2.0, 0.5)).A0)
 
 
 def box_jacobian(region, xp, t):
@@ -561,7 +561,8 @@ class TestFreeBand:
         assert rep.fill == rows * Kff.shape[0] / Kff.nnz
 
     @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD,
-                                        make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2)],
+                                        make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2,
+                                                       (1.0, 1.1))],
                              ids=["lame", "laplace", "bcd", "perturbed_bcd", "perturbed"])
     def test_stencil_symmetry_agrees_with_the_matrix(self, tensor):
         reg = curved_region(eps=0.05, upper=1.0, lower=0.5)
@@ -616,7 +617,7 @@ def _captured_free_rhs(monkeypatch, ls, b):
 
 
 class TestStencilOperator:
-    PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2)
+    PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2, (1.0, 1.1))
     CASES = [pytest.param(LAME, "pbtrf", id="lame"),
              pytest.param(LAP, "pbtrf", id="laplace"),
              pytest.param(LAME_BCD, "gbtrf", id="bcd"),
@@ -877,7 +878,8 @@ class TestRecoverGradient:
         assert order >= 1.8
 
     @pytest.mark.parametrize("tensor", [LAME, LAP, make_perturbed(
-        LAME, MultiPoly([(1.0, (1, 1))]), 0.2)], ids=["lame", "laplace", "perturbed"])
+        LAME, MultiPoly([(1.0, (1, 1))]), 0.2, (1.0, 1.1))],
+        ids=["lame", "laplace", "perturbed"])
     def test_gradient_matches_the_einsum_reference(self, tensor):
         # G^T grad_y u as the generic einsum writes it, on a solved field
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)

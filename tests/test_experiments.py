@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narrowgap.ansatz import BoundaryTraces, PolyTrace, build_ansatz
+from narrowgap.ansatz import AnsatzField, BoundaryTraces, PolyTrace, build_ansatz, theta
 from narrowgap.coefficients import LameParameters, make_lame
 from narrowgap.config import ConfigError, config_from_dict
 from narrowgap.discretize import DiscreteField, grid_for
-from narrowgap.experiments import (CHECKS, STATISTICS, DataError, SolveBundle,
-                                   SweepPoint, SweepRequest, SweepResult, fit_rate,
-                                   local_energy, residual_sweep, run_sweeps,
-                                   solve_point)
+from narrowgap.experiments import (_RESIDUAL_SAMPLES, CHECKS, NOISE_FLOOR, STATISTICS,
+                                   DataError, SolveBundle, SweepPoint, SweepRequest,
+                                   SweepResult, fit_rate, local_energy, residual_sweep,
+                                   run_sweeps, solve_point)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
 from reference import solve_one, sweep, value_at
 
@@ -27,7 +27,7 @@ def const(*v):
 
 
 def synthetic(eps, values, stat="s"):
-    pts = [SweepPoint(e, v, None, None, False, (0, 0)) for e, v in zip(eps, values)]
+    pts = [SweepPoint(e, v, v, 0.0, False, (0, 0)) for e, v in zip(eps, values)]
     return SweepResult(stat, pts)
 
 
@@ -70,9 +70,9 @@ class TestFitRate:
             fit_rate(synthetic(self.EPS, [1, 1, np.nan, 1, 1, 1, 1]))
 
     def test_flagged_points_excluded(self):
-        pts = [SweepPoint(e, v, None, None, False, (0, 0))
+        pts = [SweepPoint(e, v, v, 0.0, False, (0, 0))
                for e, v in zip(self.EPS, 1.0 / self.EPS)]
-        pts[0] = SweepPoint(self.EPS[0], 999.0, None, None, True, (0, 0), "grid-limited")
+        pts[0] = SweepPoint(self.EPS[0], 999.0, 1500.0, 0.334, True, (0, 0), "grid-limited")
         fit = fit_rate(SweepResult("s", pts))
         assert fit.slope == pytest.approx(-1.0, abs=1e-12)
         assert fit.npoints == 6
@@ -134,17 +134,54 @@ class TestSweep:
         assert all(p.refined_value is not None for p in sr.points)
         assert all(p.rel_change is not None for p in sr.points)
 
-    def test_noise_floor_flagging(self):
-        # decay statistic at a tight gap sits twelve decades under the head
-        # of the sweep and must be excluded from fits
-        pts = [SweepPoint(e, v, v, 0.0, False, (0, 0))
-               for e, v in zip([0.1, 0.05, 0.02, 0.01], [1.0, 0.1, 1e-14, 1e-15])]
-        sr = SweepResult("s", pts)
-        # replicate the sweep-level flagging rule
-        vmax = max(abs(p.value) for p in sr.points)
-        from dataclasses import replace
-        sr.points = [replace(p, flagged=abs(p.value) < vmax * 1e-12) for p in sr.points]
-        assert [p.flagged for p in sr.points] == [False, False, True, True]
+
+# the base and refined value of one statistic at each eps: the first moves by
+# more than richardson_tol (0.1), the second by less, the third not at all,
+# and the fourth sits under NOISE_FLOOR times the largest value
+COMPARED = {0.1: (1.0, 1.2), 0.05: (1.0, 1.05), 0.02: (2.0, 2.0),
+            0.01: (NOISE_FLOOR / 10, NOISE_FLOOR / 10)}
+
+
+def _solve_sweep(monkeypatch, cfg):
+    # sup_grad reads the table instead of the solve, on the 17x9 base grid
+    # and its 33x17 refinement
+    monkeypatch.setitem(STATISTICS, "sup_grad", lambda b: COMPARED[b.eps][
+        b.grid.tangential_nodes != 17])
+    return sweep(cfg, ["sup_grad"])["sup_grad"]
+
+
+def _residual_sweep(monkeypatch, cfg):
+    # the residual is the table's value times the inverse of each statistic's
+    # gauge, so both statistics read the table on both sample grids
+    def residual(af, xq, ts, corrected=True):
+        dlt = af.region.delta(xq)
+        th = theta(af.traces, xq)
+        gauge = ((th + dlt * af.traces.c2_total(2 * af.region.R0)) / dlt if corrected
+                 else th / dlt ** 2)
+        v = COMPARED[af.region.epsilon][xq.shape[0] != _RESIDUAL_SAMPLES[0]]
+        return np.broadcast_to((v * gauge)[..., None], gauge.shape[:-1] + ts.shape + (1,))
+
+    monkeypatch.setattr(AnsatzField, "residual", residual)
+    out = residual_sweep(cfg)
+    assert ([p.value for p in out["residual_uncorrected"].points]
+            == pytest.approx([p.value for p in out["residual_normalized"].points], rel=1e-12))
+    return out["residual_normalized"]
+
+
+@pytest.mark.parametrize("run, reason", [(_solve_sweep, "grid-limited"),
+                                         (_residual_sweep, "sampling-limited")],
+                         ids=["solve", "residual"])
+def test_one_comparison_flags_both_sweep_kinds(monkeypatch, run, reason):
+    cfg = small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
+                    experiment={"eps_list": list(COMPARED)})
+    sr = run(monkeypatch, cfg)
+    assert [p.eps for p in sr.points] == list(COMPARED)
+    assert np.allclose([(p.value, p.refined_value) for p in sr.points],
+                       list(COMPARED.values()), rtol=1e-12, atol=0)
+    assert [p.rel_change for p in sr.points] == pytest.approx([0.2 / 1.2, 0.05 / 1.05, 0, 0],
+                                                             abs=1e-12)
+    assert [(p.flagged, p.reason) for p in sr.points] == [
+        (True, reason), (False, ""), (False, ""), (True, "noise-floor")]
 
 
 def test_checks_share_one_factorization_per_point(tmp_path, monkeypatch):
@@ -323,16 +360,16 @@ def test_cached_arrays_are_read_only(monkeypatch):
 
 class TestResidualSweep:
     def test_slopes_and_floor(self):
-        cfg = small_cfg()
-        out = residual_sweep(cfg, eps_list=(1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3))
+        cfg = small_cfg(experiment={"eps_list": [1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3]})
+        out = residual_sweep(cfg)
         fit_c = fit_rate(out["residual_normalized"])
         assert abs(fit_c.slope) <= 0.2
         assert out["residual_uncorrected"].values().min() > 1.0
 
     def test_scaling_invariance(self):
-        base = residual_sweep(small_cfg(), eps_list=(0.1, 0.05, 0.02, 0.01))
-        scaled = residual_sweep(small_cfg(traces={"phi": [7.0, 0.0]}),
-                                eps_list=(0.1, 0.05, 0.02, 0.01))
+        eps = {"eps_list": [0.1, 0.05, 0.02, 0.01]}
+        base = residual_sweep(small_cfg(experiment=eps))
+        scaled = residual_sweep(small_cfg(traces={"phi": [7.0, 0.0]}, experiment=eps))
         r = scaled["residual_normalized"].values() / base["residual_normalized"].values()
         assert np.allclose(r, 1.0, rtol=1e-9)   # gauge-normalized: scale free
 
