@@ -1,12 +1,20 @@
-"""Every verdict file of two shipped runs matches its committed sha256.
+"""Every verdict file of a set of pinned runs matches its committed sha256.
 
 A refactor must leave the numbers bit for bit the same.  This test runs
-``all`` on ``configs/all_m2.json`` at grid scale 0.5 and on
-``configs/decay_laplace.json`` in a fresh process with one BLAS thread,
-and compares the digest of every ``.csv``, ``.dat`` and ``fits.json`` with
-``tests/pinned_outputs.json``.  ``config_echo.json`` and ``report.txt``
-carry the output path, and ``runlog.jsonl`` the timings, so they are left
-out.  A change meant to move values regenerates the manifest with
+each command of ``RUNS`` in a fresh process with one BLAS thread and
+compares the digest of every ``.csv``, ``.dat`` and ``fits.json`` it
+writes with ``tests/pinned_outputs.json``:
+
+- ``all`` on ``configs/all_m2.json`` at grid scale 0.5 and on
+  ``configs/decay_laplace.json``;
+- ``solve`` and ``ansatz`` on ``configs/single_solve.json``;
+- ``all``, ``solve`` and ``ansatz`` on ``THIN``, a 65x17 config with a
+  non-constant tensor, a nonzero lower profile and polynomial traces,
+  written next to the outputs.
+
+``config_echo.json`` and ``report.txt`` carry the output path, and
+``runlog.jsonl`` the timings, so they are left out.  A change meant to
+move values regenerates the manifest with
 
     python tests/test_pinned_outputs.py
 """
@@ -22,21 +30,39 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("pinned_outputs.json")
-RUNS = {"all_m2_coarse": ["--config", "configs/all_m2.json", "--grid-scale", "0.5"],
-        "decay_laplace": ["--config", "configs/decay_laplace.json"]}
+THIN = {"geometry": {"m": 2, "R0": 0.5, "lower_coef": 0.5, "epsilon": 0.02},
+        "tensor": {"kind": "lame_perturbed", "perturb_scale": 0.1,
+                   "perturb_poly": [[1.0, [1, 0]], [0.5, [0, 1]], [0.3, [1, 1]]]},
+        "traces": {"family": "poly", "poly_phi": [[1.0, 0.5], [0.0, 0.0, 0.3]],
+                   "poly_psi": [[0.0, 0.2], [0.1]]},
+        "solver": {"tangential_nodes": 65, "vertical_nodes": 17},
+        "experiment": {"checks": ["residual", "energy"]}}
+RUNS = {"all_m2_coarse": ["all", "configs/all_m2.json", "--grid-scale", "0.5"],
+        "decay_laplace": ["all", "configs/decay_laplace.json"],
+        "single_solve": ["solve", "configs/single_solve.json"],
+        "single_ansatz": ["ansatz", "configs/single_solve.json"],
+        "thin_all": ["all", "thin.json"],
+        "thin_solve": ["solve", "thin.json"],
+        "thin_ansatz": ["ansatz", "thin.json"]}
 
 
 def digests(name, out):
-    """sha256 of each pinned file that ``all`` writes for the run ``name``."""
+    """sha256 of each pinned file that the run ``name`` writes under ``out``."""
+    command, config, *extra = RUNS[name]
+    out = Path(out)
+    out.mkdir(parents=True)
+    if config == "thin.json":
+        config = out / config
+        config.write_text(json.dumps(THIN))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "narrowgap.cli", "all", *RUNS[name],
-                           "--out", str(out)],
+    proc = subprocess.run([sys.executable, "-m", "narrowgap.cli", command,
+                           "--config", str(config), *extra, "--out", str(out / "run")],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(Path(out).iterdir())
+            for p in sorted((out / "run").iterdir())
             if p.suffix in (".csv", ".dat") or p.name == "fits.json"}
 
 
