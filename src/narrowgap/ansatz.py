@@ -55,7 +55,7 @@ from numpy.polynomial import polynomial as P
 
 from .coefficients import (CoefficientTensor, ConstructionError,
                            HypothesisViolationError)
-from .geometry import NarrowRegion, _as_points
+from .geometry import NarrowRegion
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +115,9 @@ class PolyTrace:
     def N(self):
         return len(self.rows)
 
-    def jet(self, xp, order=2):
-        """[f, d_1 f, d_11 f] at x' up to ``order``, each of shape (..., N)."""
-        x1 = np.asarray(xp, dtype=float)[..., :1]
+    def jet(self, x1, order=2):
+        """[f, d_1 f, d_11 f] at x1 up to ``order``, each of shape (..., N)."""
+        x1 = np.asarray(x1, dtype=float)[..., None]
         return [P.polyval(x1, C, tensor=False) for C in self._derivs[:order + 1]]
 
 
@@ -139,9 +139,9 @@ class BoundaryTraces:
         if self.phi.N != self.psi.N:
             raise ConstructionError("phi and psi must have the same number of components")
 
-    def diff_jet(self, xp, order):
+    def diff_jet(self, x1, order):
         """[f, d_1 f, d_11 f] of f = phi - psi up to ``order``, each (..., N)."""
-        return [p - q for p, q in zip(self.phi.jet(xp, order), self.psi.jet(xp, order))]
+        return [p - q for p, q in zip(self.phi.jet(x1, order), self.psi.jet(x1, order))]
 
     def c2_total(self, radius):
         """‖phi‖_C2 + ‖psi‖_C2 sampled on the tangential interval of given radius.
@@ -149,10 +149,10 @@ class BoundaryTraces:
         Each norm is the maximum of |f| + |d_1 f| + |d_11 f| over
         ``_C2_SAMPLES`` uniform samples.
         """
-        xp = np.linspace(-radius, radius, _C2_SAMPLES)[:, None]
+        x1 = np.linspace(-radius, radius, _C2_SAMPLES)
         total = 0.0
         for tr in (self.phi, self.psi):
-            f, d1, d11 = (np.sqrt(np.sum(g ** 2, axis=-1)) for g in tr.jet(xp))
+            f, d1, d11 = (np.sqrt(np.sum(g ** 2, axis=-1)) for g in tr.jet(x1))
             total += float((f + d1 + d11).max())
         return total
 
@@ -161,22 +161,21 @@ class BoundaryTraces:
 # data gauges
 # ---------------------------------------------------------------------------
 
-def theta(traces: BoundaryTraces, xp):
-    """|phi - psi| + |grad_{x'}(phi - psi)| at x'."""
-    dv, dg = traces.diff_jet(xp, 1)
+def theta(traces: BoundaryTraces, x1):
+    """|phi - psi| + |grad_{x'}(phi - psi)| at x1."""
+    dv, dg = traces.diff_jet(x1, 1)
     return np.linalg.norm(dv, axis=-1) + np.sqrt(np.sum(dg * dg, axis=-1))
 
 
-def theta_bar_delta(traces: BoundaryTraces, region: NarrowRegion, xp):
+def theta_bar_delta(traces: BoundaryTraces, region: NarrowRegion, x1):
     """Elasticity gauge |phi - psi| delta^{1 - 2/m} + |grad(phi - psi)|.
 
     For m = 2 the exponent vanishes and this coincides with ``theta``; for
     m > 2 it is pointwise smaller whenever delta <= 1.
     """
-    xp = _as_points(xp)
-    dv, dg = traces.diff_jet(xp, 1)
+    dv, dg = traces.diff_jet(x1, 1)
     expo = 1.0 - 2.0 / region.profiles.m
-    return (np.linalg.norm(dv, axis=-1) * region.delta(xp) ** expo
+    return (np.linalg.norm(dv, axis=-1) * region.delta(x1) ** expo
             + np.sqrt(np.sum(dg * dg, axis=-1)))
 
 
@@ -202,7 +201,7 @@ def _leibniz(mul, F, G, order):
     return res
 
 
-def _midpoint_tensor_derivs(tensor, region, xp, order):
+def _midpoint_tensor_derivs(tensor, region, x1, order):
     """[A, A', A''] up to ``order`` total x1-derivatives at mid-gap.
 
     The evaluation height is x2 = h2(x1) + delta(x1)/2, of slope
@@ -210,7 +209,7 @@ def _midpoint_tensor_derivs(tensor, region, xp, order):
     x1-derivatives:  A' = A_{,1} + A_{,2} m'  and
     A'' = A_{,11} + A_{,12} m' + A_{,21} m' + A_{,22} m' m' + A_{,2} m''.
     """
-    x_mid = region.from_box(xp, np.full(xp.shape[:-1], 0.5))
+    x_mid = region.from_box(x1, np.full(np.shape(x1), 0.5))
     if tensor.is_constant:
         Av = tensor.A(x_mid)
         return [Av] + [np.zeros_like(Av) for _ in range(order)]
@@ -218,8 +217,8 @@ def _midpoint_tensor_derivs(tensor, region, xp, order):
     out = [Av]
     if order >= 1:
         # m' and m'' carry the tensor's four axes (i, j, a, b) as length 1
-        h2 = region.profiles.h2.jet(xp, order)
-        dlt = region.delta_jet(xp, order)
+        h2 = region.profiles.h2.jet(x1, order)
+        dlt = region.delta_jet(x1, order)
         ms = (h2[1] + 0.5 * dlt[1])[..., None, None, None, None]
         Ag = dA[0]
         out.append(Ag[..., 0] + Ag[..., 1] * ms)
@@ -231,23 +230,23 @@ def _midpoint_tensor_derivs(tensor, region, xp, order):
     return out
 
 
-def _generic_kernel(tensor, region, xp, order):
+def _generic_kernel(tensor, region, x1, order):
     """Kernel rows Q[..., l, :] from the vertical-block solve, to ``order``.
 
     Differentiating  M Q = s  gives  M Q' = s' - M' Q  and
     M Q'' = s'' - 2 M' Q' - M'' Q; one inverse of M per point serves all
     three.  Raises HypothesisViolationError if M is singular.
     """
-    As = _midpoint_tensor_derivs(tensor, region, xp, order)
+    As = _midpoint_tensor_derivs(tensor, region, x1, order)
     M = [A[..., 1, 1] for A in As]
     mixed = [A[..., 0, 1] + A[..., 1, 0] for A in As]           # A^{12} + A^{21}
     s = _leibniz(lambda f, g: f * g[..., None, None], mixed,
-                 region.delta_jet(xp, order + 1)[1:], order)
+                 region.delta_jet(x1, order + 1)[1:], order)
     try:
         Minv = np.linalg.inv(M[0])
     except np.linalg.LinAlgError as exc:
         raise HypothesisViolationError(
-            f"A^nn numerically singular at x' = {_worst_point(M[0], xp)}"
+            f"A^nn numerically singular at x' = {_worst_point(M[0], x1)}"
         ) from exc
 
     Q = [Minv @ s[0]]
@@ -265,11 +264,10 @@ def _generic_kernel(tensor, region, xp, order):
     return [np.swapaxes(q, -2, -1) for q in Q]
 
 
-def _worst_point(M, xp):
+def _worst_point(M, x1):
     """Tangential point whose vertical block is closest to singular."""
     det = np.abs(np.linalg.det(np.asarray(M).reshape(-1, *M.shape[-2:])))
-    k = int(np.argmin(det))
-    return tuple(float(v) for v in np.asarray(xp).reshape(-1, 1)[k])
+    return (float(np.ravel(x1)[np.argmin(det)]),)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +279,7 @@ class AnsatzField:
     """Evaluation of ubar, its gradient and its residual on the box.
 
     Evaluators take box coordinates (x1, t) that broadcast: a grid passed as
-    XP[..., :1, :] and T evaluates every x1-only factor once per column.
+    its column X1[:, :1] and T evaluates every x1-only factor once per column.
     Immutable and pure.
     ``corrected=False`` on ``gradient`` and ``residual`` drops the
     r(v) * sum G_l term and yields the plain two-point interpolant (the
@@ -300,12 +298,12 @@ class AnsatzField:
     def N(self):
         return self.tensor.N
 
-    def _correction_sum(self, xp, diff, order):
-        """[S, S', S''] from ``diff``, the x1-jet of phi - psi at x'."""
+    def _correction_sum(self, x1, diff, order):
+        """[S, S', S''] from ``diff``, the x1-jet of phi - psi at x1."""
         return _leibniz(lambda f, Q: np.einsum("...l,...li->...i", f, Q),
-                        diff, _generic_kernel(self.tensor, self.region, xp, order), order)
+                        diff, _generic_kernel(self.tensor, self.region, x1, order), order)
 
-    def _jet(self, xp, t, order, corrected=True):
+    def _jet(self, x1, t, order, corrected=True):
         """[ubar, grad ubar, Hessian] at (x1, t) up to ``order``.
 
         Shapes (..., N), (..., N, 2), (..., N, 2, 2).  The traces, the
@@ -318,17 +316,17 @@ class AnsatzField:
         With ``corrected=False``, S is the scalar 0.0: no kernel is built,
         and each r(v) * S term adds a zero to what the same formula gives.
         """
-        xp, t = self.region._box(xp, t)
-        phi = self.traces.phi.jet(xp, order)
-        psi = self.traces.psi.jet(xp, order)
+        x1, t = self.region._box(x1, t)
+        phi = self.traces.phi.jet(x1, order)
+        psi = self.traces.psi.jet(x1, order)
         diff = [p - q for p, q in zip(phi, psi)]
-        S = self._correction_sum(xp, diff, order) if corrected else None
+        S = self._correction_sum(x1, diff, order) if corrected else None
         s, r, rp = 1 - t, smoother(t), smoother_prime(t)
-        shape = np.broadcast_shapes(xp.shape[:-1], t.shape) + (self.N,)
+        shape = np.broadcast_shapes(x1.shape, t.shape) + (self.N,)
         val = np.empty(shape)
         if order >= 1:
-            h2 = self.region.profiles.h2.jet(xp, order)
-            dlt, *D = self.region.delta_jet(xp, order)
+            h2 = self.region.profiles.h2.jet(x1, order)
+            dlt, *D = self.region.delta_jet(x1, order)
             dv0 = -(h2[1] + t * D[0]) / dlt
             dv1 = 1.0 / dlt
             grad = np.empty(shape + (2,))
@@ -357,18 +355,18 @@ class AnsatzField:
             hess[..., k, 1, 1] = rpp * dv11
         return [val] if order == 0 else [val, grad] if order == 1 else [val, grad, hess]
 
-    def value(self, xp, t):
+    def value(self, x1, t):
         """ubar at the box points (x1, t), shape (..., N)."""
-        return self._jet(xp, t, 0)[0]
+        return self._jet(x1, t, 0)[0]
 
-    def gradient(self, xp, t, corrected=True):
+    def gradient(self, x1, t, corrected=True):
         """Full spatial gradient at (x1, t), shape (..., N, 2)."""
-        return self._jet(xp, t, 1, corrected)[1]
+        return self._jet(x1, t, 1, corrected)[1]
 
-    def residual(self, xp, t, corrected=True):
+    def residual(self, x1, t, corrected=True):
         """f = L[ubar] at (x1, t) with the full operator applied analytically."""
-        return apply_operator(self.tensor, self.region.from_box(xp, t),
-                              *self._jet(xp, t, 2, corrected))
+        return apply_operator(self.tensor, self.region.from_box(x1, t),
+                              *self._jet(x1, t, 2, corrected))
 
 
 def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,

@@ -183,14 +183,14 @@ def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
     traces = cfg.build_traces()
     af = build_ansatz(tensor, region, traces)
     grid = grid_for(region, *cfg.solver.scaled_nodes())
-    XP, T = grid.node_coords()
-    x = region.from_box(XP, T)
-    u = af.value(XP[..., :1, :], T)
-    g = af.gradient(XP[..., :1, :], T)
+    X1, T = grid.node_coords()
+    x = region.from_box(X1, T)
+    u = af.value(X1[:, :1], T)
+    g = af.gradient(X1[:, :1], T)
     N, n = u.shape[-1], g.shape[-1]
     cols = (["xprime0", "t", "xn"] + ["u%d" % i for i in range(N)]
             + ["du%d_dx%d" % (i, a) for i in range(N) for a in range(n)])
-    flat = np.concatenate([XP.reshape(-1, 1), T.reshape(-1, 1),
+    flat = np.concatenate([X1.reshape(-1, 1), T.reshape(-1, 1),
                            x[..., -1].reshape(-1, 1), u.reshape(-1, N),
                            g.reshape(-1, N * n)], axis=-1)
     em.write("ansatz_field.csv", _float_csv(flat, ",".join(cols)))
@@ -206,9 +206,9 @@ def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
         raise error
     df, rep = b.field, b.report
     log({"event": "solve", "eps": eps, **rep.record()})
-    XP, T = b.grid.node_coords()
+    X1, T = b.grid.node_coords()
     u = np.moveaxis(df.values, 0, -1)
-    flat = np.concatenate([XP.reshape(-1, 1), T.reshape(-1, 1),
+    flat = np.concatenate([X1.reshape(-1, 1), T.reshape(-1, 1),
                            u.reshape(-1, df.N)], axis=-1)
     cols = ["xprime0", "t"] + ["u%d" % i for i in range(df.N)]
     em.write("solution.csv", _float_csv(flat, ",".join(cols)))

@@ -259,10 +259,10 @@ _SYMMETRIC_BASIS = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
 
 
 def _sample_region_points(region, per_axis):
-    """Interior sample grid of a NarrowRegion via its box map, (x1, t) order."""
+    """(P, 2) interior sample points of a NarrowRegion via its box map, (x1, t) order."""
     X1, T = np.meshgrid(np.linspace(-2 * region.R0, 2 * region.R0, per_axis + 2)[1:-1],
                         np.linspace(0.0, 1.0, per_axis + 2)[1:-1], indexing="ij")
-    return region.from_box(X1.reshape(-1, 1), T.ravel())
+    return region.from_box(X1, T).reshape(-1, DIM)
 
 
 def check_pointwise_ellipticity(tensor: CoefficientTensor, region) -> EllipticityReport:
@@ -274,7 +274,7 @@ def check_pointwise_ellipticity(tensor: CoefficientTensor, region) -> Ellipticit
     over xi is exact: the smallest eigenvalue of the flattened (2N) x (2N)
     symmetric part, restricted to symmetric xi for elasticity tensors.
     """
-    points = _sample_region_points(region, 5).reshape(-1, DIM)
+    points = _sample_region_points(region, 5)
     quotients = _legendre_min(tensor.A(points), tensor.is_elasticity)
     kmin = int(np.argmin(quotients))
     min_quotient = float(quotients[kmin])
@@ -317,7 +317,7 @@ def check_ann(tensor: CoefficientTensor, region) -> AnnReport:
     Raises HypothesisViolationError when the minimum is not positive, since
     the correction-coefficient solve would then be ill-posed.
     """
-    points = _sample_region_points(region, 5).reshape(-1, DIM)
+    points = _sample_region_points(region, 5)
     ev = _sym_eigs(tensor.Ann(points))
     kmin = int(np.argmin(ev[:, 0]))
     lo, hi = float(ev[:, 0].min()), float(ev[:, -1].max())

@@ -210,18 +210,10 @@ _BLOCKS = {
     "output": OutputConfig,
 }
 
-_TUPLE_KEYS = {
-    "checks", "eps_list", "phi", "psi", "poly_phi", "poly_psi", "poly_upper",
-    "poly_lower", "perturb_poly", "custom_A", "remark13_cases", "energy_quad",
-    "lateral_value",
-}
-
-
-def _coerce(value, key):
-    if key in _TUPLE_KEYS and isinstance(value, list):
-        return tuple(_coerce(v, key) if isinstance(v, list) else
-                     (tuple(v) if isinstance(v, (list, tuple)) else v)
-                     for v in value)
+def _coerce(value):
+    """A JSON list, and each list inside it, as a tuple."""
+    if isinstance(value, list):
+        return tuple(_coerce(v) for v in value)
     return value
 
 
@@ -234,6 +226,7 @@ def _non_finite(value, where):
 
 def _parse_block(cls, data, block, violations):
     known = {f.name for f in fields(cls)}
+    tuples = {f.name for f in fields(cls) if f.type.startswith("tuple")}
     kwargs = {}
     for key, value in data.items():
         if key not in known:
@@ -241,7 +234,7 @@ def _parse_block(cls, data, block, violations):
             continue
         violations += [f"{block}: {path} is not a finite number"
                        for path in _non_finite(value, key)]
-        kwargs[key] = _coerce(value, key)
+        kwargs[key] = _coerce(value) if key in tuples else value
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -103,9 +103,9 @@ class BoxGrid:
         return tuple(ax[1] - ax[0] for ax in self.axes)
 
     def node_coords(self):
-        """(XP, T) as full grid arrays: XP shape (*shape, 1), T shape (*shape)."""
+        """(X1, T) as full grid arrays of shape (*shape); a column is X1[:, :1]."""
         X1, T = np.meshgrid(*self.axes, indexing="ij")
-        return X1[..., None], T
+        return X1, T
 
 
 def grid_for(region: NarrowRegion, tangential_nodes: int = 257,
@@ -144,19 +144,19 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
     the tensor varies), B0 and C0.  Atil is summed as (G A) G^T: G A first,
     then its product with G^T, then the factor delta.
     """
-    XP, T = grid.node_coords()
-    XP = XP[..., :1, :]                     # x'-factors once per column
-    dlt = region.delta(XP)
+    X1, T = grid.node_coords()
+    X1 = X1[:, :1]                          # x1-factors once per column
+    dlt = region.delta(X1)
     if np.any(dlt <= 0):
         raise GeometryError("gap function must stay positive on the patch")
-    dv = region.vbar_grad(XP, T)
+    dv = region.vbar_grad(X1, T)
     g1, g2 = dv[..., 0, None, None], dv[..., 1, None, None]   # (*shape, 1, 1)
 
     def rows(V0, V1):
         """Rows 0 and 1 of G V, given V's rows."""
         return V0, g1 * V0 + g2 * V1
 
-    A = tensor.A0 if tensor.is_constant else tensor.A(region.from_box(XP, T))
+    A = tensor.A0 if tensor.is_constant else tensor.A(region.from_box(X1, T))
     GA = [rows(A[..., 0, b], A[..., 1, b]) for b in range(2)]    # GA[b][a] = (G A)^{ab}
     Atil = np.empty(grid.shape + A.shape[-4:])
     for a in range(2):
@@ -329,7 +329,7 @@ def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
     """Dirichlet values on the boundary rows, zero on the interior rows.
 
     ``boundary_values`` has shape (*shape, N); only its boundary entries are
-    read.
+    read.  The right-hand side has the grid shape of the unknowns, (N, *shape).
     """
     shape, N = ls.grid.shape, ls.N
     bv = np.asarray(boundary_values, dtype=float)
@@ -339,7 +339,7 @@ def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
     rhs[:, 1:-1, 1:-1] = 0.0
     if not np.all(np.isfinite(rhs)):
         raise AssemblyError("non-finite Dirichlet data")
-    return rhs.ravel()
+    return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +441,12 @@ class _FreeBlockBand:
         return ab
 
     def solve(self, b):
-        """Solutions of a stack b of k right-hand sides, in b's shape.
+        """Solutions of a stack b of k right-hand sides, shape (k, N, *shape).
 
-        b is (k, n), or (k, N, *shape) on the grid.  The k right-hand sides
-        share one coupling sum and one LAPACK call with k columns, which
-        solves each column alone.
+        The k right-hand sides share one coupling sum and one LAPACK call
+        with k columns, which solves each column alone.
         """
-        x = np.array(b, dtype=float).reshape((len(b), self.N) + self.shape)
+        x = np.array(b, dtype=float)
         bf = np.moveaxis(x[:, :, 1:-1, 1:-1], 1, -1).copy()  # (k, *inner, N): node-major
         x[:, :, 1:-1, 1:-1] = 0.0                            # x_D = b_D
         for S in self.strips:
@@ -458,7 +457,7 @@ class _FreeBlockBand:
         else:
             xf = lapack.dgbtrs(self.ab, self.kd, self.kd, cols, self.ipiv, overwrite_b=1)[0]
         x[:, :, 1:-1, 1:-1] = np.moveaxis(xf.T.reshape(bf.shape), -1, 1)
-        return x.reshape(np.shape(b))
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +479,7 @@ class SolveReport:
     rhs: int = 1                  # right-hand sides solved in the same pass
 
     def record(self):
-        return {"method": self.method, "unknowns": self.unknowns, "nnz": self.nnz,
-                "residual": self.residual, "fill": self.fill,
-                "elapsed": self.elapsed, "grid": self.grid,
-                "factor_s": self.factor_s, "solve_s": self.solve_s,
-                "reused": self.reused, "rhs": self.rhs}
+        return asdict(self)
 
 
 def _backward_errors(ls: LinearSystem, x, b):
@@ -504,8 +499,8 @@ def _backward_errors(ls: LinearSystem, x, b):
 
 
 def solve_linear(ls: LinearSystem, B, tol=1e-10):
-    """Direct solve of a stack B (k, n) against a banded factorization built
-    for this pass.
+    """Direct solve of a stack B (k, N, *shape) against a banded factorization
+    built for this pass.
 
     ``tol`` is one bound or one per row.  The reported residual is the
     normwise backward error |Kx - b| / (|K| |x| + |b|) of the full system,
@@ -513,12 +508,12 @@ def solve_linear(ls: LinearSystem, B, tol=1e-10):
     tol gets one step of iterative refinement on its own, and fails with
     SolverError when it still does.
 
-    Returns (X, reports): X of shape (k, n), and per row a SolveReport or
+    Returns (X, reports): X in B's shape, and per row a SolveReport or
     the SolverError of that row.  The first SolveReport carries the pass's
     times.  A failed factorization raises.  The factorization is dropped on
     return.
     """
-    B = np.asarray(B, dtype=float).reshape((len(B), ls.N) + ls.grid.shape)
+    B = np.asarray(B, dtype=float)
     tols = np.broadcast_to(tol, len(B))
     t0 = time.perf_counter()
     factor = _FreeBlockBand(ls)
@@ -540,7 +535,7 @@ def solve_linear(ls: LinearSystem, B, tol=1e-10):
                                    grid="x".join(map(str, ls.grid.shape)),
                                    rhs=len(B), **times))
         times = {"reused": True}            # the rest were solved in this pass
-    return X.reshape(len(B), -1), reports
+    return X, reports
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +565,8 @@ class DiscreteField:
     def gradient_nodes(self):
         """Physical gradients G^T grad_y u at nodes, shape (N, 2, *shape)."""
         if self._grad_cache is None:
-            XP, T = self.grid.node_coords()
-            dv = self.region.vbar_grad(XP[..., :1, :], T)       # (*shape, 2)
+            X1, T = self.grid.node_coords()
+            dv = self.region.vbar_grad(X1[:, :1], T)            # (*shape, 2)
             g = self.mapped_gradient()
             g[:, 0] += g[:, 1] * dv[..., 0]                     # d_1 u + d_t u d1 v
             g[:, 1] *= dv[..., 1]                               # d_t u d2 v
@@ -579,26 +574,26 @@ class DiscreteField:
             self._grad_cache = g
         return self._grad_cache
 
-    def _box_fractions(self, xp, t):
-        xp, t = self.region._box(xp, t)
+    def _box_fractions(self, x1, t):
+        x1, t = self.region._box(x1, t)
         fracs = []
-        for c, ax in zip((xp[..., 0], t), self.grid.axes):
+        for c, ax in zip((x1, t), self.grid.axes):
             f = (c - ax[0]) / (ax[1] - ax[0])
             if np.any(f < -1e-9) or np.any(f > len(ax) - 1 + 1e-9):
                 raise GeometryError("point outside the grid; extrapolation refused")
             fracs.append(np.clip(f, 0.0, len(ax) - 1))
         return fracs
 
-    def _interpolate(self, nodal, xp, t, first=0):
-        """Bilinear interpolation of a (*shape,)-leading nodal array at (x', t).
+    def _interpolate(self, nodal, x1, t, first=0):
+        """Bilinear interpolation of a (*shape,)-leading nodal array at (x1, t).
 
         ``nodal`` may hold the x1 columns from ``first`` on only, as long as
-        they cover the cells of (x', t).  The corners are summed in the
+        they cover the cells of (x1, t).  The corners are summed in the
         order (i, j), (i+1, j), (i, j+1), (i+1, j+1), each weight formed x1
         factor first: the order of the 2^n corner loop the tests keep as
         reference, so the sum rounds the same.
         """
-        fx, ft = self._box_fractions(xp, t)
+        fx, ft = self._box_fractions(x1, t)
         i = np.minimum(np.floor(fx).astype(int), self.grid.shape[0] - 2)
         j = np.minimum(np.floor(ft).astype(int), self.grid.shape[1] - 2)
         wx, wt = fx - i, ft - j
@@ -609,11 +604,11 @@ class DiscreteField:
                 + nodal[i, j + 1] * np.asarray(ux * wt)[..., None]
                 + nodal[i + 1, j + 1] * np.asarray(wx * wt)[..., None])
 
-    def recover_gradient(self, xp, t):
-        """(..., N, 2) gradient at (x', t): interpolated nodal physical gradients."""
+    def recover_gradient(self, x1, t):
+        """(..., N, 2) gradient at (x1, t): interpolated nodal physical gradients."""
         g = self.gradient_nodes()                            # (N, 2, *shape)
         nodal = np.moveaxis(g.reshape((self.N * 2,) + self.grid.shape), 0, -1)
-        flat = self._interpolate(nodal, xp, t)
+        flat = self._interpolate(nodal, x1, t)
         return flat.reshape(flat.shape[:-1] + (self.N, 2))
 
     def l2_norm(self):
@@ -622,8 +617,8 @@ class DiscreteField:
         u = 0.5 * (u[:-1] + u[1:])
         u = 0.5 * (u[:, :-1] + u[:, 1:])
         x1 = self.grid.axes[0]
-        dlt = self.region.delta(0.5 * (x1[:-1] + x1[1:])[:, None])
-        w = np.sum(u * u, axis=-1) * dlt[..., None]
+        dlt = self.region.delta(0.5 * (x1[:-1] + x1[1:])[:, None])      # cell columns
+        w = np.sum(u * u, axis=-1) * dlt
         vol = float(np.prod(self.grid.spacing))
         return float(np.sqrt(w.sum() * vol))
 
@@ -665,7 +660,7 @@ def dirichlet_values(grid: BoxGrid, traces: BoundaryTraces, closure: str,
     if closure not in CLOSURES:
         raise AssemblyError(f"unknown lateral closure {closure!r}")
     V = np.zeros(grid.shape + (traces.N,))
-    XP, T = grid.node_coords()
+    X1, T = grid.node_coords()
     if closure == "constant":
         if lateral_value is None:
             raise AssemblyError("constant closure requires lateral_value")
@@ -673,9 +668,9 @@ def dirichlet_values(grid: BoxGrid, traces: BoundaryTraces, closure: str,
     else:
         if ansatz is None:
             raise AssemblyError("ansatz closure requires an ansatz field")
-        V[[0, -1]] = ansatz.value(XP[[0, -1]], T[[0, -1]])
-    V[:, 0] = traces.psi.jet(XP[:, 0], 0)[0]
-    V[:, -1] = traces.phi.jet(XP[:, -1], 0)[0]
+        V[[0, -1]] = ansatz.value(X1[[0, -1]], T[[0, -1]])
+    V[:, 0] = traces.psi.jet(X1[:, 0], 0)[0]
+    V[:, -1] = traces.phi.jet(X1[:, -1], 0)[0]
     return V
 
 
@@ -696,7 +691,6 @@ def solve_bvp(system: LinearSystem, region: NarrowRegion, sets: list, tol):
             out.append(None)
         except Exception as exc:
             out.append(exc.with_traceback(None))
-    shape = (system.N,) + grid.shape
     todo = [j for j, o in enumerate(out) if o is None]
     if todo:
         # a lone row is solved as a view: np.stack would copy it
@@ -705,5 +699,5 @@ def solve_bvp(system: LinearSystem, region: NarrowRegion, sets: list, tol):
         X, reports = solve_linear(system, B, tol=np.broadcast_to(tol, len(sets))[todo])
         for j, x, rep in zip(todo, X, reports):
             out[j] = rep if isinstance(rep, SolverError) else (
-                DiscreteField(grid, region, x.reshape(shape)), rep)
+                DiscreteField(grid, region, x), rep)
     return out

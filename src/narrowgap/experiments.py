@@ -99,7 +99,6 @@ class RateFit:
     intercept: float
     r_squared: float
     npoints: int
-    m: int = 2
 
     @property
     def decay_constant(self):
@@ -148,7 +147,7 @@ def fit_rate(sr: SweepResult, model: str = "power", m: int = 2,
     ss_tot = float(np.sum((Y - Y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return RateFit(model, float(slope), float(intercept),
-                   float(min(max(r2, 0.0), 1.0)), len(pts), m)
+                   float(min(max(r2, 0.0), 1.0)), len(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +197,8 @@ class SolveBundle:
     @property
     def inner(self):
         def make():
-            XP, T = self.coords
-            r = np.sqrt(np.sum(XP * XP, axis=-1))
-            return (r < self.region.R0) & (T > 0) & (T < 1)
+            X1, T = self.coords
+            return (np.abs(X1) < self.region.R0) & (T > 0) & (T < 1)
         return self._get("inner", make)
 
     @property
@@ -213,8 +211,8 @@ class SolveBundle:
         key = f"grad_ans_{corrected}"
 
         def make():
-            XP, T = self.coords
-            return self.ansatz.gradient(XP[..., :1, :], T, corrected)
+            X1, T = self.coords
+            return self.ansatz.gradient(X1[:, :1], T, corrected)
         return self._get(key, make)
 
     def remainder_inner(self, corrected=True):
@@ -230,15 +228,15 @@ class SolveBundle:
         return self._get("c2n", lambda: self.traces.c2_total(2 * self.region.R0))
 
     def at_inner(self, column_values):
-        """Per-column values (..., 1) spread over the inner nodes."""
+        """Per-column values (tangential nodes, 1) spread over the inner nodes."""
         return np.broadcast_to(column_values, self.inner.shape)[self.inner]
 
     def normalizer(self, bar=False):
         """Theta, or Theta_bar when ``bar``, plus delta * C2 norms at the inner nodes."""
-        xp = self.coords[0][..., :1, :]
-        gauge = (_ans.theta_bar_delta(self.traces, self.region, xp) if bar
-                 else _ans.theta(self.traces, xp))
-        return self.at_inner(gauge + self.region.delta(xp) * self.c2_norms)
+        x1 = self.coords[0][:, :1]
+        gauge = (_ans.theta_bar_delta(self.traces, self.region, x1) if bar
+                 else _ans.theta(self.traces, x1))
+        return self.at_inner(gauge + self.region.delta(x1) * self.c2_norms)
 
     def column_max(self, E, xprime):
         """max |E| over the interior of the vertical column nearest x'.
@@ -311,9 +309,9 @@ def _stat_cor41_thetabar(b: SolveBundle):
 
 def _stat_gauge_margin(b: SolveBundle):
     """min over inner x' of Theta - Theta_bar_delta (>= 0 expected)."""
-    xp = b.coords[0][..., :1, :]
-    return float(b.at_inner(_ans.theta(b.traces, xp)
-                            - _ans.theta_bar_delta(b.traces, b.region, xp)).min())
+    x1 = b.coords[0][:, :1]
+    return float(b.at_inner(_ans.theta(b.traces, x1)
+                            - _ans.theta_bar_delta(b.traces, b.region, x1)).min())
 
 
 def _stat_energy_ratio(b: SolveBundle):
@@ -321,9 +319,9 @@ def _stat_energy_ratio(b: SolveBundle):
 
     Blind to the correction: ``_judge_energy`` says why.
     """
-    dlt0 = float(b.region.delta(np.zeros((1, 1)))[0])
+    dlt0 = float(b.region.delta(0.0))
     E = local_energy(b.field, b.ansatz, 0.0, dlt0, nq=b.cfg.experiment.energy_quad)
-    th0 = float(_ans.theta(b.traces, np.zeros((1, 1)))[0])
+    th0 = float(_ans.theta(b.traces, 0.0))
     denom = dlt0 ** 2 * (th0 ** 2 + dlt0 ** 2 * b.c2_norms ** 2)
     return float(E / denom)
 
@@ -370,16 +368,16 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     tq = (np.arange(nqt) + 0.5) / nqt
     YQ, TQ = (m.ravel() for m in np.meshgrid(yq, tq, indexing="ij"))
     keep = (YQ - z) ** 2 <= radius ** 2 * (1 + 1e-12)
-    YQ, TQ = YQ[keep, None], TQ[keep]
+    YQ, TQ = YQ[keep], TQ[keep]
 
     # the remainder on the columns the interpolation reads (one spare each
     # side), interpolated from those columns alone
     x1, t = df.grid.axes
-    f = (YQ[:, 0] - x1[0]) / (x1[1] - x1[0])
+    f = (YQ - x1[0]) / (x1[1] - x1[0])
     cols = slice(max(int(np.floor(f.min())) - 1, 0),
                  min(int(np.floor(f.max())) + 3, len(x1)))
     gw = df.gradient_nodes()[:, :, cols] - np.moveaxis(
-        ansatz.gradient(x1[cols, None, None], t), (-2, -1), (0, 1))
+        ansatz.gradient(x1[cols, None], t), (-2, -1), (0, 1))
     nodal = np.moveaxis(gw.reshape((-1,) + gw.shape[2:]), 0, -1)
     vals = df._interpolate(nodal, YQ, TQ, first=cols.start)
     w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ)
@@ -553,7 +551,7 @@ def residual_sweep(cfg: RunConfig) -> dict:
 
     def measure(af, ns):
         region = af.region
-        xq = np.linspace(-region.R0, region.R0, ns[0] + 2)[1:-1, None, None]  # x1 columns
+        xq = np.linspace(-region.R0, region.R0, ns[0] + 2)[1:-1, None]   # x1 columns
         ts = np.linspace(0.0, 1.0, ns[1] + 2)[1:-1]
         dlt = region.delta(xq)
         th = _ans.theta(traces, xq)

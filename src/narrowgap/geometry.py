@@ -19,11 +19,11 @@ profiles, so profiles are supplied analytically, never tabulated.
 
 The region is planar: x' = x1, and every layer below (grids, the box
 Jacobian, the ansatz, the traces) is written for the axes (x1, t).
-Tangential points ``xp`` have shape (..., 1), full points ``x`` have shape
-(..., 2); all evaluators broadcast.  A function of x1 gives its derivatives
-as one jet [f, d_1 f, d_11 f, d_111 f] cut at ``order``, each entry of
-shape (...), as ``ansatz.PolyTrace.jet`` does for the traces: each profile
-has ``jet`` and the region has ``delta_jet``.
+A tangential point is its x1 value: ``x1`` arrays have shape (...), full
+points ``x`` have shape (..., 2); all evaluators broadcast.  A function of
+x1 gives its derivatives as one jet [f, d_1 f, d_11 f, d_111 f] cut at
+``order``, each entry of shape (...), as ``ansatz.PolyTrace.jet`` does for
+the traces: each profile has ``jet`` and the region has ``delta_jet``.
 """
 
 from __future__ import annotations
@@ -42,15 +42,6 @@ class GeometryError(ValueError):
 
 class EvaluationError(RuntimeError):
     """A profile produced a non-finite value."""
-
-
-def _as_points(xp):
-    xp = np.asarray(xp, dtype=float)
-    if xp.ndim == 0:
-        xp = xp.reshape(1)
-    if xp.shape[-1] != 1:
-        raise GeometryError(f"expected points with last axis 1, got shape {xp.shape}")
-    return xp
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +64,9 @@ class PowerProfile:
         if self.power < 2:
             raise GeometryError("profile power must be >= 2")
 
-    def jet(self, xp, order=2):
-        """[h, d_1 h, d_11 h, d_111 h] at x' up to ``order``, each of shape (...)."""
-        x = np.asarray(xp, dtype=float)[..., 0]
+    def jet(self, x1, order=2):
+        """[h, d_1 h, d_11 h, d_111 h] at x1 up to ``order``, each of x1's shape."""
+        x = np.asarray(x1, dtype=float)
         c, m = self.coef, self.power
         r2 = x * x
         out = [c * r2 ** (m / 2.0)]
@@ -117,9 +108,9 @@ class PolyProfile:
     def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
 
-    def jet(self, xp, order=2):
-        """[h, d_1 h, d_11 h, d_111 h] at x' up to ``order``, each of shape (...)."""
-        x = np.asarray(xp, dtype=float)[..., 0]
+    def jet(self, x1, order=2):
+        """[h, d_1 h, d_11 h, d_111 h] at x1 up to ``order``, each of x1's shape."""
+        x = np.asarray(x1, dtype=float)
         p = np.polynomial.Polynomial(self.coeffs)
         return [p(x)] + [p.deriv(k)(x) for k in range(1, order + 1)]
 
@@ -217,14 +208,14 @@ _SAMPLES = 201             # uniform samples over the patch [-2 R0, 2 R0]
 _PATCH_TOL = 1e-12         # relative slack of the patch test |x'| <= 2 R0
 
 
-def _pt(p):
-    return tuple(round(float(v), 12) for v in np.atleast_1d(p))
+def _pt(x1):
+    return (round(float(x1), 12),)
 
 
 def _sample_patch(radius):
-    """(P, 1) points: the uniform samples of [-radius, radius], then the origin probes."""
+    """(P,) x1 values: the uniform samples of [-radius, radius], then the origin probes."""
     x = np.linspace(-radius, radius, _SAMPLES)
-    return np.concatenate([x, [_LIMIT_RADIUS, -_LIMIT_RADIUS]])[:, None]
+    return np.concatenate([x, [_LIMIT_RADIUS, -_LIMIT_RADIUS]])
 
 
 def _no_normal_sample(name, power, bound):
@@ -264,7 +255,7 @@ def validate_profiles(pair: ProfilePair) -> ProfileReport:
     Raises EvaluationError on non-finite profile values.
     """
     pts = _sample_patch(2.0 * pair.R0)
-    r = np.abs(pts[:, 0])
+    r = np.abs(pts)
 
     jets = {}
     for name, prof in (("h1", pair.h1), ("h2", pair.h2)):
@@ -324,51 +315,51 @@ class NarrowRegion:
 
     # -- gap function ------------------------------------------------------
 
-    def _check_patch(self, xp):
-        r2 = np.sum(xp * xp, axis=-1)
+    def _check_patch(self, x1):
+        r2 = x1 * x1
         lim = (2.0 * self.R0) ** 2 * (1 + _PATCH_TOL)
         if np.any(r2 > lim):
-            bad = np.asarray(xp).reshape(-1)[np.argmax(r2.reshape(-1))]
+            bad = x1.flat[np.argmax(r2)]
             raise GeometryError(f"tangential point {(float(bad),)} outside the patch "
                                 f"|x'| <= {2 * self.R0}")
 
-    def delta_jet(self, xp, order=2):
-        """[delta, d_1 delta, d_11 delta, d_111 delta] at x' up to ``order``, each (...)."""
-        xp = _as_points(xp)
-        self._check_patch(xp)
-        out = [f1 - f2 for f1, f2 in zip(self.profiles.h1.jet(xp, order),
-                                          self.profiles.h2.jet(xp, order))]
+    def delta_jet(self, x1, order=2):
+        """[delta, d_1 delta, d_11 delta, d_111 delta] at x1 up to ``order``, each (...)."""
+        x1 = np.asarray(x1, dtype=float)
+        self._check_patch(x1)
+        out = [f1 - f2 for f1, f2 in zip(self.profiles.h1.jet(x1, order),
+                                          self.profiles.h2.jet(x1, order))]
         out[0] = self.epsilon + out[0]
         return out
 
-    def delta(self, xp):
-        return self.delta_jet(xp, 0)[0]
+    def delta(self, x1):
+        return self.delta_jet(x1, 0)[0]
 
     # -- normalized vertical coordinate ------------------------------------
 
-    def _box(self, xp, t):
-        """(x', t) checked: x' (..., 1) on the patch, t (...) in [0, 1]; they broadcast."""
-        xp = _as_points(xp)
-        self._check_patch(xp)
+    def _box(self, x1, t):
+        """(x1, t) checked: x1 on the patch, t in [0, 1]; they broadcast."""
+        x1 = np.asarray(x1, dtype=float)
+        self._check_patch(x1)
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12) or np.any(t > 1 + 1e-12):
             bad = t.flat[np.argmax(np.abs(t - 0.5))]
             raise GeometryError(f"box coordinate t = {float(bad):.3g} outside [0, 1]")
-        return xp, t
+        return x1, t
 
-    def vbar_grad(self, xp, t):
+    def vbar_grad(self, x1, t):
         """Gradient of v at (x1, t), shape (..., 2): (-(h2' + t delta'), 1) / delta."""
-        xp, t = self._box(xp, t)
-        dlt, d1 = self.delta_jet(xp, 1)
+        x1, t = self._box(x1, t)
+        dlt, d1 = self.delta_jet(x1, 1)
         out = np.empty(np.broadcast_shapes(dlt.shape, t.shape) + (2,))
-        out[..., 0] = -(self.profiles.h2.jet(xp, 1)[1] + t * d1) / dlt
+        out[..., 0] = -(self.profiles.h2.jet(x1, 1)[1] + t * d1) / dlt
         out[..., 1] = 1.0 / dlt
         return out
 
     # -- box map ------------------------------------------------------------
 
-    def from_box(self, xp, t):
+    def from_box(self, x1, t):
         """Inverse map x2 = h2(x1) + t * delta(x1); requires t in [0, 1]."""
-        xp, t = self._box(xp, t)
-        xn = self.profiles.h2.jet(xp, 0)[0] + t * self.delta(xp)
-        return np.concatenate([np.broadcast_to(xp, xn.shape + (1,)), xn[..., None]], axis=-1)
+        x1, t = self._box(x1, t)
+        x2 = self.profiles.h2.jet(x1, 0)[0] + t * self.delta(x1)
+        return np.stack(np.broadcast_arrays(x1, x2), axis=-1)

@@ -17,8 +17,9 @@ it; the tests compare against them:
 - the inverse box map (``vbar``, ``to_box``) and region membership
   (``contains``);
 - the profile derivatives as written for d = n - 1 tangential axes
-  (``RefProfile``), against which every entry of the profile and gap jets is
-  checked bit for bit at d = 1;
+  (``RefProfile``, ``ref_gap``: they are passed x1[..., None]), against
+  which every entry of the profile and gap jets is checked bit for bit at
+  d = 1;
 - one boundary-value solve (``solve_one``) and one sweep (``sweep``)
   through the calls a run makes;
 - the flat profile ``FLAT``, the Dirichlet mask of a system
@@ -35,8 +36,7 @@ from narrowgap.coefficients import ConstructionError
 from narrowgap.discretize import (DiscreteField, assemble, right_hand_side, solve_bvp,
                                   solve_linear, transform_operator)
 from narrowgap.experiments import SweepRequest, _eps_list, run_sweeps
-from narrowgap.geometry import (_PATCH_TOL, GeometryError, PowerProfile, _as_points,
-                                _safe_pow)
+from narrowgap.geometry import _PATCH_TOL, GeometryError, PowerProfile, _safe_pow
 
 
 FLAT = PowerProfile(0.0, 2)          # h = 0: a flat strip from a pair of them
@@ -46,7 +46,7 @@ FLAT = PowerProfile(0.0, 2)          # h = 0: a flat strip from a pair of them
 # correction rows
 # ---------------------------------------------------------------------------
 
-def _lame_kernel(params, region, xp, order):
+def _lame_kernel(params, region, x1, order):
     """Closed-form kernel rows for the isotropic elasticity tensor:
 
         Q_1 = k_t d_1 delta e_2,  k_t = (lam+mu)/(lam+2mu),
@@ -57,7 +57,7 @@ def _lame_kernel(params, region, xp, order):
     k_t = (params.lam + params.mu) / (params.lam + 2 * params.mu)
     k_n = (params.lam + params.mu) / params.mu
     out = []
-    for D in region.delta_jet(xp, order + 1)[1:]:
+    for D in region.delta_jet(x1, order + 1)[1:]:
         Q = np.zeros(D.shape + (2, 2))                 # Q[..., l, i]
         Q[..., 0, 1] = k_t * D
         Q[..., 1, 0] = k_n * D
@@ -65,34 +65,31 @@ def _lame_kernel(params, region, xp, order):
     return out
 
 
-def _correction_rows(kernel, traces, xp):
-    """Rows G_l = (phi^l - psi^l) Q_l at x', shape (..., N, N)."""
-    return traces.diff_jet(xp, 0)[0][..., None] * kernel[0]
+def _correction_rows(kernel, traces, x1):
+    """Rows G_l = (phi^l - psi^l) Q_l at x1, shape (..., N, N)."""
+    return traces.diff_jet(x1, 0)[0][..., None] * kernel[0]
 
 
-def correction_coeffs(tensor, region, traces, xp):
-    """All correction vectors at x': rows l of the returned (..., N, N) array.
+def correction_coeffs(tensor, region, traces, x1):
+    """All correction vectors at x1: rows l of the returned (..., N, N) array.
 
     Solves the N x N vertical-block system per l; raises
     HypothesisViolationError if that block is numerically singular.
     """
-    xp = _as_points(xp)
-    return _correction_rows(_generic_kernel(tensor, region, xp, 0), traces, xp)
+    return _correction_rows(_generic_kernel(tensor, region, x1, 0), traces, x1)
 
 
-def lame_correction(params, region, traces, xp):
+def lame_correction(params, region, traces, x1):
     """Closed-form correction rows for the isotropic elasticity tensor."""
     params.validate()
     if traces.N != 2:
         raise ConstructionError("elasticity requires N == n traces")
-    xp = _as_points(xp)
-    return _correction_rows(_lame_kernel(params, region, xp, 0), traces, xp)
+    return _correction_rows(_lame_kernel(params, region, x1, 0), traces, x1)
 
 
-def correction_sum(af, xp):
+def correction_sum(af, x1):
     """[S, S', S''] of the field ``af`` with S = sum_l G_l, each (..., N)."""
-    xp = _as_points(xp)
-    return af._correction_sum(xp, af.traces.diff_jet(xp, 2), 2)
+    return af._correction_sum(x1, af.traces.diff_jet(x1, 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +208,10 @@ def dirichlet_mask(ls):
 
 def forced_right_hand_side(ls, boundary_values, Ftil):
     """Dirichlet values on the boundary rows, -Ftil (*shape, N) on the interior rows."""
-    b = right_hand_side(ls, boundary_values).reshape((ls.N,) + ls.grid.shape)
+    b = right_hand_side(ls, boundary_values)
     interior = ~dirichlet_mask(ls).reshape(b.shape)
     b[interior] = -np.moveaxis(Ftil, -1, 0)[interior]
-    return b.ravel()
+    return b
 
 
 def solve_manufactured(tensor, region, grid, mms):
@@ -226,18 +223,18 @@ def solve_manufactured(tensor, region, grid, mms):
     as a stack of one, and its SolverError raises.
     """
     ls = assemble(transform_operator(tensor, region, grid))
-    XP, T = grid.node_coords()
-    x = region.from_box(XP, T)
-    Ftil = region.delta(XP)[..., None] * manufactured_forcing(tensor, mms)(x)
+    X1, T = grid.node_coords()
+    x = region.from_box(X1, T)
+    Ftil = region.delta(X1)[..., None] * manufactured_forcing(tensor, mms)(x)
     (u,), (rep,) = solve_linear(ls, forced_right_hand_side(ls, mms.value(x), Ftil)[None])
     if isinstance(rep, Exception):
         raise rep
-    return DiscreteField(grid, region, u.reshape((ls.N,) + grid.shape)), rep
+    return DiscreteField(grid, region, u), rep
 
 
-def value_at(df, xp, t):
-    """(..., N) bilinear interpolant of the nodal solution of ``df`` at (x', t)."""
-    return df._interpolate(np.moveaxis(df.values, 0, -1), xp, t)
+def value_at(df, x1, t):
+    """(..., N) bilinear interpolant of the nodal solution of ``df`` at (x1, t)."""
+    return df._interpolate(np.moveaxis(df.values, 0, -1), x1, t)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +251,8 @@ def _full_points(x):
 def vbar(region, x):
     """v(x) = (x_2 - h2(x1)) / delta(x1) at physical points x (..., 2)."""
     x = _full_points(x)
-    xp, xn = x[..., :-1], x[..., -1]
-    t = (xn - region.profiles.h2.jet(xp, 0)[0]) / region.delta(xp)
+    x1, x2 = x[..., 0], x[..., 1]
+    t = (x2 - region.profiles.h2.jet(x1, 0)[0]) / region.delta(x1)
     if np.any(t < -1e-10) or np.any(t > 1 + 1e-10):
         bad = x.reshape(-1, 2)[np.argmax(np.abs(t - 0.5).reshape(-1))]
         raise GeometryError(f"point {tuple(map(float, bad))} outside the closed region")
@@ -263,21 +260,20 @@ def vbar(region, x):
 
 
 def to_box(region, x):
-    """Map a physical point to (x', t) with t = v(x) in [0, 1]."""
+    """Map a physical point to (x1, t) with t = v(x) in [0, 1]."""
     x = _full_points(x)
-    return x[..., :-1].copy(), vbar(region, x)
+    return x[..., 0].copy(), vbar(region, x)
 
 
 def contains(region, x):
     """Whether each physical point x (..., 2) lies in the closed region."""
     x = _full_points(x)
-    xp, xn = x[..., :-1], x[..., -1]
-    r2 = np.sum(xp * xp, axis=-1)
-    inside = r2 <= (2 * region.R0) ** 2 * (1 + _PATCH_TOL)
-    lo = region.profiles.h2.jet(xp, 0)[0]
-    hi = region.epsilon + region.profiles.h1.jet(xp, 0)[0]
+    x1, x2 = x[..., 0], x[..., 1]
+    inside = x1 * x1 <= (2 * region.R0) ** 2 * (1 + _PATCH_TOL)
+    lo = region.profiles.h2.jet(x1, 0)[0]
+    hi = region.epsilon + region.profiles.h1.jet(x1, 0)[0]
     slack = _PATCH_TOL * (region.epsilon + np.abs(hi) + np.abs(lo))
-    return inside & (xn >= lo - slack) & (xn <= hi + slack)
+    return inside & (x2 >= lo - slack) & (x2 <= hi + slack)
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,9 @@ def test_criterion_1_closed_form_oracle_equivalence():
         traces = BoundaryTraces(PolyTrace(rng.normal(size=(2, 4))),
                                 PolyTrace(rng.normal(size=(2, 4))))
         params = LameParameters(lam, mu)
-        xp = rng.uniform(-0.95, 0.95, (8, 1))
-        got = correction_coeffs(make_lame(params), region, traces, xp)
-        want = lame_correction(params, region, traces, xp)
+        x1 = rng.uniform(-0.95, 0.95, 8)
+        got = correction_coeffs(make_lame(params), region, traces, x1)
+        want = lame_correction(params, region, traces, x1)
         scale = max(float(np.abs(want).max()), 1e-30)
         worst = max(worst, float(np.abs(got - want).max()) / scale)
     elapsed = time.perf_counter() - t0
@@ -89,17 +89,17 @@ def test_criterion_2_ansatz_correctness():
     af = build_ansatz(tensor, region, traces)
     rng = np.random.default_rng(7)
 
-    xp = rng.uniform(-0.99, 0.99, (5000, 1))
-    top = region.from_box(xp, np.ones(5000))
-    bot = region.from_box(xp, np.zeros(5000))
-    bmatch = max(float(np.abs(af.value(*to_box(region, top)) - traces.phi.jet(xp, 0)[0]).max()),
-                 float(np.abs(af.value(*to_box(region, bot)) - traces.psi.jet(xp, 0)[0]).max()))
+    x1 = rng.uniform(-0.99, 0.99, 5000)
+    top = region.from_box(x1, np.ones(5000))
+    bot = region.from_box(x1, np.zeros(5000))
+    bmatch = max(float(np.abs(af.value(*to_box(region, top)) - traces.phi.jet(x1, 0)[0]).max()),
+                 float(np.abs(af.value(*to_box(region, bot)) - traces.psi.jet(x1, 0)[0]).max()))
 
-    xp_i = rng.uniform(-0.9, 0.9, (1000, 1))
+    x1_i = rng.uniform(-0.9, 0.9, 1000)
     t_i = rng.uniform(0.05, 0.95, 1000)
-    x = region.from_box(xp_i, t_i)
-    g = af.gradient(xp_i, t_i)
-    h = (1e-6 * region.delta(xp_i))[:, None]
+    x = region.from_box(x1_i, t_i)
+    g = af.gradient(x1_i, t_i)
+    h = (1e-6 * region.delta(x1_i))[:, None]
     fd_err = 0.0
     scale = float(np.abs(g).max())
     for a in range(2):
@@ -110,7 +110,7 @@ def test_criterion_2_ansatz_correctness():
         fd_err = max(fd_err, float(np.abs(g[..., a] - fd).max()) / scale)
 
     lap_traces = BoundaryTraces(const(1.0), const(0.0))
-    G = correction_coeffs(make_laplace(), region, lap_traces, xp_i)
+    G = correction_coeffs(make_laplace(), region, lap_traces, x1_i)
     lap_zero = bool(np.all(G == 0.0))
 
     elapsed = time.perf_counter() - t0
@@ -134,8 +134,8 @@ def test_criterion_3_solver_order():
     for ny, nt in ((33, 17), (65, 33), (129, 65), (257, 129)):
         grid = grid_for(region, ny, nt)
         df, _ = solve_manufactured(tensor, region, grid, mms)
-        XP, T = grid.node_coords()
-        x = region.from_box(XP, T)
+        X1, T = grid.node_coords()
+        x = region.from_box(X1, T)
         errs_u.append(float(np.abs(np.moveaxis(df.values, 0, -1)
                                    - mms.value(x)).max()))
         gn = np.moveaxis(df.gradient_nodes(), (0, 1), (-2, -1))

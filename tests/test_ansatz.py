@@ -95,7 +95,7 @@ class TestSmoother:
 # boundary traces
 # ---------------------------------------------------------------------------
 
-X1 = np.linspace(-0.9, 0.9, 19).reshape(19, 1, 1)      # a column of x' points
+X1 = np.linspace(-0.9, 0.9, 19)[:, None]             # a column of x1 points
 
 
 class TestPolyTrace:
@@ -108,7 +108,7 @@ class TestPolyTrace:
     def test_monomial_jet(self, k):
         # scale * x1^k in component 1 of 3; Horner's rule and x1**k agree
         # bit for bit below k = 2 and may round apart from k = 2 on
-        scale, x = 1.7, X1[..., 0]
+        scale, x = 1.7, X1
         tr = PolyTrace([[0.0], [0.0] * k + [scale], [0.0]])
         want = [scale * x ** k,
                 scale * k * x ** max(k - 1, 0),
@@ -122,7 +122,7 @@ class TestPolyTrace:
 
     def test_poly_jet(self):
         tr = PolyTrace([[1.0, -2.0, 0.5, 0.25], [3.0]])
-        x = X1[..., 0]
+        x = X1
         f, d1, d11 = tr.jet(X1)
         np.testing.assert_allclose(f[..., 0], 1.0 - 2.0 * x + 0.5 * x ** 2 + 0.25 * x ** 3,
                                    rtol=1e-15, atol=1e-15)
@@ -156,14 +156,14 @@ class TestCorrection:
     def test_laplacian_correction_vanishes_exactly(self):
         r = region()
         tr = BoundaryTraces(const(1.0), const(0.0))
-        G = correction_coeffs(make_laplace(), r, tr, np.array([[0.3]]))
+        G = correction_coeffs(make_laplace(), r, tr, np.array([0.3]))
         assert np.all(G == 0.0)
 
     def test_lame_tangential_row(self):
         # lam = mu = 1, phi^1 - psi^1 = 1, d1 delta = 0.2:
         # G_1 = (lam+mu)/(lam+2mu) * 0.2 * e_n = (0, 2/15...) = (0, 0.13333...)
         r = region(eps=0.01)
-        G = correction_coeffs(LAME, r, E1_GAP, np.array([[0.1]]))[0]
+        G = correction_coeffs(LAME, r, E1_GAP, np.array([0.1]))[0]
         assert G[0] == pytest.approx([0.0, (2.0 / 3.0) * 0.2], abs=1e-15)
         assert np.all(G[1] == 0.0)
 
@@ -171,7 +171,7 @@ class TestCorrection:
         # phi^n - psi^n = 1, d1 delta = 0.2: G_n = (lam+mu)/mu * 0.2 * e_1
         r = region(eps=0.01)
         tr = BoundaryTraces(const(0.0, 1.0), const(0.0, 0.0))
-        G = lame_correction(LameParameters(1.0, 1.0), r, tr, np.array([[0.1]]))[0]
+        G = lame_correction(LameParameters(1.0, 1.0), r, tr, np.array([0.1]))[0]
         assert G[1] == pytest.approx([0.4, 0.0], abs=1e-15)
         assert np.all(G[0] == 0.0)
 
@@ -185,10 +185,10 @@ class TestCorrection:
                        eps=rng.uniform(1e-3, 0.1))
             tr = BoundaryTraces(PolyTrace(rng.normal(size=(2, 3))),
                                 PolyTrace(rng.normal(size=(2, 3))))
-            xp = rng.uniform(-0.9, 0.9, (5, 1))
+            x1 = rng.uniform(-0.9, 0.9, 5)
             params = LameParameters(lam, mu)
-            got = correction_coeffs(make_lame(params), r, tr, xp)
-            want = lame_correction(params, r, tr, xp)
+            got = correction_coeffs(make_lame(params), r, tr, x1)
+            want = lame_correction(params, r, tr, x1)
             scale = max(np.abs(want).max(), 1e-30)
             assert np.abs(got - want).max() <= 1e-12 * scale
 
@@ -199,10 +199,10 @@ class TestCorrection:
         # the ansatz reads: the closed form is linear in d_1 delta, so this
         # cross-checks the kernel's derivative chain too
         r = region(m=m, upper=1.1, lower=0.4, eps=5e-3)
-        xp = np.linspace(-0.9, 0.9, 37)[:, None]
+        x1 = np.linspace(-0.9, 0.9, 37)
         params = LameParameters(lam, mu)
-        got = _generic_kernel(make_lame(params), r, xp, 2)
-        want = _lame_kernel(params, r, xp, 2)
+        got = _generic_kernel(make_lame(params), r, x1, 2)
+        want = _lame_kernel(params, r, x1, 2)
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):
             assert g.shape == w.shape
@@ -212,7 +212,7 @@ class TestCorrection:
         r = region()
         for d in (1e-3, 1e-6, 1e-9):
             G = lame_correction(LameParameters(-1.0 + d, 1.0), r, E1_GAP,
-                                np.array([[0.1]]))[0]
+                                np.array([0.1]))[0]
             assert np.abs(G).max() <= d * 0.21
 
 
@@ -223,26 +223,26 @@ class TestCorrection:
 class TestGauges:
     def test_equal_traces_vanish(self):
         tr = BoundaryTraces(const(2.0, -1.0), const(2.0, -1.0))
-        xp = np.linspace(-0.9, 0.9, 7)[:, None]
-        assert np.all(theta(tr, xp) == 0.0)
-        assert np.all(theta_bar_delta(tr, region(), xp) == 0.0)
+        x1 = np.linspace(-0.9, 0.9, 7)
+        assert np.all(theta(tr, x1) == 0.0)
+        assert np.all(theta_bar_delta(tr, region(), x1) == 0.0)
 
     def test_constant_gap_m2_gauges_coincide(self):
         tr = BoundaryTraces(const(3.0, 4.0), const(0.0, 0.0))
         r = region(m=2)
-        xp = np.linspace(-0.9, 0.9, 7)[:, None]
-        assert np.allclose(theta(tr, xp), 5.0)
-        assert np.allclose(theta_bar_delta(tr, r, xp), 5.0)
+        x1 = np.linspace(-0.9, 0.9, 7)
+        assert np.allclose(theta(tr, x1), 5.0)
+        assert np.allclose(theta_bar_delta(tr, r, x1), 5.0)
 
     def test_monomial_gap_at_origin(self):
         tr = BoundaryTraces(PolyTrace([[0.0, 1.0], [0.0]]), const(0.0, 0.0))
-        assert theta(tr, np.zeros((1, 1)))[0] == pytest.approx(1.0)
+        assert theta(tr, 0.0) == pytest.approx(1.0)
 
     def test_thetabar_smaller_for_m4(self):
         tr = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
         r = region(m=4, eps=1e-3)
-        xp = np.linspace(-0.9, 0.9, 33)[:, None]
-        assert np.all(theta_bar_delta(tr, r, xp) <= theta(tr, xp))
+        x1 = np.linspace(-0.9, 0.9, 33)
+        assert np.all(theta_bar_delta(tr, r, x1) <= theta(tr, x1))
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +254,20 @@ class TestAnsatzField:
         r = region()
         tr = BoundaryTraces(const(2.0), const(-1.0))
         af = build_ansatz(make_laplace(), r, tr)
-        xp = np.linspace(-0.9, 0.9, 9)[:, None]
+        x1 = np.linspace(-0.9, 0.9, 9)
         t = np.linspace(0.1, 0.9, 9)
-        assert np.allclose(af.value(xp, t)[:, 0], 2.0 * t - 1.0 * (1 - t), atol=1e-14)
+        assert np.allclose(af.value(x1, t)[:, 0], 2.0 * t - 1.0 * (1 - t), atol=1e-14)
 
     def test_boundary_match_exact(self):
         r = region(m=3, upper=0.9, lower=0.7, eps=0.02)
         tr = BoundaryTraces(PolyTrace([[0.3, 1.0, -0.5], [1.0, 2.0]]),
                             PolyTrace([[0.1], [0.0, -1.0]]))
         af = build_ansatz(LAME, r, tr)
-        xp = np.linspace(-0.99, 0.99, 500)[:, None]
-        top = r.from_box(xp, np.ones(500))
-        bot = r.from_box(xp, np.zeros(500))
-        assert np.abs(af.value(*to_box(r, top)) - tr.phi.jet(xp, 0)[0]).max() <= 1e-14
-        assert np.abs(af.value(*to_box(r, bot)) - tr.psi.jet(xp, 0)[0]).max() <= 1e-14
+        x1 = np.linspace(-0.99, 0.99, 500)
+        top = r.from_box(x1, np.ones(500))
+        bot = r.from_box(x1, np.zeros(500))
+        assert np.abs(af.value(*to_box(r, top)) - tr.phi.jet(x1, 0)[0]).max() <= 1e-14
+        assert np.abs(af.value(*to_box(r, bot)) - tr.psi.jet(x1, 0)[0]).max() <= 1e-14
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
@@ -281,7 +281,7 @@ class TestAnsatzField:
         f1 = build_ansatz(LAME, r, tr1)
         f2 = build_ansatz(LAME, r, tr2)
         fm = build_ansatz(LAME, r, mixed)
-        x = (np.array([[0.2], [-0.4]]), np.array([0.3, 0.8]))
+        x = (np.array([0.2, -0.4]), np.array([0.3, 0.8]))
         want = a * f1.value(*x) + b * f2.value(*x)
         scale = max(1.0, np.abs(want).max())
         assert np.abs(fm.value(*x) - want).max() <= 1e-12 * scale
@@ -293,8 +293,8 @@ class TestGradAnsatz:
         r = region(eps=0.01)
         tr = BoundaryTraces(const(3.0), const(0.0))
         af = build_ansatz(make_laplace(), r, tr)
-        xp = np.array([[0.1]])
-        assert af.gradient(xp, np.array([0.25]))[0, 0, 1] == pytest.approx(3.0 / 0.02, rel=1e-14)
+        x1 = np.array([0.1])
+        assert af.gradient(x1, np.array([0.25]))[0, 0, 1] == pytest.approx(3.0 / 0.02, rel=1e-14)
 
     @pytest.mark.parametrize("tensor", field_cases())
     def test_matches_central_differences(self, tensor):
@@ -303,11 +303,11 @@ class TestGradAnsatz:
                             PolyTrace([[0.0, -0.3], [0.1]]))
         af = build_ansatz(tensor, r, tr)
         rng = np.random.default_rng(2)
-        xp = rng.uniform(-0.9, 0.9, (1000, 1))
+        x1 = rng.uniform(-0.9, 0.9, 1000)
         t = rng.uniform(0.05, 0.95, 1000)
-        x = r.from_box(xp, t)
-        g = af.gradient(xp, t)
-        h = (1e-6 * r.delta(xp))[:, None]
+        x = r.from_box(x1, t)
+        g = af.gradient(x1, t)
+        h = (1e-6 * r.delta(x1))[:, None]
         scale = np.abs(g).max()
         for a in range(2):
             dx = np.zeros((1000, 2))
@@ -321,8 +321,8 @@ class TestGradAnsatz:
         # what survives is the bounded r(v) dS term driven by the curvature
         r = region(m=2, upper=1.0, lower=1.0, eps=0.01)
         af = build_ansatz(LAME, r, E1_GAP)
-        x = (np.zeros((1, 1)), np.array([0.37]))
-        S, dS, _ = correction_sum(af, np.zeros((1, 1)))
+        x = (np.zeros(1), np.array([0.37]))
+        S, dS, _ = correction_sum(af, np.zeros(1))
         assert np.abs(S).max() <= 1e-15
         diff = af.gradient(*x) - af.gradient(*x, corrected=False)
         assert np.abs(diff[0, :, 1]).max() <= 1e-14       # vertical slot clean
@@ -334,7 +334,7 @@ class TestGradAnsatz:
         r = region(m=2, upper=1.0, lower=0.5, eps=5e-3)
         tr = BoundaryTraces(PolyTrace([[1.0, 0.2, -0.1]]), PolyTrace([[0.0, -0.3]]))
         singular = build_ansatz(make_custom(1, [[[[1.0, 0.0], [0.0, 0.0]]]]), r, tr)
-        x = (np.linspace(-0.9, 0.9, 17)[:, None, None], np.linspace(0.0, 1.0, 9))
+        x = (np.linspace(-0.9, 0.9, 17)[:, None], np.linspace(0.0, 1.0, 9))
         with pytest.raises(HypothesisViolationError):
             singular.gradient(*x)
         want = build_ansatz(make_laplace(), r, tr).gradient(*x, corrected=False)
@@ -348,10 +348,10 @@ class TestGradAnsatz:
         for eps in (1e-2, 1e-4, 1e-6):
             r = region(eps=eps)
             af = build_ansatz(LAME, r, tr)
-            xp = np.linspace(-0.9, 0.9, 101)[:, None]
+            x1 = np.linspace(-0.9, 0.9, 101)
             t = np.full(101, 0.3)
-            assert np.abs(af.value(xp, t) - tr.phi.jet(xp, 0)[0]).max() <= 1e-14
-            sups.append(np.abs(af.gradient(xp, t)).max())
+            assert np.abs(af.value(x1, t) - tr.phi.jet(x1, 0)[0]).max() <= 1e-14
+            sups.append(np.abs(af.gradient(x1, t)).max())
         assert max(sups) <= min(sups) * (1 + 1e-12)
 
 
@@ -364,7 +364,7 @@ class TestResidual:
         tr = BoundaryTraces(const(2.0), const(-1.0))
         af = build_ansatz(make_laplace(), r, tr)
         rng = np.random.default_rng(3)
-        x = (rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0.05, 0.95, 200))
+        x = (rng.uniform(-0.9, 0.9, 200), rng.uniform(0.05, 0.95, 200))
         assert np.abs(af.residual(*x)).max() <= 1e-10
 
     def test_residual_matches_operator_of_fd_hessian(self):
@@ -372,7 +372,7 @@ class TestResidual:
         r = region(m=2, upper=0.8, lower=0.2, eps=0.05)
         tr = BoundaryTraces(PolyTrace([[0.5, 1.0], [0.0, 0.2]]), const(0.0, 0.0))
         af = build_ansatz(LAME, r, tr)
-        x0 = r.from_box(np.array([[0.21]]), np.array([0.6]))[0]
+        x0 = r.from_box(np.array([0.21]), np.array([0.6]))[0]
         h = 2e-6
         hess = np.zeros((2, 2, 2))
         for a in range(2):
@@ -397,12 +397,12 @@ class TestResidual:
         for eps in (1e-2, 1e-3, 1e-4):
             r = region(eps=eps)
             af = build_ansatz(LAME, r, tr)
-            xp = np.linspace(-0.45, 0.45, 151)[:, None]
+            x1 = np.linspace(-0.45, 0.45, 151)
             t = np.full(151, 0.35)
-            dlt = r.delta(xp)
-            th = theta(tr, xp)
-            corr.append((np.linalg.norm(af.residual(xp, t), axis=-1) * dlt / th).max())
-            f0 = np.linalg.norm(af.residual(xp, t, corrected=False), axis=-1)
+            dlt = r.delta(x1)
+            th = theta(tr, x1)
+            corr.append((np.linalg.norm(af.residual(x1, t), axis=-1) * dlt / th).max())
+            f0 = np.linalg.norm(af.residual(x1, t, corrected=False), axis=-1)
             unc.append((f0 * dlt ** 2 / th).max())
         assert max(corr) <= 12.0                  # bounded, eps-uniform
         assert min(unc) >= 1.0                    # bounded below away from zero
@@ -436,11 +436,11 @@ class TestApplyOperator:
         # residual_sweep's size and at scattered points
         r = region(eps=0.01)
         rng = np.random.default_rng(12)
-        xq = np.linspace(-0.45, 0.45, 399)[:, None, None]
+        xq = np.linspace(-0.45, 0.45, 399)[:, None]
         ts = np.linspace(0.0, 1.0, 65)[1:-1]
-        scattered = (rng.uniform(-0.45, 0.45, (200, 1)), rng.uniform(0, 1, 200))
-        for where, (xp, t) in {"columns": (xq, ts), "scattered": scattered}.items():
-            x = r.from_box(xp, t)
+        scattered = (rng.uniform(-0.45, 0.45, 200), rng.uniform(0, 1, 200))
+        for where, (x1, t) in {"columns": (xq, ts), "scattered": scattered}.items():
+            x = r.from_box(x1, t)
             lead, N = x.shape[:-1], tensor.N
             jet = (rng.normal(size=lead + (N,)), rng.normal(size=lead + (N, 2)),
                    rng.normal(size=lead + (N, 2, 2)))
@@ -456,7 +456,9 @@ class TestApplyOperator:
 # d = n - 1 travel with every factor and the product and chain rules are
 # einsums over them.  The profile and gap derivatives come from the
 # n-general formulas of ``reference.RefProfile``.  At n = 2 (d = 1, and x2
-# is axis nn = 1) the planar evaluators must reproduce it bit for bit.
+# is axis nn = 1) the planar evaluators must reproduce it bit for bit.  The
+# reference takes x1 as the evaluators do and passes the n-general formulas
+# xp = x1[..., None], the points with their d axis.
 
 def ref_leibniz(spec, F, G, order):
     ins, out = spec.split("->")
@@ -477,10 +479,11 @@ def ref_gap_slopes(region, xp, order):
     return [ref_gap(region, fn, xp) for fn in REF_DERIVS[1:order + 2]]
 
 
-def ref_midpoint_tensor_derivs(tensor, region, xp, order):
+def ref_midpoint_tensor_derivs(tensor, region, x1, order):
     d, nn = 1, 1
+    xp = x1[..., None]
     h2 = RefProfile(region.profiles.h2)
-    x_mid = region.from_box(xp, np.full(xp.shape[:-1], 0.5))
+    x_mid = region.from_box(x1, np.full(x1.shape, 0.5))
     Av, Ag, Ah = ref_A_derivs(tensor, x_mid)
     out = [Av]
     if order >= 1 and tensor.is_constant:
@@ -500,14 +503,15 @@ def ref_midpoint_tensor_derivs(tensor, region, xp, order):
     return out
 
 
-def ref_generic_kernel(tensor, region, xp, order):
+def ref_generic_kernel(tensor, region, x1, order):
     d, nn = 1, 1
-    As = ref_midpoint_tensor_derivs(tensor, region, xp, order)
+    As = ref_midpoint_tensor_derivs(tensor, region, x1, order)
     tails = [(slice(None),) * k for k in range(order + 1)]
     M = [A[(Ellipsis, nn, nn) + t] for A, t in zip(As, tails)]
     mixed = [A[(Ellipsis, slice(None, d), nn) + t]
              + A[(Ellipsis, nn, slice(None, d)) + t] for A, t in zip(As, tails)]
-    s = ref_leibniz("...ilc,...c->...il", mixed, ref_gap_slopes(region, xp, order), order)
+    s = ref_leibniz("...ilc,...c->...il", mixed, ref_gap_slopes(region, x1[..., None], order),
+                    order)
     Minv = np.linalg.inv(M[0])
 
     def apply(X):
@@ -534,45 +538,48 @@ def ref_diff(traces, fn, xp):
     return getattr(RefTrace(traces.phi), fn)(xp) - getattr(RefTrace(traces.psi), fn)(xp)
 
 
-def ref_vbar_hess(region, xp, t, dv):
-    """Second derivatives of v at (x', t), shape (..., n, n).
+def ref_vbar_hess(region, x1, t, dv):
+    """Second derivatives of v at (x1, t), shape (..., n, n).
 
     With D = (grad delta, 0):  d2 v = -(H + dv D^T + D dv^T) / delta,
     where H is d2 h2 + t d2 delta in the tangential block and 0 elsewhere;
-    ``dv`` is ``region.vbar_grad(xp, t)``.
+    ``dv`` is ``region.vbar_grad(x1, t)``.
     """
-    xp, t = region._box(xp, t)
-    D = np.zeros(xp.shape[:-1] + (2,))
+    x1, t = region._box(x1, t)
+    xp = x1[..., None]
+    D = np.zeros(x1.shape + (2,))
     D[..., :-1] = ref_gap(region, "grad", xp)
     out = -(dv[..., :, None] * D[..., None, :] + D[..., :, None] * dv[..., None, :])
     out[..., :-1, :-1] -= (RefProfile(region.profiles.h2).hess(xp)
                            + t[..., None, None] * ref_gap(region, "hess", xp))
-    return out / region.delta(xp)[..., None, None]
+    return out / region.delta(x1)[..., None, None]
 
 
-def ref_correction_sum(af, xp, order, corrected):
+def ref_correction_sum(af, x1, order, corrected):
     if not corrected:
-        lead = xp.shape[:-1] + (af.N,)
+        lead = x1.shape + (af.N,)
         return [np.zeros(lead + (1,) * k) for k in range(order + 1)]
-    kernel = ref_generic_kernel(af.tensor, af.region, xp, order)
-    diff = [ref_diff(af.traces, fn, xp) for fn in ("value", "grad", "hess")[:order + 1]]
+    kernel = ref_generic_kernel(af.tensor, af.region, x1, order)
+    diff = [ref_diff(af.traces, fn, x1[..., None])
+            for fn in ("value", "grad", "hess")[:order + 1]]
     return ref_leibniz("...l,...li->...i", diff, kernel, order)
 
 
-def ref_jet(af, xp, t, order, corrected=True):
+def ref_jet(af, x1, t, order, corrected=True):
     """[ubar, grad ubar, Hessian] with d tangential derivative axes."""
     region = af.region
-    xp, t = region._box(xp, t)
+    x1, t = region._box(x1, t)
+    xp = x1[..., None]
     fns = ("value", "grad", "hess")[:order + 1]
     phi = [getattr(RefTrace(af.traces.phi), f)(xp) for f in fns]
     psi = [getattr(RefTrace(af.traces.psi), f)(xp) for f in fns]
-    S = ref_correction_sum(af, xp, order, corrected)
+    S = ref_correction_sum(af, x1, order, corrected)
     r, rp = smoother(t), smoother_prime(t)
     out = [phi[0] * t[..., None] + psi[0] * (1 - t)[..., None] + r[..., None] * S[0]]
     if order == 0:
         return out
     d, n = 1, 2
-    dv = region.vbar_grad(xp, t)
+    dv = region.vbar_grad(x1, t)
     grad = np.zeros(dv.shape[:-1] + (af.N, n))
     grad[..., :d] = (phi[1] * t[..., None, None] + psi[1] * (1 - t)[..., None, None]
                      + r[..., None, None] * S[1])
@@ -581,7 +588,7 @@ def ref_jet(af, xp, t, order, corrected=True):
     out.append(grad)
     if order == 1:
         return out
-    d2v = ref_vbar_hess(region, xp, t, dv)
+    d2v = ref_vbar_hess(region, x1, t, dv)
     hess = np.zeros(dv.shape[:-1] + (af.N, n, n))
     hess[..., :d, :d] = (phi[2] * t[..., None, None, None]
                          + psi[2] * (1 - t)[..., None, None, None]
@@ -621,12 +628,12 @@ class TestPlanarJetReference:
         X1, T = np.meshgrid(np.linspace(-0.9, 0.9, 17), np.linspace(0.0, 1.0, 9),
                             indexing="ij")
         rng = np.random.default_rng(5)
-        points = {"columns": (X1[..., None][..., :1, :], T),
-                  "scattered": (rng.uniform(-0.9, 0.9, (200, 1)), rng.uniform(0, 1, 200))}
-        for where, (xp, t) in points.items():
+        points = {"columns": (X1[:, :1], T),
+                  "scattered": (rng.uniform(-0.9, 0.9, 200), rng.uniform(0, 1, 200))}
+        for where, (x1, t) in points.items():
             if corrected:                   # the plain interpolant has no value evaluator
-                assert np.array_equal(af.value(xp, t), ref_jet(af, xp, t, 0)[0]), where
-            assert np.array_equal(af.gradient(xp, t, corrected),
-                                  ref_jet(af, xp, t, 1, corrected)[1]), where
-            want = apply_operator(tensor, r.from_box(xp, t), *ref_jet(af, xp, t, 2, corrected))
-            assert np.array_equal(af.residual(xp, t, corrected), want), where
+                assert np.array_equal(af.value(x1, t), ref_jet(af, x1, t, 0)[0]), where
+            assert np.array_equal(af.gradient(x1, t, corrected),
+                                  ref_jet(af, x1, t, 1, corrected)[1]), where
+            want = apply_operator(tensor, r.from_box(x1, t), *ref_jet(af, x1, t, 2, corrected))
+            assert np.array_equal(af.residual(x1, t, corrected), want), where

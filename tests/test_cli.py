@@ -407,11 +407,11 @@ class TestRun:
                 "kappa1": 1, "kappa2": 1, "kappa3": 2, "kappa4": 5}
         power = config_from_dict(MINI).geometry.build_pair()
         pair = config_from_dict({**MINI, "geometry": poly}).geometry.build_pair()
-        xp = [[-0.7], [0.3], [1.0]]
+        x1 = [-0.7, 0.3, 1.0]
         for order in range(4):
-            got = [f1 - f2 for f1, f2 in zip(pair.h1.jet(xp, order), pair.h2.jet(xp, order))]
-            want = [f1 - f2 for f1, f2 in zip(power.h1.jet(xp, order),
-                                              power.h2.jet(xp, order))]
+            got = [f1 - f2 for f1, f2 in zip(pair.h1.jet(x1, order), pair.h2.jet(x1, order))]
+            want = [f1 - f2 for f1, f2 in zip(power.h1.jet(x1, order),
+                                              power.h2.jet(x1, order))]
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, abs=1e-15)
         cfg = {**MINI, "geometry": poly, "output": {"dir": str(tmp_path / "poly")}}

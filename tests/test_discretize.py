@@ -45,22 +45,22 @@ PERTURBED_BCD = make_perturbed(
     (1.0, 1.1), direction=make_lame(LameParameters(2.0, 0.5)).A0)
 
 
-def box_jacobian(region, xp, t):
+def box_jacobian(region, x1, t):
     """G[a, A] = d y_a / d x_A: the identity row over grad v, shape (..., 2, 2)."""
-    dv = region.vbar_grad(xp, t)
+    dv = region.vbar_grad(x1, t)
     G = np.zeros(dv.shape + (2,))
     G[..., 0, 0] = 1.0
     G[..., 1, :] = dv
     return G
 
 
-def corner_loop_interpolant(grid, nodal, xp, t):
-    """Interpolation at (x', t) as the n-generic sum over the 2^n cell corners.
+def corner_loop_interpolant(grid, nodal, x1, t):
+    """Interpolation at (x1, t) as the n-generic sum over the 2^n cell corners.
 
     Corner k takes bit a of k as its step along axis a; its weight is the
     product over the axes, axis 0 first.
     """
-    coords = [np.asarray(xp, dtype=float)[..., 0], np.asarray(t, dtype=float)]
+    coords = [np.asarray(x1, dtype=float), np.asarray(t, dtype=float)]
     fracs = [np.clip((c - ax[0]) / (ax[1] - ax[0]), 0.0, len(ax) - 1)
              for c, ax in zip(coords, grid.axes)]
     i0 = [np.minimum(np.floor(f).astype(int), s - 2) for f, s in zip(fracs, grid.shape)]
@@ -152,8 +152,8 @@ class TestTransform:
         ls = assemble(tf)
         const = np.full(grid.nodes, 3.0)
         out = (ls.matrix @ const).reshape(grid.shape)
-        XP, _ = grid.node_coords()
-        expected = reg.delta(XP) * 2.0 * 3.0         # delta * D * const
+        X1, _ = grid.node_coords()
+        expected = reg.delta(X1) * 2.0 * 3.0         # delta * D * const
         interior = (slice(1, -1), slice(1, -1))
         assert np.abs(out[interior] - expected[interior]).max() <= 1e-10
 
@@ -166,10 +166,10 @@ class TestTransform:
         # direction to round-off, and so do delta * G B and delta * G C
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         grid = BoxGrid(33, 17, 1.0)
-        XP, T = grid.node_coords()
-        XP = XP[..., :1, :]
-        G, x = box_jacobian(reg, XP, T), reg.from_box(XP, T)
-        dlt = reg.delta(XP)[..., None, None, None, None]
+        X1, T = grid.node_coords()
+        X1 = X1[:, :1]
+        G, x = box_jacobian(reg, X1, T), reg.from_box(X1, T)
+        dlt = reg.delta(X1)[..., None, None, None, None]
         want = dlt * np.einsum("...aA,...ijAB,...bB->...ijab", G, tensor.A(x), G)
         tf = transform_operator(tensor, reg, grid)
         if rel == 0.0:
@@ -243,7 +243,7 @@ class TestAssemble:
         tf = transform_operator(LAP, reg, grid)
         ls = assemble(tf)
         assert _dirichlet_rows_are_identity(ls)
-        rhs = right_hand_side(ls, V).reshape(grid.shape)
+        rhs = right_hand_side(ls, V)[0]
         assert np.allclose(rhs[:, -1], 2.0)
         assert np.allclose(rhs[:, 0], -0.5)
 
@@ -258,8 +258,8 @@ class TestAssemble:
                              C0=rng.normal(size=(2, 2, 2)), D0=rng.normal(size=(2, 2)))
         reg = flat_region(eps=1.0)
         grid = BoxGrid(9, 7, 1.0)
-        XP, T = grid.node_coords()
-        x = reg.from_box(XP, T)                   # unit flat strip: x = (x', t)
+        X1, T = grid.node_coords()
+        x = reg.from_box(X1, T)                   # unit flat strip: x = (x1, t)
         c, g, H = rng.normal(size=2), rng.normal(size=(2, 2)), rng.normal(size=(2, 2, 2))
         H = H + np.swapaxes(H, -1, -2)
         u = (c + np.einsum("ia,...a->...i", g, x)
@@ -280,13 +280,13 @@ class TestAssemble:
         # ansatz comes from other traces, so no lateral value equals a trace
         reg = curved_region()
         grid = BoxGrid(9, 7, 1.0)
-        XP, T = grid.node_coords()
+        X1, T = grid.node_coords()
         tr = BoundaryTraces(const(2.0), const(-0.5))
         af = build_ansatz(LAP, reg, BoundaryTraces(const(5.0), const(7.0)))
         V = dirichlet_values(grid, tr, closure, af, lateral_value=[3.0])
         sides = [0, -1]
         lateral = (np.full((2, grid.shape[1], 1), 3.0) if closure == "constant"
-                   else af.value(XP[sides, :], T[sides, :]))
+                   else af.value(X1[sides], T[sides]))
         assert np.array_equal(V[sides, 1:-1], lateral[:, 1:-1])
         assert np.array_equal(V[:, 0], np.full((grid.shape[0], 1), -0.5))
         assert np.array_equal(V[:, -1], np.full((grid.shape[0], 1), 2.0))
@@ -321,21 +321,21 @@ class TestSolveLinear:
         grid = BoxGrid(10, 5, 1.0)
         W0 = np.ones((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
         ls = LinearSystem(grid, 1, {(0, 0): W0})
-        b = np.random.default_rng(1).normal(size=grid.nodes)
+        b = np.random.default_rng(1).normal(size=(1,) + grid.shape)
         (x,), (rep,) = solve_linear(ls, b[None])
         assert np.array_equal(x, b) and rep.method == "gbtrf"
 
     def test_direct_matches_dense_solve(self):
         ls, b = self._system()
         (x,), (rep,) = solve_linear(ls, b[None])
-        dense = np.linalg.solve(_csr_reference(ls).toarray(), b)
+        dense = np.linalg.solve(_csr_reference(ls).toarray(), b.ravel())
         assert rep.method == "pbtrf"
-        assert np.abs(x - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+        assert np.abs(x.ravel() - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
 
     def test_residual_contract(self):
         ls, b = self._system()
         (x,), (rep,) = solve_linear(ls, b[None], tol=1e-10)
-        K = _csr_reference(ls)
+        x, b, K = x.ravel(), b.ravel(), _csr_reference(ls)
         back = np.linalg.norm(K @ x - b) / (sp.linalg.norm(K) * np.linalg.norm(x)
                                             + np.linalg.norm(b))
         assert back <= 1e-10 and rep.residual <= 1e-10
@@ -355,8 +355,8 @@ class TestSharedFactorization:
         ls = assemble(tf)
         b = right_hand_side(ls, rng.normal(size=grid.shape + (tensor.N,)))
         (x,), (rep,) = solve_linear(ls, b[None])
-        want = sp.linalg.spsolve(_csr_reference(ls).tocsc(), b)
-        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        want = sp.linalg.spsolve(_csr_reference(ls).tocsc(), b.ravel())
+        assert np.linalg.norm(x.ravel() - want) <= 1e-10 * np.linalg.norm(want)
         return ls, rep
 
     def test_lame_matches_full_system_spsolve(self):
@@ -399,12 +399,12 @@ class TestSharedFactorization:
         reg = curved_region(eps=0.01)
         grid = BoxGrid(33, 9, 1.0)
         ls = assemble(transform_operator(LAME, reg, grid))
-        B = np.random.default_rng(8).normal(size=(3, ls.matrix.shape[0]))
+        B = np.random.default_rng(8).normal(size=(3, ls.N) + grid.shape)
         X, reports = solve_linear(ls, B)
         assert [rep.reused for rep in reports] == [False, True, True]
         assert [rep.factor_s > 0 for rep in reports] == [True, False, False]
         for x, b in zip(X, B):
-            assert np.linalg.norm(ls.matrix @ x - b) <= 1e-9 * np.linalg.norm(b)
+            assert np.linalg.norm(ls.matrix @ x.ravel() - b.ravel()) <= 1e-9 * np.linalg.norm(b)
         assert len(calls) == 1
         solve_linear(ls, B[:1])             # the system keeps no factorization
         assert len(calls) == 2
@@ -443,7 +443,7 @@ class TestStackedSolve:
         for x, rep, b in zip(X, reports, B):
             want_x, (want,) = solve_linear(ls, b[None])
             assert rep.method == routine and want.rhs == 1
-            assert want_x.shape == (1, len(b)) and np.array_equal(x, want_x[0])
+            assert want_x.shape == (1,) + b.shape and np.array_equal(x, want_x[0])
             assert self._untimed(rep) == self._untimed(want)
 
     def test_a_row_past_its_tol_is_refined_and_fails_alone(self, monkeypatch):
@@ -551,7 +551,7 @@ class TestFreeBand:
         # rows, both counted from the table against the reference CSR
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         ls = assemble(transform_operator(tensor, reg, BoxGrid(33, 9, 1.0)))
-        b = np.random.default_rng(6).normal(size=ls.matrix.shape[0])
+        b = np.random.default_rng(6).normal(size=(ls.N,) + ls.grid.shape)
         _, (rep,) = solve_linear(ls, b[None])
         Kff = _free_block(ls)
         kd = int(np.abs(Kff.row - Kff.col).max())
@@ -637,9 +637,9 @@ class TestStencilOperator:
         # K_fD b_D from the stencil is summed in the CSR slice's column
         # order, so it rounds exactly as the sparse product does
         ls, b = self._system(tensor)
-        K = _csr_reference(ls)
+        K, flat = _csr_reference(ls), b.ravel()
         free, fixed = _node_major_free(ls), np.flatnonzero(dirichlet_mask(ls))
-        want = b[free] - K[free][:, fixed] @ b[fixed]
+        want = flat[free] - K[free][:, fixed] @ flat[fixed]
         assert np.array_equal(_captured_free_rhs(monkeypatch, ls, b), want)
         assert solve_linear(ls, b[None])[1][0].method == routine
 
@@ -659,15 +659,16 @@ class TestStencilOperator:
         factor = discretize._FreeBlockBand(ls)
         assert factor.routine == routine
         free, fixed = _node_major_free(ls), np.flatnonzero(dirichlet_mask(ls))
-        x = np.zeros(len(b))
-        x[fixed] = b[fixed]
-        bf = b[free] - (_csr_reference(ls) @ x)[free]
+        flat = b.ravel()
+        x = np.zeros(len(flat))
+        x[fixed] = flat[fixed]
+        bf = flat[free] - (_csr_reference(ls) @ x)[free]
         if routine == "pbtrf":
             x[free] = discretize.lapack.dpbtrs(factor.ab, -bf, lower=1)[0]
         else:
             x[free] = discretize.lapack.dgbtrs(factor.ab, factor.kd, factor.kd, bf,
                                                factor.ipiv)[0]
-        assert np.array_equal(factor.solve(b[None])[0], x)
+        assert np.array_equal(factor.solve(b[None])[0], x.reshape(b.shape))
 
     @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD],
                              ids=["lame", "laplace", "bcd", "perturbed_bcd"])
@@ -723,7 +724,7 @@ class TestStencilOperator:
         grid = BoxGrid(10, 5, 1.0)
         W0 = np.zeros((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
         ls = LinearSystem(grid, 1, {(0, 0): W0})
-        b = np.random.default_rng(1).normal(size=grid.nodes)
+        b = np.random.default_rng(1).normal(size=(1,) + grid.shape)
         system = weakref.ref(ls)
         enabled = gc.isenabled()
         gc.disable()
@@ -774,8 +775,8 @@ class TestSolveBVP:
         def err(ny, nt):
             grid = grid_for(reg, ny, nt)
             df, _ = solve_manufactured(LAP, reg, grid, mms)
-            XP, T = grid.node_coords()
-            x = reg.from_box(XP, T)
+            X1, T = grid.node_coords()
+            x = reg.from_box(X1, T)
             return np.abs(df.values[0] - mms.value(x)[..., 0]).max()
 
         base = err(17, 9)
@@ -811,8 +812,8 @@ def _mms_order(tensor):
     for ny, nt in ((33, 17), (65, 33), (129, 65)):
         grid = grid_for(reg, ny, nt)
         df, _ = solve_manufactured(tensor, reg, grid, mms)
-        XP, T = grid.node_coords()
-        x = reg.from_box(XP, T)
+        X1, T = grid.node_coords()
+        x = reg.from_box(X1, T)
         errs.append(np.abs(np.moveaxis(df.values, 0, -1) - mms.value(x)).max())
         hs.append(grid.spacing[1])
     return np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -852,11 +853,11 @@ class TestRecoverGradient:
     def test_linear_field_exact(self):
         reg = curved_region(eps=0.1)
         grid = grid_for(reg, 33, 9)
-        XP, T = grid.node_coords()
-        x = reg.from_box(XP, T)
+        X1, T = grid.node_coords()
+        x = reg.from_box(X1, T)
         df = DiscreteField(grid, reg, x[..., -1][None])     # u = x_n
         rng = np.random.default_rng(4)
-        pts = (rng.uniform(-0.9, 0.9, (50, 1)), rng.uniform(0.1, 0.9, 50))
+        pts = (rng.uniform(-0.9, 0.9, 50), rng.uniform(0.1, 0.9, 50))
         g = df.recover_gradient(*pts)
         assert np.abs(g[:, 0, 0]).max() <= 1e-11
         assert np.abs(g[:, 0, 1] - 1.0).max() <= 1e-11
@@ -864,13 +865,13 @@ class TestRecoverGradient:
     def test_vbar_gradient_second_order(self):
         reg = curved_region(eps=0.05, upper=0.7, lower=0.3)
         rng = np.random.default_rng(5)
-        pts = (rng.uniform(-0.8, 0.8, (200, 1)), rng.uniform(0.1, 0.9, 200))
+        pts = (rng.uniform(-0.8, 0.8, 200), rng.uniform(0.1, 0.9, 200))
         want = reg.vbar_grad(*pts)
         errs, hs = [], []
         for ny, nt in ((33, 9), (65, 17), (129, 33), (257, 65)):
             grid = grid_for(reg, ny, nt)
-            XP, T = grid.node_coords()
-            df = DiscreteField(grid, reg, vbar(reg, reg.from_box(XP, T))[None])
+            X1, T = grid.node_coords()
+            df = DiscreteField(grid, reg, vbar(reg, reg.from_box(X1, T))[None])
             got = df.recover_gradient(*pts)[:, 0, :]
             errs.append(np.abs(got - want).max())
             hs.append(grid.spacing[0])
@@ -886,8 +887,8 @@ class TestRecoverGradient:
         tr = BoundaryTraces(const(1.0, *[0.0] * (tensor.N - 1)),
                             const(*[0.0] * tensor.N))
         df, _ = solve_one(tensor, reg, tr, grid_for(reg, 33, 17))
-        XP, T = df.grid.node_coords()
-        G = box_jacobian(reg, XP[..., :1, :], T)
+        X1, T = df.grid.node_coords()
+        G = box_jacobian(reg, X1[:, :1], T)
         want = np.einsum("...aA,ia...->iA...", G, df.mapped_gradient())
         got = df.gradient_nodes()
         assert got.shape == want.shape
@@ -908,7 +909,7 @@ class TestRecoverGradient:
                              rng.uniform(-1.0, 1.0, 2 * k)])
         ts = np.concatenate([rng.uniform(0.01, 0.99, 40), t[rng.integers(0, len(t), k)],
                              rng.uniform(0.0, 1.0, 2 * k), np.repeat([0.0, 1.0], k)])
-        pts = (xs[:, None], ts)
+        pts = (xs, ts)
         nodal = np.moveaxis(df.values, 0, -1)
         assert np.array_equal(value_at(df, *pts),
                               corner_loop_interpolant(df.grid, nodal, *pts))
@@ -920,10 +921,10 @@ class TestRecoverGradient:
     def test_extrapolation_refused(self):
         reg = flat_region(eps=0.5)
         grid = BoxGrid(9, 9, 1.0)
-        XP, T = grid.node_coords()
+        _, T = grid.node_coords()
         df = DiscreteField(grid, reg, T[None])
         with pytest.raises(GeometryError):
-            df.recover_gradient(np.array([[1.7]]), np.array([0.4]))
+            df.recover_gradient(np.array([1.7]), np.array([0.4]))
 
 
 def test_l2_norm_against_exact_integral():

@@ -226,7 +226,7 @@ def test_equal_configs_share_one_solve_and_change_nothing(tmp_path, monkeypatch)
 
     def counted(ls, rhs, *args, **kwargs):
         # ls kept: ids stay unique
-        systems.setdefault(id(ls), [ls, []])[1].append(len(np.atleast_2d(rhs)))
+        systems.setdefault(id(ls), [ls, []])[1].append(len(rhs))
         return solve_linear(ls, rhs, *args, **kwargs)
 
     monkeypatch.setattr(discretize, "solve_linear", counted)
@@ -393,9 +393,9 @@ class TestLocalEnergy:
     def test_injected_ansatz_gives_zero(self, energy_setup):
         region, af, df = energy_setup
         grid = df.grid
-        XP, T = grid.node_coords()
+        X1, T = grid.node_coords()
         exact = DiscreteField(grid, region,
-                              np.moveaxis(af.value(XP, T), -1, 0).copy())
+                              np.moveaxis(af.value(X1, T), -1, 0).copy())
         # the carrier is the nodal difference, which vanishes identically
         val = local_energy(exact, af, 0.0, 0.05)
         assert val <= 1e-16
@@ -407,8 +407,8 @@ class TestLocalEnergy:
         # same quadrature over a carrier built on every column gives the
         # same bits
         region, af, df = energy_setup
-        XP, T = df.grid.node_coords()
-        gw = df.gradient_nodes() - np.moveaxis(af.gradient(XP[..., :1, :], T),
+        X1, T = df.grid.node_coords()
+        gw = df.gradient_nodes() - np.moveaxis(af.gradient(X1[:, :1], T),
                                                (-2, -1), (0, 1))
         carrier = DiscreteField(df.grid, region, gw.reshape((-1,) + df.grid.shape))
         nqy, nqt = 24, 48
@@ -416,8 +416,8 @@ class TestLocalEnergy:
         tq = (np.arange(nqt) + 0.5) / nqt
         YQ, TQ = (a.ravel() for a in np.meshgrid(yq, tq, indexing="ij"))
         keep = (YQ - center) ** 2 <= radius ** 2 * (1 + 1e-12)
-        vals = value_at(carrier, YQ[keep, None], TQ[keep])
-        w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ[keep, None])
+        vals = value_at(carrier, YQ[keep], TQ[keep])
+        w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ[keep])
         want = float(w2.sum() * ((2 * radius / nqy) * (1.0 / nqt)))
         assert local_energy(df, af, center, radius, nq=(nqy, nqt)) == want
 
