@@ -205,7 +205,7 @@ def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
     if error is not None:
         raise error
     df, rep = b.field, b.report
-    log({"event": "solve", "eps": eps, **rep.record()})
+    log(b.event("solve", ""))
     X1, T = b.grid.node_coords()
     u = np.moveaxis(df.values, 0, -1)
     flat = np.concatenate([X1.reshape(-1, 1), T.reshape(-1, 1),
@@ -258,8 +258,7 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
             name = verdict.name
             report.verdicts.append(verdict)
             _emit_verdict_files(em, verdict)
-            for ev in verdict.solver_events:
-                log({"event": "solve", "check": name, **ev})
+            events.extend(verdict.solver_events)
             event = {"event": "check", "name": name, "status": verdict.status,
                      "elapsed": verdict.elapsed}
             if verdict.status == "ABORTED":

@@ -674,30 +674,15 @@ def dirichlet_values(grid: BoxGrid, traces: BoundaryTraces, closure: str,
     return V
 
 
-def solve_bvp(system: LinearSystem, region: NarrowRegion, sets: list, tol):
-    """Boundary-value solves of one assembled system, one per set of boundary data.
+def solve_bvp(system: LinearSystem, region: NarrowRegion, B, tol):
+    """Boundary-value solves of one assembled system, one per row of the stack B.
 
-    ``sets`` lists (traces, closure, ansatz, lateral_value); ``tol`` is one
-    bound or one per set.  Every set's right-hand side is built first, then
-    all are solved in one pass (``solve_linear`` on their stack).  Returns
-    one (DiscreteField, SolveReport) per set, or the exception that stopped
-    that set alone; a failed factorization raises.
+    ``B`` has shape (k, N, *shape), each row a ``right_hand_side``; ``tol``
+    is one bound or one per row.  The rows are solved in one pass
+    (``solve_linear``).  Returns per row a (DiscreteField, SolveReport), or
+    the SolverError that stopped that row alone; a failed factorization
+    raises.
     """
-    grid = system.grid
-    out, rows = [], []
-    for tr, cl, af, lv in sets:
-        try:
-            rows.append(right_hand_side(system, dirichlet_values(grid, tr, cl, af, lv)))
-            out.append(None)
-        except Exception as exc:
-            out.append(exc.with_traceback(None))
-    todo = [j for j, o in enumerate(out) if o is None]
-    if todo:
-        # a lone row is solved as a view: np.stack would copy it
-        B = rows[0][None] if len(rows) == 1 else np.stack(rows)
-        del rows
-        X, reports = solve_linear(system, B, tol=np.broadcast_to(tol, len(sets))[todo])
-        for j, x, rep in zip(todo, X, reports):
-            out[j] = rep if isinstance(rep, SolverError) else (
-                DiscreteField(grid, region, x), rep)
-    return out
+    X, reports = solve_linear(system, B, tol=tol)
+    return [rep if isinstance(rep, SolverError) else
+            (DiscreteField(system.grid, region, x), rep) for x, rep in zip(X, reports)]

@@ -162,9 +162,9 @@ class SolveBundle:
 
         ``point`` holds the system of every bundle at this (eps, grid); the
         first bundle to find it empty transforms and assembles it.  The
-        bundle stops at its boundary data, whose lateral faces its own
-        ansatz gives: ``solve_point`` solves every bundle of the point in
-        one pass and sets ``field`` and ``report``.
+        bundle ends with its right-hand side ``rhs``, whose lateral faces
+        its own ansatz gives: ``solve_point`` solves every bundle of the
+        point in one pass, drops ``rhs`` and sets ``field`` and ``report``.
         """
         self.cfg = cfg
         self.eps = eps
@@ -179,8 +179,23 @@ class SolveBundle:
             point["system"] = _disc.assemble(
                 _disc.transform_operator(self.tensor, self.region, self.grid))
             self.assemble_s = time.perf_counter() - t0
+        self.rhs = _disc.right_hand_side(point["system"], _disc.dirichlet_values(
+            self.grid, self.traces, cfg.solver.closure, self.ansatz, cfg.solver.lateral_value))
         self.field = self.report = None
         self._cache = {}
+
+    def event(self, check: str, case: str, stats_s: float = 0.0, shared_with=None) -> dict:
+        """The runlog record of this solve, as read by the request (check, case).
+
+        The first reader carries the solve's times.  A later one names the
+        first in ``shared_with`` ("check/case") and has none of its own.
+        """
+        ev = {"event": "solve", "check": check, "case": case, "eps": self.eps,
+              **self.report.record(), "assemble_s": self.assemble_s, "stats_s": stats_s}
+        if shared_with is not None:
+            ev.update(reused=True, elapsed=0.0, factor_s=0.0, solve_s=0.0, assemble_s=0.0,
+                      shared_with=shared_with)
+        return ev
 
     def _get(self, key, fn):
         """fn() once; its arrays are made read-only, as requests share the bundle."""
@@ -250,18 +265,19 @@ class SolveBundle:
 def solve_point(bundles, system) -> list:
     """Solve the bundles of one (eps, grid) in one pass against ``system``.
 
-    Every bundle's right-hand side is built first, then all are solved
-    together (``discretize.solve_bvp`` on their boundary data).  Each solved
-    bundle gets its field and report.  Returns, per bundle, None or the
-    exception that stopped it alone; a failed factorization stops them all.
-    Kept errors drop their tracebacks, whose frames hold the system.
+    The bundles' right-hand sides are stacked (a lone one as a view, which
+    np.stack would copy) and dropped from the bundles, then solved together
+    (``discretize.solve_bvp``).  Each solved bundle gets its field and
+    report.  Returns, per bundle, None or the SolverError that stopped it
+    alone; a failed factorization stops them all.  Kept errors drop their
+    tracebacks, whose frames hold the system.
     """
+    B = bundles[0].rhs[None] if len(bundles) == 1 else np.stack([b.rhs for b in bundles])
+    for b in bundles:
+        b.rhs = None
     try:
-        solved = _disc.solve_bvp(
-            system, bundles[0].region,
-            [(b.traces, b.cfg.solver.closure, b.ansatz, b.cfg.solver.lateral_value)
-             for b in bundles],
-            [b.cfg.solver.tol for b in bundles])
+        solved = _disc.solve_bvp(system, bundles[0].region, B,
+                                 [b.cfg.solver.tol for b in bundles])
     except Exception as exc:
         return [exc.with_traceback(None)] * len(bundles)
     for b, got in zip(bundles, solved):
@@ -455,9 +471,10 @@ def _sweep_group(reqs, outs):
     its own order.  Requests with equal configs read one SolveBundle per
     point.  Every bundle of a point is set up first and all are solved in
     one pass; then each runs its statistics and is dropped before the next.
-    The first request of a config logs its solve, and the others log a
-    shared solve naming its check and case.  A request stops at its first
-    error, kept without its traceback, whose frames hold the system.
+    The first request of a config to read its solve logs it, and the
+    others log a shared solve naming that one (``SolveBundle.event``).  A
+    request stops at its first error, kept without its traceback, whose
+    frames hold the system.
     """
     nodes = reqs[0].cfg.solver.scaled_nodes()
     grids = (nodes, tuple(2 * (k - 1) + 1 for k in nodes))     # base, then refined
@@ -485,11 +502,7 @@ def _sweep_group(reqs, outs):
                     for i in members:
                         outs[i].error = error
                     continue
-                solver = reqs[members[0]]
-                solved = {**b.report.record(), "assemble_s": b.assemble_s}
-                shared = {**solved, "reused": True, "elapsed": 0.0, "factor_s": 0.0,
-                          "solve_s": 0.0, "assemble_s": 0.0,
-                          "shared_with": "/".join(filter(None, (solver.check, solver.case)))}
+                first = None                 # the request that logs this solve
                 for i in members:
                     t1 = time.perf_counter()
                     try:
@@ -499,10 +512,11 @@ def _sweep_group(reqs, outs):
                         continue
                     t2 = time.perf_counter()
                     rows[i].setdefault(eps, []).append(vals)
-                    outs[i].events.append({"case": reqs[i].case, "eps": eps, **solved,
-                                           "stats_s": t2 - t1})
+                    outs[i].events.append(b.event(reqs[i].check, reqs[i].case, t2 - t1, first))
                     outs[i].elapsed += t2 - t0
-                    solved, t0 = shared, t2          # the rest read this solve
+                    if first is None:        # the rest read this solve
+                        first = "/".join(filter(None, (reqs[i].check, reqs[i].case)))
+                    t0 = t2
                 del b                        # before the next bundle's statistics
     for req, out, got in zip(reqs, outs, rows):
         if out.error is None:

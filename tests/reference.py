@@ -33,8 +33,8 @@ import numpy as np
 
 from narrowgap.ansatz import _generic_kernel, apply_operator, build_ansatz
 from narrowgap.coefficients import ConstructionError
-from narrowgap.discretize import (DiscreteField, assemble, right_hand_side, solve_bvp,
-                                  solve_linear, transform_operator)
+from narrowgap.discretize import (DiscreteField, assemble, dirichlet_values, right_hand_side,
+                                  solve_bvp, solve_linear, transform_operator)
 from narrowgap.experiments import SweepRequest, _eps_list, run_sweeps
 from narrowgap.geometry import _PATCH_TOL, GeometryError, PowerProfile, _safe_pow
 
@@ -363,8 +363,9 @@ def solve_one(tensor, region, traces, grid):
     (tensor, region, traces), as at a sweep point.
     """
     system = assemble(transform_operator(tensor, region, grid))
-    got, = solve_bvp(system, region,
-                     [(traces, "ansatz", build_ansatz(tensor, region, traces), None)], 1e-10)
+    rhs = right_hand_side(system, dirichlet_values(grid, traces, "ansatz",
+                                                   build_ansatz(tensor, region, traces)))
+    got, = solve_bvp(system, region, rhs[None], 1e-10)
     if isinstance(got, Exception):
         raise got
     return got

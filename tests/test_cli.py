@@ -524,6 +524,21 @@ def test_solve_events_name_their_sweep_point(tmp_path):
         assert sum(e["solve_s"] > 0 for e in here) == 1
 
 
+def test_every_solve_event_has_one_key_set(tmp_path):
+    # a single solve logs what a sweep point logs; only a solve read by a
+    # second check names the first in shared_with
+    cfg = config_from_dict(TINY)
+    solves = []
+    for command in ("solve", "all"):
+        run(cfg, command, outdir=tmp_path / command)
+        solves += [e for e in _runlog(tmp_path / command) if e["event"] == "solve"]
+    single = solves[0]
+    assert (single["check"], single["case"], single["stats_s"]) == ("solve", "", 0.0)
+    assert single["assemble_s"] > 0 and not single["reused"]
+    assert len(solves) > 1 and any("shared_with" in e for e in solves)
+    assert {frozenset(e.keys() - {"shared_with"}) for e in solves} == {frozenset(single)}
+
+
 def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch):
     # Cholesky reports a non-positive pivot, then banded LU an exact zero one
     dgbtrf = discretize.lapack.dgbtrf

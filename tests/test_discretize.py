@@ -11,10 +11,10 @@ from narrowgap.ansatz import (BoundaryTraces, PolyTrace, apply_operator,
                              build_ansatz)
 from narrowgap.coefficients import (LameParameters, MultiPoly, make_custom, make_lame,
                                     make_laplace, make_perturbed)
-from narrowgap.discretize import (AssemblyError, BoxGrid, DiscreteField, LinearSystem,
-                                  SolverError, _free_pairs, _symmetric, assemble,
-                                  dirichlet_values, grid_for, right_hand_side, solve_bvp,
-                                  solve_linear, transform_operator)
+from narrowgap.discretize import (BoxGrid, DiscreteField, LinearSystem, SolverError,
+                                  _free_pairs, _symmetric, assemble, dirichlet_values,
+                                  grid_for, right_hand_side, solve_bvp, solve_linear,
+                                  transform_operator)
 from narrowgap.geometry import GeometryError, NarrowRegion, ProfilePair, power_pair
 from reference import (FLAT, TrigSolution, dirichlet_mask, forced_right_hand_side, per_sample,
                        solve_manufactured, solve_one, value_at, vbar)
@@ -468,24 +468,19 @@ class TestStackedSolve:
         _, (err,) = solve_linear(ls, B[1:2], tol=1e-30)
         assert isinstance(err, SolverError) and str(err).endswith("above tol 1.0e-30")
 
-    def test_solve_bvp_sets_equal_their_single_solves(self):
-        # a set without its lateral value and one without its ansatz field
-        # stop alone; the others are solved in one pass as each is alone
+    def test_solve_bvp_rows_equal_their_single_solves(self):
+        # the rows of one stack are solved in one pass, each as it is alone
         reg = curved_region(eps=0.05)
         grid = grid_for(reg, 33, 9)
         ls = assemble(transform_operator(LAME, reg, grid))
         one = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
         two = BoundaryTraces(const(0.0, 2.0), const(1.0, 1.0))
-        sets = [(one, "ansatz", build_ansatz(LAME, reg, one), None),
-                (two, "constant", None, None),
-                (two, "constant", None, [0.5, -1.0]),
-                (one, "ansatz", None, None)]
-        out = solve_bvp(ls, reg, sets, 1e-10)
-        assert isinstance(out[1], AssemblyError) and out[1].__traceback__ is None
-        assert isinstance(out[3], AssemblyError) and "requires an ansatz field" in str(out[3])
-        for one_set, got in zip(sets[::2], out[::2]):
-            df, rep = got
-            (want_df, want), = solve_bvp(ls, reg, [one_set], 1e-10)
+        B = np.stack([right_hand_side(ls, V) for V in (
+            dirichlet_values(grid, one, "ansatz", build_ansatz(LAME, reg, one)),
+            dirichlet_values(grid, two, "constant", lateral_value=[0.5, -1.0]))])
+        out = solve_bvp(ls, reg, B, 1e-10)
+        for j, (df, rep) in enumerate(out):
+            (want_df, want), = solve_bvp(ls, reg, B[j:j + 1], 1e-10)
             assert np.array_equal(df.values, want_df.values)
             assert rep.rhs == 2 and self._untimed(rep) == self._untimed(want)
 

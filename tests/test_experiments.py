@@ -336,6 +336,35 @@ def test_a_failed_column_fails_only_its_config(monkeypatch):
     assert (systems, bands) == (0, 0)
 
 
+def test_failed_boundary_data_fail_only_their_config(monkeypatch):
+    # the first config assembles the system its boundary data then fail to
+    # fill; its requests fail, and the other config sweeps as it does alone
+    from narrowgap import discretize
+
+    values = discretize.dirichlet_values
+
+    def refuse_phi_two(grid, traces, *args):
+        if traces.phi.rows[0][0] == 2.0:
+            raise discretize.AssemblyError("no Dirichlet data for phi = 2")
+        return values(grid, traces, *args)
+
+    monkeypatch.setattr(discretize, "dirichlet_values", refuse_phi_two)
+    eps = (0.01, 0.005, 0.002, 0.001)
+    requests = [SweepRequest(small_cfg(traces={"phi": [2.0, 0.0]}), ("sup_grad",), eps,
+                             case=case) for case in ("a", "b")]
+    requests.append(SweepRequest(small_cfg(), ("sup_grad",), eps))
+    (*failed, solved), systems, bands = alive_after_failed_sweep(monkeypatch, requests)
+    for out in failed:
+        assert type(out.error) is discretize.AssemblyError and not out.events
+        assert str(out.error) == "no Dirichlet data for phi = 2"
+        assert out.error.__traceback__ is None
+    assert solved.error is None
+    assert [ev["rhs"] for ev in solved.events] == [1] * (2 * len(eps))
+    alone, = run_sweeps(requests[2:])
+    assert solved.results["sup_grad"].to_csv() == alone.results["sup_grad"].to_csv()
+    assert (systems, bands) == (0, 0)
+
+
 def test_cached_arrays_are_read_only(monkeypatch):
     # one bundle serves every request of its config, so a statistic that
     # wrote into a cached array would change the next request's numbers
