@@ -11,10 +11,10 @@ from narrowgap.ansatz import (BoundaryTraces, PolyTrace, apply_operator,
                              build_ansatz)
 from narrowgap.coefficients import (LameParameters, MultiPoly, make_custom, make_lame,
                                     make_laplace, make_perturbed)
-from narrowgap.discretize import (BoxGrid, DiscreteField, LinearSystem, SolverError,
-                                  _free_pairs, _symmetric, assemble, dirichlet_values,
-                                  grid_for, right_hand_side, solve_bvp, solve_linear,
-                                  transform_operator)
+from narrowgap.discretize import (AssemblyError, BoxGrid, DiscreteField, LinearSystem,
+                                  SolverError, _free_pairs, _symmetric, assemble,
+                                  dirichlet_values, grid_for, right_hand_side, solve_bvp,
+                                  solve_linear, transform_operator)
 from narrowgap.geometry import GeometryError, NarrowRegion, ProfilePair, power_pair
 from reference import (FLAT, TrigSolution, dirichlet_mask, forced_right_hand_side, per_sample,
                        solve_manufactured, solve_one, value_at, vbar)
@@ -291,6 +291,15 @@ class TestAssemble:
         assert np.array_equal(V[:, 0], np.full((grid.shape[0], 1), -0.5))
         assert np.array_equal(V[:, -1], np.full((grid.shape[0], 1), 2.0))
         assert not np.any(lateral[:, [0, -1]] == V[sides][:, [0, -1]])
+
+    @pytest.mark.parametrize("closure, message", [
+        ("constant", "constant closure requires lateral_value"),
+        ("ansatz", "ansatz closure requires an ansatz field"),
+        ("exact", "unknown lateral closure 'exact'")])
+    def test_a_closure_without_its_data_is_refused(self, closure, message):
+        tr = BoundaryTraces(const(2.0), const(-0.5))
+        with pytest.raises(AssemblyError, match=message):
+            dirichlet_values(BoxGrid(9, 7, 1.0), tr, closure)
 
     def test_lame_matrix_numerically_symmetric(self):
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
