@@ -45,7 +45,7 @@ from . import __version__
 from .ansatz import build_ansatz
 from .coefficients import (HypothesisViolationError, check_ann,
                            check_pointwise_ellipticity)
-from .config import ConfigError, RunConfig, parse_config, validate_config
+from .config import ConfigError, OutputConfig, RunConfig, parse_config, validate_config
 from .discretize import grid_for
 from .experiments import CHECKS, SolveBundle, Verdict, run_checks, solve_point
 from .geometry import validate_profiles
@@ -285,7 +285,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.grid_scale is not None:
         cfg = replace(cfg, solver=replace(cfg.solver, grid_scale=args.grid_scale))
     if args.out is not None:
-        from .config import OutputConfig
         cfg = replace(cfg, output=OutputConfig(dir=args.out))
     return cfg
 

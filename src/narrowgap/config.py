@@ -123,7 +123,6 @@ def _pad_rows(rows, N):
 class SolverConfig:
     tangential_nodes: int = 257
     vertical_nodes: int = 65
-    tol: float = 1e-10
     closure: str = "ansatz"          # "ansatz" | "constant"
     lateral_value: tuple | None = None
     grid_scale: float = 1.0
@@ -138,11 +137,8 @@ class SolverConfig:
 class ExperimentConfig:
     checks: tuple = CHECK_NAMES
     eps_list: tuple | None = None    # None: per-check default
-    eps_fit_max: float | None = None  # None: per-check default tail cut
-    richardson_tol: float = 0.1
     monomial_k: int = 1
     remark13_cases: tuple = ("i", "ii", "iii")
-    energy_quad: tuple = (24, 48)
 
     @property
     def threads(self):
@@ -395,8 +391,6 @@ def validate_config(cfg: RunConfig):
              f"got {len(s.lateral_value)}"])
     if s.tangential_nodes < 3 or s.vertical_nodes < 3:
         v.append("solver: need at least 3 nodes per axis")
-    if s.tol <= 0:
-        v.append("solver: tol must be positive")
     if not math.isfinite(s.grid_scale):
         v.append("solver: grid_scale must be finite")
     elif s.grid_scale <= 0:
@@ -426,14 +420,6 @@ def validate_config(cfg: RunConfig):
             v.append("experiment: eps_list entries must be positive")
         elif any(a <= b for a, b in zip(eps, eps[1:])):
             v.append("experiment: eps_list must be strictly decreasing")
-    if e.eps_fit_max is not None and not e.eps_fit_max > 0:
-        v.append("experiment: eps_fit_max must be positive")
-    q = e.energy_quad
-    if not (isinstance(q, tuple) and len(q) == 2
-            and all(type(k) is int and k > 0 for k in q)):
-        v.append("experiment: energy_quad must be two positive integers")
-    if not 0 < e.richardson_tol < 1:
-        v.append("experiment: richardson_tol must be in (0, 1)")
     return v
 
 

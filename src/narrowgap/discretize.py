@@ -54,12 +54,15 @@ from .coefficients import CoefficientTensor
 from .geometry import GeometryError, NarrowRegion
 
 
+TOL = 1e-10     # backward error a solve must reach, after one refinement step
+
+
 class AssemblyError(RuntimeError):
     """Non-finite coefficient samples or inconsistent grid data."""
 
 
 class SolverError(RuntimeError):
-    """Failed factorization, or a residual still above tol after refinement."""
+    """Failed factorization, or a residual still above TOL after refinement."""
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +501,15 @@ def _backward_errors(ls: LinearSystem, x, b):
     return out
 
 
-def solve_linear(ls: LinearSystem, B, tol=1e-10):
+def solve_linear(ls: LinearSystem, B):
     """Direct solve of a stack B (k, N, *shape) against a banded factorization
     built for this pass.
 
-    ``tol`` is one bound or one per row.  The reported residual is the
-    normwise backward error |Kx - b| / (|K| |x| + |b|) of the full system,
-    recomputed from each returned solution; a row whose error exceeds its
-    tol gets one step of iterative refinement on its own, and fails with
-    SolverError when it still does.
+    The reported residual is the normwise backward error
+    |Kx - b| / (|K| |x| + |b|) of the full system, recomputed from each
+    returned solution; a row whose error exceeds TOL gets one step of
+    iterative refinement on its own, and fails with SolverError when it
+    still does.
 
     Returns (X, reports): X in B's shape, and per row a SolveReport or
     the SolverError of that row.  The first SolveReport carries the pass's
@@ -514,21 +517,20 @@ def solve_linear(ls: LinearSystem, B, tol=1e-10):
     return.
     """
     B = np.asarray(B, dtype=float)
-    tols = np.broadcast_to(tol, len(B))
     t0 = time.perf_counter()
     factor = _FreeBlockBand(ls)
     t1 = time.perf_counter()
     X = factor.solve(B)
     res = _backward_errors(ls, X, B)
-    for j in np.flatnonzero(res > tols):    # one step of iterative refinement
+    for j in np.flatnonzero(res > TOL):    # one step of iterative refinement
         row = slice(j, j + 1)
         X[row] += factor.solve(B[row] - _apply(ls.blocks, X[row]))
         res[j] = _backward_errors(ls, X[row], B[row])[0]
     t2 = time.perf_counter()
     reports, times = [], {"elapsed": t2 - t0, "factor_s": t1 - t0, "solve_s": t2 - t1}
-    for r, t in zip(res, tols):
-        if r > t:
-            reports.append(SolverError(f"direct solve residual {r:.3e} above tol {t:.1e}"))
+    for r in res:
+        if r > TOL:
+            reports.append(SolverError(f"direct solve residual {r:.3e} above tol {TOL:.1e}"))
             continue
         reports.append(SolveReport(factor.routine, ls.N * ls.grid.nodes, ls.nnz, float(r),
                                    fill=float(factor.fill),
@@ -674,15 +676,14 @@ def dirichlet_values(grid: BoxGrid, traces: BoundaryTraces, closure: str,
     return V
 
 
-def solve_bvp(system: LinearSystem, region: NarrowRegion, B, tol):
+def solve_bvp(system: LinearSystem, region: NarrowRegion, B):
     """Boundary-value solves of one assembled system, one per row of the stack B.
 
-    ``B`` has shape (k, N, *shape), each row a ``right_hand_side``; ``tol``
-    is one bound or one per row.  The rows are solved in one pass
-    (``solve_linear``).  Returns per row a (DiscreteField, SolveReport), or
-    the SolverError that stopped that row alone; a failed factorization
-    raises.
+    ``B`` has shape (k, N, *shape), each row a ``right_hand_side``.  The
+    rows are solved in one pass (``solve_linear``).  Returns per row a
+    (DiscreteField, SolveReport), or the SolverError that stopped that row
+    alone; a failed factorization raises.
     """
-    X, reports = solve_linear(system, B, tol=tol)
+    X, reports = solve_linear(system, B)
     return [rep if isinstance(rep, SolverError) else
             (DiscreteField(system.grid, region, x), rep) for x, rep in zip(X, reports)]

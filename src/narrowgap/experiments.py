@@ -16,11 +16,11 @@ together (``run_checks``) share one sweep per matrix: its outer loop is
 sides of the distinct request configs there are solved against that
 factorization in one pass.
 
-The bounded-remainder checks fit the asymptotic tail of the sweep (default
-eps <= 1e-2) rather than the full window: the remainder approaches its O(1)
-plateau like C (1 - c eps^{1-1/m}), so the leading sweep points still carry
-the approach transient even though the quantity is uniformly bounded.  Both
-the tail fit and the full-window fit are recorded.
+The bounded-remainder checks fit the asymptotic tail of the sweep
+(eps <= EPS_FIT_MAX) rather than the full window: the remainder approaches
+its O(1) plateau like C (1 - c eps^{1-1/m}), so the leading sweep points
+still carry the approach transient even though the quantity is uniformly
+bounded.  Both the tail fit and the full-window fit are recorded.
 
 Deterministic by construction: no randomness enters a sweep, so identical
 configurations produce identical CSV bytes at one BLAS thread count (another
@@ -39,11 +39,13 @@ import numpy as np
 from . import ansatz as _ans
 from . import discretize as _disc
 from .coefficients import HypothesisViolationError, check_ann
-from .config import DECAY_EPS, DEFAULT_EPS, ConfigError, RunConfig
+from .config import DECAY_EPS, DEFAULT_EPS, ConfigError, RunConfig, TracesConfig
 from .geometry import DIM, GeometryError
 
-EPS_FIT_MAX = 1e-2          # default tail cut for bounded-remainder fits
+EPS_FIT_MAX = 1e-2          # tail cut for bounded-remainder fits
 NOISE_FLOOR = 1e-12         # relative floor before a point counts as solver noise
+RICHARDSON_TOL = 0.1        # relative base-to-refined change that flags a point
+ENERGY_QUAD = (24, 48)      # (x1, t) midpoint nodes of the energy window
 
 THM11_BAND = 0.15
 REMARK13_BANDS = {"i": 0.15, "ii": 0.10, "iii": 0.15}
@@ -161,7 +163,8 @@ class SolveBundle:
         """Set up the solve at (eps, nodes) against ``point["system"]``.
 
         ``point`` holds the system of every bundle at this (eps, grid); the
-        first bundle to find it empty transforms and assembles it.  The
+        first bundle to find it empty transforms and assembles it, and the
+        first whose set-up completes takes the time (``assemble_s``).  The
         bundle ends with its right-hand side ``rhs``, whose lateral faces
         its own ansatz gives: ``solve_point`` solves every bundle of the
         point in one pass, drops ``rhs`` and sets ``field`` and ``report``.
@@ -173,14 +176,14 @@ class SolveBundle:
         self.traces = cfg.build_traces()
         self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces)
         self.grid = _disc.grid_for(self.region, *nodes)
-        self.assemble_s = 0.0
         if "system" not in point:
             t0 = time.perf_counter()
             point["system"] = _disc.assemble(
                 _disc.transform_operator(self.tensor, self.region, self.grid))
-            self.assemble_s = time.perf_counter() - t0
+            point["assemble_s"] = time.perf_counter() - t0
         self.rhs = _disc.right_hand_side(point["system"], _disc.dirichlet_values(
             self.grid, self.traces, cfg.solver.closure, self.ansatz, cfg.solver.lateral_value))
+        self.assemble_s = point.pop("assemble_s", 0.0)
         self.field = self.report = None
         self._cache = {}
 
@@ -268,7 +271,8 @@ def solve_point(bundles, system) -> list:
     The bundles' right-hand sides are stacked (a lone one as a view, which
     np.stack would copy) and dropped from the bundles, then solved together
     (``discretize.solve_bvp``).  Each solved bundle gets its field and
-    report.  Returns, per bundle, None or the SolverError that stopped it
+    report, and the first also the point's ``assemble_s``, as its report
+    carries the pass's times.  Returns, per bundle, None or the SolverError that stopped it
     alone; a failed factorization stops them all.  Kept errors drop their
     tracebacks, whose frames hold the system.
     """
@@ -276,13 +280,14 @@ def solve_point(bundles, system) -> list:
     for b in bundles:
         b.rhs = None
     try:
-        solved = _disc.solve_bvp(system, bundles[0].region, B,
-                                 [b.cfg.solver.tol for b in bundles])
+        solved = _disc.solve_bvp(system, bundles[0].region, B)
     except Exception as exc:
         return [exc.with_traceback(None)] * len(bundles)
+    assemble_s = sum(b.assemble_s for b in bundles)
     for b, got in zip(bundles, solved):
         if not isinstance(got, Exception):
             b.field, b.report = got
+            b.assemble_s, assemble_s = assemble_s, 0.0
     return [got if isinstance(got, Exception) else None for got in solved]
 
 
@@ -336,7 +341,7 @@ def _stat_energy_ratio(b: SolveBundle):
     Blind to the correction: ``_judge_energy`` says why.
     """
     dlt0 = float(b.region.delta(0.0))
-    E = local_energy(b.field, b.ansatz, 0.0, dlt0, nq=b.cfg.experiment.energy_quad)
+    E = local_energy(b.field, b.ansatz, 0.0, dlt0)
     th0 = float(_ans.theta(b.traces, 0.0))
     denom = dlt0 ** 2 * (th0 ** 2 + dlt0 ** 2 * b.c2_norms ** 2)
     return float(E / denom)
@@ -362,7 +367,7 @@ STATISTICS = {
 # ---------------------------------------------------------------------------
 
 def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
-                 radius: float, nq=(24, 48)) -> float:
+                 radius: float, nq=ENERGY_QUAD) -> float:
     """Integral of |grad(u - ubar)|^2 over the window |x1 - zprime| < radius.
 
     Midpoint quadrature in mapped coordinates with Jacobian delta(x').  The
@@ -520,15 +525,15 @@ def _sweep_group(reqs, outs):
                 del b                        # before the next bundle's statistics
     for req, out, got in zip(reqs, outs, rows):
         if out.error is None:
-            out.results = _sweep_results(req.cfg, req.stats, grids, got, "grid-limited")
+            out.results = _sweep_results(req.stats, grids, got, "grid-limited")
 
 
-def _sweep_results(cfg, stat_names, grids, rows, reason):
+def _sweep_results(stat_names, grids, rows, reason):
     """One SweepResult per statistic from rows {eps: one value dict per grid}.
 
     Each value on the base grid is compared with its value on the refined
     grid: a point whose two values differ, relative to the larger, by more
-    than the Richardson tolerance is flagged ``reason``.  Of the rest, a
+    than RICHARDSON_TOL is flagged ``reason``.  Of the rest, a
     value under the noise floor times the sweep's largest is flagged as
     solver noise.
     """
@@ -539,7 +544,7 @@ def _sweep_results(cfg, stat_names, grids, rows, reason):
         for eps, (base, refined) in rows.items():
             v, rv = base[s], refined[s]
             rel = abs(rv - v) / max(abs(v), abs(rv), 1e-300)
-            why = (reason if rel > cfg.experiment.richardson_tol else
+            why = (reason if rel > RICHARDSON_TOL else
                    "noise-floor" if abs(v) < vmax * NOISE_FLOOR else "")
             pts.append(SweepPoint(eps, v, rv, rel, bool(why), grids[0], why))
         out[s] = SweepResult(s, pts)
@@ -579,8 +584,8 @@ def residual_sweep(cfg: RunConfig) -> dict:
     for eps in _eps_list(cfg):
         af = _ans.build_ansatz(tensor, cfg.geometry.build_region(eps), traces)
         rows[eps] = [measure(af, ns) for ns in grids]
-    return _sweep_results(cfg, ("residual_normalized", "residual_uncorrected"), grids,
-                          rows, "sampling-limited")
+    return _sweep_results(("residual_normalized", "residual_uncorrected"), grids, rows,
+                          "sampling-limited")
 
 
 # ---------------------------------------------------------------------------
@@ -688,15 +693,14 @@ def _traces_are_zero(cfg):
     return not any(c for tr in (traces.phi, traces.psi) for row in tr.rows for c in row)
 
 
-def _tail_fit(sr, cfg, default_tail, **kw):
+def _tail_fit(sr):
     """(tail fit, full fit, eps_max used).  Falls back to the full window."""
-    eps_max = cfg.experiment.eps_fit_max or default_tail
-    full = fit_rate(sr, **kw)
+    full = fit_rate(sr)
     try:
-        tail = fit_rate(sr, eps_max=eps_max, **kw)
+        tail = fit_rate(sr, eps_max=EPS_FIT_MAX)
     except DataError:
         return full, full, None
-    return tail, full, eps_max
+    return tail, full, EPS_FIT_MAX
 
 
 def _plan_thm11(cfg: RunConfig):
@@ -719,8 +723,8 @@ def _judge_thm11(cfg: RunConfig, results) -> Verdict:
     srs, = results
     m = cfg.geometry.m
     try:
-        fit_c, full_c, used = _tail_fit(srs["thm11_sup"], cfg, EPS_FIT_MAX)
-        fit_u, full_u, _ = _tail_fit(srs["thm11_sup_uncorrected"], cfg, EPS_FIT_MAX)
+        fit_c, full_c, used = _tail_fit(srs["thm11_sup"])
+        fit_u, full_u, _ = _tail_fit(srs["thm11_sup_uncorrected"])
     except DataError as exc:
         return Verdict("thm11", "ABORTED", {"error": str(exc)}, sweeps=srs)
     expected_unc = -1.0 / m
@@ -741,7 +745,6 @@ def _judge_thm11(cfg: RunConfig, results) -> Verdict:
 
 
 def _remark13_case_cfg(cfg, case):
-    from .config import TracesConfig
     if case == "i":
         tr = TracesConfig(family="poly",
                           poly_phi=((1.0, 0.0, 1.0),) + ((0.0,),) * (cfg.N - 1),
@@ -806,7 +809,6 @@ def _judge_remark13(cfg: RunConfig, results) -> Verdict:
 
 
 def _plan_decay(cfg: RunConfig):
-    from .config import TracesConfig
     N = cfg.N
     lateral = cfg.solver.lateral_value
     if lateral is None:
@@ -860,8 +862,7 @@ def _judge_cor41(cfg: RunConfig, results) -> Verdict:
     """Elasticity gauge: Theta_bar-normalized remainder bounded, gauge smaller."""
     srs, = results
     try:
-        fit_tb, full_tb, used = _tail_fit(srs["cor41_sup_thetabar"], cfg,
-                                          EPS_FIT_MAX)
+        fit_tb, full_tb, used = _tail_fit(srs["cor41_sup_thetabar"])
     except DataError as exc:
         return Verdict("cor41", "ABORTED", {"error": str(exc)}, sweeps=srs)
     margin = srs["gauge_margin"].values(clean=False)

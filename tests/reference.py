@@ -365,7 +365,7 @@ def solve_one(tensor, region, traces, grid):
     system = assemble(transform_operator(tensor, region, grid))
     rhs = right_hand_side(system, dirichlet_values(grid, traces, "ansatz",
                                                    build_ansatz(tensor, region, traces)))
-    got, = solve_bvp(system, region, rhs[None], 1e-10)
+    got, = solve_bvp(system, region, rhs[None])
     if isinstance(got, Exception):
         raise got
     return got

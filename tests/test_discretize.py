@@ -343,16 +343,18 @@ class TestSolveLinear:
 
     def test_residual_contract(self):
         ls, b = self._system()
-        (x,), (rep,) = solve_linear(ls, b[None], tol=1e-10)
+        (x,), (rep,) = solve_linear(ls, b[None])
         x, b, K = x.ravel(), b.ravel(), _csr_reference(ls)
         back = np.linalg.norm(K @ x - b) / (sp.linalg.norm(K) * np.linalg.norm(x)
                                             + np.linalg.norm(b))
         assert back <= 1e-10 and rep.residual <= 1e-10
 
-    def test_residual_above_tol_after_refinement_fails_its_row(self):
+    def test_residual_above_tol_after_refinement_fails_its_row(self, monkeypatch):
         # no LU solve reaches a backward error of 1e-30, refined or not
+        from narrowgap import discretize
+        monkeypatch.setattr(discretize, "TOL", 1e-30)
         ls, b = self._system(33, 33)
-        _, (err,) = solve_linear(ls, b[None], tol=1e-30)
+        _, (err,) = solve_linear(ls, b[None])
         assert isinstance(err, SolverError) and str(err).endswith("above tol 1.0e-30")
 
 
@@ -456,16 +458,18 @@ class TestStackedSolve:
             assert self._untimed(rep) == self._untimed(want)
 
     def test_a_row_past_its_tol_is_refined_and_fails_alone(self, monkeypatch):
-        # row 1 is given tol 1e-30, which no solve reaches: it alone gets the
-        # refinement step and the SolverError; rows 0 and 2 are reported as
-        # their single solves are
+        # under TOL 1e-30 only the zero rows 0 and 2 pass (backward error 0):
+        # row 1 alone gets the refinement step and the SolverError, and rows
+        # 0 and 2 are reported as their single solves are
         from narrowgap import discretize
+        monkeypatch.setattr(discretize, "TOL", 1e-30)
         ls, B = self._stack(LAME, 3)
+        B[[0, 2]] = 0.0
         sizes = []
         solve = discretize._FreeBlockBand.solve
         monkeypatch.setattr(discretize._FreeBlockBand, "solve",
                             lambda self, b: sizes.append(len(b)) or solve(self, b))
-        X, reports = solve_linear(ls, B, tol=[1e-10, 1e-30, 1e-10])
+        X, reports = solve_linear(ls, B)
         assert sizes == [3, 1]
         assert isinstance(reports[1], SolverError)
         assert str(reports[1]).endswith("above tol 1.0e-30")
@@ -474,7 +478,7 @@ class TestStackedSolve:
             (want_x,), (want,) = solve_linear(ls, B[j:j + 1])
             assert np.array_equal(X[j], want_x)
             assert self._untimed(reports[j]) == self._untimed(want)
-        _, (err,) = solve_linear(ls, B[1:2], tol=1e-30)
+        _, (err,) = solve_linear(ls, B[1:2])
         assert isinstance(err, SolverError) and str(err).endswith("above tol 1.0e-30")
 
     def test_solve_bvp_rows_equal_their_single_solves(self):
@@ -487,9 +491,9 @@ class TestStackedSolve:
         B = np.stack([right_hand_side(ls, V) for V in (
             dirichlet_values(grid, one, "ansatz", build_ansatz(LAME, reg, one)),
             dirichlet_values(grid, two, "constant", lateral_value=[0.5, -1.0]))])
-        out = solve_bvp(ls, reg, B, 1e-10)
+        out = solve_bvp(ls, reg, B)
         for j, (df, rep) in enumerate(out):
-            (want_df, want), = solve_bvp(ls, reg, B[j:j + 1], 1e-10)
+            (want_df, want), = solve_bvp(ls, reg, B[j:j + 1])
             assert np.array_equal(df.values, want_df.values)
             assert rep.rhs == 2 and self._untimed(rep) == self._untimed(want)
 

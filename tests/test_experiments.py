@@ -136,7 +136,7 @@ class TestSweep:
 
 
 # the base and refined value of one statistic at each eps: the first moves by
-# more than richardson_tol (0.1), the second by less, the third not at all,
+# more than RICHARDSON_TOL (0.1), the second by less, the third not at all,
 # and the fourth sits under NOISE_FLOOR times the largest value
 COMPARED = {0.1: (1.0, 1.2), 0.05: (1.0, 1.05), 0.02: (2.0, 2.0),
             0.01: (NOISE_FLOOR / 10, NOISE_FLOOR / 10)}
@@ -215,12 +215,13 @@ def test_checks_share_one_factorization_per_point(tmp_path, monkeypatch):
 def test_equal_configs_share_one_solve_and_change_nothing(tmp_path, monkeypatch):
     # thm11, cor41 and energy plan the same config: together they make one
     # solve per (eps, grid) and write what each writes alone
-    from narrowgap import discretize
+    from narrowgap import discretize, experiments
     from narrowgap.cli import run
 
+    monkeypatch.setattr(experiments, "RICHARDSON_TOL", 0.99)
     eps = [0.1, 0.05, 0.02, 0.01]
     cfg = small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
-                    experiment={"eps_list": eps, "richardson_tol": 0.99})
+                    experiment={"eps_list": eps})
     systems = {}
     solve_linear = discretize.solve_linear
 
@@ -304,12 +305,13 @@ def test_failed_factorizations_hold_no_system(monkeypatch):
 
 
 def test_failed_backward_errors_hold_no_band(monkeypatch):
-    # no solve meets tol 1e-30, so every point fails after its factorization
+    # no solve meets TOL 1e-30, so every point fails after its factorization
     from narrowgap import discretize
 
+    monkeypatch.setattr(discretize, "TOL", 1e-30)
     eps = (0.01, 0.005, 0.002, 0.001)
     outs, systems, bands = alive_after_failed_sweep(
-        monkeypatch, [SweepRequest(small_cfg(solver={"tol": 1e-30}), ("sup_grad",), eps)])
+        monkeypatch, [SweepRequest(small_cfg(), ("sup_grad",), eps)])
     out, = outs
     assert type(out.error) is discretize.SolverError
     assert str(out.error).startswith("direct solve residual")
@@ -318,19 +320,22 @@ def test_failed_backward_errors_hold_no_band(monkeypatch):
 
 
 def test_a_failed_column_fails_only_its_config(monkeypatch):
-    # two configs differ only in tol: the one no solve can meet fails in the
-    # first base-grid pass they share and is not solved again, and the other
+    # under TOL 1e-30 only the zero right-hand side of zero boundary data
+    # (backward error 0) passes: the other config fails in the first
+    # base-grid pass they share and is not solved again, and the zero one
     # sweeps as it does alone
     from narrowgap import discretize
 
+    monkeypatch.setattr(discretize, "TOL", 1e-30)
     eps = (0.01, 0.005, 0.002, 0.001)
-    requests = [SweepRequest(small_cfg(solver={"tol": tol}), ("sup_grad",), eps)
-                for tol in (1e-30, 1e-10)]
+    requests = [SweepRequest(small_cfg(traces={"phi": phi}), ("sup_grad",), eps)
+                for phi in ([1.0, 0.0], [0.0, 0.0])]
     (failed, solved), systems, bands = alive_after_failed_sweep(monkeypatch, requests)
     assert type(failed.error) is discretize.SolverError
     assert str(failed.error).endswith("above tol 1.0e-30")
     assert solved.error is None
     assert [ev["rhs"] for ev in solved.events] == [2] + [1] * (2 * len(eps) - 1)
+    assert all(ev["assemble_s"] > 0 and not ev["reused"] for ev in solved.events)
     alone, = run_sweeps(requests[1:])
     assert solved.results["sup_grad"].to_csv() == alone.results["sup_grad"].to_csv()
     assert (systems, bands) == (0, 0)
@@ -360,6 +365,7 @@ def test_failed_boundary_data_fail_only_their_config(monkeypatch):
         assert out.error.__traceback__ is None
     assert solved.error is None
     assert [ev["rhs"] for ev in solved.events] == [1] * (2 * len(eps))
+    assert all(ev["assemble_s"] > 0 and not ev["reused"] for ev in solved.events)
     alone, = run_sweeps(requests[2:])
     assert solved.results["sup_grad"].to_csv() == alone.results["sup_grad"].to_csv()
     assert (systems, bands) == (0, 0)
