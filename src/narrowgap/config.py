@@ -406,6 +406,8 @@ def validate_config(cfg: RunConfig):
             v.append(f"experiment: {key} must be a list")
             lists = False
             continue
+        if not items:           # a run that judges nothing would pass with no reason
+            v.append(f"experiment: {key} must name at least one {what}")
         v += [f"experiment: unknown {what} {c!r}" for c in items if c not in known]
     wants_iii = lists and "remark13" in e.checks and "iii" in e.remark13_cases
     if wants_iii and g.m <= e.monomial_k:

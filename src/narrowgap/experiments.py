@@ -9,14 +9,16 @@ sample grid) alike: a point whose value moves by more than the Richardson
 tolerance is flagged grid- or sampling-limited, one under the noise floor
 is flagged as solver noise, and flagged points are excluded from fits.
 
-A check declares its sweeps as SweepRequests and judges its own results.
+A check declares its sweeps as SweepRequests and its rates as Claims, each
+a statistic's expected slope and the band around it; one judge
+(``_judge_claims``) fits and tests them beside the check's own predicates.
 The matrix depends only on tensor, geometry, eps and grid, so checks run
 together (``run_checks``) share one sweep per matrix: its outer loop is
 (eps, grid), the operator is factored once per point, and the right-hand
 sides of the distinct request configs there are solved against that
 factorization in one pass.
 
-The bounded-remainder checks fit the asymptotic tail of the sweep
+The bounded-remainder claims fit the asymptotic tail of the sweep
 (eps <= EPS_FIT_MAX) rather than the full window: the remainder approaches
 its O(1) plateau like C (1 - c eps^{1-1/m}), so the leading sweep points
 still carry the approach transient even though the quantity is uniformly
@@ -621,7 +623,8 @@ class Check:
 
     ``plan(cfg)`` returns the SweepRequests the check solves, or a finished
     Verdict when there is nothing to sweep.  ``judge(cfg, results)`` forms
-    the verdict from those requests' SweepResults, in request order.
+    the verdict from those requests' SweepResults, in request order; a rate
+    check hands its Claims and its own predicate to ``_judge_claims``.
     Calling a Check runs it on its own; ``run_checks`` runs several so that
     they share their sweeps.
     """
@@ -684,23 +687,56 @@ def run_checks(cfg: RunConfig, names) -> list:
             for name, v in zip(names, verdicts)]
 
 
-def _within(value, center, band):
-    return abs(value - center) <= band
+@dataclass(frozen=True)
+class Claim:
+    """A rate a check asserts: the slope of ``stat`` against eps, on log axes.
+
+    It holds when the slope is within ``band`` of ``expected``; with no band
+    it is only fitted and reported.  A ``tail`` claim fits eps <= EPS_FIT_MAX
+    (all of it when the tail is short) and keeps the full fit as ``<fit>_full``.
+    """
+
+    stat: str
+    fit: str
+    key: str
+    expected: float = 0.0
+    band: float | None = None
+    tail: bool = False
+
+
+def _judge_claims(name, srs, claims, expected, extra=None) -> Verdict:
+    """The verdict ``name`` on a check's claims over its sweeps ``srs``.
+
+    Each claim's fit goes to ``fits[claim.fit]``, its slope to
+    ``details[claim.key]`` and its band test to the status.  ``extra(fits)``
+    returns the check's own (ok, details).  The first tail claim's window is
+    ``fit_eps_max`` (None: it fell back).  A fit that its data cannot
+    support ABORTs the verdict, which keeps the sweeps.
+    """
+    fits, details, ok = {}, {}, True
+    try:
+        for c in claims:
+            fit = fit_rate(srs[c.stat])
+            if c.tail:
+                fits[f"{c.fit}_full"] = fit
+                try:
+                    fit = fit_rate(srs[c.stat], eps_max=EPS_FIT_MAX)
+                    details.setdefault("fit_eps_max", EPS_FIT_MAX)
+                except DataError:
+                    details.setdefault("fit_eps_max", None)
+            fits[c.fit] = fit
+            details[c.key] = round(fit.slope, 4)
+            ok = ok and (c.band is None or abs(fit.slope - c.expected) <= c.band)
+    except DataError as exc:
+        return Verdict(name, "ABORTED", {"error": str(exc)}, sweeps=srs)
+    extra_ok, more = extra(fits) if extra else (True, {})
+    return Verdict(name, "PASS" if ok and extra_ok else "FAIL",
+                   {**details, **more, "expected": expected}, fits, srs)
 
 
 def _traces_are_zero(cfg):
     traces = cfg.build_traces()
     return not any(c for tr in (traces.phi, traces.psi) for row in tr.rows for c in row)
-
-
-def _tail_fit(sr):
-    """(tail fit, full fit, eps_max used).  Falls back to the full window."""
-    full = fit_rate(sr)
-    try:
-        tail = fit_rate(sr, eps_max=EPS_FIT_MAX)
-    except DataError:
-        return full, full, None
-    return tail, full, EPS_FIT_MAX
 
 
 def _plan_thm11(cfg: RunConfig):
@@ -721,27 +757,15 @@ def _judge_thm11(cfg: RunConfig, results) -> Verdict:
     (for m = 2 this is the classical eps^{-1/2}).
     """
     srs, = results
-    m = cfg.geometry.m
-    try:
-        fit_c, full_c, used = _tail_fit(srs["thm11_sup"])
-        fit_u, full_u, _ = _tail_fit(srs["thm11_sup_uncorrected"])
-    except DataError as exc:
-        return Verdict("thm11", "ABORTED", {"error": str(exc)}, sweeps=srs)
-    expected_unc = -1.0 / m
-    ok_c = _within(fit_c.slope, 0.0, THM11_BAND)
-    ok_u = _within(fit_u.slope, expected_unc, THM11_BAND)
-    details = {
-        "corrected_slope": round(fit_c.slope, 4),
-        "uncorrected_slope": round(fit_u.slope, 4),
-        "expected": f"corrected 0 +/- {THM11_BAND}, uncorrected "
-                    f"{expected_unc} +/- {THM11_BAND}",
-        "full_window_slopes": (round(full_c.slope, 4), round(full_u.slope, 4)),
-        "fit_eps_max": used,
-    }
-    fits = {"corrected": fit_c, "uncorrected": fit_u,
-            "corrected_full": full_c, "uncorrected_full": full_u}
-    return Verdict("thm11", "PASS" if ok_c and ok_u else "FAIL", details,
-                   fits, srs)
+    unc = -1.0 / cfg.geometry.m
+    return _judge_claims(
+        "thm11", srs,
+        (Claim("thm11_sup", "corrected", "corrected_slope", 0.0, THM11_BAND, tail=True),
+         Claim("thm11_sup_uncorrected", "uncorrected", "uncorrected_slope", unc, THM11_BAND,
+               tail=True)),
+        f"corrected 0 +/- {THM11_BAND}, uncorrected {unc} +/- {THM11_BAND}",
+        lambda fits: (True, {"full_window_slopes": (round(fits["corrected_full"].slope, 4),
+                                                    round(fits["uncorrected_full"].slope, 4))}))
 
 
 def _remark13_case_cfg(cfg, case):
@@ -779,33 +803,21 @@ def _plan_remark13(cfg: RunConfig):
 def _judge_remark13(cfg: RunConfig, results) -> Verdict:
     """Blow-up taxonomy: (i) bounded, (ii) eps^-1, (iii) eps^{k/m-1}."""
     m, k = cfg.geometry.m, cfg.experiment.monomial_k
-    sub = {}
-    fits, sweeps, statuses = {}, {}, []
+    sub, fits, sweeps = {}, {}, {}
     for case, srs in zip(cfg.experiment.remark13_cases, results):
         expected = {"i": 0.0, "ii": -1.0, "iii": k / m - 1.0}[case]
         band = REMARK13_BANDS[case]
-        sr = srs[REMARK13_STATS[case]]
-        sweeps[f"case_{case}"] = sr
-        vmax = float(np.abs(sr.values(clean=False)).max())
-        if case == "i" and vmax < 1e-10:
-            sub[case] = {"status": "PASS", "note": "gradient numerically zero"}
-            statuses.append(True)
+        stat = REMARK13_STATS[case]
+        sweeps[f"case_{case}"] = sr = srs[stat]
+        if case == "i" and float(np.abs(sr.values(clean=False)).max()) < 1e-10:
+            sub[f"case_{case}"] = {"status": "PASS", "note": "gradient numerically zero"}
             continue
-        try:
-            fit = fit_rate(sr)
-        except DataError as exc:
-            sub[case] = {"status": "ABORTED", "error": str(exc)}
-            statuses.append(False)
-            continue
-        fits[f"case_{case}"] = fit
-        ok = _within(fit.slope, expected, band)
-        sub[case] = {"status": "PASS" if ok else "FAIL",
-                     "slope": round(fit.slope, 4),
-                     "expected": f"{expected} +/- {band}"}
-        statuses.append(ok)
-    status = "PASS" if statuses and all(statuses) else "FAIL"
-    return Verdict("remark13", status, {f"case_{c}": sub[c] for c in sub},
-                   fits, sweeps)
+        v = _judge_claims(case, srs, (Claim(stat, f"case_{case}", "slope", expected, band),),
+                          f"{expected} +/- {band}")
+        sub[f"case_{case}"] = {"status": v.status, **v.details}
+        fits.update(v.fits)
+    status = "PASS" if sub and all(s["status"] == "PASS" for s in sub.values()) else "FAIL"
+    return Verdict("remark13", status, sub, fits, sweeps)
 
 
 def _plan_decay(cfg: RunConfig):
@@ -861,22 +873,16 @@ def _plan_cor41(cfg: RunConfig):
 def _judge_cor41(cfg: RunConfig, results) -> Verdict:
     """Elasticity gauge: Theta_bar-normalized remainder bounded, gauge smaller."""
     srs, = results
-    try:
-        fit_tb, full_tb, used = _tail_fit(srs["cor41_sup_thetabar"])
-    except DataError as exc:
-        return Verdict("cor41", "ABORTED", {"error": str(exc)}, sweeps=srs)
-    margin = srs["gauge_margin"].values(clean=False)
-    gauge_ok = bool(margin.min() >= -1e-12)
-    ok = _within(fit_tb.slope, 0.0, COR41_BAND) and gauge_ok
-    details = {"thetabar_slope": round(fit_tb.slope, 4),
-               "full_window_slope": round(full_tb.slope, 4),
-               "fit_eps_max": used,
-               "gauge_min_margin": float(margin.min()),
-               "gauge_pointwise_ok": gauge_ok,
-               "expected": f"slope 0 +/- {COR41_BAND} and "
-                           "Theta_bar <= Theta at every sampled x'"}
-    return Verdict("cor41", "PASS" if ok else "FAIL", details,
-                   {"thetabar": fit_tb, "thetabar_full": full_tb}, srs)
+
+    def gauge(fits):
+        margin = float(srs["gauge_margin"].values(clean=False).min())
+        ok = margin >= -1e-12
+        return ok, {"full_window_slope": round(fits["thetabar_full"].slope, 4),
+                    "gauge_min_margin": margin, "gauge_pointwise_ok": ok}
+    return _judge_claims(
+        "cor41", srs,
+        (Claim("cor41_sup_thetabar", "thetabar", "thetabar_slope", 0.0, COR41_BAND, tail=True),),
+        f"slope 0 +/- {COR41_BAND} and Theta_bar <= Theta at every sampled x'", gauge)
 
 
 def _plan_residual(cfg: RunConfig):
@@ -888,21 +894,17 @@ def _plan_residual(cfg: RunConfig):
 def _judge_residual(cfg: RunConfig, results) -> Verdict:
     """The delta^{-2} residual part cancels; without the correction it stays."""
     srs = residual_sweep(cfg)
-    try:
-        fit_c = fit_rate(srs["residual_normalized"])
-        fit_u = fit_rate(srs["residual_uncorrected"])
-    except DataError as exc:
-        return Verdict("residual", "ABORTED", {"error": str(exc)}, sweeps=srs)
-    umin = float(srs["residual_uncorrected"].values().min())
-    ok = (_within(fit_c.slope, 0.0, RESIDUAL_BAND)
-          and umin > 0 and fit_u.slope >= -0.1)
-    details = {"normalized_slope": round(fit_c.slope, 4),
-               "uncorrected_min": round(umin, 6),
-               "uncorrected_slope": round(fit_u.slope, 4),
-               "expected": f"slope 0 +/- {RESIDUAL_BAND}; uncorrected "
-                           "bounded below by a positive constant"}
-    return Verdict("residual", "PASS" if ok else "FAIL", details,
-                   {"normalized": fit_c, "uncorrected": fit_u}, srs)
+
+    def floor(fits):
+        umin = float(srs["residual_uncorrected"].values().min())
+        return (umin > 0 and fits["uncorrected"].slope >= -0.1,
+                {"uncorrected_min": round(umin, 6)})
+    return _judge_claims(
+        "residual", srs,
+        (Claim("residual_normalized", "normalized", "normalized_slope", 0.0, RESIDUAL_BAND),
+         Claim("residual_uncorrected", "uncorrected", "uncorrected_slope")),
+        f"slope 0 +/- {RESIDUAL_BAND}; uncorrected bounded below by a positive constant",
+        floor)
 
 
 def _plan_energy(cfg: RunConfig):
@@ -923,15 +925,9 @@ def _judge_energy(cfg: RunConfig, results) -> Verdict:
     FAIL.
     """
     srs, = results
-    try:
-        fit = fit_rate(srs["energy_ratio"])
-    except DataError as exc:
-        return Verdict("energy", "ABORTED", {"error": str(exc)}, sweeps=srs)
-    ok = _within(fit.slope, 0.0, ENERGY_BAND)
-    details = {"slope": round(fit.slope, 4),
-               "expected": f"0 +/- {ENERGY_BAND}"}
-    return Verdict("energy", "PASS" if ok else "FAIL", details,
-                   {"energy": fit}, srs)
+    return _judge_claims("energy", srs,
+                         (Claim("energy_ratio", "energy", "slope", 0.0, ENERGY_BAND),),
+                         f"0 +/- {ENERGY_BAND}")
 
 
 CHECKS = {c.name: c for c in (

@@ -357,8 +357,12 @@ class TestRun:
     @pytest.mark.parametrize("experiment, what", [
         ({"eps_list": ["a", 0.1]}, "experiment: eps_list[0] must be a number, got 'a'"),
         ({"checks": "thm11"}, "experiment: checks must be a list"),
-        ({"remark13_cases": "iii"}, "experiment: remark13_cases must be a list")],
-        ids=["eps_list_entry", "checks_string", "remark13_cases_string"])
+        ({"remark13_cases": "iii"}, "experiment: remark13_cases must be a list"),
+        ({"checks": []}, "experiment: checks must name at least one check"),
+        ({"remark13_cases": []},
+         "experiment: remark13_cases must name at least one remark13 case")],
+        ids=["eps_list_entry", "checks_string", "remark13_cases_string", "checks_empty",
+             "remark13_cases_empty"])
     def test_malformed_experiment_lists_exit_2(self, tmp_path, capsys, experiment, what):
         p = write_cfg(tmp_path, {**MINI, "experiment": experiment})
         assert main(["validate", "--config", str(p)]) == 2

@@ -13,10 +13,10 @@ from narrowgap.ansatz import AnsatzField, BoundaryTraces, PolyTrace, build_ansat
 from narrowgap.coefficients import LameParameters, make_lame
 from narrowgap.config import ConfigError, config_from_dict
 from narrowgap.discretize import DiscreteField, grid_for
-from narrowgap.experiments import (_RESIDUAL_SAMPLES, CHECKS, NOISE_FLOOR, STATISTICS,
+from narrowgap.experiments import (_RESIDUAL_SAMPLES, CHECKS, NOISE_FLOOR, STATISTICS, Claim,
                                    DataError, SolveBundle, SweepPoint, SweepRequest,
-                                   SweepResult, fit_rate, local_energy, residual_sweep,
-                                   run_sweeps, solve_point)
+                                   SweepResult, _judge_claims, fit_rate, local_energy,
+                                   residual_sweep, run_sweeps, solve_point)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
 from reference import solve_one, sweep, value_at
 
@@ -539,3 +539,67 @@ def test_remark13_case_iii_rejected_when_m_not_above_k():
                                              remark13_cases=("iii",)))
     with pytest.raises(ConfigError, match="m > k"):
         CHECKS["remark13"](broken)
+
+
+# ---------------------------------------------------------------------------
+# the one rate-claim judge, on synthetic sweeps (no solves)
+# ---------------------------------------------------------------------------
+
+JUDGE_EPS = [1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3]
+
+
+def power_law(slope, eps=JUDGE_EPS, stat="s"):
+    return synthetic(eps, [3.0 * e ** slope for e in eps], stat)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+@pytest.mark.parametrize("reach, status", [(1 - 1e-9, "PASS"), (1 + 1e-6, "FAIL")],
+                         ids=["inside", "past"])
+def test_judge_band_edge(side, reach, status):
+    # an exact power law a hair inside the band passes, one just past it fails
+    claim = Claim("s", "rate", "slope", -0.5, 0.15)
+    srs = {"s": power_law(-0.5 + side * reach * 0.15)}
+    verdict = _judge_claims("demo", srs, (claim,), "-0.5 +/- 0.15")
+    assert verdict.status == status
+    assert verdict.details == {"slope": round(verdict.fits["rate"].slope, 4),
+                               "expected": "-0.5 +/- 0.15"}
+
+
+@pytest.mark.parametrize("eps, used, npoints", [
+    (JUDGE_EPS, 1e-2, 4),
+    (JUDGE_EPS[:-1], None, 6)], ids=["tail", "short_tail_falls_back"])
+def test_judge_tail_claim_falls_back_to_the_full_window(eps, used, npoints):
+    # thm11's tail fit needs 4 clean points at eps <= EPS_FIT_MAX; with 3 it
+    # fits the full window and says so through fit_eps_max
+    srs = {"thm11_sup": power_law(-0.02, eps, "thm11_sup"),
+           "thm11_sup_uncorrected": power_law(-0.5, eps, "thm11_sup_uncorrected")}
+    verdict = CHECKS["thm11"].judge(small_cfg(), [srs])
+    assert verdict.status == "PASS"
+    assert verdict.details["fit_eps_max"] == used
+    assert verdict.fits["corrected"].npoints == npoints
+    assert verdict.fits["corrected_full"].npoints == len(eps)
+    assert verdict.details["full_window_slopes"] == (-0.02, -0.5)
+
+
+def test_judge_starved_fit_aborts_and_keeps_the_sweeps():
+    srs = {"energy_ratio": power_law(0.0, JUDGE_EPS[:3], "energy_ratio")}
+    verdict = CHECKS["energy"].judge(small_cfg(), [srs])
+    assert verdict.status == "ABORTED"
+    assert verdict.details == {"error": "fit requires >= 4 clean points, have 3 "
+                                        "(statistic 'energy_ratio')"}
+    assert verdict.sweeps is srs and not verdict.fits
+
+
+def test_remark13_starved_case_aborts_alone():
+    results = [{"sup_grad": power_law(0.0, stat="sup_grad")},
+               {"shortest_segment_max": power_law(-1.0, JUDGE_EPS[:3], "shortest_segment_max")},
+               {"monomial_point_max": power_law(-0.5, stat="monomial_point_max")}]
+    verdict = CHECKS["remark13"].judge(small_cfg(), results)
+    assert verdict.status == "FAIL"
+    assert verdict.details == {
+        "case_i": {"status": "PASS", "slope": 0.0, "expected": "0.0 +/- 0.15"},
+        "case_ii": {"status": "ABORTED", "error": "fit requires >= 4 clean points, have 3 "
+                                                  "(statistic 'shortest_segment_max')"},
+        "case_iii": {"status": "PASS", "slope": -0.5, "expected": "-0.5 +/- 0.15"}}
+    assert sorted(verdict.fits) == ["case_i", "case_iii"]
+    assert sorted(verdict.sweeps) == ["case_i", "case_ii", "case_iii"]
