@@ -4,20 +4,22 @@ Subcommands: validate (hypothesis checks only), ansatz (emit leading-term
 samples), solve (single boundary-value solve), one per check in
 ``experiments.CHECKS`` (thm11, remark13, decay, cor41, residual, energy),
 and all (every check named in the configuration).  Checks run together
-share their sweeps: each distinct (tensor, geometry, eps, grid) matrix is
-factored once, and each distinct check config solves against it once.
+make one sweep: the matrix at each (eps, grid) is factored once, and each
+distinct check config solves against it once.
 
 Every run writes to the output directory:
   config_echo.json   the parsed configuration with defaults filled
-  <check>_<stat>.csv sweep tables (full float precision)
-  <check>_<stat>.dat plot-ready two-column data (clean points only)
+  <check>_<stat>.csv sweep tables (full float precision; the clean points
+                     are the rows with flagged 0)
   fits.json          fit summaries as structured records
   report.txt         human-readable report with a digest manifest
   runlog.jsonl       solve events (check, case, eps, grid, assemble_s,
                      factor_s, solve_s, stats_s, reused, residual, fill; a
-                     check that read another's solve has zero solve times
-                     and names it in shared_with) and check events with
-                     wall-clock timings; an ABORTED check names its error
+                     point's times are on its first event, with reused
+                     false, and every other event there reads 0 and reused
+                     true; a check that read another's solve names it in
+                     shared_with) and check events with wall-clock
+                     timings; an ABORTED check names its error
 
 report.txt and the CSV/JSON artifacts are byte-reproducible for a given
 configuration, package version and BLAS thread count (one per OpenBLAS pool
@@ -47,7 +49,7 @@ from .coefficients import (HypothesisViolationError, check_ann,
                            check_pointwise_ellipticity)
 from .config import ConfigError, OutputConfig, RunConfig, parse_config, validate_config
 from .discretize import grid_for
-from .experiments import CHECKS, SolveBundle, Verdict, run_checks, solve_point
+from .experiments import CHECKS, Verdict, run_checks, solve_point
 from .geometry import validate_profiles
 
 COMMANDS = ("validate", "ansatz", "solve", *CHECKS, "all")
@@ -139,10 +141,7 @@ def _hypothesis_summary(cfg: RunConfig):
 
 def _emit_verdict_files(em: _Emitter, verdict: Verdict):
     for stat, sr in sorted(verdict.sweeps.items()):
-        base = f"{verdict.name}_{stat}"
-        em.write(base + ".csv", sr.to_csv())
-        rows = [f"{p.eps!r} {p.value!r}" for p in sr.clean()]
-        em.write(base + ".dat", "\n".join(rows) + "\n")
+        em.write(f"{verdict.name}_{stat}.csv", sr.to_csv())
 
 
 def _fits_record(verdicts):
@@ -199,13 +198,11 @@ def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
 def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
     """One solve at ``_single_eps``, set up and solved as a sweep point is."""
     eps = _single_eps(cfg)
-    point = {}
-    b = SolveBundle(cfg, eps, cfg.solver.scaled_nodes(), point)
-    error, = solve_point([b], point["system"])
-    if error is not None:
-        raise error
+    (b,), times = solve_point([cfg], eps, cfg.solver.scaled_nodes())
+    if isinstance(b, Exception):
+        raise b
     df, rep = b.field, b.report
-    log(b.event("solve", ""))
+    log(b.event("solve", "", times=times))
     X1, T = b.grid.node_coords()
     u = np.moveaxis(df.values, 0, -1)
     flat = np.concatenate([X1.reshape(-1, 1), T.reshape(-1, 1),

@@ -409,6 +409,8 @@ def validate_config(cfg: RunConfig):
         if not items:           # a run that judges nothing would pass with no reason
             v.append(f"experiment: {key} must name at least one {what}")
         v += [f"experiment: unknown {what} {c!r}" for c in items if c not in known]
+        v += [f"experiment: {what} {c!r} is named more than once"     # judged twice
+              for i, c in enumerate(items) if c not in items[:i] and c in items[i + 1:]]
     wants_iii = lists and "remark13" in e.checks and "iii" in e.remark13_cases
     if wants_iii and g.m <= e.monomial_k:
         v.append("experiment: remark 1.3(iii) requires m > k "

@@ -27,10 +27,11 @@ The matrix depends only on the tensor, the region and the grid; the boundary
 data enter the right-hand side alone, whose interior rows are zero: the
 problem is homogeneous, with Dirichlet data phi on the top boundary, psi on
 the bottom one and a closure on the lateral faces.  ``solve_linear`` takes a
-stack of right-hand sides, factors the system once for it and drops the
-factorization on return.  It eliminates the identity Dirichlet rows and
-factors the free block as a band, O(n b^2) at BLAS-3 speed: the classical
-choice for thin structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).
+stack of right-hand sides, factors the system once for it, drops the
+factorization on return and returns the pass's times once, beside a report
+per row.  It eliminates the identity Dirichlet rows and factors the free
+block as a band, O(n b^2) at BLAS-3 speed: the classical choice for thin
+structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).
 The stencil's block table is the operator: the band is filled from it one
 slice per offset and component pair, the Dirichlet coupling is summed from it
 on the boundary strips alone, and the backward error's K x is summed from it
@@ -474,11 +475,7 @@ class SolveReport:
     nnz: int
     residual: float
     fill: float = 0.0
-    elapsed: float = 0.0
     grid: str = ""                # "257x65"
-    factor_s: float = 0.0         # 0 on every row but the first of a pass
-    solve_s: float = 0.0
-    reused: bool = False
     rhs: int = 1                  # right-hand sides solved in the same pass
 
     def record(self):
@@ -511,10 +508,10 @@ def solve_linear(ls: LinearSystem, B):
     iterative refinement on its own, and fails with SolverError when it
     still does.
 
-    Returns (X, reports): X in B's shape, and per row a SolveReport or
-    the SolverError of that row.  The first SolveReport carries the pass's
-    times.  A failed factorization raises.  The factorization is dropped on
-    return.
+    Returns (X, reports, times): X in B's shape, per row a SolveReport or
+    the SolverError of that row, and the pass's ``elapsed``, ``factor_s``
+    and ``solve_s``.  A failed factorization raises.  The factorization is
+    dropped on return.
     """
     B = np.asarray(B, dtype=float)
     t0 = time.perf_counter()
@@ -527,17 +524,12 @@ def solve_linear(ls: LinearSystem, B):
         X[row] += factor.solve(B[row] - _apply(ls.blocks, X[row]))
         res[j] = _backward_errors(ls, X[row], B[row])[0]
     t2 = time.perf_counter()
-    reports, times = [], {"elapsed": t2 - t0, "factor_s": t1 - t0, "solve_s": t2 - t1}
-    for r in res:
-        if r > TOL:
-            reports.append(SolverError(f"direct solve residual {r:.3e} above tol {TOL:.1e}"))
-            continue
-        reports.append(SolveReport(factor.routine, ls.N * ls.grid.nodes, ls.nnz, float(r),
-                                   fill=float(factor.fill),
-                                   grid="x".join(map(str, ls.grid.shape)),
-                                   rhs=len(B), **times))
-        times = {"reused": True}            # the rest were solved in this pass
-    return X, reports
+    reports = [SolverError(f"direct solve residual {r:.3e} above tol {TOL:.1e}") if r > TOL
+               else SolveReport(factor.routine, ls.N * ls.grid.nodes, ls.nnz, float(r),
+                                fill=float(factor.fill), grid="x".join(map(str, ls.grid.shape)),
+                                rhs=len(B))
+               for r in res]
+    return X, reports, {"elapsed": t2 - t0, "factor_s": t1 - t0, "solve_s": t2 - t1}
 
 
 # ---------------------------------------------------------------------------
@@ -680,10 +672,10 @@ def solve_bvp(system: LinearSystem, region: NarrowRegion, B):
     """Boundary-value solves of one assembled system, one per row of the stack B.
 
     ``B`` has shape (k, N, *shape), each row a ``right_hand_side``.  The
-    rows are solved in one pass (``solve_linear``).  Returns per row a
-    (DiscreteField, SolveReport), or the SolverError that stopped that row
-    alone; a failed factorization raises.
+    rows are solved in one pass (``solve_linear``).  Returns (rows, times):
+    per row a (DiscreteField, SolveReport), or the SolverError that stopped
+    that row alone, and the pass's times; a failed factorization raises.
     """
-    X, reports = solve_linear(system, B)
+    X, reports, times = solve_linear(system, B)
     return [rep if isinstance(rep, SolverError) else
-            (DiscreteField(system.grid, region, x), rep) for x, rep in zip(X, reports)]
+            (DiscreteField(system.grid, region, x), rep) for x, rep in zip(X, reports)], times

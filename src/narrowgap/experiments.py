@@ -12,11 +12,11 @@ is flagged as solver noise, and flagged points are excluded from fits.
 A check declares its sweeps as SweepRequests and its rates as Claims, each
 a statistic's expected slope and the band around it; one judge
 (``_judge_claims``) fits and tests them beside the check's own predicates.
-The matrix depends only on tensor, geometry, eps and grid, so checks run
-together (``run_checks``) share one sweep per matrix: its outer loop is
-(eps, grid), the operator is factored once per point, and the right-hand
-sides of the distinct request configs there are solved against that
-factorization in one pass.
+The matrix depends only on tensor, geometry, eps and grid, and a check's
+plan changes only the traces and the lateral closure, so checks run
+together (``run_checks``) make one sweep: its outer loop is (eps, grid),
+and at each point ``solve_point`` factors the operator once and solves the
+right-hand sides of the distinct request configs there in one pass.
 
 The bounded-remainder claims fit the asymptotic tail of the sweep
 (eps <= EPS_FIT_MAX) rather than the full window: the remainder approaches
@@ -161,15 +161,13 @@ def fit_rate(sr: SweepResult, model: str = "power", m: int = 2,
 class SolveBundle:
     """Everything the statistics need about one (eps, grid) solve."""
 
-    def __init__(self, cfg: RunConfig, eps: float, nodes: tuple, point: dict):
-        """Set up the solve at (eps, nodes) against ``point["system"]``.
+    def __init__(self, cfg: RunConfig, eps: float, nodes: tuple, system=None):
+        """Set up the solve of ``cfg`` at (eps, nodes) against ``system``.
 
-        ``point`` holds the system of every bundle at this (eps, grid); the
-        first bundle to find it empty transforms and assembles it, and the
-        first whose set-up completes takes the time (``assemble_s``).  The
-        bundle ends with its right-hand side ``rhs``, whose lateral faces
-        its own ansatz gives: ``solve_point`` solves every bundle of the
-        point in one pass, drops ``rhs`` and sets ``field`` and ``report``.
+        Given no system, the bundle transforms and assembles its own, and
+        ``assemble_s`` is that time (0 otherwise).  ``solve_point`` builds
+        its right-hand side, solves it, drops ``system`` and sets ``field``
+        and ``report``.
         """
         self.cfg = cfg
         self.eps = eps
@@ -178,28 +176,32 @@ class SolveBundle:
         self.traces = cfg.build_traces()
         self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces)
         self.grid = _disc.grid_for(self.region, *nodes)
-        if "system" not in point:
+        self.assemble_s = 0.0
+        if system is None:
             t0 = time.perf_counter()
-            point["system"] = _disc.assemble(
-                _disc.transform_operator(self.tensor, self.region, self.grid))
-            point["assemble_s"] = time.perf_counter() - t0
-        self.rhs = _disc.right_hand_side(point["system"], _disc.dirichlet_values(
-            self.grid, self.traces, cfg.solver.closure, self.ansatz, cfg.solver.lateral_value))
-        self.assemble_s = point.pop("assemble_s", 0.0)
+            system = _disc.assemble(_disc.transform_operator(self.tensor, self.region, self.grid))
+            self.assemble_s = time.perf_counter() - t0
+        self.system = system
         self.field = self.report = None
         self._cache = {}
 
-    def event(self, check: str, case: str, stats_s: float = 0.0, shared_with=None) -> dict:
+    def event(self, check: str, case: str, times: dict, stats_s: float = 0.0,
+              shared_with=None) -> dict:
         """The runlog record of this solve, as read by the request (check, case).
 
-        The first reader carries the solve's times.  A later one names the
-        first in ``shared_with`` ("check/case") and has none of its own.
+        ``times`` holds the point's times (``solve_point``) until an event
+        takes them: the first event logged at the point carries them with
+        ``reused`` false and empties ``times``, and every later one reads 0
+        and ``reused`` true.  A request that reads a solve another request
+        of its config logged names that one in ``shared_with`` ("check/case").
         """
         ev = {"event": "solve", "check": check, "case": case, "eps": self.eps,
-              **self.report.record(), "assemble_s": self.assemble_s, "stats_s": stats_s}
+              **self.report.record(), "reused": not times,
+              **dict.fromkeys(("elapsed", "assemble_s", "factor_s", "solve_s"), 0.0),
+              **times, "stats_s": stats_s}
+        times.clear()
         if shared_with is not None:
-            ev.update(reused=True, elapsed=0.0, factor_s=0.0, solve_s=0.0, assemble_s=0.0,
-                      shared_with=shared_with)
+            ev["shared_with"] = shared_with
         return ev
 
     def _get(self, key, fn):
@@ -267,30 +269,49 @@ class SolveBundle:
         return float(np.sqrt(np.sum(col * col, axis=(-2, -1)))[1:-1].max())
 
 
-def solve_point(bundles, system) -> list:
-    """Solve the bundles of one (eps, grid) in one pass against ``system``.
+def solve_point(cfgs, eps: float, nodes: tuple):
+    """Set up, solve and time the distinct configs ``cfgs`` at one (eps, grid).
 
-    The bundles' right-hand sides are stacked (a lone one as a view, which
-    np.stack would copy) and dropped from the bundles, then solved together
-    (``discretize.solve_bvp``).  Each solved bundle gets its field and
-    report, and the first also the point's ``assemble_s``, as its report
-    carries the pass's times.  Returns, per bundle, None or the SolverError that stopped it
-    alone; a failed factorization stops them all.  Kept errors drop their
-    tracebacks, whose frames hold the system.
+    The first config whose set-up completes transforms and assembles the
+    system, and the rest reuse it.  Each right-hand side is built after its
+    bundle's set-up, so boundary data that fail stop that config alone and
+    still pass its system on.  The right-hand sides are solved in one pass
+    (``discretize.solve_bvp``; a lone one as the view ``rhs[None]``, which
+    np.stack would copy), and each solved bundle gets its ``field`` and
+    ``report`` and drops the system.  Returns (got, times): per config the
+    solved SolveBundle or the error that stopped it alone, and the point's
+    ``assemble_s``, ``factor_s``, ``solve_s`` and ``elapsed``.  A failed
+    factorization stops every config.  Kept errors drop their tracebacks,
+    whose frames hold the system.
     """
-    B = bundles[0].rhs[None] if len(bundles) == 1 else np.stack([b.rhs for b in bundles])
-    for b in bundles:
-        b.rhs = None
+    got, rhs, system, times = [], [], None, {"assemble_s": 0.0}
+    for cfg in cfgs:
+        try:
+            b = SolveBundle(cfg, eps, nodes, system)
+            system = b.system
+            times["assemble_s"] += b.assemble_s
+            rhs.append(_disc.right_hand_side(system, _disc.dirichlet_values(
+                b.grid, b.traces, cfg.solver.closure, b.ansatz, cfg.solver.lateral_value)))
+            got.append(b)
+        except Exception as exc:     # its config fails, not the point
+            got.append(exc.with_traceback(None))
+    bundles = [b for b in got if isinstance(b, SolveBundle)]
+    if not bundles:
+        return got, times
+    B = rhs[0][None] if len(rhs) == 1 else np.stack(rhs)
+    del rhs
     try:
-        solved = _disc.solve_bvp(system, bundles[0].region, B)
+        solved, pass_times = _disc.solve_bvp(system, bundles[0].region, B)
+        times.update(pass_times)
     except Exception as exc:
-        return [exc.with_traceback(None)] * len(bundles)
-    assemble_s = sum(b.assemble_s for b in bundles)
-    for b, got in zip(bundles, solved):
-        if not isinstance(got, Exception):
-            b.field, b.report = got
-            b.assemble_s, assemble_s = assemble_s, 0.0
-    return [got if isinstance(got, Exception) else None for got in solved]
+        solved = [exc.with_traceback(None)] * len(bundles)
+    for b, one in zip(bundles, solved):
+        b.system = None
+        if isinstance(one, Exception):
+            got[got.index(b)] = one
+        else:
+            b.field, b.report = one
+    return got, times
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +435,7 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One case of a check: the configuration it solves and the statistics it reads.
-
-    Requests with the same ``matrix_key`` share their sweep matrices; only
-    the boundary data, and so the right-hand sides, differ between them.
-    """
+    """One case of a check: the configuration it solves and the statistics it reads."""
 
     cfg: RunConfig
     stats: tuple
@@ -432,11 +449,6 @@ class SweepRequest:
                 raise ConfigError([f"unknown statistic {s!r}"])
         if any(a <= b for a, b in zip(self.eps_list, self.eps_list[1:])):
             raise ConfigError(["eps_list must be strictly decreasing"])
-
-    @property
-    def matrix_key(self):
-        """Tensor, geometry and grid: all the matrices depend on besides eps."""
-        return self.cfg.tensor, self.cfg.geometry, self.cfg.solver.scaled_nodes()
 
 
 @dataclass
@@ -453,81 +465,70 @@ def _eps_list(cfg: RunConfig, default=DEFAULT_EPS):
     return tuple(cfg.experiment.eps_list or default)
 
 
+def _sweep_key(cfg: RunConfig) -> dict:
+    """Tensor, geometry and grid: all the matrices of a sweep depend on besides eps."""
+    return {"tensor": cfg.tensor, "geometry": cfg.geometry, "grid": cfg.solver.scaled_nodes()}
+
+
 def run_sweeps(requests) -> list:
-    """Sweep every request; one SweepOutcome per request, in order.
+    """Sweep every request in one sweep; one SweepOutcome per request, in order.
 
-    Requests that share a matrix key share one sweep whose outer loop is
-    (eps, grid): at each point the operator is transformed, assembled and
-    factored once, the right-hand sides of the distinct configs there are
-    solved against that factorization in one pass, each once for all its
-    requests, and the factorization is freed before the next point.
+    Every check's plan changes only the traces and the lateral closure, so
+    the requests of a run share tensor, geometry and grid; requests that do
+    not are refused.  The outer loop is (eps, grid), eps from the largest
+    down, so every request meets its points in its own order.  At each point
+    ``solve_point`` sets up, solves and times the distinct configs of the
+    requests still running there.  Then each request runs its statistics on
+    its config's bundle, which is dropped before the next config's.  The
+    first request of a config to read its bundle logs the solve and the
+    others name it in ``shared_with``; ``SolveBundle.event`` puts the
+    point's times on the first event logged there.  A request stops at its
+    first error, kept without its traceback, whose frames hold the system.
     """
-    outcomes = [SweepOutcome() for _ in requests]
-    groups = {}
-    for i, req in enumerate(requests):
-        groups.setdefault(req.matrix_key, []).append(i)
-    for idx in groups.values():
-        _sweep_group([requests[i] for i in idx], [outcomes[i] for i in idx])
-    return outcomes
-
-
-def _sweep_group(reqs, outs):
-    """Sweep requests that share a matrix key, one (eps, grid) point at a time.
-
-    Eps runs from the largest down, so every request meets its points in
-    its own order.  Requests with equal configs read one SolveBundle per
-    point.  Every bundle of a point is set up first and all are solved in
-    one pass; then each runs its statistics and is dropped before the next.
-    The first request of a config to read its solve logs it, and the
-    others log a shared solve naming that one (``SolveBundle.event``).  A
-    request stops at its first error, kept without its traceback, whose
-    frames hold the system.
-    """
-    nodes = reqs[0].cfg.solver.scaled_nodes()
-    grids = (nodes, tuple(2 * (k - 1) + 1 for k in nodes))     # base, then refined
-    rows = [{} for _ in reqs]           # per request: eps -> one value dict per grid
-    for eps in sorted({e for r in reqs for e in r.eps_list}, reverse=True):
-        for grid_nodes in grids:
-            point = {}          # this grid's system: the previous one is freed here
+    outs = [SweepOutcome() for _ in requests]
+    if not requests:
+        return outs
+    key = _sweep_key(requests[0].cfg)
+    for req in requests[1:]:
+        differ = [k for k, v in _sweep_key(req.cfg).items() if v != key[k]]
+        if differ:
+            raise ValueError(f"the requests of one sweep differ in {' and '.join(differ)}")
+    grids = (key["grid"], tuple(2 * (k - 1) + 1 for k in key["grid"]))     # base, then refined
+    rows = [{} for _ in requests]       # per request: eps -> one value dict per grid
+    for eps in sorted({e for r in requests for e in r.eps_list}, reverse=True):
+        for nodes in grids:
             groups = {}
-            for i, req in enumerate(reqs):
+            for i, req in enumerate(requests):
                 if eps in req.eps_list and outs[i].error is None:
                     groups.setdefault(req.cfg, []).append(i)
             t0 = time.perf_counter()
-            bundles = []
+            got, times = solve_point(list(groups), eps, nodes)
             for members in groups.values():
-                try:
-                    bundles.append((members, SolveBundle(reqs[members[0]].cfg, eps,
-                                                         grid_nodes, point)))
-                except Exception as exc:     # its requests fail, not the sweep
+                b = got.pop(0)
+                if isinstance(b, Exception):
                     for i in members:
-                        outs[i].error = exc.with_traceback(None)
-            errors = solve_point([b for _, b in bundles], point["system"]) if bundles else []
-            for error in errors:
-                members, b = bundles.pop(0)
-                if error is not None:
-                    for i in members:
-                        outs[i].error = error
+                        outs[i].error = b
                     continue
                 first = None                 # the request that logs this solve
                 for i in members:
-                    t1 = time.perf_counter()
+                    req, t1 = requests[i], time.perf_counter()
                     try:
-                        vals = {s: STATISTICS[s](b) for s in reqs[i].stats}
+                        vals = {s: STATISTICS[s](b) for s in req.stats}
                     except Exception as exc:
                         outs[i].error = exc.with_traceback(None)
                         continue
                     t2 = time.perf_counter()
                     rows[i].setdefault(eps, []).append(vals)
-                    outs[i].events.append(b.event(reqs[i].check, reqs[i].case, t2 - t1, first))
+                    outs[i].events.append(b.event(req.check, req.case, times, t2 - t1, first))
                     outs[i].elapsed += t2 - t0
                     if first is None:        # the rest read this solve
-                        first = "/".join(filter(None, (reqs[i].check, reqs[i].case)))
+                        first = "/".join(filter(None, (req.check, req.case)))
                     t0 = t2
                 del b                        # before the next bundle's statistics
-    for req, out, got in zip(reqs, outs, rows):
+    for req, out, row in zip(requests, outs, rows):
         if out.error is None:
-            out.results = _sweep_results(req.stats, grids, got, "grid-limited")
+            out.results = _sweep_results(req.stats, grids, row, "grid-limited")
+    return outs
 
 
 def _sweep_results(stat_names, grids, rows, reason):
@@ -677,7 +678,7 @@ def _run(checks, cfg):
 
 
 def run_checks(cfg: RunConfig, names) -> list:
-    """One Verdict per named check; checks that share a matrix share its sweep.
+    """One Verdict per named check; the checks share one sweep.
 
     A check stopped by an exception gets an ABORTED verdict naming it.
     """

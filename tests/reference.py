@@ -226,7 +226,7 @@ def solve_manufactured(tensor, region, grid, mms):
     X1, T = grid.node_coords()
     x = region.from_box(X1, T)
     Ftil = region.delta(X1)[..., None] * manufactured_forcing(tensor, mms)(x)
-    (u,), (rep,) = solve_linear(ls, forced_right_hand_side(ls, mms.value(x), Ftil)[None])
+    (u,), (rep,), _ = solve_linear(ls, forced_right_hand_side(ls, mms.value(x), Ftil)[None])
     if isinstance(rep, Exception):
         raise rep
     return DiscreteField(grid, region, u), rep
@@ -365,7 +365,7 @@ def solve_one(tensor, region, traces, grid):
     system = assemble(transform_operator(tensor, region, grid))
     rhs = right_hand_side(system, dirichlet_values(grid, traces, "ansatz",
                                                    build_ansatz(tensor, region, traces)))
-    got, = solve_bvp(system, region, rhs[None])
+    (got,), _ = solve_bvp(system, region, rhs[None])
     if isinstance(got, Exception):
         raise got
     return got

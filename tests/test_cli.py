@@ -360,9 +360,13 @@ class TestRun:
         ({"remark13_cases": "iii"}, "experiment: remark13_cases must be a list"),
         ({"checks": []}, "experiment: checks must name at least one check"),
         ({"remark13_cases": []},
-         "experiment: remark13_cases must name at least one remark13 case")],
+         "experiment: remark13_cases must name at least one remark13 case"),
+        ({"checks": ["residual", "thm11", "residual"]},
+         "experiment: check 'residual' is named more than once"),
+        ({"remark13_cases": ["ii", "ii", "ii"]},
+         "experiment: remark13 case 'ii' is named more than once")],
         ids=["eps_list_entry", "checks_string", "remark13_cases_string", "checks_empty",
-             "remark13_cases_empty"])
+             "remark13_cases_empty", "checks_repeated", "remark13_cases_repeated"])
     def test_malformed_experiment_lists_exit_2(self, tmp_path, capsys, experiment, what):
         p = write_cfg(tmp_path, {**MINI, "experiment": experiment})
         assert main(["validate", "--config", str(p)]) == 2

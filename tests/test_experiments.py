@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from narrowgap.ansatz import AnsatzField, BoundaryTraces, PolyTrace, build_ansatz, theta
 from narrowgap.coefficients import LameParameters, make_lame
-from narrowgap.config import ConfigError, config_from_dict
+from narrowgap.config import ConfigError, config_from_dict, parse_config
 from narrowgap.discretize import DiscreteField, grid_for
 from narrowgap.experiments import (_RESIDUAL_SAMPLES, CHECKS, NOISE_FLOOR, STATISTICS, Claim,
                                    DataError, SolveBundle, SweepPoint, SweepRequest,
@@ -371,13 +372,59 @@ def test_failed_boundary_data_fail_only_their_config(monkeypatch):
     assert (systems, bands) == (0, 0)
 
 
+def test_requests_of_other_tensors_are_refused():
+    # a sweep factors one matrix per (eps, grid), so it cannot take requests
+    # whose tensors differ
+    requests = [SweepRequest(small_cfg(tensor={"lam": lam}), ("sup_grad",), (0.01,))
+                for lam in (1.0, 2.0)]
+    with pytest.raises(ValueError, match="the requests of one sweep differ in tensor$"):
+        run_sweeps(requests)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
+                                        .glob("*.json")), ids=lambda p: p.name)
+def test_every_shipped_run_is_one_sweep(path):
+    # the checks of each shipped config plan requests of one tensor, geometry
+    # and grid, which run_sweeps takes as one sweep; planning solves nothing
+    cfg = parse_config(path)
+    plans = [CHECKS[name].plan(cfg) for name in cfg.experiment.checks]
+    requests = [r for plan in plans if isinstance(plan, list) for r in plan]
+    keys = {(r.cfg.tensor, r.cfg.geometry, r.cfg.solver.scaled_nodes()) for r in requests}
+    assert len(keys) == min(len(requests), 1)
+
+
+def test_a_points_times_survive_a_failed_first_statistic(monkeypatch):
+    # phi = 2 is solved first and its statistic raises, so the phi = 1
+    # request logs the first event at (0.01, 17x9) and must carry its times
+    sup_grad = STATISTICS["sup_grad"]
+
+    def refuse_phi_two(b):
+        if b.traces.phi.rows[0][0] == 2.0:
+            raise ValueError("no statistic for phi = 2")
+        return sup_grad(b)
+
+    monkeypatch.setitem(STATISTICS, "sup_grad", refuse_phi_two)
+    eps = (0.01, 0.005, 0.002, 0.001)
+    failed, solved = run_sweeps([
+        SweepRequest(small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
+                               traces={"phi": phi}), ("sup_grad",), eps)
+        for phi in ([2.0, 0.0], [1.0, 0.0])])
+    assert str(failed.error) == "no statistic for phi = 2" and solved.error is None
+    points = {}
+    for ev in solved.events:
+        points.setdefault((ev["eps"], ev["grid"]), []).append(ev)
+    assert len(points) == 2 * len(eps)
+    for evs in points.values():
+        timed = [ev for ev in evs if not ev["reused"]]
+        assert len(timed) == 1 and timed[0]["factor_s"] > 0 and timed[0]["assemble_s"] > 0
+
+
 def test_cached_arrays_are_read_only(monkeypatch):
     # one bundle serves every request of its config, so a statistic that
     # wrote into a cached array would change the next request's numbers
     cfg = small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9})
-    point = {}
-    b = SolveBundle(cfg, 0.01, (17, 9), point)
-    assert solve_point([b], point["system"]) == [None]
+    (b,), _ = solve_point([cfg], 0.01, (17, 9))
+    assert isinstance(b, SolveBundle) and b.system is None
     cached = {"XP": b.coords[0], "T": b.coords[1], "inner": b.inner,
               "grad_num": b.grad_num, "gradient_nodes": b.field.gradient_nodes(),
               **{f"{name}_{c}": getattr(b, name)(c) for c in (True, False)

@@ -2,8 +2,8 @@
 
 A refactor must leave the numbers bit for bit the same.  This test runs
 each command of ``RUNS`` in a fresh process with one BLAS thread and
-compares the digest of every ``.csv``, ``.dat`` and ``fits.json`` it
-writes, and of its ``runlog.jsonl`` without the timings, with
+compares the digest of every ``.csv`` and ``fits.json`` it writes, and
+of its ``runlog.jsonl`` without the timings, with
 ``tests/pinned_outputs.json``:
 
 - ``all`` on ``configs/all_m2.json`` at grid scale 0.5 and on
@@ -75,7 +75,7 @@ def digests(name, out):
     return {p.name: hashlib.sha256(_untimed(p) if p.name == "runlog.jsonl"
                                    else p.read_bytes()).hexdigest()
             for p in sorted((out / "run").iterdir())
-            if p.suffix in (".csv", ".dat") or p.name in ("fits.json", "runlog.jsonl")}
+            if p.suffix == ".csv" or p.name in ("fits.json", "runlog.jsonl")}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
