@@ -12,7 +12,9 @@ Every run writes to the output directory:
   <check>_<stat>.csv sweep tables (full float precision; the clean points
                      are the rows with flagged 0)
   fits.json          fit summaries as structured records
-  report.txt         human-readable report with a digest manifest
+  report.txt         human-readable report: validation, verdicts, the
+                     flagged points (check, statistic, eps, grid, reason,
+                     rel_change) and a digest manifest
   runlog.jsonl       solve events (check, case, eps, grid, assemble_s,
                      factor_s, solve_s, stats_s, reused, residual, fill; a
                      point's times are on its first event, with reused
@@ -84,6 +86,12 @@ class RunReport:
                 lines += ["  " + ln for ln in v.summary().splitlines()]
         else:
             lines.append("  (none)")
+        lines.append("")
+        lines.append("flagged points (left out of every fit):")
+        lines += [f"  {v.name} {key}: eps {p.eps!r}, grid {'x'.join(map(str, p.grid))}, "
+                  f"{p.reason}, rel_change {p.rel_change:.4g}"
+                  for v in self.verdicts for key, sr in sorted(v.sweeps.items())
+                  for p in sr.points if p.flagged] or ["  (none)"]
         lines.append("")
         lines.append("file manifest (sha256):")
         for name in sorted(self.manifest):

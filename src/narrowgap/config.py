@@ -5,6 +5,11 @@ experiment) plus an output block.  Parsing is strict: unknown keys anywhere
 are errors, all violations are collected and reported together, and
 cross-field constraints (custom_A holds the N^2 * 4 entries of a planar A,
 the monomial blow-up case needs m > k, ...) are enforced at parse time.
+Each concept has one spelling: a trace is a list of coefficient rows in
+x1, one per component, and a nonzero ``perturb_scale`` perturbs a tensor
+of any kind.  A key that defaults to None and that the rest of its block
+leaves unread (poly_upper under the power family, custom_A under another
+kind) is refused.
 The dimension is not a key: every block is planar (``geometry.DIM``).
 """
 
@@ -68,28 +73,24 @@ class GeometryConfig:
 
 @dataclass(frozen=True)
 class TensorConfig:
-    kind: str = "lame"               # "laplace" | "lame" | "lame_perturbed" | "custom_poly"
+    kind: str = "lame"               # "laplace" | "lame" | "custom"
     lam: float = 1.0
     mu: float = 1.0
-    N: int = 1                       # laplace and custom_poly; lame takes N = 2
-    perturb_scale: float = 0.1
-    perturb_poly: tuple = ((1.0, (1, 0)),)   # terms (coef, exponents)
-    custom_A: tuple | None = None    # custom_poly: flat A entries, shape (N, N, 2, 2)
+    N: int = 1                       # laplace and custom; lame takes N = 2
+    perturb_scale: float = 0.0       # s: A(x) = (1 + s p(x)) A0 when nonzero, any kind
+    perturb_poly: tuple = ((1.0, (1, 0)),)   # p: terms (coef, exponents)
+    custom_A: tuple | None = None    # custom: flat A entries, shape (N, N, 2, 2)
 
     def build(self, reach) -> _coeff.CoefficientTensor:
         """The tensor; a perturbed one declares its constants for |x_a| <= reach[a]."""
         if self.kind == "laplace":
-            return _coeff.make_laplace(self.N)
-        params = _coeff.LameParameters(self.lam, self.mu)
-        if self.kind == "lame":
-            return _coeff.make_lame(params)
-        if self.kind == "lame_perturbed":
-            base = _coeff.make_lame(params)
-            poly = _coeff.MultiPoly(self.perturb_poly)
-            return _coeff.make_perturbed(base, poly, self.perturb_scale, reach)
-        dim = _geom.DIM
-        A0 = np.array(self.custom_A, dtype=float).reshape(self.N, self.N, dim, dim)
-        tensor = _coeff.make_custom(self.N, A0)
+            tensor = _coeff.make_laplace(self.N)
+        elif self.kind == "lame":
+            tensor = _coeff.make_lame(_coeff.LameParameters(self.lam, self.mu))
+        else:
+            dim = _geom.DIM
+            A0 = np.array(self.custom_A, dtype=float).reshape(self.N, self.N, dim, dim)
+            tensor = _coeff.make_custom(self.N, A0)
         if self.perturb_scale:
             poly = _coeff.MultiPoly(self.perturb_poly)
             tensor = _coeff.make_perturbed(tensor, poly, self.perturb_scale, reach)
@@ -98,25 +99,17 @@ class TensorConfig:
 
 @dataclass(frozen=True)
 class TracesConfig:
-    family: str = "constant"         # "constant" | "poly"
-    phi: tuple = (1.0, 0.0)
-    psi: tuple = (0.0, 0.0)
-    poly_phi: tuple | None = None    # poly: per-component coefficient rows
-    poly_psi: tuple | None = None
+    phi: tuple = ((1.0,), (0.0,))    # per component, row[k] multiplies x1^k
+    psi: tuple = ((0.0,), (0.0,))
 
     def build(self, N: int) -> _ansatz.BoundaryTraces:
         """phi and psi as N coefficient rows in x1 each; missing rows are zero."""
-        if self.family == "constant":
-            phi, psi = ([(v,) for v in vec] for vec in (self.phi, self.psi))
-        else:
-            phi, psi = self.poly_phi, self.poly_psi
-        return _ansatz.BoundaryTraces(_ansatz.PolyTrace(_pad_rows(phi, N)),
-                                      _ansatz.PolyTrace(_pad_rows(psi, N)))
+        return _ansatz.BoundaryTraces(_ansatz.PolyTrace(_pad_rows(self.phi, N)),
+                                      _ansatz.PolyTrace(_pad_rows(self.psi, N)))
 
 
 def _pad_rows(rows, N):
-    rows = [tuple(r) for r in (rows or ())][:N]
-    return rows + [(0.0,)] * (N - len(rows))
+    return tuple(rows[:N]) + ((0.0,),) * (N - len(rows))
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ class RunConfig:
 
     @property
     def N(self):
-        if self.tensor.kind in ("laplace", "custom_poly"):
+        if self.tensor.kind in ("laplace", "custom"):
             return self.tensor.N
         return _geom.DIM
 
@@ -278,12 +271,10 @@ def _perturb_poly_violations(terms):
 
 
 def _coefficient_violations(tr: TracesConfig):
-    """Each trace value or coefficient row that cannot build a trace."""
-    v = _numbers(tr.phi, "phi") + _numbers(tr.psi, "psi")
-    for key in ("poly_phi", "poly_psi"):
+    """Each trace or coefficient row that cannot build a trace."""
+    v = []
+    for key in ("phi", "psi"):
         rows = getattr(tr, key)
-        if rows is None:
-            continue
         if not isinstance(rows, tuple):
             v.append(f"traces: {key} must be a list of coefficient rows, got {rows!r}")
             continue
@@ -295,15 +286,9 @@ def _coefficient_violations(tr: TracesConfig):
 
 
 def _beyond_n(tr: TracesConfig, N):
-    """Traces with nonzero data beyond N; zeros let phi (1, 0) serve N = 1."""
-    if tr.family == "constant":
-        return [f"traces: {key} has a nonzero entry beyond N = {N}"
-                for key in ("phi", "psi") if any(getattr(tr, key)[N:])]
-    if tr.family == "poly":
-        return [f"traces: {key} has a nonzero row beyond N = {N}"
-                for key in ("poly_phi", "poly_psi")
-                if any(any(row) for row in (getattr(tr, key) or ())[N:])]
-    return []
+    """Traces with a nonzero row beyond N; zero rows let phi [[1], [0]] serve N = 1."""
+    return [f"traces: {key} has a nonzero row beyond N = {N}"
+            for key in ("phi", "psi") if any(any(row) for row in getattr(tr, key)[N:])]
 
 
 def _profile_violations(g: GeometryConfig):
@@ -331,8 +316,11 @@ def validate_config(cfg: RunConfig):
                       cfg.experiment)
     if g.family not in ("power", "poly"):
         v.append(f"geometry: unknown family {g.family!r}")
-    if g.family == "power" and g.upper_coef + g.lower_coef <= 0:
-        v.append("geometry: upper_coef + lower_coef must be positive")
+    if g.family == "power":
+        if g.upper_coef + g.lower_coef <= 0:
+            v.append("geometry: upper_coef + lower_coef must be positive")
+        v += [f"geometry: {key} is read only by the poly family"
+              for key in ("poly_upper", "poly_lower") if getattr(g, key) is not None]
     kappas = (g.kappa1, g.kappa2, g.kappa3, g.kappa4)
     if g.family == "poly":
         for key in ("poly_upper", "poly_lower"):
@@ -355,30 +343,28 @@ def validate_config(cfg: RunConfig):
         v.append("geometry: epsilon must be positive")
     if not v:       # the fields are sound: the profiles must build and evaluate
         v += _profile_violations(g)
-    if t.kind not in ("laplace", "lame", "lame_perturbed", "custom_poly"):
+    if t.kind not in ("laplace", "lame", "custom"):
         v.append(f"tensor: unknown kind {t.kind!r}")
-    if t.kind in ("lame", "lame_perturbed"):
+    if t.kind == "lame":
         if t.mu <= 0:
             v.append("tensor: mu must be positive")
         if _geom.DIM * t.lam + 2 * t.mu <= 0:
             v.append("tensor: n*lam + 2*mu must be positive")
-    if t.kind in ("laplace", "custom_poly") and t.N < 1:
+    if t.kind in ("laplace", "custom") and t.N < 1:
         v.append("tensor: N must be >= 1")
-    if t.kind == "custom_poly":
+    if t.kind == "custom":
         size = t.N ** 2 * _geom.DIM ** 2
         if t.custom_A is None:
-            v.append("tensor: custom_poly requires custom_A")
+            v.append("tensor: custom requires custom_A")
         else:
             v += _numbers(t.custom_A, "custom_A", "tensor") or (
                 [] if len(t.custom_A) == size else
                 [f"tensor: custom_A must hold N^2 * 4 = {size} numbers, "
                  f"got {len(t.custom_A)}"])
-    if t.kind == "lame_perturbed" or (t.kind == "custom_poly" and t.perturb_scale):
+    elif t.custom_A is not None:
+        v.append("tensor: custom_A is read only by the custom kind")
+    if t.perturb_scale:
         v += _perturb_poly_violations(t.perturb_poly)
-    if tr.family not in ("constant", "poly"):
-        v.append(f"traces: unknown family {tr.family!r}")
-    if tr.family == "poly" and (tr.poly_phi is None or tr.poly_psi is None):
-        v.append("traces: poly family requires poly_phi and poly_psi")
     v += _coefficient_violations(tr) or _beyond_n(tr, cfg.N)
     if s.closure not in ("ansatz", "constant"):
         v.append(f"solver: unknown closure {s.closure!r}")

@@ -770,21 +770,17 @@ def _judge_thm11(cfg: RunConfig, results) -> Verdict:
 
 
 def _remark13_case_cfg(cfg, case):
+    """Traces (i) phi = psi = 1 + x1^2, (ii) a constant gap in the last
+    component, (iii) phi = x1^k in the first, each as N coefficient rows."""
+    zero = ((0.0,),) * cfg.N
     if case == "i":
-        tr = TracesConfig(family="poly",
-                          poly_phi=((1.0, 0.0, 1.0),) + ((0.0,),) * (cfg.N - 1),
-                          poly_psi=((1.0, 0.0, 1.0),) + ((0.0,),) * (cfg.N - 1))
+        phi = psi = ((1.0, 0.0, 1.0),) + zero[1:]
     elif case == "ii":
-        gap = [0.0] * cfg.N
-        gap[min(DIM, cfg.N) - 1] = 1.0
-        tr = TracesConfig(family="constant", phi=tuple(gap),
-                          psi=(0.0,) * cfg.N)
+        last = min(DIM, cfg.N) - 1
+        phi, psi = zero[:last] + ((1.0,),) + zero[last + 1:], zero
     else:
-        tr = TracesConfig(family="poly",
-                          poly_phi=((0.0,) * cfg.experiment.monomial_k + (1.0,),)
-                          + ((0.0,),) * (cfg.N - 1),
-                          poly_psi=((0.0,),) * cfg.N)
-    return replace(cfg, traces=tr)
+        phi, psi = ((0.0,) * cfg.experiment.monomial_k + (1.0,),) + zero[1:], zero
+    return replace(cfg, traces=TracesConfig(phi, psi))
 
 
 REMARK13_STATS = {"i": "sup_grad", "ii": "shortest_segment_max",
@@ -836,8 +832,7 @@ def _plan_decay(cfg: RunConfig):
     except HypothesisViolationError as exc:
         raise HypothesisViolationError(f"A^nn numerically singular: {exc}") from None
     dcfg = replace(cfg,
-                   traces=TracesConfig(family="constant", phi=(0.0,) * N,
-                                       psi=(0.0,) * N),
+                   traces=TracesConfig(((0.0,),) * N, ((0.0,),) * N),
                    solver=replace(cfg.solver, closure="constant",
                                   lateral_value=tuple(lateral)))
     return [SweepRequest(dcfg, ("decay_normalized",), eps_list)]

@@ -39,7 +39,7 @@ def lame_gap_config(**overrides):
     data = {
         "geometry": {"m": 2, "upper_coef": 1.0, "lower_coef": 0.0, "R0": 0.5},
         "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
-        "traces": {"family": "constant", "phi": [1.0, 0.0], "psi": [0.0, 0.0]},
+        "traces": {"phi": [[1.0], [0.0]], "psi": [[0.0], [0.0]]},
         "solver": {"tangential_nodes": 257, "vertical_nodes": 65},
     }
     for key, val in overrides.items():
@@ -204,9 +204,8 @@ def test_criterion_6_exponential_decay():
         cfg = config_from_dict({
             "geometry": {"m": 2, "R0": 0.25},
             "tensor": labels,
-            "traces": {"family": "constant",
-                       "phi": [0.0] * (1 if kind == "laplace" else 2),
-                       "psi": [0.0] * (1 if kind == "laplace" else 2)},
+            "traces": {"phi": [[0.0]] * (1 if kind == "laplace" else 2),
+                       "psi": [[0.0]] * (1 if kind == "laplace" else 2)},
             "solver": {"tangential_nodes": 257, "vertical_nodes": 65},
         })
         verdict = CHECKS["decay"](cfg)

@@ -41,7 +41,7 @@ print(json.dumps({
 TINY = {
     "geometry": {"m": 2, "R0": 0.5},
     "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
-    "traces": {"family": "constant", "phi": [1.0, 0.0], "psi": [0.0, 0.0]},
+    "traces": {"phi": [[1.0], [0.0]], "psi": [[0.0], [0.0]]},
     "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
     "experiment": {"checks": ["thm11", "energy", "residual"], "eps_list": [0.01]},
 }

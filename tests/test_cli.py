@@ -10,18 +10,20 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from narrowgap import discretize
-from narrowgap.cli import COMMANDS, build_parser, main, run
+from narrowgap.cli import COMMANDS, RunReport, build_parser, main, run
+from narrowgap.coefficients import LameParameters, MultiPoly, make_lame, make_perturbed
 from narrowgap.config import (_BLOCKS, ConfigError, ExperimentConfig, OutputConfig,
                               config_from_dict, parse_config, validate_config)
-from narrowgap.experiments import CHECKS
+from narrowgap.experiments import CHECKS, SweepPoint, SweepResult, Verdict
 
 MINI = {
     "geometry": {"m": 2, "R0": 0.5},
     "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
-    "traces": {"family": "constant", "phi": [1.0, 0.0], "psi": [0.0, 0.0]},
+    "traces": {"phi": [[1.0], [0.0]], "psi": [[0.0], [0.0]]},
     "solver": {"tangential_nodes": 33, "vertical_nodes": 9},
     "experiment": {"checks": ["residual"],
                    "eps_list": [0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001]},
@@ -98,7 +100,7 @@ class TestParseConfig:
 
     def test_non_finite_numbers_rejected(self, tmp_path):
         p = tmp_path / "nan.json"
-        p.write_text('{"geometry": {"R0": Infinity}, "tensor": {"kind": "custom_poly",'
+        p.write_text('{"geometry": {"R0": Infinity}, "tensor": {"kind": "custom",'
                      ' "custom_A": [NaN, 0, 0, 1]}}')
         with pytest.raises(ConfigError) as err:
             parse_config(p)
@@ -114,6 +116,8 @@ SHIPPED = sorted((ROOT / "configs").glob("*.json"))
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
 def test_shipped_config_parses(path):
     cfg = parse_config(path)
+    # the echo of a config parses back to it, nested coefficient rows and all
+    assert config_from_dict(json.loads(cfg.to_json())) == cfg
     # runs/thm11 is the committed golden run of acceptance criterion 4
     golden = ROOT / "runs" / "thm11"
     out = (ROOT / cfg.output.dir).resolve()
@@ -134,8 +138,7 @@ CONFIG_FIELDS = {
     ("geometry", "kappa2"), ("geometry", "kappa3"), ("geometry", "kappa4"),
     ("tensor", "kind"), ("tensor", "lam"), ("tensor", "mu"), ("tensor", "N"),
     ("tensor", "perturb_scale"), ("tensor", "perturb_poly"), ("tensor", "custom_A"),
-    ("traces", "family"), ("traces", "phi"), ("traces", "psi"), ("traces", "poly_phi"),
-    ("traces", "poly_psi"),
+    ("traces", "phi"), ("traces", "psi"),
     ("solver", "tangential_nodes"), ("solver", "vertical_nodes"), ("solver", "closure"),
     ("solver", "lateral_value"), ("solver", "grid_scale"),
     ("experiment", "checks"), ("experiment", "eps_list"), ("experiment", "monomial_k"),
@@ -147,7 +150,7 @@ CONFIG_FIELDS = {
 def test_config_fields_are_the_census():
     got = {(block, f.name) for block, cls in _BLOCKS.items() for f in fields(cls)}
     assert got == CONFIG_FIELDS
-    assert len(got) == 34
+    assert len(got) == 31
 
 
 def test_readme_names_every_option_and_key():
@@ -202,7 +205,7 @@ class TestRun:
         # so A^nn's sampled spectrum [0.9305, 3.2875] lies inside the declared
         # (1 - 0.188, 3 (1 + 0.188)), and not inside the base's (1, 3)
         data = {**MINI, "geometry": {"m": 2, "R0": 0.5, "lower_coef": 0.5},
-                "tensor": {"kind": "lame_perturbed", "perturb_scale": 0.1,
+                "tensor": {"kind": "lame", "perturb_scale": 0.1,
                            "perturb_poly": [[1.0, [1, 0]], [0.5, [0, 1]], [0.3, [1, 1]]]},
                 "solver": {"tangential_nodes": 65, "vertical_nodes": 17},
                 "experiment": {}}
@@ -266,11 +269,12 @@ class TestRun:
         assert f"{block}: {key} must be {what}, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("traces, what", [
-        ({"phi": [1, "x"]}, "traces: phi[1] must be a number, got 'x'"),
-        ({"family": "poly", "poly_phi": [[0.5, "x"]], "poly_psi": [[0.0]]},
-         "traces: poly_phi[0][1] must be a number, got 'x'"),
-        ({"family": "poly", "poly_phi": [[1.0]], "poly_psi": [[]]},
-         "traces: poly_psi[0] is an empty coefficient row")],
+        # a bare number is not read as a constant row: a trace has one spelling
+        ({"phi": [1, "x"]}, "traces: phi[0] must be a list of numbers, got 1"),
+        ({"phi": [[0.5, "x"]], "psi": [[0.0]]},
+         "traces: phi[0][1] must be a number, got 'x'"),
+        ({"phi": [[1.0]], "psi": [[]]},
+         "traces: psi[0] is an empty coefficient row")],
         ids=["phi_entry", "poly_entry", "empty_poly_row"])
     def test_unbuildable_traces_exit_2(self, tmp_path, capsys, traces, what):
         p = write_cfg(tmp_path, {**MINI, "traces": traces})
@@ -278,46 +282,62 @@ class TestRun:
         assert what in capsys.readouterr().err
 
     @pytest.mark.parametrize("tensor, what", [
-        ({"kind": "custom_poly"}, "tensor: custom_poly requires custom_A"),
-        ({"kind": "custom_poly", "custom_A": [1, 0, 0]},
+        ({"kind": "custom"}, "tensor: custom requires custom_A"),
+        ({"kind": "custom", "custom_A": [1, 0, 0]},
          "tensor: custom_A must hold N^2 * 4 = 4 numbers, got 3"),
-        ({"kind": "custom_poly", "N": 2, "custom_A": [1, 0, 0, 1]},
+        ({"kind": "custom", "N": 2, "custom_A": [1, 0, 0, 1]},
          "tensor: custom_A must hold N^2 * 4 = 16 numbers, got 4"),
-        ({"kind": "custom_poly", "N": 0, "custom_A": []},
+        ({"kind": "custom", "N": 0, "custom_A": []},
          "tensor: N must be >= 1"),
-        ({"kind": "lame_perturbed", "perturb_poly": [[1.0, [1]]]},
+        ({"kind": "lame", "perturb_scale": 0.1, "perturb_poly": [[1.0, [1]]]},
          "tensor: perturb_poly[0] must be [coef, exponents] with 2 non-negative "
          "integer exponents, got (1.0, (1,))"),
-        ({"kind": "custom_poly", "custom_A": [1, 0, 0, 1], "perturb_scale": 0.1,
+        ({"kind": "custom", "custom_A": [1, 0, 0, 1], "perturb_scale": 0.1,
           "perturb_poly": [[1.0, [0, -1]]]},
          "tensor: perturb_poly[0] must be [coef, exponents] with 2 non-negative "
-         "integer exponents, got (1.0, (0, -1))")],
+         "integer exponents, got (1.0, (0, -1))"),
+        ({"kind": "laplace", "custom_A": [1, 0, 0, 1]},
+         "tensor: custom_A is read only by the custom kind"),
+        ({"kind": "lame_perturbed"}, "tensor: unknown kind 'lame_perturbed'"),
+        ({"kind": "custom_poly", "custom_A": [1, 0, 0, 1]},
+         "tensor: unknown kind 'custom_poly'")],
         ids=["custom_A_missing", "custom_A_length", "custom_A_length_N2", "N",
-             "perturb_poly", "custom_perturb_poly"])
+             "perturb_poly", "custom_perturb_poly", "custom_A_not_custom",
+             "lame_perturbed", "custom_poly"])
     def test_unbuildable_tensors_exit_2(self, tmp_path, capsys, tensor, what):
-        p = write_cfg(tmp_path, {"tensor": tensor, "traces": {"phi": [1.0]}})
+        p = write_cfg(tmp_path, {"tensor": tensor, "traces": {"phi": [[1.0]]}})
         assert main(["validate", "--config", str(p)]) == 2
         assert what in capsys.readouterr().err
 
-    def test_perturb_poly_is_read_only_by_a_perturbed_kind(self):
-        cfg = config_from_dict({"tensor": {"kind": "custom_poly", "custom_A": [1, 0, 0, 1],
-                                           "perturb_scale": 0, "perturb_poly": [[1.0, [1]]]},
-                                "traces": {"phi": [1.0]}})
-        assert cfg.build_tensor().is_constant
+    def test_perturb_scale_alone_perturbs_a_tensor_of_any_kind(self):
+        x = np.array([[0.3, 0.1], [-0.7, 0.4], [1.0, 1.1]])
+        # unperturbed, a tensor is constant; its perturb_poly is not read
+        custom = config_from_dict({"tensor": {"kind": "custom", "custom_A": [1, 0, 0, 1],
+                                              "perturb_poly": [[1.0, [1]]]}})
+        assert custom.build_tensor().is_constant
+        # lame with a scale is (1 + s p) A0, p = x1 by default
+        lame = config_from_dict({"tensor": {"kind": "lame", "perturb_scale": 0.5}})
+        want = make_perturbed(make_lame(LameParameters(1.0, 1.0)),
+                              MultiPoly(((1.0, (1, 0)),)), 0.5, lame.reach())
+        tensor = lame.build_tensor()
+        assert not tensor.is_constant
+        assert np.array_equal(tensor.A(x), want.A(x))
+        # laplace with a scale is (1 + s p) I
+        laplace = config_from_dict({"tensor": {"kind": "laplace", "perturb_scale": 0.5}})
+        A = laplace.build_tensor().A(x)[:, 0, 0]
+        assert np.array_equal(A, (1 + 0.5 * x[:, 0])[:, None, None] * np.eye(2))
 
     # MINI is Lame with N = 2: data for a third component would be dropped
     # or fail to broadcast, so it is refused; zeros beyond N stay allowed
     @pytest.mark.parametrize("block, data, what", [
-        ("traces", {"phi": [1.0, 0.0, 5.0]},
-         "traces: phi has a nonzero entry beyond N = 2"),
-        ("traces", {"psi": [0.0, 0.0, 0.0, -1.0]},
-         "traces: psi has a nonzero entry beyond N = 2"),
-        ("traces", {"family": "poly", "poly_phi": [[1.0], [0.0], [0.0, 2.0]],
-                    "poly_psi": [[0.0]]},
-         "traces: poly_phi has a nonzero row beyond N = 2"),
-        ("traces", {"family": "poly", "poly_phi": [[1.0]],
-                    "poly_psi": [[0.0], [0.0], [0.0], [3.0]]},
-         "traces: poly_psi has a nonzero row beyond N = 2"),
+        ("traces", {"phi": [[1.0], [0.0], [5.0]]},
+         "traces: phi has a nonzero row beyond N = 2"),
+        ("traces", {"psi": [[0.0], [0.0], [0.0], [-1.0]]},
+         "traces: psi has a nonzero row beyond N = 2"),
+        ("traces", {"phi": [[1.0], [0.0], [0.0, 2.0]], "psi": [[0.0]]},
+         "traces: phi has a nonzero row beyond N = 2"),
+        ("traces", {"phi": [[1.0]], "psi": [[0.0], [0.0], [0.0, 0.0, 3.0]]},
+         "traces: psi has a nonzero row beyond N = 2"),
         ("solver", {**MINI["solver"], "lateral_value": [1.0]},
          "solver: lateral_value must have N = 2 entries, got 1"),
         ("solver", {**MINI["solver"], "lateral_value": [1, 1, 1]},
@@ -330,7 +350,7 @@ class TestRun:
 
     def test_zeros_beyond_the_components_are_allowed(self):
         cfg = config_from_dict({"tensor": {"kind": "laplace"},
-                                "traces": {"phi": [1.0, 0.0], "psi": [0.0, 0.0]}})
+                                "traces": {"phi": [[1.0], [0.0]], "psi": [[0.0], [0.0]]}})
         assert cfg.build_traces().phi.rows == ((1.0,),)
 
     def test_threads_is_not_a_key_or_an_option(self, tmp_path, capsys):
@@ -389,9 +409,14 @@ class TestRun:
         ({"R0": 1e300},
          "geometry: the profile constants overflow (m = 2, R0 = 1e+300)"),
         ({"upper_coef": 1e308},
-         "geometry: non-finite h1 gradient")],
+         "geometry: non-finite h1 gradient"),
+        ({"family": "power", "poly_upper": [0, 0, 5]},
+         "geometry: poly_upper is read only by the poly family"),
+        ({"poly_lower": [0]},
+         "geometry: poly_lower is read only by the poly family")],
         ids=["poly_upper_entry", "poly_lower_row", "kappa1_negative", "kappa1_alone",
-             "R0_overflow", "upper_coef_overflow"])
+             "R0_overflow", "upper_coef_overflow", "poly_upper_under_power",
+             "poly_lower_under_power"])
     def test_unbuildable_geometry_exit_2(self, tmp_path, capsys, geometry, what):
         p = write_cfg(tmp_path, {**MINI, "geometry": geometry})
         assert main(["validate", "--config", str(p)]) == 2
@@ -433,7 +458,7 @@ class TestRun:
         cfg = {
             "geometry": {"R0": 0.25},
             "tensor": {"kind": "laplace"},
-            "traces": {"family": "constant", "phi": [0.0], "psi": [0.0]},
+            "traces": {"phi": [[0.0]], "psi": [[0.0]]},
             "solver": {"tangential_nodes": 33, "vertical_nodes": 9,
                        "closure": "constant", "lateral_value": [0.0]},
             "output": {"dir": str(tmp_path / "dz")},
@@ -463,7 +488,7 @@ class TestRun:
         cfg = {
             "geometry": {"R0": 0.25},
             "tensor": {"kind": "laplace"},
-            "traces": {"family": "constant", "phi": [0.0], "psi": [0.0]},
+            "traces": {"phi": [[0.0]], "psi": [[0.0]]},
             "solver": {"tangential_nodes": 65, "vertical_nodes": 17,
                        "closure": "constant", "lateral_value": [1.0]},
             "experiment": {"eps_list": [0.1, 0.06, 0.04, 0.025]},
@@ -473,6 +498,20 @@ class TestRun:
         assert code == 1
         report = (tmp_path / "coarse" / "report.txt").read_text()
         assert "ABORTED" in report and "clean points" in report
+
+
+def test_report_lists_the_flagged_points_after_the_verdicts():
+    # a synthetic sweep, no solve: the clean point is not listed
+    points = [SweepPoint(0.025, 1.0, 1.08, 0.0741, False, (257, 65)),
+              SweepPoint(0.015, 0.5, 0.66, 0.241724, True, (257, 65), "grid-limited")]
+    sweeps = {"decay_normalized": SweepResult("decay_normalized", points)}
+    text = RunReport("v", "all", [Verdict("decay", "PASS", sweeps=sweeps)]).render()
+    head, block = text.split("\nflagged points (left out of every fit):\n")
+    assert "verdicts:\n  [PASS] decay" in head
+    assert block.split("\n\n")[0] == ("  decay decay_normalized: eps 0.015, grid 257x65, "
+                                      "grid-limited, rel_change 0.2417")
+    assert ("flagged points (left out of every fit):\n  (none)\n"
+            in RunReport("v", "all", [Verdict("decay", "PASS")]).render())
 
 
 def _runlog(outdir):
@@ -558,9 +597,8 @@ def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch)
 def test_singular_vertical_block_fails_validation_and_aborts_checks(tmp_path):
     # A = e_1 (x) e_1: elliptic nowhere in the vertical direction, A^nn = 0
     cfg = config_from_dict({
-        "tensor": {"kind": "custom_poly", "N": 1,
-                   "custom_A": [1, 0, 0, 0], "perturb_scale": 0},
-        "traces": {"family": "constant", "phi": [1.0], "psi": [0.0]},
+        "tensor": {"kind": "custom", "N": 1, "custom_A": [1, 0, 0, 0]},
+        "traces": {"phi": [[1.0]], "psi": [[0.0]]},
         "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
         "experiment": {"checks": ["thm11", "remark13", "decay", "residual", "energy"],
                        "eps_list": [0.01, 0.005, 0.002, 0.001]},
@@ -582,9 +620,8 @@ def test_overflowing_coefficients_abort_every_check(tmp_path):
     # finite input whose pullback overflows: no verdict may pass or FAIL on
     # the NaN statistics it would produce
     cfg = config_from_dict({
-        "tensor": {"kind": "custom_poly", "N": 1,
-                   "custom_A": [1e308, 0, 0, 1e308], "perturb_scale": 0},
-        "traces": {"family": "constant", "phi": [1.0], "psi": [0.0]},
+        "tensor": {"kind": "custom", "N": 1, "custom_A": [1e308, 0, 0, 1e308]},
+        "traces": {"phi": [[1.0]], "psi": [[0.0]]},
         "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
         "experiment": {"eps_list": [0.01, 0.005, 0.002, 0.001]},
         "output": {"dir": str(tmp_path / "o")}})
@@ -605,21 +642,26 @@ def test_overflowing_coefficients_abort_every_check(tmp_path):
 
 
 def test_custom_N_is_not_a_key(tmp_path, capsys):
-    # custom_poly reads N, as laplace does; the old name is refused
-    p = write_cfg(tmp_path, {"tensor": {"kind": "custom_poly", "custom_N": 1,
+    # custom reads N, as laplace does; the old name is refused
+    p = write_cfg(tmp_path, {"tensor": {"kind": "custom", "custom_N": 1,
                                         "custom_A": [1, 0, 0, 1]},
-                             "traces": {"phi": [1.0]}})
+                             "traces": {"phi": [[1.0]]}})
     assert main(["validate", "--config", str(p)]) == 2
     assert "tensor: unknown key 'custom_N'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block, key, value", [
     ("experiment", "energy_quad", [24, 48]), ("experiment", "eps_fit_max", 1e-2),
-    ("experiment", "richardson_tol", 0.1), ("solver", "tol", 1e-10)],
-    ids=["energy_quad", "eps_fit_max", "richardson_tol", "tol"])
+    ("experiment", "richardson_tol", 0.1), ("solver", "tol", 1e-10),
+    ("traces", "family", "constant"), ("traces", "poly_phi", [[1.0, 0.5]]),
+    ("traces", "poly_psi", [[0.0]])],
+    ids=["energy_quad", "eps_fit_max", "richardson_tol", "tol", "traces_family",
+         "poly_phi", "poly_psi"])
 def test_fixed_constants_are_not_keys(tmp_path, capsys, block, key, value):
+    # removed keys are refused, even when set to what the code now does:
     # ENERGY_QUAD, EPS_FIT_MAX, RICHARDSON_TOL and discretize.TOL are module
-    # constants: a config that sets one, even to its value, is refused
+    # constants, and phi and psi are the one spelling of a trace, so the
+    # family switch and its poly keys are gone
     p = write_cfg(tmp_path, {**MINI, block: {**MINI.get(block, {}), key: value}})
     assert main(["validate", "--config", str(p)]) == 2
     assert f"{block}: unknown key {key!r}" in capsys.readouterr().err

@@ -95,7 +95,7 @@ def small_cfg(**extra):
     data = {
         "geometry": {"m": 2, "R0": 0.5},
         "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
-        "traces": {"family": "constant", "phi": [1.0, 0.0], "psi": [0.0, 0.0]},
+        "traces": {"phi": [[1.0], [0.0]], "psi": [[0.0], [0.0]]},
         "solver": {"tangential_nodes": 65, "vertical_nodes": 17},
         "experiment": {"eps_list": [0.1, 0.05, 0.02, 0.01, 0.005]},
     }
@@ -122,7 +122,7 @@ class TestSweep:
         # remainder statistics scale linearly with the data, so fitted
         # slopes (and hence verdicts) are invariant under positive scaling
         base = small_cfg()
-        scaled = small_cfg(traces={"phi": [3.0, 0.0]})
+        scaled = small_cfg(traces={"phi": [[3.0], [0.0]]})
         a = sweep(base, ["thm11_sup"], eps_list=[0.05, 0.01])
         b = sweep(scaled, ["thm11_sup"], eps_list=[0.05, 0.01])
         ratio = b["thm11_sup"].values() / a["thm11_sup"].values()
@@ -296,7 +296,7 @@ def test_failed_factorizations_hold_no_system(monkeypatch):
     eps = (0.01, 0.005, 0.002, 0.001)
     cfgs = [small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9}),
             small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
-                      traces={"phi": [2.0, 0.0]})]
+                      traces={"phi": [[2.0], [0.0]]})]
     outs, systems, _ = alive_after_failed_sweep(
         monkeypatch, [SweepRequest(cfg, ("sup_grad",), eps) for cfg in cfgs])
     for out in outs:
@@ -330,7 +330,7 @@ def test_a_failed_column_fails_only_its_config(monkeypatch):
     monkeypatch.setattr(discretize, "TOL", 1e-30)
     eps = (0.01, 0.005, 0.002, 0.001)
     requests = [SweepRequest(small_cfg(traces={"phi": phi}), ("sup_grad",), eps)
-                for phi in ([1.0, 0.0], [0.0, 0.0])]
+                for phi in ([[1.0], [0.0]], [[0.0], [0.0]])]
     (failed, solved), systems, bands = alive_after_failed_sweep(monkeypatch, requests)
     assert type(failed.error) is discretize.SolverError
     assert str(failed.error).endswith("above tol 1.0e-30")
@@ -356,7 +356,7 @@ def test_failed_boundary_data_fail_only_their_config(monkeypatch):
 
     monkeypatch.setattr(discretize, "dirichlet_values", refuse_phi_two)
     eps = (0.01, 0.005, 0.002, 0.001)
-    requests = [SweepRequest(small_cfg(traces={"phi": [2.0, 0.0]}), ("sup_grad",), eps,
+    requests = [SweepRequest(small_cfg(traces={"phi": [[2.0], [0.0]]}), ("sup_grad",), eps,
                              case=case) for case in ("a", "b")]
     requests.append(SweepRequest(small_cfg(), ("sup_grad",), eps))
     (*failed, solved), systems, bands = alive_after_failed_sweep(monkeypatch, requests)
@@ -408,7 +408,7 @@ def test_a_points_times_survive_a_failed_first_statistic(monkeypatch):
     failed, solved = run_sweeps([
         SweepRequest(small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
                                traces={"phi": phi}), ("sup_grad",), eps)
-        for phi in ([2.0, 0.0], [1.0, 0.0])])
+        for phi in ([[2.0], [0.0]], [[1.0], [0.0]])])
     assert str(failed.error) == "no statistic for phi = 2" and solved.error is None
     points = {}
     for ev in solved.events:
@@ -451,7 +451,7 @@ class TestResidualSweep:
     def test_scaling_invariance(self):
         eps = {"eps_list": [0.1, 0.05, 0.02, 0.01]}
         base = residual_sweep(small_cfg(experiment=eps))
-        scaled = residual_sweep(small_cfg(traces={"phi": [7.0, 0.0]}, experiment=eps))
+        scaled = residual_sweep(small_cfg(traces={"phi": [[7.0], [0.0]]}, experiment=eps))
         r = scaled["residual_normalized"].values() / base["residual_normalized"].values()
         assert np.allclose(r, 1.0, rtol=1e-9)   # gauge-normalized: scale free
 
@@ -525,7 +525,7 @@ def test_decay_zero_lateral_is_skipped():
     cfg = config_from_dict({
         "geometry": {"R0": 0.25},
         "tensor": {"kind": "laplace", "N": 1},
-        "traces": {"family": "constant", "phi": [0.0], "psi": [0.0]},
+        "traces": {"phi": [[0.0]], "psi": [[0.0]]},
         "solver": {"tangential_nodes": 33, "vertical_nodes": 9,
                    "closure": "constant", "lateral_value": [0.0]},
     })
@@ -545,7 +545,7 @@ def test_decay_exponent_model_selection_m3():
     cfg = config_from_dict({
         "geometry": {"m": 3, "R0": 0.25},
         "tensor": {"kind": "laplace", "N": 1},
-        "traces": {"family": "constant", "phi": [0.0], "psi": [0.0]},
+        "traces": {"phi": [[0.0]], "psi": [[0.0]]},
         "solver": {"tangential_nodes": 257, "vertical_nodes": 65,
                    "closure": "constant", "lateral_value": [1.0]},
         "experiment": {"eps_list": [0.1, 0.08, 0.06, 0.045, 0.035]},
@@ -568,7 +568,7 @@ def test_shortest_segment_remainder_order_eps_when_gauge_vanishes(monkeypatch):
     cfg = config_from_dict({
         "geometry": {"m": 2, "R0": 0.5},
         "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
-        "traces": {"family": "poly", "poly_phi": [[0.0, 0.0, 1.0]], "poly_psi": [[0.0]]},
+        "traces": {"phi": [[0.0, 0.0, 1.0]], "psi": [[0.0]]},
         "solver": {"tangential_nodes": 257, "vertical_nodes": 65},
         "experiment": {"eps_list": [0.02, 0.01, 0.005, 0.002]},
     })

@@ -34,10 +34,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).with_name("pinned_outputs.json")
 THIN = {"geometry": {"m": 2, "R0": 0.5, "lower_coef": 0.5, "epsilon": 0.02},
-        "tensor": {"kind": "lame_perturbed", "perturb_scale": 0.1,
+        "tensor": {"kind": "lame", "perturb_scale": 0.1,
                    "perturb_poly": [[1.0, [1, 0]], [0.5, [0, 1]], [0.3, [1, 1]]]},
-        "traces": {"family": "poly", "poly_phi": [[1.0, 0.5], [0.0, 0.0, 0.3]],
-                   "poly_psi": [[0.0, 0.2], [0.1]]},
+        "traces": {"phi": [[1.0, 0.5], [0.0, 0.0, 0.3]], "psi": [[0.0, 0.2], [0.1]]},
         "solver": {"tangential_nodes": 65, "vertical_nodes": 17},
         "experiment": {"checks": ["residual", "energy"]}}
 RUNS = {"all_m2_coarse": ["all", "configs/all_m2.json", "--grid-scale", "0.5"],
