@@ -6,8 +6,9 @@ compares the digest of every ``.csv`` and ``fits.json`` it writes, and
 of its ``runlog.jsonl`` without the timings, with
 ``tests/pinned_outputs.json``:
 
-- ``all`` on ``configs/all_m2.json`` at grid scale 0.5 and on
-  ``configs/decay_laplace.json``;
+- ``all`` on ``configs/all_m2.json`` at grid scale 0.5, on
+  ``configs/decay_laplace.json``, and on ``configs/decay_lame.json`` at grid
+  scale 0.5 (the N = 2 constant closure);
 - ``solve`` and ``ansatz`` on ``configs/single_solve.json``;
 - ``all``, ``solve`` and ``ansatz`` on ``THIN``, a 65x17 config with a
   non-constant tensor, a nonzero lower profile and polynomial traces,
@@ -41,6 +42,7 @@ THIN = {"geometry": {"m": 2, "R0": 0.5, "lower_coef": 0.5, "epsilon": 0.02},
         "experiment": {"checks": ["residual", "energy"]}}
 RUNS = {"all_m2_coarse": ["all", "configs/all_m2.json", "--grid-scale", "0.5"],
         "decay_laplace": ["all", "configs/decay_laplace.json"],
+        "decay_lame": ["all", "configs/decay_lame.json", "--grid-scale", "0.5"],
         "single_solve": ["solve", "configs/single_solve.json"],
         "single_ansatz": ["ansatz", "configs/single_solve.json"],
         "thin_all": ["all", "thin.json"],
