@@ -48,7 +48,7 @@ x2 = h2 + delta/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -264,6 +264,29 @@ def _generic_kernel(tensor, region, x1, order):
     return [np.swapaxes(q, -2, -1) for q in Q]
 
 
+class CorrectionKernel:
+    """The kernel rows Q_l of one tensor and region, built once per column set.
+
+    Q_l is fixed by A^{22}, A^{12} + A^{21} and d_1 delta alone, so every
+    AnsatzField of one tensor and region can share one CorrectionKernel,
+    whatever its traces.  ``rows`` builds the rows at the columns x1 to an
+    order on first request (``_generic_kernel``) and keeps them under the
+    columns' values and that order; a field that is never evaluated builds
+    none.  A build that raises is not kept.
+    """
+
+    def __init__(self, tensor: CoefficientTensor, region: NarrowRegion):
+        self.tensor, self.region = tensor, region
+        self._rows = {}
+
+    def rows(self, x1, order):
+        """[Q, Q', Q''] up to ``order`` at the columns x1 (a float array)."""
+        key = (order, x1.shape, x1.tobytes())
+        if key not in self._rows:
+            self._rows[key] = _generic_kernel(self.tensor, self.region, x1, order)
+        return self._rows[key]
+
+
 def _worst_point(M, x1):
     """Tangential point whose vertical block is closest to singular."""
     det = np.abs(np.linalg.det(np.asarray(M).reshape(-1, *M.shape[-2:])))
@@ -280,19 +303,26 @@ class AnsatzField:
 
     Evaluators take box coordinates (x1, t) that broadcast: a grid passed as
     its column X1[:, :1] and T evaluates every x1-only factor once per column.
-    Immutable and pure.
-    ``corrected=False`` on ``gradient`` and ``residual`` drops the
-    r(v) * sum G_l term and yields the plain two-point interpolant (the
-    quantity the correction improves on) without building the correction.
+    Immutable and pure; the correction's kernel rows come from ``kernel``,
+    which fields of one tensor and region may share (``build_ansatz``).
+    ``corrected=False`` on ``gradient`` drops the r(v) * sum G_l term and
+    yields the plain two-point interpolant (the quantity the correction
+    improves on) without building the correction; ``residual`` returns the
+    corrected and the plain residual together.
     """
 
     region: NarrowRegion
     tensor: CoefficientTensor
     traces: BoundaryTraces
+    kernel: CorrectionKernel = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.traces.N != self.tensor.N:
             raise ConstructionError("trace components must match tensor N")
+        if self.kernel is None:
+            object.__setattr__(self, "kernel", CorrectionKernel(self.tensor, self.region))
+        elif self.kernel.tensor is not self.tensor or self.kernel.region != self.region:
+            raise ConstructionError("the kernel belongs to another tensor or region")
 
     @property
     def N(self):
@@ -301,89 +331,118 @@ class AnsatzField:
     def _correction_sum(self, x1, diff, order):
         """[S, S', S''] from ``diff``, the x1-jet of phi - psi at x1."""
         return _leibniz(lambda f, Q: np.einsum("...l,...li->...i", f, Q),
-                        diff, _generic_kernel(self.tensor, self.region, x1, order), order)
+                        diff, self.kernel.rows(x1, order), order)
 
-    def _jet(self, x1, t, order, corrected=True):
-        """[ubar, grad ubar, Hessian] at (x1, t) up to ``order``.
+    def _jets(self, x1, t, orders, corrections=(True,)):
+        """[ubar, grad ubar, Hessian] at (x1, t) per ``corrections`` entry.
 
-        Shapes (..., N), (..., N, 2), (..., N, 2, 2).  The traces, the
-        correction sum, delta and h2 are read once per column, as x1-jets at
-        ``order``, and the t-factors t, r(t) and r'(t) once.  Each entry is
-        written from them with grad v = (dv0, dv1) = (-(h2' + t delta'), 1)
-        / delta; the x1-only factors are never spread over t.  Entries are
-        written one component k at a time, so every product of a column
-        factor and a t-factor runs over t rather than over the N components.
-        With ``corrected=False``, S is the scalar 0.0: no kernel is built,
-        and each r(v) * S term adds a zero to what the same formula gives.
+        Only the entries whose derivative order is in ``orders`` are
+        written, the others are None; shapes (..., N), (..., N, 2),
+        (..., N, 2, 2).  The traces, delta and h2 are read once per column,
+        as x1-jets to the highest order, and the t-factors t, r(t) and r'(t)
+        once.  Each entry is written from them with grad v = (dv0, dv1) =
+        (-(h2' + t delta'), 1) / delta; the x1-only factors are never spread
+        over t.  Entries are written one component k at a time, so every
+        product of a column factor and a t-factor runs over t rather than
+        over the N components.  The jets, grad v and its derivatives and
+        each trace term p t + q s are formed once for every entry of
+        ``corrections``: only the correction sum S differs.  An entry False
+        takes S as the scalar 0.0: no kernel is built, and each r(v) * S
+        term adds a zero to what the same formula gives.
         """
+        order = max(orders)
         x1, t = self.region._box(x1, t)
         phi = self.traces.phi.jet(x1, order)
         psi = self.traces.psi.jet(x1, order)
         diff = [p - q for p, q in zip(phi, psi)]
-        S = self._correction_sum(x1, diff, order) if corrected else None
         s, r, rp = 1 - t, smoother(t), smoother_prime(t)
         shape = np.broadcast_shapes(x1.shape, t.shape) + (self.N,)
-        val = np.empty(shape)
         if order >= 1:
             h2 = self.region.profiles.h2.jet(x1, order)
             dlt, *D = self.region.delta_jet(x1, order)
             dv0 = -(h2[1] + t * D[0]) / dlt
             dv1 = 1.0 / dlt
-            grad = np.empty(shape + (2,))
         if order >= 2:
             d2h = h2[2] + t * D[1]
             d2v00 = (-(dv0 * D[0] + D[0] * dv0) - d2h) / dlt
             d2v01 = -(D[0] * dv1) / dlt                        # d2v11 = 0
             dv00, dv01, dv11 = dv0 * dv0, dv0 * dv1, dv1 * dv1
-            hess = np.empty(shape + (2, 2))
-        for k in range(self.N):
-            pk, qk, dk = ([f[..., k] for f in jet] for jet in (phi, psi, diff))
-            Sk = [f[..., k] for f in S] if corrected else [0.0] * (order + 1)
-            val[..., k] = pk[0] * t + qk[0] * s + r * Sk[0]
-            if order == 0:
-                continue
-            coef = dk[0] + rp * Sk[0]
-            grad[..., k, 0] = pk[1] * t + qk[1] * s + r * Sk[1] + coef * dv0
-            grad[..., k, 1] = coef * dv1
-            if order == 1:
-                continue
-            fac = dk[1] + rp * Sk[1]
-            rpp = SMOOTHER_SECOND * Sk[0]
-            hess[..., k, 0, 0] = (pk[2] * t + qk[2] * s + r * Sk[2] + fac * dv0 + fac * dv0
-                                  + coef * d2v00 + rpp * dv00)
-            hess[..., k, 0, 1] = hess[..., k, 1, 0] = fac * dv1 + coef * d2v01 + rpp * dv01
-            hess[..., k, 1, 1] = rpp * dv11
-        return [val] if order == 0 else [val, grad] if order == 1 else [val, grad, hess]
+        # per component k: its trace terms p t + q s, then the jet of phi - psi
+        lin = [{j: phi[j][..., k] * t + psi[j][..., k] * s for j in orders}
+               for k in range(self.N)]
+        dks = [[f[..., k] for f in diff] for k in range(self.N)]
+        jets = []
+        for corrected in corrections:
+            S = self._correction_sum(x1, diff, order) if corrected else None
+            out = [np.empty(shape + (2,) * j) if j in orders else None
+                   for j in range(order + 1)]
+            val, grad, hess = out + [None] * (2 - order)
+            for k, (lk, dk) in enumerate(zip(lin, dks)):
+                Sk = [f[..., k] for f in S] if corrected else [0.0] * (order + 1)
+                if val is not None:
+                    val[..., k] = lk[0] + r * Sk[0]
+                if order == 0:
+                    continue
+                coef = dk[0] + rp * Sk[0]
+                if grad is not None:
+                    grad[..., k, 0] = lk[1] + r * Sk[1] + coef * dv0
+                    grad[..., k, 1] = coef * dv1
+                if hess is None:
+                    continue
+                fac = dk[1] + rp * Sk[1]
+                rpp = SMOOTHER_SECOND * Sk[0]
+                hess[..., k, 0, 0] = (lk[2] + r * Sk[2] + fac * dv0 + fac * dv0
+                                      + coef * d2v00 + rpp * dv00)
+                hess[..., k, 0, 1] = hess[..., k, 1, 0] = fac * dv1 + coef * d2v01 + rpp * dv01
+                hess[..., k, 1, 1] = rpp * dv11
+            jets.append(out)
+        return jets
 
     def value(self, x1, t):
         """ubar at the box points (x1, t), shape (..., N)."""
-        return self._jet(x1, t, 0)[0]
+        return self._jets(x1, t, (0,))[0][0]
 
     def gradient(self, x1, t, corrected=True):
         """Full spatial gradient at (x1, t), shape (..., N, 2)."""
-        return self._jet(x1, t, 1, corrected)[1]
+        return self._jets(x1, t, (1,), (corrected,))[0][1]
 
-    def residual(self, x1, t, corrected=True):
-        """f = L[ubar] at (x1, t) with the full operator applied analytically."""
-        return apply_operator(self.tensor, self.region.from_box(x1, t),
-                              *self._jet(x1, t, 2, corrected))
+    def residual(self, x1, t):
+        """(f, f0): f = L[ubar] at (x1, t) with the full operator applied
+        analytically, and f0 the same for the plain interpolant, from one jet
+        pass that writes the orders ``apply_operator`` reads."""
+        x = self.region.from_box(x1, t)
+        return tuple(apply_operator(self.tensor, x, *jet)
+                     for jet in self._jets(x1, t, operator_orders(self.tensor), (True, False)))
 
 
 def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,
-                 traces: BoundaryTraces) -> AnsatzField:
-    return AnsatzField(region, tensor, traces)
+                 traces: BoundaryTraces, kernel: CorrectionKernel | None = None) -> AnsatzField:
+    """The field of ``traces``; ``kernel``, if given, is shared with other fields
+    of this tensor and region."""
+    return AnsatzField(region, tensor, traces, kernel)
 
 
 # ---------------------------------------------------------------------------
 # the operator, applied to any analytically differentiable field
 # ---------------------------------------------------------------------------
 
+def operator_orders(tensor: CoefficientTensor) -> tuple:
+    """The derivative orders of a field that ``apply_operator`` reads: the
+    Hessian always, the gradient when A varies or B or C is nonzero, the
+    value when D is nonzero."""
+    reads = (np.any(tensor.D0),
+             not tensor.is_constant or np.any(tensor.B0) or np.any(tensor.C0), True)
+    return tuple(j for j, read in enumerate(reads) if read)
+
+
 def apply_operator(tensor: CoefficientTensor, x, value, grad, hess):
     """d_a(A d_b u + B u) + C d_b u + D u expanded by the product rule.
 
     ``value, grad, hess`` are the field and its derivatives at x, shapes
-    (..., N), (..., N, 2), (..., N, 2, 2).  B, C and D are constant, so
-    d_a(B u) = B d_a u, and B0, C0, D0 are contracted as they are.
+    (..., N), (..., N, 2), (..., N, 2, 2); those of an order that
+    ``operator_orders`` leaves out are not read and may be None.  B, C and D
+    are constant, so d_a(B u) = B d_a u, and B0, C0, D0 are contracted as
+    they are.
     """
     if tensor.is_constant:                  # A0 itself, not a copy per sample
         f = np.einsum("ijab,...jab->...i", tensor.A0, hess)

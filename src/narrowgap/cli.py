@@ -14,7 +14,9 @@ Every run writes to the output directory:
   fits.json          fit summaries as structured records
   report.txt         human-readable report: validation, verdicts, the
                      flagged points (check, statistic, eps, grid, reason,
-                     rel_change) and a digest manifest
+                     rel_change), a digest manifest and, last, a timings
+                     block: the solve events' stage times summed per check
+                     and grid
   runlog.jsonl       solve events (check, case, eps, grid, assemble_s,
                      factor_s, solve_s, stats_s, reused, residual, fill; a
                      point's times are on its first event, with reused
@@ -23,11 +25,12 @@ Every run writes to the output directory:
                      shared_with) and check events with wall-clock
                      timings; an ABORTED check names its error
 
-report.txt and the CSV/JSON artifacts are byte-reproducible for a given
-configuration, package version and BLAS thread count (one per OpenBLAS pool
-unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set; another count moved
-sweep values by up to 1.4e-13 relative); runlog.jsonl carries the timings and
-is the only non-deterministic file (the manifest lists it without a digest).
+report.txt up to its timings block and the CSV/JSON artifacts are
+byte-reproducible for a given configuration, package version and BLAS thread
+count (one per OpenBLAS pool unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+is set; another count moved sweep values by up to 1.4e-13 relative);
+runlog.jsonl carries the timings and is the only other non-deterministic
+file (the manifest lists it without a digest).
 
 Exit status: 0 when every verdict is PASS or SKIPPED, 1 otherwise, 2 for
 configuration errors.
@@ -64,13 +67,14 @@ class RunReport:
     verdicts: list = field(default_factory=list)
     validation: list = field(default_factory=list)
     manifest: dict = field(default_factory=dict)
+    solve_events: list = field(default_factory=list)    # runlog records, for the timings
 
     @property
     def all_passed(self):
         return all(v.passed for v in self.verdicts)
 
     def render(self):
-        """Deterministic text report; timings live in runlog.jsonl only."""
+        """Text report, deterministic up to its closing timings block."""
         lines = [
             "narrowgap run report",
             f"version: {self.version}",
@@ -99,7 +103,28 @@ class RunReport:
         lines.append("")
         status = 0 if self.all_passed else 1
         lines.append(f"exit status: {status}")
+        lines.append("")
+        lines.append("timings (s, solve events summed per check and grid; "
+                     "they vary from run to run):")
+        lines += [f"  {check} {grid}: " + ", ".join(f"{stage} {t:.4f}"
+                                                    for stage, t in zip(_STAGES, sums))
+                  for (check, grid), sums in _stage_times(self.solve_events).items()
+                  ] or ["  (none)"]
         return "\n".join(lines) + "\n"
+
+
+_STAGES = ("assemble", "factor", "solve", "stats")
+
+
+def _stage_times(events) -> dict:
+    """{(check, grid): the sums of assemble_s, factor_s, solve_s and stats_s}
+    over the solve events, in the order the runlog first meets each pair."""
+    sums = {}
+    for ev in events:
+        row = sums.setdefault((ev["check"], ev["grid"]), [0.0] * len(_STAGES))
+        for i, stage in enumerate(_STAGES):
+            row[i] += ev[f"{stage}_s"]
+    return sums
 
 
 def _digest(data: bytes) -> str:
@@ -275,6 +300,7 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
                                      sort_keys=True) + "\n")
 
     total = time.perf_counter() - t_start
+    report.solve_events = [e for e in events if e["event"] == "solve"]
     report.manifest = dict(em.manifest)
     report.manifest["runlog.jsonl"] = "(timing log, excluded from digests)"
     em.write("report.txt", report.render())

@@ -7,9 +7,12 @@ cross-field constraints (custom_A holds the N^2 * 4 entries of a planar A,
 the monomial blow-up case needs m > k, ...) are enforced at parse time.
 Each concept has one spelling: a trace is a list of coefficient rows in
 x1, one per component, and a nonzero ``perturb_scale`` perturbs a tensor
-of any kind.  A key that defaults to None and that the rest of its block
-leaves unread (poly_upper under the power family, custom_A under another
-kind) is refused.
+of any kind.  A key that the rest of its block leaves unread is refused:
+one that defaults to None when it is given (poly_upper under the power
+family, custom_A under another kind), any other when it differs from its
+default (lam and mu under laplace or custom, N under lame, upper_coef and
+lower_coef under the poly family).  A key at its default is let pass, so
+that every config echo, which writes each field, parses back.
 The dimension is not a key: every block is planar (``geometry.DIM``).
 """
 
@@ -291,6 +294,12 @@ def _beyond_n(tr: TracesConfig, N):
             for key in ("phi", "psi") if any(any(row) for row in getattr(tr, key)[N:])]
 
 
+def _unread(obj, keys, block, reader):
+    """Each of ``keys`` that ``reader`` ignores but that differs from its default."""
+    return [f"{block}: {key} is not read by {reader}"
+            for key in keys if getattr(obj, key) != getattr(type(obj), key)]
+
+
 def _profile_violations(g: GeometryConfig):
     """Why the profile pair cannot be built or evaluated finitely, if it cannot."""
     try:
@@ -323,6 +332,7 @@ def validate_config(cfg: RunConfig):
               for key in ("poly_upper", "poly_lower") if getattr(g, key) is not None]
     kappas = (g.kappa1, g.kappa2, g.kappa3, g.kappa4)
     if g.family == "poly":
+        v += _unread(g, ("upper_coef", "lower_coef"), "geometry", "the poly family")
         for key in ("poly_upper", "poly_lower"):
             coeffs = getattr(g, key)
             if coeffs is None:
@@ -350,8 +360,11 @@ def validate_config(cfg: RunConfig):
             v.append("tensor: mu must be positive")
         if _geom.DIM * t.lam + 2 * t.mu <= 0:
             v.append("tensor: n*lam + 2*mu must be positive")
-    if t.kind in ("laplace", "custom") and t.N < 1:
-        v.append("tensor: N must be >= 1")
+        v += _unread(t, ("N",), "tensor", "the lame kind, which takes N = 2")
+    if t.kind in ("laplace", "custom"):
+        if t.N < 1:
+            v.append("tensor: N must be >= 1")
+        v += _unread(t, ("lam", "mu"), "tensor", f"the {t.kind} kind")
     if t.kind == "custom":
         size = t.N ** 2 * _geom.DIM ** 2
         if t.custom_A is None:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -96,11 +97,14 @@ class BoxGrid:
     def nodes(self):
         return self.tangential_nodes * self.vertical_nodes
 
-    @property
+    @cached_property
     def axes(self):
-        """(x1 nodes, t nodes)."""
-        return (np.linspace(-self.half_width, self.half_width, self.tangential_nodes),
+        """(x1 nodes, t nodes), read-only: formed on first use and kept with the grid."""
+        axes = (np.linspace(-self.half_width, self.half_width, self.tangential_nodes),
                 np.linspace(0.0, 1.0, self.vertical_nodes))
+        for ax in axes:
+            ax.flags.writeable = False
+        return axes
 
     @property
     def spacing(self):
@@ -138,22 +142,29 @@ def _require_finite(name, arr):
         raise AssemblyError(f"non-finite transformed {name} at node index {tuple(map(int, bad))}")
 
 
+def box_jacobian(region: NarrowRegion, grid: BoxGrid) -> np.ndarray:
+    """grad v at every node of ``grid``, shape (*shape, 2): the rows d1 v, d2 v of G."""
+    x1, t = grid.axes
+    return region.vbar_grad(x1[:, None], t)
+
+
 def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
-                       grid: BoxGrid) -> TransformedFields:
+                       grid: BoxGrid, jacobian=None) -> TransformedFields:
     """Evaluate the pulled-back coefficients at every grid node.
 
     For n = 2 the Jacobian is G = [[1, 0], [d1 v, d2 v]], so a product with
-    G keeps row 0 and forms row 1 as d1 v row 0 + d2 v row 1.  The fields
-    are written plane by plane from the planes of A (A0, broadcast, unless
-    the tensor varies), B0 and C0.  Atil is summed as (G A) G^T: G A first,
-    then its product with G^T, then the factor delta.
+    G keeps row 0 and forms row 1 as d1 v row 0 + d2 v row 1; ``jacobian``
+    is ``box_jacobian(region, grid)`` when the caller has it already.  The
+    fields are written plane by plane from the planes of A (A0, broadcast,
+    unless the tensor varies), B0 and C0.  Atil is summed as (G A) G^T: G A
+    first, then its product with G^T, then the factor delta.
     """
-    X1, T = grid.node_coords()
-    X1 = X1[:, :1]                          # x1-factors once per column
+    x1, T = grid.axes
+    X1 = x1[:, None]                        # x1-factors once per column
     dlt = region.delta(X1)
     if np.any(dlt <= 0):
         raise GeometryError("gap function must stay positive on the patch")
-    dv = region.vbar_grad(X1, T)
+    dv = box_jacobian(region, grid) if jacobian is None else jacobian
     g1, g2 = dv[..., 0, None, None], dv[..., 1, None, None]   # (*shape, 1, 1)
 
     def rows(V0, V1):
@@ -543,6 +554,7 @@ class DiscreteField:
     grid: BoxGrid
     region: NarrowRegion
     values: np.ndarray            # (N, *shape)
+    jacobian: np.ndarray | None = field(default=None, repr=False)   # box_jacobian, if known
     _grad_cache: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -559,8 +571,9 @@ class DiscreteField:
     def gradient_nodes(self):
         """Physical gradients G^T grad_y u at nodes, shape (N, 2, *shape)."""
         if self._grad_cache is None:
-            X1, T = self.grid.node_coords()
-            dv = self.region.vbar_grad(X1[:, :1], T)            # (*shape, 2)
+            dv = self.jacobian
+            if dv is None:
+                dv = box_jacobian(self.region, self.grid)       # (*shape, 2)
             g = self.mapped_gradient()
             g[:, 0] += g[:, 1] * dv[..., 0]                     # d_1 u + d_t u d1 v
             g[:, 1] *= dv[..., 1]                               # d_t u d2 v
@@ -654,7 +667,7 @@ def dirichlet_values(grid: BoxGrid, traces: BoundaryTraces, closure: str,
     if closure not in CLOSURES:
         raise AssemblyError(f"unknown lateral closure {closure!r}")
     V = np.zeros(grid.shape + (traces.N,))
-    X1, T = grid.node_coords()
+    x1, t = grid.axes
     if closure == "constant":
         if lateral_value is None:
             raise AssemblyError("constant closure requires lateral_value")
@@ -662,20 +675,22 @@ def dirichlet_values(grid: BoxGrid, traces: BoundaryTraces, closure: str,
     else:
         if ansatz is None:
             raise AssemblyError("ansatz closure requires an ansatz field")
-        V[[0, -1]] = ansatz.value(X1[[0, -1]], T[[0, -1]])
-    V[:, 0] = traces.psi.jet(X1[:, 0], 0)[0]
-    V[:, -1] = traces.phi.jet(X1[:, -1], 0)[0]
+        V[[0, -1]] = ansatz.value(x1[[0, -1], None], t)
+    V[:, 0] = traces.psi.jet(x1, 0)[0]
+    V[:, -1] = traces.phi.jet(x1, 0)[0]
     return V
 
 
-def solve_bvp(system: LinearSystem, region: NarrowRegion, B):
+def solve_bvp(system: LinearSystem, region: NarrowRegion, B, jacobian=None):
     """Boundary-value solves of one assembled system, one per row of the stack B.
 
     ``B`` has shape (k, N, *shape), each row a ``right_hand_side``.  The
     rows are solved in one pass (``solve_linear``).  Returns (rows, times):
     per row a (DiscreteField, SolveReport), or the SolverError that stopped
     that row alone, and the pass's times; a failed factorization raises.
+    Every field shares ``jacobian`` (``box_jacobian``), if given.
     """
     X, reports, times = solve_linear(system, B)
     return [rep if isinstance(rep, SolverError) else
-            (DiscreteField(system.grid, region, x), rep) for x, rep in zip(X, reports)], times
+            (DiscreteField(system.grid, region, x, jacobian), rep)
+            for x, rep in zip(X, reports)], times

@@ -16,7 +16,12 @@ The matrix depends only on tensor, geometry, eps and grid, and a check's
 plan changes only the traces and the lateral closure, so checks run
 together (``run_checks``) make one sweep: its outer loop is (eps, grid),
 and at each point ``solve_point`` factors the operator once and solves the
-right-hand sides of the distinct request configs there in one pass.
+right-hand sides of the distinct request configs there in one pass.  Each
+input is built once, at the level it depends on (``SweepInputs``): per
+sweep the tensor, the traces of each config and each grid size's BoxGrid
+and node coordinates; per eps the region and the correction kernel; per
+(eps, grid) the box Jacobian; per config, at each point, one SolveBundle
+with its right-hand side, gradient recovery, normalisers and ansatz field.
 
 The bounded-remainder claims fit the asymptotic tail of the sweep
 (eps <= EPS_FIT_MAX) rather than the full window: the remainder approaches
@@ -158,32 +163,109 @@ def fit_rate(sr: SweepResult, model: str = "power", m: int = 2,
 # one solve, lazily post-processed
 # ---------------------------------------------------------------------------
 
+def _once(cache: dict, key, build):
+    """cache[key], made by build() when missing; a build that raises is not kept."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+class SweepInputs:
+    """The set-up that the solves of one sweep share, each input built once.
+
+    The configs of a sweep share tensor, geometry and grid and differ only
+    in traces and closure, so each input is built at the level it depends on:
+
+    - per sweep: the tensor of each (TensorConfig, reach), since a perturbed
+      tensor declares its constants from the reach; the traces of each
+      config; the BoxGrid of each grid size and its node coordinates;
+    - per eps: the region, and per tensor one CorrectionKernel, whose rows
+      every config's AnsatzField shares (it builds them lazily, so a config
+      that never evaluates its ansatz builds none);
+    - per (eps, grid): the box Jacobian, which the transform and every
+      field's gradient recovery read.
+
+    It serves configs of one geometry, as those of a sweep and of a point
+    are.  ``at(eps, nodes)`` moves to a point and drops the inputs of the
+    eps and the grid before it.  An input is built when a bundle first asks
+    for it, inside that bundle's set-up; one whose build raises is not
+    kept, so it fails each config that asks for it with its own message, as
+    a bundle set up alone would.
+    """
+
+    def __init__(self):
+        self._tensors, self._traces, self._grids = {}, {}, {}
+        self.eps = self.nodes = None
+        self._at_eps, self._jacobian = {}, None
+
+    def at(self, eps: float, nodes: tuple):
+        if eps != self.eps:
+            self._at_eps = {}
+        if (eps, nodes) != (self.eps, self.nodes):
+            self._jacobian = None
+        self.eps, self.nodes = eps, nodes
+
+    def tensor(self, cfg: RunConfig):
+        return _once(self._tensors, (cfg.tensor, cfg.reach()), cfg.build_tensor)
+
+    def traces(self, cfg: RunConfig):
+        return _once(self._traces, cfg, cfg.build_traces)
+
+    def region(self, cfg: RunConfig):
+        return _once(self._at_eps, "region", lambda: cfg.geometry.build_region(self.eps))
+
+    def kernel(self, cfg: RunConfig):
+        return _once(self._at_eps, (cfg.tensor, cfg.reach()),
+                     lambda: _ans.CorrectionKernel(self.tensor(cfg), self.region(cfg)))
+
+    def grid(self, region):
+        """This point's BoxGrid on ``region``'s box and its read-only node coordinates."""
+        def build():
+            grid = _disc.grid_for(region, *self.nodes)
+            coords = grid.node_coords()
+            for a in coords:
+                a.flags.writeable = False
+            return grid, coords
+        return _once(self._grids, self.nodes, build)
+
+    def jacobian(self, region, grid):
+        if self._jacobian is None:
+            self._jacobian = _disc.box_jacobian(region, grid)
+            self._jacobian.flags.writeable = False
+        return self._jacobian
+
+
 class SolveBundle:
     """Everything the statistics need about one (eps, grid) solve."""
 
-    def __init__(self, cfg: RunConfig, eps: float, nodes: tuple, system=None):
-        """Set up the solve of ``cfg`` at (eps, nodes) against ``system``.
+    def __init__(self, cfg: RunConfig, inputs: SweepInputs, system=None):
+        """Set up the solve of ``cfg`` at the point of ``inputs`` against ``system``.
 
+        Region, tensor, traces, grid, Jacobian and the ansatz's kernel come
+        from ``inputs``, the SweepInputs of the sweep, moved to the point.
         Given no system, the bundle transforms and assembles its own, and
         ``assemble_s`` is that time (0 otherwise).  ``solve_point`` builds
         its right-hand side, solves it, drops ``system`` and sets ``field``
         and ``report``.
         """
         self.cfg = cfg
-        self.eps = eps
-        self.region = cfg.geometry.build_region(eps)
-        self.tensor = cfg.build_tensor()
-        self.traces = cfg.build_traces()
-        self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces)
-        self.grid = _disc.grid_for(self.region, *nodes)
+        self.eps = inputs.eps
+        self.region = inputs.region(cfg)
+        self.tensor = inputs.tensor(cfg)
+        self.traces = inputs.traces(cfg)
+        self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces,
+                                        inputs.kernel(cfg))
+        self.grid, coords = inputs.grid(self.region)
+        self.jacobian = inputs.jacobian(self.region, self.grid)
         self.assemble_s = 0.0
         if system is None:
             t0 = time.perf_counter()
-            system = _disc.assemble(_disc.transform_operator(self.tensor, self.region, self.grid))
+            system = _disc.assemble(_disc.transform_operator(self.tensor, self.region,
+                                                             self.grid, self.jacobian))
             self.assemble_s = time.perf_counter() - t0
         self.system = system
         self.field = self.report = None
-        self._cache = {}
+        self._cache = {"coords": coords}
 
     def event(self, check: str, case: str, times: dict, stats_s: float = 0.0,
               shared_with=None) -> dict:
@@ -214,7 +296,7 @@ class SolveBundle:
 
     @property
     def coords(self):
-        return self._get("coords", self.grid.node_coords)
+        return self._cache["coords"]
 
     @property
     def inner(self):
@@ -253,12 +335,20 @@ class SolveBundle:
         """Per-column values (tangential nodes, 1) spread over the inner nodes."""
         return np.broadcast_to(column_values, self.inner.shape)[self.inner]
 
+    def gauge(self, bar=False):
+        """Theta, or Theta_bar when ``bar``, per tangential column."""
+        def make():
+            x1 = self.coords[0][:, :1]
+            return (_ans.theta_bar_delta(self.traces, self.region, x1) if bar
+                    else _ans.theta(self.traces, x1))
+        return self._get(f"gauge_{bar}", make)
+
     def normalizer(self, bar=False):
         """Theta, or Theta_bar when ``bar``, plus delta * C2 norms at the inner nodes."""
-        x1 = self.coords[0][:, :1]
-        gauge = (_ans.theta_bar_delta(self.traces, self.region, x1) if bar
-                 else _ans.theta(self.traces, x1))
-        return self.at_inner(gauge + self.region.delta(x1) * self.c2_norms)
+        def make():
+            x1 = self.coords[0][:, :1]
+            return self.at_inner(self.gauge(bar) + self.region.delta(x1) * self.c2_norms)
+        return self._get(f"norm_{bar}", make)
 
     def column_max(self, E, xprime):
         """max |E| over the interior of the vertical column nearest x'.
@@ -269,25 +359,30 @@ class SolveBundle:
         return float(np.sqrt(np.sum(col * col, axis=(-2, -1)))[1:-1].max())
 
 
-def solve_point(cfgs, eps: float, nodes: tuple):
+def solve_point(cfgs, eps: float, nodes: tuple, inputs: SweepInputs | None = None):
     """Set up, solve and time the distinct configs ``cfgs`` at one (eps, grid).
 
-    The first config whose set-up completes transforms and assembles the
-    system, and the rest reuse it.  Each right-hand side is built after its
-    bundle's set-up, so boundary data that fail stop that config alone and
-    still pass its system on.  The right-hand sides are solved in one pass
-    (``discretize.solve_bvp``; a lone one as the view ``rhs[None]``, which
-    np.stack would copy), and each solved bundle gets its ``field`` and
-    ``report`` and drops the system.  Returns (got, times): per config the
-    solved SolveBundle or the error that stopped it alone, and the point's
-    ``assemble_s``, ``factor_s``, ``solve_s`` and ``elapsed``.  A failed
-    factorization stops every config.  Kept errors drop their tracebacks,
-    whose frames hold the system.
+    Their bundles share the set-up of ``inputs``, the SweepInputs of the
+    sweep (a fresh one when None).  The first config whose set-up
+    completes transforms and assembles the system, and the rest reuse it.
+    Each right-hand side is built after its bundle's set-up, so boundary
+    data that fail stop that config alone and still pass its system on.
+    The right-hand sides are solved in one pass (``discretize.solve_bvp``;
+    a lone one as the view ``rhs[None]``, which np.stack would copy), and
+    each solved bundle gets its ``field`` and ``report`` and drops the
+    system.  Returns (got, times): per config the solved SolveBundle or the
+    error that stopped it alone, and the point's ``assemble_s``,
+    ``factor_s``, ``solve_s`` and ``elapsed``.  A failed factorization stops
+    every config.  Kept errors drop their tracebacks, whose frames hold the
+    system.
     """
     got, rhs, system, times = [], [], None, {"assemble_s": 0.0}
+    if inputs is None:
+        inputs = SweepInputs()
+    inputs.at(eps, nodes)
     for cfg in cfgs:
         try:
-            b = SolveBundle(cfg, eps, nodes, system)
+            b = SolveBundle(cfg, inputs, system)
             system = b.system
             times["assemble_s"] += b.assemble_s
             rhs.append(_disc.right_hand_side(system, _disc.dirichlet_values(
@@ -301,7 +396,8 @@ def solve_point(cfgs, eps: float, nodes: tuple):
     B = rhs[0][None] if len(rhs) == 1 else np.stack(rhs)
     del rhs
     try:
-        solved, pass_times = _disc.solve_bvp(system, bundles[0].region, B)
+        first = bundles[0]
+        solved, pass_times = _disc.solve_bvp(system, first.region, B, first.jacobian)
         times.update(pass_times)
     except Exception as exc:
         solved = [exc.with_traceback(None)] * len(bundles)
@@ -353,9 +449,7 @@ def _stat_cor41_thetabar(b: SolveBundle):
 
 def _stat_gauge_margin(b: SolveBundle):
     """min over inner x' of Theta - Theta_bar_delta (>= 0 expected)."""
-    x1 = b.coords[0][:, :1]
-    return float(b.at_inner(_ans.theta(b.traces, x1)
-                            - _ans.theta_bar_delta(b.traces, b.region, x1)).min())
+    return float(b.at_inner(b.gauge() - b.gauge(bar=True)).min())
 
 
 def _stat_energy_ratio(b: SolveBundle):
@@ -364,7 +458,7 @@ def _stat_energy_ratio(b: SolveBundle):
     Blind to the correction: ``_judge_energy`` says why.
     """
     dlt0 = float(b.region.delta(0.0))
-    E = local_energy(b.field, b.ansatz, 0.0, dlt0)
+    E = local_energy(b.field, b.ansatz, 0.0, dlt0, ansatz_grad=b.grad_ansatz())
     th0 = float(_ans.theta(b.traces, 0.0))
     denom = dlt0 ** 2 * (th0 ** 2 + dlt0 ** 2 * b.c2_norms ** 2)
     return float(E / denom)
@@ -390,7 +484,7 @@ STATISTICS = {
 # ---------------------------------------------------------------------------
 
 def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
-                 radius: float, nq=ENERGY_QUAD) -> float:
+                 radius: float, nq=ENERGY_QUAD, ansatz_grad=None) -> float:
     """Integral of |grad(u - ubar)|^2 over the window |x1 - zprime| < radius.
 
     Midpoint quadrature in mapped coordinates with Jacobian delta(x').  The
@@ -398,7 +492,9 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     1/delta parts of both gradients cancel exactly there) and then
     interpolated; this keeps sub-cell windows meaningful, which the smallest
     gap widths need because the window radius delta(0') shrinks below the
-    tangential spacing.
+    tangential spacing.  ``ansatz_grad``, the ansatz gradient at every
+    node (*shape, N, 2), is read on the window's columns when the caller
+    has it; else the ansatz is evaluated there.
     """
     region = df.region
     z = float(zprime)
@@ -420,8 +516,8 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     f = (YQ - x1[0]) / (x1[1] - x1[0])
     cols = slice(max(int(np.floor(f.min())) - 1, 0),
                  min(int(np.floor(f.max())) + 3, len(x1)))
-    gw = df.gradient_nodes()[:, :, cols] - np.moveaxis(
-        ansatz.gradient(x1[cols, None], t), (-2, -1), (0, 1))
+    ga = ansatz.gradient(x1[cols, None], t) if ansatz_grad is None else ansatz_grad[cols]
+    gw = df.gradient_nodes()[:, :, cols] - np.moveaxis(ga, (-2, -1), (0, 1))
     nodal = np.moveaxis(gw.reshape((-1,) + gw.shape[2:]), 0, -1)
     vals = df._interpolate(nodal, YQ, TQ, first=cols.start)
     w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ)
@@ -495,6 +591,7 @@ def run_sweeps(requests) -> list:
             raise ValueError(f"the requests of one sweep differ in {' and '.join(differ)}")
     grids = (key["grid"], tuple(2 * (k - 1) + 1 for k in key["grid"]))     # base, then refined
     rows = [{} for _ in requests]       # per request: eps -> one value dict per grid
+    inputs = SweepInputs()
     for eps in sorted({e for r in requests for e in r.eps_list}, reverse=True):
         for nodes in grids:
             groups = {}
@@ -502,7 +599,7 @@ def run_sweeps(requests) -> list:
                 if eps in req.eps_list and outs[i].error is None:
                     groups.setdefault(req.cfg, []).append(i)
             t0 = time.perf_counter()
-            got, times = solve_point(list(groups), eps, nodes)
+            got, times = solve_point(list(groups), eps, nodes, inputs)
             for members in groups.values():
                 b = got.pop(0)
                 if isinstance(b, Exception):
@@ -577,8 +674,7 @@ def residual_sweep(cfg: RunConfig) -> dict:
         ts = np.linspace(0.0, 1.0, ns[1] + 2)[1:-1]
         dlt = region.delta(xq)
         th = _ans.theta(traces, xq)
-        f = np.linalg.norm(af.residual(xq, ts), axis=-1)
-        f0 = np.linalg.norm(af.residual(xq, ts, corrected=False), axis=-1)
+        f, f0 = (np.linalg.norm(g, axis=-1) for g in af.residual(xq, ts))
         return {"residual_normalized": float((f * dlt / (th + dlt * c2n)).max()),
                 "residual_uncorrected": float((f0 * dlt ** 2 / np.maximum(th, 1e-300)).max())}
 

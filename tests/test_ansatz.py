@@ -11,10 +11,12 @@ from narrowgap.ansatz import (SMOOTHER_SECOND, BoundaryTraces, PolyTrace,
 from narrowgap.coefficients import (ConstructionError, HypothesisViolationError,
                                     LameParameters, MultiPoly, make_custom,
                                     make_lame, make_laplace, make_perturbed)
+from narrowgap.config import config_from_dict
 from narrowgap.geometry import NarrowRegion, ProfilePair, power_pair
 from reference import (FLAT, REF_DERIVS, RefProfile, _lame_kernel, correction_coeffs,
                        correction_sum, estimate_c2_norms, lame_correction, per_sample,
                        ref_A_derivs, ref_gap, to_box)
+from test_pinned_outputs import THIN
 
 
 def const(*v):
@@ -365,7 +367,8 @@ class TestResidual:
         af = build_ansatz(make_laplace(), r, tr)
         rng = np.random.default_rng(3)
         x = (rng.uniform(-0.9, 0.9, 200), rng.uniform(0.05, 0.95, 200))
-        assert np.abs(af.residual(*x)).max() <= 1e-10
+        f, f0 = af.residual(*x)
+        assert np.abs(f).max() <= 1e-10 and np.abs(f0).max() <= 1e-10
 
     def test_residual_matches_operator_of_fd_hessian(self):
         # independent check: contract the tensor with FD second derivatives
@@ -386,7 +389,7 @@ class TestResidual:
                                  + af.value(*to_box(r, (x0 - ea - eb)[None]))[0]) / (4 * h * h)
         A = LAME.A(x0[None])[0]
         want = np.einsum("ijab,jab->i", A, hess)
-        got = af.residual(*to_box(r, x0[None]))[0]
+        got = af.residual(*to_box(r, x0[None]))[0][0]
         assert np.abs(got - want).max() <= 1e-3 * max(1.0, np.abs(want).max())
 
     def test_scaled_residual_bounded_with_correction(self):
@@ -401,8 +404,8 @@ class TestResidual:
             t = np.full(151, 0.35)
             dlt = r.delta(x1)
             th = theta(tr, x1)
-            corr.append((np.linalg.norm(af.residual(x1, t), axis=-1) * dlt / th).max())
-            f0 = np.linalg.norm(af.residual(x1, t, corrected=False), axis=-1)
+            f, f0 = (np.linalg.norm(g, axis=-1) for g in af.residual(x1, t))
+            corr.append((f * dlt / th).max())
             unc.append((f0 * dlt ** 2 / th).max())
         assert max(corr) <= 12.0                  # bounded, eps-uniform
         assert min(unc) >= 1.0                    # bounded below away from zero
@@ -636,4 +639,33 @@ class TestPlanarJetReference:
             assert np.array_equal(af.gradient(x1, t, corrected),
                                   ref_jet(af, x1, t, 1, corrected)[1]), where
             want = apply_operator(tensor, r.from_box(x1, t), *ref_jet(af, x1, t, 2, corrected))
-            assert np.array_equal(af.residual(x1, t, corrected), want), where
+            assert np.array_equal(af.residual(x1, t)[0 if corrected else 1], want), where
+
+
+class TestPairedResidual:
+    @pytest.mark.parametrize("case", ["lame", "thin"])
+    def test_paired_pass_equals_separate_evaluations(self, case):
+        # residual() forms the corrected and the plain residual from one jet
+        # pass; each must equal its own pass bit for bit.  THIN is the pinned
+        # run's config: a perturbed tensor, h2 != 0 and polynomial traces
+        if case == "lame":
+            r, tensor, tr = region(eps=1e-2), LAME, E1_GAP
+        else:
+            cfg = config_from_dict(THIN)
+            r, tensor, tr = (cfg.geometry.build_region(cfg.geometry.epsilon),
+                             cfg.build_tensor(), cfg.build_traces())
+            assert not tensor.is_constant and r.profiles.h2.coef != 0
+        af = build_ansatz(tensor, r, tr)
+        rng = np.random.default_rng(11)
+        points = {"columns": (np.linspace(-0.9, 0.9, 33)[:, None], np.linspace(0.0, 1.0, 17)),
+                  "scattered": (rng.uniform(-0.9, 0.9, 200), rng.uniform(0, 1, 200))}
+        for where, (x1, t) in points.items():
+            x = r.from_box(x1, t)
+            separate = [apply_operator(tensor, x, *af._jets(x1, t, (0, 1, 2), (corrected,))[0])
+                        for corrected in (True, False)]
+            paired = af.residual(x1, t)
+            assert len(paired) == 2
+            for got, want in zip(paired, separate):
+                assert np.array_equal(got, want), where
+            # the correction moves the residual: the pair is not one array twice
+            assert not np.array_equal(paired[0], paired[1]), where

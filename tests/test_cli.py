@@ -559,6 +559,27 @@ def test_solve_events_name_their_sweep_point(tmp_path):
         assert sum(e["solve_s"] > 0 for e in here) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "all"])
+def test_report_ends_with_the_stage_times_of_the_runlog(tmp_path, command):
+    # the timings block sums each stage over the runlog's solve events, per
+    # check and grid in the order the runlog first meets them
+    run(config_from_dict(TINY), command, outdir=tmp_path / "t")
+    report = (tmp_path / "t" / "report.txt").read_text()
+    head, block = report.split("\n\ntimings (s, solve events summed per check and grid; "
+                               "they vary from run to run):\n")
+    assert head.splitlines()[-1].startswith("exit status: ")
+    want = {}
+    for e in _runlog(tmp_path / "t"):
+        if e["event"] == "solve":
+            row = want.setdefault(f"{e['check']} {e['grid']}", [0.0] * 4)
+            for i, key in enumerate(("assemble_s", "factor_s", "solve_s", "stats_s")):
+                row[i] += e[key]
+    assert len(want) == (1 if command == "solve" else 10)      # 5 solve checks, 2 grids
+    assert block.splitlines() == [
+        f"  {key}: assemble {a:.4f}, factor {f:.4f}, solve {s:.4f}, stats {t:.4f}"
+        for key, (a, f, s, t) in want.items()]
+
+
 def test_every_solve_event_has_one_key_set(tmp_path):
     # a single solve logs what a sweep point logs; only a solve read by a
     # second check names the first in shared_with
@@ -665,6 +686,46 @@ def test_fixed_constants_are_not_keys(tmp_path, capsys, block, key, value):
     p = write_cfg(tmp_path, {**MINI, block: {**MINI.get(block, {}), key: value}})
     assert main(["validate", "--config", str(p)]) == 2
     assert f"{block}: unknown key {key!r}" in capsys.readouterr().err
+
+
+POLY = {"family": "poly", "poly_upper": [0, 0, 1], "poly_lower": [0],
+        "kappa1": 1, "kappa2": 1, "kappa3": 2, "kappa4": 5}
+
+
+@pytest.mark.parametrize("block, data, what", [
+    ("tensor", {"kind": "laplace", "mu": -5, "lam": 7},
+     ["tensor: lam is not read by the laplace kind",
+      "tensor: mu is not read by the laplace kind"]),
+    ("tensor", {"kind": "custom", "custom_A": [1, 0, 0, 1], "lam": 2.0},
+     ["tensor: lam is not read by the custom kind"]),
+    ("tensor", {"kind": "lame", "N": 7},
+     ["tensor: N is not read by the lame kind, which takes N = 2"]),
+    ("geometry", {**POLY, "upper_coef": 9},
+     ["geometry: upper_coef is not read by the poly family"]),
+    ("geometry", {**POLY, "lower_coef": 0.5},
+     ["geometry: lower_coef is not read by the poly family"])],
+    ids=["laplace_lam_mu", "custom_lam", "lame_N", "poly_upper_coef", "poly_lower_coef"])
+def test_keys_their_kind_or_family_does_not_read_exit_2(tmp_path, capsys, block, data, what):
+    # each would change nothing: A0 = I under laplace, N = 2 under lame, and
+    # the poly family builds its profiles from poly_upper and poly_lower
+    cfg = {**MINI, block: data}
+    if data.get("kind") in ("laplace", "custom"):
+        cfg["traces"] = {"phi": [[1.0]], "psi": [[0.0]]}
+    p = write_cfg(tmp_path, cfg)
+    assert main(["validate", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n  - ") == len(what)
+    for line in what:
+        assert line in err
+
+
+def test_unread_keys_at_their_defaults_parse():
+    # a config echo writes every field, so an unread key at its default passes
+    for block, data in (("tensor", {"kind": "laplace", "lam": 1.0, "mu": 1.0}),
+                        ("tensor", {"kind": "lame", "N": 1}),
+                        ("geometry", {**POLY, "upper_coef": 1.0, "lower_coef": 0.0})):
+        cfg = config_from_dict({block: data, "traces": {"phi": [[1.0]], "psi": [[0.0]]}})
+        assert config_from_dict(json.loads(cfg.to_json())) == cfg
 
 
 @pytest.mark.parametrize("command", COMMANDS)

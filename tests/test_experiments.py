@@ -3,6 +3,8 @@
 import gc
 import json
 import weakref
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -152,15 +154,16 @@ def _solve_sweep(monkeypatch, cfg):
 
 
 def _residual_sweep(monkeypatch, cfg):
-    # the residual is the table's value times the inverse of each statistic's
+    # each residual is the table's value times the inverse of its statistic's
     # gauge, so both statistics read the table on both sample grids
-    def residual(af, xq, ts, corrected=True):
+    def residual(af, xq, ts):
         dlt = af.region.delta(xq)
         th = theta(af.traces, xq)
-        gauge = ((th + dlt * af.traces.c2_total(2 * af.region.R0)) / dlt if corrected
-                 else th / dlt ** 2)
+        gauges = ((th + dlt * af.traces.c2_total(2 * af.region.R0)) / dlt,   # corrected
+                  th / dlt ** 2)                                            # plain
         v = COMPARED[af.region.epsilon][xq.shape[0] != _RESIDUAL_SAMPLES[0]]
-        return np.broadcast_to((v * gauge)[..., None], gauge.shape[:-1] + ts.shape + (1,))
+        return tuple(np.broadcast_to((v * g)[..., None], g.shape[:-1] + ts.shape + (1,))
+                     for g in gauges)
 
     monkeypatch.setattr(AnsatzField, "residual", residual)
     out = residual_sweep(cfg)
@@ -417,6 +420,56 @@ def test_a_points_times_survive_a_failed_first_statistic(monkeypatch):
     for evs in points.values():
         timed = [ev for ev in evs if not ev["reused"]]
         assert len(timed) == 1 and timed[0]["factor_s"] > 0 and timed[0]["assemble_s"] > 0
+
+
+def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
+    # the configs of a sweep differ in traces and closure only: the tensor is
+    # built once, the traces once per config, the region once per eps, the
+    # grid's coordinates once per grid size, the box Jacobian once per
+    # (eps, grid), and the correction kernel once per eps, column set and order
+    from narrowgap import ansatz, cli, config, discretize, experiments, geometry
+
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "all_m2.json")
+    cfg = replace(cfg, solver=replace(cfg.solver, tangential_nodes=17, vertical_nodes=9))
+    calls, kernels, sweeps = Counter(), [], []
+
+    def counted(owner, name, record=None):
+        f = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if sweeps and sweeps[-1] is None:         # inside run_sweeps
+                calls[f"{owner.__name__}.{name}"] += 1
+                if record is not None:
+                    record(*args)
+            return f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((config.TensorConfig, "build"), (config.TracesConfig, "build"),
+                        (config.GeometryConfig, "build_region"),
+                        (discretize.BoxGrid, "node_coords"),
+                        (geometry.NarrowRegion, "vbar_grad")):
+        counted(owner, name)
+    counted(ansatz, "_generic_kernel", lambda tensor, region, x1, order: kernels.append(
+        (region.epsilon, x1.shape, x1.tobytes(), order)))
+    run_sweeps_ = experiments.run_sweeps
+
+    def sweep_once(requests):
+        sweeps.append(None)
+        try:
+            return run_sweeps_(requests)
+        finally:
+            sweeps[-1] = requests
+    monkeypatch.setattr(experiments, "run_sweeps", sweep_once)
+    cli.run(cfg, "all", outdir=tmp_path / "all")
+
+    requests, = sweeps
+    eps = {e for r in requests for e in r.eps_list}
+    assert len(eps) == 7 and len({r.cfg for r in requests}) == 4
+    assert calls == {"TensorConfig.build": 1, "TracesConfig.build": 4,
+                     "GeometryConfig.build_region": 7, "BoxGrid.node_coords": 2,
+                     "NarrowRegion.vbar_grad": 2 * 7,
+                     "narrowgap.ansatz._generic_kernel": len(kernels)}
+    assert kernels and len(set(kernels)) == len(kernels)
 
 
 def test_cached_arrays_are_read_only(monkeypatch):
