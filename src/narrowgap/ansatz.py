@@ -333,24 +333,22 @@ class AnsatzField:
         return _leibniz(lambda f, Q: np.einsum("...l,...li->...i", f, Q),
                         diff, self.kernel.rows(x1, order), order)
 
-    def _jets(self, x1, t, orders, corrections=(True,)):
-        """[ubar, grad ubar, Hessian] at (x1, t) per ``corrections`` entry.
+    def _jets(self, x1, t, order, corrections=(True,)):
+        """[ubar, grad ubar, Hessian] at (x1, t) up to ``order``, per ``corrections`` entry.
 
-        Only the entries whose derivative order is in ``orders`` are
-        written, the others are None; shapes (..., N), (..., N, 2),
-        (..., N, 2, 2).  The traces, delta and h2 are read once per column,
-        as x1-jets to the highest order, and the t-factors t, r(t) and r'(t)
-        once.  Each entry is written from them with grad v = (dv0, dv1) =
-        (-(h2' + t delta'), 1) / delta; the x1-only factors are never spread
-        over t.  Entries are written one component k at a time, so every
-        product of a column factor and a t-factor runs over t rather than
-        over the N components.  The jets, grad v and its derivatives and
-        each trace term p t + q s are formed once for every entry of
-        ``corrections``: only the correction sum S differs.  An entry False
-        takes S as the scalar 0.0: no kernel is built, and each r(v) * S
-        term adds a zero to what the same formula gives.
+        Shapes (..., N), (..., N, 2), (..., N, 2, 2).  The traces, delta and
+        h2 are read once per column, as x1-jets at ``order``, and the
+        t-factors t, r(t) and r'(t) once.  Each entry is written from them
+        with grad v = (dv0, dv1) = (-(h2' + t delta'), 1) / delta; the
+        x1-only factors are never spread over t.  Entries are written one
+        component k at a time, so every product of a column factor and a
+        t-factor runs over t rather than over the N components.  The jets,
+        grad v and its derivatives and each trace term p t + q s are formed
+        once for every entry of ``corrections``: only the correction sum S
+        differs.  An entry False takes S as the scalar 0.0: no kernel is
+        built, and each r(v) * S term adds a zero to what the same formula
+        gives.
         """
-        order = max(orders)
         x1, t = self.region._box(x1, t)
         phi = self.traces.phi.jet(x1, order)
         psi = self.traces.psi.jet(x1, order)
@@ -368,29 +366,26 @@ class AnsatzField:
             d2v01 = -(D[0] * dv1) / dlt                        # d2v11 = 0
             dv00, dv01, dv11 = dv0 * dv0, dv0 * dv1, dv1 * dv1
         # per component k: its trace terms p t + q s, then the jet of phi - psi
-        lin = [{j: phi[j][..., k] * t + psi[j][..., k] * s for j in orders}
+        lin = [[p[..., k] * t + q[..., k] * s for p, q in zip(phi, psi)]
                for k in range(self.N)]
         dks = [[f[..., k] for f in diff] for k in range(self.N)]
         jets = []
         for corrected in corrections:
             S = self._correction_sum(x1, diff, order) if corrected else None
-            out = [np.empty(shape + (2,) * j) if j in orders else None
-                   for j in range(order + 1)]
-            val, grad, hess = out + [None] * (2 - order)
+            out = [np.empty(shape + (2,) * j) for j in range(order + 1)]
             for k, (lk, dk) in enumerate(zip(lin, dks)):
                 Sk = [f[..., k] for f in S] if corrected else [0.0] * (order + 1)
-                if val is not None:
-                    val[..., k] = lk[0] + r * Sk[0]
+                out[0][..., k] = lk[0] + r * Sk[0]
                 if order == 0:
                     continue
                 coef = dk[0] + rp * Sk[0]
-                if grad is not None:
-                    grad[..., k, 0] = lk[1] + r * Sk[1] + coef * dv0
-                    grad[..., k, 1] = coef * dv1
-                if hess is None:
+                out[1][..., k, 0] = lk[1] + r * Sk[1] + coef * dv0
+                out[1][..., k, 1] = coef * dv1
+                if order == 1:
                     continue
                 fac = dk[1] + rp * Sk[1]
                 rpp = SMOOTHER_SECOND * Sk[0]
+                hess = out[2]
                 hess[..., k, 0, 0] = (lk[2] + r * Sk[2] + fac * dv0 + fac * dv0
                                       + coef * d2v00 + rpp * dv00)
                 hess[..., k, 0, 1] = hess[..., k, 1, 0] = fac * dv1 + coef * d2v01 + rpp * dv01
@@ -400,19 +395,19 @@ class AnsatzField:
 
     def value(self, x1, t):
         """ubar at the box points (x1, t), shape (..., N)."""
-        return self._jets(x1, t, (0,))[0][0]
+        return self._jets(x1, t, 0)[0][0]
 
     def gradient(self, x1, t, corrected=True):
         """Full spatial gradient at (x1, t), shape (..., N, 2)."""
-        return self._jets(x1, t, (1,), (corrected,))[0][1]
+        return self._jets(x1, t, 1, (corrected,))[0][1]
 
     def residual(self, x1, t):
         """(f, f0): f = L[ubar] at (x1, t) with the full operator applied
         analytically, and f0 the same for the plain interpolant, from one jet
-        pass that writes the orders ``apply_operator`` reads."""
+        pass."""
         x = self.region.from_box(x1, t)
         return tuple(apply_operator(self.tensor, x, *jet)
-                     for jet in self._jets(x1, t, operator_orders(self.tensor), (True, False)))
+                     for jet in self._jets(x1, t, 2, (True, False)))
 
 
 def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,
@@ -426,23 +421,12 @@ def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,
 # the operator, applied to any analytically differentiable field
 # ---------------------------------------------------------------------------
 
-def operator_orders(tensor: CoefficientTensor) -> tuple:
-    """The derivative orders of a field that ``apply_operator`` reads: the
-    Hessian always, the gradient when A varies or B or C is nonzero, the
-    value when D is nonzero."""
-    reads = (np.any(tensor.D0),
-             not tensor.is_constant or np.any(tensor.B0) or np.any(tensor.C0), True)
-    return tuple(j for j, read in enumerate(reads) if read)
-
-
 def apply_operator(tensor: CoefficientTensor, x, value, grad, hess):
     """d_a(A d_b u + B u) + C d_b u + D u expanded by the product rule.
 
     ``value, grad, hess`` are the field and its derivatives at x, shapes
-    (..., N), (..., N, 2), (..., N, 2, 2); those of an order that
-    ``operator_orders`` leaves out are not read and may be None.  B, C and D
-    are constant, so d_a(B u) = B d_a u, and B0, C0, D0 are contracted as
-    they are.
+    (..., N), (..., N, 2), (..., N, 2, 2).  B, C and D are constant, so
+    d_a(B u) = B d_a u, and B0, C0, D0 are contracted as they are.
     """
     if tensor.is_constant:                  # A0 itself, not a copy per sample
         f = np.einsum("ijab,...jab->...i", tensor.A0, hess)

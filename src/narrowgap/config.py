@@ -360,7 +360,8 @@ def validate_config(cfg: RunConfig):
             v.append("tensor: mu must be positive")
         if _geom.DIM * t.lam + 2 * t.mu <= 0:
             v.append("tensor: n*lam + 2*mu must be positive")
-        v += _unread(t, ("N",), "tensor", "the lame kind, which takes N = 2")
+        if t.N not in (TensorConfig.N, 2):        # the default or the N it takes
+            v.append(f"tensor: N is 2 under the lame kind, not {t.N}")
     if t.kind in ("laplace", "custom"):
         if t.N < 1:
             v.append("tensor: N must be >= 1")

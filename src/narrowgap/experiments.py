@@ -178,31 +178,32 @@ class SweepInputs:
 
     - per sweep: the tensor of each (TensorConfig, reach), since a perturbed
       tensor declares its constants from the reach; the traces of each
-      config; the BoxGrid of each grid size and its node coordinates;
-    - per eps: the region, and per tensor one CorrectionKernel, whose rows
-      every config's AnsatzField shares (it builds them lazily, so a config
-      that never evaluates its ansatz builds none);
-    - per (eps, grid): the box Jacobian, which the transform and every
-      field's gradient recovery read.
+      config; the BoxGrid of each geometry and grid size and its node
+      coordinates;
+    - per eps: the region of each geometry, and per (geometry, tensor) one
+      CorrectionKernel, whose rows every config's AnsatzField shares (it
+      builds them lazily, so a config that never evaluates its ansatz
+      builds none);
+    - per (eps, grid): the box Jacobian of each geometry, which the
+      transform and every field's gradient recovery read.
 
-    It serves configs of one geometry, as those of a sweep and of a point
-    are.  ``at(eps, nodes)`` moves to a point and drops the inputs of the
-    eps and the grid before it.  An input is built when a bundle first asks
-    for it, inside that bundle's set-up; one whose build raises is not
-    kept, so it fails each config that asks for it with its own message, as
-    a bundle set up alone would.
+    ``at(eps, nodes)`` moves to a point and drops the inputs of the eps and
+    the grid before it.  An input is built when a bundle first asks for it,
+    inside that bundle's set-up; one whose build raises is not kept, so it
+    fails each config that asks for it with its own message, as a bundle
+    set up alone would.
     """
 
     def __init__(self):
         self._tensors, self._traces, self._grids = {}, {}, {}
         self.eps = self.nodes = None
-        self._at_eps, self._jacobian = {}, None
+        self._at_eps, self._jacobians = {}, {}
 
     def at(self, eps: float, nodes: tuple):
         if eps != self.eps:
             self._at_eps = {}
         if (eps, nodes) != (self.eps, self.nodes):
-            self._jacobian = None
+            self._jacobians = {}
         self.eps, self.nodes = eps, nodes
 
     def tensor(self, cfg: RunConfig):
@@ -212,27 +213,29 @@ class SweepInputs:
         return _once(self._traces, cfg, cfg.build_traces)
 
     def region(self, cfg: RunConfig):
-        return _once(self._at_eps, "region", lambda: cfg.geometry.build_region(self.eps))
+        return _once(self._at_eps, cfg.geometry,
+                     lambda: cfg.geometry.build_region(self.eps))
 
     def kernel(self, cfg: RunConfig):
-        return _once(self._at_eps, (cfg.tensor, cfg.reach()),
+        return _once(self._at_eps, (cfg.geometry, cfg.tensor, cfg.reach()),
                      lambda: _ans.CorrectionKernel(self.tensor(cfg), self.region(cfg)))
 
-    def grid(self, region):
-        """This point's BoxGrid on ``region``'s box and its read-only node coordinates."""
+    def grid(self, cfg: RunConfig):
+        """This point's BoxGrid on the box of ``cfg``'s region and its read-only node coordinates."""
         def build():
-            grid = _disc.grid_for(region, *self.nodes)
+            grid = _disc.grid_for(self.region(cfg), *self.nodes)
             coords = grid.node_coords()
             for a in coords:
                 a.flags.writeable = False
             return grid, coords
-        return _once(self._grids, self.nodes, build)
+        return _once(self._grids, (cfg.geometry, self.nodes), build)
 
-    def jacobian(self, region, grid):
-        if self._jacobian is None:
-            self._jacobian = _disc.box_jacobian(region, grid)
-            self._jacobian.flags.writeable = False
-        return self._jacobian
+    def jacobian(self, cfg: RunConfig):
+        def build():
+            jac = _disc.box_jacobian(self.region(cfg), self.grid(cfg)[0])
+            jac.flags.writeable = False
+            return jac
+        return _once(self._jacobians, cfg.geometry, build)
 
 
 class SolveBundle:
@@ -255,8 +258,8 @@ class SolveBundle:
         self.traces = inputs.traces(cfg)
         self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces,
                                         inputs.kernel(cfg))
-        self.grid, coords = inputs.grid(self.region)
-        self.jacobian = inputs.jacobian(self.region, self.grid)
+        self.grid, coords = inputs.grid(cfg)
+        self.jacobian = inputs.jacobian(cfg)
         self.assemble_s = 0.0
         if system is None:
             t0 = time.perf_counter()
@@ -374,8 +377,12 @@ def solve_point(cfgs, eps: float, nodes: tuple, inputs: SweepInputs | None = Non
     error that stopped it alone, and the point's ``assemble_s``,
     ``factor_s``, ``solve_s`` and ``elapsed``.  A failed factorization stops
     every config.  Kept errors drop their tracebacks, whose frames hold the
-    system.
+    system.  Configs that differ in tensor, geometry or grid, which one
+    system cannot serve, are refused.
     """
+    differ = _differ(cfgs) if cfgs else ""
+    if differ:
+        raise ValueError(f"the configs of one point differ in {differ}")
     got, rhs, system, times = [], [], None, {"assemble_s": 0.0}
     if inputs is None:
         inputs = SweepInputs()
@@ -458,7 +465,7 @@ def _stat_energy_ratio(b: SolveBundle):
     Blind to the correction: ``_judge_energy`` says why.
     """
     dlt0 = float(b.region.delta(0.0))
-    E = local_energy(b.field, b.ansatz, 0.0, dlt0, ansatz_grad=b.grad_ansatz())
+    E = local_energy(b.field, b.ansatz, 0.0, dlt0)
     th0 = float(_ans.theta(b.traces, 0.0))
     denom = dlt0 ** 2 * (th0 ** 2 + dlt0 ** 2 * b.c2_norms ** 2)
     return float(E / denom)
@@ -484,7 +491,7 @@ STATISTICS = {
 # ---------------------------------------------------------------------------
 
 def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
-                 radius: float, nq=ENERGY_QUAD, ansatz_grad=None) -> float:
+                 radius: float, nq=ENERGY_QUAD) -> float:
     """Integral of |grad(u - ubar)|^2 over the window |x1 - zprime| < radius.
 
     Midpoint quadrature in mapped coordinates with Jacobian delta(x').  The
@@ -492,9 +499,7 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     1/delta parts of both gradients cancel exactly there) and then
     interpolated; this keeps sub-cell windows meaningful, which the smallest
     gap widths need because the window radius delta(0') shrinks below the
-    tangential spacing.  ``ansatz_grad``, the ansatz gradient at every
-    node (*shape, N, 2), is read on the window's columns when the caller
-    has it; else the ansatz is evaluated there.
+    tangential spacing.
     """
     region = df.region
     z = float(zprime)
@@ -516,8 +521,8 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     f = (YQ - x1[0]) / (x1[1] - x1[0])
     cols = slice(max(int(np.floor(f.min())) - 1, 0),
                  min(int(np.floor(f.max())) + 3, len(x1)))
-    ga = ansatz.gradient(x1[cols, None], t) if ansatz_grad is None else ansatz_grad[cols]
-    gw = df.gradient_nodes()[:, :, cols] - np.moveaxis(ga, (-2, -1), (0, 1))
+    gw = df.gradient_nodes()[:, :, cols] - np.moveaxis(
+        ansatz.gradient(x1[cols, None], t), (-2, -1), (0, 1))
     nodal = np.moveaxis(gw.reshape((-1,) + gw.shape[2:]), 0, -1)
     vals = df._interpolate(nodal, YQ, TQ, first=cols.start)
     w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ)
@@ -566,6 +571,12 @@ def _sweep_key(cfg: RunConfig) -> dict:
     return {"tensor": cfg.tensor, "geometry": cfg.geometry, "grid": cfg.solver.scaled_nodes()}
 
 
+def _differ(cfgs) -> str:
+    """The parts of ``_sweep_key`` in which some of ``cfgs`` differ from the first."""
+    key = _sweep_key(cfgs[0])
+    return " and ".join(k for k in key if any(_sweep_key(c)[k] != key[k] for c in cfgs[1:]))
+
+
 def run_sweeps(requests) -> list:
     """Sweep every request in one sweep; one SweepOutcome per request, in order.
 
@@ -584,11 +595,10 @@ def run_sweeps(requests) -> list:
     outs = [SweepOutcome() for _ in requests]
     if not requests:
         return outs
+    differ = _differ([req.cfg for req in requests])
+    if differ:
+        raise ValueError(f"the requests of one sweep differ in {differ}")
     key = _sweep_key(requests[0].cfg)
-    for req in requests[1:]:
-        differ = [k for k, v in _sweep_key(req.cfg).items() if v != key[k]]
-        if differ:
-            raise ValueError(f"the requests of one sweep differ in {' and '.join(differ)}")
     grids = (key["grid"], tuple(2 * (k - 1) + 1 for k in key["grid"]))     # base, then refined
     rows = [{} for _ in requests]       # per request: eps -> one value dict per grid
     inputs = SweepInputs()

@@ -661,7 +661,7 @@ class TestPairedResidual:
                   "scattered": (rng.uniform(-0.9, 0.9, 200), rng.uniform(0, 1, 200))}
         for where, (x1, t) in points.items():
             x = r.from_box(x1, t)
-            separate = [apply_operator(tensor, x, *af._jets(x1, t, (0, 1, 2), (corrected,))[0])
+            separate = [apply_operator(tensor, x, *af._jets(x1, t, 2, (corrected,))[0])
                         for corrected in (True, False)]
             paired = af.residual(x1, t)
             assert len(paired) == 2

@@ -699,7 +699,7 @@ POLY = {"family": "poly", "poly_upper": [0, 0, 1], "poly_lower": [0],
     ("tensor", {"kind": "custom", "custom_A": [1, 0, 0, 1], "lam": 2.0},
      ["tensor: lam is not read by the custom kind"]),
     ("tensor", {"kind": "lame", "N": 7},
-     ["tensor: N is not read by the lame kind, which takes N = 2"]),
+     ["tensor: N is 2 under the lame kind, not 7"]),
     ("geometry", {**POLY, "upper_coef": 9},
      ["geometry: upper_coef is not read by the poly family"]),
     ("geometry", {**POLY, "lower_coef": 0.5},
@@ -723,6 +723,7 @@ def test_unread_keys_at_their_defaults_parse():
     # a config echo writes every field, so an unread key at its default passes
     for block, data in (("tensor", {"kind": "laplace", "lam": 1.0, "mu": 1.0}),
                         ("tensor", {"kind": "lame", "N": 1}),
+                        ("tensor", {"kind": "lame", "N": 2}),
                         ("geometry", {**POLY, "upper_coef": 1.0, "lower_coef": 0.0})):
         cfg = config_from_dict({block: data, "traces": {"phi": [[1.0]], "psi": [[0.0]]}})
         assert config_from_dict(json.loads(cfg.to_json())) == cfg

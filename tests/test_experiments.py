@@ -17,8 +17,8 @@ from narrowgap.coefficients import LameParameters, make_lame
 from narrowgap.config import ConfigError, config_from_dict, parse_config
 from narrowgap.discretize import DiscreteField, grid_for
 from narrowgap.experiments import (_RESIDUAL_SAMPLES, CHECKS, NOISE_FLOOR, STATISTICS, Claim,
-                                   DataError, SolveBundle, SweepPoint, SweepRequest,
-                                   SweepResult, _judge_claims, fit_rate, local_energy,
+                                   DataError, SolveBundle, SweepInputs, SweepPoint,
+                                   SweepRequest, SweepResult, _judge_claims, fit_rate, local_energy,
                                    residual_sweep, run_sweeps, solve_point)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
 from reference import solve_one, sweep, value_at
@@ -470,6 +470,29 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
                      "NarrowRegion.vbar_grad": 2 * 7,
                      "narrowgap.ansatz._generic_kernel": len(kernels)}
     assert kernels and len(set(kernels)) == len(kernels)
+
+
+def test_sweep_inputs_keep_each_geometry_apart():
+    # region, grid, Jacobian and kernel depend on the geometry, so configs of
+    # two geometries at one point never read each other's
+    a, b = small_cfg(), small_cfg(geometry={"R0": 0.4})
+    inputs = SweepInputs()
+    inputs.at(0.01, (17, 9))
+    for cfg in (a, b, a):
+        assert inputs.region(cfg).R0 == cfg.geometry.R0
+        assert inputs.grid(cfg)[0].half_width == 2 * cfg.geometry.R0
+        want = grid_for(inputs.region(cfg), 17, 9)
+        assert np.array_equal(inputs.grid(cfg)[1][0], want.node_coords()[0])
+        assert np.array_equal(inputs.jacobian(cfg),
+                              inputs.region(cfg).vbar_grad(want.axes[0][:, None], want.axes[1]))
+        assert inputs.kernel(cfg).region is inputs.region(cfg)
+    assert inputs.region(a) is not inputs.region(b)
+
+
+def test_configs_of_other_geometries_are_refused_at_a_point():
+    # the configs of a point share one system, which one geometry fixes
+    with pytest.raises(ValueError, match="the configs of one point differ in geometry$"):
+        solve_point([small_cfg(), small_cfg(geometry={"R0": 0.4})], 0.01, (17, 9))
 
 
 def test_cached_arrays_are_read_only(monkeypatch):
