@@ -85,11 +85,8 @@ class RunReport:
         lines += [f"  {s}" for s in self.validation] or ["  (none)"]
         lines.append("")
         lines.append("verdicts:")
-        if self.verdicts:
-            for v in self.verdicts:
-                lines += ["  " + ln for ln in v.summary().splitlines()]
-        else:
-            lines.append("  (none)")
+        for v in self.verdicts:         # every command appends at least one
+            lines += ["  " + ln for ln in v.summary().splitlines()]
         lines.append("")
         lines.append("flagged points (left out of every fit):")
         lines += [f"  {v.name} {key}: eps {p.eps!r}, grid {'x'.join(map(str, p.grid))}, "
@@ -195,8 +192,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     return obj
 
 

@@ -227,11 +227,7 @@ def _parse_block(cls, data, block, violations):
         violations += [f"{block}: {path} is not a finite number"
                        for path in _non_finite(value, key)]
         kwargs[key] = _coerce(value) if key in tuples else value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        violations.append(f"{block}: {exc}")
-        return cls()
+    return cls(**kwargs)        # declared names only, each with a default
 
 
 def _type_violations(cfg: RunConfig):

@@ -64,7 +64,7 @@ class AssemblyError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Failed factorization, or a residual still above TOL after refinement."""
+    """Failed factorization, or a residual not within TOL after refinement (NaN included)."""
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +515,9 @@ def solve_linear(ls: LinearSystem, B):
 
     The reported residual is the normwise backward error
     |Kx - b| / (|K| |x| + |b|) of the full system, recomputed from each
-    returned solution; a row whose error exceeds TOL gets one step of
-    iterative refinement on its own, and fails with SolverError when it
-    still does.
+    returned solution; a row whose error is not within TOL (NaN included,
+    as when its triangular solves overflow) gets one step of iterative
+    refinement on its own, and fails with SolverError when it still is not.
 
     Returns (X, reports, times): X in B's shape, per row a SolveReport or
     the SolverError of that row, and the pass's ``elapsed``, ``factor_s``
@@ -530,15 +530,15 @@ def solve_linear(ls: LinearSystem, B):
     t1 = time.perf_counter()
     X = factor.solve(B)
     res = _backward_errors(ls, X, B)
-    for j in np.flatnonzero(res > TOL):    # one step of iterative refinement
+    for j in np.flatnonzero(~(res <= TOL)):     # one step of iterative refinement; NaN too
         row = slice(j, j + 1)
         X[row] += factor.solve(B[row] - _apply(ls.blocks, X[row]))
         res[j] = _backward_errors(ls, X[row], B[row])[0]
     t2 = time.perf_counter()
-    reports = [SolverError(f"direct solve residual {r:.3e} above tol {TOL:.1e}") if r > TOL
-               else SolveReport(factor.routine, ls.N * ls.grid.nodes, ls.nnz, float(r),
-                                fill=float(factor.fill), grid="x".join(map(str, ls.grid.shape)),
-                                rhs=len(B))
+    reports = [SolveReport(factor.routine, ls.N * ls.grid.nodes, ls.nnz, float(r),
+                           fill=float(factor.fill), grid="x".join(map(str, ls.grid.shape)),
+                           rhs=len(B)) if r <= TOL
+               else SolverError(f"direct solve residual {r:.3e} above tol {TOL:.1e}")
                for r in res]
     return X, reports, {"elapsed": t2 - t0, "factor_s": t1 - t0, "solve_s": t2 - t1}
 

@@ -274,8 +274,9 @@ class TestRun:
         ({"phi": [[0.5, "x"]], "psi": [[0.0]]},
          "traces: phi[0][1] must be a number, got 'x'"),
         ({"phi": [[1.0]], "psi": [[]]},
-         "traces: psi[0] is an empty coefficient row")],
-        ids=["phi_entry", "poly_entry", "empty_poly_row"])
+         "traces: psi[0] is an empty coefficient row"),
+        ({"phi": 1.0}, "traces: phi must be a list of coefficient rows, got 1.0")],
+        ids=["phi_entry", "poly_entry", "empty_poly_row", "phi_not_rows"])
     def test_unbuildable_traces_exit_2(self, tmp_path, capsys, traces, what):
         p = write_cfg(tmp_path, {**MINI, "traces": traces})
         assert main(["validate", "--config", str(p)]) == 2
@@ -300,10 +301,14 @@ class TestRun:
          "tensor: custom_A is read only by the custom kind"),
         ({"kind": "lame_perturbed"}, "tensor: unknown kind 'lame_perturbed'"),
         ({"kind": "custom_poly", "custom_A": [1, 0, 0, 1]},
-         "tensor: unknown kind 'custom_poly'")],
+         "tensor: unknown kind 'custom_poly'"),
+        ({"kind": "lame", "mu": 0.0}, "tensor: mu must be positive"),
+        ({"kind": "lame", "lam": -2.0}, "tensor: n*lam + 2*mu must be positive"),
+        ({"kind": "lame", "perturb_scale": 0.1, "perturb_poly": 3},
+         "tensor: perturb_poly must be a list of [coef, exponents] terms, got 3")],
         ids=["custom_A_missing", "custom_A_length", "custom_A_length_N2", "N",
              "perturb_poly", "custom_perturb_poly", "custom_A_not_custom",
-             "lame_perturbed", "custom_poly"])
+             "lame_perturbed", "custom_poly", "mu", "lam", "perturb_poly_not_list"])
     def test_unbuildable_tensors_exit_2(self, tmp_path, capsys, tensor, what):
         p = write_cfg(tmp_path, {"tensor": tensor, "traces": {"phi": [[1.0]]}})
         assert main(["validate", "--config", str(p)]) == 2
@@ -384,9 +389,12 @@ class TestRun:
         ({"checks": ["residual", "thm11", "residual"]},
          "experiment: check 'residual' is named more than once"),
         ({"remark13_cases": ["ii", "ii", "ii"]},
-         "experiment: remark13 case 'ii' is named more than once")],
+         "experiment: remark13 case 'ii' is named more than once"),
+        ({"eps_list": [0.1, -0.1]}, "experiment: eps_list entries must be positive"),
+        ({"eps_list": [0.1, 0.2]}, "experiment: eps_list must be strictly decreasing")],
         ids=["eps_list_entry", "checks_string", "remark13_cases_string", "checks_empty",
-             "remark13_cases_empty", "checks_repeated", "remark13_cases_repeated"])
+             "remark13_cases_empty", "checks_repeated", "remark13_cases_repeated",
+             "eps_list_sign", "eps_list_order"])
     def test_malformed_experiment_lists_exit_2(self, tmp_path, capsys, experiment, what):
         p = write_cfg(tmp_path, {**MINI, "experiment": experiment})
         assert main(["validate", "--config", str(p)]) == 2
@@ -394,6 +402,19 @@ class TestRun:
         assert what in err
         # each is reported alone: no per-character or comparison messages
         assert err.count("\n  - ") == 1
+
+    @pytest.mark.parametrize("data, what", [
+        ({**MINI, "solver": {"closure": "constant"}},
+         "solver: constant closure requires lateral_value"),
+        ({**MINI, "solver": {"tangential_nodes": 2}}, "solver: need at least 3 nodes per axis"),
+        ([MINI], "top level must be a JSON object"),
+        ({**MINI, "geometry": [1]}, "geometry: must be an object")],
+        ids=["closure", "nodes", "top_level", "block"])
+    def test_malformed_solver_and_document_exit_2(self, tmp_path, capsys, data, what):
+        p = write_cfg(tmp_path, data)
+        assert main(["validate", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert what in err and err.count("\n  - ") == 1
 
     @pytest.mark.parametrize("geometry, what", [
         ({"family": "poly", "poly_upper": ["x"], "poly_lower": [0.0],
@@ -413,10 +434,24 @@ class TestRun:
         ({"family": "power", "poly_upper": [0, 0, 5]},
          "geometry: poly_upper is read only by the poly family"),
         ({"poly_lower": [0]},
-         "geometry: poly_lower is read only by the poly family")],
+         "geometry: poly_lower is read only by the poly family"),
+        ({"family": "nope"}, "geometry: unknown family 'nope'"),
+        ({"upper_coef": 0.0}, "geometry: upper_coef + lower_coef must be positive"),
+        ({"family": "poly", "poly_lower": [0], "kappa1": 1, "kappa2": 1, "kappa3": 2,
+          "kappa4": 5},
+         "geometry: poly family requires poly_upper"),
+        ({"family": "poly", "poly_upper": [], "poly_lower": [0], "kappa1": 1, "kappa2": 1,
+          "kappa3": 2, "kappa4": 5},
+         "geometry: poly_upper is an empty coefficient list"),
+        ({"family": "poly", "poly_upper": [0, 0, 1], "poly_lower": [0]},
+         "geometry: poly family requires explicit kappa1..kappa4"),
+        ({"m": 1}, "geometry: m must be >= 2"),
+        ({"R0": 0.0}, "geometry: R0 must be positive"),
+        ({"epsilon": 0.0}, "geometry: epsilon must be positive")],
         ids=["poly_upper_entry", "poly_lower_row", "kappa1_negative", "kappa1_alone",
              "R0_overflow", "upper_coef_overflow", "poly_upper_under_power",
-             "poly_lower_under_power"])
+             "poly_lower_under_power", "family", "coef_sum", "poly_upper_missing",
+             "poly_upper_empty", "poly_kappas", "m", "R0", "epsilon"])
     def test_unbuildable_geometry_exit_2(self, tmp_path, capsys, geometry, what):
         p = write_cfg(tmp_path, {**MINI, "geometry": geometry})
         assert main(["validate", "--config", str(p)]) == 2
@@ -453,6 +488,28 @@ class TestRun:
         assert (tmp_path / "sol" / "solution.csv").exists()
         log = (tmp_path / "sol" / "runlog.jsonl").read_text()
         assert '"event": "solve"' in log
+
+    def test_solve_that_overflows_aborts(self, tmp_path):
+        # phi = 1e308 x1 is finite on the grid, but the triangular solves
+        # overflow and the backward error is NaN: the solve ABORTs with the
+        # SolverError that names it, and no solution is written; under all,
+        # thm11 ABORTs with the same error at its first point
+        data = {"geometry": {"m": 2, "R0": 0.5, "epsilon": 0.01}, "tensor": {"kind": "lame"},
+                "traces": {"phi": [[0.0, 1e308], [0.0]], "psi": [[0.0], [0.0]]},
+                "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
+                "experiment": {"checks": ["thm11"], "eps_list": [0.01, 0.005, 0.002, 0.001]},
+                "output": {"dir": str(tmp_path / "nan")}}
+        error = "SolverError: direct solve residual nan above tol 1.0e-10"
+        with np.errstate(all="ignore"):
+            assert main(["solve", "--config", str(write_cfg(tmp_path, data))]) == 1
+            report = run(config_from_dict(data), "all", outdir=tmp_path / "all")
+        text = (tmp_path / "nan" / "report.txt").read_text()
+        assert f"[ABORTED] solve\n      error: {error}\n" in text
+        assert not (tmp_path / "nan" / "solution.csv").exists()
+        assert not any(e["event"] == "solve" for e in _runlog(tmp_path / "nan"))
+        verdict, = report.verdicts
+        assert (verdict.name, verdict.status, verdict.details) == ("thm11", "ABORTED",
+                                                                   {"error": error})
 
     def test_decay_zero_lateral_informative_verdict(self, tmp_path):
         cfg = {
@@ -498,6 +555,25 @@ class TestRun:
         assert code == 1
         report = (tmp_path / "coarse" / "report.txt").read_text()
         assert "ABORTED" in report and "clean points" in report
+
+
+@pytest.mark.parametrize("command, data, status, what", [
+    ("remark13", {"experiment": {"checks": ["thm11"], "monomial_k": 2}}, "ABORTED",
+     "ConfigError: invalid configuration:\n  - remark 1.3(iii) requires m > k (m = 2, k = 2)"),
+    ("decay", {"experiment": {"checks": ["thm11"]},
+               "solver": {**MINI["solver"], "lateral_value": [0.0, 0.0]}}, "SKIPPED",
+     "zero solution: top/bottom and lateral data all vanish")],
+    ids=["remark13_monomial_k", "decay_lateral_value"])
+def test_a_check_command_reads_its_keys_whatever_checks_names(tmp_path, command, data,
+                                                               status, what):
+    # a per-check command runs its check whatever experiment.checks names, so
+    # monomial_k, remark13_cases and lateral_value are read under checks
+    # ["thm11"] too and stay keys there; neither run solves
+    report = run(config_from_dict({**MINI, **data}), command, outdir=tmp_path / command)
+    verdict, = report.verdicts
+    assert (verdict.name, verdict.status) == (command, status)
+    assert what in verdict.details.values()
+    assert not any(e["event"] == "solve" for e in _runlog(tmp_path / command))
 
 
 def test_report_lists_the_flagged_points_after_the_verdicts():

@@ -476,6 +476,27 @@ class TestStackedSolve:
         _, (err,), _ = solve_linear(ls, B[1:2])
         assert isinstance(err, SolverError) and str(err).endswith("above tol 1.0e-30")
 
+    def test_a_row_whose_solve_overflows_fails_alone(self, monkeypatch):
+        # finite data near the float limit overflow in the triangular solves:
+        # the backward error is NaN, which is not within TOL, so the row is
+        # refined once and fails; row 0 is reported as its single solve is
+        from narrowgap import discretize
+        ls, B = self._stack(LAME, 2)
+        B[1] *= 1e308 / np.abs(B[1]).max()
+        assert np.all(np.isfinite(B))
+        sizes = []
+        solve = discretize._FreeBlockBand.solve
+        monkeypatch.setattr(discretize._FreeBlockBand, "solve",
+                            lambda self, b: sizes.append(len(b)) or solve(self, b))
+        with np.errstate(all="ignore"):
+            X, reports, _ = solve_linear(ls, B)
+        assert sizes == [2, 1]
+        assert isinstance(reports[1], SolverError)
+        assert str(reports[1]) == "direct solve residual nan above tol 1.0e-10"
+        (want_x,), (want,), _ = solve_linear(ls, B[:1])
+        assert np.array_equal(X[0], want_x)
+        assert self._without_rhs(reports[0]) == self._without_rhs(want)
+
     def test_solve_bvp_rows_equal_their_single_solves(self):
         # the rows of one stack are solved in one pass, each as it is alone
         reg = curved_region(eps=0.05)

@@ -18,8 +18,9 @@ from narrowgap.config import ConfigError, config_from_dict, parse_config
 from narrowgap.discretize import DiscreteField, grid_for
 from narrowgap.experiments import (_RESIDUAL_SAMPLES, CHECKS, NOISE_FLOOR, STATISTICS, Claim,
                                    DataError, SolveBundle, SweepInputs, SweepPoint,
-                                   SweepRequest, SweepResult, _judge_claims, fit_rate, local_energy,
-                                   residual_sweep, run_sweeps, solve_point)
+                                   SweepRequest, SweepResult, ZERO_DATA, _judge_claims, fit_rate,
+                                   local_energy, residual_sweep, run_checks, run_sweeps,
+                                   solve_point)
 from narrowgap.geometry import GeometryError, NarrowRegion, power_pair
 from reference import solve_one, sweep, value_at
 
@@ -426,17 +427,21 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
     # the configs of a sweep differ in traces and closure only: the tensor is
     # built once, the traces once per config, the region once per eps, the
     # grid's coordinates once per grid size, the box Jacobian once per
-    # (eps, grid), and the correction kernel once per eps, column set and order
+    # (eps, grid), and the correction kernel once per eps, column set and order.
+    # Over the whole run the tensor is built once more by the hypothesis
+    # summary and once more by the residual sweep, which builds the traces
+    # once more too; no plan builds either
     from narrowgap import ansatz, cli, config, discretize, experiments, geometry
 
     cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "all_m2.json")
     cfg = replace(cfg, solver=replace(cfg.solver, tangential_nodes=17, vertical_nodes=9))
-    calls, kernels, sweeps = Counter(), [], []
+    calls, total, kernels, sweeps = Counter(), Counter(), [], []
 
     def counted(owner, name, record=None):
         f = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
+            total[f"{owner.__name__}.{name}"] += 1
             if sweeps and sweeps[-1] is None:         # inside run_sweeps
                 calls[f"{owner.__name__}.{name}"] += 1
                 if record is not None:
@@ -470,6 +475,7 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
                      "NarrowRegion.vbar_grad": 2 * 7,
                      "narrowgap.ansatz._generic_kernel": len(kernels)}
     assert kernels and len(set(kernels)) == len(kernels)
+    assert (total["TensorConfig.build"], total["TracesConfig.build"]) == (3, 5)
 
 
 def test_sweep_inputs_keep_each_geometry_apart():
@@ -609,6 +615,30 @@ def test_decay_zero_lateral_is_skipped():
     assert verdict.status == "SKIPPED"
     assert "zero solution" in verdict.details["note"]
     assert verdict.passed
+
+
+@pytest.mark.parametrize("kind", ["lame", "laplace"])
+def test_checks_without_boundary_data_are_skipped_in_one_place(monkeypatch, kind):
+    # the rates of thm11, cor41, residual and energy are statements about a
+    # nonzero phi - psi: with phi = psi = 0 each is SKIPPED with the one note
+    # and nothing is solved or sampled; cor41's tensor-kind skip comes first
+    from narrowgap import experiments
+
+    def refuse(*args):
+        raise AssertionError("a check without boundary data solved or sampled")
+    monkeypatch.setattr(experiments, "solve_point", refuse)
+    monkeypatch.setattr(experiments, "residual_sweep", refuse)
+    names = ("thm11", "cor41", "residual", "energy")
+    cfg = small_cfg(tensor={"kind": kind}, traces={"phi": [[0.0], [0.0]], "psi": [[0.0, 0.0]]})
+    verdicts = run_checks(cfg, names)
+    assert [v.name for v in verdicts] == list(names)
+    notes = {v.name: v.details for v in verdicts if v.status == "SKIPPED"}
+    assert notes.keys() == set(names)
+    if kind == "laplace":
+        assert notes.pop("cor41") == {"note": "requires the elasticity tensor, got 'laplace'"}
+    assert all(details == {"note": ZERO_DATA} for details in notes.values())
+    assert ZERO_DATA == "zero boundary data: phi = psi = 0"
+    assert not any(v.solver_events for v in verdicts)
 
 
 # ---------------------------------------------------------------------------
