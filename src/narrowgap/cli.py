@@ -53,8 +53,7 @@ from .ansatz import build_ansatz
 from .coefficients import (HypothesisViolationError, check_ann,
                            check_pointwise_ellipticity)
 from .config import ConfigError, OutputConfig, RunConfig, parse_config, validate_config
-from .discretize import grid_for
-from .experiments import CHECKS, Verdict, run_checks, solve_point
+from .experiments import CHECKS, PointSetup, Verdict, run_checks, solve_point
 from .geometry import validate_profiles
 
 COMMANDS = ("validate", "ansatz", "solve", *CHECKS, "all")
@@ -169,11 +168,6 @@ def _hypothesis_summary(cfg: RunConfig):
     return out, all_ok
 
 
-def _emit_verdict_files(em: _Emitter, verdict: Verdict):
-    for stat, sr in sorted(verdict.sweeps.items()):
-        em.write(f"{verdict.name}_{stat}.csv", sr.to_csv())
-
-
 def _fits_record(verdicts):
     rec = {}
     for v in verdicts:
@@ -183,16 +177,8 @@ def _fits_record(verdicts):
                    "decay_constant": f.decay_constant}
             for name, f in sorted(v.fits.items())}
         rec[v.name]["status"] = v.status
-        rec[v.name]["details"] = _jsonable(v.details)
+        rec[v.name]["details"] = v.details
     return rec
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _single_eps(cfg: RunConfig) -> float:
@@ -204,14 +190,10 @@ def _single_eps(cfg: RunConfig) -> float:
 
 def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
     """Sample ubar and its gradient on the solver grid and write them out."""
-    eps = _single_eps(cfg)
-    region = cfg.geometry.build_region(eps)
-    tensor = cfg.build_tensor()
-    traces = cfg.build_traces()
-    af = build_ansatz(tensor, region, traces)
-    grid = grid_for(region, *cfg.solver.scaled_nodes())
-    X1, T = grid.node_coords()
-    x = region.from_box(X1, T)
+    point = PointSetup.build(cfg, _single_eps(cfg), cfg.solver.scaled_nodes())
+    af = build_ansatz(point.tensor, point.region, cfg.build_traces(), point.kernel)
+    X1, T = point.coords
+    x = point.region.from_box(X1, T)
     u = af.value(X1[:, :1], T)
     g = af.gradient(X1[:, :1], T)
     N, n = u.shape[-1], g.shape[-1]
@@ -231,7 +213,7 @@ def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
         raise b
     df, rep = b.field, b.report
     log(b.event("solve", "", times=times))
-    X1, T = b.grid.node_coords()
+    X1, T = b.coords
     u = np.moveaxis(df.values, 0, -1)
     flat = np.concatenate([X1.reshape(-1, 1), T.reshape(-1, 1),
                            u.reshape(-1, df.N)], axis=-1)
@@ -282,7 +264,8 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
         for verdict in run_checks(cfg, names):
             name = verdict.name
             report.verdicts.append(verdict)
-            _emit_verdict_files(em, verdict)
+            for stat, sr in sorted(verdict.sweeps.items()):
+                em.write(f"{name}_{stat}.csv", sr.to_csv())
             events.extend(verdict.solver_events)
             event = {"event": "check", "name": name, "status": verdict.status,
                      "elapsed": verdict.elapsed}
@@ -302,7 +285,7 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
     report.manifest["report.txt"] = em.manifest["report.txt"]
 
     log({"event": "total", "elapsed": total})
-    runlog = "\n".join(json.dumps(_jsonable(e), sort_keys=True) for e in events)
+    runlog = "\n".join(json.dumps(e, sort_keys=True) for e in events)
     (outdir / "runlog.jsonl").write_text(runlog + "\n", encoding="utf-8")
     return report
 

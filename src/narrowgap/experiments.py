@@ -14,17 +14,16 @@ a statistic's expected slope and the band around it; one judge
 (``_judge_claims``) fits and tests them beside the check's own predicates.
 A skip is decided in one of two places: a plan returns a SKIPPED verdict
 for a reason of its own check (decay's zero lateral data, cor41's tensor
-kind), and ``_run`` skips each check that ``needs_data`` when phi = psi = 0.
+kind), and ``_run`` skips each check that ``needs_data`` when phi - psi = 0.
 The matrix depends only on tensor, geometry, eps and grid, and a check's
 plan changes only the traces and the lateral closure, so checks run
 together (``run_checks``) make one sweep: its outer loop is (eps, grid),
 and at each point ``solve_point`` factors the operator once and solves the
-right-hand sides of the distinct request configs there in one pass.  Each
-input is built once, at the level it depends on (``SweepInputs``): per
-sweep the tensor, the traces of each config and each grid size's BoxGrid
-and node coordinates; per eps the region and the correction kernel; per
-(eps, grid) the box Jacobian; per config, at each point, one SolveBundle
-with its right-hand side, gradient recovery, normalisers and ansatz field.
+right-hand sides of the distinct request configs there in one pass.  The
+configs at a point share one set-up (``PointSetup``: region, tensor, grid,
+node coordinates, box Jacobian and correction kernel), built once per
+point; each config has one SolveBundle there, with its traces, right-hand
+side, gradient recovery, normalisers and ansatz field.
 
 The bounded-remainder claims fit the asymptotic tail of the sweep
 (eps <= EPS_FIT_MAX) rather than the full window: the remainder approaches
@@ -43,14 +42,15 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
 from . import ansatz as _ans
 from . import discretize as _disc
-from .coefficients import HypothesisViolationError, check_ann
+from .coefficients import CoefficientTensor, HypothesisViolationError, check_ann
 from .config import DECAY_EPS, DEFAULT_EPS, ConfigError, RunConfig, TracesConfig
-from .geometry import DIM, GeometryError
+from .geometry import DIM, GeometryError, NarrowRegion
 
 EPS_FIT_MAX = 1e-2          # tail cut for bounded-remainder fits
 NOISE_FLOOR = 1e-12         # relative floor before a point counts as solver noise
@@ -166,103 +166,58 @@ def fit_rate(sr: SweepResult, model: str = "power", m: int = 2,
 # one solve, lazily post-processed
 # ---------------------------------------------------------------------------
 
-def _once(cache: dict, key, build):
-    """cache[key], made by build() when missing; a build that raises is not kept."""
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+@dataclass(frozen=True)
+class PointSetup:
+    """What every config at one (eps, grid) reads alike: one build per point.
 
-
-class SweepInputs:
-    """The set-up that the solves of one sweep share, each input built once.
-
-    The configs of a sweep share tensor, geometry and grid and differ only
-    in traces and closure, so each input is built at the level it depends on:
-
-    - per sweep: the tensor of each (TensorConfig, reach), since a perturbed
-      tensor declares its constants from the reach; the traces of each
-      config; the BoxGrid of each geometry and grid size and its node
-      coordinates;
-    - per eps: the region of each geometry, and per (geometry, tensor) one
-      CorrectionKernel, whose rows every config's AnsatzField shares (it
-      builds them lazily, so a config that never evaluates its ansatz
-      builds none);
-    - per (eps, grid): the box Jacobian of each geometry, which the
-      transform and every field's gradient recovery read.
-
-    ``at(eps, nodes)`` moves to a point and drops the inputs of the eps and
-    the grid before it.  An input is built when a bundle first asks for it,
-    inside that bundle's set-up; one whose build raises is not kept, so it
-    fails each config that asks for it with its own message, as a bundle
-    set up alone would.
+    The configs of a point share tensor, geometry and grid and differ only
+    in traces and closure (``solve_point`` refuses others), so one set-up
+    serves them all: the region, the tensor, the BoxGrid, its node
+    coordinates, the box Jacobian, which the transform and every field's
+    gradient recovery read, and one CorrectionKernel, whose rows every
+    config's AnsatzField shares.  The kernel builds its rows on first use,
+    so a config that never evaluates its ansatz (decay) builds none.  The
+    arrays are read-only, as every bundle of the point reads them.
     """
 
-    def __init__(self):
-        self._tensors, self._traces, self._grids = {}, {}, {}
-        self.eps = self.nodes = None
-        self._at_eps, self._jacobians = {}, {}
+    eps: float
+    region: NarrowRegion
+    tensor: CoefficientTensor
+    kernel: _ans.CorrectionKernel
+    grid: _disc.BoxGrid
+    coords: tuple
+    jacobian: np.ndarray
 
-    def at(self, eps: float, nodes: tuple):
-        if eps != self.eps:
-            self._at_eps = {}
-        if (eps, nodes) != (self.eps, self.nodes):
-            self._jacobians = {}
-        self.eps, self.nodes = eps, nodes
-
-    def tensor(self, cfg: RunConfig):
-        return _once(self._tensors, (cfg.tensor, cfg.reach()), cfg.build_tensor)
-
-    def traces(self, cfg: RunConfig):
-        return _once(self._traces, cfg, cfg.build_traces)
-
-    def region(self, cfg: RunConfig):
-        return _once(self._at_eps, cfg.geometry,
-                     lambda: cfg.geometry.build_region(self.eps))
-
-    def kernel(self, cfg: RunConfig):
-        return _once(self._at_eps, (cfg.geometry, cfg.tensor, cfg.reach()),
-                     lambda: _ans.CorrectionKernel(self.tensor(cfg), self.region(cfg)))
-
-    def grid(self, cfg: RunConfig):
-        """This point's BoxGrid on the box of ``cfg``'s region and its read-only node coordinates."""
-        def build():
-            grid = _disc.grid_for(self.region(cfg), *self.nodes)
-            coords = grid.node_coords()
-            for a in coords:
-                a.flags.writeable = False
-            return grid, coords
-        return _once(self._grids, (cfg.geometry, self.nodes), build)
-
-    def jacobian(self, cfg: RunConfig):
-        def build():
-            jac = _disc.box_jacobian(self.region(cfg), self.grid(cfg)[0])
-            jac.flags.writeable = False
-            return jac
-        return _once(self._jacobians, cfg.geometry, build)
+    @classmethod
+    def build(cls, cfg: RunConfig, eps: float, nodes: tuple) -> PointSetup:
+        region, tensor = cfg.geometry.build_region(eps), cfg.build_tensor()
+        grid = _disc.grid_for(region, *nodes)
+        coords = grid.node_coords()
+        jacobian = _disc.box_jacobian(region, grid)
+        for a in (*coords, jacobian):
+            a.flags.writeable = False
+        return cls(eps, region, tensor, _ans.CorrectionKernel(tensor, region), grid, coords,
+                   jacobian)
 
 
 class SolveBundle:
     """Everything the statistics need about one (eps, grid) solve."""
 
-    def __init__(self, cfg: RunConfig, inputs: SweepInputs, system=None):
-        """Set up the solve of ``cfg`` at the point of ``inputs`` against ``system``.
+    def __init__(self, cfg: RunConfig, point: PointSetup, system=None):
+        """Set up the solve of ``cfg`` at ``point`` against ``system``.
 
-        Region, tensor, traces, grid, Jacobian and the ansatz's kernel come
-        from ``inputs``, the SweepInputs of the sweep, moved to the point.
+        Region, tensor, grid, Jacobian and coordinates are the point's; the
+        bundle builds its own traces and its ansatz, on the point's kernel.
         Given no system, the bundle transforms and assembles its own, and
         ``assemble_s`` is that time (0 otherwise).  ``solve_point`` builds
         its right-hand side, solves it, drops ``system`` and sets ``field``
         and ``report``.
         """
         self.cfg = cfg
-        self.eps = inputs.eps
-        self.region = inputs.region(cfg)
-        self.tensor = inputs.tensor(cfg)
-        self.traces = inputs.traces(cfg)
-        self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces,
-                                        inputs.kernel(cfg))
-        self.grid, coords = inputs.grid(cfg)
-        self.jacobian = inputs.jacobian(cfg)
+        self.eps, self.region, self.tensor = point.eps, point.region, point.tensor
+        self.grid, self.jacobian, self.coords = point.grid, point.jacobian, point.coords
+        self.traces = cfg.build_traces()
+        self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces, point.kernel)
         self.assemble_s = 0.0
         if system is None:
             t0 = time.perf_counter()
@@ -271,7 +226,7 @@ class SolveBundle:
             self.assemble_s = time.perf_counter() - t0
         self.system = system
         self.field = self.report = None
-        self._cache = {"coords": coords}
+        self._cache = {}
 
     def event(self, check: str, case: str, times: dict, stats_s: float = 0.0,
               shared_with=None) -> dict:
@@ -299,10 +254,6 @@ class SolveBundle:
             for a in value if isinstance(value, tuple) else (value,):
                 np.asarray(a).flags.writeable = False      # a float gives a throwaway copy
         return self._cache[key]
-
-    @property
-    def coords(self):
-        return self._cache["coords"]
 
     @property
     def inner(self):
@@ -365,34 +316,37 @@ class SolveBundle:
         return float(np.sqrt(np.sum(col * col, axis=(-2, -1)))[1:-1].max())
 
 
-def solve_point(cfgs, eps: float, nodes: tuple, inputs: SweepInputs | None = None):
+def solve_point(cfgs, eps: float, nodes: tuple):
     """Set up, solve and time the distinct configs ``cfgs`` at one (eps, grid).
 
-    Their bundles share the set-up of ``inputs``, the SweepInputs of the
-    sweep (a fresh one when None).  The first config whose set-up
-    completes transforms and assembles the system, and the rest reuse it.
-    Each right-hand side is built after its bundle's set-up, so boundary
-    data that fail stop that config alone and still pass its system on.
-    The right-hand sides are solved in one pass (``discretize.solve_bvp``;
-    a lone one as the view ``rhs[None]``, which np.stack would copy), and
-    each solved bundle gets its ``field`` and ``report`` and drops the
-    system.  Returns (got, times): per config the solved SolveBundle or the
-    error that stopped it alone, and the point's ``assemble_s``,
-    ``factor_s``, ``solve_s`` and ``elapsed``.  A failed factorization stops
-    every config.  Kept errors drop their tracebacks, whose frames hold the
-    system.  Configs that differ in tensor, geometry or grid, which one
-    system cannot serve, are refused.
+    Configs that differ in tensor, geometry or grid, which one system cannot
+    serve, are refused.  The others share one PointSetup, built from the
+    first config; an error there fails every config at the point.  The
+    first config whose bundle completes transforms and assembles the
+    system, and the rest reuse it.  Each right-hand side is built after its
+    bundle's set-up, so boundary data that fail stop that config alone and
+    still pass its system on.  The right-hand sides are solved in one pass
+    (``discretize.solve_bvp``; a lone one as the view ``rhs[None]``, which
+    np.stack would copy), and each solved bundle gets its ``field`` and
+    ``report`` and drops the system.  Returns (got, times): per config the
+    solved SolveBundle or the error that stopped it, and the point's
+    ``assemble_s``, ``factor_s``, ``solve_s`` and ``elapsed``.  A failed
+    factorization stops every config.  Kept errors drop their tracebacks,
+    whose frames hold the system.
     """
-    differ = _differ(cfgs) if cfgs else ""
+    got, rhs, system, times = [], [], None, {"assemble_s": 0.0}
+    if not cfgs:
+        return got, times
+    differ = _differ(cfgs)
     if differ:
         raise ValueError(f"the configs of one point differ in {differ}")
-    got, rhs, system, times = [], [], None, {"assemble_s": 0.0}
-    if inputs is None:
-        inputs = SweepInputs()
-    inputs.at(eps, nodes)
+    try:
+        point = PointSetup.build(cfgs[0], eps, nodes)
+    except Exception as exc:         # no config at this point can be set up
+        return [exc.with_traceback(None)] * len(cfgs), times
     for cfg in cfgs:
         try:
-            b = SolveBundle(cfg, inputs, system)
+            b = SolveBundle(cfg, point, system)
             system = b.system
             times["assemble_s"] += b.assemble_s
             rhs.append(_disc.right_hand_side(system, _disc.dirichlet_values(
@@ -406,8 +360,7 @@ def solve_point(cfgs, eps: float, nodes: tuple, inputs: SweepInputs | None = Non
     B = rhs[0][None] if len(rhs) == 1 else np.stack(rhs)
     del rhs
     try:
-        first = bundles[0]
-        solved, pass_times = _disc.solve_bvp(system, first.region, B, first.jacobian)
+        solved, pass_times = _disc.solve_bvp(system, point.region, B, point.jacobian)
         times.update(pass_times)
     except Exception as exc:
         solved = [exc.with_traceback(None)] * len(bundles)
@@ -588,8 +541,10 @@ def run_sweeps(requests) -> list:
     not are refused.  The outer loop is (eps, grid), eps from the largest
     down, so every request meets its points in its own order.  At each point
     ``solve_point`` sets up, solves and times the distinct configs of the
-    requests still running there.  Then each request runs its statistics on
-    its config's bundle, which is dropped before the next config's.  The
+    requests still running there, on one PointSetup built there; nothing is
+    kept from one point to the next, and a set-up that fails stops every
+    request at the point.  Then each request runs its statistics on its
+    config's bundle, which is dropped before the next config's.  The
     first request of a config to read its bundle logs the solve and the
     others name it in ``shared_with``; ``SolveBundle.event`` puts the
     point's times on the first event logged there.  A request stops at its
@@ -604,7 +559,6 @@ def run_sweeps(requests) -> list:
     key = _sweep_key(requests[0].cfg)
     grids = (key["grid"], tuple(2 * (k - 1) + 1 for k in key["grid"]))     # base, then refined
     rows = [{} for _ in requests]       # per request: eps -> one value dict per grid
-    inputs = SweepInputs()
     for eps in sorted({e for r in requests for e in r.eps_list}, reverse=True):
         for nodes in grids:
             groups = {}
@@ -612,7 +566,7 @@ def run_sweeps(requests) -> list:
                 if eps in req.eps_list and outs[i].error is None:
                     groups.setdefault(req.cfg, []).append(i)
             t0 = time.perf_counter()
-            got, times = solve_point(list(groups), eps, nodes, inputs)
+            got, times = solve_point(list(groups), eps, nodes)
             for members in groups.values():
                 b = got.pop(0)
                 if isinstance(b, Exception):
@@ -736,7 +690,7 @@ class Check:
     the verdict from those requests' SweepResults, in request order; a rate
     check hands its Claims and its own predicate to ``_judge_claims``.
     A check whose claim is about a nonzero trace difference sets
-    ``needs_data``: ``_run`` skips it when phi = psi = 0 and its plan
+    ``needs_data``: ``_run`` skips it when phi - psi = 0 and its plan
     returned requests, so a skip of the plan's own (cor41's tensor kind)
     comes first.  Calling a Check runs it on its own; ``run_checks`` runs
     several so that they share their sweeps.
@@ -754,13 +708,15 @@ class Check:
         return verdict
 
 
-ZERO_DATA = "zero boundary data: phi = psi = 0"
+ZERO_DATA = "no trace difference: phi - psi = 0"
 
 
 def _zero_traces(cfg: RunConfig) -> bool:
-    """phi = psi = 0: every coefficient of the first N rows of both traces is zero."""
-    return not any(c for rows in (cfg.traces.phi, cfg.traces.psi)
-                   for row in rows[:cfg.N] for c in row)
+    """phi - psi = 0: the first N rows of the traces agree, each pair of rows
+    (a missing row is empty) compared after zero-padding to one length."""
+    phi, psi = cfg.traces.phi[:cfg.N], cfg.traces.psi[:cfg.N]
+    return all(p == q for a, b in zip_longest(phi, psi, fillvalue=())
+               for p, q in zip_longest(a, b, fillvalue=0.0))
 
 
 def _run(checks, cfg):

@@ -17,7 +17,7 @@ from narrowgap.coefficients import LameParameters, make_lame
 from narrowgap.config import ConfigError, config_from_dict, parse_config
 from narrowgap.discretize import DiscreteField, grid_for
 from narrowgap.experiments import (_RESIDUAL_SAMPLES, CHECKS, NOISE_FLOOR, STATISTICS, Claim,
-                                   DataError, SolveBundle, SweepInputs, SweepPoint,
+                                   DataError, SolveBundle, SweepPoint,
                                    SweepRequest, SweepResult, ZERO_DATA, _judge_claims, fit_rate,
                                    local_energy, residual_sweep, run_checks, run_sweeps,
                                    solve_point)
@@ -424,18 +424,18 @@ def test_a_points_times_survive_a_failed_first_statistic(monkeypatch):
 
 
 def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
-    # the configs of a sweep differ in traces and closure only: the tensor is
-    # built once, the traces once per config, the region once per eps, the
-    # grid's coordinates once per grid size, the box Jacobian once per
-    # (eps, grid), and the correction kernel once per eps, column set and order.
-    # Over the whole run the tensor is built once more by the hypothesis
-    # summary and once more by the residual sweep, which builds the traces
-    # once more too; no plan builds either
+    # the configs at a point differ in traces and closure only, so they share
+    # one set-up: the tensor, the region, the grid's coordinates and the box
+    # Jacobian are built once per point, the traces once per bundle, and no
+    # kernel rows are computed twice at one point.  Over the whole run the
+    # tensor is built once more by the hypothesis summary and once more by
+    # the residual sweep, which builds the traces once more too; no plan
+    # builds either
     from narrowgap import ansatz, cli, config, discretize, experiments, geometry
 
     cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "all_m2.json")
     cfg = replace(cfg, solver=replace(cfg.solver, tangential_nodes=17, vertical_nodes=9))
-    calls, total, kernels, sweeps = Counter(), Counter(), [], []
+    calls, total, kernels, sweeps, points = Counter(), Counter(), [], [], []
 
     def counted(owner, name, record=None):
         f = getattr(owner, name)
@@ -455,8 +455,8 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
                         (geometry.NarrowRegion, "vbar_grad")):
         counted(owner, name)
     counted(ansatz, "_generic_kernel", lambda tensor, region, x1, order: kernels.append(
-        (region.epsilon, x1.shape, x1.tobytes(), order)))
-    run_sweeps_ = experiments.run_sweeps
+        (points[-1][:2], x1.shape, x1.tobytes(), order)))
+    run_sweeps_, solve_point_ = experiments.run_sweeps, experiments.solve_point
 
     def sweep_once(requests):
         sweeps.append(None)
@@ -464,35 +464,58 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
             return run_sweeps_(requests)
         finally:
             sweeps[-1] = requests
+
+    def solve_at(cfgs, eps, nodes):
+        points.append((eps, nodes, len(cfgs)))
+        return solve_point_(cfgs, eps, nodes)
     monkeypatch.setattr(experiments, "run_sweeps", sweep_once)
+    monkeypatch.setattr(experiments, "solve_point", solve_at)
     cli.run(cfg, "all", outdir=tmp_path / "all")
 
     requests, = sweeps
     eps = {e for r in requests for e in r.eps_list}
     assert len(eps) == 7 and len({r.cfg for r in requests}) == 4
-    assert calls == {"TensorConfig.build": 1, "TracesConfig.build": 4,
-                     "GeometryConfig.build_region": 7, "BoxGrid.node_coords": 2,
-                     "NarrowRegion.vbar_grad": 2 * 7,
+    assert len(points) == 2 * 7 and sum(n for *_, n in points) == 4 * 2 * 7
+    assert calls == {"TensorConfig.build": 14, "TracesConfig.build": 56,
+                     "GeometryConfig.build_region": 14, "BoxGrid.node_coords": 14,
+                     "NarrowRegion.vbar_grad": 14,
                      "narrowgap.ansatz._generic_kernel": len(kernels)}
     assert kernels and len(set(kernels)) == len(kernels)
-    assert (total["TensorConfig.build"], total["TracesConfig.build"]) == (3, 5)
+    assert (total["TensorConfig.build"], total["TracesConfig.build"]) == (16, 57)
 
 
-def test_sweep_inputs_keep_each_geometry_apart():
-    # region, grid, Jacobian and kernel depend on the geometry, so configs of
-    # two geometries at one point never read each other's
-    a, b = small_cfg(), small_cfg(geometry={"R0": 0.4})
-    inputs = SweepInputs()
-    inputs.at(0.01, (17, 9))
-    for cfg in (a, b, a):
-        assert inputs.region(cfg).R0 == cfg.geometry.R0
-        assert inputs.grid(cfg)[0].half_width == 2 * cfg.geometry.R0
-        want = grid_for(inputs.region(cfg), 17, 9)
-        assert np.array_equal(inputs.grid(cfg)[1][0], want.node_coords()[0])
-        assert np.array_equal(inputs.jacobian(cfg),
-                              inputs.region(cfg).vbar_grad(want.axes[0][:, None], want.axes[1]))
-        assert inputs.kernel(cfg).region is inputs.region(cfg)
-    assert inputs.region(a) is not inputs.region(b)
+def test_a_failed_point_setup_fails_every_request_there(monkeypatch):
+    # the configs at a point share one set-up, so a region that cannot be
+    # built at one eps stops every request running there with that one
+    # message, no traceback and no event at that eps, and leaves no system
+    # alive; a request whose sweep ends before that eps sweeps as it does
+    # alone
+    from narrowgap import config
+
+    build_region = config.GeometryConfig.build_region
+
+    def refuse(geometry, eps):
+        if eps == 0.002:
+            raise GeometryError("no region at eps 0.002")
+        return build_region(geometry, eps)
+
+    monkeypatch.setattr(config.GeometryConfig, "build_region", refuse)
+    eps = (0.01, 0.005, 0.002, 0.001)
+    solver = {"tangential_nodes": 17, "vertical_nodes": 9}
+    requests = [SweepRequest(small_cfg(solver=solver, traces={"phi": phi}), ("sup_grad",),
+                             eps, case=case)
+                for phi, case in (([[1.0], [0.0]], "a"), ([[2.0], [0.0]], "b"),
+                                  ([[2.0], [0.0]], "c"))]
+    requests.append(SweepRequest(small_cfg(solver=solver), ("sup_grad",), eps[:2]))
+    (*failed, early), systems, bands = alive_after_failed_sweep(monkeypatch, requests)
+    for out in failed:
+        assert type(out.error) is GeometryError and out.error.__traceback__ is None
+        assert str(out.error) == "no region at eps 0.002"
+        assert {ev["eps"] for ev in out.events} == set(eps[:2])
+    assert early.error is None
+    alone, = run_sweeps(requests[-1:])
+    assert early.results["sup_grad"].to_csv() == alone.results["sup_grad"].to_csv()
+    assert (systems, bands) == (0, 0)
 
 
 def test_configs_of_other_geometries_are_refused_at_a_point():
@@ -617,19 +640,30 @@ def test_decay_zero_lateral_is_skipped():
     assert verdict.passed
 
 
-@pytest.mark.parametrize("kind", ["lame", "laplace"])
-def test_checks_without_boundary_data_are_skipped_in_one_place(monkeypatch, kind):
+_NO_DIFFERENCE = {"": {"phi": [[0.0], [0.0]], "psi": [[0.0, 0.0]]},
+                  "-equal": {"phi": [[1.0], [0.0]], "psi": [[1.0], [0.0]]},
+                  "-equal-padded": {"phi": [[1.0, 0.5], [0.0]], "psi": [[1.0, 0.5, 0.0]]}}
+
+
+@pytest.mark.parametrize("kind, traces", [(k, t) for t in _NO_DIFFERENCE.values()
+                                          for k in ("lame", "laplace")],
+                         ids=[k + name for name in _NO_DIFFERENCE for k in ("lame", "laplace")])
+def test_checks_without_boundary_data_are_skipped_in_one_place(monkeypatch, tmp_path, kind,
+                                                               traces):
     # the rates of thm11, cor41, residual and energy are statements about a
-    # nonzero phi - psi: with phi = psi = 0 each is SKIPPED with the one note
-    # and nothing is solved or sampled; cor41's tensor-kind skip comes first
+    # nonzero phi - psi: with phi - psi = 0 (rows compared after zero-padding,
+    # a missing row read as zero) each is SKIPPED with the one note and
+    # nothing is solved or sampled; cor41's tensor-kind skip comes first, and
+    # the run exits 0
     from narrowgap import experiments
+    from narrowgap.cli import main
 
     def refuse(*args):
         raise AssertionError("a check without boundary data solved or sampled")
     monkeypatch.setattr(experiments, "solve_point", refuse)
     monkeypatch.setattr(experiments, "residual_sweep", refuse)
     names = ("thm11", "cor41", "residual", "energy")
-    cfg = small_cfg(tensor={"kind": kind}, traces={"phi": [[0.0], [0.0]], "psi": [[0.0, 0.0]]})
+    cfg = small_cfg(tensor={"kind": kind}, traces=traces)
     verdicts = run_checks(cfg, names)
     assert [v.name for v in verdicts] == list(names)
     notes = {v.name: v.details for v in verdicts if v.status == "SKIPPED"}
@@ -637,8 +671,12 @@ def test_checks_without_boundary_data_are_skipped_in_one_place(monkeypatch, kind
     if kind == "laplace":
         assert notes.pop("cor41") == {"note": "requires the elasticity tensor, got 'laplace'"}
     assert all(details == {"note": ZERO_DATA} for details in notes.values())
-    assert ZERO_DATA == "zero boundary data: phi = psi = 0"
+    assert ZERO_DATA == "no trace difference: phi - psi = 0"
     assert not any(v.solver_events for v in verdicts)
+    path = tmp_path / "equal.json"
+    path.write_text(json.dumps({**json.loads(cfg.to_json()),
+                                "experiment": {"checks": list(names)}}))
+    assert main(["all", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 # ---------------------------------------------------------------------------
