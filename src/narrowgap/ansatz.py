@@ -48,7 +48,7 @@ x2 = h2 + delta/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -97,18 +97,19 @@ class PolyTrace:
         if not rows or not all(rows):
             raise ConstructionError("a trace needs one non-empty coefficient row "
                                     "per component")
-        if not np.isfinite([c for row in rows for c in row]).all():
-            raise ConstructionError("trace coefficients must be finite")
-        object.__setattr__(self, "rows", rows)
         # coefficient columns of f, d_1 f and d_11 f: C[k, c] multiplies x_1^k
         width = max(map(len, rows))
-        derivs = []
-        for order in range(3):
-            C = np.zeros((width, len(rows)))
-            for c, row in enumerate(rows):
-                der = P.polyder(row, order)
-                C[:len(der), c] = der
-            derivs.append(C)
+        C = np.zeros((width, len(rows)))
+        for c, row in enumerate(rows):
+            C[:len(row), c] = row
+        if not np.isfinite(C).all():
+            raise ConstructionError("trace coefficients must be finite")
+        object.__setattr__(self, "rows", rows)
+        derivs, k = [C], np.arange(1, width)[:, None]
+        for _ in range(2):              # d_1 of x_1^k is k x_1^(k-1), as in polyder
+            D = np.zeros_like(C)
+            D[:-1] = derivs[-1][1:] * k
+            derivs.append(D)
         object.__setattr__(self, "_derivs", tuple(derivs))
 
     @property
@@ -264,29 +265,6 @@ def _generic_kernel(tensor, region, x1, order):
     return [np.swapaxes(q, -2, -1) for q in Q]
 
 
-class CorrectionKernel:
-    """The kernel rows Q_l of one tensor and region, built once per column set.
-
-    Q_l is fixed by A^{22}, A^{12} + A^{21} and d_1 delta alone, so every
-    AnsatzField of one tensor and region can share one CorrectionKernel,
-    whatever its traces.  ``rows`` builds the rows at the columns x1 to an
-    order on first request (``_generic_kernel``) and keeps them under the
-    columns' values and that order; a field that is never evaluated builds
-    none.  A build that raises is not kept.
-    """
-
-    def __init__(self, tensor: CoefficientTensor, region: NarrowRegion):
-        self.tensor, self.region = tensor, region
-        self._rows = {}
-
-    def rows(self, x1, order):
-        """[Q, Q', Q''] up to ``order`` at the columns x1 (a float array)."""
-        key = (order, x1.shape, x1.tobytes())
-        if key not in self._rows:
-            self._rows[key] = _generic_kernel(self.tensor, self.region, x1, order)
-        return self._rows[key]
-
-
 def _worst_point(M, x1):
     """Tangential point whose vertical block is closest to singular."""
     det = np.abs(np.linalg.det(np.asarray(M).reshape(-1, *M.shape[-2:])))
@@ -303,8 +281,8 @@ class AnsatzField:
 
     Evaluators take box coordinates (x1, t) that broadcast: a grid passed as
     its column X1[:, :1] and T evaluates every x1-only factor once per column.
-    Immutable and pure; the correction's kernel rows come from ``kernel``,
-    which fields of one tensor and region may share (``build_ansatz``).
+    Immutable and pure; the correction's kernel rows are computed by each
+    corrected evaluation, at its columns and to its order (``_generic_kernel``).
     ``corrected=False`` on ``gradient`` drops the r(v) * sum G_l term and
     yields the plain two-point interpolant (the quantity the correction
     improves on) without building the correction; ``residual`` returns the
@@ -314,15 +292,10 @@ class AnsatzField:
     region: NarrowRegion
     tensor: CoefficientTensor
     traces: BoundaryTraces
-    kernel: CorrectionKernel = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.traces.N != self.tensor.N:
             raise ConstructionError("trace components must match tensor N")
-        if self.kernel is None:
-            object.__setattr__(self, "kernel", CorrectionKernel(self.tensor, self.region))
-        elif self.kernel.tensor is not self.tensor or self.kernel.region != self.region:
-            raise ConstructionError("the kernel belongs to another tensor or region")
 
     @property
     def N(self):
@@ -330,8 +303,8 @@ class AnsatzField:
 
     def _correction_sum(self, x1, diff, order):
         """[S, S', S''] from ``diff``, the x1-jet of phi - psi at x1."""
-        return _leibniz(lambda f, Q: np.einsum("...l,...li->...i", f, Q),
-                        diff, self.kernel.rows(x1, order), order)
+        Q = _generic_kernel(self.tensor, self.region, x1, order)
+        return _leibniz(lambda f, q: np.einsum("...l,...li->...i", f, q), diff, Q, order)
 
     def _jets(self, x1, t, order, corrections=(True,)):
         """[ubar, grad ubar, Hessian] at (x1, t) up to ``order``, per ``corrections`` entry.
@@ -411,10 +384,9 @@ class AnsatzField:
 
 
 def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,
-                 traces: BoundaryTraces, kernel: CorrectionKernel | None = None) -> AnsatzField:
-    """The field of ``traces``; ``kernel``, if given, is shared with other fields
-    of this tensor and region."""
-    return AnsatzField(region, tensor, traces, kernel)
+                 traces: BoundaryTraces) -> AnsatzField:
+    """The field of ``traces`` on ``region`` under ``tensor``."""
+    return AnsatzField(region, tensor, traces)
 
 
 # ---------------------------------------------------------------------------

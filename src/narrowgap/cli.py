@@ -188,10 +188,10 @@ def _single_eps(cfg: RunConfig) -> float:
     return (cfg.experiment.eps_list or (1e-2,))[0]
 
 
-def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
+def _run_ansatz_emit(cfg: RunConfig, em: _Emitter) -> str:
     """Sample ubar and its gradient on the solver grid and write them out."""
     point = PointSetup.build(cfg, _single_eps(cfg), cfg.solver.scaled_nodes())
-    af = build_ansatz(point.tensor, point.region, cfg.build_traces(), point.kernel)
+    af = build_ansatz(point.tensor, point.region, cfg.build_traces())
     X1, T = point.coords
     x = point.region.from_box(X1, T)
     u = af.value(X1[:, :1], T)
@@ -203,9 +203,10 @@ def _run_ansatz_emit(cfg: RunConfig, em: _Emitter):
                            x[..., -1].reshape(-1, 1), u.reshape(-1, N),
                            g.reshape(-1, N * n)], axis=-1)
     em.write("ansatz_field.csv", _float_csv(flat, ",".join(cols)))
+    return "field samples written to ansatz_field.csv"
 
 
-def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
+def _run_single_solve(cfg: RunConfig, em: _Emitter, log) -> str:
     """One solve at ``_single_eps``, set up and solved as a sweep point is."""
     eps = _single_eps(cfg)
     (b,), times = solve_point([cfg], eps, cfg.solver.scaled_nodes())
@@ -219,9 +220,8 @@ def _run_single_solve(cfg: RunConfig, em: _Emitter, log):
                            u.reshape(-1, df.N)], axis=-1)
     cols = ["xprime0", "t"] + ["u%d" % i for i in range(df.N)]
     em.write("solution.csv", _float_csv(flat, ",".join(cols)))
-    note = (f"single solve at eps {eps:g}: method {rep.method}, "
+    return (f"single solve at eps {eps:g}: method {rep.method}, "
             f"{rep.unknowns} unknowns, residual {rep.residual:.3e}")
-    return [Verdict("solve", "PASS", {"note": note})]
 
 
 def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
@@ -229,10 +229,6 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
     outdir = Path(outdir if outdir is not None else cfg.output.dir)
     em = _Emitter(outdir)
     events = []
-
-    def log(record):
-        events.append(record)
-
     report = RunReport(__version__, command)
     t_start = time.perf_counter()
 
@@ -247,18 +243,14 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
             report.verdicts.append(Verdict("validate", "PASS",
                                            {"note": "profiles and tensor pass "
                                                     "their declared hypotheses"}))
-    elif command == "ansatz":
-        _run_ansatz_emit(cfg, em)
-        report.verdicts.append(Verdict("ansatz", "PASS",
-                                       {"note": "field samples written to "
-                                                "ansatz_field.csv"}))
-    elif command == "solve":
+    elif command in ("ansatz", "solve"):
         try:
-            report.verdicts.extend(_run_single_solve(cfg, em, log))
+            note = (_run_ansatz_emit(cfg, em) if command == "ansatz"
+                    else _run_single_solve(cfg, em, events.append))
+            report.verdicts.append(Verdict(command, "PASS", {"note": note}))
         except Exception as exc:
-            report.verdicts.append(
-                Verdict("solve", "ABORTED",
-                        {"error": f"{type(exc).__name__}: {exc}"}))
+            report.verdicts.append(Verdict(command, "ABORTED",
+                                           {"error": f"{type(exc).__name__}: {exc}"}))
     else:
         names = cfg.experiment.checks if command == "all" else (command,)
         for verdict in run_checks(cfg, names):
@@ -271,7 +263,7 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
                      "elapsed": verdict.elapsed}
             if verdict.status == "ABORTED":
                 event["error"] = verdict.details.get("error")
-            log(event)
+            events.append(event)
 
     em.write("config_echo.json", cfg.to_json() + "\n")
     em.write("fits.json", json.dumps(_fits_record(report.verdicts), indent=2,
@@ -284,7 +276,7 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
     em.write("report.txt", report.render())
     report.manifest["report.txt"] = em.manifest["report.txt"]
 
-    log({"event": "total", "elapsed": total})
+    events.append({"event": "total", "elapsed": total})
     runlog = "\n".join(json.dumps(e, sort_keys=True) for e in events)
     (outdir / "runlog.jsonl").write_text(runlog + "\n", encoding="utf-8")
     return report

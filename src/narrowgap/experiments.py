@@ -21,9 +21,10 @@ together (``run_checks``) make one sweep: its outer loop is (eps, grid),
 and at each point ``solve_point`` factors the operator once and solves the
 right-hand sides of the distinct request configs there in one pass.  The
 configs at a point share one set-up (``PointSetup``: region, tensor, grid,
-node coordinates, box Jacobian and correction kernel), built once per
-point; each config has one SolveBundle there, with its traces, right-hand
-side, gradient recovery, normalisers and ansatz field.
+node coordinates and box Jacobian), built once per point; each config has
+one SolveBundle there, with its traces, right-hand side, gradient
+recovery, normalisers and ansatz field, which computes its correction's
+kernel rows only when a corrected jet is evaluated.
 
 The bounded-remainder claims fit the asymptotic tail of the sweep
 (eps <= EPS_FIT_MAX) rather than the full window: the remainder approaches
@@ -173,17 +174,15 @@ class PointSetup:
     The configs of a point share tensor, geometry and grid and differ only
     in traces and closure (``solve_point`` refuses others), so one set-up
     serves them all: the region, the tensor, the BoxGrid, its node
-    coordinates, the box Jacobian, which the transform and every field's
-    gradient recovery read, and one CorrectionKernel, whose rows every
-    config's AnsatzField shares.  The kernel builds its rows on first use,
-    so a config that never evaluates its ansatz (decay) builds none.  The
-    arrays are read-only, as every bundle of the point reads them.
+    coordinates and the box Jacobian, which the transform and every field's
+    gradient recovery read.  The arrays are read-only, as every bundle of
+    the point reads them; each config's evaluation state (traces, ansatz
+    field, gradients) is its bundle's own.
     """
 
     eps: float
     region: NarrowRegion
     tensor: CoefficientTensor
-    kernel: _ans.CorrectionKernel
     grid: _disc.BoxGrid
     coords: tuple
     jacobian: np.ndarray
@@ -196,8 +195,7 @@ class PointSetup:
         jacobian = _disc.box_jacobian(region, grid)
         for a in (*coords, jacobian):
             a.flags.writeable = False
-        return cls(eps, region, tensor, _ans.CorrectionKernel(tensor, region), grid, coords,
-                   jacobian)
+        return cls(eps, region, tensor, grid, coords, jacobian)
 
 
 class SolveBundle:
@@ -207,7 +205,7 @@ class SolveBundle:
         """Set up the solve of ``cfg`` at ``point`` against ``system``.
 
         Region, tensor, grid, Jacobian and coordinates are the point's; the
-        bundle builds its own traces and its ansatz, on the point's kernel.
+        bundle builds its own traces and its ansatz.
         Given no system, the bundle transforms and assembles its own, and
         ``assemble_s`` is that time (0 otherwise).  ``solve_point`` builds
         its right-hand side, solves it, drops ``system`` and sets ``field``
@@ -217,7 +215,7 @@ class SolveBundle:
         self.eps, self.region, self.tensor = point.eps, point.region, point.tensor
         self.grid, self.jacobian, self.coords = point.grid, point.jacobian, point.coords
         self.traces = cfg.build_traces()
-        self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces, point.kernel)
+        self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces)
         self.assemble_s = 0.0
         if system is None:
             t0 = time.perf_counter()

@@ -132,6 +132,17 @@ class TestPolyTrace:
         np.testing.assert_allclose(d11[..., 0], 1.0 + 1.5 * x, rtol=1e-15, atol=1e-15)
         assert np.all(f[..., 1] == 3.0) and np.all(d1[..., 1] == 0.0) and np.all(d11[..., 1] == 0.0)
 
+    def test_jet_equals_the_reference_bit_for_bit(self):
+        # rows of lengths 4, 2 and 1 share one zero-padded coefficient
+        # matrix, and each order's columns give every row's own derivative
+        tr = PolyTrace([[1.0, -2.0, 0.5, 0.25], [3.0, -1.5], [-0.7]])
+        ref = RefTrace(tr)
+        for order in range(3):
+            got = tr.jet(X1, order)
+            assert len(got) == order + 1
+            for j, f in enumerate(got):
+                assert np.array_equal(f[:, 0], ref._eval(X1, j))
+
     @pytest.mark.parametrize("phi, psi", [
         ([[1.0], [0.0]], [[0.0], [0.0]]),
         ([[0.0, 0.0, 1.7], [0.0]], [[0.0], [0.0]]),

@@ -511,6 +511,22 @@ class TestRun:
         assert (verdict.name, verdict.status, verdict.details) == ("thm11", "ABORTED",
                                                                    {"error": error})
 
+    def test_ansatz_with_a_singular_normal_block_aborts(self, tmp_path):
+        # A^nn = 0 passes the config checks but no correction row can be
+        # solved: the ansatz command ABORTs with the error that names it and
+        # still writes its report, config echo and runlog, as solve does
+        data = {"tensor": {"kind": "custom", "N": 1, "custom_A": [1, 0, 0, 0]},
+                "traces": {"phi": [[1.0]], "psi": [[0.0]]},
+                "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
+                "geometry": {"epsilon": 0.01}, "output": {"dir": str(tmp_path / "sing")}}
+        assert main(["ansatz", "--config", str(write_cfg(tmp_path, data))]) == 1
+        error = "HypothesisViolationError: A^nn numerically singular at x' = (-1.0,)"
+        text = (tmp_path / "sing" / "report.txt").read_text()
+        assert f"[ABORTED] ansatz\n      error: {error}\n" in text
+        assert (tmp_path / "sing" / "config_echo.json").exists()
+        assert [e["event"] for e in _runlog(tmp_path / "sing")] == ["total"]
+        assert not (tmp_path / "sing" / "ansatz_field.csv").exists()
+
     def test_decay_zero_lateral_informative_verdict(self, tmp_path):
         cfg = {
             "geometry": {"R0": 0.25},

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from narrowgap.ansatz import AnsatzField, BoundaryTraces, PolyTrace, build_ansatz, theta
 from narrowgap.coefficients import LameParameters, make_lame
-from narrowgap.config import ConfigError, config_from_dict, parse_config
+from narrowgap.config import DECAY_EPS, ConfigError, config_from_dict, parse_config
 from narrowgap.discretize import DiscreteField, grid_for
 from narrowgap.experiments import (_RESIDUAL_SAMPLES, CHECKS, NOISE_FLOOR, STATISTICS, Claim,
                                    DataError, SolveBundle, SweepPoint,
@@ -426,8 +426,10 @@ def test_a_points_times_survive_a_failed_first_statistic(monkeypatch):
 def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
     # the configs at a point differ in traces and closure only, so they share
     # one set-up: the tensor, the region, the grid's coordinates and the box
-    # Jacobian are built once per point, the traces once per bundle, and no
-    # kernel rows are computed twice at one point.  Over the whole run the
+    # Jacobian are built once per point and the traces once per bundle.  Each
+    # field computes its own kernel rows: 6 calls per point, one for the
+    # lateral faces of each of the 4 ansatz-closure configs, one for the
+    # grid's columns and one for the energy window.  Over the whole run the
     # tensor is built once more by the hypothesis summary and once more by
     # the residual sweep, which builds the traces once more too; no plan
     # builds either
@@ -480,7 +482,8 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
                      "GeometryConfig.build_region": 14, "BoxGrid.node_coords": 14,
                      "NarrowRegion.vbar_grad": 14,
                      "narrowgap.ansatz._generic_kernel": len(kernels)}
-    assert kernels and len(set(kernels)) == len(kernels)
+    assert len(kernels) == 84 and set(Counter(p for p, *_ in kernels).values()) == {6}
+    assert sum(shape == (2, 1) and order == 0 for _, shape, _, order in kernels) == 4 * 14
     assert (total["TensorConfig.build"], total["TracesConfig.build"]) == (16, 57)
 
 
@@ -638,6 +641,21 @@ def test_decay_zero_lateral_is_skipped():
     assert verdict.status == "SKIPPED"
     assert "zero solution" in verdict.details["note"]
     assert verdict.passed
+
+
+@pytest.mark.parametrize("name", ["decay_laplace", "decay_lame"])
+def test_decay_computes_no_correction_rows(monkeypatch, name):
+    # decay's constant closure puts no ansatz on the lateral faces and its
+    # statistic reads the discrete field alone, so A^nn is never met (on
+    # this coarse grid the Richardson flags starve the fit, after every solve)
+    from narrowgap import ansatz
+
+    calls = []
+    monkeypatch.setattr(ansatz, "_generic_kernel", lambda *args: calls.append(args))
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    cfg = replace(cfg, solver=replace(cfg.solver, tangential_nodes=33, vertical_nodes=9))
+    verdict, = run_checks(cfg, ["decay"])
+    assert len(verdict.solver_events) == 2 * len(DECAY_EPS) and calls == []
 
 
 _NO_DIFFERENCE = {"": {"phi": [[0.0], [0.0]], "psi": [[0.0, 0.0]]},
