@@ -11,8 +11,8 @@ of any kind.  A key that the rest of its block leaves unread is refused:
 one that defaults to None when it is given (poly_upper under the power
 family, custom_A under another kind), any other when it differs from its
 default (lam and mu under laplace or custom, N under lame, upper_coef and
-lower_coef under the poly family).  A key at its default is let pass, so
-that every config echo, which writes each field, parses back.
+lower_coef under the poly family, perturb_poly under a zero perturb_scale).
+A key at its default is let pass, so that every config echo parses back.
 The dimension is not a key: every block is planar (``geometry.DIM``).
 """
 
@@ -375,6 +375,8 @@ def validate_config(cfg: RunConfig):
         v.append("tensor: custom_A is read only by the custom kind")
     if t.perturb_scale:
         v += _perturb_poly_violations(t.perturb_poly)
+    else:
+        v += _unread(t, ("perturb_poly",), "tensor", "an unperturbed tensor (perturb_scale 0)")
     v += _coefficient_violations(tr) or _beyond_n(tr, cfg.N)
     if s.closure not in ("ansatz", "constant"):
         v.append(f"solver: unknown closure {s.closure!r}")
@@ -407,6 +409,8 @@ def validate_config(cfg: RunConfig):
         v += [f"experiment: unknown {what} {c!r}" for c in items if c not in known]
         v += [f"experiment: {what} {c!r} is named more than once"     # judged twice
               for i, c in enumerate(items) if c not in items[:i] and c in items[i + 1:]]
+    if e.monomial_k < 0:
+        v.append("experiment: monomial_k must be >= 0")
     wants_iii = lists and "remark13" in e.checks and "iii" in e.remark13_cases
     if wants_iii and g.m <= e.monomial_k:
         v.append("experiment: remark 1.3(iii) requires m > k "

@@ -555,7 +555,7 @@ class DiscreteField:
     region: NarrowRegion
     values: np.ndarray            # (N, *shape)
     jacobian: np.ndarray | None = field(default=None, repr=False)   # box_jacobian, if known
-    _grad_cache: np.ndarray | None = field(default=None, repr=False)
+    _grad_cache: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def N(self):

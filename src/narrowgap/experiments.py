@@ -10,7 +10,7 @@ tolerance is flagged grid- or sampling-limited, one under the noise floor
 is flagged as solver noise, and flagged points are excluded from fits.
 
 A check declares its sweeps as SweepRequests and its rates as Claims, each
-a statistic's expected slope and the band around it; one judge
+a statistic's fit model, expected slope and band; one judge
 (``_judge_claims``) fits and tests them beside the check's own predicates.
 A skip is decided in one of two places: a plan returns a SKIPPED verdict
 for a reason of its own check (decay's zero lateral data, cor41's tensor
@@ -21,10 +21,10 @@ together (``run_checks``) make one sweep: its outer loop is (eps, grid),
 and at each point ``solve_point`` factors the operator once and solves the
 right-hand sides of the distinct request configs there in one pass.  The
 configs at a point share one set-up (``PointSetup``: region, tensor, grid,
-node coordinates and box Jacobian), built once per point; each config has
-one SolveBundle there, with its traces, right-hand side, gradient
-recovery, normalisers and ansatz field, which computes its correction's
-kernel rows only when a corrected jet is evaluated.
+node coordinates, box Jacobian, inner mask), built once per point; each
+config has one SolveBundle there, with its traces, right-hand side, ansatz
+field (which computes kernel rows only for a corrected jet) and one memo,
+the remainder per ``corrected`` flag, which thm11 and cor41 read alike.
 
 The bounded-remainder claims fit the asymptotic tail of the sweep
 (eps <= EPS_FIT_MAX) rather than the full window: the remainder approaches
@@ -43,6 +43,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
@@ -172,12 +173,12 @@ class PointSetup:
     """What every config at one (eps, grid) reads alike: one build per point.
 
     The configs of a point share tensor, geometry and grid and differ only
-    in traces and closure (``solve_point`` refuses others), so one set-up
+    in traces and closure (``run_sweeps`` refuses others), so one set-up
     serves them all: the region, the tensor, the BoxGrid, its node
-    coordinates and the box Jacobian, which the transform and every field's
-    gradient recovery read.  The arrays are read-only, as every bundle of
-    the point reads them; each config's evaluation state (traces, ansatz
-    field, gradients) is its bundle's own.
+    coordinates, the box Jacobian (the transform and every gradient
+    recovery read it) and the inner-node mask.  The arrays are read-only, as
+    every bundle of the point reads them; each config's evaluation state
+    (traces, ansatz field, gradients) is its bundle's own.
     """
 
     eps: float
@@ -186,16 +187,23 @@ class PointSetup:
     grid: _disc.BoxGrid
     coords: tuple
     jacobian: np.ndarray
+    inner: np.ndarray
 
     @classmethod
     def build(cls, cfg: RunConfig, eps: float, nodes: tuple) -> PointSetup:
         region, tensor = cfg.geometry.build_region(eps), cfg.build_tensor()
         grid = _disc.grid_for(region, *nodes)
-        coords = grid.node_coords()
+        X1, T = coords = grid.node_coords()
         jacobian = _disc.box_jacobian(region, grid)
-        for a in (*coords, jacobian):
+        inner = (np.abs(X1) < region.R0) & (T > 0) & (T < 1)
+        for a in (*coords, jacobian, inner):
             a.flags.writeable = False
-        return cls(eps, region, tensor, grid, coords, jacobian)
+        return cls(eps, region, tensor, grid, coords, jacobian, inner)
+
+
+def _norm(E):
+    """|E| per node of a gradient field E of shape (..., N, n)."""
+    return np.sqrt(np.sum(E * E, axis=(-2, -1)))
 
 
 class SolveBundle:
@@ -204,87 +212,62 @@ class SolveBundle:
     def __init__(self, cfg: RunConfig, point: PointSetup, system=None):
         """Set up the solve of ``cfg`` at ``point`` against ``system``.
 
-        Region, tensor, grid, Jacobian and coordinates are the point's; the
+        Region, grid, coordinates and inner mask are the point's; the
         bundle builds its own traces and its ansatz.
         Given no system, the bundle transforms and assembles its own, and
         ``assemble_s`` is that time (0 otherwise).  ``solve_point`` builds
         its right-hand side, solves it, drops ``system`` and sets ``field``
         and ``report``.
         """
-        self.cfg = cfg
-        self.eps, self.region, self.tensor = point.eps, point.region, point.tensor
-        self.grid, self.jacobian, self.coords = point.grid, point.jacobian, point.coords
+        self.eps, self.region, self.grid = point.eps, point.region, point.grid
+        self.coords, self.inner = point.coords, point.inner
         self.traces = cfg.build_traces()
-        self.ansatz = _ans.build_ansatz(self.tensor, self.region, self.traces)
+        self.ansatz = _ans.build_ansatz(point.tensor, self.region, self.traces)
         self.assemble_s = 0.0
         if system is None:
             t0 = time.perf_counter()
-            system = _disc.assemble(_disc.transform_operator(self.tensor, self.region,
-                                                             self.grid, self.jacobian))
+            system = _disc.assemble(_disc.transform_operator(point.tensor, self.region,
+                                                             self.grid, point.jacobian))
             self.assemble_s = time.perf_counter() - t0
         self.system = system
         self.field = self.report = None
-        self._cache = {}
+        self._remainder = {}
 
-    def event(self, check: str, case: str, times: dict, stats_s: float = 0.0,
-              shared_with=None) -> dict:
+    def event(self, check: str, case: str, stats_s: float = 0.0, shared_with=None,
+              times=None) -> dict:
         """The runlog record of this solve, as read by the request (check, case).
 
-        ``times`` holds the point's times (``solve_point``) until an event
-        takes them: the first event logged at the point carries them with
-        ``reused`` false and empties ``times``, and every later one reads 0
-        and ``reused`` true.  A request that reads a solve another request
-        of its config logged names that one in ``shared_with`` ("check/case").
+        ``times`` are the point's times (``solve_point``), which the caller
+        passes to the first event logged at the point only: that event
+        carries them with ``reused`` false, and every other reads 0 and
+        ``reused`` true.  A request that reads a solve another request of
+        its config logged names that one in ``shared_with`` ("check/case").
         """
         ev = {"event": "solve", "check": check, "case": case, "eps": self.eps,
-              **self.report.record(), "reused": not times,
+              **self.report.record(), "reused": times is None,
               **dict.fromkeys(("elapsed", "assemble_s", "factor_s", "solve_s"), 0.0),
-              **times, "stats_s": stats_s}
-        times.clear()
+              **(times or {}), "stats_s": stats_s}
         if shared_with is not None:
             ev["shared_with"] = shared_with
         return ev
 
-    def _get(self, key, fn):
-        """fn() once; its arrays are made read-only, as requests share the bundle."""
-        if key not in self._cache:
-            value = self._cache[key] = fn()
-            for a in value if isinstance(value, tuple) else (value,):
-                np.asarray(a).flags.writeable = False      # a float gives a throwaway copy
-        return self._cache[key]
-
-    @property
-    def inner(self):
-        def make():
-            X1, T = self.coords
-            return (np.abs(X1) < self.region.R0) & (T > 0) & (T < 1)
-        return self._get("inner", make)
-
     @property
     def grad_num(self):
-        """Numeric gradients as (*shape, N, n)."""
-        return self._get("grad_num", lambda: np.moveaxis(
-            self.field.gradient_nodes(), (0, 1), (-2, -1)))
-
-    def grad_ansatz(self, corrected=True):
-        key = f"grad_ans_{corrected}"
-
-        def make():
-            X1, T = self.coords
-            return self.ansatz.gradient(X1[:, :1], T, corrected)
-        return self._get(key, make)
+        """Numeric gradients as (*shape, N, n): a view of the field's read-only gradient."""
+        return np.moveaxis(self.field.gradient_nodes(), (0, 1), (-2, -1))
 
     def remainder_inner(self, corrected=True):
-        key = f"rem_{corrected}"
+        """|grad u - grad ubar| at the inner nodes; the bundle's memo, read-only."""
+        if corrected not in self._remainder:
+            X1, T = self.coords
+            r = _norm(self.grad_num - self.ansatz.gradient(X1[:, :1], T, corrected))[self.inner]
+            r.flags.writeable = False
+            self._remainder[corrected] = r
+        return self._remainder[corrected]
 
-        def make():
-            E = self.grad_num - self.grad_ansatz(corrected)
-            return np.sqrt(np.sum(E * E, axis=(-2, -1)))[self.inner]
-        return self._get(key, make)
-
-    @property
+    @cached_property
     def c2_norms(self):
-        return self._get("c2n", lambda: self.traces.c2_total(2 * self.region.R0))
+        return self.traces.c2_total(2 * self.region.R0)
 
     def at_inner(self, column_values):
         """Per-column values (tangential nodes, 1) spread over the inner nodes."""
@@ -292,18 +275,14 @@ class SolveBundle:
 
     def gauge(self, bar=False):
         """Theta, or Theta_bar when ``bar``, per tangential column."""
-        def make():
-            x1 = self.coords[0][:, :1]
-            return (_ans.theta_bar_delta(self.traces, self.region, x1) if bar
-                    else _ans.theta(self.traces, x1))
-        return self._get(f"gauge_{bar}", make)
+        x1 = self.coords[0][:, :1]
+        return (_ans.theta_bar_delta(self.traces, self.region, x1) if bar
+                else _ans.theta(self.traces, x1))
 
     def normalizer(self, bar=False):
         """Theta, or Theta_bar when ``bar``, plus delta * C2 norms at the inner nodes."""
-        def make():
-            x1 = self.coords[0][:, :1]
-            return self.at_inner(self.gauge(bar) + self.region.delta(x1) * self.c2_norms)
-        return self._get(f"norm_{bar}", make)
+        x1 = self.coords[0][:, :1]
+        return self.at_inner(self.gauge(bar) + self.region.delta(x1) * self.c2_norms)
 
     def column_max(self, E, xprime):
         """max |E| over the interior of the vertical column nearest x'.
@@ -311,15 +290,15 @@ class SolveBundle:
         ``E`` is a gradient field of shape (*shape, N, n), such as ``grad_num``.
         """
         col = E[int(np.argmin(np.abs(self.grid.axes[0] - xprime)))]
-        return float(np.sqrt(np.sum(col * col, axis=(-2, -1)))[1:-1].max())
+        return float(_norm(col)[1:-1].max())
 
 
 def solve_point(cfgs, eps: float, nodes: tuple):
     """Set up, solve and time the distinct configs ``cfgs`` at one (eps, grid).
 
-    Configs that differ in tensor, geometry or grid, which one system cannot
-    serve, are refused.  The others share one PointSetup, built from the
-    first config; an error there fails every config at the point.  The
+    The configs share tensor, geometry and grid (``run_sweeps`` refuses
+    others), so they share one PointSetup, built from the first config; an
+    error there fails every config at the point.  The
     first config whose bundle completes transforms and assembles the
     system, and the rest reuse it.  Each right-hand side is built after its
     bundle's set-up, so boundary data that fail stop that config alone and
@@ -335,9 +314,6 @@ def solve_point(cfgs, eps: float, nodes: tuple):
     got, rhs, system, times = [], [], None, {"assemble_s": 0.0}
     if not cfgs:
         return got, times
-    differ = _differ(cfgs)
-    if differ:
-        raise ValueError(f"the configs of one point differ in {differ}")
     try:
         point = PointSetup.build(cfgs[0], eps, nodes)
     except Exception as exc:         # no config at this point can be set up
@@ -388,8 +364,7 @@ def _stat_sup_normalized(b: SolveBundle):
 
 
 def _stat_sup_grad(b: SolveBundle):
-    E = np.sqrt(np.sum(b.grad_num ** 2, axis=(-2, -1)))[b.inner]
-    return float(E.max())
+    return float(_norm(b.grad_num)[b.inner].max())
 
 
 def _stat_shortest_segment(b: SolveBundle):
@@ -525,12 +500,6 @@ def _sweep_key(cfg: RunConfig) -> dict:
     return {"tensor": cfg.tensor, "geometry": cfg.geometry, "grid": cfg.solver.scaled_nodes()}
 
 
-def _differ(cfgs) -> str:
-    """The parts of ``_sweep_key`` in which some of ``cfgs`` differ from the first."""
-    key = _sweep_key(cfgs[0])
-    return " and ".join(k for k in key if any(_sweep_key(c)[k] != key[k] for c in cfgs[1:]))
-
-
 def run_sweeps(requests) -> list:
     """Sweep every request in one sweep; one SweepOutcome per request, in order.
 
@@ -544,17 +513,18 @@ def run_sweeps(requests) -> list:
     request at the point.  Then each request runs its statistics on its
     config's bundle, which is dropped before the next config's.  The
     first request of a config to read its bundle logs the solve and the
-    others name it in ``shared_with``; ``SolveBundle.event`` puts the
-    point's times on the first event logged there.  A request stops at its
+    others name it in ``shared_with``; the first event logged at the point
+    takes the point's times.  A request stops at its
     first error, kept without its traceback, whose frames hold the system.
     """
     outs = [SweepOutcome() for _ in requests]
     if not requests:
         return outs
-    differ = _differ([req.cfg for req in requests])
+    key = _sweep_key(requests[0].cfg)
+    differ = " and ".join(k for k in key
+                          if any(_sweep_key(r.cfg)[k] != key[k] for r in requests[1:]))
     if differ:
         raise ValueError(f"the requests of one sweep differ in {differ}")
-    key = _sweep_key(requests[0].cfg)
     grids = (key["grid"], tuple(2 * (k - 1) + 1 for k in key["grid"]))     # base, then refined
     rows = [{} for _ in requests]       # per request: eps -> one value dict per grid
     for eps in sorted({e for r in requests for e in r.eps_list}, reverse=True):
@@ -581,7 +551,8 @@ def run_sweeps(requests) -> list:
                         continue
                     t2 = time.perf_counter()
                     rows[i].setdefault(eps, []).append(vals)
-                    outs[i].events.append(b.event(req.check, req.case, times, t2 - t1, first))
+                    outs[i].events.append(b.event(req.check, req.case, t2 - t1, first, times))
+                    times = None             # the point's times are logged
                     outs[i].elapsed += t2 - t0
                     if first is None:        # the rest read this solve
                         first = "/".join(filter(None, (req.check, req.case)))
@@ -768,7 +739,7 @@ def run_checks(cfg: RunConfig, names) -> list:
 
 @dataclass(frozen=True)
 class Claim:
-    """A rate a check asserts: the slope of ``stat`` against eps, on log axes.
+    """A rate a check asserts: the slope of ``stat`` in the ``fit_rate`` ``model``.
 
     It holds when the slope is within ``band`` of ``expected``; with no band
     it is only fitted and reported.  A ``tail`` claim fits eps <= EPS_FIT_MAX
@@ -781,25 +752,26 @@ class Claim:
     expected: float = 0.0
     band: float | None = None
     tail: bool = False
+    model: str = "power"
 
 
-def _judge_claims(name, srs, claims, expected, extra=None) -> Verdict:
+def _judge_claims(name, srs, claims, expected, extra=None, m=2) -> Verdict:
     """The verdict ``name`` on a check's claims over its sweeps ``srs``.
 
-    Each claim's fit goes to ``fits[claim.fit]``, its slope to
-    ``details[claim.key]`` and its band test to the status.  ``extra(fits)``
-    returns the check's own (ok, details).  The first tail claim's window is
-    ``fit_eps_max`` (None: it fell back).  A fit that its data cannot
-    support ABORTs the verdict, which keeps the sweeps.
+    Each claim's fit (at the geometry's ``m``) goes to ``fits[claim.fit]``,
+    its slope to ``details[claim.key]`` and its band test to the status.
+    ``extra(fits)`` returns the check's own (ok, details).  The first tail
+    claim's window is ``fit_eps_max`` (None: it fell back).  A fit that its
+    data cannot support ABORTs the verdict, which keeps the sweeps.
     """
     fits, details, ok = {}, {}, True
     try:
         for c in claims:
-            fit = fit_rate(srs[c.stat])
+            fit = fit_rate(srs[c.stat], c.model, m)
             if c.tail:
                 fits[f"{c.fit}_full"] = fit
                 try:
-                    fit = fit_rate(srs[c.stat], eps_max=EPS_FIT_MAX)
+                    fit = fit_rate(srs[c.stat], c.model, m, eps_max=EPS_FIT_MAX)
                     details.setdefault("fit_eps_max", EPS_FIT_MAX)
                 except DataError:
                     details.setdefault("fit_eps_max", None)
@@ -818,22 +790,33 @@ def _plan_thm11(cfg: RunConfig):
                                "thm11_sup_normalized"), _eps_list(cfg))]
 
 
+def _correction_vanishes(tensor: CoefficientTensor) -> bool:
+    """A^{12} + A^{21} = 0 in A0 and any perturbation direction: every kernel row is 0."""
+    return not any(np.any(A[..., 0, 1] + A[..., 1, 0])
+                   for A in (tensor.A0, tensor.perturb_dir) if A is not None)
+
+
 def _judge_thm11(cfg: RunConfig, results) -> Verdict:
     """Bounded corrected remainder vs eps^{-1/m} uncorrected remainder.
 
     The expected blow-up rate of the uncorrected interpolant's error is
     eps^{-1/m}: the dropped correction gradient scales like delta^{-1/m}
     pointwise and its supremum is attained where delta is comparable to eps
-    (for m = 2 this is the classical eps^{-1/2}).
+    (for m = 2 this is the classical eps^{-1/2}).  When the correction
+    vanishes (every laplace tensor) nothing is dropped, so the uncorrected
+    slope is only fitted and reported.
     """
     srs, = results
-    unc = -1.0 / cfg.geometry.m
+    unc, band = -1.0 / cfg.geometry.m, THM11_BAND
+    unc_expected = f"uncorrected {unc} +/- {THM11_BAND}"
+    if _correction_vanishes(cfg.build_tensor()):
+        band, unc_expected = None, "uncorrected fitted only: A^12 + A^21 = 0, no correction"
     return _judge_claims(
         "thm11", srs,
         (Claim("thm11_sup", "corrected", "corrected_slope", 0.0, THM11_BAND, tail=True),
-         Claim("thm11_sup_uncorrected", "uncorrected", "uncorrected_slope", unc, THM11_BAND,
+         Claim("thm11_sup_uncorrected", "uncorrected", "uncorrected_slope", unc, band,
                tail=True)),
-        f"corrected 0 +/- {THM11_BAND}, uncorrected {unc} +/- {THM11_BAND}",
+        f"corrected 0 +/- {THM11_BAND}, {unc_expected}",
         lambda fits: (True, {"full_window_slopes": (round(fits["corrected_full"].slope, 4),
                                                     round(fits["uncorrected_full"].slope, 4))}))
 
@@ -907,18 +890,17 @@ def _plan_decay(cfg: RunConfig):
 def _judge_decay(cfg: RunConfig, results) -> Verdict:
     """Super-polynomial gradient decay under zero top/bottom data."""
     srs, = results
-    try:
-        fit = fit_rate(srs["decay_normalized"], model="stretched_exponential",
-                       m=cfg.geometry.m)
-    except DataError as exc:
-        return Verdict("decay", "ABORTED", {"error": str(exc)}, sweeps=srs)
-    ok = fit.slope < 0 and fit.r_squared >= DECAY_MIN_R2
-    details = {"slope": round(fit.slope, 4), "r_squared": round(fit.r_squared, 6),
-               "fitted_decay_constant": None if fit.decay_constant is None
-               else round(fit.decay_constant, 5),
-               "expected": f"slope < 0 and R^2 >= {DECAY_MIN_R2}"}
-    return Verdict("decay", "PASS" if ok else "FAIL", details,
-                   {"stretched": fit}, srs)
+
+    def stretched(fits):
+        fit = fits["stretched"]
+        return (fit.slope < 0 and fit.r_squared >= DECAY_MIN_R2,
+                {"r_squared": round(fit.r_squared, 6),
+                 "fitted_decay_constant": None if fit.decay_constant is None
+                 else round(fit.decay_constant, 5)})
+    return _judge_claims(
+        "decay", srs,
+        (Claim("decay_normalized", "stretched", "slope", model="stretched_exponential"),),
+        f"slope < 0 and R^2 >= {DECAY_MIN_R2}", stretched, cfg.geometry.m)
 
 
 def _plan_cor41(cfg: RunConfig):

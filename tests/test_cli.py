@@ -305,10 +305,13 @@ class TestRun:
         ({"kind": "lame", "mu": 0.0}, "tensor: mu must be positive"),
         ({"kind": "lame", "lam": -2.0}, "tensor: n*lam + 2*mu must be positive"),
         ({"kind": "lame", "perturb_scale": 0.1, "perturb_poly": 3},
-         "tensor: perturb_poly must be a list of [coef, exponents] terms, got 3")],
+         "tensor: perturb_poly must be a list of [coef, exponents] terms, got 3"),
+        ({"kind": "lame", "perturb_poly": [[2.0, [0, 2]]]},
+         "tensor: perturb_poly is not read by an unperturbed tensor (perturb_scale 0)")],
         ids=["custom_A_missing", "custom_A_length", "custom_A_length_N2", "N",
              "perturb_poly", "custom_perturb_poly", "custom_A_not_custom",
-             "lame_perturbed", "custom_poly", "mu", "lam", "perturb_poly_not_list"])
+             "lame_perturbed", "custom_poly", "mu", "lam", "perturb_poly_not_list",
+             "perturb_poly_unperturbed"])
     def test_unbuildable_tensors_exit_2(self, tmp_path, capsys, tensor, what):
         p = write_cfg(tmp_path, {"tensor": tensor, "traces": {"phi": [[1.0]]}})
         assert main(["validate", "--config", str(p)]) == 2
@@ -316,9 +319,12 @@ class TestRun:
 
     def test_perturb_scale_alone_perturbs_a_tensor_of_any_kind(self):
         x = np.array([[0.3, 0.1], [-0.7, 0.4], [1.0, 1.1]])
-        # unperturbed, a tensor is constant; its perturb_poly is not read
-        custom = config_from_dict({"tensor": {"kind": "custom", "custom_A": [1, 0, 0, 1],
-                                              "perturb_poly": [[1.0, [1]]]}})
+        # unperturbed, a tensor is constant, so a perturb_poly it would not
+        # read is refused
+        with pytest.raises(ConfigError, match="perturb_poly is not read by an unperturbed"):
+            config_from_dict({"tensor": {"kind": "custom", "custom_A": [1, 0, 0, 1],
+                                         "perturb_poly": [[1.0, [1]]]}})
+        custom = config_from_dict({"tensor": {"kind": "custom", "custom_A": [1, 0, 0, 1]}})
         assert custom.build_tensor().is_constant
         # lame with a scale is (1 + s p) A0, p = x1 by default
         lame = config_from_dict({"tensor": {"kind": "lame", "perturb_scale": 0.5}})
@@ -391,10 +397,11 @@ class TestRun:
         ({"remark13_cases": ["ii", "ii", "ii"]},
          "experiment: remark13 case 'ii' is named more than once"),
         ({"eps_list": [0.1, -0.1]}, "experiment: eps_list entries must be positive"),
-        ({"eps_list": [0.1, 0.2]}, "experiment: eps_list must be strictly decreasing")],
+        ({"eps_list": [0.1, 0.2]}, "experiment: eps_list must be strictly decreasing"),
+        ({"monomial_k": -1}, "experiment: monomial_k must be >= 0")],
         ids=["eps_list_entry", "checks_string", "remark13_cases_string", "checks_empty",
              "remark13_cases_empty", "checks_repeated", "remark13_cases_repeated",
-             "eps_list_sign", "eps_list_order"])
+             "eps_list_sign", "eps_list_order", "monomial_k_negative"])
     def test_malformed_experiment_lists_exit_2(self, tmp_path, capsys, experiment, what):
         p = write_cfg(tmp_path, {**MINI, "experiment": experiment})
         assert main(["validate", "--config", str(p)]) == 2

@@ -425,19 +425,24 @@ def test_a_points_times_survive_a_failed_first_statistic(monkeypatch):
 
 def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
     # the configs at a point differ in traces and closure only, so they share
-    # one set-up: the tensor, the region, the grid's coordinates and the box
-    # Jacobian are built once per point and the traces once per bundle.  Each
-    # field computes its own kernel rows: 6 calls per point, one for the
-    # lateral faces of each of the 4 ansatz-closure configs, one for the
-    # grid's columns and one for the energy window.  Over the whole run the
-    # tensor is built once more by the hypothesis summary and once more by
-    # the residual sweep, which builds the traces once more too; no plan
-    # builds either
+    # one set-up: the tensor, the region, the grid's coordinates, the box
+    # Jacobian and the inner-node mask are built once per point and the
+    # traces once per bundle.  Each field computes its own kernel rows: 6
+    # calls per point, one for the lateral faces of each of the 4
+    # ansatz-closure configs, one for the grid's columns and one for the
+    # energy window.  The ansatz gradient is evaluated 3 times per point,
+    # none repeated: the corrected and the uncorrected remainder of the
+    # config thm11, cor41 and energy share, each computed once for all of
+    # them, and energy's window.  Over the whole run the tensor is built
+    # once more by the hypothesis summary, once more by the residual sweep,
+    # which builds the traces once more too, and once more by thm11's judge;
+    # no plan builds either
     from narrowgap import ansatz, cli, config, discretize, experiments, geometry
 
     cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "all_m2.json")
     cfg = replace(cfg, solver=replace(cfg.solver, tangential_nodes=17, vertical_nodes=9))
     calls, total, kernels, sweeps, points = Counter(), Counter(), [], [], []
+    gradients, inners = [], {}
 
     def counted(owner, name, record=None):
         f = getattr(owner, name)
@@ -447,7 +452,7 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
             if sweeps and sweeps[-1] is None:         # inside run_sweeps
                 calls[f"{owner.__name__}.{name}"] += 1
                 if record is not None:
-                    record(*args)
+                    record(*args, **kwargs)
             return f(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
@@ -458,7 +463,15 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
         counted(owner, name)
     counted(ansatz, "_generic_kernel", lambda tensor, region, x1, order: kernels.append(
         (points[-1][:2], x1.shape, x1.tobytes(), order)))
+    counted(ansatz.AnsatzField, "gradient", lambda af, x1, t, corrected=True: gradients.append(
+        (points[-1][:2], x1.tobytes(), t.tobytes(), corrected)))
     run_sweeps_, solve_point_ = experiments.run_sweeps, experiments.solve_point
+    bundle_init = experiments.SolveBundle.__init__
+
+    def bundle_at(b, *args):
+        bundle_init(b, *args)
+        inners.setdefault(points[-1][:2], []).append(b.inner)
+    monkeypatch.setattr(experiments.SolveBundle, "__init__", bundle_at)
 
     def sweep_once(requests):
         sweeps.append(None)
@@ -481,10 +494,16 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
     assert calls == {"TensorConfig.build": 14, "TracesConfig.build": 56,
                      "GeometryConfig.build_region": 14, "BoxGrid.node_coords": 14,
                      "NarrowRegion.vbar_grad": 14,
-                     "narrowgap.ansatz._generic_kernel": len(kernels)}
+                     "narrowgap.ansatz._generic_kernel": len(kernels),
+                     "AnsatzField.gradient": len(gradients)}
     assert len(kernels) == 84 and set(Counter(p for p, *_ in kernels).values()) == {6}
     assert sum(shape == (2, 1) and order == 0 for _, shape, _, order in kernels) == 4 * 14
-    assert (total["TensorConfig.build"], total["TracesConfig.build"]) == (16, 57)
+    assert len(gradients) == 3 * 14 and len(set(gradients)) == len(gradients)
+    assert set(Counter(p for p, *_ in gradients).values()) == {3}
+    assert Counter(corrected for *_, corrected in gradients) == {True: 2 * 14, False: 14}
+    assert len(inners) == 14 and all(len(masks) == 4 and all(a is masks[0] for a in masks)
+                                     for masks in inners.values())
+    assert (total["TensorConfig.build"], total["TracesConfig.build"]) == (17, 57)
 
 
 def test_a_failed_point_setup_fails_every_request_there(monkeypatch):
@@ -521,12 +540,6 @@ def test_a_failed_point_setup_fails_every_request_there(monkeypatch):
     assert (systems, bands) == (0, 0)
 
 
-def test_configs_of_other_geometries_are_refused_at_a_point():
-    # the configs of a point share one system, which one geometry fixes
-    with pytest.raises(ValueError, match="the configs of one point differ in geometry$"):
-        solve_point([small_cfg(), small_cfg(geometry={"R0": 0.4})], 0.01, (17, 9))
-
-
 def test_cached_arrays_are_read_only(monkeypatch):
     # one bundle serves every request of its config, so a statistic that
     # wrote into a cached array would change the next request's numbers
@@ -535,8 +548,7 @@ def test_cached_arrays_are_read_only(monkeypatch):
     assert isinstance(b, SolveBundle) and b.system is None
     cached = {"XP": b.coords[0], "T": b.coords[1], "inner": b.inner,
               "grad_num": b.grad_num, "gradient_nodes": b.field.gradient_nodes(),
-              **{f"{name}_{c}": getattr(b, name)(c) for c in (True, False)
-                 for name in ("grad_ansatz", "remainder_inner")}}
+              **{f"remainder_inner_{c}": b.remainder_inner(c) for c in (True, False)}}
     assert not [name for name, a in cached.items() if a.flags.writeable]
 
     def writes(bundle):
@@ -726,7 +738,8 @@ def test_shortest_segment_remainder_order_eps_when_gauge_vanishes(monkeypatch):
     # this statistic, max |grad(u - ubar)| on the shortest segment (Remark
     # 1.1), so the test registers it for the sweep.
     monkeypatch.setitem(STATISTICS, "shortest_remainder",
-                        lambda b: b.column_max(b.grad_num - b.grad_ansatz(), 0.0))
+                        lambda b: b.column_max(b.grad_num - b.ansatz.gradient(
+                            b.coords[0][:, :1], b.coords[1]), 0.0))
     cfg = config_from_dict({
         "geometry": {"m": 2, "R0": 0.5},
         "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},
@@ -748,6 +761,24 @@ def test_remark13_case_iii_rejected_when_m_not_above_k():
                                              remark13_cases=("iii",)))
     with pytest.raises(ConfigError, match="m > k"):
         CHECKS["remark13"](broken)
+
+
+@pytest.mark.parametrize("tensor", [{"kind": "laplace", "N": 1},
+                                    {"kind": "custom", "N": 1, "custom_A": [1, 0.3, -0.3, 1]}],
+                         ids=["laplace", "custom_antisymmetric_mixed_block"])
+def test_thm11_with_a_vanishing_correction_only_fits_the_uncorrected_rate(tensor):
+    # with A^12 + A^21 = 0 every kernel row is zero, so the corrected and the
+    # plain interpolant coincide and no correction is dropped: the
+    # uncorrected slope is fitted and reported (here near 0, far from
+    # -1/m), not judged against eps^{-1/m}
+    cfg = small_cfg(tensor=tensor, traces={"phi": [[1.0, 0.3]], "psi": [[0.0]]},
+                    experiment={"eps_list": JUDGE_EPS})
+    verdict = CHECKS["thm11"](cfg)
+    assert verdict.status == "PASS"
+    assert verdict.details["expected"] == ("corrected 0 +/- 0.15, uncorrected fitted only: "
+                                           "A^12 + A^21 = 0, no correction")
+    assert verdict.details["corrected_slope"] == verdict.details["uncorrected_slope"]
+    assert abs(verdict.details["uncorrected_slope"] + 0.5) > 0.15
 
 
 # ---------------------------------------------------------------------------
