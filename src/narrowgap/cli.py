@@ -147,14 +147,13 @@ def _float_csv(rows, header):
 
 
 def _hypothesis_summary(cfg: RunConfig):
-    """Profile and tensor hypothesis checks at the widest configured gap."""
-    eps = (cfg.experiment.eps_list or (1e-1,))[0]
+    """Profile and tensor hypothesis checks at the widest gap the config solves."""
     out = []
     pair = cfg.geometry.build_pair()
     rep = validate_profiles(pair)
     out.append(f"profiles ((A1)-(A3)): {'pass' if rep.passed else 'FAIL'}")
     out += ["  " + ln.strip() for ln in str(rep).splitlines()]
-    region = cfg.geometry.build_region(eps)
+    region = cfg.geometry.build_region(cfg.widest_eps())
     tensor = cfg.build_tensor()
     ell = check_pointwise_ellipticity(tensor, region)
     out.append(str(ell))
@@ -215,9 +214,8 @@ def _run_single_solve(cfg: RunConfig, em: _Emitter, log) -> str:
     df, rep = b.field, b.report
     log(b.event("solve", "", times=times))
     X1, T = b.coords
-    u = np.moveaxis(df.values, 0, -1)
     flat = np.concatenate([X1.reshape(-1, 1), T.reshape(-1, 1),
-                           u.reshape(-1, df.N)], axis=-1)
+                           df.values.reshape(-1, df.N)], axis=-1)
     cols = ["xprime0", "t"] + ["u%d" % i for i in range(df.N)]
     em.write("solution.csv", _float_csv(flat, ",".join(cols)))
     return (f"single solve at eps {eps:g}: method {rep.method}, "

@@ -27,6 +27,7 @@ import numpy as np
 from . import ansatz as _ansatz
 from . import coefficients as _coeff
 from . import geometry as _geom
+from .discretize import CLOSURES
 
 
 class ConfigError(ValueError):
@@ -119,7 +120,7 @@ def _pad_rows(rows, N):
 class SolverConfig:
     tangential_nodes: int = 257
     vertical_nodes: int = 65
-    closure: str = "ansatz"          # "ansatz" | "constant"
+    closure: str = "ansatz"          # one of discretize.CLOSURES
     lateral_value: tuple | None = None
     grid_scale: float = 1.0
 
@@ -169,18 +170,20 @@ class RunConfig:
     def build_tensor(self) -> _coeff.CoefficientTensor:
         return self.tensor.build(self.reach())
 
+    def widest_eps(self):
+        """The widest gap of any sweep or single solve: the sweep head or ``geometry.epsilon``."""
+        return max(max(self.experiment.eps_list or DEFAULT_EPS + DECAY_EPS),
+                   self.geometry.epsilon or 0.0)
+
     def reach(self):
         """The largest |x1| and |x2| of every grid this config solves or samples on.
 
         The grids cover |x1| <= 2 R0 and h2 <= x2 <= eps + h1 at the widest
-        eps of any sweep or single solve; the profiles bound |h| from their
-        coefficients.
+        eps; the profiles bound |h| from their coefficients.
         """
-        eps = max(self.experiment.eps_list or DEFAULT_EPS + DECAY_EPS)
         pair = self.geometry.build_pair()
         r = 2 * pair.R0
-        return r, max(eps, self.geometry.epsilon or 0.0) + max(pair.h1.bound(r),
-                                                               pair.h2.bound(r))
+        return r, self.widest_eps() + max(pair.h1.bound(r), pair.h2.bound(r))
 
     def to_dict(self):
         return asdict(self)
@@ -378,7 +381,7 @@ def validate_config(cfg: RunConfig):
     else:
         v += _unread(t, ("perturb_poly",), "tensor", "an unperturbed tensor (perturb_scale 0)")
     v += _coefficient_violations(tr) or _beyond_n(tr, cfg.N)
-    if s.closure not in ("ansatz", "constant"):
+    if s.closure not in CLOSURES:
         v.append(f"solver: unknown closure {s.closure!r}")
     if s.closure == "constant" and s.lateral_value is None:
         v.append("solver: constant closure requires lateral_value")

@@ -38,6 +38,11 @@ on the boundary strips alone, and the backward error's K x is summed from it
 over the interior.  The coupling, the triangular solves and the backward
 error each run once over the stack.  ``LinearSystem.matrix`` is kept for the
 tests and for the benchmark's read of its shape.  No sparse matrix is built.
+
+The stack of unknowns is component-major, (k, N, *shape), and only the
+linear algebra reads it; every other array is node-major, as the ansatz is:
+values (*shape, N), gradients (*shape, N, 2).  ``right_hand_side`` converts
+into the stack and ``solve_bvp`` out of it.
 """
 
 from __future__ import annotations
@@ -344,7 +349,7 @@ def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
     """Dirichlet values on the boundary rows, zero on the interior rows.
 
     ``boundary_values`` has shape (*shape, N); only its boundary entries are
-    read.  The right-hand side has the grid shape of the unknowns, (N, *shape).
+    read.  The right-hand side is a component-major row (N, *shape) of the stack.
     """
     shape, N = ls.grid.shape, ls.N
     bv = np.asarray(boundary_values, dtype=float)
@@ -549,34 +554,35 @@ def solve_linear(ls: LinearSystem, B):
 
 @dataclass
 class DiscreteField:
-    """Grid solution with mapped-coordinate differentiation and unmapping."""
+    """Grid solution with mapped-coordinate differentiation and unmapping,
+    node-major: values (*shape, N), gradients (*shape, N, 2)."""
 
     grid: BoxGrid
     region: NarrowRegion
-    values: np.ndarray            # (N, *shape)
+    values: np.ndarray            # (*shape, N)
     jacobian: np.ndarray | None = field(default=None, repr=False)   # box_jacobian, if known
     _grad_cache: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def N(self):
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def mapped_gradient(self):
-        """d û / d(x1, t) at every node, shape (N, 2, *shape); second order."""
-        out = np.empty((self.N, 2) + self.grid.shape)
+        """d û / d(x1, t) at every node, shape (*shape, N, 2); second order."""
+        out = np.empty(self.grid.shape + (self.N, 2))     # C order: the norms sum in it
         for a, h in enumerate(self.grid.spacing):
-            out[:, a] = _diff_axis(self.values, 1 + a, h)
+            out[..., a] = _diff_axis(self.values, a, h)
         return out
 
     def gradient_nodes(self):
-        """Physical gradients G^T grad_y u at nodes, shape (N, 2, *shape)."""
+        """Physical gradients G^T grad_y u at nodes, shape (*shape, N, 2)."""
         if self._grad_cache is None:
             dv = self.jacobian
             if dv is None:
                 dv = box_jacobian(self.region, self.grid)       # (*shape, 2)
             g = self.mapped_gradient()
-            g[:, 0] += g[:, 1] * dv[..., 0]                     # d_1 u + d_t u d1 v
-            g[:, 1] *= dv[..., 1]                               # d_t u d2 v
+            g[..., 0] += g[..., 1] * dv[..., None, 0]           # d_1 u + d_t u d1 v
+            g[..., 1] *= dv[..., None, 1]                       # d_t u d2 v
             g.flags.writeable = False                           # shared by every reader
             self._grad_cache = g
         return self._grad_cache
@@ -591,37 +597,31 @@ class DiscreteField:
             fracs.append(np.clip(f, 0.0, len(ax) - 1))
         return fracs
 
-    def _interpolate(self, nodal, x1, t, first=0):
-        """Bilinear interpolation of a (*shape,)-leading nodal array at (x1, t).
+    def _interpolate(self, nodal, x1, t):
+        """Bilinear interpolation of a nodal array (*shape, ...) at (x1, t).
 
-        ``nodal`` may hold the x1 columns from ``first`` on only, as long as
-        they cover the cells of (x1, t).  The corners are summed in the
-        order (i, j), (i+1, j), (i, j+1), (i+1, j+1), each weight formed x1
-        factor first: the order of the 2^n corner loop the tests keep as
-        reference, so the sum rounds the same.
+        The corners are summed in the order (i, j), (i+1, j), (i, j+1),
+        (i+1, j+1), each weight formed x1 factor first: the order of the 2^n
+        corner loop the tests keep as reference, so the sum rounds the same.
         """
         fx, ft = self._box_fractions(x1, t)
         i = np.minimum(np.floor(fx).astype(int), self.grid.shape[0] - 2)
         j = np.minimum(np.floor(ft).astype(int), self.grid.shape[1] - 2)
         wx, wt = fx - i, ft - j
         ux, ut = 1.0 - wx, 1.0 - wt
-        i = i - first
-        return (nodal[i, j] * np.asarray(ux * ut)[..., None]
-                + nodal[i + 1, j] * np.asarray(wx * ut)[..., None]
-                + nodal[i, j + 1] * np.asarray(ux * wt)[..., None]
-                + nodal[i + 1, j + 1] * np.asarray(wx * wt)[..., None])
+        tail = (...,) + (None,) * (nodal.ndim - 2)       # weights over the trailing axes
+        return (nodal[i, j] * np.asarray(ux * ut)[tail]
+                + nodal[i + 1, j] * np.asarray(wx * ut)[tail]
+                + nodal[i, j + 1] * np.asarray(ux * wt)[tail]
+                + nodal[i + 1, j + 1] * np.asarray(wx * wt)[tail])
 
     def recover_gradient(self, x1, t):
         """(..., N, 2) gradient at (x1, t): interpolated nodal physical gradients."""
-        g = self.gradient_nodes()                            # (N, 2, *shape)
-        nodal = np.moveaxis(g.reshape((self.N * 2,) + self.grid.shape), 0, -1)
-        flat = self._interpolate(nodal, x1, t)
-        return flat.reshape(flat.shape[:-1] + (self.N, 2))
+        return self._interpolate(self.gradient_nodes(), x1, t)
 
     def l2_norm(self):
         """Mapped midpoint quadrature of |u|^2 with Jacobian delta(x')."""
-        u = np.moveaxis(self.values, 0, -1)
-        u = 0.5 * (u[:-1] + u[1:])
+        u = 0.5 * (self.values[:-1] + self.values[1:])
         u = 0.5 * (u[:, :-1] + u[:, 1:])
         x1 = self.grid.axes[0]
         dlt = self.region.delta(0.5 * (x1[:-1] + x1[1:])[:, None])      # cell columns
@@ -688,9 +688,9 @@ def solve_bvp(system: LinearSystem, region: NarrowRegion, B, jacobian=None):
     rows are solved in one pass (``solve_linear``).  Returns (rows, times):
     per row a (DiscreteField, SolveReport), or the SolverError that stopped
     that row alone, and the pass's times; a failed factorization raises.
-    Every field shares ``jacobian`` (``box_jacobian``), if given.
+    Each field views its row node-major and shares ``jacobian`` (``box_jacobian``), if given.
     """
     X, reports, times = solve_linear(system, B)
     return [rep if isinstance(rep, SolverError) else
-            (DiscreteField(system.grid, region, x, jacobian), rep)
+            (DiscreteField(system.grid, region, np.moveaxis(x, 0, -1), jacobian), rep)
             for x, rep in zip(X, reports)], times

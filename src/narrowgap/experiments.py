@@ -24,7 +24,8 @@ configs at a point share one set-up (``PointSetup``: region, tensor, grid,
 node coordinates, box Jacobian, inner mask), built once per point; each
 config has one SolveBundle there, with its traces, right-hand side, ansatz
 field (which computes kernel rows only for a corrected jet) and one memo,
-the remainder per ``corrected`` flag, which thm11 and cor41 read alike.
+the remainder grad u - grad ubar per ``corrected`` flag, which thm11, cor41
+and energy read alike.
 
 The bounded-remainder claims fit the asymptotic tail of the sweep
 (eps <= EPS_FIT_MAX) rather than the full window: the remainder approaches
@@ -207,7 +208,7 @@ def _norm(E):
 
 
 class SolveBundle:
-    """Everything the statistics need about one (eps, grid) solve."""
+    """Everything the statistics need about one (eps, grid) solve; ``remainder`` is its memo."""
 
     def __init__(self, cfg: RunConfig, point: PointSetup, system=None):
         """Set up the solve of ``cfg`` at ``point`` against ``system``.
@@ -251,19 +252,18 @@ class SolveBundle:
             ev["shared_with"] = shared_with
         return ev
 
-    @property
-    def grad_num(self):
-        """Numeric gradients as (*shape, N, n): a view of the field's read-only gradient."""
-        return np.moveaxis(self.field.gradient_nodes(), (0, 1), (-2, -1))
-
-    def remainder_inner(self, corrected=True):
-        """|grad u - grad ubar| at the inner nodes; the bundle's memo, read-only."""
+    def remainder(self, corrected=True):
+        """grad u - grad ubar at every node, (*shape, N, n); the bundle's memo, read-only."""
         if corrected not in self._remainder:
             X1, T = self.coords
-            r = _norm(self.grad_num - self.ansatz.gradient(X1[:, :1], T, corrected))[self.inner]
+            r = self.field.gradient_nodes() - self.ansatz.gradient(X1[:, :1], T, corrected)
             r.flags.writeable = False
             self._remainder[corrected] = r
         return self._remainder[corrected]
+
+    def remainder_inner(self, corrected=True):
+        """|grad u - grad ubar| at the inner nodes."""
+        return _norm(self.remainder(corrected))[self.inner]
 
     @cached_property
     def c2_norms(self):
@@ -287,7 +287,8 @@ class SolveBundle:
     def column_max(self, E, xprime):
         """max |E| over the interior of the vertical column nearest x'.
 
-        ``E`` is a gradient field of shape (*shape, N, n), such as ``grad_num``.
+        ``E`` is a gradient field of shape (*shape, N, n), such as the
+        field's ``gradient_nodes()``.
         """
         col = E[int(np.argmin(np.abs(self.grid.axes[0] - xprime)))]
         return float(_norm(col)[1:-1].max())
@@ -364,19 +365,19 @@ def _stat_sup_normalized(b: SolveBundle):
 
 
 def _stat_sup_grad(b: SolveBundle):
-    return float(_norm(b.grad_num)[b.inner].max())
+    return float(_norm(b.field.gradient_nodes())[b.inner].max())
 
 
 def _stat_shortest_segment(b: SolveBundle):
-    return b.column_max(b.grad_num, 0.0)
+    return b.column_max(b.field.gradient_nodes(), 0.0)
 
 
 def _stat_monomial_point(b: SolveBundle):
-    return b.column_max(b.grad_num, b.eps ** (1.0 / b.region.profiles.m))
+    return b.column_max(b.field.gradient_nodes(), b.eps ** (1.0 / b.region.profiles.m))
 
 
 def _stat_decay_normalized(b: SolveBundle):
-    return b.column_max(b.grad_num, 0.0) / b.field.l2_norm()
+    return b.column_max(b.field.gradient_nodes(), 0.0) / b.field.l2_norm()
 
 
 def _stat_cor41_thetabar(b: SolveBundle):
@@ -394,7 +395,7 @@ def _stat_energy_ratio(b: SolveBundle):
     Blind to the correction: ``_judge_energy`` says why.
     """
     dlt0 = float(b.region.delta(0.0))
-    E = local_energy(b.field, b.ansatz, 0.0, dlt0)
+    E = local_energy(b.field, b.remainder(), 0.0, dlt0)
     th0 = float(_ans.theta(b.traces, 0.0))
     denom = dlt0 ** 2 * (th0 ** 2 + dlt0 ** 2 * b.c2_norms ** 2)
     return float(E / denom)
@@ -419,16 +420,16 @@ STATISTICS = {
 # windowed energy (spot check of the localized estimate)
 # ---------------------------------------------------------------------------
 
-def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
-                 radius: float, nq=ENERGY_QUAD) -> float:
-    """Integral of |grad(u - ubar)|^2 over the window |x1 - zprime| < radius.
+def local_energy(df: _disc.DiscreteField, remainder, zprime, radius: float,
+                 nq=ENERGY_QUAD) -> float:
+    """Integral of |remainder|^2 over the window |x1 - zprime| < radius.
 
-    Midpoint quadrature in mapped coordinates with Jacobian delta(x').  The
-    remainder gradient is formed at the grid nodes first (so the huge common
-    1/delta parts of both gradients cancel exactly there) and then
-    interpolated; this keeps sub-cell windows meaningful, which the smallest
-    gap widths need because the window radius delta(0') shrinks below the
-    tangential spacing.
+    ``remainder`` is a field (*shape, N, n) on the grid of ``df``, such as
+    ``SolveBundle.remainder``.  Midpoint quadrature in mapped coordinates
+    with Jacobian delta(x') of the interpolated nodal grad(u - ubar): formed
+    at the nodes, the huge common 1/delta parts of both gradients cancel
+    exactly, which keeps sub-cell windows meaningful; the smallest gap widths
+    need them because the window radius delta(0') shrinks below the spacing.
     """
     region = df.region
     z = float(zprime)
@@ -443,18 +444,8 @@ def local_energy(df: _disc.DiscreteField, ansatz: _ans.AnsatzField, zprime,
     YQ, TQ = (m.ravel() for m in np.meshgrid(yq, tq, indexing="ij"))
     keep = (YQ - z) ** 2 <= radius ** 2 * (1 + 1e-12)
     YQ, TQ = YQ[keep], TQ[keep]
-
-    # the remainder on the columns the interpolation reads (one spare each
-    # side), interpolated from those columns alone
-    x1, t = df.grid.axes
-    f = (YQ - x1[0]) / (x1[1] - x1[0])
-    cols = slice(max(int(np.floor(f.min())) - 1, 0),
-                 min(int(np.floor(f.max())) + 3, len(x1)))
-    gw = df.gradient_nodes()[:, :, cols] - np.moveaxis(
-        ansatz.gradient(x1[cols, None], t), (-2, -1), (0, 1))
-    nodal = np.moveaxis(gw.reshape((-1,) + gw.shape[2:]), 0, -1)
-    vals = df._interpolate(nodal, YQ, TQ, first=cols.start)
-    w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ)
+    vals = df._interpolate(remainder, YQ, TQ)
+    w2 = np.sum(vals * vals, axis=(-2, -1)) * region.delta(YQ)
     cell = (2 * radius / nqy) * (1.0 / nqt)
     return float(w2.sum() * cell)
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from narrowgap.ansatz import _generic_kernel, apply_operator, build_ansatz
 from narrowgap.coefficients import ConstructionError
-from narrowgap.discretize import (DiscreteField, assemble, dirichlet_values, right_hand_side,
-                                  solve_bvp, solve_linear, transform_operator)
+from narrowgap.discretize import (assemble, dirichlet_values, right_hand_side, solve_bvp,
+                                  transform_operator)
 from narrowgap.experiments import SweepRequest, _eps_list, run_sweeps
 from narrowgap.geometry import _PATCH_TOL, GeometryError, PowerProfile, _safe_pow
 
@@ -219,22 +219,22 @@ def solve_manufactured(tensor, region, grid, mms):
 
     The system is assembled as a run assembles it.  The exact values go on
     the Dirichlet rows and -delta F, the transformed forcing of
-    ``manufactured_forcing``, on the interior rows; ``solve_linear`` solves it
+    ``manufactured_forcing``, on the interior rows; ``solve_bvp`` solves it
     as a stack of one, and its SolverError raises.
     """
     ls = assemble(transform_operator(tensor, region, grid))
     X1, T = grid.node_coords()
     x = region.from_box(X1, T)
     Ftil = region.delta(X1)[..., None] * manufactured_forcing(tensor, mms)(x)
-    (u,), (rep,), _ = solve_linear(ls, forced_right_hand_side(ls, mms.value(x), Ftil)[None])
-    if isinstance(rep, Exception):
-        raise rep
-    return DiscreteField(grid, region, u), rep
+    (got,), _ = solve_bvp(ls, region, forced_right_hand_side(ls, mms.value(x), Ftil)[None])
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def value_at(df, x1, t):
     """(..., N) bilinear interpolant of the nodal solution of ``df`` at (x1, t)."""
-    return df._interpolate(np.moveaxis(df.values, 0, -1), x1, t)
+    return df._interpolate(df.values, x1, t)
 
 
 # ---------------------------------------------------------------------------

@@ -136,10 +136,8 @@ def test_criterion_3_solver_order():
         df, _ = solve_manufactured(tensor, region, grid, mms)
         X1, T = grid.node_coords()
         x = region.from_box(X1, T)
-        errs_u.append(float(np.abs(np.moveaxis(df.values, 0, -1)
-                                   - mms.value(x)).max()))
-        gn = np.moveaxis(df.gradient_nodes(), (0, 1), (-2, -1))
-        errs_g.append(float(np.abs(gn - mms.grad(x)).max()))
+        errs_u.append(float(np.abs(df.values - mms.value(x)).max()))
+        errs_g.append(float(np.abs(df.gradient_nodes() - mms.grad(x)).max()))
         hs.append(grid.spacing[1])
     order_u = float(np.polyfit(np.log(hs), np.log(errs_u), 1)[0])
     order_g = float(np.polyfit(np.log(hs), np.log(errs_g), 1)[0])

@@ -217,6 +217,22 @@ class TestRun:
         assert "[pass] pointwise Legendre (symmetric-xi): min quotient 1.861 vs declared 1.624" \
             in out
 
+    def test_validate_checks_the_gap_of_a_single_solve_wider_than_the_sweep(self, tmp_path,
+                                                                             capsys):
+        # A^nn = A0^nn (1 - 4 x2) is positive at the sweep head eps = 0.05 but
+        # indefinite at geometry.epsilon = 0.3, the widest gap the config
+        # solves (narrowgap solve runs there), so validate fails
+        data = {"geometry": {"m": 2, "R0": 0.1, "epsilon": 0.3},
+                "tensor": {"kind": "lame", "perturb_scale": -4.0,
+                           "perturb_poly": [[1.0, [0, 1]]]},
+                "traces": {"phi": [[1.0], [0.0]], "psi": [[0.0], [0.0]]},
+                "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
+                "experiment": {"eps_list": [0.05, 0.02, 0.01, 0.005]}}
+        assert config_from_dict(data).widest_eps() == 0.3
+        p = write_cfg(tmp_path, data)
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 1
+        assert "[FAIL] A^nn loses positive definiteness" in capsys.readouterr().out
+
     def test_validate_command_solve_free(self, tmp_path):
         cfg = config_from_dict({**MINI, "output": {"dir": str(tmp_path / "v")}})
         report = run(cfg, "validate")

@@ -776,7 +776,7 @@ class TestSolveBVP:
         grid = BoxGrid(17, 9, 1.0)
         df, rep = solve_one(LAP, reg, tr, grid)
         _, T = grid.node_coords()
-        assert np.abs(df.values[0] - T).max() <= 1e-12
+        assert np.abs(df.values[..., 0] - T).max() <= 1e-12
 
     def test_mms_convergence_second_order(self):
         assert _mms_order(LAME) == pytest.approx(2.0, abs=0.2)
@@ -801,7 +801,7 @@ class TestSolveBVP:
             df, _ = solve_manufactured(LAP, reg, grid, mms)
             X1, T = grid.node_coords()
             x = reg.from_box(X1, T)
-            return np.abs(df.values[0] - mms.value(x)[..., 0]).max()
+            return np.abs(df.values[..., 0] - mms.value(x)[..., 0]).max()
 
         base = err(17, 9)
         assert err(33, 9) < base
@@ -823,7 +823,7 @@ class TestSolveBVP:
         for ny, nt in ((17, 5), (33, 9), (65, 17)):
             df, _ = solve_one(LAME, reg, tr, grid_for(reg, ny, nt))
             step = (128 // (ny - 1), 32 // (nt - 1))
-            coarse_on_fine = fine.values[:, ::step[0], ::step[1]]
+            coarse_on_fine = fine.values[::step[0], ::step[1]]
             diffs.append(np.abs(df.values - coarse_on_fine).max())
         assert diffs[2] < diffs[1] < diffs[0]
 
@@ -838,7 +838,7 @@ def _mms_order(tensor):
         df, _ = solve_manufactured(tensor, reg, grid, mms)
         X1, T = grid.node_coords()
         x = reg.from_box(X1, T)
-        errs.append(np.abs(np.moveaxis(df.values, 0, -1) - mms.value(x)).max())
+        errs.append(np.abs(df.values - mms.value(x)).max())
         hs.append(grid.spacing[1])
     return np.polyfit(np.log(hs), np.log(errs), 1)[0]
 
@@ -879,7 +879,7 @@ class TestRecoverGradient:
         grid = grid_for(reg, 33, 9)
         X1, T = grid.node_coords()
         x = reg.from_box(X1, T)
-        df = DiscreteField(grid, reg, x[..., -1][None])     # u = x_n
+        df = DiscreteField(grid, reg, x[..., -1:])          # u = x_n
         rng = np.random.default_rng(4)
         pts = (rng.uniform(-0.9, 0.9, 50), rng.uniform(0.1, 0.9, 50))
         g = df.recover_gradient(*pts)
@@ -895,7 +895,7 @@ class TestRecoverGradient:
         for ny, nt in ((33, 9), (65, 17), (129, 33), (257, 65)):
             grid = grid_for(reg, ny, nt)
             X1, T = grid.node_coords()
-            df = DiscreteField(grid, reg, vbar(reg, reg.from_box(X1, T))[None])
+            df = DiscreteField(grid, reg, vbar(reg, reg.from_box(X1, T))[..., None])
             got = df.recover_gradient(*pts)[:, 0, :]
             errs.append(np.abs(got - want).max())
             hs.append(grid.spacing[0])
@@ -913,7 +913,7 @@ class TestRecoverGradient:
         df, _ = solve_one(tensor, reg, tr, grid_for(reg, 33, 17))
         X1, T = df.grid.node_coords()
         G = box_jacobian(reg, X1[:, :1], T)
-        want = np.einsum("...aA,ia...->iA...", G, df.mapped_gradient())
+        want = np.einsum("...aA,...ia->...iA", G, df.mapped_gradient())
         got = df.gradient_nodes()
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -934,11 +934,9 @@ class TestRecoverGradient:
         ts = np.concatenate([rng.uniform(0.01, 0.99, 40), t[rng.integers(0, len(t), k)],
                              rng.uniform(0.0, 1.0, 2 * k), np.repeat([0.0, 1.0], k)])
         pts = (xs, ts)
-        nodal = np.moveaxis(df.values, 0, -1)
         assert np.array_equal(value_at(df, *pts),
-                              corner_loop_interpolant(df.grid, nodal, *pts))
-        g = df.gradient_nodes()
-        nodal = np.moveaxis(g.reshape((-1,) + df.grid.shape), 0, -1)
+                              corner_loop_interpolant(df.grid, df.values, *pts))
+        nodal = df.gradient_nodes().reshape(df.grid.shape + (-1,))
         want = corner_loop_interpolant(df.grid, nodal, *pts).reshape(-1, 2, 2)
         assert np.array_equal(df.recover_gradient(*pts), want)
 
@@ -946,7 +944,7 @@ class TestRecoverGradient:
         reg = flat_region(eps=0.5)
         grid = BoxGrid(9, 9, 1.0)
         _, T = grid.node_coords()
-        df = DiscreteField(grid, reg, T[None])
+        df = DiscreteField(grid, reg, T[..., None])
         with pytest.raises(GeometryError):
             df.recover_gradient(np.array([1.7]), np.array([0.4]))
 
@@ -955,7 +953,7 @@ def test_l2_norm_against_exact_integral():
     # |u| = 1: the squared norm is the region volume int delta dx'
     reg = curved_region(eps=0.2, upper=1.0)
     grid = grid_for(reg, 257, 17)
-    df = DiscreteField(grid, reg, np.ones((1,) + grid.shape))
+    df = DiscreteField(grid, reg, np.ones(grid.shape + (1,)))
     w = 2 * reg.R0
     exact = 2 * w * 0.2 + 2 * w**3 / 3          # int (eps + x^2) over [-w, w]
     assert df.l2_norm() == pytest.approx(np.sqrt(exact), rel=1e-4)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from narrowgap.ansatz import AnsatzField, BoundaryTraces, PolyTrace, build_ansatz, theta
 from narrowgap.coefficients import LameParameters, make_lame
 from narrowgap.config import DECAY_EPS, ConfigError, config_from_dict, parse_config
-from narrowgap.discretize import DiscreteField, grid_for
+from narrowgap.discretize import DiscreteField, dirichlet_values, grid_for
 from narrowgap.experiments import (_RESIDUAL_SAMPLES, CHECKS, NOISE_FLOOR, STATISTICS, Claim,
                                    DataError, SolveBundle, SweepPoint,
                                    SweepRequest, SweepResult, ZERO_DATA, _judge_claims, fit_rate,
@@ -427,13 +427,13 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
     # the configs at a point differ in traces and closure only, so they share
     # one set-up: the tensor, the region, the grid's coordinates, the box
     # Jacobian and the inner-node mask are built once per point and the
-    # traces once per bundle.  Each field computes its own kernel rows: 6
+    # traces once per bundle.  Each field computes its own kernel rows: 5
     # calls per point, one for the lateral faces of each of the 4
-    # ansatz-closure configs, one for the grid's columns and one for the
-    # energy window.  The ansatz gradient is evaluated 3 times per point,
-    # none repeated: the corrected and the uncorrected remainder of the
-    # config thm11, cor41 and energy share, each computed once for all of
-    # them, and energy's window.  Over the whole run the tensor is built
+    # ansatz-closure configs and one for the grid's columns.  The ansatz
+    # gradient is evaluated twice per point, none repeated: the corrected
+    # and the uncorrected remainder of the config thm11, cor41 and energy
+    # share, each computed once for all of them; energy's window reads the
+    # corrected one.  Over the whole run the tensor is built
     # once more by the hypothesis summary, once more by the residual sweep,
     # which builds the traces once more too, and once more by thm11's judge;
     # no plan builds either
@@ -496,11 +496,11 @@ def test_each_sweep_input_is_built_once_at_its_level(monkeypatch, tmp_path):
                      "NarrowRegion.vbar_grad": 14,
                      "narrowgap.ansatz._generic_kernel": len(kernels),
                      "AnsatzField.gradient": len(gradients)}
-    assert len(kernels) == 84 and set(Counter(p for p, *_ in kernels).values()) == {6}
+    assert len(kernels) == 70 and set(Counter(p for p, *_ in kernels).values()) == {5}
     assert sum(shape == (2, 1) and order == 0 for _, shape, _, order in kernels) == 4 * 14
-    assert len(gradients) == 3 * 14 and len(set(gradients)) == len(gradients)
-    assert set(Counter(p for p, *_ in gradients).values()) == {3}
-    assert Counter(corrected for *_, corrected in gradients) == {True: 2 * 14, False: 14}
+    assert len(gradients) == 2 * 14 and len(set(gradients)) == len(gradients)
+    assert set(Counter(p for p, *_ in gradients).values()) == {2}
+    assert Counter(corrected for *_, corrected in gradients) == {True: 14, False: 14}
     assert len(inners) == 14 and all(len(masks) == 4 and all(a is masks[0] for a in masks)
                                      for masks in inners.values())
     assert (total["TensorConfig.build"], total["TracesConfig.build"]) == (17, 57)
@@ -540,6 +540,23 @@ def test_a_failed_point_setup_fails_every_request_there(monkeypatch):
     assert (systems, bands) == (0, 0)
 
 
+def test_a_solved_field_is_node_major_like_its_dirichlet_data():
+    # the field hands out values (*shape, N) and gradients (*shape, N, 2),
+    # the layouts of the Dirichlet data and of the ansatz: its boundary
+    # nodes carry the Dirichlet data bit for bit
+    cfg = small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
+                    traces={"phi": [[1.0, 0.3], [0.0, 0.2]], "psi": [[0.0], [0.1, -0.4]]})
+    (b,), _ = solve_point([cfg], 0.01, (17, 9))
+    assert isinstance(b, SolveBundle)
+    u, V = b.field.values, dirichlet_values(b.grid, b.traces, cfg.solver.closure, b.ansatz,
+                                            cfg.solver.lateral_value)
+    assert u.shape == V.shape == b.grid.shape + (cfg.N,)
+    for edge in ((0,), (-1,), (slice(None), 0), (slice(None), -1)):
+        assert np.array_equal(u[edge], V[edge])
+    X1, T = b.coords
+    assert b.field.gradient_nodes().shape == b.ansatz.gradient(X1[:, :1], T).shape
+
+
 def test_cached_arrays_are_read_only(monkeypatch):
     # one bundle serves every request of its config, so a statistic that
     # wrote into a cached array would change the next request's numbers
@@ -547,12 +564,12 @@ def test_cached_arrays_are_read_only(monkeypatch):
     (b,), _ = solve_point([cfg], 0.01, (17, 9))
     assert isinstance(b, SolveBundle) and b.system is None
     cached = {"XP": b.coords[0], "T": b.coords[1], "inner": b.inner,
-              "grad_num": b.grad_num, "gradient_nodes": b.field.gradient_nodes(),
-              **{f"remainder_inner_{c}": b.remainder_inner(c) for c in (True, False)}}
+              "gradient_nodes": b.field.gradient_nodes(),
+              **{f"remainder_{c}": b.remainder(c) for c in (True, False)}}
     assert not [name for name, a in cached.items() if a.flags.writeable]
 
     def writes(bundle):
-        bundle.grad_num[..., 0, 0] = 0.0
+        bundle.remainder()[..., 0, 0] = 0.0
         return 1.0
 
     monkeypatch.setitem(STATISTICS, "sup_grad", writes)
@@ -587,32 +604,30 @@ def energy_setup():
     traces = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
     af = build_ansatz(tensor, region, traces)
     df, _ = solve_one(tensor, region, traces, grid_for(region, 129, 33))
-    return region, af, df
+    X1, T = df.grid.node_coords()
+    return region, af, df, df.gradient_nodes() - af.gradient(X1[:, :1], T)
 
 
 class TestLocalEnergy:
 
     def test_injected_ansatz_gives_zero(self, energy_setup):
-        region, af, df = energy_setup
+        region, af, df, _ = energy_setup
         grid = df.grid
         X1, T = grid.node_coords()
-        exact = DiscreteField(grid, region,
-                              np.moveaxis(af.value(X1, T), -1, 0).copy())
-        # the carrier is the nodal difference, which vanishes identically
-        val = local_energy(exact, af, 0.0, 0.05)
+        exact = DiscreteField(grid, region, af.value(X1, T))
+        # the remainder is the nodal difference, which vanishes identically
+        remainder = exact.gradient_nodes() - af.gradient(X1[:, :1], T)
+        val = local_energy(exact, remainder, 0.0, 0.05)
         assert val <= 1e-16
 
     @pytest.mark.parametrize("center, radius", [(0.0, 0.05), (0.3, 0.013), (-0.99, 0.01)])
     def test_window_columns_match_the_whole_grid_carrier(self, energy_setup,
                                                          center, radius):
-        # the remainder is formed only on the columns the window reads; the
-        # same quadrature over a carrier built on every column gives the
-        # same bits
-        region, af, df = energy_setup
-        X1, T = df.grid.node_coords()
-        gw = df.gradient_nodes() - np.moveaxis(af.gradient(X1[:, :1], T),
-                                               (-2, -1), (0, 1))
-        carrier = DiscreteField(df.grid, region, gw.reshape((-1,) + df.grid.shape))
+        # the window reads the columns of the whole-grid remainder; the same
+        # quadrature over a carrier field whose values are that remainder,
+        # its (N, n) entries flattened, gives the same bits
+        region, af, df, remainder = energy_setup
+        carrier = DiscreteField(df.grid, region, remainder.reshape(df.grid.shape + (-1,)))
         nqy, nqt = 24, 48
         yq = center + (np.arange(nqy) + 0.5) / nqy * 2 * radius - radius
         tq = (np.arange(nqt) + 0.5) / nqt
@@ -621,20 +636,20 @@ class TestLocalEnergy:
         vals = value_at(carrier, YQ[keep], TQ[keep])
         w2 = np.sum(vals * vals, axis=-1) * region.delta(YQ[keep])
         want = float(w2.sum() * ((2 * radius / nqy) * (1.0 / nqt)))
-        assert local_energy(df, af, center, radius, nq=(nqy, nqt)) == want
+        assert local_energy(df, remainder, center, radius, nq=(nqy, nqt)) == want
 
     def test_quadrature_refinement_agrees(self, energy_setup):
-        region, af, df = energy_setup
-        a = local_energy(df, af, 0.0, 0.05, nq=(16, 32))
-        b = local_energy(df, af, 0.0, 0.05, nq=(48, 96))
+        region, af, df, remainder = energy_setup
+        a = local_energy(df, remainder, 0.0, 0.05, nq=(16, 32))
+        b = local_energy(df, remainder, 0.0, 0.05, nq=(48, 96))
         assert abs(a - b) <= 0.05 * abs(b)
 
     def test_window_outside_grid_refused(self, energy_setup):
-        region, af, df = energy_setup
+        region, af, df, remainder = energy_setup
         with pytest.raises(GeometryError):
-            local_energy(df, af, 0.95, 0.2)
+            local_energy(df, remainder, 0.95, 0.2)
         with pytest.raises(GeometryError):
-            local_energy(df, af, 0.0, -0.1)
+            local_energy(df, remainder, 0.0, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +753,7 @@ def test_shortest_segment_remainder_order_eps_when_gauge_vanishes(monkeypatch):
     # this statistic, max |grad(u - ubar)| on the shortest segment (Remark
     # 1.1), so the test registers it for the sweep.
     monkeypatch.setitem(STATISTICS, "shortest_remainder",
-                        lambda b: b.column_max(b.grad_num - b.ansatz.gradient(
-                            b.coords[0][:, :1], b.coords[1]), 0.0))
+                        lambda b: b.column_max(b.remainder(), 0.0))
     cfg = config_from_dict({
         "geometry": {"m": 2, "R0": 0.5},
         "tensor": {"kind": "lame", "lam": 1.0, "mu": 1.0},

@@ -10,6 +10,10 @@ it.  Dunders are called or read by Python itself.
 A statistic is reached by its key, a string, not by the name of its
 function: the ``STATISTICS`` table names every function, so each key must
 also be written by a plan somewhere else in ``src/``.
+
+The stack of unknowns is component-major and every other array is
+node-major, so only ``discretize.py``, which converts between the two, may
+move an axis.
 """
 
 import ast
@@ -80,3 +84,15 @@ def test_every_statistic_is_planned():
     assert keys, "no STATISTICS table found"
     unplanned = sorted(keys - written)
     assert not unplanned, f"statistics no src/ line names besides the table: {unplanned}"
+
+
+def test_only_discretize_moves_axes():
+    moved = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "discretize.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        moved += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "moveaxis" in (
+                      getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    assert not moved, "np.moveaxis outside discretize.py: " + ", ".join(moved)
