@@ -7,16 +7,20 @@ and all (every check named in the configuration).  Checks run together
 make one sweep: the matrix at each (eps, grid) is factored once, and each
 distinct check config solves against it once.
 
+Each command takes the hypothesis record (``_hypotheses``) at the gap it
+solves: validate at ``RunConfig.widest_eps()``, ansatz and solve at
+``_single_eps``, a check at ``RunConfig.sweep_head()``.  If one fails, validate
+FAILs and any other command is ABORTED, naming it, before any plan or solve.
+
 Every run writes to the output directory:
   config_echo.json   the parsed configuration with defaults filled
   <check>_<stat>.csv sweep tables (full float precision; the clean points
                      are the rows with flagged 0)
   fits.json          fit summaries as structured records
-  report.txt         human-readable report: validation, verdicts, the
-                     flagged points (check, statistic, eps, grid, reason,
-                     rel_change), a digest manifest and, last, a timings
-                     block: the solve events' stage times summed per check
-                     and grid
+  report.txt         human-readable report: the hypothesis record and its
+                     gap, verdicts, the flagged points (check, statistic,
+                     eps, grid, reason, rel_change), a digest manifest and,
+                     last, the solve events' stage times per check and grid
   runlog.jsonl       solve events (check, case, eps, grid, assemble_s,
                      factor_s, solve_s, stats_s, reused, residual, fill; a
                      point's times are on its first event, with reused
@@ -32,8 +36,8 @@ is set; another count moved sweep values by up to 1.4e-13 relative);
 runlog.jsonl carries the timings and is the only other non-deterministic
 file (the manifest lists it without a digest).
 
-Exit status: 0 when every verdict is PASS or SKIPPED, 1 otherwise, 2 for
-configuration errors.
+Exit status: 0 when every verdict is PASS or SKIPPED, 1 otherwise (a
+failed hypothesis included), 2 for configuration errors.
 """
 
 from __future__ import annotations
@@ -146,25 +150,23 @@ def _float_csv(rows, header):
     return "\n".join(lines) + "\n"
 
 
-def _hypothesis_summary(cfg: RunConfig):
-    """Profile and tensor hypothesis checks at the widest gap the config solves."""
-    out = []
-    pair = cfg.geometry.build_pair()
-    rep = validate_profiles(pair)
-    out.append(f"profiles ((A1)-(A3)): {'pass' if rep.passed else 'FAIL'}")
+def _hypotheses(cfg: RunConfig, eps: float):
+    """The hypothesis record at gap ``eps``: (its lines, the first failed line or None).
+
+    In the order a failure is named: (A1)-(A3) on the profiles, a positive
+    definite A^nn (each correction vector G_l is solved with it), then
+    pointwise Legendre ellipticity.
+    """
+    rep = validate_profiles(cfg.geometry.build_pair())
+    region, tensor = cfg.geometry.build_region(eps), cfg.build_tensor()
+    out = [f"at eps {eps!r}", f"profiles ((A1)-(A3)): {'pass' if rep.passed else 'FAIL'}"]
     out += ["  " + ln.strip() for ln in str(rep).splitlines()]
-    region = cfg.geometry.build_region(cfg.widest_eps())
-    tensor = cfg.build_tensor()
-    ell = check_pointwise_ellipticity(tensor, region)
-    out.append(str(ell))
     try:
-        ann = check_ann(tensor, region)
+        out.append(str(check_ann(tensor, region)))
     except HypothesisViolationError as exc:
         out.append(f"[FAIL] {exc}")
-        return out, False
-    out.append(str(ann))
-    all_ok = rep.passed and ell.passed and ann.passed
-    return out, all_ok
+    out.append(str(check_pointwise_ellipticity(tensor, region)))
+    return out, next((ln.strip() for ln in out if ln.lstrip().startswith("[FAIL]")), None)
 
 
 def _fits_record(verdicts):
@@ -181,7 +183,7 @@ def _fits_record(verdicts):
 
 
 def _single_eps(cfg: RunConfig) -> float:
-    """Gap width for single-solve commands: geometry.epsilon, else the sweep head."""
+    """Gap width for single-solve commands: geometry.epsilon, else eps_list[0], else 1e-2."""
     if cfg.geometry.epsilon is not None:
         return cfg.geometry.epsilon
     return (cfg.experiment.eps_list or (1e-2,))[0]
@@ -230,17 +232,17 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
     report = RunReport(__version__, command)
     t_start = time.perf_counter()
 
-    validation, hyp_ok = _hypothesis_summary(cfg)
-    report.validation = validation
+    names = cfg.experiment.checks if command == "all" else (command,)
+    eps = (cfg.widest_eps() if command == "validate" else
+           _single_eps(cfg) if command in ("ansatz", "solve") else cfg.sweep_head())
+    report.validation, failed = _hypotheses(cfg, eps)
+    failure = failed and f"hypothesis fails at eps {eps!r}: {failed}"
 
     if command == "validate":
-        if not hyp_ok:
-            report.verdicts.append(Verdict("validate", "FAIL",
-                                           {"note": "hypothesis checks failed"}))
-        else:
-            report.verdicts.append(Verdict("validate", "PASS",
-                                           {"note": "profiles and tensor pass "
-                                                    "their declared hypotheses"}))
+        report.verdicts = [Verdict("validate", "FAIL" if failure else "PASS", {"note": failure or
+                                   "profiles and tensor pass their declared hypotheses"})]
+    elif failure:           # nothing is planned or solved at a gap that fails a hypothesis
+        report.verdicts = [Verdict(name, "ABORTED", {"error": failure}) for name in names]
     elif command in ("ansatz", "solve"):
         try:
             note = (_run_ansatz_emit(cfg, em) if command == "ansatz"
@@ -250,14 +252,13 @@ def run(cfg: RunConfig, command: str = "all", outdir=None) -> RunReport:
             report.verdicts.append(Verdict(command, "ABORTED",
                                            {"error": f"{type(exc).__name__}: {exc}"}))
     else:
-        names = cfg.experiment.checks if command == "all" else (command,)
-        for verdict in run_checks(cfg, names):
-            name = verdict.name
-            report.verdicts.append(verdict)
+        report.verdicts = run_checks(cfg, names)
+    if command not in ("validate", "ansatz", "solve"):
+        for verdict in report.verdicts:
             for stat, sr in sorted(verdict.sweeps.items()):
-                em.write(f"{name}_{stat}.csv", sr.to_csv())
+                em.write(f"{verdict.name}_{stat}.csv", sr.to_csv())
             events.extend(verdict.solver_events)
-            event = {"event": "check", "name": name, "status": verdict.status,
+            event = {"event": "check", "name": verdict.name, "status": verdict.status,
                      "elapsed": verdict.elapsed}
             if verdict.status == "ABORTED":
                 event["error"] = verdict.details.get("error")

@@ -170,10 +170,13 @@ class RunConfig:
     def build_tensor(self) -> _coeff.CoefficientTensor:
         return self.tensor.build(self.reach())
 
+    def sweep_head(self):
+        """The widest gap any check sweeps: the head of ``eps_list`` or of the defaults."""
+        return max(self.experiment.eps_list or DEFAULT_EPS + DECAY_EPS)
+
     def widest_eps(self):
         """The widest gap of any sweep or single solve: the sweep head or ``geometry.epsilon``."""
-        return max(max(self.experiment.eps_list or DEFAULT_EPS + DECAY_EPS),
-                   self.geometry.epsilon or 0.0)
+        return max(self.sweep_head(), self.geometry.epsilon or 0.0)
 
     def reach(self):
         """The largest |x1| and |x2| of every grid this config solves or samples on.

@@ -18,7 +18,7 @@ from narrowgap.cli import COMMANDS, RunReport, build_parser, main, run
 from narrowgap.coefficients import LameParameters, MultiPoly, make_lame, make_perturbed
 from narrowgap.config import (_BLOCKS, ConfigError, ExperimentConfig, OutputConfig,
                               config_from_dict, parse_config, validate_config)
-from narrowgap.experiments import CHECKS, SweepPoint, SweepResult, Verdict
+from narrowgap.experiments import CHECKS, SweepPoint, SweepResult, Verdict, run_checks
 
 MINI = {
     "geometry": {"m": 2, "R0": 0.5},
@@ -221,17 +221,37 @@ class TestRun:
                                                                              capsys):
         # A^nn = A0^nn (1 - 4 x2) is positive at the sweep head eps = 0.05 but
         # indefinite at geometry.epsilon = 0.3, the widest gap the config
-        # solves (narrowgap solve runs there), so validate fails
+        # solves.  validate and the single solves take the record at 0.3 and
+        # fail there before anything is solved; the checks sweep from 0.05
+        # and run as run_checks runs them
         data = {"geometry": {"m": 2, "R0": 0.1, "epsilon": 0.3},
                 "tensor": {"kind": "lame", "perturb_scale": -4.0,
                            "perturb_poly": [[1.0, [0, 1]]]},
                 "traces": {"phi": [[1.0], [0.0]], "psi": [[0.0], [0.0]]},
                 "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
                 "experiment": {"eps_list": [0.05, 0.02, 0.01, 0.005]}}
-        assert config_from_dict(data).widest_eps() == 0.3
+        cfg = config_from_dict(data)
+        assert (cfg.widest_eps(), cfg.sweep_head()) == (0.3, 0.05)
         p = write_cfg(tmp_path, data)
-        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 1
-        assert "[FAIL] A^nn loses positive definiteness" in capsys.readouterr().out
+        failure = "hypothesis fails at eps 0.3: [FAIL] A^nn loses positive definiteness"
+        for command in ("validate", "solve", "ansatz"):
+            out = tmp_path / command
+            assert main([command, "--config", str(p), "--out", str(out)]) == 1
+            text = capsys.readouterr().out
+            assert "  at eps 0.3\n" in text
+            if command == "validate":
+                assert f"[FAIL] validate\n      note: {failure}" in text
+                continue
+            assert f"[ABORTED] {command}\n      error: {failure}" in text
+            assert not (out / "solution.csv").exists()
+            assert not (out / "ansatz_field.csv").exists()
+            assert not any(e["event"] == "solve" for e in _runlog(out))
+        report = run(cfg, "all", outdir=tmp_path / "all")
+        assert report.validation[0] == "at eps 0.05"
+        assert not any("[FAIL]" in line for line in report.validation)
+        assert ([(v.name, v.status, v.details) for v in report.verdicts]
+                == [(v.name, v.status, v.details)
+                    for v in run_checks(cfg, cfg.experiment.checks)])
 
     def test_validate_command_solve_free(self, tmp_path):
         cfg = config_from_dict({**MINI, "output": {"dir": str(tmp_path / "v")}})
@@ -535,15 +555,17 @@ class TestRun:
                                                                    {"error": error})
 
     def test_ansatz_with_a_singular_normal_block_aborts(self, tmp_path):
-        # A^nn = 0 passes the config checks but no correction row can be
-        # solved: the ansatz command ABORTs with the error that names it and
-        # still writes its report, config echo and runlog, as solve does
+        # A^nn = 0 passes the config checks but fails the hypothesis record
+        # at eps 0.01: the ansatz command ABORTs, naming it, before any
+        # correction row is solved, and still writes its report, config echo
+        # and runlog, as solve does
         data = {"tensor": {"kind": "custom", "N": 1, "custom_A": [1, 0, 0, 0]},
                 "traces": {"phi": [[1.0]], "psi": [[0.0]]},
                 "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
                 "geometry": {"epsilon": 0.01}, "output": {"dir": str(tmp_path / "sing")}}
         assert main(["ansatz", "--config", str(write_cfg(tmp_path, data))]) == 1
-        error = "HypothesisViolationError: A^nn numerically singular at x' = (-1.0,)"
+        error = ("hypothesis fails at eps 0.01: [FAIL] A^nn loses positive definiteness "
+                 "at x = (-0.6666666666666667, 0.07574074074074075) (min eig 0)")
         text = (tmp_path / "sing" / "report.txt").read_text()
         assert f"[ABORTED] ansatz\n      error: {error}\n" in text
         assert (tmp_path / "sing" / "config_echo.json").exists()
@@ -731,7 +753,9 @@ def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch)
 
 
 def test_singular_vertical_block_fails_validation_and_aborts_checks(tmp_path):
-    # A = e_1 (x) e_1: elliptic nowhere in the vertical direction, A^nn = 0
+    # A = e_1 (x) e_1: elliptic nowhere in the vertical direction, A^nn = 0.
+    # The record at the sweep head eps = 0.01 fails, so every check is
+    # ABORTED with that failure before it plans or solves
     cfg = config_from_dict({
         "tensor": {"kind": "custom", "N": 1, "custom_A": [1, 0, 0, 0]},
         "traces": {"phi": [[1.0]], "psi": [[0.0]]},
@@ -741,20 +765,25 @@ def test_singular_vertical_block_fails_validation_and_aborts_checks(tmp_path):
         "output": {"dir": str(tmp_path / "s")}})
     report = run(cfg, "all")
     failure = "[FAIL] A^nn loses positive definiteness"
+    assert report.validation[0] == "at eps 0.01"
     assert failure in "\n".join(report.validation)
     assert failure in (tmp_path / "s" / "report.txt").read_text()
-    message = "HypothesisViolationError: A^nn numerically singular"
-    checks = {e["name"]: e for e in _runlog(tmp_path / "s") if e["event"] == "check"}
+    message = f"hypothesis fails at eps 0.01: {failure}"
+    events = _runlog(tmp_path / "s")
+    checks = {e["name"]: e for e in events if e["event"] == "check"}
     assert [v.name for v in report.verdicts] == list(cfg.experiment.checks)
+    assert not any(e["event"] == "solve" for e in events)
     for v in report.verdicts:
         assert v.status == "ABORTED"
         assert v.details["error"].startswith(message)
-        assert checks[v.name]["error"].startswith(message)
+        assert checks[v.name]["error"] == v.details["error"]
 
 
 def test_overflowing_coefficients_abort_every_check(tmp_path):
     # finite input whose pullback overflows: no verdict may pass or FAIL on
-    # the NaN statistics it would produce
+    # the NaN statistics it would produce.  cli.run stops every check, cor41
+    # included, on the record's A^nn failure; run_checks, which takes no
+    # record, meets the overflow where each check assembles or samples
     cfg = config_from_dict({
         "tensor": {"kind": "custom", "N": 1, "custom_A": [1e308, 0, 0, 1e308]},
         "traces": {"phi": [[1.0]], "psi": [[0.0]]},
@@ -762,19 +791,24 @@ def test_overflowing_coefficients_abort_every_check(tmp_path):
         "experiment": {"eps_list": [0.01, 0.005, 0.002, 0.001]},
         "output": {"dir": str(tmp_path / "o")}})
     report = run(cfg, "all")
-    assert "[FAIL] A^nn spectrum in [inf, inf] vs declared (inf, inf)" in report.validation
+    failure = "[FAIL] A^nn spectrum in [inf, inf] vs declared (inf, inf)"
+    assert failure in report.validation
     checks = {e["name"]: e for e in _runlog(tmp_path / "o") if e["event"] == "check"}
+    assert [v.name for v in report.verdicts] == list(cfg.experiment.checks)
+    for v in report.verdicts:
+        assert v.status == "ABORTED"
+        assert v.details["error"] == checks[v.name]["error"] == (
+            f"hypothesis fails at eps 0.01: {failure}")
     overflow = "AssemblyError: non-finite transformed A at node index (0, 4)"
     expected = {"thm11": overflow, "remark13": overflow, "decay": overflow,
                 "energy": overflow,
                 "residual": "non-finite or non-positive statistic inf at eps = 0.01 "
                             "(statistic 'residual_normalized')"}
-    ran = [v for v in report.verdicts if v.status != "SKIPPED"]
+    ran = [v for v in run_checks(cfg, cfg.experiment.checks) if v.status != "SKIPPED"]
     assert {v.name for v in ran} == set(expected)
     for v in ran:
         assert v.status == "ABORTED"
         assert v.details["error"] == expected[v.name]
-        assert checks[v.name]["error"] == expected[v.name]
 
 
 def test_custom_N_is_not_a_key(tmp_path, capsys):

@@ -14,6 +14,9 @@ also be written by a plan somewhere else in ``src/``.
 The stack of unknowns is component-major and every other array is
 node-major, so only ``discretize.py``, which converts between the two, may
 move an axis.
+
+The hypotheses are judged in one place: only ``cli.py`` calls the tensor
+checks, at the gap each command solves.
 """
 
 import ast
@@ -96,3 +99,16 @@ def test_only_discretize_moves_axes():
                   if isinstance(node, ast.Call) and "moveaxis" in (
                       getattr(node.func, "attr", None), getattr(node.func, "id", None))]
     assert not moved, "np.moveaxis outside discretize.py: " + ", ".join(moved)
+
+
+def test_only_cli_checks_the_tensor_hypotheses():
+    checks = {"check_ann", "check_pointwise_ellipticity"}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and checks & {
+                      getattr(node.func, "attr", None), getattr(node.func, "id", None)}]
+    assert not calls, "tensor hypothesis checks outside cli.py: " + ", ".join(calls)
