@@ -4,8 +4,8 @@ Subcommands: validate (hypothesis checks only), ansatz (emit leading-term
 samples), solve (single boundary-value solve), one per check in
 ``experiments.CHECKS`` (thm11, remark13, decay, cor41, residual, energy),
 and all (every check named in the configuration).  Checks run together
-make one sweep: the matrix at each (eps, grid) is factored once, and each
-distinct check config solves against it once.
+make one sweep per tensor, geometry and grid: the matrix at each (eps, grid)
+is factored once, and each distinct check config solves against it once.
 
 Each command takes the hypothesis record (``_hypotheses``) at the gap it
 solves: validate at ``RunConfig.widest_eps()``, ansatz and solve at

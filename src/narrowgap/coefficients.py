@@ -270,15 +270,16 @@ def check_pointwise_ellipticity(tensor: CoefficientTensor, region) -> Ellipticit
 
     The integral coercivity hypothesis is untestable directly; this measures
     the pointwise Legendre surrogate  A^{ab}_{ij} xi^i_a xi^j_b >= lam |xi|^2
-    at 5 interior samples per axis of ``region``.  The per-point minimum
-    over xi is exact: the smallest eigenvalue of the flattened (2N) x (2N)
-    symmetric part, restricted to symmetric xi for elasticity tensors.
+    at 5 interior samples per axis of ``region``, with a positive minimum
+    even under a declared lam of 0.  The per-point minimum over xi is exact:
+    the smallest eigenvalue of the flattened (2N) x (2N) symmetric part,
+    restricted to symmetric xi for elasticity tensors.
     """
     points = _sample_region_points(region, 5)
     quotients = _legendre_min(tensor.A(points), tensor.is_elasticity)
     kmin = int(np.argmin(quotients))
     min_quotient = float(quotients[kmin])
-    passed = min_quotient >= tensor.lam * (1 - 1e-9)
+    passed = min_quotient > 0 and min_quotient >= tensor.lam * (1 - 1e-9)
     return EllipticityReport(min_quotient, tensor.lam, passed, tensor.is_elasticity,
                              tuple(round(float(v), 12) for v in points[kmin]))
 

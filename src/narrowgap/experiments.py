@@ -14,10 +14,10 @@ a statistic's fit model, expected slope and band; one judge
 (``_judge_claims``) fits and tests them beside the check's own predicates.
 A skip is decided in one of two places: a plan returns a SKIPPED verdict
 for a reason of its own check (decay's zero lateral data, cor41's tensor
-kind), and ``_run`` skips each check that ``needs_data`` when phi - psi = 0.
-The matrix depends only on tensor, geometry, eps and grid, and a check's
-plan changes only the traces and the lateral closure, so checks run
-together (``run_checks``) make one sweep: its outer loop is (eps, grid),
+kind), and ``run_checks`` skips each check that ``needs_data`` when
+phi - psi = 0.  The matrix depends only on tensor, geometry, eps and grid,
+so the requests of checks run together (``run_checks``) make one sweep per
+sweep key (``_sweep_key``): its outer loop is (eps, grid),
 and at each point ``solve_point`` factors the operator once and solves the
 right-hand sides of the distinct request configs there in one pass.  The
 configs at a point share one set-up (``PointSetup``: region, tensor, grid,
@@ -174,7 +174,7 @@ class PointSetup:
     """What every config at one (eps, grid) reads alike: one build per point.
 
     The configs of a point share tensor, geometry and grid and differ only
-    in traces and closure (``run_sweeps`` refuses others), so one set-up
+    in traces and closure (one sweep per sweep key), so one set-up
     serves them all: the region, the tensor, the BoxGrid, its node
     coordinates, the box Jacobian (the transform and every gradient
     recovery read it) and the inner-node mask.  The arrays are read-only, as
@@ -297,8 +297,8 @@ class SolveBundle:
 def solve_point(cfgs, eps: float, nodes: tuple):
     """Set up, solve and time the distinct configs ``cfgs`` at one (eps, grid).
 
-    The configs share tensor, geometry and grid (``run_sweeps`` refuses
-    others), so they share one PointSetup, built from the first config; an
+    The configs share tensor, geometry and grid (one sweep per sweep
+    key), so they share one PointSetup, built from the first config; an
     error there fails every config at the point.  The
     first config whose bundle completes transforms and assembles the
     system, and the rest reuse it.  Each right-hand side is built after its
@@ -456,7 +456,10 @@ def local_energy(df: _disc.DiscreteField, remainder, zprime, radius: float,
 
 @dataclass(frozen=True)
 class SweepRequest:
-    """One case of a check: the configuration it solves and the statistics it reads."""
+    """One case of a check: the configuration it solves and the statistics it reads.
+
+    The config states the request's tensor, geometry (m included) and grid.
+    """
 
     cfg: RunConfig
     stats: tuple
@@ -486,37 +489,44 @@ def _eps_list(cfg: RunConfig, default=DEFAULT_EPS):
     return tuple(cfg.experiment.eps_list or default)
 
 
-def _sweep_key(cfg: RunConfig) -> dict:
+def _sweep_key(cfg: RunConfig) -> tuple:
     """Tensor, geometry and grid: all the matrices of a sweep depend on besides eps."""
-    return {"tensor": cfg.tensor, "geometry": cfg.geometry, "grid": cfg.solver.scaled_nodes()}
+    return cfg.tensor, cfg.geometry, cfg.solver.scaled_nodes()
 
 
 def run_sweeps(requests) -> list:
-    """Sweep every request in one sweep; one SweepOutcome per request, in order.
+    """One SweepOutcome per request, in order: one sweep per sweep key.
 
-    Every check's plan changes only the traces and the lateral closure, so
-    the requests of a run share tensor, geometry and grid; requests that do
-    not are refused.  The outer loop is (eps, grid), eps from the largest
-    down, so every request meets its points in its own order.  At each point
+    The requests are grouped by ``_sweep_key`` in first-seen order, and
+    each group is swept (``_sweep``) before the next, so one system is
+    alive at a time.
+    """
+    groups, outs = {}, [None] * len(requests)
+    for i, req in enumerate(requests):
+        groups.setdefault(_sweep_key(req.cfg), []).append(i)
+    for (_, _, base), members in groups.items():
+        for i, out in zip(members, _sweep([requests[i] for i in members], base)):
+            outs[i] = out
+    return outs
+
+
+def _sweep(requests, base) -> list:
+    """Sweep the requests of one sweep key on the ``base`` grid and its refinement.
+
+    The outer loop is (eps, grid), eps from the largest down, so every
+    request meets its points in its own order.  At each point
     ``solve_point`` sets up, solves and times the distinct configs of the
     requests still running there, on one PointSetup built there; nothing is
     kept from one point to the next, and a set-up that fails stops every
     request at the point.  Then each request runs its statistics on its
-    config's bundle, which is dropped before the next config's.  The
-    first request of a config to read its bundle logs the solve and the
-    others name it in ``shared_with``; the first event logged at the point
-    takes the point's times.  A request stops at its
-    first error, kept without its traceback, whose frames hold the system.
+    config's bundle, which is dropped before the next config's.  The first
+    request of a config to read its bundle logs the solve and the others
+    name it in ``shared_with``; the first event logged at the point takes
+    the point's times.  A request stops at its first error, kept without
+    its traceback, whose frames hold the system.
     """
     outs = [SweepOutcome() for _ in requests]
-    if not requests:
-        return outs
-    key = _sweep_key(requests[0].cfg)
-    differ = " and ".join(k for k in key
-                          if any(_sweep_key(r.cfg)[k] != key[k] for r in requests[1:]))
-    if differ:
-        raise ValueError(f"the requests of one sweep differ in {differ}")
-    grids = (key["grid"], tuple(2 * (k - 1) + 1 for k in key["grid"]))     # base, then refined
+    grids = (base, tuple(2 * (k - 1) + 1 for k in base))     # base, then refined
     rows = [{} for _ in requests]       # per request: eps -> one value dict per grid
     for eps in sorted({e for r in requests for e in r.eps_list}, reverse=True):
         for nodes in grids:
@@ -650,22 +660,15 @@ class Check:
     the verdict from those requests' SweepResults, in request order; a rate
     check hands its Claims and its own predicate to ``_judge_claims``.
     A check whose claim is about a nonzero trace difference sets
-    ``needs_data``: ``_run`` skips it when phi - psi = 0 and its plan
+    ``needs_data``: ``run_checks`` skips it when phi - psi = 0 and its plan
     returned requests, so a skip of the plan's own (cor41's tensor kind)
-    comes first.  Calling a Check runs it on its own; ``run_checks`` runs
-    several so that they share their sweeps.
+    comes first.
     """
 
     name: str
     plan: Callable
     judge: Callable
     needs_data: bool = False
-
-    def __call__(self, cfg: RunConfig) -> Verdict:
-        verdict, = _run([self], cfg)
-        if isinstance(verdict, Exception):
-            raise verdict
-        return verdict
 
 
 ZERO_DATA = "no trace difference: phi - psi = 0"
@@ -679,9 +682,13 @@ def _zero_traces(cfg: RunConfig) -> bool:
                for p, q in zip_longest(a, b, fillvalue=0.0))
 
 
-def _run(checks, cfg):
-    """Verdict, or the exception that stopped it, per check."""
-    plans = []
+def run_checks(cfg: RunConfig, names) -> list:
+    """One Verdict per named check; their requests make one sweep per sweep key.
+
+    A check stopped by an exception gets an ABORTED verdict naming it.  The
+    hypotheses are not checked here; ``cli.run`` checks them at the sweep head.
+    """
+    checks, plans = [CHECKS[name] for name in names], []
     for check in checks:
         t0 = time.perf_counter()
         try:
@@ -714,19 +721,9 @@ def _run(checks, cfg):
         verdict.elapsed = plan_s + sum(o.elapsed for o in mine) + time.perf_counter() - t0
         verdict.solver_events = [ev for o in mine for ev in o.events]
         out.append(verdict)
-    return out
-
-
-def run_checks(cfg: RunConfig, names) -> list:
-    """One Verdict per named check; the checks share one sweep.
-
-    A check stopped by an exception gets an ABORTED verdict naming it.  The
-    hypotheses are not checked here; ``cli.run`` checks them at the sweep head.
-    """
-    verdicts = _run([CHECKS[name] for name in names], cfg)
     return [v if isinstance(v, Verdict) else
             Verdict(name, "ABORTED", {"error": f"{type(v).__name__}: {v}"})
-            for name, v in zip(names, verdicts)]
+            for name, v in zip(names, out)]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from narrowgap.ansatz import BoundaryTraces, PolyTrace, build_ansatz
 from narrowgap.coefficients import LameParameters, make_lame, make_laplace
 from narrowgap.config import config_from_dict
 from narrowgap.discretize import grid_for
-from narrowgap.experiments import CHECKS
+from narrowgap.experiments import run_checks
 from narrowgap.geometry import NarrowRegion, power_pair
 from reference import (TrigSolution, correction_coeffs, lame_correction,
                        solve_manufactured, to_box)
@@ -158,7 +158,7 @@ def test_criterion_4_corrected_remainder_bounded():
     # the committed runs/thm11 artifacts come from the same configuration
     # (configs/thm11.json); its slopes are the golden reference at 4 dp
     t0 = time.perf_counter()
-    verdict = CHECKS["thm11"](lame_gap_config())
+    verdict, = run_checks(lame_gap_config(), ["thm11"])
     elapsed = time.perf_counter() - t0
     d = verdict.details
     golden = json.loads(GOLDEN_THM11.read_text())["thm11"]["details"]
@@ -179,7 +179,7 @@ def test_criterion_4_corrected_remainder_bounded():
 
 def test_criterion_5_blowup_rates():
     t0 = time.perf_counter()
-    verdict = CHECKS["remark13"](lame_gap_config())
+    verdict, = run_checks(lame_gap_config(), ["remark13"])
     elapsed = time.perf_counter() - t0
     d = verdict.details
     parts = []
@@ -206,7 +206,7 @@ def test_criterion_6_exponential_decay():
                        "psi": [[0.0]] * (1 if kind == "laplace" else 2)},
             "solver": {"tangential_nodes": 257, "vertical_nodes": 65},
         })
-        verdict = CHECKS["decay"](cfg)
+        verdict, = run_checks(cfg, ["decay"])
         results.append((kind, verdict))
     elapsed = time.perf_counter() - t0
     ok = all(v.status == "PASS" for _, v in results)
@@ -223,7 +223,7 @@ def test_criterion_6_exponential_decay():
 
 def test_criterion_7_residual_cancellation():
     t0 = time.perf_counter()
-    verdict = CHECKS["residual"](lame_gap_config())
+    verdict, = run_checks(lame_gap_config(), ["residual"])
     elapsed = time.perf_counter() - t0
     d = verdict.details
     report(7, verdict.status == "PASS",
@@ -239,7 +239,7 @@ def test_criterion_7_residual_cancellation():
 def test_criterion_8_elasticity_gauge_m4():
     t0 = time.perf_counter()
     cfg = lame_gap_config(geometry={"m": 4})
-    verdict = CHECKS["cor41"](cfg)
+    verdict, = run_checks(cfg, ["cor41"])
     elapsed = time.perf_counter() - t0
     d = verdict.details
     report(8, verdict.status == "PASS",
@@ -254,7 +254,7 @@ def test_criterion_8_elasticity_gauge_m4():
 
 def test_criterion_9_local_energy_scaling():
     t0 = time.perf_counter()
-    verdict = CHECKS["energy"](lame_gap_config())
+    verdict, = run_checks(lame_gap_config(), ["energy"])
     elapsed = time.perf_counter() - t0
     report(9, verdict.status == "PASS",
            f"windowed energy / (delta^n Theta^2) slope "

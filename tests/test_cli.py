@@ -779,6 +779,26 @@ def test_singular_vertical_block_fails_validation_and_aborts_checks(tmp_path):
         assert checks[v.name]["error"] == v.details["error"]
 
 
+def test_a_tensor_not_elliptic_in_x1_fails_legendre_under_a_declared_zero(tmp_path, capsys):
+    # A = e_2 (x) e_2: A^nn = 1 passes, but no xi along x1 is controlled.
+    # make_custom declares lam = 0, and a least Legendre quotient of 0 meets
+    # it; the record still fails, so validate FAILs and thm11 is ABORTED
+    # with that failure before it solves
+    p = write_cfg(tmp_path, {
+        "tensor": {"kind": "custom", "N": 1, "custom_A": [0, 0, 0, 1]},
+        "traces": {"phi": [[1.0]], "psi": [[0.0]]},
+        "solver": {"tangential_nodes": 17, "vertical_nodes": 9},
+        "experiment": {"eps_list": [0.02, 0.01, 0.005, 0.002]}})
+    failure = "[FAIL] pointwise Legendre (full-xi): min quotient 0 vs declared 0"
+    assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 1
+    assert f"[FAIL] validate\n      note: hypothesis fails at eps 0.02: {failure}" \
+        in capsys.readouterr().out
+    assert main(["thm11", "--config", str(p), "--out", str(tmp_path / "t")]) == 1
+    assert f"[ABORTED] thm11\n      error: hypothesis fails at eps 0.02: {failure}" \
+        in capsys.readouterr().out
+    assert not any(e["event"] == "solve" for e in _runlog(tmp_path / "t"))
+
+
 def test_overflowing_coefficients_abort_every_check(tmp_path):
     # finite input whose pullback overflows: no verdict may pass or FAIL on
     # the NaN statistics it would produce.  cli.run stops every check, cor41

@@ -376,24 +376,51 @@ def test_failed_boundary_data_fail_only_their_config(monkeypatch):
     assert (systems, bands) == (0, 0)
 
 
-def test_requests_of_other_tensors_are_refused():
-    # a sweep factors one matrix per (eps, grid), so it cannot take requests
-    # whose tensors differ
-    requests = [SweepRequest(small_cfg(tensor={"lam": lam}), ("sup_grad",), (0.01,))
-                for lam in (1.0, 2.0)]
-    with pytest.raises(ValueError, match="the requests of one sweep differ in tensor$"):
-        run_sweeps(requests)
+def test_requests_of_two_sweep_keys_sweep_as_they_do_apart(monkeypatch):
+    # one call sweeps each sweep key (tensor, geometry, grid) on its own:
+    # two configs at m = 2 on 17x9 and two at m = 3 on 33x9, interleaved,
+    # give the CSV bytes, the untimed events and the factorizations of one
+    # call per key, in request order
+    from narrowgap import discretize
+
+    dpbtrf, factored = discretize.lapack.dpbtrf, []
+
+    def counted(*args, **kwargs):
+        factored.append(None)
+        return dpbtrf(*args, **kwargs)
+    monkeypatch.setattr(discretize.lapack, "dpbtrf", counted)
+    eps = (0.01, 0.005, 0.002, 0.001)
+    keys = (({"m": 2}, {"tangential_nodes": 17, "vertical_nodes": 9}),
+            ({"m": 3}, {"tangential_nodes": 33, "vertical_nodes": 9}))
+    requests = [SweepRequest(small_cfg(geometry=geometry, solver=solver, traces={"phi": phi}),
+                             ("sup_grad", "thm11_sup"), eps, case=f"m{geometry['m']}")
+                for phi in ([[1.0], [0.0]], [[2.0], [0.5]]) for geometry, solver in keys]
+    together = run_sweeps(requests)
+    calls, apart = len(factored), [None] * len(requests)
+    apart[0::2], apart[1::2] = run_sweeps(requests[0::2]), run_sweeps(requests[1::2])
+    assert calls == len(factored) - calls == 2 * 2 * len(eps)
+    timings = ("elapsed", "assemble_s", "factor_s", "solve_s", "stats_s")
+    for one, other in zip(together, apart):
+        assert one.error is None and other.error is None
+        assert ({s: r.to_csv().encode() for s, r in one.results.items()}
+                == {s: r.to_csv().encode() for s, r in other.results.items()})
+        assert ([{k: v for k, v in ev.items() if k not in timings} for ev in one.events]
+                == [{k: v for k, v in ev.items() if k not in timings} for ev in other.events])
 
 
 @pytest.mark.parametrize("path", sorted((Path(__file__).resolve().parents[1] / "configs")
                                         .glob("*.json")), ids=lambda p: p.name)
 def test_every_shipped_run_is_one_sweep(path):
-    # the checks of each shipped config plan requests of one tensor, geometry
-    # and grid, which run_sweeps takes as one sweep; planning solves nothing
+    # the checks of each shipped config plan requests of one sweep key, which
+    # run_sweeps takes as one sweep; planning solves nothing.  A shipped run
+    # split over two keys would still pass every verdict, but it would
+    # factor more: each key factors its own matrices
+    from narrowgap import experiments
+
     cfg = parse_config(path)
     plans = [CHECKS[name].plan(cfg) for name in cfg.experiment.checks]
     requests = [r for plan in plans if isinstance(plan, list) for r in plan]
-    keys = {(r.cfg.tensor, r.cfg.geometry, r.cfg.solver.scaled_nodes()) for r in requests}
+    keys = {experiments._sweep_key(r.cfg) for r in requests}
     assert len(keys) == min(len(requests), 1)
 
 
@@ -664,7 +691,7 @@ def test_decay_zero_lateral_is_skipped():
         "solver": {"tangential_nodes": 33, "vertical_nodes": 9,
                    "closure": "constant", "lateral_value": [0.0]},
     })
-    verdict = CHECKS["decay"](cfg)
+    verdict, = run_checks(cfg, ["decay"])
     assert verdict.status == "SKIPPED"
     assert "zero solution" in verdict.details["note"]
     assert verdict.passed
@@ -768,13 +795,13 @@ def test_shortest_segment_remainder_order_eps_when_gauge_vanishes(monkeypatch):
 
 
 def test_remark13_case_iii_rejected_when_m_not_above_k():
-    from narrowgap.config import ConfigError
-    from dataclasses import replace
     cfg = small_cfg()
     broken = replace(cfg, experiment=replace(cfg.experiment, monomial_k=2,
                                              remark13_cases=("iii",)))
-    with pytest.raises(ConfigError, match="m > k"):
-        CHECKS["remark13"](broken)
+    verdict, = run_checks(broken, ["remark13"])
+    assert verdict.status == "ABORTED"
+    assert verdict.details["error"].startswith("ConfigError:")
+    assert "m > k" in verdict.details["error"]
 
 
 @pytest.mark.parametrize("tensor", [{"kind": "laplace", "N": 1},
@@ -787,7 +814,7 @@ def test_thm11_with_a_vanishing_correction_only_fits_the_uncorrected_rate(tensor
     # -1/m), not judged against eps^{-1/m}
     cfg = small_cfg(tensor=tensor, traces={"phi": [[1.0, 0.3]], "psi": [[0.0]]},
                     experiment={"eps_list": JUDGE_EPS})
-    verdict = CHECKS["thm11"](cfg)
+    verdict, = run_checks(cfg, ["thm11"])
     assert verdict.status == "PASS"
     assert verdict.details["expected"] == ("corrected 0 +/- 0.15, uncorrected fitted only: "
                                            "A^12 + A^21 = 0, no correction")
