@@ -47,14 +47,17 @@ into the stack and ``solve_bvp`` out of it.
 
 from __future__ import annotations
 
+import ctypes
+import threading
 import time
+import traceback
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack, lapack, solve_triangular
 
 from .ansatz import AnsatzField, BoundaryTraces
 from .coefficients import CoefficientTensor
@@ -366,20 +369,24 @@ def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
 # banded factorization
 # ---------------------------------------------------------------------------
 
-def _free_pairs(ls: LinearSystem) -> dict:
-    """The offsets of the table that couple two interior nodes.
+def _free_pairs(ls: LinearSystem, first: int = 0, last: int | None = None) -> dict:
+    """The offsets of the table that couple two interior nodes of a part.
 
-    Maps o -> (slice of p, slice of p + o, step) over the interior, where
-    step is the offset's stride in the node-major numbering of the free
-    unknowns.  Pairs whose p + o is a boundary node belong to K_fD instead.
+    The part is the interior x1-columns first, ..., last - 1 (all of them by
+    default).  Maps o -> (slice of p, slice of p + o, step): p indexes the
+    table, p + o the part's own nodes, and step is the offset's stride in
+    the part's node-major numbering.  Pairs whose p + o lies outside the
+    part belong to its coupling instead: to K_fD, or to the separator.
     """
-    inner = tuple(s - 2 for s in ls.grid.shape)
+    inner = [s - 2 for s in ls.grid.shape]
+    part = (inner[0] if last is None else last) - first, inner[1]
     pairs = {}
     for o in ls.blocks:
-        if all(abs(k) < m for k, m in zip(o, inner)):
-            src = tuple(slice(max(0, -k), m - max(0, k)) for k, m in zip(o, inner))
-            tgt = tuple(slice(max(0, k), m + min(0, k)) for k, m in zip(o, inner))
-            pairs[o] = src, tgt, o[0] * inner[1] + o[1]
+        if all(abs(k) < m for k, m in zip(o, part)):
+            src = tuple(slice(max(0, -k) + f, m - max(0, k) + f)
+                        for k, m, f in zip(o, part, (first, 0)))
+            tgt = tuple(slice(max(0, k), m + min(0, k)) for k, m in zip(o, part))
+            pairs[o] = src, tgt, o[0] * part[1] + o[1]
     return pairs
 
 
@@ -392,6 +399,94 @@ def _symmetric(W: dict, pairs: dict) -> bool:
     mirror = {o: tuple(-k for k in o) for o in pairs}
     return all(np.array_equal(W[o][src], np.swapaxes(W[mirror[o]][tgt], -1, -2))
                for o, (src, tgt, _) in pairs.items() if o >= mirror[o])
+
+
+def _lapack(name: str):
+    """``name`` from scipy's Cython LAPACK, called through ctypes.
+
+    scipy's f2py wrappers (``scipy.linalg.lapack``) hold the GIL for the
+    whole call, so two of them never run at once.  A ctypes call releases
+    it.  Every argument is a pointer: (char *, int *, double *) in LAPACK's
+    Fortran order, as the capsule's signature states.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    signature = get_name(capsule).decode()
+    kinds = {"char": ctypes.c_char_p, "int": ctypes.POINTER(ctypes.c_int)}
+    argtypes = [kinds.get(arg.split()[0], ctypes.c_void_p)          # double *: an address
+                for arg in signature[signature.index("(") + 1:-1].split(", ")]
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_DPBTRF, _DTBTRS = _lapack("dpbtrf"), _lapack("dtbtrs")
+
+
+def _ints(*values):
+    """ctypes int cells: LAPACK takes every integer argument by pointer."""
+    return [ctypes.c_int(v) for v in values]
+
+
+def _band_storage(ab):
+    """Leading dimension of a band ab: its columns must be contiguous doubles."""
+    if ab.dtype != np.float64 or ab.ndim != 2 or ab.size and (
+            ab.strides[0] != ab.itemsize
+            or ab.shape[1] > 1 and ab.strides[1] != ab.shape[0] * ab.itemsize):
+        raise ValueError("LAPACK band storage needs Fortran-contiguous float64 columns")
+    return ab.shape[0]
+
+
+def _pbtrf(ab) -> int:
+    """Banded Cholesky of the lower band ab in place (``dpbtrf``); returns info."""
+    rows = _band_storage(ab)
+    n, kd, ldab, info = _ints(ab.shape[1], rows - 1, rows, 0)
+    _DPBTRF(b"L", ctypes.byref(n), ctypes.byref(kd), ab.ctypes.data,
+            ctypes.byref(ldab), ctypes.byref(info))
+    return info.value
+
+
+def _tbtrs(ab, y, trans: bytes) -> None:
+    """y <- L^-1 y (trans b"N") or L^-T y (b"T") in place (``dtbtrs``), for
+    the lower band factor ab of ``_pbtrf`` and a stack of Fortran columns y."""
+    rows = _band_storage(ab)
+    if y.dtype != np.float64 or not y.flags.f_contiguous or len(y) != ab.shape[1]:
+        raise ValueError("right-hand sides must be Fortran-contiguous float64 columns")
+    n, kd, k, ldab, ldb, info = _ints(ab.shape[1], rows - 1, y.shape[1], rows,
+                                      max(1, len(y)), 0)
+    _DTBTRS(b"L", trans, b"N", ctypes.byref(n), ctypes.byref(kd), ctypes.byref(k),
+            ab.ctypes.data, ctypes.byref(ldab), y.ctypes.data, ctypes.byref(ldb),
+            ctypes.byref(info))
+
+
+def _on_both(target, main, helper):
+    """target(*main) on this thread while target(*helper) runs on a helper.
+
+    Returns both results once both halves have ended.  An exception of
+    either half is raised here after the other half has ended, with the
+    frames of the halves cleared, so that it holds none of their arrays.
+    ``target`` runs only a band fill and the LAPACK calls above: nothing
+    that needs the main thread.
+    """
+    results, errors = [None, None], []
+
+    def run(k, args):
+        try:
+            results[k] = target(*args)
+        except BaseException as exc:        # re-raised below, on this thread
+            errors.append(exc)
+
+    helper_thread = threading.Thread(target=run, args=(1, helper))
+    helper_thread.start()
+    run(0, main)
+    helper_thread.join()
+    del main, helper
+    if errors:
+        error = errors[0]
+        traceback.clear_frames(error.__traceback__)
+        raise error
+    return results
 
 
 class _FreeBlockBand:
@@ -407,12 +502,30 @@ class _FreeBlockBand:
     order, t fastest).  For interior nodes p and p + o, block W[o][p] sits
     at rows p * N + i and columns (p + step) * N + j (``_free_pairs``): on
     band diagonal r - c = -step * N + i - j.  So K_ff is a band of
-    half-bandwidth N * (vertical nodes - 1) + N - 1, filled block by block
-    from the stencil table.  An exactly symmetric K_ff with a negative
-    diagonal is factored as -K_ff by banded Cholesky from its lower band
-    alone (``pbtrf``).  Any other block, and one that Cholesky finds
-    indefinite, is factored by banded LU with partial pivoting (``gbtrf``),
-    which needs about three times that storage.
+    half-bandwidth kd = N * (vertical nodes - 1) + N - 1, filled block by
+    block from the stencil table.
+
+    An exactly symmetric K_ff with a negative diagonal is factored as
+    M = -K_ff by a twisted banded Cholesky, from both ends at once (van der
+    Vorst 1987).  The middle interior x1-column S, c = N * (vertical
+    interior) unknowns, separates the columns left of it (A) from those
+    right of it (B): the stencil reaches one column across, so M_AB = 0.
+    A is filled in natural order and B in reversed node order (x1, t and
+    component all reversed), each as its lower band, into the two column
+    views of one (kd + 1, n - c) array; a helper thread fills and factors
+    B (``dpbtrf``) while this thread fills and factors A.  Reversed, B's
+    coupling to S sits in its last node column, as A's does, so with L
+    the factor of a part and T the trailing c x c block of L, L^-1 M_{part,S}
+    is zero but for its last c rows, W = T^-1 E, E the coupling read from
+    the table.  S's Schur complement M_SS - W_A^T W_A - W_B^T W_B is then a
+    dense c x c Cholesky.  LAPACK is called through ctypes (``_lapack``)
+    because scipy's wrappers hold the GIL, which would run the halves one
+    after the other.  The split and each thread's arithmetic are fixed,
+    so a solve is reproducible to the byte.
+
+    Any other block, and one whose half or separator Cholesky finds not
+    positive definite, is factored by banded LU with partial pivoting
+    (``gbtrf``), which needs about three times the band's storage.
     """
 
     def __init__(self, ls: LinearSystem):
@@ -429,53 +542,125 @@ class _FreeBlockBand:
         nnz = sum(N * N * int(np.prod([s.stop - s.start for s in src]))
                   for src, _, _ in pairs.values())
         negative = np.all(np.diagonal(self.blocks[(0, 0)], axis1=-2, axis2=-1) < 0)
-        if negative and _symmetric(self.blocks, pairs):
-            ab, info = lapack.dpbtrf(self._band(pairs, kd + 1, 0, -1.0), lower=1,
-                                     overwrite_ab=1)
-            if info == 0:
-                self.routine, self.ab, self.fill = "pbtrf", ab, ab.size / nnz
-                return
-            del ab                                  # indefinite: banded LU below
-        ab, self.ipiv, info = lapack.dgbtrf(self._band(pairs, 3 * kd + 1, 2 * kd), kd, kd,
-                                            overwrite_ab=1)
+        if negative and _symmetric(self.blocks, pairs) and self._cholesky(ls):
+            self.routine = "pbtrf"
+            self.fill = sum(a.size for a in (self.ab, self.wa, self.wb, self.sep)) / nnz
+            return
+        ab = np.zeros((3 * kd + 1, N * m1 * m2), order="F")
+        self._fill(ab, pairs, 2 * kd)
+        ab, self.ipiv, info = lapack.dgbtrf(ab, kd, kd, overwrite_ab=1)
         if info != 0:
             del ab                          # a kept exception must not hold the band
             raise SolverError(f"banded LU factorization failed: gbtrf info {info}")
         self.routine, self.ab, self.fill = "gbtrf", ab, ab.size / nnz
 
-    def _band(self, pairs, rows: int, top: int, sign: float = 1.0) -> np.ndarray:
-        """sign * K_ff in LAPACK band storage: entry (r, c) at ab[top + r - c, c].
+    def _fill(self, ab, pairs, top: int, sign: float = 1.0, order: int = 1):
+        """sign * K_ff over a part's nodes into the zero band ab, in LAPACK
+        band storage: entry (r, c) at ab[top + r - c, c].
 
-        Diagonals that fall outside the ``rows`` stored ones are skipped, so
-        rows = kd + 1, top = 0 gives the lower band.
+        ``pairs`` is ``_free_pairs`` of the part.  Diagonals that fall
+        outside ab's rows are skipped, so top = 0 gives the lower band.
+        ``order`` -1 numbers the part's unknowns in reverse: as K_ff is
+        symmetric, the entry (r, c) of the reversed lower band is the entry
+        (c, r) of the natural upper band, and ab[d, ::-1] puts each at its
+        reversed column.
         """
-        N, inner = self.N, self.inner
-        ab = np.zeros((rows, N * int(np.prod(inner))), order="F")
+        N, rows = self.N, ab.shape[0]
+        part = (ab.shape[1] // (N * self.inner[1]), self.inner[1], N)
         for o, (src, tgt, step) in pairs.items():
             for i in range(N):
                 for j in range(N):
-                    d = top - step * N + i - j
+                    d = top + order * (-step * N + i - j)
                     if 0 <= d < rows:
-                        diagonal = ab[d].reshape(inner + (N,))   # view: ab[d] is 1-d
+                        diagonal = ab[d, ::order].reshape(part)   # view: ab[d] is 1-d
                         diagonal[tgt + (j,)] = sign * self.blocks[o][src + (i, j)]
-        return ab
+
+    def _half(self, ab, pairs, order: int) -> int:
+        """Fill one part's lower band of M = -K_ff into ab and factor it:
+        the work of one thread.  Returns ``dpbtrf``'s info."""
+        self._fill(ab, pairs, 0, -1.0, order)
+        return _pbtrf(ab)
+
+    def _coupling(self, col: int, o0: int):
+        """M's dense c x c block from interior column ``col`` to column col + o0."""
+        N, m2 = self.N, self.inner[1]
+        E = np.zeros((m2, N, m2, N))
+        for o, W in self.blocks.items():
+            if o[0] == o0:
+                p = np.arange(max(0, -o[1]), m2 - max(0, o[1]))
+                E[p, :, p + o[1], :] = -W[col, p]
+        return E.reshape(N * m2, N * m2)
+
+    def _reduced(self, L, col: int, o0: int, order: int):
+        """W = T^-1 E for a part's factor L: T its trailing c x c block, E the
+        coupling of its last node column (interior column ``col``, in the
+        part's ``order``) to the separator; (0, c) for an empty part."""
+        c = self.N * self.inner[1]
+        if L.shape[1] == 0:
+            return np.zeros((0, c))
+        T = np.zeros((c, c))
+        for d in range(min(c, len(L))):
+            r = np.arange(c - d)
+            T[r + d, r] = L[d, L.shape[1] - c:L.shape[1] - d]
+        return solve_triangular(T, self._coupling(col, o0)[::order], lower=True,
+                                check_finite=False)
+
+    def _cholesky(self, ls: LinearSystem) -> bool:
+        """Twisted banded Cholesky of M = -K_ff: False, and nothing kept,
+        when a half or the separator is not positive definite."""
+        N, (m1, m2) = self.N, self.inner
+        s = m1 // 2
+        c = N * m2
+        na = s * c
+        ab = np.zeros((self.kd + 1, N * m1 * m2 - c), order="F")
+        try:
+            infos = _on_both(self._half, (ab[:, :na], _free_pairs(ls, 0, s), 1),
+                             (ab[:, na:], _free_pairs(ls, s + 1, m1), -1))
+        except BaseException:               # a kept exception must not hold the band
+            del ab
+            raise
+        if any(infos):
+            return False
+        wa = self._reduced(ab[:, :na], s - 1, 1, 1)
+        wb = self._reduced(ab[:, na:], s + 1, -1, -1)
+        schur = self._coupling(s, 0) - wa.T @ wa - wb.T @ wb
+        sep, info = lapack.dpotrf(schur, lower=1, clean=1, overwrite_a=1)
+        if info != 0:
+            return False
+        self.ab, self.split, self.wa, self.wb, self.sep = ab, na, wa, wb, sep
+        return True
+
+    def _solve_free(self, cols):
+        """K_ff^-1 cols for a stack of Fortran columns, one per right-hand side."""
+        if self.routine == "gbtrf":
+            return lapack.dgbtrs(self.ab, self.kd, self.kd, cols, self.ipiv, overwrite_b=1)[0]
+        na, c = self.split, len(self.sep)
+        halves = self.ab[:, :na], self.ab[:, na:]
+        ya, ys = np.asfortranarray(-cols[:na]), -cols[na:na + c]
+        yb = np.asfortranarray(-cols[na + c:][::-1])
+        _on_both(_tbtrs, (halves[0], ya, b"N"), (halves[1], yb, b"N"))
+        for j in range(cols.shape[1]):      # one column at a time: each rounds as alone
+            z = ys[:, j] - self.wa.T @ ya[len(ya) - c:, j] - self.wb.T @ yb[len(yb) - c:, j]
+            z = solve_triangular(self.sep, z, lower=True, check_finite=False)
+            ys[:, j] = solve_triangular(self.sep, z, lower=True, trans="T",
+                                        check_finite=False)
+            ya[len(ya) - c:, j] -= self.wa @ ys[:, j]
+            yb[len(yb) - c:, j] -= self.wb @ ys[:, j]
+        _on_both(_tbtrs, (halves[0], ya, b"T"), (halves[1], yb, b"T"))
+        return np.concatenate((ya, ys, yb[::-1]))
 
     def solve(self, b):
         """Solutions of a stack b of k right-hand sides, shape (k, N, *shape).
 
-        The k right-hand sides share one coupling sum and one LAPACK call
-        with k columns, which solves each column alone.
+        The k right-hand sides share one coupling sum and one pass of the
+        triangular solves with k columns, which solve each column alone.
         """
         x = np.array(b, dtype=float)
         bf = np.moveaxis(x[:, :, 1:-1, 1:-1], 1, -1).copy()  # (k, *inner, N): node-major
         x[:, :, 1:-1, 1:-1] = 0.0                            # x_D = b_D
         for S in self.strips:
             bf[(slice(None),) + S] -= np.moveaxis(_stencil_sum(self.blocks, x, S), 1, -1)
-        cols = bf.reshape(len(x), -1).T                      # one Fortran column per b
-        if self.routine == "pbtrf":
-            xf = lapack.dpbtrs(self.ab, -cols, lower=1, overwrite_b=1)[0]
-        else:
-            xf = lapack.dgbtrs(self.ab, self.kd, self.kd, cols, self.ipiv, overwrite_b=1)[0]
+        xf = self._solve_free(bf.reshape(len(x), -1).T)      # one Fortran column per b
         x[:, :, 1:-1, 1:-1] = np.moveaxis(xf.T.reshape(bf.shape), -1, 1)
         return x
 
@@ -571,7 +756,7 @@ class DiscreteField:
         """d û / d(x1, t) at every node, shape (*shape, N, 2); second order."""
         out = np.empty(self.grid.shape + (self.N, 2))     # C order: the norms sum in it
         for a, h in enumerate(self.grid.spacing):
-            out[..., a] = _diff_axis(self.values, a, h)
+            _diff_axis(self.values, a, h, out[..., a])
         return out
 
     def gradient_nodes(self):
@@ -630,9 +815,9 @@ class DiscreteField:
         return float(np.sqrt(w.sum() * vol))
 
 
-def _diff_axis(vals, axis, h):
-    """Second-order differences along one axis: centered inside, one-sided at ends."""
-    out = np.empty_like(vals)
+def _diff_axis(vals, axis, h, out):
+    """Second-order differences along one axis into ``out``, vals' shape:
+    centered inside, one-sided at the ends."""
     up = [slice(None)] * vals.ndim
 
     def ax(sl):
@@ -640,12 +825,13 @@ def _diff_axis(vals, axis, h):
         s[axis] = sl
         return tuple(s)
 
-    out[ax(slice(1, -1))] = (vals[ax(slice(2, None))] - vals[ax(slice(0, -2))]) / (2 * h)
+    inside = out[ax(slice(1, -1))]
+    np.subtract(vals[ax(slice(2, None))], vals[ax(slice(0, -2))], out=inside)
+    inside /= 2 * h
     out[ax(slice(0, 1))] = (-3 * vals[ax(slice(0, 1))] + 4 * vals[ax(slice(1, 2))]
                             - vals[ax(slice(2, 3))]) / (2 * h)
     out[ax(slice(-1, None))] = (3 * vals[ax(slice(-1, None))] - 4 * vals[ax(slice(-2, -1))]
                                 + vals[ax(slice(-3, -2))]) / (2 * h)
-    return out
 
 
 # ---------------------------------------------------------------------------

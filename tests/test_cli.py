@@ -733,9 +733,10 @@ def test_every_solve_event_has_one_key_set(tmp_path):
 
 
 def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch):
-    # Cholesky reports a non-positive pivot, then banded LU an exact zero one
+    # the twisted Cholesky finds the block not positive definite, then banded
+    # LU reports an exact zero pivot
     dgbtrf = discretize.lapack.dgbtrf
-    monkeypatch.setattr(discretize.lapack, "dpbtrf", lambda ab, **k: (ab, 1))
+    monkeypatch.setattr(discretize._FreeBlockBand, "_cholesky", lambda self, ls: False)
     monkeypatch.setattr(discretize.lapack, "dgbtrf",
                         lambda *a, **k: dgbtrf(*a, **k)[:2] + (1,))
     cfg = config_from_dict({**TINY, "output": {"dir": str(tmp_path / "f")}})

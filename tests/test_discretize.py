@@ -1,6 +1,8 @@
 """Mapped-box finite differences: transform, assembly, solves, recovery."""
 
 import gc
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -403,10 +405,11 @@ class TestSharedFactorization:
     def test_one_factorization_serves_every_right_hand_side(self, monkeypatch):
         from narrowgap import discretize
         calls = []
-        for routine in ("dpbtrf", "dgbtrf"):
-            lapack_fn = getattr(discretize.lapack, routine)
-            monkeypatch.setattr(discretize.lapack, routine,
-                                lambda *a, _f=lapack_fn, **k: calls.append(1) or _f(*a, **k))
+        for owner, entry in ((discretize._FreeBlockBand, "_cholesky"),
+                             (discretize.lapack, "dgbtrf")):
+            factor = getattr(owner, entry)
+            monkeypatch.setattr(owner, entry,
+                                lambda *a, _f=factor, **k: calls.append(1) or _f(*a, **k))
         reg = curved_region(eps=0.01)
         grid = BoxGrid(33, 9, 1.0)
         ls = assemble(transform_operator(LAME, reg, grid))
@@ -528,17 +531,57 @@ def _free_block(ls):
 
 
 def _captured_band(monkeypatch, ls):
-    """The band each LAPACK factorization receives while ls is solved once."""
+    """What each factorization receives while ls is solved once.
+
+    Banded LU receives its band.  The twisted Cholesky receives the band of
+    its two halves, side by side in their one array (each half is copied
+    as it enters ``dpbtrf``), and the separator's dense blocks: M_SS and
+    the couplings of the columns left and right of it, as the table gives
+    them in natural order.
+    """
     from narrowgap import discretize
-    bands = {}
-    for routine in ("dpbtrf", "dgbtrf"):
-        def keep(ab, *a, _f=getattr(discretize.lapack, routine), _r=routine, **k):
-            bands[_r] = ab.copy(order="F")
-            return _f(ab, *a, **k)
-        monkeypatch.setattr(discretize.lapack, routine, keep)
+    bands, halves, blocks = {}, {}, []
+
+    def keep_lu(ab, *a, _f=discretize.lapack.dgbtrf, **k):
+        bands["dgbtrf"] = ab.copy(order="F")
+        return _f(ab, *a, **k)
+
+    def keep_half(ab, _f=discretize._pbtrf):
+        halves[ab.ctypes.data] = ab.copy(order="F")
+        return _f(ab)
+
+    def keep_block(self, *a, _f=discretize._FreeBlockBand._coupling):
+        blocks.append(_f(self, *a))
+        return blocks[-1]
+
+    monkeypatch.setattr(discretize.lapack, "dgbtrf", keep_lu)
+    monkeypatch.setattr(discretize, "_pbtrf", keep_half)
+    monkeypatch.setattr(discretize._FreeBlockBand, "_coupling", keep_block)
     rng = np.random.default_rng(5)
     solve_linear(ls, right_hand_side(ls, rng.normal(size=ls.grid.shape + (ls.N,)))[None])
+    if halves:
+        bands["dpbtrf"] = np.hstack([halves[k] for k in sorted(halves)])
+        bands["separator"] = blocks
     return bands
+
+
+def _lower_band(K, kd):
+    """The lower band of the dense or sparse symmetric K in LAPACK storage."""
+    K = sp.coo_matrix(K)
+    lower = K.row >= K.col
+    ab = np.zeros((kd + 1, K.shape[0]), order="F")
+    ab[(K.row - K.col)[lower], K.col[lower]] = K.data[lower]
+    return ab
+
+
+def _twisted_parts(ls):
+    """Free unknowns, node-major, of the left half A, the separator column S
+    and the right half B in reversed order."""
+    m1, m2 = (s - 2 for s in ls.grid.shape)
+    c, s = ls.N * m2, m1 // 2
+    n = m1 * c
+    return (np.arange(s * c), np.arange(s * c, (s + 1) * c),
+            np.arange((s + 1) * c, n)[::-1])
 
 
 class TestFreeBand:
@@ -560,9 +603,16 @@ class TestFreeBand:
         Kff = _free_block(ls)
         kd = int(np.abs(Kff.row - Kff.col).max())
         if routine == "dpbtrf":
-            lower = Kff.row >= Kff.col
-            want = np.zeros((kd + 1, Kff.shape[0]), order="F")
-            want[(Kff.row - Kff.col)[lower], Kff.col[lower]] = -Kff.data[lower]
+            # the halves A and B (reversed) side by side; then the couplings
+            # of A's last and B's first column to S, and M_SS
+            M = -Kff.tocsr()
+            a, s, b = _twisted_parts(ls)
+            want = np.hstack([_lower_band(M[h][:, h], kd) for h in (a, b)])
+            rows = [h for h in (a[len(a) - len(s):], b[::-1][:len(s)]) if len(h)] + [s]
+            blocks = bands.pop("separator")
+            assert len(blocks) == len(rows)
+            for got, r in zip(blocks, rows):
+                assert np.array_equal(got, M[r][:, s].toarray())
         else:
             want = np.zeros((3 * kd + 1, Kff.shape[0]), order="F")
             want[2 * kd + Kff.row - Kff.col, Kff.col] = Kff.data
@@ -571,18 +621,22 @@ class TestFreeBand:
 
     @pytest.mark.parametrize("tensor, routine", CASES)
     def test_report_fill_and_nnz_come_from_the_matrix(self, tensor, routine):
-        # fill = band storage / nnz(K_ff), nnz = nnz(K) with its Dirichlet
-        # rows, both counted from the table against the reference CSR
+        # fill = factor storage / nnz(K_ff), nnz = nnz(K) with its Dirichlet
+        # rows, both counted from the table against the reference CSR.  The
+        # twisted Cholesky stores its halves' band, c unknowns short of
+        # K_ff's, and three dense c x c separator blocks
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         ls = assemble(transform_operator(tensor, reg, BoxGrid(33, 9, 1.0)))
         b = np.random.default_rng(6).normal(size=(ls.N,) + ls.grid.shape)
         _, (rep,), _ = solve_linear(ls, b[None])
         Kff = _free_block(ls)
         kd = int(np.abs(Kff.row - Kff.col).max())
-        rows = kd + 1 if routine == "dpbtrf" else 3 * kd + 1
+        c = ls.N * (ls.grid.shape[1] - 2)
+        storage = ((kd + 1) * (Kff.shape[0] - c) + 3 * c * c if routine == "dpbtrf"
+                   else (3 * kd + 1) * Kff.shape[0])
         assert rep.method == routine[1:]
         assert rep.nnz == _csr_reference(ls).nnz
-        assert rep.fill == rows * Kff.shape[0] / Kff.nnz
+        assert rep.fill == storage / Kff.nnz
 
     @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD,
                                         make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2,
@@ -627,15 +681,128 @@ class TestFreeBand:
         assert _symmetric(ls.blocks, _free_pairs(ls)) is symmetric
 
 
+class TestTwistedCholesky:
+    """The two-sided banded Cholesky against one-band LAPACK, and its threads."""
+
+    @staticmethod
+    def _one_band_solve(ls, cols):
+        """Reference: -K_ff's whole lower band by dpbtrf, the columns by dpbtrs."""
+        from scipy.linalg import lapack
+        Kff = _free_block(ls)
+        kd = int(np.abs(Kff.row - Kff.col).max())
+        ab, info = lapack.dpbtrf(_lower_band(-Kff, kd), lower=1)
+        assert info == 0
+        return lapack.dpbtrs(ab, -cols, lower=1)[0]
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("columns", [1, 2, 3, 4, 63])
+    @pytest.mark.parametrize("tensor", [LAP, LAME], ids=["N1", "N2"])
+    def test_agrees_with_one_band_cholesky(self, tensor, columns, k):
+        # interior x1-columns: 1 leaves the separator alone, 2 an empty right
+        # half, 3 and 63 equal halves, 4 a longer left half
+        from narrowgap import discretize
+        reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(columns + 2, 9, 1.0)))
+        factor = discretize._FreeBlockBand(ls)
+        assert factor.routine == "pbtrf"
+        rng = np.random.default_rng(columns)
+        cols = np.asfortranarray(rng.normal(size=(ls.N * columns * 7, k)))
+        got, want = factor._solve_free(cols), self._one_band_solve(ls, cols)
+        assert np.all(np.linalg.norm(got - want, axis=0)
+                      <= 1e-12 * np.linalg.norm(want, axis=0))
+
+    def test_repeated_solves_are_byte_identical(self):
+        # the split and each thread's arithmetic are fixed
+        ls, B = TestStackedSolve._stack(LAME, 2, nodes=(65, 9))
+        first = solve_linear(ls, B)[0].tobytes()
+        assert all(solve_linear(ls, B)[0].tobytes() == first for _ in range(49))
+
+    def test_halves_are_views_of_one_array(self, monkeypatch):
+        from narrowgap import discretize
+        halves, pbtrf = [], discretize._pbtrf
+        monkeypatch.setattr(discretize, "_pbtrf", lambda ab: halves.append(ab) or pbtrf(ab))
+        ls, _ = TestStackedSolve._stack(LAME, 1)
+        factor = discretize._FreeBlockBand(ls)
+        a, b = sorted(halves, key=lambda h: h.ctypes.data)
+        assert a.base is factor.ab and b.base is factor.ab
+        assert a.ctypes.data == factor.ab.ctypes.data
+        assert b.ctypes.data == factor.ab[:, a.shape[1]:].ctypes.data
+        assert a.shape[1] + b.shape[1] == factor.ab.shape[1]
+
+    @pytest.mark.parametrize("D, halves", [(50.0, False), (15.0, True)],
+                             ids=["halves_indefinite", "separator_indefinite"])
+    def test_indefinite_block_falls_back_to_banded_lu(self, monkeypatch, D, halves):
+        # Laplace plus D on the flat 2 x 1 box: the lowest Dirichlet
+        # eigenvalue of -K is about pi^2 (1/4 + 1) - D = 12.3 - D, and that of
+        # each half, about 1 wide, about pi^2 (1 + 1) - D = 19.7 - D.  D = 50
+        # makes the halves indefinite; with D = 15 only the separator's
+        # Cholesky finds the whole block indefinite
+        from narrowgap import discretize
+        infos, pbtrf, potrf = [], discretize._pbtrf, discretize.lapack.dpotrf
+        monkeypatch.setattr(discretize, "_pbtrf",
+                            lambda ab: infos.append(pbtrf(ab)) or infos[-1])
+
+        def potrf_info(*a, **k):
+            out = potrf(*a, **k)
+            infos.append(out[1])
+            return out
+
+        monkeypatch.setattr(discretize.lapack, "dpotrf", potrf_info)
+        A0 = np.zeros((1, 1, 2, 2))
+        A0[0, 0] = np.eye(2)
+        tensor = make_custom(1, A0, D0=np.array([[D]]), lam=1.0)
+        _, rep = TestSharedFactorization._matches_spsolve(tensor, flat_region(eps=1.0),
+                                                          BoxGrid(33, 17, 1.0))
+        assert rep.method == "gbtrf"
+        if halves:
+            assert infos[:2] == [0, 0] and len(infos) == 3 and infos[2] > 0
+        else:
+            assert len(infos) == 2 and min(infos) > 0
+
+    def test_helper_exception_is_raised_here_and_holds_no_band(self, monkeypatch):
+        from narrowgap import discretize
+        # the helper fails only after this thread's half has ended, so the
+        # error is seen only if the helper is joined
+        bands, pbtrf, main_half_done = [], discretize._pbtrf, threading.Event()
+
+        def fail_on_the_helper(ab):
+            bands.append(weakref.ref(ab.base))
+            if threading.current_thread() is threading.main_thread():
+                info = pbtrf(ab)
+                main_half_done.set()
+                return info
+            assert main_half_done.wait(timeout=60)
+            time.sleep(0.1)
+            raise RuntimeError("helper half failed")
+
+        monkeypatch.setattr(discretize, "_pbtrf", fail_on_the_helper)
+        ls, B = TestStackedSolve._stack(LAME, 1)
+        threads = threading.active_count()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(RuntimeError, match="helper half failed") as caught:
+                solve_linear(ls, B)
+            assert caught.value.__traceback__ is not None
+            assert len(bands) == 2 and all(band() is None for band in bands)
+            assert threading.active_count() == threads
+        finally:
+            if enabled:
+                gc.enable()
+
+
 def _captured_free_rhs(monkeypatch, ls, b):
-    """b_f - K_fD b_D as the first LAPACK triangular solve receives it (column 0)."""
+    """b_f - K_fD b_D as the factorization's solve of the free block receives it
+    (column 0)."""
     from narrowgap import discretize
     got = []
-    for routine, pos, sign in (("dpbtrs", 1, -1.0), ("dgbtrs", 3, 1.0)):
-        def keep(*a, _f=getattr(discretize.lapack, routine), _pos=pos, _sign=sign, **k):
-            got.append(_sign * a[_pos][:, 0])
-            return _f(*a, **k)
-        monkeypatch.setattr(discretize.lapack, routine, keep)
+    solve_free = discretize._FreeBlockBand._solve_free
+
+    def keep(self, cols):
+        got.append(cols[:, 0].copy())
+        return solve_free(self, cols)
+
+    monkeypatch.setattr(discretize._FreeBlockBand, "_solve_free", keep)
     solve_linear(ls, b[None])
     return got[0]
 
@@ -687,11 +854,7 @@ class TestStencilOperator:
         x = np.zeros(len(flat))
         x[fixed] = flat[fixed]
         bf = flat[free] - (_csr_reference(ls) @ x)[free]
-        if routine == "pbtrf":
-            x[free] = discretize.lapack.dpbtrs(factor.ab, -bf, lower=1)[0]
-        else:
-            x[free] = discretize.lapack.dgbtrs(factor.ab, factor.kd, factor.kd, bf,
-                                               factor.ipiv)[0]
+        x[free] = factor._solve_free(bf[:, None])[:, 0]
         assert np.array_equal(factor.solve(b[None])[0], x.reshape(b.shape))
 
     @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD],

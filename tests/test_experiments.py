@@ -200,12 +200,12 @@ def test_checks_share_one_factorization_per_point(tmp_path, monkeypatch):
                     experiment={"eps_list": eps,
                                 "checks": ["thm11", "remark13", "cor41", "energy"]})
     calls = []
-    for routine in ("dpbtrf", "dgbtrf"):
-        def counted(*args, _f=getattr(discretize.lapack, routine), **kwargs):
-            calls.append(args[0].shape)
+    for owner, entry in ((discretize._FreeBlockBand, "_cholesky"), (discretize.lapack, "dgbtrf")):
+        def counted(*args, _f=getattr(owner, entry), **kwargs):
+            calls.append(entry)
             return _f(*args, **kwargs)
 
-        monkeypatch.setattr(discretize.lapack, routine, counted)
+        monkeypatch.setattr(owner, entry, counted)
     run(cfg, "all", outdir=tmp_path / "all")
     assert len(calls) == 2 * len(eps)
     together = {p.name: p.read_bytes() for p in (tmp_path / "all").glob("*.csv")}
@@ -289,12 +289,13 @@ def alive_after_failed_sweep(monkeypatch, requests):
 
 
 def test_failed_factorizations_hold_no_system(monkeypatch):
-    # Cholesky reports a non-positive pivot, then banded LU an exact zero one,
-    # so each eps fails on its base grid, for the second config by reuse
+    # the twisted Cholesky finds the block not positive definite, then banded
+    # LU reports an exact zero pivot, so each eps fails on its base grid, for
+    # the second config by reuse
     from narrowgap import discretize
 
     dgbtrf = discretize.lapack.dgbtrf
-    monkeypatch.setattr(discretize.lapack, "dpbtrf", lambda ab, **k: (ab, 1))
+    monkeypatch.setattr(discretize._FreeBlockBand, "_cholesky", lambda self, ls: False)
     monkeypatch.setattr(discretize.lapack, "dgbtrf",
                         lambda *a, **k: dgbtrf(*a, **k)[:2] + (1,))
     eps = (0.01, 0.005, 0.002, 0.001)
@@ -383,12 +384,12 @@ def test_requests_of_two_sweep_keys_sweep_as_they_do_apart(monkeypatch):
     # call per key, in request order
     from narrowgap import discretize
 
-    dpbtrf, factored = discretize.lapack.dpbtrf, []
+    cholesky, factored = discretize._FreeBlockBand._cholesky, []
 
     def counted(*args, **kwargs):
         factored.append(None)
-        return dpbtrf(*args, **kwargs)
-    monkeypatch.setattr(discretize.lapack, "dpbtrf", counted)
+        return cholesky(*args, **kwargs)
+    monkeypatch.setattr(discretize._FreeBlockBand, "_cholesky", counted)
     eps = (0.01, 0.005, 0.002, 0.001)
     keys = (({"m": 2}, {"tangential_nodes": 17, "vertical_nodes": 9}),
             ({"m": 3}, {"tangential_nodes": 33, "vertical_nodes": 9}))

@@ -17,6 +17,11 @@ move an axis.
 
 The hypotheses are judged in one place: only ``cli.py`` calls the tensor
 checks, at the gap each command solves.
+
+Threads and the ctypes binding of LAPACK live in ``discretize.py`` alone,
+and a helper thread runs only a band fill and that binding: the benchmark's
+tracer (``sweepbench/layers.py``) keeps one span stack, and its gauge
+samples on the main thread, so nothing it wraps may run on another.
 """
 
 import ast
@@ -112,3 +117,54 @@ def test_only_cli_checks_the_tensor_hypotheses():
                   if isinstance(node, ast.Call) and checks & {
                       getattr(node.func, "attr", None), getattr(node.func, "id", None)}]
     assert not calls, "tensor hypothesis checks outside cli.py: " + ", ".join(calls)
+
+
+def _called(node):
+    """Names of the functions that calls inside ``node`` name, bare or as attributes."""
+    return {getattr(c.func, "attr", None) or getattr(c.func, "id", None)
+            for c in ast.walk(node) if isinstance(c, ast.Call)} - {None}
+
+
+def test_helper_threads_run_only_band_fills_and_lapack():
+    threaded = {"threading", "ctypes", "cython_lapack"}
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "discretize.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = ({a.name.split(".")[0] for a in node.names}
+                     | {(getattr(node, "module", None) or "").split(".")[-1]}
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else {getattr(node, "id", None), getattr(node, "attr", None)})
+            outside += [f"{path.name}:{node.lineno}" for _ in names & threaded]
+    assert not outside, "threads or ctypes outside discretize.py: " + ", ".join(outside)
+
+    tree = ast.parse((SRC / "discretize.py").read_text(encoding="utf-8"))
+    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    starts = [f.name for f in functions.values() if "Thread" in _called(f)
+              and not any(g is not f and "Thread" in _called(g) for g in ast.walk(f)
+                          if isinstance(g, ast.FunctionDef))]
+    assert starts == ["_on_both"], f"threads started outside _on_both: {starts}"
+    targets = {getattr(c.args[0], "attr", None) or getattr(c.args[0], "id", None)
+               for c in ast.walk(tree) if isinstance(c, ast.Call)
+               and getattr(c.func, "id", None) == "_on_both"}
+    bindings, fill = {"_pbtrf", "_tbtrs"}, {"_fill"}
+    assert targets and targets <= set(functions)
+    for name in targets - bindings:
+        assert _called(functions[name]) <= bindings | fill, \
+            f"{name} runs on a helper thread and calls more than a fill and LAPACK"
+
+    layers = ast.parse((SRC.parents[1] / "sweepbench" / "layers.py").read_text(encoding="utf-8"))
+    # every name layers.py patches is a string there, some in a loop's tuple
+    wrapped = {c.value for c in ast.walk(layers) if isinstance(c, ast.Constant)
+               and isinstance(c.value, str) and c.value.isidentifier()}
+    assert {"solve_linear", "assemble", "gradient_nodes", "value"} <= wrapped
+    reached, todo = set(), list(targets)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for n in _called(functions[name]) if n in functions]
+    calls = set().union(*(_called(functions[n]) for n in reached))
+    assert not calls & wrapped, f"a helper thread reaches what layers.py wraps: {calls & wrapped}"
