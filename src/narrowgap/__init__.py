@@ -14,7 +14,9 @@ import os
 # numpy and scipy each load an OpenBLAS whose pool starts a thread per core;
 # the two pools then contend with each other and with the numpy work between
 # solves.  One thread each unless the environment already chose; this must
-# run before the imports below load numpy.
+# run before the imports below load numpy.  The second core goes to the
+# factorization instead, which fills and factors the two halves of each band
+# on two threads of its own (``discretize._FreeBlockBand``).
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -32,7 +32,9 @@ Every run writes to the output directory:
 report.txt up to its timings block and the CSV/JSON artifacts are
 byte-reproducible for a given configuration, package version and BLAS thread
 count (one per OpenBLAS pool unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
-is set; another count moved sweep values by up to 1.4e-13 relative);
+is set; another count moved sweep values by up to 1.4e-13 relative).  The
+factorization's two threads do not break this: the column that splits each
+band is fixed, and so is the arithmetic of each thread;
 runlog.jsonl carries the timings and is the only other non-deterministic
 file (the manifest lists it without a digest).
 

@@ -31,8 +31,11 @@ stack of right-hand sides, factors the system once for it, drops the
 factorization on return and returns the pass's times once, beside a report
 per row.  It eliminates the identity Dirichlet rows and factors the free
 block as a band, O(n b^2) at BLAS-3 speed: the classical choice for thin
-structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).
-The stencil's block table is the operator: the band is filled from it one
+structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).  A symmetric
+negative definite block is factored from both ends at once, a twisted
+banded Cholesky (van der Vorst 1987): the halves left and right of the
+middle x1-column on two threads, through LAPACK called without the GIL,
+then that column's dense Schur complement.  The stencil's block table is the operator: the band is filled from it one
 slice per offset and component pair, the Dirichlet coupling is summed from it
 on the boundary strips alone, and the backward error's K x is summed from it
 over the interior.  The coupling, the triangular solves and the backward
@@ -624,7 +627,7 @@ class _FreeBlockBand:
         wa = self._reduced(ab[:, :na], s - 1, 1, 1)
         wb = self._reduced(ab[:, na:], s + 1, -1, -1)
         schur = self._coupling(s, 0) - wa.T @ wa - wb.T @ wb
-        sep, info = lapack.dpotrf(schur, lower=1, clean=1, overwrite_a=1)
+        sep, info = lapack.dpotrf(schur, lower=1, clean=1)
         if info != 0:
             return False
         self.ab, self.split, self.wa, self.wb, self.sep = ab, na, wa, wb, sep
@@ -640,12 +643,12 @@ class _FreeBlockBand:
         yb = np.asfortranarray(-cols[na + c:][::-1])
         _on_both(_tbtrs, (halves[0], ya, b"N"), (halves[1], yb, b"N"))
         for j in range(cols.shape[1]):      # one column at a time: each rounds as alone
-            z = ys[:, j] - self.wa.T @ ya[len(ya) - c:, j] - self.wb.T @ yb[len(yb) - c:, j]
+            z = ys[:, j] - self.wa.T @ ya[-c:, j] - self.wb.T @ yb[-c:, j]
             z = solve_triangular(self.sep, z, lower=True, check_finite=False)
             ys[:, j] = solve_triangular(self.sep, z, lower=True, trans="T",
                                         check_finite=False)
-            ya[len(ya) - c:, j] -= self.wa @ ys[:, j]
-            yb[len(yb) - c:, j] -= self.wb @ ys[:, j]
+            ya[-c:, j] -= self.wa @ ys[:, j]          # empty for an empty half
+            yb[-c:, j] -= self.wb @ ys[:, j]
         _on_both(_tbtrs, (halves[0], ya, b"T"), (halves[1], yb, b"T"))
         return np.concatenate((ya, ys, yb[::-1]))
 

@@ -36,7 +36,9 @@ bounded.  Both the tail fit and the full-window fit are recorded.
 Deterministic by construction: no randomness enters a sweep, so identical
 configurations produce identical CSV bytes at one BLAS thread count (another
 moved values by up to 1.4e-13 relative).  The package pins one per OpenBLAS
-pool unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
+pool unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.  The
+two threads that factor each band split it at a fixed column, and each
+thread's arithmetic is fixed, so they leave the bytes as they are.
 """
 
 from __future__ import annotations

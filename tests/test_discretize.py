@@ -595,8 +595,8 @@ class TestFreeBand:
                                                           tensor, routine, nodes):
         # reference: K_ff's entries scattered into LAPACK band storage,
         # -K_ff's lower band for Cholesky, the general band for LU.  With 3
-        # tangential nodes one interior column is left, and the tangential
-        # offsets couple it to Dirichlet nodes only
+        # tangential nodes one interior column is left, the separator alone,
+        # and the tangential offsets couple it to Dirichlet nodes only
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         ls = assemble(transform_operator(tensor, reg, BoxGrid(*nodes, 1.0)))
         bands = _captured_band(monkeypatch, ls)
