@@ -88,11 +88,11 @@ class MultiPoly:
 # the tensor
 # ---------------------------------------------------------------------------
 
-def _elasticity_symmetric(A0, tol=1e-12):
+def _elasticity_symmetric(A0):
     if A0.shape[0] != DIM:
         return False
-    return (np.allclose(A0, np.transpose(A0, (1, 0, 3, 2)), atol=tol)
-            and np.allclose(A0, np.transpose(A0, (2, 1, 0, 3)), atol=tol))
+    return (np.allclose(A0, np.transpose(A0, (1, 0, 3, 2)), atol=1e-12)
+            and np.allclose(A0, np.transpose(A0, (2, 1, 0, 3)), atol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,7 @@ def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float, reach
 
 def make_custom(N, A0, B0=None, C0=None, D0=None, lam=0.0, Lambda1=None, Lambda2=None):
     A0 = np.asarray(A0, dtype=float)
-    Ann = 0.5 * (A0[:, :, 1, 1] + A0[:, :, 1, 1].T)
-    ev = np.linalg.eigvalsh(Ann)
+    ev = _sym_eigs(A0[None, :, :, 1, 1])[0]
     return _finish(N, A0, B0, C0, D0, lam,
                    float(ev[0]) if Lambda1 is None else Lambda1,
                    float(ev[-1]) if Lambda2 is None else Lambda2)
@@ -260,7 +259,8 @@ _SYMMETRIC_BASIS = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
 
 def _sample_region_points(region, per_axis):
     """(P, 2) interior sample points of a NarrowRegion via its box map, (x1, t) order."""
-    X1, T = np.meshgrid(np.linspace(-2 * region.R0, 2 * region.R0, per_axis + 2)[1:-1],
+    r = region.profiles.patch_radius
+    X1, T = np.meshgrid(np.linspace(-r, r, per_axis + 2)[1:-1],
                         np.linspace(0.0, 1.0, per_axis + 2)[1:-1], indexing="ij")
     return region.from_box(X1, T).reshape(-1, DIM)
 

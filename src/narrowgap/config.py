@@ -185,7 +185,7 @@ class RunConfig:
         eps; the profiles bound |h| from their coefficients.
         """
         pair = self.geometry.build_pair()
-        r = 2 * pair.R0
+        r = pair.patch_radius
         return r, self.widest_eps() + max(pair.h1.bound(r), pair.h2.bound(r))
 
     def to_dict(self):

@@ -31,16 +31,18 @@ stack of right-hand sides, factors the system once for it, drops the
 factorization on return and returns the pass's times once, beside a report
 per row.  It eliminates the identity Dirichlet rows and factors the free
 block as a band, O(n b^2) at BLAS-3 speed: the classical choice for thin
-structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).  A symmetric
-negative definite block is factored from both ends at once, a twisted
-banded Cholesky (van der Vorst 1987): the halves left and right of the
-middle x1-column on two threads, through LAPACK called without the GIL,
-then that column's dense Schur complement.  The stencil's block table is the operator: the band is filled from it one
-slice per offset and component pair, the Dirichlet coupling is summed from it
-on the boundary strips alone, and the backward error's K x is summed from it
-over the interior.  The coupling, the triangular solves and the backward
-error each run once over the stack.  ``LinearSystem.matrix`` is kept for the
-tests and for the benchmark's read of its shape.  No sparse matrix is built.
+structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).  Both routines
+factor M = -K_ff.  A symmetric positive definite M is factored from both
+ends at once, a twisted banded Cholesky (van der Vorst 1987): the halves
+left and right of the middle x1-column on two threads, through LAPACK
+called without the GIL, then that column's dense Schur complement; any
+other M by banded LU.  The stencil's block table is the operator: the band
+is filled from it one slice per offset and component pair, the Dirichlet
+coupling is summed from it on the boundary strips alone, and the backward
+error's K x is summed from it over the interior.  The coupling, the
+triangular solves and the backward error each run once over the stack.
+``LinearSystem.matrix`` is kept for the tests and for the benchmark's read
+of its shape.  No sparse matrix is built.
 
 The stack of unknowns is component-major, (k, N, *shape), and only the
 linear algebra reads it; every other array is node-major, as the ansatz is:
@@ -127,9 +129,8 @@ class BoxGrid:
         return X1, T
 
 
-def grid_for(region: NarrowRegion, tangential_nodes: int = 257,
-             vertical_nodes: int = 65) -> BoxGrid:
-    return BoxGrid(tangential_nodes, vertical_nodes, 2.0 * region.R0)
+def grid_for(region: NarrowRegion, tangential_nodes: int, vertical_nodes: int) -> BoxGrid:
+    return BoxGrid(tangential_nodes, vertical_nodes, region.profiles.patch_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +373,16 @@ def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
 # banded factorization
 # ---------------------------------------------------------------------------
 
-def _free_pairs(ls: LinearSystem, first: int = 0, last: int | None = None) -> dict:
+def _free_pairs(ls: LinearSystem, first: int, last: int) -> dict:
     """The offsets of the table that couple two interior nodes of a part.
 
-    The part is the interior x1-columns first, ..., last - 1 (all of them by
-    default).  Maps o -> (slice of p, slice of p + o, step): p indexes the
-    table, p + o the part's own nodes, and step is the offset's stride in
-    the part's node-major numbering.  Pairs whose p + o lies outside the
-    part belong to its coupling instead: to K_fD, or to the separator.
+    The part is the interior x1-columns first, ..., last - 1.  Maps
+    o -> (slice of p, slice of p + o, step): p indexes the table, p + o the
+    part's own nodes, and step is the offset's stride in the part's
+    node-major numbering.  Pairs whose p + o lies outside the part belong
+    to its coupling instead: to K_fD, or to the separator.
     """
-    inner = [s - 2 for s in ls.grid.shape]
-    part = (inner[0] if last is None else last) - first, inner[1]
+    part = last - first, ls.grid.shape[1] - 2
     pairs = {}
     for o in ls.blocks:
         if all(abs(k) < m for k, m in zip(o, part)):
@@ -505,30 +505,32 @@ class _FreeBlockBand:
     order, t fastest).  For interior nodes p and p + o, block W[o][p] sits
     at rows p * N + i and columns (p + step) * N + j (``_free_pairs``): on
     band diagonal r - c = -step * N + i - j.  So K_ff is a band of
-    half-bandwidth kd = N * (vertical nodes - 1) + N - 1, filled block by
-    block from the stencil table.
+    half-bandwidth kd = N * (vertical nodes - 1) + N - 1, and both routines
+    factor M = -K_ff, filled block by block from the stencil table.
 
-    An exactly symmetric K_ff with a negative diagonal is factored as
-    M = -K_ff by a twisted banded Cholesky, from both ends at once (van der
-    Vorst 1987).  The middle interior x1-column S, c = N * (vertical
-    interior) unknowns, separates the columns left of it (A) from those
-    right of it (B): the stencil reaches one column across, so M_AB = 0.
-    A is filled in natural order and B in reversed node order (x1, t and
-    component all reversed), each as its lower band, into the two column
-    views of one (kd + 1, n - c) array; a helper thread fills and factors
-    B (``dpbtrf``) while this thread fills and factors A.  Reversed, B's
-    coupling to S sits in its last node column, as A's does, so with L
-    the factor of a part and T the trailing c x c block of L, L^-1 M_{part,S}
-    is zero but for its last c rows, W = T^-1 E, E the coupling read from
-    the table.  S's Schur complement M_SS - W_A^T W_A - W_B^T W_B is then a
-    dense c x c Cholesky.  LAPACK is called through ctypes (``_lapack``)
-    because scipy's wrappers hold the GIL, which would run the halves one
-    after the other.  The split and each thread's arithmetic are fixed,
-    so a solve is reproducible to the byte.
+    An exactly symmetric M with a positive diagonal is factored by a twisted
+    banded Cholesky, from both ends at once (van der Vorst 1987).  The
+    middle interior x1-column S, c = N * (vertical interior) unknowns,
+    separates the columns left of it (A) from those right of it (B): the
+    stencil reaches one column across, so M_AB = 0.  A is filled in natural
+    order and B in reversed node order (x1, t and component all reversed),
+    each as its lower band, into the two column views of one (kd + 1, n - c)
+    array; a helper thread fills and factors B (``dpbtrf``) while this
+    thread fills and factors A.  Reversed, B's coupling to S sits in its
+    last node column, as A's does, so with L the factor of a part and T the
+    trailing c x c block of L, L^-1 M_{part,S} is zero but for its last c
+    rows, W = T^-1 E, E the coupling read from the table.  S's Schur
+    complement M_SS - W_A^T W_A - W_B^T W_B is then a dense c x c Cholesky.
+    LAPACK is called through ctypes (``_lapack``) because scipy's wrappers
+    hold the GIL, which would run the halves one after the other.  The split
+    and each thread's arithmetic are fixed, so a solve is reproducible to
+    the byte.
 
     Any other block, and one whose half or separator Cholesky finds not
     positive definite, is factored by banded LU with partial pivoting
-    (``gbtrf``), which needs about three times the band's storage.
+    (``gbtrf``), which needs about three times the band's storage.  Negation
+    is exact and pivoting compares absolute values, so M's LU solves as
+    K_ff's would, to the byte.
     """
 
     def __init__(self, ls: LinearSystem):
@@ -540,7 +542,7 @@ class _FreeBlockBand:
         for S in strips:
             if all(s.start < s.stop for s in S) and S not in self.strips:
                 self.strips.append(S)
-        N, pairs = self.N, _free_pairs(ls)
+        N, pairs = self.N, _free_pairs(ls, 0, m1)
         self.kd = kd = max(abs(step) * N + N - 1 for _, _, step in pairs.values())
         nnz = sum(N * N * int(np.prod([s.stop - s.start for s in src]))
                   for src, _, _ in pairs.values())
@@ -550,25 +552,26 @@ class _FreeBlockBand:
             self.fill = sum(a.size for a in (self.ab, self.wa, self.wb, self.sep)) / nnz
             return
         ab = np.zeros((3 * kd + 1, N * m1 * m2), order="F")
-        self._fill(ab, pairs, 2 * kd)
+        self._fill(ab, pairs)
         ab, self.ipiv, info = lapack.dgbtrf(ab, kd, kd, overwrite_ab=1)
         if info != 0:
             del ab                          # a kept exception must not hold the band
             raise SolverError(f"banded LU factorization failed: gbtrf info {info}")
         self.routine, self.ab, self.fill = "gbtrf", ab, ab.size / nnz
 
-    def _fill(self, ab, pairs, top: int, sign: float = 1.0, order: int = 1):
-        """sign * K_ff over a part's nodes into the zero band ab, in LAPACK
-        band storage: entry (r, c) at ab[top + r - c, c].
+    def _fill(self, ab, pairs, order: int = 1):
+        """M = -K_ff over a part's nodes into the zero band ab, in LAPACK band
+        storage: entry (r, c) at ab[top + r - c, c], top = rows - kd - 1.
 
         ``pairs`` is ``_free_pairs`` of the part.  Diagonals that fall
-        outside ab's rows are skipped, so top = 0 gives the lower band.
-        ``order`` -1 numbers the part's unknowns in reverse: as K_ff is
-        symmetric, the entry (r, c) of the reversed lower band is the entry
-        (c, r) of the natural upper band, and ab[d, ::-1] puts each at its
-        reversed column.
+        outside ab's rows are skipped, so kd + 1 rows give the lower band,
+        3 kd + 1 the whole band below ``gbtrf``'s fill-in rows.  ``order``
+        -1 numbers the part's unknowns in reverse: as K_ff is symmetric, the
+        entry (r, c) of the reversed lower band is the entry (c, r) of the
+        natural upper band, and ab[d, ::-1] puts each at its reversed column.
         """
         N, rows = self.N, ab.shape[0]
+        top = rows - self.kd - 1
         part = (ab.shape[1] // (N * self.inner[1]), self.inner[1], N)
         for o, (src, tgt, step) in pairs.items():
             for i in range(N):
@@ -576,12 +579,12 @@ class _FreeBlockBand:
                     d = top + order * (-step * N + i - j)
                     if 0 <= d < rows:
                         diagonal = ab[d, ::order].reshape(part)   # view: ab[d] is 1-d
-                        diagonal[tgt + (j,)] = sign * self.blocks[o][src + (i, j)]
+                        diagonal[tgt + (j,)] = -self.blocks[o][src + (i, j)]
 
     def _half(self, ab, pairs, order: int) -> int:
-        """Fill one part's lower band of M = -K_ff into ab and factor it:
-        the work of one thread.  Returns ``dpbtrf``'s info."""
-        self._fill(ab, pairs, 0, -1.0, order)
+        """Fill one part's lower band of M into ab and factor it: the work
+        of one thread.  Returns ``dpbtrf``'s info."""
+        self._fill(ab, pairs, order)
         return _pbtrf(ab)
 
     def _coupling(self, col: int, o0: int):
@@ -634,13 +637,15 @@ class _FreeBlockBand:
         return True
 
     def _solve_free(self, cols):
-        """K_ff^-1 cols for a stack of Fortran columns, one per right-hand side."""
+        """K_ff^-1 cols = M^-1 (-cols) for a stack of Fortran columns, one per
+        right-hand side; cols is overwritten."""
+        np.negative(cols, out=cols)
         if self.routine == "gbtrf":
             return lapack.dgbtrs(self.ab, self.kd, self.kd, cols, self.ipiv, overwrite_b=1)[0]
         na, c = self.split, len(self.sep)
         halves = self.ab[:, :na], self.ab[:, na:]
-        ya, ys = np.asfortranarray(-cols[:na]), -cols[na:na + c]
-        yb = np.asfortranarray(-cols[na + c:][::-1])
+        ya, ys = np.asfortranarray(cols[:na]), cols[na:na + c]
+        yb = np.asfortranarray(cols[na + c:][::-1])
         _on_both(_tbtrs, (halves[0], ya, b"N"), (halves[1], yb, b"N"))
         for j in range(cols.shape[1]):      # one column at a time: each rounds as alone
             z = ys[:, j] - self.wa.T @ ya[-c:, j] - self.wb.T @ yb[-c:, j]

@@ -269,7 +269,7 @@ class SolveBundle:
 
     @cached_property
     def c2_norms(self):
-        return self.traces.c2_total(2 * self.region.R0)
+        return self.traces.c2_total(self.region.profiles.patch_radius)
 
     def at_inner(self, column_values):
         """Per-column values (tangential nodes, 1) spread over the inner nodes."""
@@ -437,7 +437,7 @@ def local_energy(df: _disc.DiscreteField, remainder, zprime, radius: float,
     z = float(zprime)
     if radius <= 0:
         raise GeometryError("window radius must be positive")
-    if abs(z) + radius > 2 * region.R0 * (1 + 1e-12):
+    if abs(z) + radius > df.grid.half_width * (1 + 1e-12):
         raise GeometryError("energy window outside the grid")
 
     nqy, nqt = nq
@@ -605,7 +605,7 @@ def residual_sweep(cfg: RunConfig) -> dict:
     """
     tensor = cfg.build_tensor()
     traces = cfg.build_traces()
-    c2n = traces.c2_total(2 * cfg.geometry.R0)
+    c2n = traces.c2_total(cfg.geometry.build_pair().patch_radius)
 
     def measure(af, ns):
         region = af.region

@@ -150,6 +150,11 @@ class ProfilePair:
             if getattr(self, name) <= 0:
                 raise GeometryError(f"{name} must be positive")
 
+    @property
+    def patch_radius(self):
+        """2 R0: the half-width of the patch B'_{2R0} the hypotheses hold on."""
+        return 2 * self.R0
+
 
 def power_pair(m, upper_coef=1.0, lower_coef=0.0, R0=0.5, kappas=None):
     """Standard pair h1 = a|x'|^m, h2 = -b|x'|^m with exact hypothesis constants.
@@ -254,7 +259,7 @@ def validate_profiles(pair: ProfilePair) -> ProfileReport:
     norms of a power profile, and a sum of such zeros proves nothing.
     Raises EvaluationError on non-finite profile values.
     """
-    pts = _sample_patch(2.0 * pair.R0)
+    pts = _sample_patch(pair.patch_radius)
     r = np.abs(pts)
 
     jets = {}
@@ -317,11 +322,11 @@ class NarrowRegion:
 
     def _check_patch(self, x1):
         r2 = x1 * x1
-        lim = (2.0 * self.R0) ** 2 * (1 + _PATCH_TOL)
-        if np.any(r2 > lim):
+        r = self.profiles.patch_radius
+        if np.any(r2 > r ** 2 * (1 + _PATCH_TOL)):
             bad = x1.flat[np.argmax(r2)]
             raise GeometryError(f"tangential point {(float(bad),)} outside the patch "
-                                f"|x'| <= {2 * self.R0}")
+                                f"|x'| <= {r}")
 
     def delta_jet(self, x1, order=2):
         """[delta, d_1 delta, d_11 delta, d_111 delta] at x1 up to ``order``, each (...)."""

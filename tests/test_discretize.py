@@ -593,8 +593,8 @@ class TestFreeBand:
     @pytest.mark.parametrize("tensor, routine", CASES)
     def test_band_from_the_stencil_equals_the_csr_scatter(self, monkeypatch,
                                                           tensor, routine, nodes):
-        # reference: K_ff's entries scattered into LAPACK band storage,
-        # -K_ff's lower band for Cholesky, the general band for LU.  With 3
+        # reference: -K_ff's entries scattered into LAPACK band storage,
+        # its lower band for Cholesky, its general band for LU.  With 3
         # tangential nodes one interior column is left, the separator alone,
         # and the tangential offsets couple it to Dirichlet nodes only
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
@@ -615,9 +615,38 @@ class TestFreeBand:
                 assert np.array_equal(got, M[r][:, s].toarray())
         else:
             want = np.zeros((3 * kd + 1, Kff.shape[0]), order="F")
-            want[2 * kd + Kff.row - Kff.col, Kff.col] = Kff.data
+            want[2 * kd + Kff.row - Kff.col, Kff.col] = -Kff.data
         assert list(bands) == [routine]
         assert np.array_equal(bands[routine], want)
+
+    @pytest.mark.parametrize("tensor", [LAME_BCD, PERTURBED_BCD], ids=["bcd", "perturbed_bcd"])
+    def test_lu_of_minus_kff_solves_to_the_byte_as_the_lu_of_kff(self, tensor):
+        # banded LU factors M = -K_ff and solves with -b_f: negation is exact
+        # and partial pivoting compares absolute values, so a stack solved
+        # through solve_linear equals dgbtrf/dgbtrs of +K_ff's band, built
+        # here from the reference CSR, to the byte
+        from scipy.linalg import lapack
+        reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
+        ls = assemble(transform_operator(tensor, reg, BoxGrid(33, 9, 1.0)))
+        rng = np.random.default_rng(11)
+        draw = (3,) + ls.grid.shape + (ls.N,)
+        B = np.stack([forced_right_hand_side(ls, v, f)
+                      for v, f in zip(rng.normal(size=draw), rng.normal(size=draw))])
+        X, reports, _ = solve_linear(ls, B)
+
+        K, flat = _csr_reference(ls), B.reshape(len(B), -1)
+        free, fixed = _node_major_free(ls), np.flatnonzero(dirichlet_mask(ls))
+        Kff = K[free][:, free].tocoo()
+        kd = int(np.abs(Kff.row - Kff.col).max())
+        ab = np.zeros((3 * kd + 1, Kff.shape[0]), order="F")
+        ab[2 * kd + Kff.row - Kff.col, Kff.col] = Kff.data
+        lu, piv, info = lapack.dgbtrf(ab, kd, kd)
+        assert info == 0
+        bf = np.asfortranarray([b[free] - K[free][:, fixed] @ b[fixed] for b in flat]).T
+        want = flat.copy()
+        want[:, free] = lapack.dgbtrs(lu, kd, kd, bf, piv)[0].T
+        assert np.array_equal(X.reshape(flat.shape), want)
+        assert [r.method for r in reports] == ["gbtrf"] * len(B)
 
     @pytest.mark.parametrize("tensor, routine", CASES)
     def test_report_fill_and_nnz_come_from_the_matrix(self, tensor, routine):
@@ -646,7 +675,8 @@ class TestFreeBand:
         reg = curved_region(eps=0.05, upper=1.0, lower=0.5)
         ls = assemble(transform_operator(tensor, reg, BoxGrid(17, 9, 1.0)))
         Kff = _free_block(ls).tocsr()
-        assert _symmetric(ls.blocks, _free_pairs(ls)) == ((Kff != Kff.T).nnz == 0)
+        pairs = _free_pairs(ls, 0, ls.grid.shape[0] - 2)
+        assert _symmetric(ls.blocks, pairs) == ((Kff != Kff.T).nnz == 0)
 
     @pytest.mark.parametrize("o, p, mirrored, symmetric",
                              [((1, 0), (4, 3), False, False), ((1, 0), (4, 3), True, True),
@@ -678,7 +708,7 @@ class TestFreeBand:
             change((-o[0], 0), (p[0] + o[0], p[1]), 1, 0)
         Kff = _free_block(ls).tocsr()
         assert ((Kff != Kff.T).nnz == 0) is symmetric
-        assert _symmetric(ls.blocks, _free_pairs(ls)) is symmetric
+        assert _symmetric(ls.blocks, _free_pairs(ls, 0, ls.grid.shape[0] - 2)) is symmetric
 
 
 class TestTwistedCholesky:
@@ -707,7 +737,8 @@ class TestTwistedCholesky:
         assert factor.routine == "pbtrf"
         rng = np.random.default_rng(columns)
         cols = np.asfortranarray(rng.normal(size=(ls.N * columns * 7, k)))
-        got, want = factor._solve_free(cols), self._one_band_solve(ls, cols)
+        # _solve_free overwrites its columns, as LAPACK's solves do
+        got, want = factor._solve_free(cols.copy()), self._one_band_solve(ls, cols)
         assert np.all(np.linalg.norm(got - want, axis=0)
                       <= 1e-12 * np.linalg.norm(want, axis=0))
 

@@ -18,6 +18,11 @@ move an axis.
 The hypotheses are judged in one place: only ``cli.py`` calls the tensor
 checks, at the gap each command solves.
 
+The patch B'_{2R0} has one half-width, ``ProfilePair.patch_radius``: no
+module but ``geometry.py`` multiplies R0 by 2.  The package root imports
+none of its modules and names nothing for export: callers import the
+modules themselves.
+
 Threads and the ctypes binding of LAPACK live in ``discretize.py`` alone,
 and a helper thread runs only a band fill and that binding: the benchmark's
 tracer (``sweepbench/layers.py``) keeps one span stack, and its gauge
@@ -168,3 +173,34 @@ def test_helper_threads_run_only_band_fills_and_lapack():
             todo += [n for n in _called(functions[name]) if n in functions]
     calls = set().union(*(_called(functions[n]) for n in reached))
     assert not calls & wrapped, f"a helper thread reaches what layers.py wraps: {calls & wrapped}"
+
+
+def test_only_geometry_doubles_r0():
+    doubled = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                sides = (node.left, node.right)
+                if (any(isinstance(s, ast.Constant) and s.value == 2 for s in sides)
+                        and any("R0" in (getattr(s, "id", None), getattr(s, "attr", None))
+                                for s in sides)):
+                    doubled.append(f"{path.name}:{node.lineno}")
+    assert not doubled, "2 R0 outside geometry.py: " + ", ".join(doubled)
+
+
+def test_package_root_reexports_nothing():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            own = node.level > 0 or (node.module or "").startswith("narrowgap")
+        elif isinstance(node, ast.Import):
+            own = any(a.name.startswith("narrowgap") for a in node.names)
+        else:
+            own = isinstance(node, ast.Name) and node.id == "__all__"
+        if own:
+            found.append(f"__init__.py:{node.lineno}")
+    assert not found, "the package root imports a module or defines __all__: " + ", ".join(found)
