@@ -129,10 +129,6 @@ def _stage_times(events) -> dict:
     return sums
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 class _Emitter:
     def __init__(self, outdir: Path):
         self.outdir = outdir
@@ -142,7 +138,7 @@ class _Emitter:
     def write(self, name: str, text: str):
         data = text.encode("utf-8")
         (self.outdir / name).write_bytes(data)
-        self.manifest[name] = _digest(data)
+        self.manifest[name] = hashlib.sha256(data).hexdigest()
 
 
 def _float_csv(rows, header):

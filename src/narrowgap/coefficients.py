@@ -144,9 +144,6 @@ class CoefficientTensor:
     def A(self, x):
         return self.A_jet(x, 0)[0]
 
-    def Ann(self, x):
-        return self.A(x)[..., :, :, 1, 1]
-
 
 def _finish(N, A0, B0, C0, D0, lam, Lambda1, Lambda2):
     A0 = np.asarray(A0, dtype=float)
@@ -319,7 +316,7 @@ def check_ann(tensor: CoefficientTensor, region) -> AnnReport:
     the correction-coefficient solve would then be ill-posed.
     """
     points = _sample_region_points(region, 5)
-    ev = _sym_eigs(tensor.Ann(points))
+    ev = _sym_eigs(tensor.A(points)[..., 1, 1])
     kmin = int(np.argmin(ev[:, 0]))
     lo, hi = float(ev[:, 0].min()), float(ev[:, -1].max())
     if lo <= 0:

@@ -188,25 +188,16 @@ class RunConfig:
         r = pair.patch_radius
         return r, self.widest_eps() + max(pair.h1.bound(r), pair.h2.bound(r))
 
-    def to_dict(self):
-        return asdict(self)
-
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
 # strict parsing
 # ---------------------------------------------------------------------------
 
-_BLOCKS = {
-    "geometry": GeometryConfig,
-    "tensor": TensorConfig,
-    "traces": TracesConfig,
-    "solver": SolverConfig,
-    "experiment": ExperimentConfig,
-    "output": OutputConfig,
-}
+_BLOCKS = {f.name: f.default_factory for f in fields(RunConfig)}   # name -> block class
+
 
 def _coerce(value):
     """A JSON list, and each list inside it, as a tuple."""

@@ -15,7 +15,8 @@ so the transformed problem keeps the same divergence structure
 and Atil inherits ellipticity wherever delta > 0.  No first-order terms are
 created by the map itself; the curvature lives inside the variable Atil.
 For n = 2, G = [[1, 0], [d1 v, d2 v]]: the pull-back and the gradient
-recovery grad_x u = G^T grad_y u are written out entry by entry from grad v.
+recovery grad_x u = G^T grad_y u are written out entry by entry from grad v,
+the ``box_jacobian`` that each caller passes in.
 
 Stencils are the standard second-order ones: half-node flux averages for the
 aligned second-derivative terms, composed centered differences for the cross
@@ -57,7 +58,7 @@ import threading
 import time
 import traceback
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -161,12 +162,12 @@ def box_jacobian(region: NarrowRegion, grid: BoxGrid) -> np.ndarray:
 
 
 def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
-                       grid: BoxGrid, jacobian=None) -> TransformedFields:
+                       grid: BoxGrid, jacobian: np.ndarray) -> TransformedFields:
     """Evaluate the pulled-back coefficients at every grid node.
 
     For n = 2 the Jacobian is G = [[1, 0], [d1 v, d2 v]], so a product with
     G keeps row 0 and forms row 1 as d1 v row 0 + d2 v row 1; ``jacobian``
-    is ``box_jacobian(region, grid)`` when the caller has it already.  The
+    is ``box_jacobian(region, grid)``, built once per sweep point.  The
     fields are written plane by plane from the planes of A (A0, broadcast,
     unless the tensor varies), B0 and C0.  Atil is summed as (G A) G^T: G A
     first, then its product with G^T, then the factor delta.
@@ -176,8 +177,7 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
     dlt = region.delta(X1)
     if np.any(dlt <= 0):
         raise GeometryError("gap function must stay positive on the patch")
-    dv = box_jacobian(region, grid) if jacobian is None else jacobian
-    g1, g2 = dv[..., 0, None, None], dv[..., 1, None, None]   # (*shape, 1, 1)
+    g1, g2 = jacobian[..., 0, None, None], jacobian[..., 1, None, None]   # (*shape, 1, 1)
 
     def rows(V0, V1):
         """Rows 0 and 1 of G V, given V's rows."""
@@ -687,9 +687,6 @@ class SolveReport:
     grid: str = ""                # "257x65"
     rhs: int = 1                  # right-hand sides solved in the same pass
 
-    def record(self):
-        return asdict(self)
-
 
 def _backward_errors(ls: LinearSystem, x, b):
     """Normwise backward error |Kx - b| / (|K|_F |x| + |b|) of each row of x, b.
@@ -748,12 +745,17 @@ def solve_linear(ls: LinearSystem, B):
 @dataclass
 class DiscreteField:
     """Grid solution with mapped-coordinate differentiation and unmapping,
-    node-major: values (*shape, N), gradients (*shape, N, 2)."""
+    node-major: values (*shape, N), gradients (*shape, N, 2).
+
+    ``jacobian`` is ``box_jacobian(region, grid)``, which the sweep point
+    builds once and every field at the point shares; ``gradient_nodes``
+    reads it and keeps its read-only result.
+    """
 
     grid: BoxGrid
     region: NarrowRegion
     values: np.ndarray            # (*shape, N)
-    jacobian: np.ndarray | None = field(default=None, repr=False)   # box_jacobian, if known
+    jacobian: np.ndarray = field(repr=False)      # box_jacobian (*shape, 2)
     _grad_cache: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
@@ -770,10 +772,7 @@ class DiscreteField:
     def gradient_nodes(self):
         """Physical gradients G^T grad_y u at nodes, shape (*shape, N, 2)."""
         if self._grad_cache is None:
-            dv = self.jacobian
-            if dv is None:
-                dv = box_jacobian(self.region, self.grid)       # (*shape, 2)
-            g = self.mapped_gradient()
+            g, dv = self.mapped_gradient(), self.jacobian
             g[..., 0] += g[..., 1] * dv[..., None, 0]           # d_1 u + d_t u d1 v
             g[..., 1] *= dv[..., None, 1]                       # d_t u d2 v
             g.flags.writeable = False                           # shared by every reader
@@ -875,14 +874,14 @@ def dirichlet_values(grid: BoxGrid, traces: BoundaryTraces, closure: str,
     return V
 
 
-def solve_bvp(system: LinearSystem, region: NarrowRegion, B, jacobian=None):
+def solve_bvp(system: LinearSystem, region: NarrowRegion, B, jacobian: np.ndarray):
     """Boundary-value solves of one assembled system, one per row of the stack B.
 
     ``B`` has shape (k, N, *shape), each row a ``right_hand_side``.  The
     rows are solved in one pass (``solve_linear``).  Returns (rows, times):
     per row a (DiscreteField, SolveReport), or the SolverError that stopped
     that row alone, and the pass's times; a failed factorization raises.
-    Each field views its row node-major and shares ``jacobian`` (``box_jacobian``), if given.
+    Each field views its row node-major and shares ``jacobian`` (``box_jacobian``).
     """
     X, reports, times = solve_linear(system, B)
     return [rep if isinstance(rep, SolverError) else

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import zip_longest
 
@@ -247,7 +247,7 @@ class SolveBundle:
         its config logged names that one in ``shared_with`` ("check/case").
         """
         ev = {"event": "solve", "check": check, "case": case, "eps": self.eps,
-              **self.report.record(), "reused": times is None,
+              **asdict(self.report), "reused": times is None,
               **dict.fromkeys(("elapsed", "assemble_s", "factor_s", "solve_s"), 0.0),
               **(times or {}), "stats_s": stats_s}
         if shared_with is not None:
@@ -301,15 +301,15 @@ def solve_point(cfgs, eps: float, nodes: tuple):
 
     The configs share tensor, geometry and grid (one sweep per sweep
     key), so they share one PointSetup, built from the first config; an
-    error there fails every config at the point.  The
-    first config whose bundle completes transforms and assembles the
-    system, and the rest reuse it.  Each right-hand side is built after its
-    bundle's set-up, so boundary data that fail stop that config alone and
-    still pass its system on.  The right-hand sides are solved in one pass
-    (``discretize.solve_bvp``; a lone one as the view ``rhs[None]``, which
-    np.stack would copy), and each solved bundle gets its ``field`` and
-    ``report`` and drops the system.  Returns (got, times): per config the
-    solved SolveBundle or the error that stopped it, and the point's
+    error there fails every config at the point.  The first config whose
+    bundle completes transforms and assembles the system with the point's
+    box Jacobian, and the rest reuse it.  Each right-hand side is built
+    after its bundle's set-up, so boundary data that fail stop that config
+    alone and still pass its system on.  The right-hand sides, a lone one
+    too, are stacked with np.stack and solved in one pass
+    (``discretize.solve_bvp``), and each solved bundle gets its ``field``
+    and ``report`` and drops the system.  Returns (got, times): per config
+    the solved SolveBundle or the error that stopped it, and the point's
     ``assemble_s``, ``factor_s``, ``solve_s`` and ``elapsed``.  A failed
     factorization stops every config.  Kept errors drop their tracebacks,
     whose frames hold the system.
@@ -334,7 +334,7 @@ def solve_point(cfgs, eps: float, nodes: tuple):
     bundles = [b for b in got if isinstance(b, SolveBundle)]
     if not bundles:
         return got, times
-    B = rhs[0][None] if len(rhs) == 1 else np.stack(rhs)
+    B = np.stack(rhs)
     del rhs
     try:
         solved, pass_times = _disc.solve_bvp(system, point.region, B, point.jacobian)

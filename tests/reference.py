@@ -33,8 +33,8 @@ import numpy as np
 
 from narrowgap.ansatz import _generic_kernel, apply_operator, build_ansatz
 from narrowgap.coefficients import ConstructionError
-from narrowgap.discretize import (assemble, dirichlet_values, right_hand_side, solve_bvp,
-                                  transform_operator)
+from narrowgap.discretize import (assemble, box_jacobian, dirichlet_values, right_hand_side,
+                                  solve_bvp, transform_operator)
 from narrowgap.experiments import SweepRequest, _eps_list, run_sweeps
 from narrowgap.geometry import _PATCH_TOL, GeometryError, PowerProfile, _safe_pow
 
@@ -222,11 +222,13 @@ def solve_manufactured(tensor, region, grid, mms):
     ``manufactured_forcing``, on the interior rows; ``solve_bvp`` solves it
     as a stack of one, and its SolverError raises.
     """
-    ls = assemble(transform_operator(tensor, region, grid))
+    jacobian = box_jacobian(region, grid)
+    ls = assemble(transform_operator(tensor, region, grid, jacobian))
     X1, T = grid.node_coords()
     x = region.from_box(X1, T)
     Ftil = region.delta(X1)[..., None] * manufactured_forcing(tensor, mms)(x)
-    (got,), _ = solve_bvp(ls, region, forced_right_hand_side(ls, mms.value(x), Ftil)[None])
+    (got,), _ = solve_bvp(ls, region, forced_right_hand_side(ls, mms.value(x), Ftil)[None],
+                          jacobian)
     if isinstance(got, Exception):
         raise got
     return got
@@ -362,10 +364,11 @@ def solve_one(tensor, region, traces, grid):
     The system is assembled, and the lateral faces come from the ansatz of
     (tensor, region, traces), as at a sweep point.
     """
-    system = assemble(transform_operator(tensor, region, grid))
+    jacobian = box_jacobian(region, grid)
+    system = assemble(transform_operator(tensor, region, grid, jacobian))
     rhs = right_hand_side(system, dirichlet_values(grid, traces, "ansatz",
                                                    build_ansatz(tensor, region, traces)))
-    (got,), _ = solve_bvp(system, region, rhs[None])
+    (got,), _ = solve_bvp(system, region, rhs[None], jacobian)
     if isinstance(got, Exception):
         raise got
     return got

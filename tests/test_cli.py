@@ -16,8 +16,8 @@ import pytest
 from narrowgap import discretize
 from narrowgap.cli import COMMANDS, RunReport, build_parser, main, run
 from narrowgap.coefficients import LameParameters, MultiPoly, make_lame, make_perturbed
-from narrowgap.config import (_BLOCKS, ConfigError, ExperimentConfig, OutputConfig,
-                              config_from_dict, parse_config, validate_config)
+from narrowgap.config import (_BLOCKS, CHECK_NAMES, ConfigError, ExperimentConfig,
+                              OutputConfig, config_from_dict, parse_config, validate_config)
 from narrowgap.experiments import CHECKS, SweepPoint, SweepResult, Verdict, run_checks
 
 MINI = {
@@ -151,6 +151,12 @@ def test_config_fields_are_the_census():
     got = {(block, f.name) for block, cls in _BLOCKS.items() for f in fields(cls)}
     assert got == CONFIG_FIELDS
     assert len(got) == 31
+
+
+def test_the_check_lists_agree():
+    # config cannot import experiments, so the check names are written twice
+    assert tuple(CHECKS) == CHECK_NAMES
+    assert COMMANDS[COMMANDS.index("solve") + 1:COMMANDS.index("all")] == CHECK_NAMES
 
 
 def test_readme_names_every_option_and_key():

@@ -24,7 +24,7 @@ class TestMakeLame:
     def test_vertical_block(self):
         # lam = mu = 1, n = 2: A^nn = diag(mu, lam + 2 mu) = diag(1, 3)
         t = make_lame(LameParameters(1.0, 1.0))
-        assert np.allclose(t.Ann(np.zeros((1, 2)))[0], np.diag([1.0, 3.0]))
+        assert np.allclose(t.A(np.zeros((1, 2)))[0, ..., 1, 1], np.diag([1.0, 3.0]))
         assert (t.Lambda1, t.Lambda2) == (1.0, 3.0)
 
     def test_zero_lambda_reduces_to_symmetrized_gradient_form(self):

@@ -4,6 +4,7 @@ import gc
 import threading
 import time
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from narrowgap.coefficients import (LameParameters, MultiPoly, make_custom, make
                                     make_laplace, make_perturbed)
 from narrowgap.discretize import (AssemblyError, BoxGrid, DiscreteField, LinearSystem,
                                   SolverError, _free_pairs, _symmetric, assemble,
-                                  dirichlet_values, grid_for, right_hand_side, solve_bvp,
-                                  solve_linear, transform_operator)
+                                  box_jacobian, dirichlet_values, grid_for, right_hand_side,
+                                  solve_bvp, solve_linear, transform_operator)
 from narrowgap.geometry import GeometryError, NarrowRegion, ProfilePair, power_pair
 from reference import (FLAT, TrigSolution, dirichlet_mask, forced_right_hand_side, per_sample,
                        solve_manufactured, solve_one, value_at, vbar)
@@ -47,7 +48,7 @@ PERTURBED_BCD = make_perturbed(
     (1.0, 1.1), direction=make_lame(LameParameters(2.0, 0.5)).A0)
 
 
-def box_jacobian(region, x1, t):
+def jacobian_matrix(region, x1, t):
     """G[a, A] = d y_a / d x_A: the identity row over grad v, shape (..., 2, 2)."""
     dv = region.vbar_grad(x1, t)
     G = np.zeros(dv.shape + (2,))
@@ -136,7 +137,7 @@ class TestTransform:
         eps = 0.25
         reg = flat_region(eps=eps)
         grid = BoxGrid(9, 9, 1.0)
-        tf = transform_operator(LAP, reg, grid)
+        tf = transform_operator(LAP, reg, grid, box_jacobian(reg, grid))
         # with the Jacobian convention Atil = delta G A G^T:
         # tangential block delta * A = eps, vertical block A^nn / eps
         assert np.allclose(tf.Atil[..., 0, 0, 0, 0], eps)
@@ -150,7 +151,7 @@ class TestTransform:
         A0[0, 0] = np.eye(2)
         D0 = np.array([[2.0]])
         tensor = make_custom(1, A0, D0=D0, lam=1.0)
-        tf = transform_operator(tensor, reg, grid)
+        tf = transform_operator(tensor, reg, grid, box_jacobian(reg, grid))
         ls = assemble(tf)
         const = np.full(grid.nodes, 3.0)
         out = (ls.matrix @ const).reshape(grid.shape)
@@ -170,10 +171,10 @@ class TestTransform:
         grid = BoxGrid(33, 17, 1.0)
         X1, T = grid.node_coords()
         X1 = X1[:, :1]
-        G, x = box_jacobian(reg, X1, T), reg.from_box(X1, T)
+        G, x = jacobian_matrix(reg, X1, T), reg.from_box(X1, T)
         dlt = reg.delta(X1)[..., None, None, None, None]
         want = dlt * np.einsum("...aA,...ijAB,...bB->...ijab", G, tensor.A(x), G)
-        tf = transform_operator(tensor, reg, grid)
+        tf = transform_operator(tensor, reg, grid, box_jacobian(reg, grid))
         if rel == 0.0:
             assert np.array_equal(tf.Atil, want)
             assert tf.Btil is None and tf.Ctil is None
@@ -190,11 +191,11 @@ class TestTransform:
         # the image of the symmetric cone, so 0 remains its exact floor)
         reg = curved_region(eps=1e-3, upper=1.0, lower=1.0)
         grid = BoxGrid(33, 9, 1.0)
-        tf = transform_operator(LAP, reg, grid)
+        tf = transform_operator(LAP, reg, grid, box_jacobian(reg, grid))
         Qs = tf.Atil[..., 0, 0, :, :]
         ev = np.linalg.eigvalsh(0.5 * (Qs + np.swapaxes(Qs, -1, -2)))
         assert ev.min() > 0
-        tfl = transform_operator(LAME, reg, grid)
+        tfl = transform_operator(LAME, reg, grid, box_jacobian(reg, grid))
         Q = np.transpose(tfl.Atil, (0, 1, 2, 4, 3, 5)).reshape(grid.shape + (4, 4))
         evl = np.linalg.eigvalsh(0.5 * (Q + np.swapaxes(Q, -1, -2)))
         assert evl.min() >= -1e-12 * evl.max()
@@ -210,7 +211,7 @@ class TestAssemble:
         # Laplacian with the two mesh widths
         reg = flat_region(eps=1.0)
         grid = BoxGrid(17, 17, 1.0)
-        tf = transform_operator(LAP, reg, grid)
+        tf = transform_operator(LAP, reg, grid, box_jacobian(reg, grid))
         ls = assemble(tf)
         hy, ht = grid.spacing
         ids = np.arange(grid.nodes).reshape(grid.shape)
@@ -242,7 +243,7 @@ class TestAssemble:
         tr = BoundaryTraces(const(2.0), const(-0.5))
         af = build_ansatz(LAP, reg, tr)
         V = dirichlet_values(grid, tr, "ansatz", af)
-        tf = transform_operator(LAP, reg, grid)
+        tf = transform_operator(LAP, reg, grid, box_jacobian(reg, grid))
         ls = assemble(tf)
         assert _dirichlet_rows_are_identity(ls)
         rhs = right_hand_side(ls, V)[0]
@@ -269,7 +270,7 @@ class TestAssemble:
         grad = g + np.einsum("iab,...b->...ia", H, x)
         hess = np.broadcast_to(H, x.shape[:-1] + H.shape)
         want = np.moveaxis(apply_operator(tensor, x, u, grad, hess), -1, 0)
-        ls = assemble(transform_operator(tensor, reg, grid))
+        ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
         got = (ls.matrix @ np.moveaxis(u, -1, 0).ravel()).reshape(want.shape)
         interior = (slice(None), slice(1, -1), slice(1, -1))
         err = np.abs(got[interior] - want[interior]).max()
@@ -306,7 +307,7 @@ class TestAssemble:
     def test_lame_matrix_numerically_symmetric(self):
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         grid = BoxGrid(33, 17, 1.0)
-        tf = transform_operator(LAME, reg, grid)
+        tf = transform_operator(LAME, reg, grid, box_jacobian(reg, grid))
         ls = assemble(tf)
         assert _asymmetry(ls) <= 1e-12
 
@@ -320,7 +321,7 @@ class TestSolveLinear:
     def _system(nodes_y=17, nodes_t=17):
         reg = flat_region(eps=1.0)
         grid = BoxGrid(nodes_y, nodes_t, 1.0)
-        tf = transform_operator(LAP, reg, grid)
+        tf = transform_operator(LAP, reg, grid, box_jacobian(reg, grid))
         rng = np.random.default_rng(0)
         V = rng.normal(size=grid.shape + (1,))
         ls = assemble(tf)
@@ -363,7 +364,7 @@ class TestSolveLinear:
 class TestSharedFactorization:
     @staticmethod
     def _matches_spsolve(tensor, reg, grid):
-        tf = transform_operator(tensor, reg, grid)
+        tf = transform_operator(tensor, reg, grid, box_jacobian(reg, grid))
         rng = np.random.default_rng(3)
         ls = assemble(tf)
         b = right_hand_side(ls, rng.normal(size=grid.shape + (tensor.N,)))
@@ -412,7 +413,7 @@ class TestSharedFactorization:
                                 lambda *a, _f=factor, **k: calls.append(1) or _f(*a, **k))
         reg = curved_region(eps=0.01)
         grid = BoxGrid(33, 9, 1.0)
-        ls = assemble(transform_operator(LAME, reg, grid))
+        ls = assemble(transform_operator(LAME, reg, grid, box_jacobian(reg, grid)))
         B = np.random.default_rng(8).normal(size=(3, ls.N) + grid.shape)
         X, reports, times = solve_linear(ls, B)
         assert times["factor_s"] > 0 and len(reports) == 3
@@ -429,14 +430,15 @@ class TestStackedSolve:
     @staticmethod
     def _stack(tensor, k, nodes=(33, 9)):
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(*nodes, 1.0)))
+        grid = BoxGrid(*nodes, 1.0)
+        ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
         rng = np.random.default_rng(11)
         return ls, np.stack([right_hand_side(ls, rng.normal(size=ls.grid.shape + (ls.N,)))
                              for _ in range(k)])
 
     @staticmethod
     def _without_rhs(report):
-        return {k: v for k, v in report.record().items() if k != "rhs"}
+        return {k: v for k, v in asdict(report).items() if k != "rhs"}
 
     # dgbtrs with k columns swaps and updates all of them per pivot (dger),
     # yet each column still rounds as it does alone: equality, no tolerance
@@ -504,15 +506,16 @@ class TestStackedSolve:
         # the rows of one stack are solved in one pass, each as it is alone
         reg = curved_region(eps=0.05)
         grid = grid_for(reg, 33, 9)
-        ls = assemble(transform_operator(LAME, reg, grid))
+        jacobian = box_jacobian(reg, grid)
+        ls = assemble(transform_operator(LAME, reg, grid, jacobian))
         one = BoundaryTraces(const(1.0, 0.0), const(0.0, 0.0))
         two = BoundaryTraces(const(0.0, 2.0), const(1.0, 1.0))
         B = np.stack([right_hand_side(ls, V) for V in (
             dirichlet_values(grid, one, "ansatz", build_ansatz(LAME, reg, one)),
             dirichlet_values(grid, two, "constant", lateral_value=[0.5, -1.0]))])
-        out, _ = solve_bvp(ls, reg, B)
+        out, _ = solve_bvp(ls, reg, B, jacobian)
         for j, (df, rep) in enumerate(out):
-            ((want_df, want),), _ = solve_bvp(ls, reg, B[j:j + 1])
+            ((want_df, want),), _ = solve_bvp(ls, reg, B[j:j + 1], jacobian)
             assert np.array_equal(df.values, want_df.values)
             assert rep.rhs == 2 and self._without_rhs(rep) == self._without_rhs(want)
 
@@ -598,7 +601,8 @@ class TestFreeBand:
         # tangential nodes one interior column is left, the separator alone,
         # and the tangential offsets couple it to Dirichlet nodes only
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(*nodes, 1.0)))
+        grid = BoxGrid(*nodes, 1.0)
+        ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
         bands = _captured_band(monkeypatch, ls)
         Kff = _free_block(ls)
         kd = int(np.abs(Kff.row - Kff.col).max())
@@ -627,7 +631,8 @@ class TestFreeBand:
         # here from the reference CSR, to the byte
         from scipy.linalg import lapack
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(33, 9, 1.0)))
+        grid = BoxGrid(33, 9, 1.0)
+        ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
         rng = np.random.default_rng(11)
         draw = (3,) + ls.grid.shape + (ls.N,)
         B = np.stack([forced_right_hand_side(ls, v, f)
@@ -655,7 +660,8 @@ class TestFreeBand:
         # twisted Cholesky stores its halves' band, c unknowns short of
         # K_ff's, and three dense c x c separator blocks
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(33, 9, 1.0)))
+        grid = BoxGrid(33, 9, 1.0)
+        ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
         b = np.random.default_rng(6).normal(size=(ls.N,) + ls.grid.shape)
         _, (rep,), _ = solve_linear(ls, b[None])
         Kff = _free_block(ls)
@@ -673,7 +679,8 @@ class TestFreeBand:
                              ids=["lame", "laplace", "bcd", "perturbed_bcd", "perturbed"])
     def test_stencil_symmetry_agrees_with_the_matrix(self, tensor):
         reg = curved_region(eps=0.05, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(17, 9, 1.0)))
+        grid = BoxGrid(17, 9, 1.0)
+        ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
         Kff = _free_block(ls).tocsr()
         pairs = _free_pairs(ls, 0, ls.grid.shape[0] - 2)
         assert _symmetric(ls.blocks, pairs) == ((Kff != Kff.T).nnz == 0)
@@ -698,7 +705,8 @@ class TestFreeBand:
         # caught although each mirror pair is tested from one side only.
         # The reference CSR is scattered from the changed table
         grid = BoxGrid(17, 9, 1.0)
-        ls = assemble(transform_operator(LAME, curved_region(eps=0.05), grid))
+        reg = curved_region(eps=0.05)
+        ls = assemble(transform_operator(LAME, reg, grid, box_jacobian(reg, grid)))
 
         def change(o, p, i, j):
             ls.blocks[o][p + (i, j)] += 1.0
@@ -732,7 +740,8 @@ class TestTwistedCholesky:
         # half, 3 and 63 equal halves, 4 a longer left half
         from narrowgap import discretize
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(columns + 2, 9, 1.0)))
+        grid = BoxGrid(columns + 2, 9, 1.0)
+        ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
         factor = discretize._FreeBlockBand(ls)
         assert factor.routine == "pbtrf"
         rng = np.random.default_rng(columns)
@@ -848,7 +857,8 @@ class TestStencilOperator:
     @staticmethod
     def _system(tensor, nodes=(33, 9)):
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
-        ls = assemble(transform_operator(tensor, reg, BoxGrid(*nodes, 1.0)))
+        grid = BoxGrid(*nodes, 1.0)
+        ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
         rng = np.random.default_rng(7)
         draw = ls.grid.shape + (ls.N,)
         return ls, forced_right_hand_side(ls, rng.normal(size=draw), rng.normal(size=draw))
@@ -1073,7 +1083,7 @@ class TestRecoverGradient:
         grid = grid_for(reg, 33, 9)
         X1, T = grid.node_coords()
         x = reg.from_box(X1, T)
-        df = DiscreteField(grid, reg, x[..., -1:])          # u = x_n
+        df = DiscreteField(grid, reg, x[..., -1:], box_jacobian(reg, grid))     # u = x_n
         rng = np.random.default_rng(4)
         pts = (rng.uniform(-0.9, 0.9, 50), rng.uniform(0.1, 0.9, 50))
         g = df.recover_gradient(*pts)
@@ -1089,7 +1099,8 @@ class TestRecoverGradient:
         for ny, nt in ((33, 9), (65, 17), (129, 33), (257, 65)):
             grid = grid_for(reg, ny, nt)
             X1, T = grid.node_coords()
-            df = DiscreteField(grid, reg, vbar(reg, reg.from_box(X1, T))[..., None])
+            df = DiscreteField(grid, reg, vbar(reg, reg.from_box(X1, T))[..., None],
+                               box_jacobian(reg, grid))
             got = df.recover_gradient(*pts)[:, 0, :]
             errs.append(np.abs(got - want).max())
             hs.append(grid.spacing[0])
@@ -1106,7 +1117,7 @@ class TestRecoverGradient:
                             const(*[0.0] * tensor.N))
         df, _ = solve_one(tensor, reg, tr, grid_for(reg, 33, 17))
         X1, T = df.grid.node_coords()
-        G = box_jacobian(reg, X1[:, :1], T)
+        G = jacobian_matrix(reg, X1[:, :1], T)
         want = np.einsum("...aA,...ia->...iA", G, df.mapped_gradient())
         got = df.gradient_nodes()
         assert got.shape == want.shape
@@ -1138,7 +1149,7 @@ class TestRecoverGradient:
         reg = flat_region(eps=0.5)
         grid = BoxGrid(9, 9, 1.0)
         _, T = grid.node_coords()
-        df = DiscreteField(grid, reg, T[..., None])
+        df = DiscreteField(grid, reg, T[..., None], box_jacobian(reg, grid))
         with pytest.raises(GeometryError):
             df.recover_gradient(np.array([1.7]), np.array([0.4]))
 
@@ -1147,7 +1158,7 @@ def test_l2_norm_against_exact_integral():
     # |u| = 1: the squared norm is the region volume int delta dx'
     reg = curved_region(eps=0.2, upper=1.0)
     grid = grid_for(reg, 257, 17)
-    df = DiscreteField(grid, reg, np.ones(grid.shape + (1,)))
+    df = DiscreteField(grid, reg, np.ones(grid.shape + (1,)), box_jacobian(reg, grid))
     w = 2 * reg.R0
     exact = 2 * w * 0.2 + 2 * w**3 / 3          # int (eps + x^2) over [-w, w]
     assert df.l2_norm() == pytest.approx(np.sqrt(exact), rel=1e-4)

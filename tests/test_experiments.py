@@ -642,7 +642,7 @@ class TestLocalEnergy:
         region, af, df, _ = energy_setup
         grid = df.grid
         X1, T = grid.node_coords()
-        exact = DiscreteField(grid, region, af.value(X1, T))
+        exact = DiscreteField(grid, region, af.value(X1, T), df.jacobian)
         # the remainder is the nodal difference, which vanishes identically
         remainder = exact.gradient_nodes() - af.gradient(X1[:, :1], T)
         val = local_energy(exact, remainder, 0.0, 0.05)
@@ -655,7 +655,8 @@ class TestLocalEnergy:
         # quadrature over a carrier field whose values are that remainder,
         # its (N, n) entries flattened, gives the same bits
         region, af, df, remainder = energy_setup
-        carrier = DiscreteField(df.grid, region, remainder.reshape(df.grid.shape + (-1,)))
+        carrier = DiscreteField(df.grid, region, remainder.reshape(df.grid.shape + (-1,)),
+                                df.jacobian)
         nqy, nqt = 24, 48
         yq = center + (np.arange(nqy) + 0.5) / nqy * 2 * radius - radius
         tq = (np.arange(nqt) + 0.5) / nqt

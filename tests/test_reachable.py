@@ -23,6 +23,10 @@ module but ``geometry.py`` multiplies R0 by 2.  The package root imports
 none of its modules and names nothing for export: callers import the
 modules themselves.
 
+The box Jacobian has one producer: only ``PointSetup.build`` calls
+``box_jacobian``, once per sweep point, and every transform and gradient
+recovery at that point reads what it built.
+
 Threads and the ctypes binding of LAPACK live in ``discretize.py`` alone,
 and a helper thread runs only a band fill and that binding: the benchmark's
 tracer (``sweepbench/layers.py``) keeps one span stack, and its gauge
@@ -204,3 +208,28 @@ def test_package_root_reexports_nothing():
         if own:
             found.append(f"__init__.py:{node.lineno}")
     assert not found, "the package root imports a module or defines __all__: " + ", ".join(found)
+
+
+def _calls_by_function(tree, prefix=""):
+    """(innermost enclosing def or class by qualified name, called name, line) per call."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _calls_by_function(node, f"{prefix}{node.name}.")
+        else:
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                found.append((prefix.rstrip(".") or "<module>", name, node.lineno))
+            found += _calls_by_function(node, prefix)
+    return found
+
+
+def test_only_the_sweep_point_builds_the_box_jacobian():
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers += [(where, f"{where} ({path.name}:{line})") for where, name, line
+                    in _calls_by_function(tree) if name == "box_jacobian"]
+    assert [where for where, _ in callers] == ["PointSetup.build"], \
+        "box_jacobian called other than once, in PointSetup.build: " + ", ".join(
+            at for _, at in callers)
