@@ -34,8 +34,8 @@ Each trace is one ``PolyTrace``: a coefficient row in x1 per component
 (a constant is a row of degree 0), whose ``jet`` returns the exact
 x1-derivatives [f, d_1 f, d_11 f] that every evaluator here reads; the
 profiles and the gap give theirs the same way (``jet``, ``delta_jet``),
-and the tensor gives [A, grad A, hess A] (``A_jet``).  B, C and D are
-constant, so ``apply_operator`` contracts B0, C0 and D0 as they are.
+and the tensor gives [A, grad A, hess A] (``A_jet``), all that
+``apply_operator`` reads: the operator is the principal part alone.
 
 All derivatives here are analytic: the correction's first and second
 derivatives come from differentiating the linear system (one inverse of
@@ -394,11 +394,10 @@ def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,
 # ---------------------------------------------------------------------------
 
 def apply_operator(tensor: CoefficientTensor, x, value, grad, hess):
-    """d_a(A d_b u + B u) + C d_b u + D u expanded by the product rule.
+    """d_a(A d_b u) expanded by the product rule: A hess u + (div A) grad u.
 
-    ``value, grad, hess`` are the field and its derivatives at x, shapes
-    (..., N), (..., N, 2), (..., N, 2, 2).  B, C and D are constant, so
-    d_a(B u) = B d_a u, and B0, C0, D0 are contracted as they are.
+    ``value, grad, hess`` are a jet of the field at x, shapes (..., N),
+    (..., N, 2), (..., N, 2, 2); with no zeroth-order term, value is unread.
     """
     if tensor.is_constant:                  # A0 itself, not a copy per sample
         f = np.einsum("ijab,...jab->...i", tensor.A0, hess)
@@ -407,10 +406,4 @@ def apply_operator(tensor: CoefficientTensor, x, value, grad, hess):
         f = np.einsum("...ijab,...jab->...i", Av, hess)
         divA = np.einsum("...ijaba->...ijb", Ag)
         f += np.einsum("...ijb,...jb->...i", divA, grad)
-    if np.any(tensor.B0):
-        f += np.einsum("ija,...ja->...i", tensor.B0, grad)
-    if np.any(tensor.C0):
-        f += np.einsum("ijb,...jb->...i", tensor.C0, grad)
-    if np.any(tensor.D0):
-        f += np.einsum("ij,...j->...i", tensor.D0, value)
     return f

@@ -2,19 +2,27 @@
 
 The operator is
 
-    d_a ( A^{ab}_{ij}(x) d_b u^j + B^a_{ij} u^j ) + C^b_{ij} d_b u^j
-        + D_{ij} u^j    (sum a, b = 1, 2;  i, j = 1..N),
+    d_a ( A^{ab}_{ij}(x) d_b u^j )    (sum a, b = 1, 2;  i, j = 1..N),
 
 with A bounded, the vertical block A^{22} uniformly elliptic (its positive
 definiteness is what makes the correction coefficients uniquely solvable),
 and A C2.  The region is planar (``geometry.DIM``), so every spatial axis
-has length 2.  Array layout:  A(x)[..., i, j, a, b],  B0[i, j, a],
-C0[i, j, b],  D0[i, j];  derivative axes are appended last.
+has length 2.  Array layout:  A(x)[..., i, j, a, b];  derivative axes are
+appended last.
+
+It has no lower-order terms (derived here, not quoted from the paper): in a
+gap of width delta a first-order term adds B^n (phi - psi) / delta to the
+residual of the corrected ubar, a zeroth-order one O(|u|), and a residual f
+with zero data on both faces moves the remainder's gradient by about
+delta f (A^{22} inverts d_t^2 / delta^2): by O(1) and O(delta), below the
+delta^{-1/m} order the correction removes, so no judged rate would move.
 
 Only A varies with x: it is a constant base A0 plus an optional polynomial
 perturbation s * p(x) * T, which is enough to exercise every
-variable-coefficient code path while keeping derivatives exact.  B, C and D
-are the constants B0, C0 and D0, which callers read directly.
+variable-coefficient code path while keeping derivatives exact.  Whether A
+has the major symmetry A^{ab}_{ij} = A^{ba}_{ji} is read exactly from A0
+and T (``CoefficientTensor.symmetric``), and the solver's stencil table and
+factorization follow it.
 """
 
 from __future__ import annotations
@@ -88,7 +96,7 @@ class MultiPoly:
 # the tensor
 # ---------------------------------------------------------------------------
 
-def _elasticity_symmetric(A0):
+def _elasticity_like(A0):
     if A0.shape[0] != DIM:
         return False
     return (np.allclose(A0, np.transpose(A0, (1, 0, 3, 2)), atol=1e-12)
@@ -107,9 +115,6 @@ class CoefficientTensor:
 
     N: int
     A0: np.ndarray
-    B0: np.ndarray
-    C0: np.ndarray
-    D0: np.ndarray
     perturb_scale: float = 0.0
     perturb_poly: MultiPoly | None = None
     perturb_dir: np.ndarray | None = None
@@ -121,6 +126,12 @@ class CoefficientTensor:
     @property
     def is_constant(self):
         return self.perturb_scale == 0.0
+
+    @property
+    def symmetric(self):
+        """A^{ab}_{ij} = A^{ba}_{ji} at every x: exactly, in A0 and in T."""
+        return not any(np.any(A - np.transpose(A, (1, 0, 3, 2)))
+                       for A in (self.A0, self.perturb_dir) if A is not None)
 
     def A_jet(self, x, order):
         """[A, grad A, hess A] at x (..., 2) up to ``order``, derivative axes last.
@@ -145,22 +156,18 @@ class CoefficientTensor:
         return self.A_jet(x, 0)[0]
 
 
-def _finish(N, A0, B0, C0, D0, lam, Lambda1, Lambda2):
+def _finish(N, A0, lam, Lambda1, Lambda2):
     A0 = np.asarray(A0, dtype=float)
     if A0.shape != (N, N, DIM, DIM):
         raise ConstructionError(f"A must have shape {(N, N, DIM, DIM)}, got {A0.shape}")
-    B0 = np.zeros((N, N, DIM)) if B0 is None else np.asarray(B0, dtype=float)
-    C0 = np.zeros((N, N, DIM)) if C0 is None else np.asarray(C0, dtype=float)
-    D0 = np.zeros((N, N)) if D0 is None else np.asarray(D0, dtype=float)
-    return CoefficientTensor(N=N, A0=A0, B0=B0, C0=C0, D0=D0,
-                             lam=lam, Lambda1=Lambda1, Lambda2=Lambda2,
-                             is_elasticity=_elasticity_symmetric(A0))
+    return CoefficientTensor(N=N, A0=A0, lam=lam, Lambda1=Lambda1, Lambda2=Lambda2,
+                             is_elasticity=_elasticity_like(A0))
 
 
 def make_laplace(N: int = 1) -> CoefficientTensor:
-    """Decoupled Laplacians: A^{ab}_{ij} = delta_ij delta_ab, B = C = D = 0."""
+    """Decoupled Laplacians: A^{ab}_{ij} = delta_ij delta_ab."""
     A0 = np.einsum("ij,ab->ijab", np.eye(N), np.eye(DIM))
-    return _finish(N, A0, None, None, None, 1.0, 1.0, 1.0)
+    return _finish(N, A0, 1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -190,8 +197,7 @@ def make_lame(params: LameParameters) -> CoefficientTensor:
     eye = np.eye(DIM)
     A0 = (lam * np.einsum("ia,jb->ijab", eye, eye)
           + mu * (np.einsum("ib,ja->ijab", eye, eye) + np.einsum("ij,ab->ijab", eye, eye)))
-    return _finish(DIM, A0, None, None, None,
-                   min(2 * mu, DIM * lam + 2 * mu), mu, lam + 2 * mu)
+    return _finish(DIM, A0, min(2 * mu, DIM * lam + 2 * mu), mu, lam + 2 * mu)
 
 
 def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float, reach,
@@ -204,6 +210,7 @@ def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float, reach
     quotient are concave in it and the greatest is convex, so each extreme
     over the box is met at A0 - f T or A0 + f T: those two tensors give the
     declared constants, floored at 0 (positivity only) where f can reach it.
+    A floored bound fails its record line (``_floored``).
     """
     if direction is None:
         direction = base.A0
@@ -212,20 +219,19 @@ def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float, reach
         raise ConstructionError("perturbation direction must match A's shape")
     f = abs(scale) * poly.bound(reach)
     ends = base.A0 + np.multiply.outer([-f, f], direction)
-    is_elasticity = base.is_elasticity and _elasticity_symmetric(direction)
+    is_elasticity = base.is_elasticity and _elasticity_like(direction)
     ev = _sym_eigs(ends[..., 1, 1])
     return CoefficientTensor(
-        N=base.N, A0=base.A0, B0=base.B0, C0=base.C0, D0=base.D0,
-        perturb_scale=float(scale), perturb_poly=poly, perturb_dir=direction,
-        lam=max(float(_legendre_min(ends, is_elasticity).min()), 0.0),
+        N=base.N, A0=base.A0, perturb_scale=float(scale), perturb_poly=poly,
+        perturb_dir=direction, lam=max(float(_legendre_min(ends, is_elasticity).min()), 0.0),
         Lambda1=max(float(ev[:, 0].min()), 0.0), Lambda2=float(ev[:, -1].max()),
         is_elasticity=is_elasticity)
 
 
-def make_custom(N, A0, B0=None, C0=None, D0=None, lam=0.0, Lambda1=None, Lambda2=None):
+def make_custom(N, A0, lam=0.0, Lambda1=None, Lambda2=None):
     A0 = np.asarray(A0, dtype=float)
     ev = _sym_eigs(A0[None, :, :, 1, 1])[0]
-    return _finish(N, A0, B0, C0, D0, lam,
+    return _finish(N, A0, lam,
                    float(ev[0]) if Lambda1 is None else Lambda1,
                    float(ev[-1]) if Lambda2 is None else Lambda2)
 
@@ -234,6 +240,22 @@ def make_custom(N, A0, B0=None, C0=None, D0=None, lam=0.0, Lambda1=None, Lambda2
 # hypothesis checks
 # ---------------------------------------------------------------------------
 
+def _floored(tensor: CoefficientTensor, region, least) -> str:
+    """"" unless a declared lower bound had to be floored at 0 on ``region``;
+    else the clause that fails its record line, naming the bound and its end.
+
+    ``least`` maps the ends A0 -/+ f T, f over ``region.reach``, to their
+    least values, as ``make_perturbed`` reads them over its reach.
+    """
+    if tensor.is_constant:
+        return ""
+    f = abs(tensor.perturb_scale) * tensor.perturb_poly.bound(region.reach)
+    values = least(tensor.A0 + np.multiply.outer([-f, f], tensor.perturb_dir))
+    k = int(np.argmin(values))
+    return "" if values[k] > 0 else (f"; bound {values[k]:.6g} over the reach, met at "
+                                     f"A0 {'-+'[k]} {f:.6g} T, floored at 0")
+
+
 @dataclass(frozen=True)
 class EllipticityReport:
     min_quotient: float        # exact minimum over the sampled x (eigenvalue based)
@@ -241,12 +263,14 @@ class EllipticityReport:
     passed: bool
     symmetric_xi: bool
     at: tuple
+    floored: str = ""          # ``_floored``
 
     def __str__(self):
         mode = "symmetric-xi" if self.symmetric_xi else "full-xi"
         status = "pass" if self.passed else "FAIL"
         return (f"[{status}] pointwise Legendre ({mode}): min quotient "
-                f"{self.min_quotient:.6g} vs declared {self.declared:.6g} at {self.at}")
+                f"{self.min_quotient:.6g} vs declared {self.declared:.6g} at {self.at}"
+                f"{self.floored}")
 
 
 # an orthonormal basis of the symmetric 2 x 2 matrices: two diagonal, one off
@@ -276,9 +300,10 @@ def check_pointwise_ellipticity(tensor: CoefficientTensor, region) -> Ellipticit
     quotients = _legendre_min(tensor.A(points), tensor.is_elasticity)
     kmin = int(np.argmin(quotients))
     min_quotient = float(quotients[kmin])
-    passed = min_quotient > 0 and min_quotient >= tensor.lam * (1 - 1e-9)
+    floored = _floored(tensor, region, lambda A: _legendre_min(A, tensor.is_elasticity))
+    passed = min_quotient > 0 and min_quotient >= tensor.lam * (1 - 1e-9) and not floored
     return EllipticityReport(min_quotient, tensor.lam, passed, tensor.is_elasticity,
-                             tuple(round(float(v), 12) for v in points[kmin]))
+                             tuple(round(float(v), 12) for v in points[kmin]), floored)
 
 
 def _legendre_min(A, symmetric_xi):
@@ -302,11 +327,12 @@ class AnnReport:
     lambda2_est: float
     declared: tuple
     passed: bool
+    floored: str = ""          # ``_floored``
 
     def __str__(self):
         status = "pass" if self.passed else "FAIL"
         return (f"[{status}] A^nn spectrum in [{self.lambda1_est:.6g}, {self.lambda2_est:.6g}]"
-                f" vs declared {self.declared}")
+                f" vs declared {self.declared}{self.floored}")
 
 
 def check_ann(tensor: CoefficientTensor, region) -> AnnReport:
@@ -323,6 +349,7 @@ def check_ann(tensor: CoefficientTensor, region) -> AnnReport:
         raise HypothesisViolationError(
             f"A^nn loses positive definiteness at x = "
             f"{tuple(float(v) for v in points[kmin])} (min eig {lo:.3g})")
+    floored = _floored(tensor, region, lambda A: _sym_eigs(A[..., 1, 1])[:, 0])
     passed = (bool(np.isfinite([lo, hi]).all()) and lo >= tensor.Lambda1 * (1 - 1e-9)
-              and hi <= tensor.Lambda2 * (1 + 1e-9))
-    return AnnReport(lo, hi, (tensor.Lambda1, tensor.Lambda2), passed)
+              and hi <= tensor.Lambda2 * (1 + 1e-9) and not floored)
+    return AnnReport(lo, hi, (tensor.Lambda1, tensor.Lambda2), passed, floored)

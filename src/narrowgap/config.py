@@ -179,14 +179,9 @@ class RunConfig:
         return max(self.sweep_head(), self.geometry.epsilon or 0.0)
 
     def reach(self):
-        """The largest |x1| and |x2| of every grid this config solves or samples on.
-
-        The grids cover |x1| <= 2 R0 and h2 <= x2 <= eps + h1 at the widest
-        eps; the profiles bound |h| from their coefficients.
-        """
-        pair = self.geometry.build_pair()
-        r = pair.patch_radius
-        return r, self.widest_eps() + max(pair.h1.bound(r), pair.h2.bound(r))
+        """The largest |x1| and |x2| of every grid this config solves or samples
+        on: the reach of its region at the widest eps (``NarrowRegion.reach``)."""
+        return _geom.NarrowRegion(self.geometry.build_pair(), self.widest_eps()).reach
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -5,24 +5,20 @@ x_n = h2(x') + t * delta(x') onto the box B'_{2R0} x [0, 1], where uniform
 grids stay well conditioned however small the gap is.  Writing G for the
 Jacobian of the map x -> y = (x', t), the weak form transforms exactly with
 
-    Atil^{ab} = delta * G_{aA} G_{bB} A^{AB},     Btil^a = delta * G_{aA} B^A,
-    Ctil^b   = delta * G_{bB} C^B,                Dtil  = delta * D,
+    Atil^{ab} = delta * G_{aA} G_{bB} A^{AB},
 
-so the transformed problem keeps the same divergence structure
-
-    d_a ( Atil d_b u + Btil u ) + Ctil d_b u + Dtil u = 0
-
-and Atil inherits ellipticity wherever delta > 0.  No first-order terms are
-created by the map itself; the curvature lives inside the variable Atil.
-For n = 2, G = [[1, 0], [d1 v, d2 v]]: the pull-back and the gradient
+so the transformed problem keeps the divergence structure
+d_a ( Atil^{ab} d_b u ) = 0, and Atil inherits ellipticity wherever
+delta > 0, and the major symmetry Atil^{ab}_{ij} = Atil^{ba}_{ji} from A.
+The map creates no first-order terms; the curvature lives inside the
+variable Atil.  For n = 2, G = [[1, 0], [d1 v, d2 v]]: the pull-back and the gradient
 recovery grad_x u = G^T grad_y u are written out entry by entry from grad v,
 the ``box_jacobian`` that each caller passes in.
 
 Stencils are the standard second-order ones: half-node flux averages for the
 aligned second-derivative terms, composed centered differences for the cross
-terms, centered differences for the first-order terms.  The Dirichlet rows
-are those of the grid's boundary nodes, read from its shape: identity rows
-carrying the trace values.
+terms.  The Dirichlet rows are those of the grid's boundary nodes, read from
+its shape: identity rows carrying the trace values.
 
 The matrix depends only on the tensor, the region and the grid; the boundary
 data enter the right-hand side alone, whose interior rows are zero: the
@@ -33,14 +29,16 @@ factorization on return and returns the pass's times once, beside a report
 per row.  It eliminates the identity Dirichlet rows and factors the free
 block as a band, O(n b^2) at BLAS-3 speed: the classical choice for thin
 structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).  Both routines
-factor M = -K_ff.  A symmetric positive definite M is factored from both
-ends at once, a twisted banded Cholesky (van der Vorst 1987): the halves
-left and right of the middle x1-column on two threads, through LAPACK
-called without the GIL, then that column's dense Schur complement; any
-other M by banded LU.  The stencil's block table is the operator: the band
-is filled from it one slice per offset and component pair, the Dirichlet
-coupling is summed from it on the boundary strips alone, and the backward
-error's K x is summed from it over the interior.  The coupling, the
+factor M = -K_ff.  The tensor decides which: a symmetric A gives a
+symmetric table by construction, and its M is factored from both ends at
+once, a twisted banded Cholesky (van der Vorst 1987): the halves left and
+right of the middle x1-column on two threads, through LAPACK called without
+the GIL, then that column's dense Schur complement.  A non-symmetric A, or
+an M that Cholesky finds not positive definite, goes to banded LU.  The
+stencil's block table is the operator: the band is filled from it one
+slice per offset and component pair, the Dirichlet coupling is summed from
+it on the boundary strips alone, and the backward error's K x is summed
+from it over the interior.  The coupling, the
 triangular solves and the backward error each run once over the stack.
 ``LinearSystem.matrix`` is kept for the tests and for the benchmark's read
 of its shape.  No sparse matrix is built.
@@ -140,19 +138,11 @@ def grid_for(region: NarrowRegion, tangential_nodes: int, vertical_nodes: int) -
 
 @dataclass(frozen=True)
 class TransformedFields:
-    """Nodal coefficient fields of the transformed operator on the box."""
+    """Nodal coefficients of the transformed operator on the box."""
 
     grid: BoxGrid
     Atil: np.ndarray          # (*shape, N, N, 2, 2)
-    Btil: np.ndarray | None
-    Ctil: np.ndarray | None
-    Dtil: np.ndarray | None
-
-
-def _require_finite(name, arr):
-    if arr is not None and not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))[0][:2]
-        raise AssemblyError(f"non-finite transformed {name} at node index {tuple(map(int, bad))}")
+    symmetric: bool           # the tensor's major symmetry, exact in Atil
 
 
 def box_jacobian(region: NarrowRegion, grid: BoxGrid) -> np.ndarray:
@@ -167,10 +157,12 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
 
     For n = 2 the Jacobian is G = [[1, 0], [d1 v, d2 v]], so a product with
     G keeps row 0 and forms row 1 as d1 v row 0 + d2 v row 1; ``jacobian``
-    is ``box_jacobian(region, grid)``, built once per sweep point.  The
-    fields are written plane by plane from the planes of A (A0, broadcast,
-    unless the tensor varies), B0 and C0.  Atil is summed as (G A) G^T: G A
-    first, then its product with G^T, then the factor delta.
+    is ``box_jacobian(region, grid)``, built once per sweep point.  Atil is
+    written plane by plane from the planes of A (A0, broadcast, unless the
+    tensor varies), summed as (G A) G^T, then times delta.  Those sums
+    associate Atil^{22}_{ij} and its mirror Atil^{22}_{ji} differently, so
+    for a symmetric tensor each entry with (i, a) before (j, b) is copied
+    to its mirror Atil^{ba}_{ji}: the major symmetry holds exactly.
     """
     x1, T = grid.axes
     X1 = x1[:, None]                        # x1-factors once per column
@@ -189,22 +181,15 @@ def transform_operator(tensor: CoefficientTensor, region: NarrowRegion,
     for a in range(2):
         Atil[..., a, 0], Atil[..., a, 1] = rows(GA[0][a], GA[1][a])
     Atil *= dlt[..., None, None, None, None]
-
-    def pulled(V0):
-        """delta G V0 over V0's last axis, at every node."""
-        V = np.empty(grid.shape + V0.shape)
-        V[..., 0], V[..., 1] = rows(V0[..., 0], V0[..., 1])
-        V *= dlt[..., None, None, None]
-        return V
-
-    Btil = pulled(tensor.B0) if np.any(tensor.B0) else None
-    Ctil = pulled(tensor.C0) if np.any(tensor.C0) else None
-    Dtil = None
-    if np.any(tensor.D0):
-        Dtil = dlt[..., None, None] * np.broadcast_to(tensor.D0, grid.shape + tensor.D0.shape)
-    for name, arr in (("A", Atil), ("B", Btil), ("C", Ctil), ("D", Dtil)):
-        _require_finite(name, arr)
-    return TransformedFields(grid, Atil, Btil, Ctil, Dtil)
+    symmetric = tensor.symmetric
+    if symmetric:                           # (i, a) -> 2 i + a, pairs above the diagonal
+        i, a = np.divmod(np.arange(2 * tensor.N), 2)
+        I, J = np.triu_indices(2 * tensor.N, 1)
+        Atil[..., i[J], i[I], a[J], a[I]] = Atil[..., i[I], i[J], a[I], a[J]]
+    if not np.all(np.isfinite(Atil)):
+        bad = np.argwhere(~np.isfinite(Atil))[0][:2]
+        raise AssemblyError(f"non-finite transformed A at node index {tuple(map(int, bad))}")
+    return TransformedFields(grid, Atil, symmetric)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +257,13 @@ class LinearSystem:
 
     ``blocks`` maps offset o -> W[o] of shape (*interior, N, N), where
     W[o][p, i, j] couples component i at interior node p to component j at
-    node p + o.  Every boundary node of the grid carries an identity
-    Dirichlet row per component: the grid's shape is the mask.  K is
-    never stored: the banded factorization reads the free block and the
-    Dirichlet coupling from the table, and ``solve_linear`` sums K x from it
-    for the backward error.  ``matrix`` applies K from the table as a
+    node p + o.  ``symmetric`` states that W[o][p] = W[-o][p + o]^T, as it
+    holds by construction for a symmetric tensor; the banded factorization
+    takes its word.  Every boundary node of the grid carries an identity
+    Dirichlet row per component: the grid's shape is the mask.  K is never
+    stored: the banded factorization reads the free block and the Dirichlet
+    coupling from the table, and ``solve_linear`` sums K x from it for the
+    backward error.  ``matrix`` applies K from the table as a
     ``LinearOperator``; it is kept for the tests and for the benchmark's
     read of its shape.  ``nnz`` and ``frobenius`` are those of K, counted
     from the table.
@@ -285,6 +272,7 @@ class LinearSystem:
     grid: BoxGrid
     N: int
     blocks: dict
+    symmetric: bool
     matrix: spla.LinearOperator = field(init=False, repr=False)
     nnz: int = field(init=False, repr=False)
     frobenius: float = field(init=False, repr=False)
@@ -306,8 +294,10 @@ def assemble(tf: TransformedFields) -> LinearSystem:
     component j at node p + o.  The derivative axes a, b run over (x1, t),
     and the offsets enter the table in the order this loop first meets
     them, which is the order ``LinearSystem.frobenius`` sums them in.  The
-    table comes from the coefficient fields alone; ``right_hand_side``
-    builds every right-hand side.
+    table comes from Atil alone; ``right_hand_side`` builds every
+    right-hand side.  A block and its mirror add the same two products in
+    the other order, and IEEE addition commutes, so an exactly symmetric
+    Atil gives an exactly symmetric table.
     """
     grid = tf.grid
     N = tf.Atil.shape[-3]
@@ -339,17 +329,7 @@ def assemble(tf: TransformedFields) -> LinearSystem:
                 Ms = _interior(tf.Atil[..., a, b], step((sa, a))) * c
                 W[step((sa, a), (1, b))] += sa * Ms
                 W[step((sa, a), (-1, b))] += -sa * Ms
-        if tf.Btil is not None:
-            Bv = tf.Btil[..., a]
-            W[ea] += _interior(Bv, ea) / (2 * h[a])
-            W[mea] += -_interior(Bv, mea) / (2 * h[a])
-        if tf.Ctil is not None:
-            Cv = _interior(tf.Ctil[..., a], zero)
-            W[ea] += Cv / (2 * h[a])
-            W[mea] += -Cv / (2 * h[a])
-    if tf.Dtil is not None:
-        W[zero] += _interior(tf.Dtil, zero)
-    return LinearSystem(grid, N, dict(W))
+    return LinearSystem(grid, N, dict(W), tf.symmetric)
 
 
 def right_hand_side(ls: LinearSystem, boundary_values) -> np.ndarray:
@@ -391,17 +371,6 @@ def _free_pairs(ls: LinearSystem, first: int, last: int) -> dict:
             tgt = tuple(slice(max(0, k), m + min(0, k)) for k, m in zip(o, part))
             pairs[o] = src, tgt, o[0] * part[1] + o[1]
     return pairs
-
-
-def _symmetric(W: dict, pairs: dict) -> bool:
-    """K_ff == K_ff^T: each block against its mirror, W[o][p] == W[-o][p + o]^T.
-
-    ``pairs`` is ``_free_pairs`` of the table W.  The test for -o is that
-    for o transposed, so each pair is tested once.
-    """
-    mirror = {o: tuple(-k for k in o) for o in pairs}
-    return all(np.array_equal(W[o][src], np.swapaxes(W[mirror[o]][tgt], -1, -2))
-               for o, (src, tgt, _) in pairs.items() if o >= mirror[o])
 
 
 def _lapack(name: str):
@@ -508,8 +477,8 @@ class _FreeBlockBand:
     half-bandwidth kd = N * (vertical nodes - 1) + N - 1, and both routines
     factor M = -K_ff, filled block by block from the stencil table.
 
-    An exactly symmetric M with a positive diagonal is factored by a twisted
-    banded Cholesky, from both ends at once (van der Vorst 1987).  The
+    The system of a symmetric tensor (``LinearSystem.symmetric``) whose M
+    has a positive diagonal is factored by a twisted banded Cholesky, from both ends at once (van der Vorst 1987).  The
     middle interior x1-column S, c = N * (vertical interior) unknowns,
     separates the columns left of it (A) from those right of it (B): the
     stencil reaches one column across, so M_AB = 0.  A is filled in natural
@@ -526,9 +495,10 @@ class _FreeBlockBand:
     and each thread's arithmetic are fixed, so a solve is reproducible to
     the byte.
 
-    Any other block, and one whose half or separator Cholesky finds not
-    positive definite, is factored by banded LU with partial pivoting
-    (``gbtrf``), which needs about three times the band's storage.  Negation
+    The system of a non-symmetric tensor, and one whose half or separator
+    Cholesky finds not positive definite, is factored by banded LU with
+    partial pivoting (``gbtrf``), which needs about three times the band's
+    storage.  Negation
     is exact and pivoting compares absolute values, so M's LU solves as
     K_ff's would, to the byte.
     """
@@ -546,8 +516,8 @@ class _FreeBlockBand:
         self.kd = kd = max(abs(step) * N + N - 1 for _, _, step in pairs.values())
         nnz = sum(N * N * int(np.prod([s.stop - s.start for s in src]))
                   for src, _, _ in pairs.values())
-        negative = np.all(np.diagonal(self.blocks[(0, 0)], axis1=-2, axis2=-1) < 0)
-        if negative and _symmetric(self.blocks, pairs) and self._cholesky(ls):
+        diagonal = np.diagonal(self.blocks[(0, 0)], axis1=-2, axis2=-1)
+        if ls.symmetric and np.all(diagonal < 0) and self._cholesky(ls):
             self.routine = "pbtrf"
             self.fill = sum(a.size for a in (self.ab, self.wa, self.wb, self.sep)) / nnz
             return

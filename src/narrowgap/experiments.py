@@ -44,6 +44,7 @@ thread's arithmetic is fixed, so they leave the bytes as they are.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -87,6 +88,11 @@ class SweepPoint:
     flagged: bool
     grid: tuple
     reason: str = ""
+
+
+# the two grids of a sweep: each value on ``base`` is compared with its value
+# on ``refined``, which halves every spacing
+ComparisonGrids = namedtuple("ComparisonGrids", "base refined")
 
 
 @dataclass
@@ -528,7 +534,7 @@ def _sweep(requests, base) -> list:
     its traceback, whose frames hold the system.
     """
     outs = [SweepOutcome() for _ in requests]
-    grids = (base, tuple(2 * (k - 1) + 1 for k in base))     # base, then refined
+    grids = ComparisonGrids(base, tuple(2 * (k - 1) + 1 for k in base))
     rows = [{} for _ in requests]       # per request: eps -> one value dict per grid
     for eps in sorted({e for r in requests for e in r.eps_list}, reverse=True):
         for nodes in grids:
@@ -567,7 +573,7 @@ def _sweep(requests, base) -> list:
     return outs
 
 
-def _sweep_results(stat_names, grids, rows, reason):
+def _sweep_results(stat_names, grids: ComparisonGrids, rows, reason):
     """One SweepResult per statistic from rows {eps: one value dict per grid}.
 
     Each value on the base grid is compared with its value on the refined
@@ -585,7 +591,7 @@ def _sweep_results(stat_names, grids, rows, reason):
             rel = abs(rv - v) / max(abs(v), abs(rv), 1e-300)
             why = (reason if rel > RICHARDSON_TOL else
                    "noise-floor" if abs(v) < vmax * NOISE_FLOOR else "")
-            pts.append(SweepPoint(eps, v, rv, rel, bool(why), grids[0], why))
+            pts.append(SweepPoint(eps, v, rv, rel, bool(why), grids.base, why))
         out[s] = SweepResult(s, pts)
     return out
 
@@ -617,7 +623,7 @@ def residual_sweep(cfg: RunConfig) -> dict:
         return {"residual_normalized": float((f * dlt / (th + dlt * c2n)).max()),
                 "residual_uncorrected": float((f0 * dlt ** 2 / np.maximum(th, 1e-300)).max())}
 
-    grids = (_RESIDUAL_SAMPLES, tuple(2 * s + 1 for s in _RESIDUAL_SAMPLES))
+    grids = ComparisonGrids(_RESIDUAL_SAMPLES, tuple(2 * s + 1 for s in _RESIDUAL_SAMPLES))
     rows = {}
     for eps in _eps_list(cfg):
         af = _ans.build_ansatz(tensor, cfg.geometry.build_region(eps), traces)

@@ -318,6 +318,12 @@ class NarrowRegion:
     def R0(self):
         return self.profiles.R0
 
+    @property
+    def reach(self):
+        """The largest |x1| and |x2| of the box: |x1| <= 2 R0, h2 <= x2 <= eps + h1."""
+        r = self.profiles.patch_radius
+        return r, self.epsilon + max(self.profiles.h1.bound(r), self.profiles.h2.bound(r))
+
     # -- gap function ------------------------------------------------------
 
     def _check_patch(self, x1):

@@ -6,9 +6,12 @@ it; the tests compare against them:
   against which the vertical-block solve of ``ansatz._generic_kernel`` is
   checked, and the correction rows and sums of a field;
 - the coefficients as per-sample arrays (``per_sample``, ``ref_A_derivs``):
-  constant B, C and D copied to every point, and A with its gradient and
-  Hessian written out per derivative order, which the contractions over
-  B0, C0, D0 and ``CoefficientTensor.A_jet`` must reproduce;
+  A0 copied to every point, and A with its gradient and Hessian written
+  out per derivative order, which the contraction over A0 and
+  ``CoefficientTensor.A_jet`` must reproduce;
+- the symmetry test of a stencil table (``_symmetric``): a run reads the
+  symmetry from the tensor instead, since a symmetric tensor gives a
+  symmetric table by construction;
 - sampled C2 norms (``estimate_c2_norms``), the reference for
   ``BoundaryTraces.c2_total``;
 - a manufactured solution, its forcing and a solver for the forced problem
@@ -193,6 +196,17 @@ def manufactured_forcing(tensor, mms):
         return -apply_operator(tensor, x, mms.value(x), mms.grad(x), mms.hess(x))
 
     return F
+
+
+def _symmetric(W: dict, pairs: dict) -> bool:
+    """K_ff == K_ff^T: each block against its mirror, W[o][p] == W[-o][p + o]^T.
+
+    ``pairs`` is ``discretize._free_pairs`` of the table W.  The test for
+    -o is that for o transposed, so each pair is tested once.
+    """
+    mirror = {o: tuple(-k for k in o) for o in pairs}
+    return all(np.array_equal(W[o][src], np.swapaxes(W[mirror[o]][tgt], -1, -2))
+               for o, (src, tgt, _) in pairs.items() if o >= mirror[o])
 
 
 def dirichlet_mask(ls):

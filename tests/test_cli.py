@@ -806,6 +806,28 @@ def test_a_tensor_not_elliptic_in_x1_fails_legendre_under_a_declared_zero(tmp_pa
     assert not any(e["event"] == "solve" for e in _runlog(tmp_path / "t"))
 
 
+def test_a_bound_floored_at_zero_fails_the_record(tmp_path, capsys):
+    # A = (1 - 1.5 x1) A0 on the thm11 geometry, whose solve box spans
+    # |x1| <= 1: A^nn's least eigenvalue over that reach is -1.5, met at
+    # A0 - 1.5 T, and make_perturbed floors it at 0.  The samples stop at
+    # |x1| = 2/3, where A is 0 up to roundoff, so they alone would pass it.
+    # validate FAILs and thm11 is ABORTED, naming A^nn, before any solve
+    p = write_cfg(tmp_path, {**MINI, "tensor": {"kind": "lame", "perturb_scale": -1.5},
+                             "experiment": {"checks": ["thm11"]}})
+    failure = ("[FAIL] A^nn spectrum in [2.22045e-16, 6] vs declared (0.0, 7.5); bound -1.5 "
+               "over the reach, met at A0 - 1.5 T, floored at 0")
+    assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 1
+    out = capsys.readouterr().out
+    assert f"[FAIL] validate\n      note: hypothesis fails at eps 0.1: {failure}" in out
+    assert ("[FAIL] pointwise Legendre (symmetric-xi): min quotient 4.44089e-16 vs declared 0 "
+            "at (0.666666666667, 0.090740740741); bound -2 over the reach, met at A0 - 1.5 T, "
+            "floored at 0") in out
+    assert main(["thm11", "--config", str(p), "--out", str(tmp_path / "t")]) == 1
+    assert f"[ABORTED] thm11\n      error: hypothesis fails at eps 0.1: {failure}" \
+        in capsys.readouterr().out
+    assert not any(e["event"] == "solve" for e in _runlog(tmp_path / "t"))
+
+
 def test_overflowing_coefficients_abort_every_check(tmp_path):
     # finite input whose pullback overflows: no verdict may pass or FAIL on
     # the NaN statistics it would produce.  cli.run stops every check, cor41

@@ -15,11 +15,11 @@ from narrowgap.ansatz import (BoundaryTraces, PolyTrace, apply_operator,
 from narrowgap.coefficients import (LameParameters, MultiPoly, make_custom, make_lame,
                                     make_laplace, make_perturbed)
 from narrowgap.discretize import (AssemblyError, BoxGrid, DiscreteField, LinearSystem,
-                                  SolverError, _free_pairs, _symmetric, assemble,
-                                  box_jacobian, dirichlet_values, grid_for, right_hand_side,
-                                  solve_bvp, solve_linear, transform_operator)
+                                  SolverError, _free_pairs, assemble, box_jacobian,
+                                  dirichlet_values, grid_for, right_hand_side, solve_bvp,
+                                  solve_linear, transform_operator)
 from narrowgap.geometry import GeometryError, NarrowRegion, ProfilePair, power_pair
-from reference import (FLAT, TrigSolution, dirichlet_mask, forced_right_hand_side, per_sample,
+from reference import (FLAT, TrigSolution, _symmetric, dirichlet_mask, forced_right_hand_side,
                        solve_manufactured, solve_one, value_at, vbar)
 
 
@@ -38,14 +38,21 @@ def curved_region(eps=0.05, m=2, upper=1.0, lower=0.0, R0=0.5):
 
 LAP = make_laplace()
 LAME = make_lame(LameParameters(1.0, 1.0))
-_rng = np.random.default_rng(0)
-# B, C and D make the free block non-symmetric; the perturbation runs along
-# a second Lame direction, so A varies with x in a way A0 does not span
-LAME_BCD = make_custom(2, LAME.A0, B0=_rng.normal(size=(2, 2, 2)),
-                       C0=_rng.normal(size=(2, 2, 2)), D0=_rng.normal(size=(2, 2)))
-PERTURBED_BCD = make_perturbed(
-    LAME_BCD, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)), (0.3, (1, 1))]), 0.1,
+THM11 = curved_region(eps=1e-2)                 # the thm11 geometry
+_R = np.random.default_rng(0).normal(size=(2, 2, 2, 2))
+# Lame plus a major-antisymmetric part, A^{ab}_{ij} = -A^{ba}_{ji}, which
+# leaves the Legendre form as it is but makes the free block non-symmetric,
+# so it factors by banded LU.  The perturbation runs along a second Lame
+# direction, so A varies with x in a way A0 does not span.  Their cases
+# keep the ids "bcd" and "perturbed_bcd", which they had when lower-order
+# terms B, C and D made the block non-symmetric
+SKEW = make_custom(2, LAME.A0 + 0.5 * (_R - np.transpose(_R, (1, 0, 3, 2))))
+PERTURBED_SKEW = make_perturbed(
+    SKEW, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)), (0.3, (1, 1))]), 0.1,
     (1.0, 1.1), direction=make_lame(LameParameters(2.0, 0.5)).A0)
+# symmetric, but A^{12} = A^{21} = 3 > 1 leaves it not elliptic: its free
+# block is indefinite
+INDEFINITE = make_custom(1, np.reshape([1.0, 3.0, 3.0, 1.0], (1, 1, 2, 2)), lam=1.0)
 
 
 def jacobian_matrix(region, x1, t):
@@ -144,29 +151,13 @@ class TestTransform:
         assert np.allclose(tf.Atil[..., 0, 0, 1, 1], 1.0 / eps)
         assert np.allclose(tf.Atil[..., 0, 0, 0, 1], 0.0)
 
-    def test_constant_field_feels_only_the_zeroth_order_term(self):
-        reg = curved_region(eps=0.2)
-        grid = BoxGrid(17, 9, 1.0)
-        A0 = np.zeros((1, 1, 2, 2))
-        A0[0, 0] = np.eye(2)
-        D0 = np.array([[2.0]])
-        tensor = make_custom(1, A0, D0=D0, lam=1.0)
-        tf = transform_operator(tensor, reg, grid, box_jacobian(reg, grid))
-        ls = assemble(tf)
-        const = np.full(grid.nodes, 3.0)
-        out = (ls.matrix @ const).reshape(grid.shape)
-        X1, _ = grid.node_coords()
-        expected = reg.delta(X1) * 2.0 * 3.0         # delta * D * const
-        interior = (slice(1, -1), slice(1, -1))
-        assert np.abs(out[interior] - expected[interior]).max() <= 1e-10
-
     @pytest.mark.parametrize("tensor, rel", [(LAME, 0.0), (LAP, 0.0),
-                                             (PERTURBED_BCD, 1e-15)],
+                                             (PERTURBED_SKEW, 1e-15)],
                              ids=["lame", "laplace", "perturbed_bcd"])
     def test_contraction_matches_the_einsum_reference(self, tensor, rel):
         # delta * G A G^T as the three-operand einsum writes it; Lame and
         # Laplace agree bit for bit, an x-dependent A along another
-        # direction to round-off, and so do delta * G B and delta * G C
+        # direction to round-off
         reg = curved_region(eps=0.01, upper=1.0, lower=0.5)
         grid = BoxGrid(33, 17, 1.0)
         X1, T = grid.node_coords()
@@ -177,13 +168,8 @@ class TestTransform:
         tf = transform_operator(tensor, reg, grid, box_jacobian(reg, grid))
         if rel == 0.0:
             assert np.array_equal(tf.Atil, want)
-            assert tf.Btil is None and tf.Ctil is None
         else:
             assert np.abs(tf.Atil - want).max() <= rel * np.abs(want).max()
-            for got, V in ((tf.Btil, per_sample(tensor.B0, x)),
-                           (tf.Ctil, per_sample(tensor.C0, x))):
-                want = dlt[..., 0] * np.einsum("...aA,...ijA->...ija", G, V)
-                assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
     def test_ellipticity_inherited(self):
         # scalar case: the pulled-back form stays strictly positive definite;
@@ -252,13 +238,11 @@ class TestAssemble:
 
     def test_every_block_entry_matches_the_operator_on_quadratics(self):
         # constant coefficients: every centered stencil is exact on a
-        # quadratic, so K u on the interior rows is L[u] to round-off.  A0,
-        # B0, C0 and D0 are not symmetric under i <-> j, so a block written
+        # quadratic, so K u on the interior rows is L[u] to round-off.  A0
+        # has no symmetry under i <-> j, a <-> b or both, so a block written
         # in the wrong orientation fails
         rng = np.random.default_rng(0)
-        tensor = make_custom(2, rng.normal(size=(2, 2, 2, 2)),
-                             B0=rng.normal(size=(2, 2, 2)),
-                             C0=rng.normal(size=(2, 2, 2)), D0=rng.normal(size=(2, 2)))
+        tensor = make_custom(2, rng.normal(size=(2, 2, 2, 2)))
         reg = flat_region(eps=1.0)
         grid = BoxGrid(9, 7, 1.0)
         X1, T = grid.node_coords()
@@ -329,10 +313,11 @@ class TestSolveLinear:
 
     def test_identity_system(self):
         # identity Dirichlet rows and an identity stencil W[0] on the
-        # interior: the free block's diagonal is positive, so banded LU
+        # interior: a symmetric table, but the free block's diagonal is
+        # positive, so banded LU
         grid = BoxGrid(10, 5, 1.0)
         W0 = np.ones((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
-        ls = LinearSystem(grid, 1, {(0, 0): W0})
+        ls = LinearSystem(grid, 1, {(0, 0): W0}, True)
         b = np.random.default_rng(1).normal(size=(1,) + grid.shape)
         (x,), (rep,), _ = solve_linear(ls, b[None])
         assert np.array_equal(x, b) and rep.method == "gbtrf"
@@ -380,23 +365,20 @@ class TestSharedFactorization:
         assert rep.method == "pbtrf"
 
     def test_nonsymmetric_block_matches_full_system_spsolve(self):
-        # B and C make the free block non-symmetric: banded LU, row pivoting
-        A0 = np.zeros((1, 1, 2, 2))
-        A0[0, 0] = np.eye(2)
-        tensor = make_custom(1, A0, B0=np.array([[[3.0, -2.0]]]),
-                             C0=np.array([[[1.0, 4.0]]]), lam=1.0)
+        # A^{12} - A^{21} = 4 (1 + 0.5 x1) varies with x, which leaves a
+        # first-order term: the free block is non-symmetric, so banded LU,
+        # row pivoting.  A constant A^{12} - A^{21} would drop out
+        tensor = make_perturbed(make_custom(1, np.reshape([1.0, 2.0, -2.0, 1.0], (1, 1, 2, 2))),
+                                MultiPoly([(1.0, (1, 0))]), 0.5, (1.0, 1.1))
         ls, rep = self._matches_spsolve(tensor, curved_region(eps=0.05),
                                         BoxGrid(33, 17, 1.0))
         assert _asymmetry(ls) > 1e-3 and rep.method == "gbtrf"
 
     def test_indefinite_symmetric_block_falls_back_to_banded_lu(self):
-        # Laplace plus D = 50: the diagonal stays negative (about -1000) but
-        # the lowest Dirichlet eigenvalues of -K (about 12) drop below zero,
-        # so Cholesky stops and the same block is factored by banded LU
-        A0 = np.zeros((1, 1, 2, 2))
-        A0[0, 0] = np.eye(2)
-        tensor = make_custom(1, A0, D0=np.array([[50.0]]), lam=1.0)
-        ls, rep = self._matches_spsolve(tensor, flat_region(eps=1.0),
+        # a symmetric tensor that is not elliptic: the diagonal stays
+        # negative but -K has positive eigenvalues, so Cholesky stops and
+        # the same block is factored by banded LU
+        ls, rep = self._matches_spsolve(INDEFINITE, flat_region(eps=1.0),
                                         BoxGrid(33, 17, 1.0))
         free = ~dirichlet_mask(ls)
         K = _csr_reference(ls).toarray()[free][:, free]
@@ -444,7 +426,7 @@ class TestStackedSolve:
     # yet each column still rounds as it does alone: equality, no tolerance
     @pytest.mark.parametrize("tensor, routine", [
         pytest.param(LAME, "pbtrf", id="pbtrf"),
-        pytest.param(PERTURBED_BCD, "gbtrf", id="gbtrf")])
+        pytest.param(PERTURBED_SKEW, "gbtrf", id="gbtrf")])
     def test_stack_equals_single_solves(self, tensor, routine):
         ls, B = self._stack(tensor, 4)
         X, reports, times = solve_linear(ls, B)
@@ -590,7 +572,7 @@ def _twisted_parts(ls):
 class TestFreeBand:
     CASES = [pytest.param(LAME, "dpbtrf", id="lame"),
              pytest.param(LAP, "dpbtrf", id="laplace"),
-             pytest.param(LAME_BCD, "dgbtrf", id="bcd")]
+             pytest.param(SKEW, "dgbtrf", id="bcd")]
 
     @pytest.mark.parametrize("nodes", [(33, 9), (3, 9)], ids=["33x9", "3x9"])
     @pytest.mark.parametrize("tensor, routine", CASES)
@@ -623,7 +605,7 @@ class TestFreeBand:
         assert list(bands) == [routine]
         assert np.array_equal(bands[routine], want)
 
-    @pytest.mark.parametrize("tensor", [LAME_BCD, PERTURBED_BCD], ids=["bcd", "perturbed_bcd"])
+    @pytest.mark.parametrize("tensor", [SKEW, PERTURBED_SKEW], ids=["bcd", "perturbed_bcd"])
     def test_lu_of_minus_kff_solves_to_the_byte_as_the_lu_of_kff(self, tensor):
         # banded LU factors M = -K_ff and solves with -b_f: negation is exact
         # and partial pivoting compares absolute values, so a stack solved
@@ -673,7 +655,7 @@ class TestFreeBand:
         assert rep.nnz == _csr_reference(ls).nnz
         assert rep.fill == storage / Kff.nnz
 
-    @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD,
+    @pytest.mark.parametrize("tensor", [LAME, LAP, SKEW, PERTURBED_SKEW,
                                         make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2,
                                                        (1.0, 1.1))],
                              ids=["lame", "laplace", "bcd", "perturbed_bcd", "perturbed"])
@@ -717,6 +699,71 @@ class TestFreeBand:
         Kff = _free_block(ls).tocsr()
         assert ((Kff != Kff.T).nnz == 0) is symmetric
         assert _symmetric(ls.blocks, _free_pairs(ls, 0, ls.grid.shape[0] - 2)) is symmetric
+
+
+class TestSymmetryByConstruction:
+    """The tensor decides the factorization: a symmetric A gives an exactly
+    symmetric table, factored by Cholesky, and any other A banded LU."""
+
+    # (tensor, region, whether copying the mirrors moves an entry of Atil)
+    SYMMETRIC = [
+        *(pytest.param(make_lame(LameParameters(lam, 1.0)), THM11, True, id=f"lame_{lam:g}")
+          for lam in (-0.9, 3.0, 10.0, 100.0)),
+        pytest.param(make_lame(LameParameters(0.5, 2.0)), THM11, False, id="lame_0.5_2"),
+        pytest.param(LAP, curved_region(eps=1e-2, lower=0.5), False, id="laplace_h2"),
+        pytest.param(make_perturbed(LAME, MultiPoly([(1.0, (1, 0))]), 0.5, (1.0, 1.1)),
+                     THM11, False, id="lame_perturbed"),
+        pytest.param(LAME, THM11, False, id="lame_1")]
+
+    @staticmethod
+    def _system(tensor, reg, nodes=(65, 17)):
+        grid = BoxGrid(*nodes, 1.0)
+        return assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
+
+    @pytest.mark.parametrize("tensor, reg, moves", SYMMETRIC)
+    def test_a_symmetric_tensor_factors_by_cholesky(self, tensor, reg, moves):
+        from narrowgap import discretize
+        ls = self._system(tensor, reg)
+        assert tensor.symmetric and ls.symmetric
+        assert _symmetric(ls.blocks, _free_pairs(ls, 0, ls.grid.shape[0] - 2))
+        assert discretize._FreeBlockBand(ls).routine == "pbtrf"
+
+    @pytest.mark.parametrize("tensor, reg, moves", SYMMETRIC)
+    def test_only_the_vertical_block_needs_its_mirror_copied(self, monkeypatch, tensor, reg,
+                                                             moves):
+        # summed as (G A) G^T, Atil^{ab}_{ij} and Atil^{ba}_{ji} associate
+        # alike unless a = b = 2, so only Atil^{22}'s copy can move an entry:
+        # for Lame with lam = -0.9, 3, 10 and 100 it does, for the shipped
+        # tensors it does not
+        from narrowgap.coefficients import CoefficientTensor
+        grid = BoxGrid(65, 17, 1.0)
+        copied = transform_operator(tensor, reg, grid, box_jacobian(reg, grid)).Atil
+        monkeypatch.setattr(CoefficientTensor, "symmetric", property(lambda self: False))
+        summed = transform_operator(tensor, reg, grid, box_jacobian(reg, grid)).Atil
+        moved = copied != summed
+        assert not moved[..., 0, :].any() and not moved[..., :, 0].any()
+        diagonal = np.arange(tensor.N)
+        assert not moved[..., diagonal, diagonal, :, :].any()
+        assert moved.any() == moves
+
+    @pytest.mark.parametrize("tensor", [
+        pytest.param(make_custom(1, np.reshape([1.0, 0.5, 0.0, 1.0], (1, 1, 2, 2))), id="N1"),
+        pytest.param(SKEW, id="N2")])
+    def test_a_major_non_symmetric_tensor_factors_by_lu(self, tensor):
+        from narrowgap import discretize
+        ls = self._system(tensor, THM11)
+        assert not tensor.symmetric and not ls.symmetric
+        assert discretize._FreeBlockBand(ls).routine == "gbtrf"
+
+    def test_cholesky_solves_as_lu_does(self):
+        # Lame with lam = 100 by pbtrf, and the same table taken as
+        # non-symmetric by gbtrf
+        ls = self._system(make_lame(LameParameters(100.0, 1.0)), THM11)
+        b = right_hand_side(ls, np.random.default_rng(4).normal(size=ls.grid.shape + (2,)))
+        (x,), (rep,), _ = solve_linear(ls, b[None])
+        (y,), (lu,), _ = solve_linear(LinearSystem(ls.grid, ls.N, ls.blocks, False), b[None])
+        assert (rep.method, lu.method) == ("pbtrf", "gbtrf")
+        assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
 
 class TestTwistedCholesky:
@@ -769,14 +816,14 @@ class TestTwistedCholesky:
         assert b.ctypes.data == factor.ab[:, a.shape[1]:].ctypes.data
         assert a.shape[1] + b.shape[1] == factor.ab.shape[1]
 
-    @pytest.mark.parametrize("D, halves", [(50.0, False), (15.0, True)],
+    @pytest.mark.parametrize("tensor, halves", [(INDEFINITE, False), (LAP, True)],
                              ids=["halves_indefinite", "separator_indefinite"])
-    def test_indefinite_block_falls_back_to_banded_lu(self, monkeypatch, D, halves):
-        # Laplace plus D on the flat 2 x 1 box: the lowest Dirichlet
-        # eigenvalue of -K is about pi^2 (1/4 + 1) - D = 12.3 - D, and that of
-        # each half, about 1 wide, about pi^2 (1 + 1) - D = 19.7 - D.  D = 50
-        # makes the halves indefinite; with D = 15 only the separator's
-        # Cholesky finds the whole block indefinite
+    def test_indefinite_block_falls_back_to_banded_lu(self, monkeypatch, tensor, halves):
+        # on the flat 2 x 1 box, the not elliptic INDEFINITE makes both
+        # halves indefinite.  No tensor was found whose halves are positive
+        # definite and whose whole block is not, so for the separator's
+        # branch the Laplacian's dpotrf reports the info that such a block
+        # would give
         from narrowgap import discretize
         infos, pbtrf, potrf = [], discretize._pbtrf, discretize.lapack.dpotrf
         monkeypatch.setattr(discretize, "_pbtrf",
@@ -784,13 +831,12 @@ class TestTwistedCholesky:
 
         def potrf_info(*a, **k):
             out = potrf(*a, **k)
+            if halves:
+                out = out[0], len(out[0])
             infos.append(out[1])
             return out
 
         monkeypatch.setattr(discretize.lapack, "dpotrf", potrf_info)
-        A0 = np.zeros((1, 1, 2, 2))
-        A0[0, 0] = np.eye(2)
-        tensor = make_custom(1, A0, D0=np.array([[D]]), lam=1.0)
         _, rep = TestSharedFactorization._matches_spsolve(tensor, flat_region(eps=1.0),
                                                           BoxGrid(33, 17, 1.0))
         assert rep.method == "gbtrf"
@@ -851,7 +897,7 @@ class TestStencilOperator:
     PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2, (1.0, 1.1))
     CASES = [pytest.param(LAME, "pbtrf", id="lame"),
              pytest.param(LAP, "pbtrf", id="laplace"),
-             pytest.param(LAME_BCD, "gbtrf", id="bcd"),
+             pytest.param(SKEW, "gbtrf", id="bcd"),
              pytest.param(PERTURBED, "pbtrf", id="perturbed")]
 
     @staticmethod
@@ -879,7 +925,7 @@ class TestStencilOperator:
     @pytest.mark.parametrize("tensor, routine", [
         pytest.param(LAME, "pbtrf", id="lame"),
         pytest.param(LAP, "pbtrf", id="laplace"),
-        pytest.param(PERTURBED_BCD, "gbtrf", id="perturbed_bcd")])
+        pytest.param(PERTURBED_SKEW, "gbtrf", id="perturbed_bcd")])
     def test_strip_coupling_equals_the_whole_grid_product(self, tensor, routine, nodes):
         # reference: x_D = b_D with zero free entries, K applied to it over
         # the whole grid (the reference CSR, which the operator rounds as),
@@ -898,7 +944,7 @@ class TestStencilOperator:
         x[free] = factor._solve_free(bf[:, None])[:, 0]
         assert np.array_equal(factor.solve(b[None])[0], x.reshape(b.shape))
 
-    @pytest.mark.parametrize("tensor", [LAME, LAP, LAME_BCD, PERTURBED_BCD],
+    @pytest.mark.parametrize("tensor", [LAME, LAP, SKEW, PERTURBED_SKEW],
                              ids=["lame", "laplace", "bcd", "perturbed_bcd"])
     def test_operator_matches_the_reference_csr(self, tensor):
         ls, _ = self._system(tensor)
@@ -946,12 +992,12 @@ class TestStencilOperator:
 
     @pytest.mark.parametrize("solves", [1, 2], ids=["first_failure", "raised_again"])
     def test_failed_factorization_frees_its_system(self, solves):
-        # a zero W[0] stops banded LU at gbtrf info 1 on every solve, and
-        # neither the first nor a later one may keep the system alive
-        # through a stored traceback
+        # a zero W[0], symmetric but with no negative diagonal, stops banded
+        # LU at gbtrf info 1 on every solve, and neither the first nor a
+        # later one may keep the system alive through a stored traceback
         grid = BoxGrid(10, 5, 1.0)
         W0 = np.zeros((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
-        ls = LinearSystem(grid, 1, {(0, 0): W0})
+        ls = LinearSystem(grid, 1, {(0, 0): W0}, True)
         b = np.random.default_rng(1).normal(size=(1,) + grid.shape)
         system = weakref.ref(ls)
         enabled = gc.isenabled()
@@ -984,17 +1030,6 @@ class TestSolveBVP:
 
     def test_mms_convergence_second_order(self):
         assert _mms_order(LAME) == pytest.approx(2.0, abs=0.2)
-
-    @pytest.mark.parametrize("terms", ["B", "C", "D", "BCD"])
-    def test_mms_order_with_lower_order_terms(self, terms):
-        # the paper's operator d_a(A d_b u + B u) + C d_b u + D u: each
-        # lower-order stencil must keep second order on its own
-        rng = np.random.default_rng(0)
-        draws = {"B0": rng.normal(size=(2, 2, 2)), "C0": rng.normal(size=(2, 2, 2)),
-                 "D0": rng.normal(size=(2, 2))}
-        tensor = make_custom(2, LAME.A0,
-                             **{f"{k}0": draws[f"{k}0"] for k in terms})
-        assert _mms_order(tensor) == pytest.approx(2.0, abs=0.2)
 
     def test_independent_axis_refinement_both_reduce_error(self):
         reg = curved_region(eps=0.3, upper=0.5)

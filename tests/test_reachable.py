@@ -27,6 +27,10 @@ The box Jacobian has one producer: only ``PointSetup.build`` calls
 ``box_jacobian``, once per sweep point, and every transform and gradient
 recovery at that point reads what it built.
 
+The symmetry of the stencil table comes from the tensor
+(``CoefficientTensor.symmetric``), which decides the factorization: no
+module tests arrays for equality at run time (``np.array_equal``).
+
 Threads and the ctypes binding of LAPACK live in ``discretize.py`` alone,
 and a helper thread runs only a band fill and that binding: the benchmark's
 tracer (``sweepbench/layers.py``) keeps one span stack, and its gauge
@@ -233,3 +237,12 @@ def test_only_the_sweep_point_builds_the_box_jacobian():
     assert [where for where, _ in callers] == ["PointSetup.build"], \
         "box_jacobian called other than once, in PointSetup.build: " + ", ".join(
             at for _, at in callers)
+
+
+def test_no_module_tests_arrays_for_equality():
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [f"{path.name}:{line}" for _, name, line in _calls_by_function(tree)
+                  if name in ("array_equal", "array_equiv")]
+    assert not calls, "np.array_equal in src/: " + ", ".join(calls)
