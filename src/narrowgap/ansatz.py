@@ -379,7 +379,7 @@ class AnsatzField:
         analytically, and f0 the same for the plain interpolant, from one jet
         pass."""
         x = self.region.from_box(x1, t)
-        return tuple(apply_operator(self.tensor, x, *jet)
+        return tuple(apply_operator(self.tensor, x, *jet[1:])
                      for jet in self._jets(x1, t, 2, (True, False)))
 
 
@@ -393,11 +393,11 @@ def build_ansatz(tensor: CoefficientTensor, region: NarrowRegion,
 # the operator, applied to any analytically differentiable field
 # ---------------------------------------------------------------------------
 
-def apply_operator(tensor: CoefficientTensor, x, value, grad, hess):
+def apply_operator(tensor: CoefficientTensor, x, grad, hess):
     """d_a(A d_b u) expanded by the product rule: A hess u + (div A) grad u.
 
-    ``value, grad, hess`` are a jet of the field at x, shapes (..., N),
-    (..., N, 2), (..., N, 2, 2); with no zeroth-order term, value is unread.
+    ``grad, hess`` are the field's first and second derivatives at x,
+    shapes (..., N, 2) and (..., N, 2, 2).
     """
     if tensor.is_constant:                  # A0 itself, not a copy per sample
         f = np.einsum("ijab,...jab->...i", tensor.A0, hess)

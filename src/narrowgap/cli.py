@@ -156,7 +156,7 @@ def _hypotheses(cfg: RunConfig, eps: float):
     pointwise Legendre ellipticity.
     """
     rep = validate_profiles(cfg.geometry.build_pair())
-    region, tensor = cfg.geometry.build_region(eps), cfg.build_tensor()
+    region, tensor = cfg.geometry.build_region(eps), cfg.tensor.build()
     out = [f"at eps {eps!r}", f"profiles ((A1)-(A3)): {'pass' if rep.passed else 'FAIL'}"]
     out += ["  " + ln.strip() for ln in str(rep).splitlines()]
     try:

@@ -22,12 +22,14 @@ perturbation s * p(x) * T, which is enough to exercise every
 variable-coefficient code path while keeping derivatives exact.  Whether A
 has the major symmetry A^{ab}_{ij} = A^{ba}_{ji} is read exactly from A0
 and T (``CoefficientTensor.symmetric``), and the solver's stencil table and
-factorization follow it.
+factorization follow it.  A tensor is a function of its config block alone
+and declares the constants of A0; the checks take a perturbed tensor's
+bounds over the region they check (``_ends``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,21 +98,14 @@ class MultiPoly:
 # the tensor
 # ---------------------------------------------------------------------------
 
-def _elasticity_like(A0):
-    if A0.shape[0] != DIM:
-        return False
-    return (np.allclose(A0, np.transpose(A0, (1, 0, 3, 2)), atol=1e-12)
-            and np.allclose(A0, np.transpose(A0, (2, 1, 0, 3)), atol=1e-12))
-
-
 @dataclass(frozen=True)
 class CoefficientTensor:
     """Constant coefficients with an optional A-perturbation.
 
     ``lam`` is the declared (pointwise Legendre) coercivity constant and
     ``Lambda1 <= Lambda2`` the declared bounds on the symmetric part of
-    A^{22}; ``check_pointwise_ellipticity`` and ``check_ann`` measure the
-    fields against them.
+    A^{22}, those of A0; ``check_pointwise_ellipticity`` and ``check_ann``
+    measure the fields against them (``_ends`` where A varies).
     """
 
     N: int
@@ -121,17 +116,25 @@ class CoefficientTensor:
     lam: float = 0.0
     Lambda1: float = 0.0
     Lambda2: float = 0.0
-    is_elasticity: bool = False
 
     @property
     def is_constant(self):
         return self.perturb_scale == 0.0
 
+    def _unchanged_by(self, *axes):
+        """A0 and T equal their transposes by each of ``axes``, exactly."""
+        return not any(np.any(A - np.transpose(A, ax)) for ax in axes
+                       for A in (self.A0, self.perturb_dir) if A is not None)
+
     @property
     def symmetric(self):
         """A^{ab}_{ij} = A^{ba}_{ji} at every x: exactly, in A0 and in T."""
-        return not any(np.any(A - np.transpose(A, (1, 0, 3, 2)))
-                       for A in (self.A0, self.perturb_dir) if A is not None)
+        return self._unchanged_by((1, 0, 3, 2))
+
+    @property
+    def is_elasticity(self):
+        """N = 2 and A^{ab}_{ij} = A^{ba}_{ji} = A^{ib}_{aj} exactly, as for Lame."""
+        return self.N == DIM and self._unchanged_by((1, 0, 3, 2), (2, 1, 0, 3))
 
     def A_jet(self, x, order):
         """[A, grad A, hess A] at x (..., 2) up to ``order``, derivative axes last.
@@ -160,8 +163,7 @@ def _finish(N, A0, lam, Lambda1, Lambda2):
     A0 = np.asarray(A0, dtype=float)
     if A0.shape != (N, N, DIM, DIM):
         raise ConstructionError(f"A must have shape {(N, N, DIM, DIM)}, got {A0.shape}")
-    return CoefficientTensor(N=N, A0=A0, lam=lam, Lambda1=Lambda1, Lambda2=Lambda2,
-                             is_elasticity=_elasticity_like(A0))
+    return CoefficientTensor(N=N, A0=A0, lam=lam, Lambda1=Lambda1, Lambda2=Lambda2)
 
 
 def make_laplace(N: int = 1) -> CoefficientTensor:
@@ -200,60 +202,54 @@ def make_lame(params: LameParameters) -> CoefficientTensor:
     return _finish(DIM, A0, min(2 * mu, DIM * lam + 2 * mu), mu, lam + 2 * mu)
 
 
-def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float, reach,
+def make_perturbed(base: CoefficientTensor, poly: MultiPoly, scale: float,
                    direction: np.ndarray | None = None) -> CoefficientTensor:
     """A(x) = A0 + scale * p(x) * T with T defaulting to the base A0 itself.
 
-    ``reach`` holds the largest |x1| and |x2| the tensor is evaluated at, so
-    |scale p| <= f = |scale| * ``poly.bound(reach)`` there.  A is affine in
-    scale p, the least eigenvalues of sym(A^{22}) and of the Legendre
-    quotient are concave in it and the greatest is convex, so each extreme
-    over the box is met at A0 - f T or A0 + f T: those two tensors give the
-    declared constants, floored at 0 (positivity only) where f can reach it.
-    A floored bound fails its record line (``_floored``).
+    It keeps the base's declared constants, those of A0 (``_ends``).
     """
     if direction is None:
         direction = base.A0
     direction = np.asarray(direction, dtype=float)
     if direction.shape != base.A0.shape:
         raise ConstructionError("perturbation direction must match A's shape")
-    f = abs(scale) * poly.bound(reach)
-    ends = base.A0 + np.multiply.outer([-f, f], direction)
-    is_elasticity = base.is_elasticity and _elasticity_like(direction)
-    ev = _sym_eigs(ends[..., 1, 1])
-    return CoefficientTensor(
-        N=base.N, A0=base.A0, perturb_scale=float(scale), perturb_poly=poly,
-        perturb_dir=direction, lam=max(float(_legendre_min(ends, is_elasticity).min()), 0.0),
-        Lambda1=max(float(ev[:, 0].min()), 0.0), Lambda2=float(ev[:, -1].max()),
-        is_elasticity=is_elasticity)
+    return replace(base, perturb_scale=float(scale), perturb_poly=poly, perturb_dir=direction)
 
 
-def make_custom(N, A0, lam=0.0, Lambda1=None, Lambda2=None):
+def make_custom(N, A0):
+    """A0 as given: lam 0, and (Lambda1, Lambda2) the extreme eigenvalues of sym(A0^{22})."""
     A0 = np.asarray(A0, dtype=float)
     ev = _sym_eigs(A0[None, :, :, 1, 1])[0]
-    return _finish(N, A0, lam,
-                   float(ev[0]) if Lambda1 is None else Lambda1,
-                   float(ev[-1]) if Lambda2 is None else Lambda2)
+    return _finish(N, A0, 0.0, float(ev[0]), float(ev[-1]))
 
 
 # ---------------------------------------------------------------------------
 # hypothesis checks
 # ---------------------------------------------------------------------------
 
-def _floored(tensor: CoefficientTensor, region, least) -> str:
-    """"" unless a declared lower bound had to be floored at 0 on ``region``;
-    else the clause that fails its record line, naming the bound and its end.
+def _ends(tensor: CoefficientTensor, region):
+    """(f, the ends A0 - f T and A0 + f T) of a perturbed tensor over ``region``.
 
-    ``least`` maps the ends A0 -/+ f T, f over ``region.reach``, to their
-    least values, as ``make_perturbed`` reads them over its reach.
+    f = |s| ``poly.bound(region.reach)`` bounds |s p| on the box |x_a| <=
+    ``region.reach[a]``, which holds every point a command reads A at: the
+    solver's nodes at each eps up to the region's, on both grids, the
+    ansatz's mid-gap points and the residual samples.  A is affine in s p,
+    the least eigenvalues of sym(A^{22}) and of the Legendre quotient are
+    concave in it and the greatest convex, so the ends meet each extreme.
     """
-    if tensor.is_constant:
-        return ""
     f = abs(tensor.perturb_scale) * tensor.perturb_poly.bound(region.reach)
-    values = least(tensor.A0 + np.multiply.outer([-f, f], tensor.perturb_dir))
-    k = int(np.argmin(values))
-    return "" if values[k] > 0 else (f"; bound {values[k]:.6g} over the reach, met at "
-                                     f"A0 {'-+'[k]} {f:.6g} T, floored at 0")
+    return f, tensor.A0 + np.multiply.outer([-f, f], tensor.perturb_dir)
+
+
+def _floored(f, least):
+    """(lower bound, clause) from the least values at the ends: the lesser and
+    "", or, where it is not positive, 0 and the clause that fails its record
+    line, naming the bound and its end."""
+    k = int(np.argmin(least))
+    if least[k] > 0:
+        return float(least[k]), ""
+    return 0.0, (f"; bound {least[k]:.6g} over the reach, met at "
+                 f"A0 {'-+'[k]} {f:.6g} T, floored at 0")
 
 
 @dataclass(frozen=True)
@@ -294,15 +290,19 @@ def check_pointwise_ellipticity(tensor: CoefficientTensor, region) -> Ellipticit
     at 5 interior samples per axis of ``region``, with a positive minimum
     even under a declared lam of 0.  The per-point minimum over xi is exact:
     the smallest eigenvalue of the flattened (2N) x (2N) symmetric part,
-    restricted to symmetric xi for elasticity tensors.
+    restricted to symmetric xi for elasticity tensors.  A perturbed tensor
+    declares the least quotient at the ends over ``region`` (``_ends``).
     """
-    points = _sample_region_points(region, 5)
-    quotients = _legendre_min(tensor.A(points), tensor.is_elasticity)
+    points, symmetric_xi = _sample_region_points(region, 5), tensor.is_elasticity
+    quotients = _legendre_min(tensor.A(points), symmetric_xi)
     kmin = int(np.argmin(quotients))
     min_quotient = float(quotients[kmin])
-    floored = _floored(tensor, region, lambda A: _legendre_min(A, tensor.is_elasticity))
-    passed = min_quotient > 0 and min_quotient >= tensor.lam * (1 - 1e-9) and not floored
-    return EllipticityReport(min_quotient, tensor.lam, passed, tensor.is_elasticity,
+    declared, floored = tensor.lam, ""
+    if not tensor.is_constant:
+        f, ends = _ends(tensor, region)
+        declared, floored = _floored(f, _legendre_min(ends, symmetric_xi))
+    passed = min_quotient > 0 and min_quotient >= declared * (1 - 1e-9) and not floored
+    return EllipticityReport(min_quotient, declared, passed, symmetric_xi,
                              tuple(round(float(v), 12) for v in points[kmin]), floored)
 
 
@@ -339,7 +339,8 @@ def check_ann(tensor: CoefficientTensor, region) -> AnnReport:
     """Extreme eigenvalues of sym(A^{22}) at 5 samples per axis of ``region``.
 
     Raises HypothesisViolationError when the minimum is not positive, since
-    the correction-coefficient solve would then be ill-posed.
+    the correction-coefficient solve would then be ill-posed.  A perturbed
+    tensor declares the extremes at the ends over ``region`` (``_ends``).
     """
     points = _sample_region_points(region, 5)
     ev = _sym_eigs(tensor.A(points)[..., 1, 1])
@@ -349,7 +350,12 @@ def check_ann(tensor: CoefficientTensor, region) -> AnnReport:
         raise HypothesisViolationError(
             f"A^nn loses positive definiteness at x = "
             f"{tuple(float(v) for v in points[kmin])} (min eig {lo:.3g})")
-    floored = _floored(tensor, region, lambda A: _sym_eigs(A[..., 1, 1])[:, 0])
-    passed = (bool(np.isfinite([lo, hi]).all()) and lo >= tensor.Lambda1 * (1 - 1e-9)
-              and hi <= tensor.Lambda2 * (1 + 1e-9) and not floored)
-    return AnnReport(lo, hi, (tensor.Lambda1, tensor.Lambda2), passed, floored)
+    declared, floored = (tensor.Lambda1, tensor.Lambda2), ""
+    if not tensor.is_constant:
+        f, ends = _ends(tensor, region)
+        ev = _sym_eigs(ends[..., 1, 1])
+        lower, floored = _floored(f, ev[:, 0])
+        declared = (lower, float(ev[:, -1].max()))
+    passed = (bool(np.isfinite([lo, hi]).all()) and lo >= declared[0] * (1 - 1e-9)
+              and hi <= declared[1] * (1 + 1e-9) and not floored)
+    return AnnReport(lo, hi, declared, passed, floored)

@@ -85,8 +85,7 @@ class TensorConfig:
     perturb_poly: tuple = ((1.0, (1, 0)),)   # p: terms (coef, exponents)
     custom_A: tuple | None = None    # custom: flat A entries, shape (N, N, 2, 2)
 
-    def build(self, reach) -> _coeff.CoefficientTensor:
-        """The tensor; a perturbed one declares its constants for |x_a| <= reach[a]."""
+    def build(self) -> _coeff.CoefficientTensor:
         if self.kind == "laplace":
             tensor = _coeff.make_laplace(self.N)
         elif self.kind == "lame":
@@ -97,7 +96,7 @@ class TensorConfig:
             tensor = _coeff.make_custom(self.N, A0)
         if self.perturb_scale:
             poly = _coeff.MultiPoly(self.perturb_poly)
-            tensor = _coeff.make_perturbed(tensor, poly, self.perturb_scale, reach)
+            tensor = _coeff.make_perturbed(tensor, poly, self.perturb_scale)
         return tensor
 
 
@@ -167,9 +166,6 @@ class RunConfig:
     def build_traces(self):
         return self.traces.build(self.N)
 
-    def build_tensor(self) -> _coeff.CoefficientTensor:
-        return self.tensor.build(self.reach())
-
     def sweep_head(self):
         """The widest gap any check sweeps: the head of ``eps_list`` or of the defaults."""
         return max(self.experiment.eps_list or DEFAULT_EPS + DECAY_EPS)
@@ -177,11 +173,6 @@ class RunConfig:
     def widest_eps(self):
         """The widest gap of any sweep or single solve: the sweep head or ``geometry.epsilon``."""
         return max(self.sweep_head(), self.geometry.epsilon or 0.0)
-
-    def reach(self):
-        """The largest |x1| and |x2| of every grid this config solves or samples
-        on: the reach of its region at the widest eps (``NarrowRegion.reach``)."""
-        return _geom.NarrowRegion(self.geometry.build_pair(), self.widest_eps()).reach
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)

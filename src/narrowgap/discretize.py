@@ -29,19 +29,19 @@ factorization on return and returns the pass's times once, beside a report
 per row.  It eliminates the identity Dirichlet rows and factors the free
 block as a band, O(n b^2) at BLAS-3 speed: the classical choice for thin
 structured grids (George & Liu 1981, ch. 4; LAPACK xPBTRF).  Both routines
-factor M = -K_ff.  The tensor decides which: a symmetric A gives a
-symmetric table by construction, and its M is factored from both ends at
-once, a twisted banded Cholesky (van der Vorst 1987): the halves left and
-right of the middle x1-column on two threads, through LAPACK called without
-the GIL, then that column's dense Schur complement.  A non-symmetric A, or
-an M that Cholesky finds not positive definite, goes to banded LU.  The
-stencil's block table is the operator: the band is filled from it one
-slice per offset and component pair, the Dirichlet coupling is summed from
-it on the boundary strips alone, and the backward error's K x is summed
-from it over the interior.  The coupling, the
-triangular solves and the backward error each run once over the stack.
-``LinearSystem.matrix`` is kept for the tests and for the benchmark's read
-of its shape.  No sparse matrix is built.
+factor M = -K_ff.  The tensor decides which: a symmetric A gives a symmetric
+table by construction, and its M is factored from both ends at once, a
+twisted banded Cholesky (van der Vorst 1987): the halves left and right of
+the middle x1-column on two threads, through LAPACK called without the GIL,
+then that column's dense Schur complement.  Such an M that is not positive
+definite is a fault, raised as SolverError.  A non-symmetric A goes to banded
+LU.  The stencil's block table is the operator: the band is filled from it
+one slice per offset and component pair, the Dirichlet coupling is summed
+from it on the boundary strips alone, and the backward error's K x is summed
+from it over the interior.  The coupling, the triangular solves and the
+backward error each run once over the stack.  ``LinearSystem.matrix`` is kept
+for the tests and for the benchmark's read of its shape.  No sparse matrix is
+built.
 
 The stack of unknowns is component-major, (k, N, *shape), and only the
 linear algebra reads it; every other array is node-major, as the ansatz is:
@@ -477,9 +477,9 @@ class _FreeBlockBand:
     half-bandwidth kd = N * (vertical nodes - 1) + N - 1, and both routines
     factor M = -K_ff, filled block by block from the stencil table.
 
-    The system of a symmetric tensor (``LinearSystem.symmetric``) whose M
-    has a positive diagonal is factored by a twisted banded Cholesky, from both ends at once (van der Vorst 1987).  The
-    middle interior x1-column S, c = N * (vertical interior) unknowns,
+    The system of a symmetric tensor (``LinearSystem.symmetric``) is factored
+    by a twisted banded Cholesky, from both ends at once (van der Vorst 1987).
+    The middle interior x1-column S, c = N * (vertical interior) unknowns,
     separates the columns left of it (A) from those right of it (B): the
     stencil reaches one column across, so M_AB = 0.  A is filled in natural
     order and B in reversed node order (x1, t and component all reversed),
@@ -493,14 +493,13 @@ class _FreeBlockBand:
     LAPACK is called through ctypes (``_lapack``) because scipy's wrappers
     hold the GIL, which would run the halves one after the other.  The split
     and each thread's arithmetic are fixed, so a solve is reproducible to
-    the byte.
+    the byte.  A half or separator that is not positive definite raises
+    SolverError naming it.
 
-    The system of a non-symmetric tensor, and one whose half or separator
-    Cholesky finds not positive definite, is factored by banded LU with
+    The system of a non-symmetric tensor is factored by banded LU with
     partial pivoting (``gbtrf``), which needs about three times the band's
-    storage.  Negation
-    is exact and pivoting compares absolute values, so M's LU solves as
-    K_ff's would, to the byte.
+    storage.  Negation is exact and pivoting compares absolute values, so
+    M's LU solves as K_ff's would, to the byte.
     """
 
     def __init__(self, ls: LinearSystem):
@@ -516,8 +515,8 @@ class _FreeBlockBand:
         self.kd = kd = max(abs(step) * N + N - 1 for _, _, step in pairs.values())
         nnz = sum(N * N * int(np.prod([s.stop - s.start for s in src]))
                   for src, _, _ in pairs.values())
-        diagonal = np.diagonal(self.blocks[(0, 0)], axis1=-2, axis2=-1)
-        if ls.symmetric and np.all(diagonal < 0) and self._cholesky(ls):
+        if ls.symmetric:
+            self._cholesky(ls)
             self.routine = "pbtrf"
             self.fill = sum(a.size for a in (self.ab, self.wa, self.wb, self.sep)) / nnz
             return
@@ -581,9 +580,9 @@ class _FreeBlockBand:
         return solve_triangular(T, self._coupling(col, o0)[::order], lower=True,
                                 check_finite=False)
 
-    def _cholesky(self, ls: LinearSystem) -> bool:
-        """Twisted banded Cholesky of M = -K_ff: False, and nothing kept,
-        when a half or the separator is not positive definite."""
+    def _cholesky(self, ls: LinearSystem):
+        """Twisted banded Cholesky of M = -K_ff; SolverError, holding no
+        band, when a half or the separator is not positive definite."""
         N, (m1, m2) = self.N, self.inner
         s = m1 // 2
         c = N * m2
@@ -595,16 +594,18 @@ class _FreeBlockBand:
         except BaseException:               # a kept exception must not hold the band
             del ab
             raise
-        if any(infos):
-            return False
-        wa = self._reduced(ab[:, :na], s - 1, 1, 1)
-        wb = self._reduced(ab[:, na:], s + 1, -1, -1)
-        schur = self._coupling(s, 0) - wa.T @ wa - wb.T @ wb
-        sep, info = lapack.dpotrf(schur, lower=1, clean=1)
-        if info != 0:
-            return False
+        failed = next((f"{part} not positive definite, pbtrf info {info}" for part, info
+                       in zip(("left half", "right half"), infos) if info), "")
+        if not failed:
+            wa = self._reduced(ab[:, :na], s - 1, 1, 1)
+            wb = self._reduced(ab[:, na:], s + 1, -1, -1)
+            sep, info = lapack.dpotrf(self._coupling(s, 0) - wa.T @ wa - wb.T @ wb,
+                                      lower=1, clean=1)
+            failed = f"separator not positive definite, potrf info {info}" if info else ""
+        if failed:
+            del ab                          # a kept exception must not hold the band
+            raise SolverError(f"banded Cholesky factorization failed: {failed}")
         self.ab, self.split, self.wa, self.wb, self.sep = ab, na, wa, wb, sep
-        return True
 
     def _solve_free(self, cols):
         """K_ff^-1 cols = M^-1 (-cols) for a stack of Fortran columns, one per

@@ -200,7 +200,7 @@ class PointSetup:
 
     @classmethod
     def build(cls, cfg: RunConfig, eps: float, nodes: tuple) -> PointSetup:
-        region, tensor = cfg.geometry.build_region(eps), cfg.build_tensor()
+        region, tensor = cfg.geometry.build_region(eps), cfg.tensor.build()
         grid = _disc.grid_for(region, *nodes)
         X1, T = coords = grid.node_coords()
         jacobian = _disc.box_jacobian(region, grid)
@@ -609,7 +609,7 @@ def residual_sweep(cfg: RunConfig) -> dict:
     the solve sweeps' comparison: moving more than the Richardson tolerance
     flags a point sampling-limited.
     """
-    tensor = cfg.build_tensor()
+    tensor = cfg.tensor.build()
     traces = cfg.build_traces()
     c2n = traces.c2_total(cfg.geometry.build_pair().patch_radius)
 
@@ -806,7 +806,7 @@ def _judge_thm11(cfg: RunConfig, results) -> Verdict:
     srs, = results
     unc, band = -1.0 / cfg.geometry.m, THM11_BAND
     unc_expected = f"uncorrected {unc} +/- {THM11_BAND}"
-    if _correction_vanishes(cfg.build_tensor()):
+    if _correction_vanishes(cfg.tensor.build()):
         band, unc_expected = None, "uncorrected fitted only: A^12 + A^21 = 0, no correction"
     return _judge_claims(
         "thm11", srs,

@@ -193,7 +193,7 @@ def manufactured_forcing(tensor, mms):
 
     def F(x):
         x = np.asarray(x, dtype=float)
-        return -apply_operator(tensor, x, mms.value(x), mms.grad(x), mms.hess(x))
+        return -apply_operator(tensor, x, mms.grad(x), mms.hess(x))
 
     return F
 

@@ -19,6 +19,7 @@ from narrowgap.coefficients import LameParameters, MultiPoly, make_lame, make_pe
 from narrowgap.config import (_BLOCKS, CHECK_NAMES, ConfigError, ExperimentConfig,
                               OutputConfig, config_from_dict, parse_config, validate_config)
 from narrowgap.experiments import CHECKS, SweepPoint, SweepResult, Verdict, run_checks
+from test_pinned_outputs import THIN
 
 MINI = {
     "geometry": {"m": 2, "R0": 0.5},
@@ -215,7 +216,9 @@ class TestRun:
                            "perturb_poly": [[1.0, [1, 0]], [0.5, [0, 1]], [0.3, [1, 1]]]},
                 "solver": {"tangential_nodes": 65, "vertical_nodes": 17},
                 "experiment": {}}
-        assert config_from_dict(data).reach() == pytest.approx((1.0, 1.1), rel=1e-15)
+        cfg = config_from_dict(data)
+        reach = cfg.geometry.build_region(cfg.widest_eps()).reach
+        assert reach == pytest.approx((1.0, 1.1), rel=1e-15)
         p = write_cfg(tmp_path, data)
         assert main(["validate", "--config", str(p), "--out", str(tmp_path / "v")]) == 0
         out = capsys.readouterr().out
@@ -367,17 +370,17 @@ class TestRun:
             config_from_dict({"tensor": {"kind": "custom", "custom_A": [1, 0, 0, 1],
                                          "perturb_poly": [[1.0, [1]]]}})
         custom = config_from_dict({"tensor": {"kind": "custom", "custom_A": [1, 0, 0, 1]}})
-        assert custom.build_tensor().is_constant
+        assert custom.tensor.build().is_constant
         # lame with a scale is (1 + s p) A0, p = x1 by default
         lame = config_from_dict({"tensor": {"kind": "lame", "perturb_scale": 0.5}})
         want = make_perturbed(make_lame(LameParameters(1.0, 1.0)),
-                              MultiPoly(((1.0, (1, 0)),)), 0.5, lame.reach())
-        tensor = lame.build_tensor()
+                              MultiPoly(((1.0, (1, 0)),)), 0.5)
+        tensor = lame.tensor.build()
         assert not tensor.is_constant
         assert np.array_equal(tensor.A(x), want.A(x))
         # laplace with a scale is (1 + s p) I
         laplace = config_from_dict({"tensor": {"kind": "laplace", "perturb_scale": 0.5}})
-        A = laplace.build_tensor().A(x)[:, 0, 0]
+        A = laplace.tensor.build().A(x)[:, 0, 0]
         assert np.array_equal(A, (1 + 0.5 * x[:, 0])[:, None, None] * np.eye(2))
 
     # MINI is Lame with N = 2: data for a third component would be dropped
@@ -739,17 +742,15 @@ def test_every_solve_event_has_one_key_set(tmp_path):
 
 
 def test_factorization_failure_aborts_every_solving_check(tmp_path, monkeypatch):
-    # the twisted Cholesky finds the block not positive definite, then banded
-    # LU reports an exact zero pivot
-    dgbtrf = discretize.lapack.dgbtrf
-    monkeypatch.setattr(discretize._FreeBlockBand, "_cholesky", lambda self, ls: False)
-    monkeypatch.setattr(discretize.lapack, "dgbtrf",
-                        lambda *a, **k: dgbtrf(*a, **k)[:2] + (1,))
+    # each half of the twisted Cholesky reports an exact zero pivot, which
+    # no other routine retries
+    monkeypatch.setattr(discretize, "_pbtrf", lambda ab: 1)
     cfg = config_from_dict({**TINY, "output": {"dir": str(tmp_path / "f")}})
     report = run(cfg, "all")
     status = {v.name: v for v in report.verdicts}
     assert status["residual"].status == "PASS"
-    message = "SolverError: banded LU factorization failed: gbtrf info 1"
+    message = ("SolverError: banded Cholesky factorization failed: left half not positive "
+               "definite, pbtrf info 1")
     checks = {e["name"]: e for e in _runlog(tmp_path / "f") if e["event"] == "check"}
     for name in ("thm11", "remark13", "decay", "cor41", "energy"):
         assert status[name].status == "ABORTED"
@@ -809,7 +810,7 @@ def test_a_tensor_not_elliptic_in_x1_fails_legendre_under_a_declared_zero(tmp_pa
 def test_a_bound_floored_at_zero_fails_the_record(tmp_path, capsys):
     # A = (1 - 1.5 x1) A0 on the thm11 geometry, whose solve box spans
     # |x1| <= 1: A^nn's least eigenvalue over that reach is -1.5, met at
-    # A0 - 1.5 T, and make_perturbed floors it at 0.  The samples stop at
+    # A0 - 1.5 T, and the record floors it at 0.  The samples stop at
     # |x1| = 2/3, where A is 0 up to roundoff, so they alone would pass it.
     # validate FAILs and thm11 is ABORTED, naming A^nn, before any solve
     p = write_cfg(tmp_path, {**MINI, "tensor": {"kind": "lame", "perturb_scale": -1.5},
@@ -827,6 +828,84 @@ def test_a_bound_floored_at_zero_fails_the_record(tmp_path, capsys):
         in capsys.readouterr().out
     assert not any(e["event"] == "solve" for e in _runlog(tmp_path / "t"))
 
+
+
+def test_a_single_solve_takes_its_record_over_its_own_gap(tmp_path):
+    # THIN solves at geometry.epsilon 0.02 and sweeps from 0.1.  Its p has
+    # x2 terms, so over the region at 0.02 (|x1| <= 1, |x2| <= 1.02) the
+    # record bounds |0.1 p| by 0.1 (1 + 0.5 * 1.02 + 0.3 * 1.02) = 0.1816,
+    # tighter than over the widest gap: A^nn within (1 - 0.1816, 3 (1 + 0.1816))
+    cfg = replace(config_from_dict(THIN), output=OutputConfig(str(tmp_path / "s")))
+    report = run(cfg, "solve")
+    assert report.validation[0] == "at eps 0.02"
+    assert "[pass] A^nn spectrum in [0.9301, 3.2735] vs declared (0.8184, 3.5448)" \
+        in report.validation
+    assert ("[pass] pointwise Legendre (symmetric-xi): min quotient 1.8602 vs declared 1.6368 "
+            "at (-0.666666666667, -0.107777777778)") in report.validation
+
+
+class _Solved:
+    """Stands in for a solved bundle: the sweep steps on without a solve."""
+
+    def event(self, *args):
+        return {"event": "stand-in"}
+
+
+@pytest.mark.parametrize("path", [*SHIPPED, "THIN"], ids=lambda p: getattr(p, "name", p))
+def test_the_record_region_holds_every_point_a_command_reads(path, tmp_path, monkeypatch):
+    # the record takes a perturbed tensor's bounds over the box of the
+    # region it checks (coefficients._ends), so that box must hold, for
+    # each command, every node the solver reads, at every eps of the sweep
+    # and on both grids, and every residual sample; validate's box must
+    # hold them all.  The commands run as they do, but every solve stands
+    # in (_Solved), every statistic reads 1 and every residual 1
+    from narrowgap import cli, experiments
+    from narrowgap.ansatz import AnsatzField
+
+    cfg = config_from_dict(THIN) if path == "THIN" else parse_config(path)
+    build, read, record = experiments.PointSetup.build, {}, {}
+
+    def setup(cfg, eps, nodes):
+        point = build(cfg, eps, nodes)
+        read[command].append(point.region.from_box(*point.coords))
+        return point
+
+    def solve_point(cfgs, eps, nodes):
+        setup(cfgs[0], eps, nodes)
+        return [_Solved()] * len(cfgs), {}
+
+    def residual(af, x1, t):
+        x = af.region.from_box(x1, t)
+        read[command].append(x)
+        return np.ones_like(x), np.ones_like(x)
+
+    def hypotheses(cfg, eps):
+        record[command] = cfg.geometry.build_region(eps).reach
+        return [], None
+
+    def stop(*args):
+        raise RuntimeError("the ansatz is not evaluated here")
+
+    monkeypatch.setattr(experiments.PointSetup, "build", setup)
+    monkeypatch.setattr(cli, "solve_point", solve_point)
+    monkeypatch.setattr(experiments, "solve_point", solve_point)
+    monkeypatch.setattr(experiments, "STATISTICS",
+                        dict.fromkeys(experiments.STATISTICS, lambda b: 1.0))
+    monkeypatch.setattr(AnsatzField, "residual", residual)
+    monkeypatch.setattr(cli, "_hypotheses", hypotheses)
+    monkeypatch.setattr(cli, "build_ansatz", stop)
+    skipped = {"validate"}                  # reads no point, as a skipped check
+    for command in ("validate", "ansatz", "solve", *CHECK_NAMES):
+        read[command] = []
+        if run(cfg, command, tmp_path / command).verdicts[0].status == "SKIPPED":
+            skipped.add(command)
+    assert {command for command, points in read.items() if not points} == skipped
+    for command, points in read.items():
+        if not points:
+            continue
+        extent = np.max([np.abs(x).reshape(-1, 2).max(axis=0) for x in points], axis=0)
+        assert np.all(extent <= record[command]), command
+        assert np.all(extent <= record["validate"]), command
 
 def test_overflowing_coefficients_abort_every_check(tmp_path):
     # finite input whose pullback overflows: no verdict may pass or FAIL on

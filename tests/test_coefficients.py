@@ -1,5 +1,7 @@
 """Coefficient tensors: construction, ellipticity checks, C2 estimates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,7 @@ class TestEllipticity:
         M = rng.normal(size=(N * n, N * n))
         M = M + M.T + 2 * N * n * np.eye(N * n)     # diagonally dominant
         A0 = M.reshape(N, n, N, n).transpose(0, 2, 1, 3)
-        t = make_custom(N, A0, lam=float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
+        t = replace(make_custom(N, A0), lam=float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]))
         rep = check_pointwise_ellipticity(t, region=reg)
         assert not rep.symmetric_xi
         oracle = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
@@ -116,7 +118,7 @@ class TestAnn:
         A0 = np.zeros((1, 1, 2, 2))
         A0[0, 0, 0, 0] = 1.0
         A0[0, 0, 1, 1] = -1.0
-        t = make_custom(1, A0, Lambda1=0.1, Lambda2=1.0)
+        t = replace(make_custom(1, A0), Lambda1=0.1, Lambda2=1.0)
         with pytest.raises(HypothesisViolationError):
             check_ann(t, region=reg)
 
@@ -128,7 +130,7 @@ class TestAnn:
 def test_perturbed_tensor_derivatives(reg):
     base = make_lame(LameParameters(1.0, 1.0))
     poly = MultiPoly([(0.7, (1, 0)), (-0.3, (0, 2))])     # 0.7 x1 - 0.3 xn^2
-    t = make_perturbed(base, poly, 0.05, (1.0, 1.1))
+    t = make_perturbed(base, poly, 0.05)
     x = np.array([[0.2, 0.1]])
     A, dA, d2A = t.A_jet(x, 2)
     assert np.array_equal(A, t.A(x))
@@ -156,30 +158,37 @@ def wide_reg():
 
 
 def test_perturbed_tensor_declares_the_scaled_base_constants(wide_reg):
-    # A = (1 + 0.1 p) A0 with |0.1 p| <= 0.188 scales every constant of A0
+    # A = (1 + 0.1 p) A0 with |0.1 p| <= 0.188 on wide_reg's box scales
+    # every constant of A0; the tensor keeps A0's, and the record declares
+    # the scaled ones over the region it checks
     lame = make_lame(LameParameters(1.0, 1.0))
-    t = make_perturbed(lame, MIXED_POLY, 0.1, (1.0, 1.1))
+    t = make_perturbed(lame, MIXED_POLY, 0.1)
+    assert (t.lam, t.Lambda1, t.Lambda2) == (lame.lam, lame.Lambda1, lame.Lambda2)
+    assert wide_reg.reach == pytest.approx((1.0, 1.1), rel=1e-15)
     assert MIXED_POLY.bound((1.0, 1.1)) == pytest.approx(1.88, rel=1e-15)
-    assert (t.lam, t.Lambda1, t.Lambda2) == pytest.approx(
-        (2 * 0.812, 0.812, 3 * 1.188), rel=1e-14)
-    assert check_ann(t, wide_reg).passed
-    assert check_pointwise_ellipticity(t, wide_reg).passed
+    ann, legendre = check_ann(t, wide_reg), check_pointwise_ellipticity(t, wide_reg)
+    assert ann.declared == pytest.approx((0.812, 3 * 1.188), rel=1e-14)
+    assert legendre.declared == pytest.approx(2 * 0.812, rel=1e-14)
+    assert ann.passed and legendre.passed
 
 
-def test_perturbed_tensor_beyond_its_declared_box_fails_check_ann(wide_reg):
-    # declared for |x_a| <= 0.1, sampled out to |x1| = 1
-    t = make_perturbed(make_lame(LameParameters(1.0, 1.0)), MIXED_POLY, 0.1, (0.1, 0.1))
+def test_tensor_beyond_its_declared_bounds_fails_check_ann(wide_reg):
+    # Lame's A^nn spectrum is [1, 3]; declared inside it, it fails on both ends
+    t = replace(make_lame(LameParameters(1.0, 1.0)), Lambda1=1.1, Lambda2=2.9)
     rep = check_ann(t, wide_reg)
-    assert not rep.passed
+    assert not rep.passed and rep.declared == (1.1, 2.9)
     assert rep.lambda1_est < t.Lambda1 and rep.lambda2_est > t.Lambda2
 
 
 def test_perturbation_that_makes_Ann_indefinite_still_raises(wide_reg):
-    # 1 + 2 x1 < 0 for x1 < -0.5: the declared constants floor at 0, and the
-    # sampled spectrum leaves positive definiteness
-    t = make_perturbed(make_lame(LameParameters(1.0, 1.0)), MultiPoly([(1.0, (1, 0))]),
-                       2.0, (1.0, 1.1))
-    assert (t.lam, t.Lambda1) == (0.0, 0.0)
+    # 1 + 2 x1 < 0 for x1 < -0.5: at the end A0 - 2 T = -A0 the least
+    # quotient is minus Lame's greatest, 2 lam + 2 mu = 4, so the record
+    # floors the declared bound at 0, and the sampled spectrum leaves
+    # positive definiteness
+    t = make_perturbed(make_lame(LameParameters(1.0, 1.0)), MultiPoly([(1.0, (1, 0))]), 2.0)
+    rep = check_pointwise_ellipticity(t, wide_reg)
+    assert rep.declared == 0.0 and not rep.passed
+    assert rep.floored == "; bound -4 over the reach, met at A0 - 2 T, floored at 0"
     with pytest.raises(HypothesisViolationError, match="positive definiteness"):
         check_ann(t, wide_reg)
 

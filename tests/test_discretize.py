@@ -4,7 +4,7 @@ import gc
 import threading
 import time
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -49,10 +49,10 @@ _R = np.random.default_rng(0).normal(size=(2, 2, 2, 2))
 SKEW = make_custom(2, LAME.A0 + 0.5 * (_R - np.transpose(_R, (1, 0, 3, 2))))
 PERTURBED_SKEW = make_perturbed(
     SKEW, MultiPoly([(1.0, (1, 0)), (0.5, (0, 1)), (0.3, (1, 1))]), 0.1,
-    (1.0, 1.1), direction=make_lame(LameParameters(2.0, 0.5)).A0)
+    direction=make_lame(LameParameters(2.0, 0.5)).A0)
 # symmetric, but A^{12} = A^{21} = 3 > 1 leaves it not elliptic: its free
 # block is indefinite
-INDEFINITE = make_custom(1, np.reshape([1.0, 3.0, 3.0, 1.0], (1, 1, 2, 2)), lam=1.0)
+INDEFINITE = replace(make_custom(1, np.reshape([1.0, 3.0, 3.0, 1.0], (1, 1, 2, 2))), lam=1.0)
 
 
 def jacobian_matrix(region, x1, t):
@@ -253,7 +253,7 @@ class TestAssemble:
              + 0.5 * np.einsum("iab,...a,...b->...i", H, x, x))
         grad = g + np.einsum("iab,...b->...ia", H, x)
         hess = np.broadcast_to(H, x.shape[:-1] + H.shape)
-        want = np.moveaxis(apply_operator(tensor, x, u, grad, hess), -1, 0)
+        want = np.moveaxis(apply_operator(tensor, x, grad, hess), -1, 0)
         ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
         got = (ls.matrix @ np.moveaxis(u, -1, 0).ravel()).reshape(want.shape)
         interior = (slice(None), slice(1, -1), slice(1, -1))
@@ -313,11 +313,11 @@ class TestSolveLinear:
 
     def test_identity_system(self):
         # identity Dirichlet rows and an identity stencil W[0] on the
-        # interior: a symmetric table, but the free block's diagonal is
-        # positive, so banded LU
+        # interior, taken as non-symmetric, so banded LU: M = -I is not
+        # positive definite, and Cholesky would refuse it
         grid = BoxGrid(10, 5, 1.0)
         W0 = np.ones((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
-        ls = LinearSystem(grid, 1, {(0, 0): W0}, True)
+        ls = LinearSystem(grid, 1, {(0, 0): W0}, False)
         b = np.random.default_rng(1).normal(size=(1,) + grid.shape)
         (x,), (rep,), _ = solve_linear(ls, b[None])
         assert np.array_equal(x, b) and rep.method == "gbtrf"
@@ -369,21 +369,26 @@ class TestSharedFactorization:
         # first-order term: the free block is non-symmetric, so banded LU,
         # row pivoting.  A constant A^{12} - A^{21} would drop out
         tensor = make_perturbed(make_custom(1, np.reshape([1.0, 2.0, -2.0, 1.0], (1, 1, 2, 2))),
-                                MultiPoly([(1.0, (1, 0))]), 0.5, (1.0, 1.1))
+                                MultiPoly([(1.0, (1, 0))]), 0.5)
         ls, rep = self._matches_spsolve(tensor, curved_region(eps=0.05),
                                         BoxGrid(33, 17, 1.0))
         assert _asymmetry(ls) > 1e-3 and rep.method == "gbtrf"
 
-    def test_indefinite_symmetric_block_falls_back_to_banded_lu(self):
+    def test_indefinite_symmetric_block_raises_naming_its_part(self):
         # a symmetric tensor that is not elliptic: the diagonal stays
-        # negative but -K has positive eigenvalues, so Cholesky stops and
-        # the same block is factored by banded LU
-        ls, rep = self._matches_spsolve(INDEFINITE, flat_region(eps=1.0),
-                                        BoxGrid(33, 17, 1.0))
+        # negative but -K has positive eigenvalues, so Cholesky stops at the
+        # left half.  The record refuses such a tensor, so a solve that
+        # meets one is a fault, and no other routine is tried
+        reg, grid = flat_region(eps=1.0), BoxGrid(33, 17, 1.0)
+        ls = assemble(transform_operator(INDEFINITE, reg, grid, box_jacobian(reg, grid)))
         free = ~dirichlet_mask(ls)
         K = _csr_reference(ls).toarray()[free][:, free]
         assert _asymmetry(ls) == 0.0 and np.all(np.diag(K) < 0)
-        assert np.linalg.eigvalsh(K).max() > 0 and rep.method == "gbtrf"
+        assert np.linalg.eigvalsh(K).max() > 0
+        b = right_hand_side(ls, np.random.default_rng(3).normal(size=grid.shape + (1,)))
+        with pytest.raises(SolverError, match="^banded Cholesky factorization failed: left "
+                                              "half not positive definite, pbtrf info [1-9]"):
+            solve_linear(ls, b[None])
 
     def test_one_factorization_serves_every_right_hand_side(self, monkeypatch):
         from narrowgap import discretize
@@ -656,8 +661,7 @@ class TestFreeBand:
         assert rep.fill == storage / Kff.nnz
 
     @pytest.mark.parametrize("tensor", [LAME, LAP, SKEW, PERTURBED_SKEW,
-                                        make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2,
-                                                       (1.0, 1.1))],
+                                        make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2)],
                              ids=["lame", "laplace", "bcd", "perturbed_bcd", "perturbed"])
     def test_stencil_symmetry_agrees_with_the_matrix(self, tensor):
         reg = curved_region(eps=0.05, upper=1.0, lower=0.5)
@@ -711,7 +715,7 @@ class TestSymmetryByConstruction:
           for lam in (-0.9, 3.0, 10.0, 100.0)),
         pytest.param(make_lame(LameParameters(0.5, 2.0)), THM11, False, id="lame_0.5_2"),
         pytest.param(LAP, curved_region(eps=1e-2, lower=0.5), False, id="laplace_h2"),
-        pytest.param(make_perturbed(LAME, MultiPoly([(1.0, (1, 0))]), 0.5, (1.0, 1.1)),
+        pytest.param(make_perturbed(LAME, MultiPoly([(1.0, (1, 0))]), 0.5),
                      THM11, False, id="lame_perturbed"),
         pytest.param(LAME, THM11, False, id="lame_1")]
 
@@ -818,12 +822,12 @@ class TestTwistedCholesky:
 
     @pytest.mark.parametrize("tensor, halves", [(INDEFINITE, False), (LAP, True)],
                              ids=["halves_indefinite", "separator_indefinite"])
-    def test_indefinite_block_falls_back_to_banded_lu(self, monkeypatch, tensor, halves):
+    def test_indefinite_block_raises_naming_its_part(self, monkeypatch, tensor, halves):
         # on the flat 2 x 1 box, the not elliptic INDEFINITE makes both
-        # halves indefinite.  No tensor was found whose halves are positive
-        # definite and whose whole block is not, so for the separator's
-        # branch the Laplacian's dpotrf reports the info that such a block
-        # would give
+        # halves indefinite, and the left one is named.  No tensor was found
+        # whose halves are positive definite and whose whole block is not,
+        # so for the separator's branch the Laplacian's dpotrf reports the
+        # info that such a block would give
         from narrowgap import discretize
         infos, pbtrf, potrf = [], discretize._pbtrf, discretize.lapack.dpotrf
         monkeypatch.setattr(discretize, "_pbtrf",
@@ -837,13 +841,17 @@ class TestTwistedCholesky:
             return out
 
         monkeypatch.setattr(discretize.lapack, "dpotrf", potrf_info)
-        _, rep = TestSharedFactorization._matches_spsolve(tensor, flat_region(eps=1.0),
-                                                          BoxGrid(33, 17, 1.0))
-        assert rep.method == "gbtrf"
+        reg, grid = flat_region(eps=1.0), BoxGrid(33, 17, 1.0)
+        ls = assemble(transform_operator(tensor, reg, grid, box_jacobian(reg, grid)))
+        with pytest.raises(SolverError) as caught:
+            discretize._FreeBlockBand(ls)
         if halves:
             assert infos[:2] == [0, 0] and len(infos) == 3 and infos[2] > 0
+            part = f"separator not positive definite, potrf info {infos[2]}"
         else:
             assert len(infos) == 2 and min(infos) > 0
+            part = f"left half not positive definite, pbtrf info {infos[0]}"
+        assert str(caught.value) == f"banded Cholesky factorization failed: {part}"
 
     def test_helper_exception_is_raised_here_and_holds_no_band(self, monkeypatch):
         from narrowgap import discretize
@@ -894,7 +902,7 @@ def _captured_free_rhs(monkeypatch, ls, b):
 
 
 class TestStencilOperator:
-    PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2, (1.0, 1.1))
+    PERTURBED = make_perturbed(LAME, MultiPoly([(1.0, (1, 1))]), 0.2)
     CASES = [pytest.param(LAME, "pbtrf", id="lame"),
              pytest.param(LAP, "pbtrf", id="laplace"),
              pytest.param(SKEW, "gbtrf", id="bcd"),
@@ -992,9 +1000,10 @@ class TestStencilOperator:
 
     @pytest.mark.parametrize("solves", [1, 2], ids=["first_failure", "raised_again"])
     def test_failed_factorization_frees_its_system(self, solves):
-        # a zero W[0], symmetric but with no negative diagonal, stops banded
-        # LU at gbtrf info 1 on every solve, and neither the first nor a
-        # later one may keep the system alive through a stored traceback
+        # a zero W[0], symmetric but not negative definite, stops the
+        # twisted Cholesky at its left half's first pivot on every solve,
+        # and neither the first nor a later one may keep the system alive
+        # through a stored traceback
         grid = BoxGrid(10, 5, 1.0)
         W0 = np.zeros((grid.shape[0] - 2, grid.shape[1] - 2, 1, 1))
         ls = LinearSystem(grid, 1, {(0, 0): W0}, True)
@@ -1004,7 +1013,8 @@ class TestStencilOperator:
         gc.disable()
         try:
             for _ in range(solves):
-                with pytest.raises(SolverError, match="gbtrf info 1"):
+                with pytest.raises(SolverError, match="left half not positive definite, "
+                                                      "pbtrf info 1$"):
                     solve_linear(ls, b[None])
             del ls
             assert system() is None
@@ -1143,7 +1153,7 @@ class TestRecoverGradient:
         assert order >= 1.8
 
     @pytest.mark.parametrize("tensor", [LAME, LAP, make_perturbed(
-        LAME, MultiPoly([(1.0, (1, 1))]), 0.2, (1.0, 1.1))],
+        LAME, MultiPoly([(1.0, (1, 1))]), 0.2)],
         ids=["lame", "laplace", "perturbed"])
     def test_gradient_matches_the_einsum_reference(self, tensor):
         # G^T grad_y u as the generic einsum writes it, on a solved field

@@ -289,15 +289,11 @@ def alive_after_failed_sweep(monkeypatch, requests):
 
 
 def test_failed_factorizations_hold_no_system(monkeypatch):
-    # the twisted Cholesky finds the block not positive definite, then banded
-    # LU reports an exact zero pivot, so each eps fails on its base grid, for
-    # the second config by reuse
+    # each half of the twisted Cholesky reports an exact zero pivot, so each
+    # eps fails on its base grid, for the second config by reuse
     from narrowgap import discretize
 
-    dgbtrf = discretize.lapack.dgbtrf
-    monkeypatch.setattr(discretize._FreeBlockBand, "_cholesky", lambda self, ls: False)
-    monkeypatch.setattr(discretize.lapack, "dgbtrf",
-                        lambda *a, **k: dgbtrf(*a, **k)[:2] + (1,))
+    monkeypatch.setattr(discretize, "_pbtrf", lambda ab: 1)
     eps = (0.01, 0.005, 0.002, 0.001)
     cfgs = [small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9}),
             small_cfg(solver={"tangential_nodes": 17, "vertical_nodes": 9},
@@ -306,7 +302,8 @@ def test_failed_factorizations_hold_no_system(monkeypatch):
         monkeypatch, [SweepRequest(cfg, ("sup_grad",), eps) for cfg in cfgs])
     for out in outs:
         assert type(out.error) is discretize.SolverError
-        assert str(out.error) == "banded LU factorization failed: gbtrf info 1"
+        assert str(out.error) == ("banded Cholesky factorization failed: left half not "
+                                  "positive definite, pbtrf info 1")
     assert systems == 0
 
 

@@ -27,6 +27,10 @@ The box Jacobian has one producer: only ``PointSetup.build`` calls
 ``box_jacobian``, once per sweep point, and every transform and gradient
 recovery at that point reads what it built.
 
+A perturbed tensor's bounds are taken over the region the hypothesis record
+checks, once: no module but ``coefficients.py`` reads a ``.reach``, so no
+config or builder decides a reach of its own.
+
 The symmetry of the stencil table comes from the tensor
 (``CoefficientTensor.symmetric``), which decides the factorization: no
 module tests arrays for equality at run time (``np.array_equal``).
@@ -246,3 +250,14 @@ def test_no_module_tests_arrays_for_equality():
         calls += [f"{path.name}:{line}" for _, name, line in _calls_by_function(tree)
                   if name in ("array_equal", "array_equiv")]
     assert not calls, "np.array_equal in src/: " + ", ".join(calls)
+
+
+def test_only_coefficients_reads_the_reach():
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "coefficients.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "reach"]
+    assert not reads, ".reach read outside coefficients.py: " + ", ".join(reads)
